@@ -18,7 +18,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TARGET = "./perfbench/serve_bench.exe"
 EXE = os.path.join(ROOT, "_build", "default", "perfbench", "serve_bench.exe")
 BUILD_TIMEOUT_S = 840
-RUN_TIMEOUT_S = 170
+# serve_bench.exe defaults to 10 s of measurement.  A run measures for
+# --seconds, then finishes its last round and its checks; allow twice the
+# measured time plus a fixed margin for warm-up and set-up.
+DEFAULT_SECONDS = 10.0
+RUN_MARGIN_S = 60.0
+
+
+def run_timeout(argv):
+    seconds = DEFAULT_SECONDS
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "--seconds":
+            try:
+                seconds = max(0.0, float(value))
+            except ValueError:
+                pass  # serve_bench.exe rejects it with a usage message
+    return 2 * seconds + RUN_MARGIN_S
 
 
 def main(argv):
@@ -32,7 +47,14 @@ def main(argv):
         if build.returncode != 0:
             print("perfbench: build failed", file=sys.stderr)
             return 1
-        return subprocess.run([EXE] + argv, cwd=ROOT, timeout=RUN_TIMEOUT_S).returncode
+        timeout = run_timeout(argv)
+        try:
+            return subprocess.run([EXE] + argv, cwd=ROOT, timeout=timeout).returncode
+        except subprocess.TimeoutExpired:
+            print(f"perfbench: run exceeded {timeout:.0f} s "
+                  f"(2 x --seconds + {RUN_MARGIN_S:.0f} s); no result",
+                  file=sys.stderr)
+            return 1
     except (OSError, subprocess.TimeoutExpired) as e:
         print(f"perfbench: {e}", file=sys.stderr)
         return 1

@@ -4,13 +4,13 @@
 
    Usage:
      serve_bench.exe --workload NAME [--seed N] [--seconds S] [--trace 0|1]
-     serve_bench.exe --workload NAME --counts [--seed N] [--scale F]
+     serve_bench.exe --workload NAME --counts [--seed N]
 
    NAME is serve-g5k, serve-wide or serve-chaos (README.md says why each
    exists).  The last line of standard output is one JSON object with the
    keys correct, attempted, failed and metrics.  [--counts] prints only
    the exact work counters (jobs 1), so two commits can be diffed line for
-   line.  [--scale] shrinks the arrival window, for quick tests.
+   line.
 
    Every host time comes from the monotonic clock of
    [bechamel.monotonic_clock].  Layer timings are taken around calls into
@@ -92,7 +92,7 @@ type workload = {
   name : string;
   jobs : int;
   rate_per_s : float;  (** open-loop Poisson arrivals per simulated second *)
-  window_s : float;  (** arrival window, simulated seconds, at scale 1 *)
+  window_s : float;  (** arrival window, simulated seconds *)
   topology : unit -> Grid.t;  (** fixed fixture: the seed varies traffic only *)
   mix : Machines.t -> Workload.mix;
   admission : unit -> Admission.t;
@@ -186,11 +186,11 @@ let workloads = [ g5k; wide; chaos ]
 let redrivable w = w.name <> chaos.name
 
 (* Set-up: topology, machine view and request stream. *)
-let setup w ~seed ~scale =
+let setup w ~seed =
   let machines = Machines.expand (w.topology ()) in
   let requests =
     Workload.generate ~mix:(w.mix machines) ~seed ~rate:(w.rate_per_s /. 1e6)
-      ~duration:(w.window_s *. scale *. 1e6) machines
+      ~duration:(w.window_s *. 1e6) machines
   in
   (machines, requests)
 
@@ -513,7 +513,7 @@ let fail ok fmt =
       prerr_endline ("CHECK FAILED: " ^ s))
     fmt
 
-let check_report ok w ~seed ~scale (report : Server.report) =
+let check_report ok w ~seed (report : Server.report) =
   let r = report in
   if r.Server.admitted + r.Server.rejected <> r.Server.requests then
     fail ok "admitted %d + rejected %d <> requests %d" r.Server.admitted r.Server.rejected
@@ -522,8 +522,7 @@ let check_report ok w ~seed ~scale (report : Server.report) =
   if Float.is_nan r.Server.mean_makespan_us || r.Server.mean_makespan_us <= 0. then
     fail ok "mean makespan %g" r.Server.mean_makespan_us;
   let d = digest_of_lines (Server.smoke_lines report) in
-  (* Pins hold for the full arrival window only. *)
-  (match if scale = 1. then List.assoc_opt seed w.digests else None with
+  (match List.assoc_opt seed w.digests with
   | Some pinned when pinned <> d ->
       fail ok "%s seed %d: smoke digest %s, pinned %s" w.name seed d pinned
   | _ -> ());
@@ -622,14 +621,14 @@ let plan_miss_round grid keys ~budget_s =
   done;
   (Array.map (fun l -> median (Array.of_list l)) per_key, !passes * Array.length keys)
 
-let end_to_end w ~seed ~seconds ~scale =
+let end_to_end w ~seed ~seconds =
   let ok = ref true in
   let jobs = w.jobs in
   stamp w ~seed ~jobs ~mode:"end-to-end";
   let setup_times = ref [] in
   let timed_setup () =
     let t0 = now_ns () in
-    let inputs = setup w ~seed ~scale in
+    let inputs = setup w ~seed in
     setup_times := seconds_since t0 :: !setup_times;
     inputs
   in
@@ -646,7 +645,7 @@ let end_to_end w ~seed ~seconds ~scale =
   let peak_heap_mb =
     float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6
   in
-  let digest = check_report ok w ~seed ~scale warm in
+  let digest = check_report ok w ~seed warm in
   let wave0 = wave0_of warm in
   let nreq = float_of_int warm.Server.requests in
   let outcome_metrics =
@@ -700,7 +699,7 @@ let end_to_end w ~seed ~seconds ~scale =
 
 (* One untraced [Server.run] plus one traced pass over the same inputs;
    returns the ledger's metrics and the untraced report. *)
-let traced_pass ok (w : workload) ~jobs ~seed ~scale inputs =
+let traced_pass ok (w : workload) ~jobs ~seed inputs =
   let machines, requests = inputs in
   Gc.compact ();
   let q0 = Gc.quick_stat () in
@@ -708,7 +707,7 @@ let traced_pass ok (w : workload) ~jobs ~seed ~scale inputs =
   let report = serve w ~jobs ~seed inputs in
   let server_s = seconds_since t0 in
   let q1 = Gc.quick_stat () in
-  let digest = check_report ok w ~seed ~scale report in
+  let digest = check_report ok w ~seed report in
   Gc.compact ();
   let lg = ledger () in
   let t1 = now_ns () in
@@ -814,16 +813,16 @@ let traced_pass ok (w : workload) ~jobs ~seed ~scale inputs =
   in
   (metrics, report)
 
-let per_layer w ~seed ~seconds ~scale =
+let per_layer w ~seed ~seconds =
   let ok = ref true in
   let jobs = w.jobs in
   stamp w ~seed ~jobs ~mode:"per-layer";
-  let inputs = setup w ~seed ~scale in
+  let inputs = setup w ~seed in
   ignore (serve w ~jobs ~seed inputs);
   let passes = ref [] and attempted = ref 0 and failed = ref 0 in
   let t_start = now_ns () in
   while !passes = [] || seconds_since t_start < seconds do
-    let metrics, report = traced_pass ok w ~jobs ~seed ~scale inputs in
+    let metrics, report = traced_pass ok w ~jobs ~seed inputs in
     passes := metrics :: !passes;
     attempted := !attempted + report.Server.requests;
     failed := !failed + failed_requests report
@@ -852,10 +851,10 @@ let exact_counts =
     "des.acks"; "admission.decisions"; "admission.rejects"; "admission.sheds";
     "server.minor_words_per_req"; "server.requeues"; "server.retry_lookups" ]
 
-let counts w ~seed ~scale =
+let counts w ~seed =
   let ok = ref true in
-  let inputs = setup w ~seed ~scale in
-  let metrics, report = traced_pass ok w ~jobs:1 ~seed ~scale inputs in
+  let inputs = setup w ~seed in
+  let metrics, report = traced_pass ok w ~jobs:1 ~seed inputs in
   Printf.printf "workload %s seed %d requests %d\n" w.name seed report.Server.requests;
   List.iter
     (fun x -> if List.mem x.m_name exact_counts then Printf.printf "%s %.17g\n" x.m_name x.value)
@@ -868,12 +867,12 @@ let counts w ~seed ~scale =
 let usage () =
   prerr_endline
     "usage: serve_bench.exe --workload serve-g5k|serve-wide|serve-chaos [--seed N] \
-     [--seconds S] [--trace 0|1] [--counts] [--scale F]";
+     [--seconds S] [--trace 0|1] [--counts]";
   exit 2
 
 let () =
   let workload = ref None and seed = ref default_seed and seconds = ref 10. in
-  let trace = ref false and counts_mode = ref false and scale = ref 1. in
+  let trace = ref false and counts_mode = ref false in
   let num conv v = match conv v with Some x -> x | None -> usage () in
   let rec parse = function
     | [] -> ()
@@ -893,16 +892,13 @@ let () =
     | "--counts" :: rest ->
         counts_mode := true;
         parse rest
-    | "--scale" :: v :: rest ->
-        scale := num float_of_string_opt v;
-        parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
   match !workload with
   | None -> usage ()
   | Some w ->
-      if !scale <= 0. || !seconds < 0. then usage ();
-      if !counts_mode then counts w ~seed:!seed ~scale:!scale
-      else if !trace then per_layer w ~seed:!seed ~seconds:!seconds ~scale:!scale
-      else end_to_end w ~seed:!seed ~seconds:!seconds ~scale:!scale
+      if !seconds < 0. then usage ();
+      if !counts_mode then counts w ~seed:!seed
+      else if !trace then per_layer w ~seed:!seed ~seconds:!seconds
+      else end_to_end w ~seed:!seed ~seconds:!seconds
