@@ -14,6 +14,11 @@
     timers of the reliable executor: the common (ACK received) path cancels
     the timer instead of letting a stale timeout fire.
 
+    Memory: the queue is a binary min-heap of (time, insertion seq)
+    ordered events.  A popped slot is overwritten with a shared vacant
+    record, so a fired event, and all its callback captured, is
+    unreachable from the engine: memory follows the events still queued.
+
     Observability: pass a {!Gridb_obs.Sink.t} at creation to receive
     [Timer_set]/[Timer_fire]/[Timer_cancel] events.  With the default
     {!Gridb_obs.Sink.null} sink the emission sites reduce to a single
@@ -32,14 +37,14 @@ val now : t -> float
 
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Enqueue a callback at an absolute time.
-    @raise Invalid_argument if [time] is in the past (< [now t]). *)
+    @raise Invalid_argument if [time] is NaN or in the past (< [now t]). *)
 
 val schedule_after : t -> delay:float -> (t -> unit) -> unit
-(** Relative variant.  @raise Invalid_argument if [delay < 0.]. *)
+(** Relative variant.  @raise Invalid_argument if [delay < 0.] or NaN. *)
 
 val schedule_timer : t -> time:float -> (t -> unit) -> timer
 (** Like {!schedule}, returning a handle usable with {!cancel}.
-    @raise Invalid_argument if [time] is in the past. *)
+    @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val cancel : t -> timer -> unit
 (** Mark the timer's event dead; it will never execute.  Cancelling an
@@ -64,3 +69,13 @@ val pending : t -> int
 
 val processed : t -> int
 (** Events executed so far. *)
+
+(** {2 Queue introspection, for tests} *)
+
+val capacity : t -> int
+(** Backing array length: 16, doubled only when full, so at most
+    [max 16 (2 * peak)] for [peak] the most events ever queued at once. *)
+
+val check_invariant : t -> bool
+(** True iff the queued events form a (time, insertion seq) min-heap and
+    every slot past them is vacant (holds no fired event). *)

@@ -114,14 +114,17 @@ type degrade_stream = {
   mutable episodes : (float * float) list;  (* (start, stop), ascending *)
 }
 
+module Links = Hashtbl.Make (Int)
+
 type t = {
   spec : spec;
   n : int;
   t0 : float;  (* time origin; drawn times are offsets from it *)
   crash : float array;  (* per rank; infinity = never *)
   cut : float array;  (* directed link src * n + dst; infinity = never *)
-  loss_streams : Rng.t array;  (* per directed link; [||] when loss = 0 *)
-  degrade_streams : degrade_stream array;  (* [||] when degrade_rate = 0 *)
+  seeds : Rng.t;  (* master state after the crash and cut draws *)
+  loss_streams : Rng.t Links.t;  (* per directed link, made on first query *)
+  degrade_streams : degrade_stream Links.t;  (* likewise *)
 }
 
 let create ?(seed = 0) ?(t0 = 0.) ~n spec =
@@ -135,7 +138,6 @@ let create ?(seed = 0) ?(t0 = 0.) ~n spec =
       ~crash_rate:spec.crash_rate ()
   in
   let master = Rng.create seed in
-  let links = n * n in
   let crash =
     if spec.crash_rate > 0. then
       Array.init n (fun _ -> Rng.exponential master spec.crash_rate)
@@ -143,27 +145,26 @@ let create ?(seed = 0) ?(t0 = 0.) ~n spec =
   in
   let cut =
     if spec.cut_rate > 0. then
-      Array.init links (fun idx ->
+      Array.init (n * n) (fun idx ->
           if idx / n = idx mod n then infinity
           else Rng.exponential master spec.cut_rate)
     else Array.make 0 0.
   in
-  let sub_rng () = Rng.create (Int64.to_int (Rng.bits64 master)) in
-  let loss_streams =
-    if spec.loss > 0. then Array.init links (fun _ -> sub_rng ()) else [||]
-  in
-  let degrade_streams =
-    if spec.degrade_rate > 0. then
-      Array.init links (fun _ ->
-          let drng = sub_rng () in
-          {
-            drng;
-            next_start = Rng.exponential drng spec.degrade_rate;
-            episodes = [];
-          })
-    else [||]
-  in
-  { spec; n; t0; crash; cut; loss_streams; degrade_streams }
+  { spec; n; t0; crash; cut; seeds = master;
+    loss_streams = Links.create 0; degrade_streams = Links.create 0 }
+
+(* Per-link streams are seeded by the master's outputs after the crash and
+   cut draws: every link's loss stream in link order, then every link's
+   degradation stream.  [Rng.bits64_ahead] reads the one a link needs, so
+   a stream is made when its link is first queried, with the same seed as
+   if all n^2 had been drawn up front. *)
+let link_stream t table idx ~offset make =
+  match Links.find_opt table idx with
+  | Some s -> s
+  | None ->
+      let s = make (Rng.create (Int64.to_int (Rng.bits64_ahead t.seeds (offset + idx)))) in
+      Links.add table idx s;
+      s
 
 let spec t = t.spec
 let size t = t.n
@@ -190,14 +191,19 @@ let link_up t ~src ~dst ~at = cut_time t ~src ~dst > at
 
 let lose t ~src ~dst =
   let idx = link_index t ~src ~dst "lose" in
-  if Array.length t.loss_streams = 0 then false
-  else Rng.bernoulli t.loss_streams.(idx) t.spec.loss
+  if t.spec.loss = 0. then false
+  else Rng.bernoulli (link_stream t t.loss_streams idx ~offset:0 Fun.id) t.spec.loss
 
 let slowdown t ~src ~dst ~at =
   let idx = link_index t ~src ~dst "slowdown" in
-  if Array.length t.degrade_streams = 0 then 1.
+  if t.spec.degrade_rate = 0. then 1.
   else begin
-    let s = t.degrade_streams.(idx) in
+    let s =
+      link_stream t t.degrade_streams idx
+        ~offset:(if t.spec.loss > 0. then t.n * t.n else 0)
+        (fun drng ->
+          { drng; next_start = Rng.exponential drng t.spec.degrade_rate; episodes = [] })
+    in
     let at = at -. t.t0 in
     while s.next_start <= at do
       let start = s.next_start in

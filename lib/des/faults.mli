@@ -16,11 +16,13 @@
       [Exp(crash_rate)]; it stops sending, and messages delivered to it
       after the crash are discarded (no ACK, no forwarding).
 
-    All randomness is pre-seeded per link / per rank at {!create} time from
-    a single SplitMix64 master stream, so fault draws are reproducible at a
-    fixed seed {e and} independent of the order in which the executor
-    queries different links — a retransmission on one link never perturbs
-    the draws of another. *)
+    All randomness comes from one SplitMix64 master stream: crash and cut
+    times are drawn at {!create} time, and each directed link's loss and
+    degradation streams are seeded by fixed master outputs, made when the
+    link is first queried.  Fault draws are reproducible at a fixed seed
+    {e and} independent of the order in which the executor queries
+    different links — a retransmission on one link never perturbs the
+    draws of another. *)
 
 type spec = {
   loss : float;  (** per-transmission loss probability, in [0, 1) *)
@@ -67,9 +69,10 @@ type t
 (** An instantiated fault model over [n] ranks. *)
 
 val create : ?seed:int -> ?t0:float -> n:int -> spec -> t
-(** Pre-draws crash and cut times and seeds the per-link loss/degradation
-    streams (default seed 0).  With {!is_none} specs no randomness is
-    consumed at all.
+(** Pre-draws crash and cut times (default seed 0); per-link loss and
+    degradation streams are made on a link's first query, seeded as if
+    every link's had been drawn here in link order.  With {!is_none} specs
+    no randomness is consumed at all.
 
     [t0] (default [0.]) is the model's time origin: crash times, cut times
     and the degradation-episode timeline are offsets from it.  A session

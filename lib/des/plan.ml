@@ -76,10 +76,13 @@ let of_flat_schedule machines schedule =
   let n = Machines.count machines in
   if schedule.Schedule.n <> n then
     invalid_arg "Plan.of_flat_schedule: machine count mismatch";
+  (* Built reversed, one cons per edge, and reversed once: appending each
+     child would be quadratic in a sender's fan-out. *)
   let children = Array.make n [] in
   List.iter
-    (fun e -> children.(e.Schedule.src) <- children.(e.Schedule.src) @ [ e.Schedule.dst ])
+    (fun e -> children.(e.Schedule.src) <- e.Schedule.dst :: children.(e.Schedule.src))
     schedule.Schedule.events;
+  let children = Array.map List.rev children in
   let root = schedule.Schedule.root in
   validate ~root ~children;
   { root; children }

@@ -118,6 +118,8 @@ let trace_of_mem mem =
   |> List.rev
   |> List.sort (fun (a : Trace.transmission) b -> Float.compare a.arrival b.arrival)
 
+module Edges = Hashtbl.Make (Int)
+
 let intra machines src dst =
   (Machines.machine machines src).Machines.cluster
   = (Machines.machine machines dst).Machines.cluster
@@ -220,7 +222,7 @@ type reliable_t = {
   r_reroute_log : (int * int * int) list ref;
   r_circuit_opens : int ref;
   r_est : Adaptive.t option;
-  r_faults : Faults.t;
+  r_faults : Faults.t option;
   r_dynamics : Dynamics.t option;
   r_joins : Dynamics.join array;
   r_record_trace : bool;
@@ -278,7 +280,6 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     config
   in
   let n = Machines.count machines in
-  let faults = match faults with Some f -> f | None -> Faults.create ~n Faults.none in
   (* Joins extend the rank space above the planning-time population: every
      per-rank array is sized [ntot], and ranks >= n exist from time 0 as
      far as the arrays are concerned but only become reachable once their
@@ -305,7 +306,9 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   (* A rank halts at its fault-model crash or its dynamics departure,
      whichever comes first; join ranks never halt. *)
   let halt r =
-    let crash = if r < n then Faults.crash_time faults r else infinity in
+    let crash =
+      match faults with Some f when r < n -> Faults.crash_time f r | _ -> infinity
+    in
     match dynamics with
     | None -> crash
     | Some d -> Float.min crash (Dynamics.leave_time d r)
@@ -315,13 +318,21 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
      {!Dynamics.factor} is exactly 1. on them too). *)
   let fresh_link src dst = src >= n || dst >= n in
   let lose_on src dst =
-    (not (fresh_link src dst)) && Faults.lose faults ~src ~dst
+    match faults with
+    | Some f when not (fresh_link src dst) -> Faults.lose f ~src ~dst
+    | _ -> false
   in
   let link_up src dst ~at =
-    fresh_link src dst || Faults.link_up faults ~src ~dst ~at
+    match faults with
+    | Some f when not (fresh_link src dst) -> Faults.link_up f ~src ~dst ~at
+    | _ -> true
   in
   let slowdown src dst ~at =
-    let f = if fresh_link src dst then 1. else Faults.slowdown faults ~src ~dst ~at in
+    let f =
+      match faults with
+      | Some f when not (fresh_link src dst) -> Faults.slowdown f ~src ~dst ~at
+      | _ -> 1.
+    in
     match dynamics with None -> f | Some d -> f *. Dynamics.factor d ~src ~dst ~at
   in
   let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
@@ -354,7 +365,10 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   let cur_try = Array.make ntot 0 in
   let last_start = Array.make ntot nan in
   let reroutes_used = Array.make ntot 0 in
-  let failed = Array.make (ntot * ntot) false in
+  (* Reroute edges that already failed an orphan, keyed dst * ntot +
+     parent: only orphans touch it, so a session that never reroutes never
+     builds it. *)
+  let failed = lazy (Edges.create 16) in
   (* Orphans with no delivered alive candidate yet, retried on the next
      delivery: (dst, parent that last failed it). *)
   let pending = ref [] in
@@ -385,6 +399,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     match est with
     | None -> None
     | Some est ->
+        let failed = Lazy.force failed in
         let best = ref None in
         for p = 0 to ntot - 1 do
           (* Liveness must be judged at the moment the parent could actually
@@ -400,7 +415,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
                candidates no probe will cross; the winner's transition is
                applied in [try_reroute]. *)
             let tier =
-              if failed.((dst * ntot) + p) then 2
+              if Edges.mem failed ((dst * ntot) + p) then 2
               else if Adaptive.usable_now est ~src:p ~dst ~now then 0
               else 1
             in
@@ -586,7 +601,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     (* A duplicate delivery may already have landed; then there is nothing
        to reroute (the timer is gone either way). *)
     if not has_msg.(dst) then begin
-      failed.((dst * ntot) + old_parent) <- true;
+      Edges.replace (Lazy.force failed) ((dst * ntot) + old_parent) ();
       try_reroute ~old_parent ~dst engine
     end
   and try_reroute ~old_parent ~dst engine =
@@ -680,7 +695,9 @@ let reliable_result (s : reliable_t) =
   let horizon = Engine.now s.r_engine in
   let n = s.r_n in
   let crashed =
-    List.filter (fun r -> Faults.crash_time s.r_faults r <= horizon) (List.init n Fun.id)
+    match s.r_faults with
+    | None -> []
+    | Some f -> List.filter (fun r -> Faults.crash_time f r <= horizon) (List.init n Fun.id)
   in
   let left =
     match s.r_dynamics with

@@ -524,8 +524,17 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
       in
       slo.(c) <- s)
     outcomes;
-  let latencies = Array.map (fun o -> o.plan_us) outcomes in
-  Array.sort Float.compare latencies;
+  (* Plan latencies are wall-clock readings, so how many comparisons a
+     sort makes varies run to run.  Sorting the float array itself boxes
+     an element per comparison (and heapsort raises a data-dependent
+     number of exceptions); a merge sort of indices into it allocates the
+     same words on every run, keeping minor-word counts reproducible. *)
+  let latencies =
+    let raw = Array.map (fun o -> o.plan_us) outcomes in
+    let order = Array.init (Array.length raw) Fun.id in
+    Array.stable_sort (fun i j -> Float.compare raw.(i) raw.(j)) order;
+    Array.map (fun i -> raw.(i)) order
+  in
   let stats = Plan_cache.stats cache in
   let lookups = stats.Plan_cache.hits + stats.Plan_cache.misses in
   {

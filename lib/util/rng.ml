@@ -18,6 +18,12 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+(* SplitMix64's state advances by the golden gamma per output, so the
+   output [k] calls ahead is one multiply-add away. *)
+let bits64_ahead t k =
+  if k < 0 then invalid_arg "Rng.bits64_ahead: negative offset";
+  mix (Int64.add t.state (Int64.mul (Int64.of_int (k + 1)) golden_gamma))
+
 (* A second odd constant so indexed streams are not correlated with the
    parent's own output sequence. *)
 let stream_gamma = 0xD1B54A32D192ED03L

@@ -30,6 +30,13 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits64_ahead : t -> int -> int64
+(** [bits64_ahead t k] is the output the [(k+1)]-th call of {!bits64} on
+    [t] would return ([k = 0] is the next call), computed in closed form
+    without advancing [t].  Lets a caller seed any one of many sibling
+    streams drawn from one master on demand, bit-identically to drawing
+    them all in order.  @raise Invalid_argument if [k < 0]. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)

@@ -83,6 +83,162 @@ let test_engine_run_until () =
   Engine.run e;
   check_feq "late event still fires" 10. (Engine.now e)
 
+let test_engine_rejects_nan () =
+  let e = Engine.create () in
+  let nan_time = Invalid_argument "Engine.schedule: NaN time" in
+  Alcotest.check_raises "schedule" nan_time (fun () ->
+      Engine.schedule e ~time:nan (fun _ -> ()));
+  Alcotest.check_raises "schedule_timer" nan_time (fun () ->
+      ignore (Engine.schedule_timer e ~time:nan (fun _ -> ())));
+  Alcotest.check_raises "schedule_after" nan_time (fun () ->
+      Engine.schedule_after e ~delay:nan (fun _ -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
+(* The block lives only in the closure of an event that fires while a
+   later event is still queued; once fired, the engine must not keep it. *)
+let[@inline never] schedule_capturing e weak =
+  let block = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some block);
+  Engine.schedule e ~time:1. (fun _ -> ignore (Sys.opaque_identity (Bytes.length block)))
+
+let test_engine_frees_fired_events () =
+  (* Inserted last, the capturing event is the one a pop moves into the
+     root, so a queue that left the moved-from slot filled would keep it. *)
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  Engine.schedule e ~time:0.5 (fun _ -> ());
+  Engine.schedule e ~time:10. (fun _ -> ());
+  schedule_capturing e weak;
+  Alcotest.(check bool) "fired the first event" true (Engine.step e);
+  Alcotest.(check bool) "fired the capturing event" true (Engine.step e);
+  Gc.full_major ();
+  Alcotest.(check bool) "captured block collected" false (Weak.check weak 0);
+  Alcotest.(check int) "later event still queued" 1 (Engine.pending e)
+
+let test_engine_capacity_follows_live () =
+  (* One event stays queued throughout, so the queue never empties; each
+     cycle also arms and cancels a timer, whose slot is dropped later. *)
+  let e = Engine.create () in
+  Engine.schedule e ~time:infinity (fun _ -> ());
+  let peak = ref 0 in
+  for i = 1 to 100_000 do
+    let t = float_of_int i in
+    Engine.cancel e (Engine.schedule_timer e ~time:(t +. 0.5) (fun _ -> ()));
+    Engine.schedule e ~time:t (fun _ -> ());
+    peak := max !peak (Engine.pending e + 1);
+    ignore (Engine.step e : bool)
+  done;
+  Alcotest.(check int) "processed" 100_000 (Engine.processed e);
+  Alcotest.(check int) "long-lived event pending" 1 (Engine.pending e);
+  Alcotest.(check bool)
+    (Printf.sprintf "capacity %d <= max 16 (2 * peak %d)" (Engine.capacity e) !peak)
+    true
+    (Engine.capacity e <= max 16 (2 * !peak));
+  Alcotest.(check bool) "heap invariant" true (Engine.check_invariant e)
+
+(* --- Engine queue ------------------------------------------------------- *)
+
+let test_heap_sorts () =
+  let rng = Rng.create 21 in
+  let e = Engine.create () in
+  let fired = ref [] in
+  let times = List.init 200 (fun _ -> float_of_int (Rng.int rng 1000)) in
+  List.iter (fun t -> Engine.schedule e ~time:t (fun _ -> fired := t :: !fired)) times;
+  Engine.run e;
+  Alcotest.(check (list (float 0.))) "fires in time order" (List.sort compare times)
+    (List.rev !fired);
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+let test_heap_ties () =
+  (* Equal times fire in insertion order, around an earlier event. *)
+  let e = Engine.create () in
+  let log = ref [] in
+  List.iter
+    (fun (t, tag) -> Engine.schedule e ~time:t (fun _ -> log := tag :: !log))
+    [ (1., "a"); (1., "b"); (0., "c"); (1., "d") ];
+  Alcotest.(check int) "4 queued" 4 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "earliest first, then insertion order"
+    [ "c"; "a"; "b"; "d" ] (List.rev !log)
+
+type op = Schedule of int | Timer of int | Cancel of int | Step
+
+let op_gen =
+  QCheck.(
+    map
+      (fun (k, x) ->
+        match k with 0 -> Schedule x | 1 -> Timer x | 2 -> Cancel x | _ -> Step)
+      (pair (int_bound 4) (int_bound 20)))
+
+let test_heap_invariant_random =
+  QCheck.Test.make ~name:"heap invariant after random ops" ~count:(Testutil.count 200)
+    QCheck.(list op_gen)
+    (fun ops ->
+      let e = Engine.create () in
+      let timers = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Schedule d -> Engine.schedule e ~time:(Engine.now e +. float_of_int d) ignore
+          | Timer d ->
+              let tm = Engine.schedule_timer e ~time:(Engine.now e +. float_of_int d) ignore in
+              timers := tm :: !timers
+          | Cancel i -> (
+              match List.nth_opt !timers i with Some tm -> Engine.cancel e tm | None -> ())
+          | Step -> ignore (Engine.step e : bool));
+          Engine.check_invariant e)
+        ops)
+
+(* Random schedule/timer/cancel/step sequences against a stable model: a
+   list of (time, insertion seq) entries from which [step] must fire the
+   least live one.  Offsets in [0, 20] make equal times common. *)
+let test_heap_differential =
+  QCheck.Test.make ~name:"binary heap vs stable reference model" ~count:(Testutil.count 300)
+    QCheck.(list op_gen)
+    (fun ops ->
+      let e = Engine.create () in
+      let fired = ref (-1) in
+      (* (time, insertion seq, timer handle for cancellable events) *)
+      let model = ref [] and seq = ref 0 in
+      let add ~timer d =
+        let time = Engine.now e +. float_of_int d and id = !seq in
+        incr seq;
+        let action _ = fired := id in
+        let tm =
+          if timer then Some (Engine.schedule_timer e ~time action)
+          else (Engine.schedule e ~time action; None)
+        in
+        model := (time, id, tm) :: !model
+      in
+      let live (_, _, tm) =
+        match tm with Some tm -> Engine.timer_live tm | None -> true
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Schedule d -> add ~timer:false d; true
+          | Timer d -> add ~timer:true d; true
+          | Cancel i ->
+              (match List.nth_opt (List.filter (fun (_, _, tm) -> tm <> None) !model) i with
+              | Some (_, _, Some tm) -> Engine.cancel e tm
+              | _ -> ());
+              Engine.pending e = List.length (List.filter live !model)
+          | Step -> (
+              let queued =
+                List.filter live !model
+                |> List.map (fun (t, id, _) -> (t, id))
+                |> List.sort compare
+              in
+              fired := -1;
+              let stepped = Engine.step e in
+              match queued with
+              | [] -> (not stepped) && !fired = -1
+              | (t, id) :: _ ->
+                  model := List.filter (fun (_, i, _) -> i <> id) !model;
+                  stepped && !fired = id && Engine.now e = t
+                  && Engine.check_invariant e))
+        ops)
+
 (* --- Noise ------------------------------------------------------------- *)
 
 let test_noise_exact () =
@@ -175,6 +331,16 @@ let test_plan_of_flat_schedule () =
   let schedule = Heuristics.run Heuristics.ecef inst in
   let plan = Plan.of_flat_schedule m schedule in
   Alcotest.(check int) "spans all machines" 88 (Plan.size plan);
+  (* each sender's children in the schedule's send order *)
+  Array.iteri
+    (fun src kids ->
+      let sends =
+        List.filter_map
+          (fun ev -> if ev.Schedule.src = src then Some ev.Schedule.dst else None)
+          schedule.Schedule.events
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "children of %d" src) sends kids)
+    plan.Plan.children;
   (* the DES agrees with the flat schedule's analytic makespan (T = 0) *)
   let r = Exec.run ~msg:1_000_000 m plan in
   check_feq "DES = analytic" (Schedule.makespan inst schedule) r.Exec.makespan
@@ -363,6 +529,16 @@ let () =
           quick "cascading" test_engine_cascading;
           quick "rejects past" test_engine_rejects_past;
           quick "run_until" test_engine_run_until;
+          quick "rejects NaN" test_engine_rejects_nan;
+          quick "frees fired events" test_engine_frees_fired_events;
+          quick "capacity follows live events" test_engine_capacity_follows_live;
+        ] );
+      ( "heap",
+        [
+          quick "sorts" test_heap_sorts;
+          QCheck_alcotest.to_alcotest test_heap_invariant_random;
+          quick "ties" test_heap_ties;
+          QCheck_alcotest.to_alcotest test_heap_differential;
         ] );
       ( "noise",
         [

@@ -274,6 +274,85 @@ let test_faults_t0_shifts_origin () =
     (Invalid_argument "Faults.create: t0 must be finite") (fun () ->
       ignore (Faults.create ~t0:nan ~n spec))
 
+(* --- Per-link streams --------------------------------------------------- *)
+
+(* A fixed query sequence over a fault model: [queries] random directed
+   links, each asked [lose], [slowdown] and [link_up] at a random time.
+   The answers are one line per query. *)
+let fault_answers ~seed ~n ~queries spec =
+  let f = Faults.create ~seed ~n spec in
+  let q = Rng.create (seed + 101) in
+  let buf = Buffer.create 4096 in
+  for _ = 1 to queries do
+    let src = Rng.int q n in
+    let dst = (src + 1 + Rng.int q (n - 1)) mod n in
+    let at = Rng.float q 5e6 in
+    Printf.bprintf buf "%d>%d %b %h %b\n" src dst (Faults.lose f ~src ~dst)
+      (Faults.slowdown f ~src ~dst ~at) (Faults.link_up f ~src ~dst ~at)
+  done;
+  Buffer.contents buf
+
+(* Pinned on the eagerly seeded streams: every per-link loss and
+   degradation stream must keep drawing exactly these answers however its
+   seed is derived. *)
+let fault_streams_golden = "245aefd5230c90b2fd0cddd25ae3ae3f"
+
+let test_fault_streams_golden () =
+  let cases =
+    [
+      (3, 5, Faults.v ~loss:0.2 ~degrade_rate:1e-6 ~degrade_mean:2e5 ());
+      (7, 12, Faults.v ~loss:0.05 ~degrade_rate:3e-6 ~degrade_mean:5e4 ~degrade_factor:4. ());
+      (11, 9, Faults.v ~loss:0.3 ());
+      (13, 9, Faults.v ~degrade_rate:2e-6 ());
+      ( 2006,
+        16,
+        Faults.v ~loss:0.15 ~degrade_rate:1e-6 ~cut_rate:1e-7 ~crash_rate:2e-7 () );
+    ]
+  in
+  let answers =
+    List.map (fun (seed, n, spec) -> fault_answers ~seed ~n ~queries:400 spec) cases
+  in
+  Alcotest.(check string) "per-link answers" fault_streams_golden
+    (Digest.to_hex (Digest.string (String.concat "" answers)))
+
+(* Each link draws from its own stream, so interleaving the queries of
+   different links in any order leaves every link's answer sequence as
+   it was. *)
+let fault_streams_shuffled_order =
+  QCheck.Test.make ~name:"per-link answers independent of link query order"
+    ~count:(Testutil.count 30)
+    QCheck.(triple (int_range 2 8) (int_bound 10_000) (int_bound 10_000))
+    (fun (n, seed, order_seed) ->
+      let spec = Faults.v ~loss:0.25 ~degrade_rate:2e-6 ~degrade_mean:1e5 ~cut_rate:1e-7 () in
+      let q = Rng.create order_seed in
+      (* Per link, a fixed list of query times. *)
+      let times =
+        Array.init (n * n) (fun _ -> List.init (1 + Rng.int q 4) (fun _ -> Rng.float q 4e6))
+      in
+      let ask f link at =
+        let src = link / n and dst = link mod n in
+        (Faults.lose f ~src ~dst, Faults.slowdown f ~src ~dst ~at, Faults.link_up f ~src ~dst ~at)
+      in
+      let links = List.filter (fun l -> l / n <> l mod n) (List.init (n * n) Fun.id) in
+      let in_order = Faults.create ~seed ~n spec in
+      let expected =
+        List.map (fun l -> (l, List.map (ask in_order l) times.(l))) links
+      in
+      (* Interleave: repeatedly pick a random link with queries left. *)
+      let shuffled = Faults.create ~seed ~n spec in
+      let left = Array.map Fun.id times and got = Array.make (n * n) [] in
+      let live = ref (Array.of_list links) in
+      while Array.length !live > 0 do
+        let l = Rng.pick q !live in
+        (match left.(l) with
+        | at :: rest ->
+            got.(l) <- ask shuffled l at :: got.(l);
+            left.(l) <- rest
+        | [] -> ());
+        live := Array.of_list (List.filter (fun l -> left.(l) <> []) (Array.to_list !live))
+      done;
+      List.for_all (fun (l, answers) -> List.rev got.(l) = answers) expected)
+
 (* --- Reliable executor -------------------------------------------------- *)
 
 (* The zero-fault identity must hold for every transport — the adaptive
@@ -825,6 +904,11 @@ let () =
           QCheck_alcotest.to_alcotest spec_roundtrip_property;
           quick "deterministic" test_faults_deterministic;
           quick "t0 shifts the origin, not the draws" test_faults_t0_shifts_origin;
+        ] );
+      ( "link streams",
+        [
+          quick "golden answers" test_fault_streams_golden;
+          QCheck_alcotest.to_alcotest fault_streams_shuffled_order;
         ] );
       ( "reliable",
         [

@@ -1,8 +1,7 @@
-(* Tests for gridb_util: RNG, statistics, heap, tables, plots, CSV, units. *)
+(* Tests for gridb_util: RNG, statistics, score heap, tables, plots, CSV, units. *)
 
 module Rng = Gridb_util.Rng
 module Stats = Gridb_util.Stats
-module Heap = Gridb_util.Binary_heap
 module Units = Gridb_util.Units
 
 let feq ?(eps = 1e-9) a b =
@@ -30,6 +29,16 @@ let test_rng_copy () =
   ignore (Rng.bits64 a);
   let b = Rng.copy a in
   Alcotest.(check int64) "copy preserves state" (Rng.bits64 a) (Rng.bits64 b)
+
+let test_rng_bits64_ahead () =
+  let a = Rng.create 2006 in
+  ignore (Rng.bits64 a);
+  let ahead = List.init 50 (Rng.bits64_ahead a) in
+  let drawn = List.init 50 (fun _ -> Rng.bits64 a) in
+  Alcotest.(check (list int64)) "k-th output in closed form" drawn ahead;
+  Alcotest.check_raises "negative offset"
+    (Invalid_argument "Rng.bits64_ahead: negative offset") (fun () ->
+      ignore (Rng.bits64_ahead a (-1)))
 
 let test_rng_split_independent () =
   let a = Rng.create 9 in
@@ -313,90 +322,6 @@ let test_stats_online_merge () =
   check_feq "merged variance" (Stats.variance xs) (Stats.Online.variance merged);
   Alcotest.(check int) "merged count" 400 (Stats.Online.count merged)
 
-(* --- Binary heap ------------------------------------------------------ *)
-
-let int_key x = float_of_int x
-
-let test_heap_sorts () =
-  let rng = Rng.create 21 in
-  let xs = List.init 200 (fun _ -> Rng.int rng 1000) in
-  let h = Heap.create ~key:int_key () in
-  List.iter (Heap.add h) xs;
-  Alcotest.(check (list int)) "drains sorted" (List.sort compare xs) (Heap.to_sorted_list h);
-  Alcotest.(check int) "empty after drain" 0 (Heap.length h)
-
-let test_heap_of_array () =
-  let h = Heap.of_array ~key:int_key [| 5; 1; 4; 2; 3 |] in
-  Alcotest.(check bool) "invariant holds" true (Heap.check_invariant h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Heap.to_sorted_list h)
-
-let test_heap_peek_pop () =
-  let h = Heap.create ~key:int_key () in
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Heap.add h 3;
-  Heap.add h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "peek does not remove" 2 (Heap.length h);
-  Alcotest.(check int) "pop_exn" 1 (Heap.pop_exn h);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
-let test_heap_invariant_random =
-  QCheck.Test.make ~name:"heap invariant after random ops" ~count:(Testutil.count 200)
-    QCheck.(list (int_bound 1000))
-    (fun xs ->
-      let h = Heap.create ~key:int_key () in
-      List.iteri
-        (fun i x -> if i mod 3 = 2 then ignore (Heap.pop h) else Heap.add h x)
-        xs;
-      Heap.check_invariant h)
-
-let test_heap_stability_order () =
-  (* Equal keys pop in insertion (FIFO) order: the keyed heap inherits
-     Score_heap's smaller-id tie-break over insertion sequence numbers. *)
-  let h = Heap.create ~key:(fun (a, _) -> float_of_int a) () in
-  List.iter (Heap.add h) [ (1, "a"); (1, "b"); (0, "c"); (1, "d") ];
-  Alcotest.(check int) "4 elements" 4 (Heap.length h);
-  Alcotest.(check (list string)) "min first, then FIFO among ties"
-    [ "c"; "a"; "b"; "d" ]
-    (List.map snd (Heap.to_sorted_list h))
-
-(* Differential test of the two heap structures: random push/pop sequences
-   must agree between Binary_heap (keyed, over Score_heap) and a naive
-   stable reference model.  This pins down both the shared sift core and
-   the FIFO tie-break the DES engine relies on. *)
-let test_heap_differential =
-  QCheck.Test.make ~name:"binary heap vs stable reference model" ~count:(Testutil.count 300)
-    QCheck.(list (pair bool (int_bound 20)))
-    (fun ops ->
-      (* Elements are (key, unique insertion seq): equal keys abound (keys
-         are drawn from [0, 20]) so the FIFO tie-break is exercised, and the
-         unique seq makes every pop's expected payload unambiguous. *)
-      let h = Heap.create ~key:(fun (k, _) -> float_of_int k) () in
-      let model = ref [] in
-      let seq = ref 0 in
-      List.for_all
-        (fun (is_pop, k) ->
-          if is_pop then begin
-            let expected =
-              match List.sort compare !model with
-              | [] -> None
-              | hd :: _ ->
-                  model := List.filter (fun e -> e <> hd) !model;
-                  Some hd
-            in
-            Heap.pop h = expected && Heap.check_invariant h
-          end
-          else begin
-            let e = (k, !seq) in
-            incr seq;
-            Heap.add h e;
-            model := e :: !model;
-            Heap.length h = List.length !model && Heap.check_invariant h
-          end)
-        ops)
-
 (* --- Score heap ------------------------------------------------------- *)
 
 module Score_heap = Gridb_util.Score_heap
@@ -657,6 +582,7 @@ let () =
           quick "determinism" test_rng_determinism;
           quick "seed sensitivity" test_rng_seed_sensitivity;
           quick "copy" test_rng_copy;
+          quick "bits64_ahead" test_rng_bits64_ahead;
           quick "split" test_rng_split_independent;
           quick "split pure" test_rng_split_pure;
           quick "split deterministic" test_rng_split_deterministic;
@@ -684,15 +610,6 @@ let () =
           quick "summary" test_stats_summary;
           quick "online matches batch" test_stats_online_matches_batch;
           quick "online merge" test_stats_online_merge;
-        ] );
-      ( "heap",
-        [
-          quick "sorts" test_heap_sorts;
-          quick "of_array" test_heap_of_array;
-          quick "peek/pop" test_heap_peek_pop;
-          QCheck_alcotest.to_alcotest test_heap_invariant_random;
-          quick "ties" test_heap_stability_order;
-          QCheck_alcotest.to_alcotest test_heap_differential;
         ] );
       ( "pool",
         [
