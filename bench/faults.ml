@@ -20,7 +20,7 @@
 
 module Robustness = Gridb_experiments.Robustness
 module Faults = Gridb_des.Faults
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Generators = Gridb_topology.Generators
 module Rng = Gridb_util.Rng
 
@@ -52,9 +52,9 @@ let crash_rates = [ 0.; 1e-7 ]
 
 let transports =
   [
-    ("fixed", Exec.Fixed);
-    ("adaptive", Exec.adaptive ());
-    ("adaptive,reroute", Exec.adaptive ~reroute:true ());
+    ("fixed", Session.Fixed);
+    ("adaptive", Session.adaptive ());
+    ("adaptive,reroute", Session.adaptive ~reroute:true ());
   ]
 
 (* Repetitions of adaptive+reroute where a rank stayed undelivered with no

@@ -15,6 +15,7 @@ module Figures = Gridb_experiments.Figures
 module Tables = Gridb_experiments.Tables
 module Ablations = Gridb_experiments.Ablations
 module Report = Gridb_experiments.Report
+module Session = Gridb_des.Session
 
 type options = {
   iterations : int;
@@ -96,7 +97,8 @@ let micro_tests () =
            (let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
             let schedule = Heuristics.run Heuristics.ecef_la inst in
             let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
-            fun () -> ignore (Gridb_des.Exec.run ~msg:1_000_000 machines plan)));
+            fun () ->
+              ignore (Session.run (Session.Config.v ~msg:1_000_000 ()) machines plan)));
       Test.make ~name:"substrate/lowekamp-88-machines"
         (Staged.stage
            (let matrix = Gridb_topology.Machines.latency_matrix machines in

@@ -9,6 +9,7 @@ module Heuristics = Gridb_sched.Heuristics
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Topology = Gridb_topology
+module Session = Gridb_des.Session
 
 let heuristic_conv =
   let parse s =
@@ -124,25 +125,14 @@ let compare_cmd =
         in
         List.iter
           (fun h ->
-            match h.Heuristics.policy with
-            | Some p ->
-                let s, stats = Gridb_sched.Engine.run_stats ~mode p inst in
-                Gridb_util.Text_table.add_row table
-                  [
-                    h.Heuristics.name;
-                    Printf.sprintf "%.4f" (Schedule.makespan inst s /. 1e6);
-                    string_of_int (Schedule.depth s);
-                    string_of_int stats.Gridb_sched.Engine.pair_evaluations;
-                  ]
-            | None ->
-                let s = Heuristics.run h inst in
-                Gridb_util.Text_table.add_row table
-                  [
-                    h.Heuristics.name;
-                    Printf.sprintf "%.4f" (Schedule.makespan inst s /. 1e6);
-                    string_of_int (Schedule.depth s);
-                    "-";
-                  ])
+            let s, stats = Gridb_sched.Engine.run_stats ~mode h.Heuristics.policy inst in
+            Gridb_util.Text_table.add_row table
+              [
+                h.Heuristics.name;
+                Printf.sprintf "%.4f" (Schedule.makespan inst s /. 1e6);
+                string_of_int (Schedule.depth s);
+                string_of_int stats.Gridb_sched.Engine.pair_evaluations;
+              ])
           Heuristics.all;
         Gridb_util.Text_table.print table;
         0
@@ -432,12 +422,12 @@ let faults_conv =
 
 let transport_conv =
   let parse s =
-    match Gridb_des.Exec.transport_of_string s with
+    match Session.transport_of_string s with
     | Ok t -> Ok t
     | Error e -> Error (`Msg e)
   in
   Arg.conv
-    (parse, fun ppf t -> Format.pp_print_string ppf (Gridb_des.Exec.transport_to_string t))
+    (parse, fun ppf t -> Format.pp_print_string ppf (Session.transport_to_string t))
 
 let dynamics_conv =
   let parse s =
@@ -461,43 +451,37 @@ let simulate_cmd =
     | Error e ->
         prerr_endline e;
         1
-    | Ok grid -> (
-        match heuristic.Heuristics.policy with
-        | None ->
-            Printf.eprintf "heuristic %s has no policy descriptor; pick one of: %s\n"
-              heuristic.Heuristics.name
-              (String.concat ", " Heuristics.names);
-            1
-        | Some policy ->
-            let noise =
-              if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
-            in
-            let repetitions = if reps > 0 then Some reps else None in
-            let robustness obs =
-              Gridb_experiments.Robustness.run ~policy ~msg ~retries ~seed ~noise ?obs
-                ~transport ~dyn:dynamics ?repetitions ~jobs ~spec:faults grid
-            in
-            let metrics, traced =
-              match trace with
-              | Some path ->
-                  Gridb_obs.Sink.with_jsonl path (fun obs ->
-                      let m = robustness (Some obs) in
-                      (m, Some (path, Gridb_obs.Sink.count obs)))
-              | None -> (robustness None, None)
-            in
-            print_string (Gridb_experiments.Robustness.render metrics);
-            (match traced with
-            | Some (path, count) -> Printf.printf "trace: %d events -> %s\n" count path
-            | None -> ());
-            (match metrics.Gridb_experiments.Robustness.partition_drift with
-            | Some d when d > 0. ->
-                Printf.eprintf
-                  "warning: live estimates re-cluster differently from planning time \
-                   (partition drift %.3f); the schedule's cluster map is stale — consider \
-                   replanning.\n"
-                  d
-            | _ -> ());
-            0)
+    | Ok grid ->
+        let policy = heuristic.Heuristics.policy in
+        let noise =
+          if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
+        in
+        let repetitions = if reps > 0 then Some reps else None in
+        let robustness obs =
+          Gridb_experiments.Robustness.run ~policy ~msg ~retries ~seed ~noise ?obs
+            ~transport ~dyn:dynamics ?repetitions ~jobs ~spec:faults grid
+        in
+        let metrics, traced =
+          match trace with
+          | Some path ->
+              Gridb_obs.Sink.with_jsonl path (fun obs ->
+                  let m = robustness (Some obs) in
+                  (m, Some (path, Gridb_obs.Sink.count obs)))
+          | None -> (robustness None, None)
+        in
+        print_string (Gridb_experiments.Robustness.render metrics);
+        (match traced with
+        | Some (path, count) -> Printf.printf "trace: %d events -> %s\n" count path
+        | None -> ());
+        (match metrics.Gridb_experiments.Robustness.partition_drift with
+        | Some d when d > 0. ->
+            Printf.eprintf
+              "warning: live estimates re-cluster differently from planning time \
+               (partition drift %.3f); the schedule's cluster map is stale — consider \
+               replanning.\n"
+              d
+        | _ -> ());
+        0
   in
   let heuristic =
     Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
@@ -541,7 +525,7 @@ let simulate_cmd =
   let transport =
     Arg.(
       value
-      & opt transport_conv Gridb_des.Exec.Fixed
+      & opt transport_conv Session.Fixed
       & info [ "transport" ] ~docv:"KIND"
           ~doc:
             "Retransmission transport: $(b,fixed) (model-derived RTO), $(b,adaptive) \
@@ -581,38 +565,32 @@ let profile_cmd =
     | Error e ->
         prerr_endline e;
         1
-    | Ok grid -> (
-        match heuristic.Heuristics.policy with
-        | None ->
-            Printf.eprintf "heuristic %s has no policy descriptor; pick one of: %s\n"
-              heuristic.Heuristics.name
-              (String.concat ", " Heuristics.names);
-            1
-        | Some policy ->
-            (* One Memory sink observes the whole pipeline: a host-time span
-               around scheduling, then the rank-level DES execution. *)
-            let mem = Gridb_obs.Sink.memory () in
-            let inst = Instance.of_grid ~root ~msg grid in
-            let schedule =
-              Gridb_obs.Span.wrap mem "schedule" (fun () ->
-                  Gridb_sched.Engine.run ~obs:mem policy inst)
-            in
-            let machines = Topology.Machines.expand grid in
-            let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
-            ignore (Gridb_des.Exec.run ~msg ~obs:mem machines plan);
-            let events = Gridb_obs.Sink.events mem in
-            Printf.printf "profile: %s, %s, %s\n" heuristic.Heuristics.name
-              (match topology with None -> "GRID5000" | Some path -> path)
-              (Gridb_util.Units.bytes_to_string msg);
-            print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
-            if gantt then print_string (Gridb_sched.Gantt.render_events events);
-            (match trace with
-            | Some path ->
-                Gridb_obs.Sink.with_jsonl path (fun js ->
-                    List.iter (Gridb_obs.Sink.emit js) events);
-                Printf.printf "trace: %d events -> %s\n" (List.length events) path
-            | None -> ());
-            0)
+    | Ok grid ->
+        let policy = heuristic.Heuristics.policy in
+        (* One Memory sink observes the whole pipeline: a host-time span
+           around scheduling, then the rank-level DES execution. *)
+        let mem = Gridb_obs.Sink.memory () in
+        let inst = Instance.of_grid ~root ~msg grid in
+        let schedule =
+          Gridb_obs.Span.wrap mem "schedule" (fun () ->
+              Gridb_sched.Engine.run ~obs:mem policy inst)
+        in
+        let machines = Topology.Machines.expand grid in
+        let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
+        ignore (Session.run (Session.Config.v ~msg ~obs:mem ()) machines plan);
+        let events = Gridb_obs.Sink.events mem in
+        Printf.printf "profile: %s, %s, %s\n" heuristic.Heuristics.name
+          (match topology with None -> "GRID5000" | Some path -> path)
+          (Gridb_util.Units.bytes_to_string msg);
+        print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
+        if gantt then print_string (Gridb_sched.Gantt.render_events events);
+        (match trace with
+        | Some path ->
+            Gridb_obs.Sink.with_jsonl path (fun js ->
+                List.iter (Gridb_obs.Sink.emit js) events);
+            Printf.printf "trace: %d events -> %s\n" (List.length events) path
+        | None -> ());
+        0
   in
   let heuristic =
     Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
@@ -826,7 +804,7 @@ let serve_cmd =
   let transport =
     Arg.(
       value
-      & opt transport_conv Gridb_des.Exec.Fixed
+      & opt transport_conv Session.Fixed
       & info [ "transport" ] ~docv:"KIND"
           ~doc:"Session transport: $(b,fixed), $(b,adaptive) or $(b,adaptive,reroute).")
   in

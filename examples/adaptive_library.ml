@@ -47,7 +47,7 @@ let () =
             Magpie.Bcast.execute ~noise:(Gridb_des.Noise.Lognormal 0.05) ~seed:(100 + i)
               tuning strategy ~root ~msg:1_000_000
           in
-          total := !total +. r.Gridb_des.Exec.makespan)
+          total := !total +. r.Gridb_des.Session.makespan)
         roots;
       let hits, misses = Magpie.Tuning.cache_stats tuning in
       Printf.printf "  %-28s total %7.3f s   (schedule cache: %d hits / %d misses)\n"

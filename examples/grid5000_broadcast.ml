@@ -44,10 +44,12 @@ let () =
           let total = ref 0. in
           for _ = 1 to reps do
             let r =
-              Des.Exec.run ~noise:Des.Noise.default_measured ~rng ~start_delay:overhead
-                ~msg machines plan
+              Des.Session.run
+                (Des.Session.Config.v ~noise:Des.Noise.default_measured ~rng
+                   ~start_delay:overhead ~msg ())
+                machines plan
             in
-            total := !total +. r.Des.Exec.makespan
+            total := !total +. r.Des.Session.makespan
           done;
           let measured = !total /. float_of_int reps in
           Gridb_util.Text_table.add_row table

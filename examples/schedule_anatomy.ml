@@ -42,16 +42,20 @@ let () =
   (* Execute the optimum on the simulator and show its critical path. *)
   let machines = Topology.Machines.expand grid in
   let plan = Des.Plan.of_cluster_schedule machines optimal in
-  let r = Des.Exec.run ~record_trace:true ~msg:1_000_000 machines plan in
+  let mem = Gridb_obs.Sink.memory () in
+  let r =
+    Des.Session.run (Des.Session.Config.v ~msg:1_000_000 ~obs:mem ()) machines plan
+  in
+  let trace = Des.Trace.of_events (Gridb_obs.Sink.events mem) in
   Printf.printf "\nDES makespan:            %.4f s over %d transmissions\n"
-    (seconds r.Des.Exec.makespan) r.Des.Exec.transmissions;
+    (seconds r.Des.Session.makespan) r.Des.Session.transmissions;
   print_endline "critical path (rank -> rank, arrival):";
   List.iter
     (fun t ->
       Printf.printf "  %3d -> %-3d at %.4f s\n" t.Des.Trace.src t.Des.Trace.dst
         (seconds t.Des.Trace.arrival))
-    (Des.Trace.critical_path r.Des.Exec.trace);
-  match Des.Trace.busiest_sender r.Des.Exec.trace with
+    (Des.Trace.critical_path trace);
+  match Des.Trace.busiest_sender trace with
   | Some (rank, busy) ->
       Printf.printf "busiest sender: rank %d (NIC busy %.4f s)\n" rank (seconds busy)
   | None -> ()

@@ -145,37 +145,38 @@ let replay_size_monotonicity policy ~(small : Instance.t) ~(large : Instance.t)
 let transport_equivalence ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let open Gridb_des in
   let base =
-    Exec.run ~rng:(Gridb_util.Rng.create seed) ~msg machines plan
+    Session.run (Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg ()) machines plan
   in
   let transports =
     [
-      ("fixed", Exec.Fixed);
-      ("adaptive", Exec.adaptive ());
-      ("adaptive,reroute", Exec.adaptive ~reroute:true ());
+      ("fixed", Session.Fixed);
+      ("adaptive", Session.adaptive ());
+      ("adaptive,reroute", Session.adaptive ~reroute:true ());
     ]
   in
   let rec go = function
     | [] -> Ok ()
     | (name, transport) :: rest ->
         let r =
-          Exec.run_reliable ~rng:(Gridb_util.Rng.create seed) ~msg ~transport
+          Session.run_reliable
+            (Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg ~transport ())
             machines plan
         in
-        if r.Exec.r_arrival <> base.Exec.arrival then
+        if r.Session.r_arrival <> base.Session.arrival then
           fail "transport-equivalence"
-            "%s: fault-free arrival vector differs from Exec.run" name
-        else if r.Exec.r_makespan <> base.Exec.makespan then
+            "%s: fault-free arrival vector differs from Session.run" name
+        else if r.Session.r_makespan <> base.Session.makespan then
           fail "transport-equivalence"
-            "%s: fault-free makespan %.17g differs from Exec.run's %.17g" name
-            r.Exec.r_makespan base.Exec.makespan
-        else if r.Exec.r_transmissions <> base.Exec.transmissions then
+            "%s: fault-free makespan %.17g differs from Session.run's %.17g" name
+            r.Session.r_makespan base.Session.makespan
+        else if r.Session.r_transmissions <> base.Session.transmissions then
           fail "transport-equivalence"
-            "%s: %d transmissions vs Exec.run's %d" name r.Exec.r_transmissions
-            base.Exec.transmissions
-        else if r.Exec.retransmissions <> 0 then
+            "%s: %d transmissions vs Session.run's %d" name r.Session.r_transmissions
+            base.Session.transmissions
+        else if r.Session.retransmissions <> 0 then
           fail "transport-equivalence"
             "%s: %d retransmissions fired in a fault-free run" name
-            r.Exec.retransmissions
+            r.Session.retransmissions
         else go rest
   in
   go transports
@@ -188,18 +189,18 @@ let same_arrivals a b =
        a b
 
 let dynamics_identity ?(msg = 1_000_000) ?(seed = 0) ?fault_seed
-    ?(transport = Gridb_des.Exec.Fixed) ?(spec = Gridb_des.Faults.none)
+    ?(transport = Gridb_des.Session.Fixed) ?(spec = Gridb_des.Faults.none)
     machines plan =
   let open Gridb_des in
   let name = "dynamics-identity" in
   let n = Gridb_topology.Machines.count machines in
   let fseed = Option.value fault_seed ~default:seed in
   let run ?dynamics ?(on_tick = fun ~now:_ _ -> ()) ?(tick_every = 0.) () =
-    Exec.run_reliable
-      ~rng:(Gridb_util.Rng.create seed)
-      ~msg
-      ~faults:(Faults.create ~seed:fseed ~n spec)
-      ?dynamics ~on_tick ~tick_every ~transport machines plan
+    Session.run_reliable
+      (Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg
+         ~faults:(Faults.create ~seed:fseed ~n spec) ?dynamics ~on_tick ~tick_every
+         ~transport ())
+      machines plan
   in
   let base = run () in
   let clusters =
@@ -209,28 +210,28 @@ let dynamics_identity ?(msg = 1_000_000) ?(seed = 0) ?fault_seed
   (* The tick hook is live on purpose: observation must not perturb. *)
   let ticks = ref 0 in
   let dyn = run ~dynamics:model ~on_tick:(fun ~now:_ _ -> incr ticks) ~tick_every:5e4 () in
-  if not (same_arrivals dyn.Exec.r_arrival base.Exec.r_arrival) then
+  if not (same_arrivals dyn.Session.r_arrival base.Session.r_arrival) then
     fail name "arrival vector differs under a zero-dynamics model (transport %s)"
-      (Exec.transport_to_string transport)
-  else if dyn.Exec.r_makespan <> base.Exec.r_makespan then
+      (Session.transport_to_string transport)
+  else if dyn.Session.r_makespan <> base.Session.r_makespan then
     fail name "makespan %.17g under a zero-dynamics model, %.17g without"
-      dyn.Exec.r_makespan base.Exec.r_makespan
-  else if dyn.Exec.r_transmissions <> base.Exec.r_transmissions then
+      dyn.Session.r_makespan base.Session.r_makespan
+  else if dyn.Session.r_transmissions <> base.Session.r_transmissions then
     fail name "%d transmissions under a zero-dynamics model, %d without"
-      dyn.Exec.r_transmissions base.Exec.r_transmissions
-  else if dyn.Exec.retransmissions <> base.Exec.retransmissions then
+      dyn.Session.r_transmissions base.Session.r_transmissions
+  else if dyn.Session.retransmissions <> base.Session.retransmissions then
     fail name "%d retransmissions under a zero-dynamics model, %d without"
-      dyn.Exec.retransmissions base.Exec.retransmissions
-  else if dyn.Exec.delivered <> base.Exec.delivered then
+      dyn.Session.retransmissions base.Session.retransmissions
+  else if dyn.Session.delivered <> base.Session.delivered then
     fail name "%d delivered under a zero-dynamics model, %d without"
-      dyn.Exec.delivered base.Exec.delivered
-  else if dyn.Exec.horizon <> base.Exec.horizon then
+      dyn.Session.delivered base.Session.delivered
+  else if dyn.Session.horizon <> base.Session.horizon then
     fail name "horizon %.17g under a zero-dynamics model, %.17g without"
-      dyn.Exec.horizon base.Exec.horizon
-  else if dyn.Exec.left <> [] || dyn.Exec.joined <> [] then
+      dyn.Session.horizon base.Session.horizon
+  else if dyn.Session.left <> [] || dyn.Session.joined <> [] then
     fail name "a zero-dynamics model reported %d departures and %d joins"
-      (List.length dyn.Exec.left)
-      (List.length dyn.Exec.joined)
+      (List.length dyn.Session.left)
+      (List.length dyn.Session.joined)
   else Ok ()
 
 let metamorphic_names =

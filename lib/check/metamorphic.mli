@@ -57,9 +57,9 @@ val replay_size_monotonicity :
 val transport_equivalence :
   ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t ->
   Invariant.outcome
-(** ["transport-equivalence"]: {!Gridb_des.Exec.run_reliable} under each
+(** ["transport-equivalence"]: {!Gridb_des.Session.run_reliable} under each
     of fixed / adaptive / adaptive+reroute, with no faults, against
-    {!Gridb_des.Exec.run} — arrivals, makespan and transmission counts
+    {!Gridb_des.Session.run} — arrivals, makespan and transmission counts
     must be {e exactly} equal and no retransmission may fire.  [msg]
     defaults to 1 MB, [seed] to 0. *)
 
@@ -67,12 +67,12 @@ val dynamics_identity :
   ?msg:int ->
   ?seed:int ->
   ?fault_seed:int ->
-  ?transport:Gridb_des.Exec.transport ->
+  ?transport:Gridb_des.Session.transport ->
   ?spec:Gridb_des.Faults.spec ->
   Gridb_topology.Machines.t ->
   Gridb_des.Plan.t ->
   Invariant.outcome
-(** ["dynamics-identity"]: {!Gridb_des.Exec.run_reliable} with a
+(** ["dynamics-identity"]: {!Gridb_des.Session.run_reliable} with a
     zero-dynamics {!Gridb_des.Dynamics} model attached (and an [on_tick]
     observation hook firing every 50 ms) against the same run without one:
     arrival vector (nan-aware), makespan, transmission / retransmission /

@@ -1,5 +1,5 @@
 open Gridb_sched
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Faults = Gridb_des.Faults
 module Dynamics = Gridb_des.Dynamics
 module Plan = Gridb_des.Plan
@@ -31,8 +31,8 @@ let engine_differential policy inst =
       (Policy.name policy) inst.Instance.n
 
 (* Arrival vector, [delivered] counter and [Arrival] events must agree. *)
-let arrival_accounting (r : Exec.reliable) events =
-  let n = Array.length r.Exec.r_arrival in
+let arrival_accounting (r : Session.reliable) events =
+  let n = Array.length r.Session.r_arrival in
   let seen = Array.make n nan in
   let arrivals = ref 0 in
   List.iter
@@ -45,7 +45,7 @@ let arrival_accounting (r : Exec.reliable) events =
   let rec ranks k =
     if k >= n then Ok ()
     else
-      let recorded = r.Exec.r_arrival.(k) in
+      let recorded = r.Session.r_arrival.(k) in
       if Float.is_nan recorded && Float.is_nan seen.(k) then ranks (k + 1)
       else if recorded = seen.(k) then ranks (k + 1)
       else
@@ -58,49 +58,49 @@ let arrival_accounting (r : Exec.reliable) events =
   let delivered_vec =
     Array.fold_left
       (fun acc a -> if Float.is_nan a then acc else acc + 1)
-      0 r.Exec.r_arrival
+      0 r.Session.r_arrival
   in
-  if delivered_vec <> r.Exec.delivered then
+  if delivered_vec <> r.Session.delivered then
     fail "delivered-accounting"
       "arrival vector has %d delivered ranks but the executor counted %d"
-      delivered_vec r.Exec.delivered
-  else if !arrivals <> r.Exec.delivered then
+      delivered_vec r.Session.delivered
+  else if !arrivals <> r.Session.delivered then
     fail "delivered-accounting"
       "event stream has %d arrivals but the executor delivered %d" !arrivals
-      r.Exec.delivered
+      r.Session.delivered
   else
     let max_arrival =
       Array.fold_left
         (fun acc a -> if Float.is_nan a then acc else Float.max acc a)
-        neg_infinity r.Exec.r_arrival
+        neg_infinity r.Session.r_arrival
     in
-    if max_arrival = r.Exec.r_makespan then Ok ()
+    if max_arrival = r.Session.r_makespan then Ok ()
     else
       fail "delivered-accounting"
         "max delivered arrival %.17g but recorded makespan %.17g" max_arrival
-        r.Exec.r_makespan
+        r.Session.r_makespan
 
 (* Delivery accounting under churn: the executor's [left] / [joined]
    reports and its arrival vector must agree with the dynamics model it
    ran under — departures are exactly the ranks whose pre-drawn leave time
    fell inside the horizon, nothing is delivered to a rank after it left,
    and joins outside the horizon never receive (or appear) at all. *)
-let churn_accounting (d : Dynamics.t) (r : Exec.reliable) =
+let churn_accounting (d : Dynamics.t) (r : Session.reliable) =
   let name = "churn-accounting" in
   let n = Dynamics.size d in
   let ntot = Dynamics.total d in
-  let horizon = r.Exec.horizon in
-  if Array.length r.Exec.r_arrival <> ntot then
+  let horizon = r.Session.horizon in
+  if Array.length r.Session.r_arrival <> ntot then
     fail name "arrival vector spans %d ranks, model population is %d"
-      (Array.length r.Exec.r_arrival) ntot
+      (Array.length r.Session.r_arrival) ntot
   else begin
     let expected_left = ref [] in
     for k = n - 1 downto 0 do
       if Dynamics.leave_time d k <= horizon then expected_left := k :: !expected_left
     done;
-    if List.sort compare r.Exec.left <> !expected_left then
+    if List.sort compare r.Session.left <> !expected_left then
       fail name "executor reports departures {%s}, model says {%s} by %.17g"
-        (String.concat "," (List.map string_of_int r.Exec.left))
+        (String.concat "," (List.map string_of_int r.Session.left))
         (String.concat "," (List.map string_of_int !expected_left))
         horizon
     else begin
@@ -109,15 +109,15 @@ let churn_accounting (d : Dynamics.t) (r : Exec.reliable) =
         |> List.filter_map (fun (j : Dynamics.join) ->
                if j.at <= horizon then Some j.rank else None)
       in
-      if List.sort compare r.Exec.joined <> expected_joined then
+      if List.sort compare r.Session.joined <> expected_joined then
         fail name "executor reports joins {%s}, model says {%s} by %.17g"
-          (String.concat "," (List.map string_of_int r.Exec.joined))
+          (String.concat "," (List.map string_of_int r.Session.joined))
           (String.concat "," (List.map string_of_int expected_joined))
           horizon
       else begin
         let bad = ref None in
         for k = 0 to ntot - 1 do
-          let a = r.Exec.r_arrival.(k) in
+          let a = r.Session.r_arrival.(k) in
           if !bad = None && not (Float.is_nan a) then
             if a >= Dynamics.leave_time d k then
               bad :=
@@ -128,7 +128,7 @@ let churn_accounting (d : Dynamics.t) (r : Exec.reliable) =
         done;
         Array.iter
           (fun (j : Dynamics.join) ->
-            let a = r.Exec.r_arrival.(j.rank) in
+            let a = r.Session.r_arrival.(j.rank) in
             if !bad = None && not (Float.is_nan a) then
               if j.at > horizon then
                 bad :=
@@ -171,13 +171,13 @@ let check (sc : Scenario.t) =
   let n_ranks = Machines.count machines in
   let plan = Plan.of_cluster_schedule machines s in
   let sink = Sink.memory () in
-  let res = Exec.run ~msg:sc.msg ~obs:sink machines plan in
+  let res = Session.run (Session.Config.v ~msg:sc.msg ~obs:sink ()) machines plan in
   let events = Sink.events sink in
   let* () = Invariant.check_stream ~n:n_ranks ~root:plan.Plan.root events in
   let* () = Invariant.stream_gap_conformance ~machines ~msg:sc.msg events in
   let* () =
     Invariant.cross_check ~invariant:"makespan-cross-check"
-      ~expected:(Schedule.makespan inst s) ~got:res.Exec.makespan
+      ~expected:(Schedule.makespan inst s) ~got:res.Session.makespan
   in
   let* () = Metamorphic.transport_equivalence ~msg:sc.msg ~seed:sc.seed machines plan in
   (* Zero-dynamics identity, in the scenario's own fault/transport cell:
@@ -195,7 +195,9 @@ let check (sc : Scenario.t) =
       in
       let sink = Sink.memory () in
       let r =
-        Exec.run_reliable ~msg:sc.msg ~obs:sink ~faults ~transport machines plan
+        Session.run_reliable
+          (Session.Config.v ~msg:sc.msg ~obs:sink ~faults ~transport ())
+          machines plan
       in
       let events = Sink.events sink in
       let* () =
@@ -215,8 +217,10 @@ let check (sc : Scenario.t) =
     let d = Dynamics.create ~seed:(Scenario.dyn_seed sc) ~n:n_ranks ~clusters:sc.n dspec in
     let sink = Sink.memory () in
     let r =
-      Exec.run_reliable ~msg:sc.msg ~obs:sink ~faults ~dynamics:d ~transport
-        ~tick_every:dspec.Dynamics.recluster_every machines plan
+      Session.run_reliable
+        (Session.Config.v ~msg:sc.msg ~obs:sink ~faults ~dynamics:d ~transport
+           ~tick_every:dspec.Dynamics.recluster_every ())
+        machines plan
     in
     let events = Sink.events sink in
     let* () =
@@ -391,7 +395,6 @@ let service_invariant_names =
 (* --- chaos family ------------------------------------------------------- *)
 
 module Admission = Gridb_service.Admission
-module Session = Gridb_des.Session
 
 let chaos_budget = 2
 
@@ -674,10 +677,10 @@ let check_opt (sc : Scenario.t) =
      the DES, fault-free, to exactly the certified makespan. *)
   let machines = Machines.expand grid in
   let plan = Plan.of_cluster_schedule machines cert.Exact.schedule in
-  let res = Exec.run ~msg:sc.msg machines plan in
+  let res = Session.run (Session.Config.v ~msg:sc.msg ()) machines plan in
   let* () =
     Invariant.cross_check ~invariant:"opt-des-replay" ~expected:cert.Exact.makespan
-      ~got:res.Exec.makespan
+      ~got:res.Session.makespan
   in
   (* Homogeneous leg: an independent uniform instance drawn from the opt
      stream, where Träff's log-time construction is provably optimal — the

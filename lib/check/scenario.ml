@@ -86,7 +86,7 @@ let policy t =
   | Some p -> Ok p
   | None -> Error (Printf.sprintf "unknown policy %S" t.policy)
 
-let transport t = Gridb_des.Exec.transport_of_string t.transport
+let transport t = Gridb_des.Session.transport_of_string t.transport
 let faults_spec t = Gridb_des.Faults.of_string t.faults
 let dynamics_spec t = Gridb_des.Dynamics.of_string t.dynamics
 

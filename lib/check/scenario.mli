@@ -16,7 +16,7 @@ type t = {
   msg : int;  (** message size, bytes *)
   root : int;  (** root cluster *)
   policy : string;  (** resolvable by {!Gridb_sched.Policy.by_name} *)
-  transport : string;  (** parsed by {!Gridb_des.Exec.transport_of_string} *)
+  transport : string;  (** parsed by {!Gridb_des.Session.transport_of_string} *)
   faults : string;  (** parsed by {!Gridb_des.Faults.of_string} *)
   dynamics : string;  (** parsed by {!Gridb_des.Dynamics.of_string} *)
 }
@@ -65,7 +65,7 @@ val opt_seed : t -> int
     0x6f7074], "opt"), distinct from every other derived stream. *)
 
 val policy : t -> (Gridb_sched.Policy.t, string) result
-val transport : t -> (Gridb_des.Exec.transport, string) result
+val transport : t -> (Gridb_des.Session.transport, string) result
 val faults_spec : t -> (Gridb_des.Faults.spec, string) result
 val dynamics_spec : t -> (Gridb_des.Dynamics.spec, string) result
 

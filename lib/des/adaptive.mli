@@ -19,8 +19,8 @@
       can replan on measured rather than nominal numbers.
 
     The estimator is pure bookkeeping: it consumes no randomness and never
-    perturbs the data path, which is what keeps the zero-fault run of the
-    adaptive executor bit-identical to {!Exec.run}. *)
+    perturbs the data path, which is what keeps a zero-fault adaptive
+    {!Session.run_reliable} bit-identical to {!Session.run}. *)
 
 type config = {
   alpha : float;  (** SRTT gain (Jacobson), default 1/8 *)

@@ -2,9 +2,9 @@
 
     A minimal sequential DES: a clock and a time-ordered queue of callbacks.
     Events scheduled at equal times fire in insertion order (stable), which
-    keeps runs reproducible.  The broadcast executors ({!Exec.run} and the
-    reliable {!Exec.run_reliable}), the MPI layer and the {!Faults}-driven
-    failure-injection tests all run on this engine.
+    keeps runs reproducible.  Broadcast sessions ({!Session}, best-effort
+    and reliable), the MPI layer and the {!Faults}-driven failure-injection
+    tests all run on this engine.
 
     Timers: {!schedule_timer} enqueues a {e cancellable} event and returns a
     handle; {!cancel} marks it dead.  Cancelled events are never executed —

@@ -5,12 +5,25 @@ module Event = Gridb_obs.Event
 
 type transport = Fixed | Adaptive of { config : Adaptive.config; reroute : bool }
 
-type result = {
-  arrival : float array;
-  makespan : float;
-  transmissions : int;
-  trace : Trace.transmission list;
-}
+let adaptive ?(config = Adaptive.default) ?(reroute = false) () =
+  Adaptive { config; reroute }
+
+let transport_of_string str =
+  match String.lowercase_ascii (String.trim str) with
+  | "fixed" -> Ok Fixed
+  | "adaptive" -> Ok (adaptive ())
+  | "adaptive,reroute" | "adaptive+reroute" -> Ok (adaptive ~reroute:true ())
+  | other ->
+      Error
+        (Printf.sprintf "unknown transport %S (known: fixed, adaptive, adaptive,reroute)"
+           other)
+
+let transport_to_string = function
+  | Fixed -> "fixed"
+  | Adaptive { reroute = false; _ } -> "adaptive"
+  | Adaptive { reroute = true; _ } -> "adaptive,reroute"
+
+type result = { arrival : float array; makespan : float; transmissions : int }
 
 type reliable = {
   r_arrival : float array;
@@ -27,7 +40,6 @@ type reliable = {
   reroutes : (int * int * int) list;
   circuit_opens : int;
   estimator : Adaptive.t option;
-  r_trace : Trace.transmission list;
 }
 
 module Config = struct
@@ -36,7 +48,6 @@ module Config = struct
     rng : Gridb_util.Rng.t option;
     start_delay : float;
     msg : int;
-    record_trace : bool;
     obs : Sink.t;
     faults : Faults.t option;
     dynamics : Dynamics.t option;
@@ -55,7 +66,6 @@ module Config = struct
       rng = None;
       start_delay = 0.;
       msg = 1_000_000;
-      record_trace = false;
       obs = Sink.null;
       faults = None;
       dynamics = None;
@@ -69,7 +79,7 @@ module Config = struct
     }
 
   let v ?(noise = Noise.Exact) ?rng ?(start_delay = 0.) ?(msg = 1_000_000)
-      ?(record_trace = false) ?(obs = Sink.null) ?faults ?dynamics
+      ?(obs = Sink.null) ?faults ?dynamics
       ?(on_tick = fun ~now:_ _ -> ()) ?(tick_every = 0.) ?(retries = 5)
       ?(rto_mult = 2.) ?(rto_min = 1.) ?(rto_max = 1e9) ?(transport = Fixed) () =
     {
@@ -77,7 +87,6 @@ module Config = struct
       rng;
       start_delay;
       msg;
-      record_trace;
       obs;
       faults;
       dynamics;
@@ -90,10 +99,18 @@ module Config = struct
       transport;
     }
 
+  let reject_nan ~who name x =
+    if Float.is_nan x then invalid_arg (who ^ ": " ^ name ^ " is NaN")
+
   let validate ~who (c : t) machines plan =
     let n = Machines.count machines in
     if Plan.size plan <> n then invalid_arg (who ^ ": plan size mismatch");
     if c.retries < 0 then invalid_arg (who ^ ": negative retries");
+    (* NaN fails every ordered comparison below, so it is rejected first. *)
+    reject_nan ~who "rto_mult" c.rto_mult;
+    reject_nan ~who "rto_min" c.rto_min;
+    reject_nan ~who "rto_max" c.rto_max;
+    reject_nan ~who "tick_every" c.tick_every;
     if c.rto_mult < 1. then invalid_arg (who ^ ": rto_mult < 1");
     if c.rto_min <= 0. then invalid_arg (who ^ ": rto_min must be positive");
     if c.rto_max < c.rto_min then invalid_arg (who ^ ": rto_max < rto_min");
@@ -108,16 +125,6 @@ module Config = struct
     | _ -> ()
 end
 
-(* The legacy [record_trace] path is a Memory-sink view over the same event
-   stream: the session emits [Send_start]/[Send_end] pairs to an internal
-   Memory sink and the [trace] field is rebuilt from it.  Reversing the
-   chronological stream before the (stable) arrival sort reproduces the
-   historical reverse-prepend order bit for bit, equal arrivals included. *)
-let trace_of_mem mem =
-  Trace.of_events (Sink.events mem)
-  |> List.rev
-  |> List.sort (fun (a : Trace.transmission) b -> Float.compare a.arrival b.arrival)
-
 module Edges = Hashtbl.Make (Int)
 
 let intra machines src dst =
@@ -125,40 +132,25 @@ let intra machines src dst =
   = (Machines.machine machines dst).Machines.cluster
 
 (* One session's emissions, optionally wrapped in [Event.Tagged] so
-   multi-session streams can be attributed per request.  The Memory sink
-   backing the legacy [record_trace] path receives the same (tagged)
-   stream; {!Trace.of_events} untags. *)
-let emitter ~sid ~mem ~obs =
+   multi-session streams can be attributed per request. *)
+let emitter ~sid ~obs =
   let wrap =
     match sid with None -> Fun.id | Some s -> fun e -> Event.tag ~sid:s e
   in
-  let tracing = Sink.enabled mem || Sink.enabled obs in
-  let emit e =
-    let e = wrap e in
-    if Sink.enabled mem then Sink.emit mem e;
-    if Sink.enabled obs then Sink.emit obs e
-  in
-  (tracing, emit)
+  (Sink.enabled obs, fun e -> Sink.emit obs (wrap e))
 
-type t = {
-  s_arrival : float array;
-  s_transmissions : int ref;
-  s_record_trace : bool;
-  s_mem : Sink.t;
-  s_engine : Engine.t;
-}
+type t = { s_arrival : float array; s_transmissions : int ref }
 
 let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
     machines plan =
   let n = Machines.count machines in
   if Plan.size plan <> n then invalid_arg (who ^ ": plan size mismatch");
   if Wire.size wire < n then invalid_arg (who ^ ": wire smaller than machine view");
-  let { Config.noise; rng; start_delay; msg; record_trace; obs; _ } = config in
+  let { Config.noise; rng; start_delay; msg; obs; _ } = config in
   let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
   let arrival = Array.make n nan in
   let transmissions = ref 0 in
-  let mem = if record_trace then Sink.memory () else Sink.null in
-  let tracing, emit = emitter ~sid ~mem ~obs in
+  let tracing, emit = emitter ~sid ~obs in
   (* On delivery, a rank enqueues its forwarding list: each send seizes the
      NIC for one (noisy) gap; the child receives a (noisy) latency after the
      send starts injecting. *)
@@ -193,23 +185,11 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
       plan.Plan.children.(rank)
   in
   Engine.schedule engine ~time:start_delay (deliver ~src:plan.Plan.root plan.Plan.root);
-  {
-    s_arrival = arrival;
-    s_transmissions = transmissions;
-    s_record_trace = record_trace;
-    s_mem = mem;
-    s_engine = engine;
-  }
+  { s_arrival = arrival; s_transmissions = transmissions }
 
 let result (s : t) =
   let makespan = Array.fold_left Float.max 0. s.s_arrival in
-  let trace = if s.s_record_trace then trace_of_mem s.s_mem else [] in
-  {
-    arrival = s.s_arrival;
-    makespan;
-    transmissions = !(s.s_transmissions);
-    trace;
-  }
+  { arrival = s.s_arrival; makespan; transmissions = !(s.s_transmissions) }
 
 type reliable_t = {
   r_n : int;
@@ -225,8 +205,6 @@ type reliable_t = {
   r_faults : Faults.t option;
   r_dynamics : Dynamics.t option;
   r_joins : Dynamics.join array;
-  r_record_trace : bool;
-  r_mem : Sink.t;
   r_engine : Engine.t;
 }
 
@@ -265,7 +243,6 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     rng;
     start_delay;
     msg;
-    record_trace;
     obs;
     faults;
     dynamics;
@@ -342,8 +319,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   let retransmissions = ref 0 in
   let acks = ref 0 in
   let gave_up = ref [] in
-  let mem = if record_trace then Sink.memory () else Sink.null in
-  let tracing, emit = emitter ~sid ~mem ~obs in
+  let tracing, emit = emitter ~sid ~obs in
   let est, reroute =
     match transport with
     | Fixed -> (None, false)
@@ -681,8 +657,6 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     r_faults = faults;
     r_dynamics = dynamics;
     r_joins = joins;
-    r_record_trace = record_trace;
-    r_mem = mem;
     r_engine = engine;
   }
 
@@ -713,7 +687,6 @@ let reliable_result (s : reliable_t) =
   let delivered =
     Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 s.r_has_msg
   in
-  let trace = if s.r_record_trace then trace_of_mem s.r_mem else [] in
   {
     r_arrival = s.r_arr;
     r_makespan = makespan;
@@ -729,7 +702,6 @@ let reliable_result (s : reliable_t) =
     reroutes = List.rev !(s.r_reroute_log);
     circuit_opens = !(s.r_circuit_opens);
     estimator = s.r_est;
-    r_trace = trace;
   }
 
 let population (config : Config.t) machines =
@@ -737,3 +709,100 @@ let population (config : Config.t) machines =
   match config.Config.dynamics with
   | None -> n
   | Some d -> n + Array.length (Dynamics.joins d)
+
+(* Single-session replays: a private wire sized to the session's rank
+   population, a private engine, one launch, run to quiescence. *)
+let run (config : Config.t) machines plan =
+  let wire = Wire.create ~n:(Machines.count machines) in
+  let engine = Engine.create ~obs:config.Config.obs () in
+  let s = launch ~who:"Session.run" ~wire ~engine config machines plan in
+  Engine.run engine;
+  result s
+
+let run_reliable (config : Config.t) machines plan =
+  let wire = Wire.create ~n:(population config machines) in
+  let engine = Engine.create ~obs:config.Config.obs () in
+  let s = launch_reliable ~who:"Session.run_reliable" ~wire ~engine config machines plan in
+  Engine.run engine;
+  reliable_result s
+
+let mean_makespan ?(noise = Noise.default_measured) ?(msg = 1_000_000)
+    ?(repetitions = 10) ?(jobs = 1) ~seed machines plan =
+  if repetitions < 1 then invalid_arg "Session.mean_makespan: repetitions < 1";
+  (* One indexed stream per repetition ([Rng.split] is pure in the base
+     state and the index): equal seeds give equal means, no repetition's
+     draw count can bleed into another's stream, and every repetition is a
+     self-contained task the pool may run on any worker in any order. *)
+  let base = Gridb_util.Rng.create seed in
+  let makespans =
+    Gridb_util.Pool.mapi ~jobs
+      (fun rep () ->
+        let config = Config.v ~noise ~rng:(Gridb_util.Rng.split base rep) ~msg () in
+        (run config machines plan).makespan)
+      (Array.make repetitions ())
+  in
+  Array.fold_left ( +. ) 0. makespans /. float_of_int repetitions
+
+type reliable_summary = {
+  reps : int;
+  delivered_fraction : float;
+  mean_retransmissions : float;
+  mean_reroutes : float;
+  mean_makespan : float;
+  stddev_makespan : float;
+  total_gave_up : int;
+  all_delivered : bool;
+}
+
+let mean_reliable ?(noise = Noise.default_measured) ?(msg = 1_000_000)
+    ?(repetitions = 10) ?(retries = 5) ?(rto_mult = 2.) ?(rto_min = 1.)
+    ?(rto_max = 1e9) ?(transport = Fixed) ?(jobs = 1) ~seed ~spec machines plan =
+  if repetitions < 1 then invalid_arg "Session.mean_reliable: repetitions < 1";
+  let n = Machines.count machines in
+  (* Same indexed-stream discipline as [mean_makespan]: repetition [rep]
+     runs entirely on [Rng.split base rep], burning the stream's first raw
+     draw for its fault seed.  Equal seeds give equal summaries, no
+     repetition's draw count bleeds into another's stream, and the pool may
+     execute repetitions on any worker in any order. *)
+  let base = Gridb_util.Rng.create seed in
+  let results =
+    Gridb_util.Pool.mapi ~jobs
+      (fun rep () ->
+        let stream = Gridb_util.Rng.split base rep in
+        let fseed = Int64.to_int (Gridb_util.Rng.bits64 stream) land max_int in
+        let faults = Faults.create ~seed:fseed ~n spec in
+        run_reliable
+          (Config.v ~noise ~rng:stream ~msg ~faults ~retries ~rto_mult ~rto_min ~rto_max
+             ~transport ())
+          machines plan)
+      (Array.make repetitions ())
+  in
+  let makespans = Array.map (fun r -> r.r_makespan) results in
+  let delivered = ref 0 in
+  let retrans = ref 0 in
+  let reroutes = ref 0 in
+  let gave = ref 0 in
+  let all = ref true in
+  Array.iter
+    (fun r ->
+      delivered := !delivered + r.delivered;
+      retrans := !retrans + r.retransmissions;
+      reroutes := !reroutes + List.length r.reroutes;
+      gave := !gave + List.length r.gave_up;
+      if r.delivered <> n then all := false)
+    results;
+  let reps = float_of_int repetitions in
+  let mean = Array.fold_left ( +. ) 0. makespans /. reps in
+  let var =
+    Array.fold_left (fun acc m -> acc +. ((m -. mean) *. (m -. mean))) 0. makespans /. reps
+  in
+  {
+    reps = repetitions;
+    delivered_fraction = float_of_int !delivered /. (reps *. float_of_int n);
+    mean_retransmissions = float_of_int !retrans /. reps;
+    mean_reroutes = float_of_int !reroutes /. reps;
+    mean_makespan = mean;
+    stddev_makespan = sqrt var;
+    total_gave_up = !gave;
+    all_delivered = !all;
+  }

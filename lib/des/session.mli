@@ -1,59 +1,93 @@
-(** One broadcast as a session on a shared engine and wire.
+(** The discrete-event executor: a broadcast plan replayed as a session
+    on an {!Engine} and a {!Wire}.
 
-    This is the executor core of {!Exec}, refactored so that {e several}
-    broadcasts (mixed roots, message sizes, transports) can run
-    concurrently on one discrete-event {!Engine} while contending for the
-    same per-NIC occupancy state ({!Wire}) — the broadcast-service
-    execution model.  {!Exec.run} and {!Exec.run_reliable} are thin
-    single-session wrappers over this module (private wire, private
-    engine) and are bit-identical to the historical executors.
+    Semantics per transmission from [s] to [d] (pLogP parameters of the
+    [s]-[d] link evaluated at the message size, each scaled by an
+    independent noise factor): the send starts when [s] holds the message
+    and its NIC is free; the NIC is busy for [g]; delivery happens [L]
+    after the send starts injecting, i.e. at [start + g + L].  With
+    [noise = Exact] a session reproduces the analytic predictions of
+    {!Gridb_collectives.Cost} and {!Gridb_sched.Schedule} to floating point
+    accuracy — an invariant the integration tests rely on.
 
+    {!run} and {!run_reliable} replay one plan on a private wire and
+    engine.  {!launch} and {!launch_reliable} seed a session onto a shared
+    engine and wire instead, so {e several} broadcasts (mixed roots,
+    message sizes, transports) run concurrently while contending for the
+    same per-NIC occupancy state — the broadcast-service execution model.
     Lifecycle: [launch]/[launch_reliable] validate, seed the session's
     first event at [config.start_delay] and return a handle; the caller
     runs the engine (once, for all launched sessions) and then extracts
     each session's outcome with [result]/[reliable_result].
 
-    When [sid] is given, every event the session publishes — to the
-    [config.obs] sink and to the internal trace sink — is wrapped in
+    Observability: sessions publish their full event stream to the
+    [config.obs] sink — [Send_start]/[Send_end]/[Arrival] (plus
+    [Ack]/[Retransmit]/[Give_up]/[Reroute]/[Circuit_*] for reliable
+    sessions).  With the default {!Gridb_obs.Sink.null} every emission
+    site is a single always-false test: seeded runs are bit-identical with
+    and without the instrumentation layer.  For a transmission log, pass a
+    {!Gridb_obs.Sink.memory} sink and read it back with {!Trace.of_events}.
+    When [sid] is given, every published event is wrapped in
     {!Gridb_obs.Event.Tagged}[ { sid; _ }] so multi-session streams can be
-    attributed per request ({!Gridb_obs.Profile} rolls them up).  Untagged
-    ([sid] absent) sessions emit byte-identical streams to the historical
-    executors. *)
+    attributed per request ({!Gridb_obs.Profile} rolls them up). *)
 
-type transport = Fixed | Adaptive of { config : Adaptive.config; reroute : bool }
-(** See {!Exec.transport} (the public alias). *)
+type transport =
+  | Fixed  (** model-derived RTO, exponential backoff, no reroute *)
+  | Adaptive of { config : Adaptive.config; reroute : bool }
+      (** live Jacobson/Karn RTO + circuit breakers; with [reroute],
+          orphaned children are re-parented onto delivered ranks *)
+
+val adaptive : ?config:Adaptive.config -> ?reroute:bool -> unit -> transport
+(** [Adaptive] with {!Adaptive.default} knobs; [reroute] defaults false. *)
+
+val transport_of_string : string -> (transport, string) Stdlib.result
+(** Parses ["fixed"], ["adaptive"], ["adaptive,reroute"] (or
+    ["adaptive+reroute"]), case-insensitively; adaptive forms carry
+    {!Adaptive.default}. *)
+
+val transport_to_string : transport -> string
+(** Left inverse of {!transport_of_string} for default configs. *)
 
 type result = {
-  arrival : float array;
-  makespan : float;
-  transmissions : int;
-  trace : Trace.transmission list;
+  arrival : float array;  (** per-rank delivery time; [start_delay] at the root *)
+  makespan : float;  (** max arrival *)
+  transmissions : int;  (** number of point-to-point sends executed *)
 }
-(** See {!Exec.result} (the public alias). *)
 
 type reliable = {
   r_arrival : float array;
-  r_makespan : float;
+      (** per-rank {e first} delivery time; [nan] for ranks never reached *)
+  r_makespan : float;  (** max arrival over delivered ranks *)
   r_transmissions : int;
-  retransmissions : int;
-  acks : int;
-  delivered : int;
+      (** data transmissions injected, including retransmissions (ACKs are
+          control-plane and not counted) *)
+  retransmissions : int;  (** timeout-triggered re-sends *)
+  acks : int;  (** ACK messages delivered *)
+  delivered : int;  (** ranks holding the message at quiescence *)
   gave_up : (int * int) list;
-  crashed : int list;
+      (** [(parent, child)] edges abandoned for good: retry budget exhausted
+          (fixed/adaptive), or reroute budget exhausted (reroute) *)
+  crashed : int list;  (** ranks that halted within the simulated horizon *)
   left : int list;
+      (** ranks whose {!Dynamics} departure fired within the horizon; []
+          without a dynamics model *)
   joined : int list;
+      (** join ranks (ids >= the planning-time population) whose arrival
+          fell within the horizon, ascending; [] without dynamics *)
   horizon : float;
+      (** simulated time at quiescence, us.  For sessions sharing an
+          engine, the engine clock when [reliable_result] is called —
+          global quiescence, not per-session. *)
   reroutes : (int * int * int) list;
-  circuit_opens : int;
+      (** [(dst, old_parent, new_parent)] re-parentings, chronological;
+          [] unless the transport reroutes *)
+  circuit_opens : int;  (** breaker open transitions (timeouts + blow-ups) *)
   estimator : Adaptive.t option;
-  r_trace : Trace.transmission list;
+      (** the live estimator after quiescence — [Some] for adaptive
+          transports; feed {!Adaptive.estimated_params} to replanning *)
 }
-(** See {!Exec.reliable} (the public alias).  For sessions sharing an
-    engine, [horizon] is the engine clock when [reliable_result] is
-    called — global quiescence, not per-session. *)
 
-(** Everything a session needs besides topology and plan — the former 13
-    optional arguments of [Exec.run_reliable] as one record. *)
+(** Everything a session needs besides topology and plan. *)
 module Config : sig
   type t = {
     noise : Noise.t;  (** per-transmission parameter noise *)
@@ -61,15 +95,17 @@ module Config : sig
         (** random stream; [None] creates a fresh seed-0 stream {e per
             launch}.  [Some] shares the stream object between sessions
             launched with the same config — give each concurrent session
-            its own split stream. *)
-    start_delay : float;  (** simulated time of the session's first event *)
+            its own split stream.  Required in practice when [noise] is not
+            [Exact]. *)
+    start_delay : float;
+        (** simulated time of the session's first event (e.g. a scheduling
+            overhead that postpones the root's first injection) *)
     msg : int;  (** message size, bytes *)
-    record_trace : bool;  (** legacy trace capture (Memory-sink view) *)
     obs : Gridb_obs.Sink.t;  (** observability sink *)
     faults : Faults.t option;  (** fault model; [None] = no faults *)
     dynamics : Dynamics.t option;  (** time-varying topology model *)
     on_tick : now:float -> Adaptive.t option -> unit;
-        (** pure observation hook, see {!Exec.run_reliable} *)
+        (** pure observation hook, see {!launch_reliable} *)
     tick_every : float;  (** tick period, us; 0. disables *)
     retries : int;  (** retransmissions before giving an edge up *)
     rto_mult : float;  (** initial RTO multiplier over the model round trip *)
@@ -79,16 +115,15 @@ module Config : sig
   }
 
   val default : t
-  (** The historical defaults of [Exec.run_reliable]: exact noise, fresh
-      seed-0 rng, 1 MB message, no faults/dynamics/trace/obs, 5 retries,
-      rto_mult 2., rto_min 1., rto_max 1e9, [Fixed] transport. *)
+  (** Exact noise, fresh seed-0 rng, no start delay, 1 MB message, null
+      sink, no faults/dynamics/ticks, 5 retries, rto_mult 2., rto_min 1.,
+      rto_max 1e9, [Fixed] transport. *)
 
   val v :
     ?noise:Noise.t ->
     ?rng:Gridb_util.Rng.t ->
     ?start_delay:float ->
     ?msg:int ->
-    ?record_trace:bool ->
     ?obs:Gridb_obs.Sink.t ->
     ?faults:Faults.t ->
     ?dynamics:Dynamics.t ->
@@ -104,11 +139,80 @@ module Config : sig
   (** {!default} with the given fields overridden. *)
 
   val validate : who:string -> t -> Gridb_topology.Machines.t -> Plan.t -> unit
-  (** Raise [Invalid_argument] with message prefix [who] on any of the
-      historical [Exec.run_reliable] argument errors (plan/fault/dynamics
-      size mismatch, negative retries, [rto_mult < 1], non-positive
-      [rto_min], [rto_max < rto_min], negative [tick_every]). *)
+  (** Raise [Invalid_argument] with message prefix [who] on a
+      plan/fault-model/dynamics-model size mismatch, negative [retries],
+      [rto_mult < 1.], [rto_min <= 0.], [rto_max < rto_min], negative
+      [tick_every], or a NaN in any of the four float knobs. *)
 end
+
+val run : Config.t -> Gridb_topology.Machines.t -> Plan.t -> result
+(** [run config machines plan] broadcasts one [config.msg]-byte message
+    along [plan] on a private wire and engine run to quiescence (the
+    {!launch} semantics).  Only the [noise]/[rng]/[start_delay]/[msg]/[obs]
+    fields of [config] apply.
+    @raise Invalid_argument if plan and machine view sizes differ. *)
+
+val run_reliable : Config.t -> Gridb_topology.Machines.t -> Plan.t -> reliable
+(** [run_reliable config machines plan] replays one reliable broadcast
+    (the {!launch_reliable} semantics) on a private wire and engine run to
+    quiescence.
+    @raise Invalid_argument on everything {!Config.validate} checks. *)
+
+val mean_makespan :
+  ?noise:Noise.t ->
+  ?msg:int ->
+  ?repetitions:int ->
+  ?jobs:int ->
+  seed:int ->
+  Gridb_topology.Machines.t ->
+  Plan.t ->
+  float
+(** Average {!run} makespan over independent noisy runs (default 10,
+    [noise] defaults to {!Noise.default_measured}), the "measured" value
+    reported by Figure 6.  Repetition [rep] runs on the indexed stream
+    {!Gridb_util.Rng.split}[ (create seed) rep]: equal seeds give equal
+    means, the repetitions' streams are pairwise independent (one run's
+    draw count cannot shift another's draws), and the mean is
+    bit-identical for every [jobs] setting ([jobs], default 1, fans
+    repetitions out over a {!Gridb_util.Pool}).
+    @raise Invalid_argument if [repetitions < 1]. *)
+
+type reliable_summary = {
+  reps : int;
+  delivered_fraction : float;  (** mean delivered / n over repetitions *)
+  mean_retransmissions : float;
+  mean_reroutes : float;
+  mean_makespan : float;  (** over delivered ranks, per repetition *)
+  stddev_makespan : float;  (** population standard deviation *)
+  total_gave_up : int;  (** abandoned edges summed over repetitions *)
+  all_delivered : bool;  (** every repetition delivered all [n] ranks *)
+}
+
+val mean_reliable :
+  ?noise:Noise.t ->
+  ?msg:int ->
+  ?repetitions:int ->
+  ?retries:int ->
+  ?rto_mult:float ->
+  ?rto_min:float ->
+  ?rto_max:float ->
+  ?transport:transport ->
+  ?jobs:int ->
+  seed:int ->
+  spec:Faults.spec ->
+  Gridb_topology.Machines.t ->
+  Plan.t ->
+  reliable_summary
+(** {!run_reliable} aggregated over independent repetitions (default 10),
+    mirroring {!mean_makespan}'s indexed-stream discipline: repetition
+    [rep] runs entirely on {!Gridb_util.Rng.split}[ (create seed) rep],
+    burning that stream's first raw draw for its fault seed.  Equal seeds
+    give equal summaries, no repetition's draw count bleeds into
+    another's, and the summary is bit-identical for every [jobs] setting
+    ([jobs], default 1, fans repetitions out over a {!Gridb_util.Pool}).
+    The faults are re-drawn per repetition from [spec].
+    @raise Invalid_argument if [repetitions < 1] (plus everything
+    {!run_reliable} raises). *)
 
 type t
 (** A launched best-effort (fault-free pLogP) session. *)
@@ -122,10 +226,9 @@ val launch :
   Gridb_topology.Machines.t ->
   Plan.t ->
   t
-(** Seed one best-effort broadcast (the {!Exec.run} semantics) onto
-    [engine]/[wire]: the root delivers to itself at [config.start_delay]
-    and forwarding events cascade from there.  Only the
-    [noise]/[rng]/[start_delay]/[msg]/[record_trace]/[obs] fields of
+(** Seed one best-effort broadcast onto [engine]/[wire]: the root delivers
+    to itself at [config.start_delay] and forwarding events cascade from
+    there.  Only the [noise]/[rng]/[start_delay]/[msg]/[obs] fields of
     [config] apply; the reliability fields are ignored.  [who] (default
     ["Session.launch"]) prefixes error messages.
     @raise Invalid_argument on plan size mismatch or a wire smaller than
@@ -147,12 +250,69 @@ val launch_reliable :
   Gridb_topology.Machines.t ->
   Plan.t ->
   reliable_t
-(** Seed one reliable broadcast (the {!Exec.run_reliable} semantics:
-    stop-and-wait ACK/timeout/backoff per edge, optional adaptive
-    transport, faults, dynamics) onto [engine]/[wire].  The wire must
-    cover the machine view {e plus} any dynamics join ranks
-    ({!population}).  [who] (default ["Session.launch_reliable"])
-    prefixes error messages.
+(** Seed one reliable broadcast along [plan] onto [engine]/[wire].  The
+    wire must cover the machine view {e plus} any dynamics join ranks
+    ({!population}).  [who] (default ["Session.launch_reliable"]) prefixes
+    error messages.
+
+    Each plan edge runs stop-and-wait ACK/timeout/retransmission: the
+    receiver ACKs every delivery on the control plane (reverse-link
+    latency, no NIC seizure), the sender arms a cancellable timer [rto]
+    after its injection ends and retransmits with doubled [rto] on every
+    timeout — capped at [config.rto_max] us — up to [config.retries]
+    retransmissions before abandoning the edge — partial delivery,
+    reported via [gave_up].  The initial [rto] is [config.rto_mult] times
+    the link's noiseless round trip [g + L + L_back], floored at
+    [config.rto_min] us.
+
+    [config.transport] selects the retransmission strategy.  Under
+    [Adaptive], every clean round trip updates a per-link SRTT/RTTVAR
+    estimator ({!Adaptive}, Karn's rule included) that replaces the
+    model-derived initial RTO once samples exist, and per-link circuit
+    breakers publish [Circuit_open]/[Circuit_close] to the sink.  With
+    [reroute] also set, an edge whose breaker opens or whose retry budget
+    dies orphans its child instead of abandoning it: the child is
+    re-parented onto the already-delivered alive rank with the best ECEF
+    arrival score over live-estimated parameters ([Reroute] events),
+    parked and retried on the next delivery if no candidate exists yet,
+    and only reported in [gave_up] once its per-destination reroute budget
+    ({!Adaptive.config.max_reroutes}; 0 derives [2 * ranks]) is spent — so
+    delivery is total unless the destination crashed or is physically
+    partitioned from the delivered set.
+
+    Fault semantics ([config.faults]): losses and permanent cuts are
+    evaluated at injection start; a transmission to a rank that halts
+    before its arrival vanishes; a halted sender stops (re)transmitting
+    and forwarding.  Degradation episodes multiply both gap and latency of
+    transmissions injected while they are active.
+
+    [config.dynamics] adds time-varying topology on top.
+    {!Dynamics.factor} multiplies gap and latency of every transmission
+    (the fault slowdown composes with it); a rank {e halts} at the earlier
+    of its fault-model crash and its dynamics departure ([left] reports
+    the latter); join ranks extend the rank space ([r_arrival] has one
+    slot per join above the planning-time population) and are adopted
+    through the reroute machinery when their arrival falls inside the
+    simulated horizon — a join under a non-rerouting transport exists but
+    is unreachable (the static plan predates it), and joins arriving after
+    quiescence never happened.  Join links are fresh: loss-free,
+    cut-free, undrifted, carrying the cluster's nominal parameters.
+
+    [config.on_tick] (with [config.tick_every] > 0, us) is a pure
+    observation hook: it receives the live estimator (if any) at the first
+    protocol event at or past each tick boundary — the online
+    re-clustering loop of {!Gridb_experiments}.  It runs between protocol
+    events and must not mutate session state.
+
+    With no faults (or an empty fault spec, {!Faults.is_none}) and the
+    same [noise], [rng] and [start_delay], the data path is
+    {e bit-identical} to {!launch} {e for every transport}: same arrivals,
+    same makespan, same transmission count — the estimator draws no
+    randomness and every timer is cancelled by its ACK before firing.  The
+    identity extends to [dynamics] models built from {!Dynamics.is_none}
+    specs: their factor is exactly [1.] (an exact float multiply), they
+    halt and join nobody, and tick callbacks never touch the data path.
+    The property tests pin this zero-fault identity down.
     @raise Invalid_argument on everything {!Config.validate} checks, or a
     wire smaller than the session's rank population. *)
 

@@ -1,9 +1,10 @@
 (** Transmission traces of DES executions.
 
-    When asked ({!Exec.run} with [record_trace:true]), the executor logs
-    every point-to-point transmission; this module analyses the log:
-    per-sender NIC busy time, the critical path to the last delivery, and a
-    compact textual rendering.  Used by the deeper examples and by tests
+    A session run with a {!Gridb_obs.Sink.memory} sink ({!Session.run}
+    [(Config.v ~obs ())]) logs every point-to-point transmission;
+    {!of_events} reads the log back and this module analyses it: per-sender
+    NIC busy time, the critical path to the last delivery, and a compact
+    textual rendering.  Used by the deeper examples and by tests
     that assert structural properties of executions (e.g. that the flat
     tree's root carries all the traffic). *)
 

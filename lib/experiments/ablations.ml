@@ -148,7 +148,8 @@ let multilevel_gain config =
   let root = 0 in
   let sizes = [ 250_000; 1_000_000; 2_000_000; 4_000_000 ] in
   let execute plan msg =
-    seconds (Des.Exec.run ~msg machines plan).Des.Exec.makespan
+    seconds
+      (Des.Session.run (Des.Session.Config.v ~msg ()) machines plan).Des.Session.makespan
   in
   let strategies =
     [
@@ -453,20 +454,23 @@ let hierarchy_vs_flat () =
   let hierarchical msg =
     let inst = Instance.of_grid ~root ~msg grid in
     let plan = Des.Plan.of_cluster_schedule machines (Heuristics.run heuristic inst) in
-    seconds (Des.Exec.run ~msg machines plan).Des.Exec.makespan
+    seconds
+      (Des.Session.run (Des.Session.Config.v ~msg ()) machines plan).Des.Session.makespan
   in
   let node_level msg =
     let inst =
       Instance.of_machines ~root:(Topology.Machines.coordinator machines root) ~msg machines
     in
     let plan = Des.Plan.of_flat_schedule machines (Heuristics.run heuristic inst) in
-    seconds (Des.Exec.run ~msg machines plan).Des.Exec.makespan
+    seconds
+      (Des.Session.run (Des.Session.Config.v ~msg ()) machines plan).Des.Session.makespan
   in
   let binomial msg =
     let plan =
       Des.Plan.binomial_ranks machines ~root:(Topology.Machines.coordinator machines root)
     in
-    seconds (Des.Exec.run ~msg machines plan).Des.Exec.makespan
+    seconds
+      (Des.Session.run (Des.Session.Config.v ~msg ()) machines plan).Des.Session.makespan
   in
   let sizes = [ 500_000; 1_000_000; 2_000_000; 4_000_000 ] in
   let series =

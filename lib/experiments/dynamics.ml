@@ -9,7 +9,7 @@ module Faults = Gridb_des.Faults
 module Dyn = Gridb_des.Dynamics
 module Adaptive = Gridb_des.Adaptive
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Noise = Gridb_des.Noise
 module Sink = Gridb_obs.Sink
 
@@ -59,7 +59,7 @@ let divergence est =
 
 let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
     ?(noise = Noise.Exact) ?(obs = Sink.null)
-    ?(transport = Exec.adaptive ~reroute:true ()) ?(thresholds = Replan.default)
+    ?(transport = Session.adaptive ~reroute:true ()) ?(thresholds = Replan.default)
     ?(spec = Faults.none) ~dyn grid =
   let inst = Instance.of_grid ~root:0 ~msg grid in
   let schedule = Sched_engine.run ~obs policy inst in
@@ -91,26 +91,28 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
           :: !trail
   in
   let rel =
-    Exec.run_reliable ~noise ~rng ~msg ~faults ?dynamics:dmodel ~on_tick
-      ~tick_every:dyn.Dyn.recluster_every ~retries ~obs ~transport machines plan
+    Session.run_reliable
+      (Session.Config.v ~noise ~rng ~msg ~faults ?dynamics:dmodel ~on_tick
+         ~tick_every:dyn.Dyn.recluster_every ~retries ~obs ~transport ())
+      machines plan
   in
-  let horizon = rel.Exec.horizon in
+  let horizon = rel.Session.horizon in
   (* Cluster-level halt vector at the decision instant: crash or departure
      of the coordinator, within the horizon only. *)
   let halt =
     Array.init nc (fun c ->
         let coord = Machines.coordinator machines c in
         let t = ref infinity in
-        if List.mem coord rel.Exec.crashed then t := Faults.crash_time faults coord;
+        if List.mem coord rel.Session.crashed then t := Faults.crash_time faults coord;
         (match dmodel with
-        | Some d when List.mem coord rel.Exec.left ->
+        | Some d when List.mem coord rel.Session.left ->
             t := Float.min !t (Dyn.leave_time d coord)
         | _ -> ());
         !t)
   in
   let departed = Array.fold_left (fun a t -> if Float.is_finite t then a + 1 else a) 0 halt in
   let final_drift, final_divergence, i_est =
-    match rel.Exec.estimator with
+    match rel.Session.estimator with
     | None -> (0., 0., inst)
     | Some est ->
         ( Robustness.partition_drift est machines,
@@ -153,7 +155,7 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
           ~gap:(scale inst.Instance.gap) ~intra:inst.Instance.intra
   in
   let judge = Replan.evaluate truth ~halt in
-  let ntot = n + List.length rel.Exec.joined in
+  let ntot = n + List.length rel.Session.joined in
   {
     policy = Policy.name policy;
     dyn;
@@ -161,12 +163,12 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
     seed;
     clusters = nc;
     total_ranks = ntot;
-    delivered = rel.Exec.delivered;
-    delivery_ratio = float_of_int rel.Exec.delivered /. float_of_int ntot;
-    makespan = rel.Exec.r_makespan;
+    delivered = rel.Session.delivered;
+    delivery_ratio = float_of_int rel.Session.delivered /. float_of_int ntot;
+    makespan = rel.Session.r_makespan;
     horizon;
-    left_ranks = List.length rel.Exec.left;
-    joined_ranks = List.length rel.Exec.joined;
+    left_ranks = List.length rel.Session.left;
+    joined_ranks = List.length rel.Session.joined;
     ticks = List.rev !trail;
     final_drift;
     final_divergence;

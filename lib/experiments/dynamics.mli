@@ -66,7 +66,7 @@ val run :
   ?seed:int ->
   ?noise:Gridb_des.Noise.t ->
   ?obs:Gridb_obs.Sink.t ->
-  ?transport:Gridb_des.Exec.transport ->
+  ?transport:Gridb_des.Session.transport ->
   ?thresholds:Gridb_sched.Replan.thresholds ->
   ?spec:Gridb_des.Faults.spec ->
   dyn:Gridb_des.Dynamics.spec ->

@@ -158,9 +158,11 @@ let fig6_measured config =
               let total = ref 0. in
               for _ = 1 to repetitions do
                 let r =
-                  Des.Exec.run ~noise ~rng ~start_delay:overhead ~msg machines plan
+                  Des.Session.run
+                    (Des.Session.Config.v ~noise ~rng ~start_delay:overhead ~msg ())
+                    machines plan
                 in
-                total := !total +. r.Des.Exec.makespan
+                total := !total +. r.Des.Session.makespan
               done;
               (float_of_int msg, seconds (!total /. float_of_int repetitions)))
             message_sizes
@@ -179,8 +181,10 @@ let fig6_measured config =
           let rng = Gridb_util.Rng.create (config.Config.seed + msg) in
           let total = ref 0. in
           for _ = 1 to repetitions do
-            let r = Des.Exec.run ~noise ~rng ~msg machines plan in
-            total := !total +. r.Des.Exec.makespan
+            let r =
+              Des.Session.run (Des.Session.Config.v ~noise ~rng ~msg ()) machines plan
+            in
+            total := !total +. r.Des.Session.makespan
           done;
           (float_of_int msg, seconds (!total /. float_of_int repetitions)))
         message_sizes

@@ -7,7 +7,7 @@ module Faults = Gridb_des.Faults
 module Dyn = Gridb_des.Dynamics
 module Adaptive = Gridb_des.Adaptive
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Noise = Gridb_des.Noise
 module Lowekamp = Gridb_clustering.Lowekamp
 module Partition = Gridb_clustering.Partition
@@ -41,7 +41,7 @@ type metrics = {
   repairs : int;
   repaired_makespan : float option;
   estimated_repaired_makespan : float option;
-  summary : Exec.reliable_summary option;
+  summary : Session.reliable_summary option;
 }
 
 (* Cluster-level estimated instance: the estimator's per-link quality on the
@@ -80,13 +80,13 @@ let partition_drift est machines =
   1. -. Partition.rand_index plan_time live
 
 let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
-    ?(noise = Noise.Exact) ?(obs = Sink.null) ?(transport = Exec.Fixed)
+    ?(noise = Noise.Exact) ?(obs = Sink.null) ?(transport = Session.Fixed)
     ?(dyn = Dyn.none) ?repetitions ?(jobs = 1) ~spec grid =
   let inst = Instance.of_grid ~root:0 ~msg grid in
   let schedule = Sched_engine.run ~obs policy inst in
   let machines = Machines.expand grid in
   let plan = Plan.of_cluster_schedule machines schedule in
-  let baseline = Exec.run ~msg machines plan in
+  let baseline = Session.run (Session.Config.v ~msg ()) machines plan in
   let n = Machines.count machines in
   let faults = Faults.create ~seed ~n spec in
   (* The dynamics model draws from its own tagged stream so adding churn
@@ -106,7 +106,9 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
   (* Only the faulty reliable run is observed: the baseline exists purely
      as a reference makespan and would double every send on the stream. *)
   let rel =
-    Exec.run_reliable ~noise ~rng ~msg ~faults ?dynamics:dmodel ~retries ~obs ~transport
+    Session.run_reliable
+      (Session.Config.v ~noise ~rng ~msg ~faults ?dynamics:dmodel ~retries ~obs ~transport
+         ())
       machines plan
   in
   (* Cluster-level halt vector: a cluster halts (as a schedule node) when
@@ -117,9 +119,9 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
     Array.init (Gridb_topology.Grid.size grid) (fun c ->
         let coord = Machines.coordinator machines c in
         let t = ref infinity in
-        if List.mem coord rel.Exec.crashed then t := Faults.crash_time faults coord;
+        if List.mem coord rel.Session.crashed then t := Faults.crash_time faults coord;
         (match dmodel with
-        | Some d when List.mem coord rel.Exec.left ->
+        | Some d when List.mem coord rel.Session.left ->
             t := Float.min !t (Dyn.leave_time d coord)
         | _ -> ());
         !t)
@@ -137,7 +139,7 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
              { crashed = crashed_clusters; replanned = List.length o.Repair.replanned })
       end;
       let estimated =
-        match rel.Exec.estimator with
+        match rel.Session.estimator with
         | None -> None
         | Some est ->
             let o' =
@@ -152,39 +154,39 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
   let summary =
     Option.map
       (fun repetitions ->
-        Exec.mean_reliable ~noise ~msg ~repetitions ~retries ~transport ~jobs ~seed
+        Session.mean_reliable ~noise ~msg ~repetitions ~retries ~transport ~jobs ~seed
           ~spec machines plan)
       repetitions
   in
   (* The reachable population: planning-time ranks plus joins whose
      arrival fell inside the simulated horizon (later joins never
      happened as far as this run is concerned). *)
-  let ntot = n + List.length rel.Exec.joined in
+  let ntot = n + List.length rel.Session.joined in
   {
     policy = Policy.name policy;
     spec;
     dyn;
-    transport = Exec.transport_to_string transport;
+    transport = Session.transport_to_string transport;
     retries;
     seed;
     total_ranks = ntot;
-    delivered = rel.Exec.delivered;
-    delivery_ratio = float_of_int rel.Exec.delivered /. float_of_int ntot;
-    crashed_ranks = List.length rel.Exec.crashed;
-    left_ranks = List.length rel.Exec.left;
-    joined_ranks = List.length rel.Exec.joined;
-    partition_drift = Option.map (fun est -> partition_drift est machines) rel.Exec.estimator;
-    baseline_makespan = baseline.Exec.makespan;
-    makespan = rel.Exec.r_makespan;
+    delivered = rel.Session.delivered;
+    delivery_ratio = float_of_int rel.Session.delivered /. float_of_int ntot;
+    crashed_ranks = List.length rel.Session.crashed;
+    left_ranks = List.length rel.Session.left;
+    joined_ranks = List.length rel.Session.joined;
+    partition_drift = Option.map (fun est -> partition_drift est machines) rel.Session.estimator;
+    baseline_makespan = baseline.Session.makespan;
+    makespan = rel.Session.r_makespan;
     inflation =
-      (if baseline.Exec.makespan > 0. then rel.Exec.r_makespan /. baseline.Exec.makespan
+      (if baseline.Session.makespan > 0. then rel.Session.r_makespan /. baseline.Session.makespan
        else nan);
-    transmissions = rel.Exec.r_transmissions;
-    retransmissions = rel.Exec.retransmissions;
-    acks = rel.Exec.acks;
-    gave_up = List.length rel.Exec.gave_up;
-    reroutes = List.length rel.Exec.reroutes;
-    circuit_opens = rel.Exec.circuit_opens;
+    transmissions = rel.Session.r_transmissions;
+    retransmissions = rel.Session.retransmissions;
+    acks = rel.Session.acks;
+    gave_up = List.length rel.Session.gave_up;
+    reroutes = List.length rel.Session.reroutes;
+    circuit_opens = rel.Session.circuit_opens;
     repair_invoked;
     repairs;
     repaired_makespan;
@@ -236,11 +238,11 @@ let render m =
   | None -> ()
   | Some s ->
       Gridb_util.Text_table.add_separator table;
-      add "repetitions" (string_of_int s.Exec.reps);
-      add "mean delivered fraction" (Printf.sprintf "%.4f" s.Exec.delivered_fraction);
-      add "mean retransmissions" (Printf.sprintf "%.2f" s.Exec.mean_retransmissions);
-      add "mean reroutes" (Printf.sprintf "%.2f" s.Exec.mean_reroutes);
-      add "mean reliable makespan (s)" (Printf.sprintf "%.4f" (s.Exec.mean_makespan /. 1e6));
-      add "stddev (s)" (Printf.sprintf "%.4f" (s.Exec.stddev_makespan /. 1e6));
-      add "edges abandoned (all reps)" (string_of_int s.Exec.total_gave_up));
+      add "repetitions" (string_of_int s.Session.reps);
+      add "mean delivered fraction" (Printf.sprintf "%.4f" s.Session.delivered_fraction);
+      add "mean retransmissions" (Printf.sprintf "%.2f" s.Session.mean_retransmissions);
+      add "mean reroutes" (Printf.sprintf "%.2f" s.Session.mean_reroutes);
+      add "mean reliable makespan (s)" (Printf.sprintf "%.4f" (s.Session.mean_makespan /. 1e6));
+      add "stddev (s)" (Printf.sprintf "%.4f" (s.Session.stddev_makespan /. 1e6));
+      add "edges abandoned (all reps)" (string_of_int s.Session.total_gave_up));
   Gridb_util.Text_table.render table

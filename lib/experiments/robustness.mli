@@ -3,9 +3,9 @@
     Makespan is the paper's only axis; this module adds degradation under a
     {!Gridb_des.Faults} model as a second, measured one.  One evaluation
     schedules a grid with a policy, executes the plan twice on the DES —
-    fault-free ({!Gridb_des.Exec.run}, the baseline) and reliably under
-    faults ({!Gridb_des.Exec.run_reliable}, with a selectable
-    {!Gridb_des.Exec.transport}) — and, when a coordinator crashed,
+    fault-free ({!Gridb_des.Session.run}, the baseline) and reliably under
+    faults ({!Gridb_des.Session.run_reliable}, with a selectable
+    {!Gridb_des.Session.transport}) — and, when a coordinator crashed,
     additionally invokes {!Gridb_sched.Repair} on the cluster-level
     schedule: once on the nominal instance, and (for adaptive transports)
     once on the instance rescaled by the live estimator's per-link quality,
@@ -18,7 +18,7 @@ type metrics = {
   policy : string;
   spec : Gridb_des.Faults.spec;
   dyn : Gridb_des.Dynamics.spec;  (** dynamics model, {!Gridb_des.Dynamics.none} if off *)
-  transport : string;  (** {!Gridb_des.Exec.transport_to_string} *)
+  transport : string;  (** {!Gridb_des.Session.transport_to_string} *)
   retries : int;
   seed : int;
   total_ranks : int;
@@ -50,8 +50,8 @@ type metrics = {
       (** same repair replanned on the estimator-rescaled instance
           (observed SRTT over nominal round trip on coordinator links);
           [None] unless repair was invoked under an adaptive transport *)
-  summary : Gridb_des.Exec.reliable_summary option;
-      (** {!Gridb_des.Exec.mean_reliable} over [repetitions] independent
+  summary : Gridb_des.Session.reliable_summary option;
+      (** {!Gridb_des.Session.mean_reliable} over [repetitions] independent
           fault draws; [None] unless [repetitions] was given *)
 }
 
@@ -79,7 +79,7 @@ val run :
   ?seed:int ->
   ?noise:Gridb_des.Noise.t ->
   ?obs:Gridb_obs.Sink.t ->
-  ?transport:Gridb_des.Exec.transport ->
+  ?transport:Gridb_des.Session.transport ->
   ?dyn:Gridb_des.Dynamics.spec ->
   ?repetitions:int ->
   ?jobs:int ->
@@ -96,7 +96,7 @@ val run :
     parameters, departures halt ranks like crashes (and count into the
     repair crash vector when a coordinator leaves), joins extend the
     population and are adopted under rerouting transports.  With [repetitions] the scorecard also carries a
-    {!Gridb_des.Exec.mean_reliable} summary over that many independent
+    {!Gridb_des.Session.mean_reliable} summary over that many independent
     fault draws (seeded from [seed]); [jobs] (default 1) fans those
     repetitions out over a {!Gridb_util.Pool} with a bit-identical
     summary at every worker count.

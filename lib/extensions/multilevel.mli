@@ -9,7 +9,7 @@
     overlapping communication between levels exactly as Karonis proposes.
 
     The resulting rank-level {!Gridb_des.Plan.t} is directly comparable (via
-    {!Gridb_des.Exec}) with the single-level hierarchical plans, which is
+    {!Gridb_des.Session.run}) with the single-level hierarchical plans, which is
     what the multilevel ablation bench reports. *)
 
 val representatives : site_of_cluster:(int -> int) -> n_clusters:int -> root:int -> int array

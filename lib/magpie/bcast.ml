@@ -2,7 +2,7 @@ module Machines = Gridb_topology.Machines
 module Heuristics = Gridb_sched.Heuristics
 module Schedule = Gridb_sched.Schedule
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Sink = Gridb_obs.Sink
 module Event = Gridb_obs.Event
 
@@ -68,7 +68,8 @@ let predict tuning strategy ~root ~msg =
         Plan.binomial_ranks measured_machines
           ~root:(Machines.coordinator measured_machines root)
       in
-      (Exec.run ~msg:(Tuning.size_class msg) measured_machines p).Exec.makespan
+      let config = Session.Config.v ~msg:(Tuning.size_class msg) () in
+      (Session.run config measured_machines p).Session.makespan
   | Flat_two_level ->
       Schedule.makespan inst
         (Tuning.schedule tuning ~heuristic:Heuristics.flat_tree ~root ~msg)
@@ -84,14 +85,11 @@ let scheduling_cost strategy ~n ~fresh =
     match strategy with
     | Binomial_world -> 0.
     | Flat_two_level -> Gridb_sched.Overhead.cost_us ~n "FlatTree"
-    | Scheduled h -> (
-        (* Use the policy descriptor when there is one — exact for
-           parameterised names the string model would have to guess at. *)
-        match h.Heuristics.policy with
-        | Some p ->
-            Gridb_sched.Overhead.of_policy ~n p
-            *. Gridb_sched.Overhead.default_per_evaluation_us
-        | None -> Gridb_sched.Overhead.cost_us ~n h.Heuristics.name)
+    | Scheduled h ->
+        (* The policy descriptor is exact for parameterised names the
+           string model would have to guess at. *)
+        Gridb_sched.Overhead.of_policy ~n h.Heuristics.policy
+        *. Gridb_sched.Overhead.default_per_evaluation_us
     | Adaptive hs ->
         Gridb_sched.Portfolio.scheduling_evaluations ~heuristics:hs n
         *. Gridb_sched.Overhead.default_per_evaluation_us
@@ -110,4 +108,4 @@ let execute ?noise ?seed ?(charge_overhead = true) ?obs tuning strategy ~root ~m
     match seed with Some s -> Gridb_util.Rng.create s | None -> Gridb_util.Rng.create 0
   in
   let obs = match obs with Some o -> o | None -> Tuning.obs tuning in
-  Exec.run ?noise ~rng ~start_delay ~msg ~obs machines p
+  Session.run (Session.Config.v ?noise ~rng ~start_delay ~msg ~obs ()) machines p

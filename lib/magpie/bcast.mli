@@ -37,7 +37,7 @@ val execute :
   strategy ->
   root:int ->
   msg:int ->
-  Gridb_des.Exec.result
+  Gridb_des.Session.result
 (** Run on the ground-truth topology.  [charge_overhead] (default [true])
     delays the root by the strategy's scheduling cost
     ({!Gridb_sched.Overhead}; the full portfolio cost for [Adaptive], zero

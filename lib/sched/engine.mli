@@ -55,6 +55,5 @@ val run_stats :
 
 val naive_select : Policy.t -> State.t -> int * int
 (** One reference selection round: the (sender, receiver) pair the naive
-    scan picks in the given state.  This is what {!Heuristics.t}'s [select]
-    closure delegates to.
+    scan picks in the given state ({!Repair} drives its splices with it).
     @raise Invalid_argument if the state is finished. *)

@@ -1,17 +1,6 @@
-type t = {
-  name : string;
-  select : State.t -> int * int;
-  policy : Policy.t option;
-}
+type t = { name : string; policy : Policy.t }
 
-let of_policy p =
-  {
-    name = Policy.name p;
-    select = (fun state -> Engine.naive_select p state);
-    policy = Some p;
-  }
-
-let v ~name select = { name; select; policy = None }
+let of_policy p = { name = Policy.name p; policy = p }
 
 let flat_tree = of_policy Policy.flat_tree
 let fef = of_policy Policy.fef
@@ -28,9 +17,6 @@ let names = Policy.names
 
 let by_name name = Option.map of_policy (Policy.by_name name)
 
-let run ?mode t inst =
-  match t.policy with
-  | Some p -> Engine.run ?mode p inst
-  | None -> State.run t.select inst
+let run ?mode t inst = Engine.run ?mode t.policy inst
 
 let makespan ?model ?mode t inst = Schedule.makespan ?model inst (run ?mode t inst)

@@ -5,28 +5,19 @@
     Grid-aware (Section 5, the paper's contribution): {!ecef_lat_min}
     (ECEF-LAt), {!ecef_lat_max} (ECEF-LAT), {!bottom_up}.
 
-    This module is a thin compatibility wrapper: each heuristic {e is} a
-    {!Policy.t} score descriptor, and {!run} hands it to {!Engine} (the
-    incremental selector by default, the naive reference scan on request —
-    both produce the identical schedule).  The [select] closure performs
-    one naive selection round, for callers that drive {!State.run}
-    themselves; ties are broken towards the lexicographically smallest
-    (sender, receiver) pair so schedules are deterministic. *)
+    Each heuristic {e is} a {!Policy.t} score descriptor under its figure
+    name, and {!run} hands it to {!Engine} (the incremental selector by
+    default, the naive reference scan on request — both produce the
+    identical schedule); ties are broken towards the lexicographically
+    smallest (sender, receiver) pair so schedules are deterministic. *)
 
 type t = {
   name : string;  (** e.g. "ECEF-LAt" (figure legends) *)
-  select : State.t -> int * int;
-  policy : Policy.t option;
-      (** The descriptor behind the closure; [None] only for ad-hoc
-          heuristics built with {!v}, which {!run} then executes through
-          {!State.run} instead of the engine. *)
+  policy : Policy.t;
 }
 
 val of_policy : Policy.t -> t
-(** Wrap a policy; [select] delegates to {!Engine.naive_select}. *)
-
-val v : name:string -> (State.t -> int * int) -> t
-(** Ad-hoc closure heuristic with no policy descriptor. *)
+(** Name a policy by {!Policy.name}. *)
 
 val flat_tree : t
 (** Root sends to every other cluster in index order (ECO / MagPIe). *)
@@ -78,9 +69,7 @@ val by_name : string -> t option
 
 val run : ?mode:Engine.mode -> t -> Instance.t -> Schedule.t
 (** [Engine.run ?mode] on the policy (default [`Incremental]; [`Naive] is
-    the reference scan — same schedule either way).  Ad-hoc {!v}
-    heuristics ignore [mode] and run their closure through
-    {!State.run}. *)
+    the reference scan — same schedule either way). *)
 
 val makespan :
   ?model:Schedule.completion_model -> ?mode:Engine.mode -> t -> Instance.t -> float

@@ -23,13 +23,8 @@ let run ?model ?(heuristics = Heuristics.all) inst =
   { heuristic = name; schedule; makespan; evaluated = List.length heuristics }
 
 let scheduling_evaluations ?(heuristics = Heuristics.all) n =
-  (* Charge by descriptor when the heuristic carries one (exact for the
-     parameterised ECEF-LA<...> and Mixed<...> names); by name otherwise. *)
+  (* Charged by descriptor: exact for the parameterised ECEF-LA<...> and
+     Mixed<...> names too. *)
   List.fold_left
-    (fun acc h ->
-      acc
-      +.
-      match h.Heuristics.policy with
-      | Some p -> Overhead.of_policy ~n p
-      | None -> Overhead.evaluations ~n h.Heuristics.name)
+    (fun acc h -> acc +. Overhead.of_policy ~n h.Heuristics.policy)
     0. heuristics

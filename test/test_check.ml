@@ -12,6 +12,7 @@ module Machines = Gridb_topology.Machines
 module Event = Gridb_obs.Event
 module Sink = Gridb_obs.Sink
 module Rng = Gridb_util.Rng
+module Session = Gridb_des.Session
 module I = Gridb_check.Invariant
 module M = Gridb_check.Metamorphic
 module Scenario = Gridb_check.Scenario
@@ -207,7 +208,7 @@ let stream_real_run () =
   let s = Engine.run Policy.ecef inst in
   let plan = Gridb_des.Plan.of_cluster_schedule machines s in
   let sink = Sink.memory () in
-  let _ = Gridb_des.Exec.run ~msg ~obs:sink machines plan in
+  let _ = Session.run (Session.Config.v ~msg ~obs:sink ()) machines plan in
   let events = Sink.events sink in
   let n = Machines.count machines in
   ok "real stream" (I.check_stream ~n ~root:plan.Gridb_des.Plan.root events);

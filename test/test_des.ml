@@ -6,7 +6,7 @@
 module Engine = Gridb_des.Engine
 module Noise = Gridb_des.Noise
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Overhead = Gridb_sched.Overhead
 module Machines = Gridb_topology.Machines
 module Grid5000 = Gridb_topology.Grid5000
@@ -342,8 +342,8 @@ let test_plan_of_flat_schedule () =
       Alcotest.(check (list int)) (Printf.sprintf "children of %d" src) sends kids)
     plan.Plan.children;
   (* the DES agrees with the flat schedule's analytic makespan (T = 0) *)
-  let r = Exec.run ~msg:1_000_000 m plan in
-  check_feq "DES = analytic" (Schedule.makespan inst schedule) r.Exec.makespan
+  let r = Session.run (Session.Config.v ~msg:1_000_000 ()) m plan in
+  check_feq "DES = analytic" (Schedule.makespan inst schedule) r.Session.makespan
 
 let plan_of_schedule_spans_random =
   QCheck.Test.make ~name:"hierarchical plans span random grids" ~count:(Testutil.count 40)
@@ -359,7 +359,7 @@ let plan_of_schedule_spans_random =
           Plan.size p = Machines.count m)
         Heuristics.all)
 
-(* --- Exec: exactness against the analytic models ------------------------ *)
+(* --- Session: exactness against the analytic models --------------------- *)
 
 let test_exec_matches_schedule_makespan () =
   let grid = Grid5000.grid () in
@@ -372,10 +372,10 @@ let test_exec_matches_schedule_makespan () =
           let sched = Heuristics.run h inst in
           let predicted = Schedule.makespan inst sched in
           let plan = Plan.of_cluster_schedule m sched in
-          let r = Exec.run ~msg m plan in
+          let r = Session.run (Session.Config.v ~msg ()) m plan in
           check_feq ~eps:1e-9
             (Printf.sprintf "%s at %d B" h.Heuristics.name msg)
-            predicted r.Exec.makespan)
+            predicted r.Session.makespan)
         Heuristics.all)
     [ 1_000; 1_000_000; 4_000_000 ]
 
@@ -387,43 +387,48 @@ let test_exec_matches_tree_cost () =
   let m = Machines.expand grid in
   let plan = Plan.binomial_ranks m ~root:0 in
   let msg = 100_000 in
-  let r = Exec.run ~msg m plan in
+  let r = Session.run (Session.Config.v ~msg ()) m plan in
   check_feq "matches Cost model"
     (Gridb_collectives.Cost.broadcast_time ~params ~size:24 ~msg ())
-    r.Exec.makespan
+    r.Session.makespan
 
 let test_exec_transmissions_count () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let r = Exec.run m plan in
-  Alcotest.(check int) "n-1 transmissions" 87 r.Exec.transmissions;
+  let r = Session.run Session.Config.default m plan in
+  Alcotest.(check int) "n-1 transmissions" 87 r.Session.transmissions;
   Alcotest.(check bool) "all ranks reached" true
-    (Array.for_all (fun t -> not (Float.is_nan t)) r.Exec.arrival)
+    (Array.for_all (fun t -> not (Float.is_nan t)) r.Session.arrival)
 
 let test_exec_start_delay_shifts () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let base = (Exec.run m plan).Exec.makespan in
-  let shifted = (Exec.run ~start_delay:1234. m plan).Exec.makespan in
+  let base = (Session.run Session.Config.default m plan).Session.makespan in
+  let shifted =
+    (Session.run (Session.Config.v ~start_delay:1234. ()) m plan).Session.makespan
+  in
   check_feq "uniform shift" (base +. 1234.) shifted
 
 let test_exec_noise_perturbs_but_is_seeded () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
   let noisy seed =
-    (Exec.run ~noise:(Noise.Lognormal 0.1) ~rng:(Rng.create seed) m plan).Exec.makespan
+    let config = Session.Config.v ~noise:(Noise.Lognormal 0.1) ~rng:(Rng.create seed) () in
+    (Session.run config m plan).Session.makespan
   in
   let a = noisy 5 and b = noisy 5 and c = noisy 6 in
   check_feq "same seed same result" a b;
   Alcotest.(check bool) "different seed differs" true (not (feq a c));
-  let exact = (Exec.run m plan).Exec.makespan in
+  let exact = (Session.run Session.Config.default m plan).Session.makespan in
   Alcotest.(check bool) "noise changes the result" true (not (feq a exact))
 
 let test_exec_mean_makespan_reasonable () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let exact = (Exec.run m plan).Exec.makespan in
-  let mean = Exec.mean_makespan ~noise:(Noise.Lognormal 0.05) ~repetitions:30 ~seed:1 m plan in
+  let exact = (Session.run Session.Config.default m plan).Session.makespan in
+  let mean =
+    Session.mean_makespan ~noise:(Noise.Lognormal 0.05) ~repetitions:30 ~seed:1 m plan
+  in
   Alcotest.(check bool) "mean within 10% of exact" true
     (Float.abs (mean -. exact) /. exact < 0.1)
 
@@ -435,50 +440,56 @@ let exec_arrival_monotone_along_tree =
       let grid = Generators.uniform_random ~rng ~n Generators.default_random_spec in
       let m = Machines.expand grid in
       let plan = Plan.binomial_ranks m ~root:0 in
-      let r = Exec.run ~noise:(Noise.Lognormal 0.2) ~rng m plan in
+      let r =
+        Session.run (Session.Config.v ~noise:(Noise.Lognormal 0.2) ~rng ()) m plan
+      in
       let parents = Plan.parent_array plan in
       let ok = ref true in
       Array.iteri
         (fun rank parent ->
           if rank <> plan.Plan.root then
-            ok := !ok && r.Exec.arrival.(rank) > r.Exec.arrival.(parent))
+            ok := !ok && r.Session.arrival.(rank) > r.Session.arrival.(parent))
         parents;
       !ok)
 
 (* --- Trace ------------------------------------------------------------ *)
 
+(* A Memory sink plus [Trace.of_events] is the transmission log of a run. *)
+let traced ?(msg = 1_000_000) m plan =
+  let mem = Gridb_obs.Sink.memory () in
+  let r = Session.run (Session.Config.v ~msg ~obs:mem ()) m plan in
+  (r, Gridb_des.Trace.of_events (Gridb_obs.Sink.events mem))
+
 let test_trace_recorded_on_request () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let quiet = Exec.run m plan in
-  Alcotest.(check int) "no trace by default" 0 (List.length quiet.Exec.trace);
-  let r = Exec.run ~record_trace:true m plan in
-  Alcotest.(check int) "one record per transmission" r.Exec.transmissions
-    (List.length r.Exec.trace);
-  Alcotest.(check int) "87 transmissions" 87 (List.length r.Exec.trace)
+  let r, trace = traced m plan in
+  Alcotest.(check int) "one record per transmission" r.Session.transmissions
+    (List.length trace);
+  Alcotest.(check int) "87 transmissions" 87 (List.length trace)
 
 let test_trace_flat_root_busiest () =
   let m = machines () in
   let plan = Plan.flat_ranks m ~root:0 in
-  let r = Exec.run ~record_trace:true m plan in
-  (match Gridb_des.Trace.busiest_sender r.Exec.trace with
+  let r, trace = traced m plan in
+  (match Gridb_des.Trace.busiest_sender trace with
   | Some (rank, busy) ->
       Alcotest.(check int) "root carries all traffic" 0 rank;
-      Alcotest.(check bool) "busy the whole run" true (busy > 0.9 *. r.Exec.makespan)
+      Alcotest.(check bool) "busy the whole run" true (busy > 0.9 *. r.Session.makespan)
   | None -> Alcotest.fail "no senders");
   Alcotest.(check int) "only one sender" 1
-    (List.length (Gridb_des.Trace.sender_busy_time r.Exec.trace))
+    (List.length (Gridb_des.Trace.sender_busy_time trace))
 
 let test_trace_critical_path () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let r = Exec.run ~record_trace:true m plan in
-  let path = Gridb_des.Trace.critical_path r.Exec.trace in
+  let r, trace = traced m plan in
+  let path = Gridb_des.Trace.critical_path trace in
   Alcotest.(check bool) "non-empty" true (path <> []);
   (* path starts at the root and ends at the latest arrival *)
   let first = List.hd path and last = List.nth path (List.length path - 1) in
   Alcotest.(check int) "starts at root" 0 first.Gridb_des.Trace.src;
-  check_feq "ends at makespan" r.Exec.makespan last.Gridb_des.Trace.arrival;
+  check_feq "ends at makespan" r.Session.makespan last.Gridb_des.Trace.arrival;
   (* hops chain: receiver of hop i = sender of hop i+1 *)
   let rec chained = function
     | a :: (b :: _ as rest) ->
@@ -490,8 +501,8 @@ let test_trace_critical_path () =
 let test_trace_total_bytes () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
-  let r = Exec.run ~record_trace:true ~msg:1_000 m plan in
-  Alcotest.(check int) "87 KB moved" 87_000 (Gridb_des.Trace.total_bytes r.Exec.trace)
+  let _, trace = traced ~msg:1_000 m plan in
+  Alcotest.(check int) "87 KB moved" 87_000 (Gridb_des.Trace.total_bytes trace)
 
 (* --- Overhead ------------------------------------------------------------ *)
 

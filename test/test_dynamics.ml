@@ -7,7 +7,7 @@
 module Dyn = Gridb_des.Dynamics
 module Faults = Gridb_des.Faults
 module Adaptive = Gridb_des.Adaptive
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Plan = Gridb_des.Plan
 module Machines = Gridb_topology.Machines
 module Generators = Gridb_topology.Generators
@@ -250,7 +250,7 @@ let dynamics_identity_prop =
       let _, _, machines, plan = plan_of_grid ~msg:65_536 grid in
       let spec = if faulty then Faults.v ~loss:0.1 () else Faults.none in
       let transport =
-        if seed mod 2 = 0 then Exec.adaptive ~reroute:true () else Exec.Fixed
+        if seed mod 2 = 0 then Session.adaptive ~reroute:true () else Session.Fixed
       in
       Metamorphic.dynamics_identity ~msg:65_536 ~seed ~transport ~spec machines plan
       = Ok ())
@@ -267,8 +267,9 @@ let run_churny ~seed =
   let n = Machines.count machines in
   let d = Dyn.create ~seed:(seed lxor 0x64796e) ~n ~clusters:4 churny_spec in
   let rel =
-    Exec.run_reliable ~msg:65_536 ~dynamics:d
-      ~transport:(Exec.adaptive ~reroute:true ())
+    Session.run_reliable
+      (Session.Config.v ~msg:65_536 ~dynamics:d
+         ~transport:(Session.adaptive ~reroute:true ()) ())
       machines plan
   in
   (d, rel, n)
@@ -279,16 +280,16 @@ let test_churn_delivery_accounting () =
     let d, rel, n = run_churny ~seed in
     let ntot = Dyn.total d in
     Alcotest.(check int) "arrival vector spans joins" ntot
-      (Array.length rel.Exec.r_arrival);
+      (Array.length rel.Session.r_arrival);
     (* Departures: exactly the pre-drawn leaves inside the horizon. *)
     let expected_left = ref [] in
     for k = n - 1 downto 0 do
-      if Dyn.leave_time d k <= rel.Exec.horizon then expected_left := k :: !expected_left
+      if Dyn.leave_time d k <= rel.Session.horizon then expected_left := k :: !expected_left
     done;
     Alcotest.(check (list int))
       "left matches the model" !expected_left
-      (List.sort compare rel.Exec.left);
-    if rel.Exec.left <> [] then saw_leaver := true;
+      (List.sort compare rel.Session.left);
+    if rel.Session.left <> [] then saw_leaver := true;
     (* Nothing is delivered to a rank at or after its departure; joins
        never receive before they exist. *)
     Array.iteri
@@ -296,23 +297,23 @@ let test_churn_delivery_accounting () =
         if not (Float.is_nan a) then
           Alcotest.(check bool) "delivered before departure" true
             (a < Dyn.leave_time d k))
-      rel.Exec.r_arrival;
+      rel.Session.r_arrival;
     Array.iter
       (fun (j : Dyn.join) ->
-        let a = rel.Exec.r_arrival.(j.Dyn.rank) in
+        let a = rel.Session.r_arrival.(j.Dyn.rank) in
         if not (Float.is_nan a) then begin
           saw_join := true;
           Alcotest.(check bool) "join delivered after joining" true (a >= j.Dyn.at);
           Alcotest.(check bool) "delivered join is within the horizon" true
-            (j.Dyn.at <= rel.Exec.horizon)
+            (j.Dyn.at <= rel.Session.horizon)
         end)
       (Dyn.joins d);
     (* delivered counter agrees with the vector. *)
     let delivered_vec =
       Array.fold_left (fun acc a -> if Float.is_nan a then acc else acc + 1) 0
-        rel.Exec.r_arrival
+        rel.Session.r_arrival
     in
-    Alcotest.(check int) "delivered counter" delivered_vec rel.Exec.delivered
+    Alcotest.(check int) "delivered counter" delivered_vec rel.Session.delivered
   done;
   Alcotest.(check bool) "some rank departed across the seeds" true !saw_leaver;
   Alcotest.(check bool) "some join was adopted across the seeds" true !saw_join
@@ -327,19 +328,23 @@ let test_join_requires_reroute () =
   let d =
     Dyn.create ~seed:5 ~n ~clusters:4 (Dyn.v ~join_rate:1e-4 ~join_max:2 ())
   in
-  let rel = Exec.run_reliable ~msg:65_536 ~dynamics:d ~transport:Exec.Fixed machines plan in
+  let rel =
+    Session.run_reliable
+      (Session.Config.v ~msg:65_536 ~dynamics:d ~transport:Session.Fixed ())
+      machines plan
+  in
   Array.iter
     (fun (j : Dyn.join) ->
       Alcotest.(check bool) "join stays undelivered" true
-        (Float.is_nan rel.Exec.r_arrival.(j.Dyn.rank)))
+        (Float.is_nan rel.Session.r_arrival.(j.Dyn.rank)))
     (Dyn.joins d);
   List.iter
     (fun r ->
       Alcotest.(check bool) "joined list only records arrival" true
         (r >= n && Dyn.leave_time d r = infinity))
-    rel.Exec.joined;
+    rel.Session.joined;
   Alcotest.(check bool) "delivered never exceeds the original population" true
-    (rel.Exec.delivered <= n)
+    (rel.Session.delivered <= n)
 
 (* --- estimated latency matrix (satellite: full-matrix view) -------------- *)
 

@@ -8,12 +8,10 @@
 
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
-module State = Gridb_sched.State
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
 module Lookahead = Gridb_sched.Lookahead
 module Heuristics = Gridb_sched.Heuristics
-module Mixed = Gridb_sched.Mixed
 module Overhead = Gridb_sched.Overhead
 module Generators = Gridb_topology.Generators
 module Rng = Gridb_util.Rng
@@ -23,7 +21,7 @@ module Rng = Gridb_util.Rng
    and both Dynamic lookaheads), the Transmission pair score, and a Sized
    dispatch with a parameterised component. *)
 let policies =
-  List.filter_map (fun h -> h.Heuristics.policy) Heuristics.all
+  List.map (fun h -> h.Heuristics.policy) Heuristics.all
   @ List.map Policy.ecef_with Lookahead.all
   @ [
       Policy.select_min ~name:"FEF(g+L)" ~score:Policy.Transmission Lookahead.none;
@@ -220,20 +218,6 @@ let test_incremental_does_less_work () =
     true
     (incr_total * 4 < naive_total)
 
-(* naive_select is the compat surface behind Heuristics.t closures. *)
-let test_naive_select_matches_closures () =
-  let rng = Rng.create 77 in
-  let inst = Instance.random ~rng ~n:12 Instance.table2_ranges in
-  List.iter
-    (fun (h : Heuristics.t) ->
-      match h.Heuristics.policy with
-      | None -> ()
-      | Some p ->
-          let s1 = State.run h.Heuristics.select inst in
-          let s2 = State.run (Engine.naive_select p) inst in
-          check_identical ~what:(h.Heuristics.name ^ " select closure") s1 s2)
-    (Heuristics.all @ [ Mixed.strategy () ])
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "engine"
@@ -251,6 +235,5 @@ let () =
           quick "static scores never rescore" test_static_scores_never_rescore;
           quick "overhead cross-check" test_overhead_cross_check;
           quick "incremental does less work" test_incremental_does_less_work;
-          quick "naive_select compat" test_naive_select_matches_closures;
         ] );
     ]

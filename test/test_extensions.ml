@@ -10,7 +10,7 @@ module Machines = Gridb_topology.Machines
 module Grid = Gridb_topology.Grid
 module Heuristics = Gridb_sched.Heuristics
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Rng = Gridb_util.Rng
 
 let feq ?(eps = 1e-9) a b =
@@ -231,7 +231,7 @@ let test_pb_segment_size () =
 let test_pb_one_segment_matches_plain () =
   let msg = 1_000_000 in
   let _, machines, _, plan = grid5000_plan_and_schedule msg in
-  let plain = (Exec.run ~msg machines plan).Exec.makespan in
+  let plain = (Session.run (Session.Config.v ~msg ()) machines plan).Session.makespan in
   let seg1 = Pb.simulate machines plan ~msg ~segments:1 in
   Alcotest.(check (float 1e-6)) "S=1 = plain broadcast" plain seg1
 
@@ -325,7 +325,7 @@ let test_multilevel_beats_flat () =
   let single_flat =
     Plan.of_cluster_schedule machines (Heuristics.run Heuristics.flat_tree inst)
   in
-  let run p = (Exec.run ~msg machines p).Exec.makespan in
+  let run p = (Session.run (Session.Config.v ~msg ()) machines p).Session.makespan in
   Alcotest.(check bool) "heuristic multilevel <= flat multilevel" true
     (run smart <= run flat +. 1e-6);
   Alcotest.(check bool) "multilevel beats single-level flat tree" true
@@ -336,8 +336,9 @@ let test_multilevel_exec_consistency () =
   let machines = multilevel_machines 4 in
   let site_of_cluster = Generators.site_of_cluster multilevel_spec in
   let plan = Multilevel.plan ~site_of_cluster ~root:2 ~msg:500_000 machines in
-  let a = (Exec.run ~msg:500_000 machines plan).Exec.makespan in
-  let b = (Exec.run ~msg:500_000 machines plan).Exec.makespan in
+  let config = Session.Config.v ~msg:500_000 () in
+  let a = (Session.run config machines plan).Session.makespan in
+  let b = (Session.run config machines plan).Session.makespan in
   check_feq "deterministic" a b
 
 let () =

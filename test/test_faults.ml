@@ -9,7 +9,7 @@ module Faults = Gridb_des.Faults
 module Adaptive = Gridb_des.Adaptive
 module Params = Gridb_plogp.Params
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Machines = Gridb_topology.Machines
 module Grid5000 = Gridb_topology.Grid5000
 module Generators = Gridb_topology.Generators
@@ -367,26 +367,29 @@ let reliable_zero_fault_identity =
       let grid = random_grid ~rng ~n seed in
       let msg = 1 + (seed mod 4_000_000) in
       let machines, plan = plan_of_grid ~msg grid in
-      let base = Exec.run ~msg machines plan in
-      let identical (rel : Exec.reliable) =
-        rel.Exec.r_makespan = base.Exec.makespan
-        && rel.Exec.r_arrival = base.Exec.arrival
-        && rel.Exec.r_transmissions = base.Exec.transmissions
-        && rel.Exec.retransmissions = 0
-        && rel.Exec.gave_up = []
-        && rel.Exec.crashed = []
-        && rel.Exec.reroutes = []
-        && rel.Exec.circuit_opens = 0
-        && rel.Exec.delivered = Machines.count machines
+      let base = Session.run (Session.Config.v ~msg ()) machines plan in
+      let identical (rel : Session.reliable) =
+        rel.Session.r_makespan = base.Session.makespan
+        && rel.Session.r_arrival = base.Session.arrival
+        && rel.Session.r_transmissions = base.Session.transmissions
+        && rel.Session.retransmissions = 0
+        && rel.Session.gave_up = []
+        && rel.Session.crashed = []
+        && rel.Session.reroutes = []
+        && rel.Session.circuit_opens = 0
+        && rel.Session.delivered = Machines.count machines
       in
       List.for_all
         (fun transport ->
-          identical (Exec.run_reliable ~msg ~transport machines plan)
+          identical
+            (Session.run_reliable (Session.Config.v ~msg ~transport ()) machines plan)
           &&
           let obs = Gridb_obs.Sink.memory () in
-          let observed = Exec.run_reliable ~msg ~transport ~obs machines plan in
+          let observed =
+            Session.run_reliable (Session.Config.v ~msg ~transport ~obs ()) machines plan
+          in
           identical observed && Gridb_obs.Sink.count obs > 0)
-        [ Exec.Fixed; Exec.adaptive (); Exec.adaptive ~reroute:true () ])
+        [ Session.Fixed; Session.adaptive (); Session.adaptive ~reroute:true () ])
 
 let test_reliable_seeded_reproducible () =
   let grid = Grid5000.grid () in
@@ -395,30 +398,32 @@ let test_reliable_seeded_reproducible () =
   let spec = Faults.v ~loss:0.1 ~crash_rate:1e-6 () in
   let once () =
     let faults = Faults.create ~seed:3 ~n:(Machines.count machines) spec in
-    Exec.run_reliable ~msg ~faults machines plan
+    Session.run_reliable (Session.Config.v ~msg ~faults ()) machines plan
   in
   let a = once () and b = once () in
   (* Polymorphic compare, not (=): undelivered ranks hold nan. *)
   Alcotest.(check bool) "arrivals identical" true
-    (compare a.Exec.r_arrival b.Exec.r_arrival = 0);
-  Alcotest.(check int) "transmissions identical" a.Exec.r_transmissions b.Exec.r_transmissions;
-  Alcotest.(check int) "retransmissions identical" a.Exec.retransmissions b.Exec.retransmissions;
-  Alcotest.(check (list (pair int int))) "gave_up identical" a.Exec.gave_up b.Exec.gave_up;
-  Alcotest.(check (list int)) "crashed identical" a.Exec.crashed b.Exec.crashed
+    (compare a.Session.r_arrival b.Session.r_arrival = 0);
+  Alcotest.(check int) "transmissions identical" a.Session.r_transmissions b.Session.r_transmissions;
+  Alcotest.(check int) "retransmissions identical" a.Session.retransmissions b.Session.retransmissions;
+  Alcotest.(check (list (pair int int))) "gave_up identical" a.Session.gave_up b.Session.gave_up;
+  Alcotest.(check (list int)) "crashed identical" a.Session.crashed b.Session.crashed
 
 let test_reliable_recovers_from_loss () =
   let grid = Grid5000.grid () in
   let msg = 1_000_000 in
   let machines, plan = plan_of_grid ~msg grid in
   let n = Machines.count machines in
-  let base = Exec.run ~msg machines plan in
+  let base = Session.run (Session.Config.v ~msg ()) machines plan in
   let faults = Faults.create ~seed:11 ~n (Faults.v ~loss:0.3 ()) in
-  let rel = Exec.run_reliable ~msg ~faults ~retries:25 machines plan in
-  Alcotest.(check int) "full delivery despite 30% loss" n rel.Exec.delivered;
-  Alcotest.(check bool) "losses caused retransmissions" true (rel.Exec.retransmissions > 0);
+  let rel =
+    Session.run_reliable (Session.Config.v ~msg ~faults ~retries:25 ()) machines plan
+  in
+  Alcotest.(check int) "full delivery despite 30% loss" n rel.Session.delivered;
+  Alcotest.(check bool) "losses caused retransmissions" true (rel.Session.retransmissions > 0);
   Alcotest.(check bool) "retransmissions cost time" true
-    (rel.Exec.r_makespan >= base.Exec.makespan);
-  Alcotest.(check bool) "every rank acked once" true (rel.Exec.acks >= n - 1)
+    (rel.Session.r_makespan >= base.Session.makespan);
+  Alcotest.(check bool) "every rank acked once" true (rel.Session.acks >= n - 1)
 
 let test_reliable_retry_budget_exhaustion () =
   let rng = Rng.create 2 in
@@ -427,9 +432,11 @@ let test_reliable_retry_budget_exhaustion () =
   let machines, plan = plan_of_grid ~msg grid in
   let n = Machines.count machines in
   let faults = Faults.create ~seed:4 ~n (Faults.v ~loss:0.9 ()) in
-  let rel = Exec.run_reliable ~msg ~faults ~retries:1 machines plan in
-  Alcotest.(check bool) "some edges gave up" true (rel.Exec.gave_up <> []);
-  Alcotest.(check bool) "partial delivery" true (rel.Exec.delivered < n);
+  let rel =
+    Session.run_reliable (Session.Config.v ~msg ~faults ~retries:1 ()) machines plan
+  in
+  Alcotest.(check bool) "some edges gave up" true (rel.Session.gave_up <> []);
+  Alcotest.(check bool) "partial delivery" true (rel.Session.delivered < n);
   (* Undelivered ranks must be marked, delivered ones timed. *)
   Array.iteri
     (fun r t ->
@@ -437,7 +444,7 @@ let test_reliable_retry_budget_exhaustion () =
         Alcotest.(check bool)
           (Printf.sprintf "rank %d unreached and not root" r)
           true (r <> plan.Plan.root))
-    rel.Exec.r_arrival
+    rel.Session.r_arrival
 
 let test_reliable_crash_partitions () =
   let grid = Grid5000.grid () in
@@ -446,25 +453,33 @@ let test_reliable_crash_partitions () =
   let n = Machines.count machines in
   (* Aggressive crash rate: mean time to failure well under the makespan. *)
   let faults = Faults.create ~seed:1 ~n (Faults.v ~crash_rate:5e-6 ()) in
-  let rel = Exec.run_reliable ~msg ~faults machines plan in
-  Alcotest.(check bool) "some ranks crashed" true (rel.Exec.crashed <> []);
-  Alcotest.(check bool) "partial delivery" true (rel.Exec.delivered < n);
+  let rel = Session.run_reliable (Session.Config.v ~msg ~faults ()) machines plan in
+  Alcotest.(check bool) "some ranks crashed" true (rel.Session.crashed <> []);
+  Alcotest.(check bool) "partial delivery" true (rel.Session.delivered < n);
   List.iter
     (fun r ->
       Alcotest.(check bool)
         (Printf.sprintf "crashed rank %d halted within horizon" r)
         true
         (Float.is_finite (Faults.crash_time faults r)))
-    rel.Exec.crashed
+    rel.Session.crashed
 
 (* --- Adaptive transport and in-flight reroute ---------------------------- *)
 
 let test_run_reliable_rto_max_validation () =
   let grid = Grid5000.grid () in
   let machines, plan = plan_of_grid ~msg:1_000 grid in
-  Alcotest.check_raises "rto_max < rto_min"
-    (Invalid_argument "Exec.run_reliable: rto_max < rto_min") (fun () ->
-      ignore (Exec.run_reliable ~rto_min:10. ~rto_max:5. machines plan))
+  let rejects what config =
+    Alcotest.check_raises what
+      (Invalid_argument ("Session.run_reliable: " ^ what))
+      (fun () -> ignore (Session.run_reliable config machines plan))
+  in
+  rejects "rto_max < rto_min" (Session.Config.v ~rto_min:10. ~rto_max:5. ());
+  (* NaN passes every ordered comparison, so each knob is checked for it. *)
+  rejects "rto_mult is NaN" (Session.Config.v ~rto_mult:nan ());
+  rejects "rto_min is NaN" (Session.Config.v ~rto_min:nan ());
+  rejects "rto_max is NaN" (Session.Config.v ~rto_max:nan ());
+  rejects "tick_every is NaN" (Session.Config.v ~tick_every:nan ())
 
 let test_reroute_totality_under_loss () =
   (* Same cell as the retry-budget-exhaustion test: the fixed transport
@@ -476,16 +491,21 @@ let test_reroute_totality_under_loss () =
   let machines, plan = plan_of_grid ~msg grid in
   let n = Machines.count machines in
   let faults () = Faults.create ~seed:4 ~n (Faults.v ~loss:0.9 ()) in
-  let fixed = Exec.run_reliable ~msg ~faults:(faults ()) ~retries:1 machines plan in
-  Alcotest.(check bool) "fixed transport strands ranks" true (fixed.Exec.delivered < n);
-  let rer =
-    Exec.run_reliable ~msg ~faults:(faults ()) ~retries:1
-      ~transport:(Exec.adaptive ~reroute:true ()) machines plan
+  let fixed =
+    Session.run_reliable (Session.Config.v ~msg ~faults:(faults ()) ~retries:1 ())
+      machines plan
   in
-  Alcotest.(check (list int)) "no crashes" [] rer.Exec.crashed;
-  Alcotest.(check int) "total delivery" n rer.Exec.delivered;
-  Alcotest.(check bool) "rescues went through reroutes" true (rer.Exec.reroutes <> []);
-  Alcotest.(check (list (pair int int))) "nothing abandoned" [] rer.Exec.gave_up
+  Alcotest.(check bool) "fixed transport strands ranks" true (fixed.Session.delivered < n);
+  let rer =
+    Session.run_reliable
+      (Session.Config.v ~msg ~faults:(faults ()) ~retries:1
+         ~transport:(Session.adaptive ~reroute:true ()) ())
+      machines plan
+  in
+  Alcotest.(check (list int)) "no crashes" [] rer.Session.crashed;
+  Alcotest.(check int) "total delivery" n rer.Session.delivered;
+  Alcotest.(check bool) "rescues went through reroutes" true (rer.Session.reroutes <> []);
+  Alcotest.(check (list (pair int int))) "nothing abandoned" [] rer.Session.gave_up
 
 let test_reroute_under_cuts () =
   (* Permanent link cuts with no crashes: any rank left undelivered by the
@@ -499,29 +519,33 @@ let test_reroute_under_cuts () =
   let n = Machines.count machines in
   let spec = Faults.v ~cut_rate:2e-6 () in
   let faults () = Faults.create ~seed:9 ~n spec in
-  let fixed = Exec.run_reliable ~msg ~faults:(faults ()) machines plan in
-  let rer =
-    Exec.run_reliable ~msg ~faults:(faults ())
-      ~transport:(Exec.adaptive ~reroute:true ()) machines plan
+  let fixed =
+    Session.run_reliable (Session.Config.v ~msg ~faults:(faults ()) ()) machines plan
   in
-  Alcotest.(check (list int)) "no crashes" [] rer.Exec.crashed;
+  let rer =
+    Session.run_reliable
+      (Session.Config.v ~msg ~faults:(faults ())
+         ~transport:(Session.adaptive ~reroute:true ()) ())
+      machines plan
+  in
+  Alcotest.(check (list int)) "no crashes" [] rer.Session.crashed;
   Alcotest.(check bool)
-    (Printf.sprintf "reroute %d >= fixed %d delivered" rer.Exec.delivered
-       fixed.Exec.delivered)
+    (Printf.sprintf "reroute %d >= fixed %d delivered" rer.Session.delivered
+       fixed.Session.delivered)
     true
-    (rer.Exec.delivered >= fixed.Exec.delivered);
+    (rer.Session.delivered >= fixed.Session.delivered);
   let f = faults () in
   Array.iteri
     (fun dst t ->
       if Float.is_nan t then
         for src = 0 to n - 1 do
-          if src <> dst && not (Float.is_nan rer.Exec.r_arrival.(src)) then
+          if src <> dst && not (Float.is_nan rer.Session.r_arrival.(src)) then
             Alcotest.(check bool)
               (Printf.sprintf "undelivered %d is partitioned: %d->%d was cut" dst src dst)
               true
               (Float.is_finite (Faults.cut_time f ~src ~dst))
         done)
-    rer.Exec.r_arrival
+    rer.Session.r_arrival
 
 let test_reroute_rescues_crashed_subtrees () =
   (* Same aggressive crash cell as the partition test.  With reroute, the
@@ -532,25 +556,29 @@ let test_reroute_rescues_crashed_subtrees () =
   let machines, plan = plan_of_grid ~msg grid in
   let n = Machines.count machines in
   let faults () = Faults.create ~seed:1 ~n (Faults.v ~crash_rate:5e-6 ()) in
-  let fixed = Exec.run_reliable ~msg ~faults:(faults ()) machines plan in
-  let rer =
-    Exec.run_reliable ~msg ~faults:(faults ())
-      ~transport:(Exec.adaptive ~reroute:true ()) machines plan
+  let fixed =
+    Session.run_reliable (Session.Config.v ~msg ~faults:(faults ()) ()) machines plan
   in
-  Alcotest.(check bool) "crashes happened" true (rer.Exec.crashed <> []);
+  let rer =
+    Session.run_reliable
+      (Session.Config.v ~msg ~faults:(faults ())
+         ~transport:(Session.adaptive ~reroute:true ()) ())
+      machines plan
+  in
+  Alcotest.(check bool) "crashes happened" true (rer.Session.crashed <> []);
   Alcotest.(check bool)
-    (Printf.sprintf "reroute %d > fixed %d delivered" rer.Exec.delivered
-       fixed.Exec.delivered)
+    (Printf.sprintf "reroute %d > fixed %d delivered" rer.Session.delivered
+       fixed.Session.delivered)
     true
-    (rer.Exec.delivered > fixed.Exec.delivered);
+    (rer.Session.delivered > fixed.Session.delivered);
   Array.iteri
     (fun r t ->
       if Float.is_nan t then
         Alcotest.(check bool)
           (Printf.sprintf "undelivered rank %d crashed" r)
           true
-          (List.mem r rer.Exec.crashed))
-    rer.Exec.r_arrival
+          (List.mem r rer.Session.crashed))
+    rer.Session.r_arrival
 
 (* Regression: the estimator's nominal must be the raw round trip, not the
    rto_mult-inflated, rto_min-floored RTO the executor arms.  With no
@@ -563,9 +591,12 @@ let test_healthy_links_estimate_quality_one () =
   let msg = 1_000_000 in
   let machines, plan = plan_of_grid ~msg grid in
   let n = Machines.count machines in
-  let rel = Exec.run_reliable ~msg ~transport:(Exec.adaptive ()) machines plan in
-  Alcotest.(check int) "all delivered" n rel.Exec.delivered;
-  let est = Option.get rel.Exec.estimator in
+  let rel =
+    Session.run_reliable (Session.Config.v ~msg ~transport:(Session.adaptive ()) ())
+      machines plan
+  in
+  Alcotest.(check int) "all delivered" n rel.Session.delivered;
+  let est = Option.get rel.Session.estimator in
   let edges = ref 0 in
   Array.iteri
     (fun parent children ->
@@ -604,10 +635,11 @@ let test_adaptive_emits_circuit_events () =
   let faults = Faults.create ~seed:4 ~n (Faults.v ~loss:0.6 ()) in
   let obs = Gridb_obs.Sink.memory () in
   let rel =
-    Exec.run_reliable ~msg ~faults ~retries:25 ~transport:(Exec.adaptive ()) ~obs machines
-      plan
+    Session.run_reliable
+      (Session.Config.v ~msg ~faults ~retries:25 ~transport:(Session.adaptive ()) ~obs ())
+      machines plan
   in
-  Alcotest.(check bool) "circuits opened" true (rel.Exec.circuit_opens > 0);
+  Alcotest.(check bool) "circuits opened" true (rel.Session.circuit_opens > 0);
   let events = Gridb_obs.Sink.events obs in
   let opens =
     List.length
@@ -617,40 +649,40 @@ let test_adaptive_emits_circuit_events () =
     List.length
       (List.filter (function Gridb_obs.Event.Circuit_close _ -> true | _ -> false) events)
   in
-  Alcotest.(check int) "open events match the counter" rel.Exec.circuit_opens opens;
+  Alcotest.(check int) "open events match the counter" rel.Session.circuit_opens opens;
   Alcotest.(check bool) "some circuit closed again" true (closes > 0);
   (* Plain adaptive never reroutes. *)
   Alcotest.(check (list (triple int int int))) "no reroutes without the flag" []
-    rel.Exec.reroutes
+    rel.Session.reroutes
 
 let test_mean_reliable_discipline () =
   let grid = Grid5000.grid () in
   let machines, plan = plan_of_grid ~msg:1_000_000 grid in
   let spec = Faults.v ~loss:0.05 () in
-  let s seed = Exec.mean_reliable ~repetitions:3 ~seed ~spec machines plan in
+  let s seed = Session.mean_reliable ~repetitions:3 ~seed ~spec machines plan in
   let a = s 5 and b = s 5 in
   Alcotest.(check bool) "equal seeds, equal summaries" true (a = b);
   Alcotest.(check bool) "different seeds differ" true (s 5 <> s 6);
-  Alcotest.(check bool) "losses retransmit" true (a.Exec.mean_retransmissions > 0.);
-  Alcotest.(check bool) "stddev nonnegative" true (a.Exec.stddev_makespan >= 0.);
+  Alcotest.(check bool) "losses retransmit" true (a.Session.mean_retransmissions > 0.);
+  Alcotest.(check bool) "stddev nonnegative" true (a.Session.stddev_makespan >= 0.);
   let r =
-    Exec.mean_reliable ~repetitions:3 ~seed:5 ~spec
-      ~transport:(Exec.adaptive ~reroute:true ()) machines plan
+    Session.mean_reliable ~repetitions:3 ~seed:5 ~spec
+      ~transport:(Session.adaptive ~reroute:true ()) machines plan
   in
-  Alcotest.(check bool) "reroute delivers in every repetition" true r.Exec.all_delivered;
-  check_feq ~eps:0. "full delivered fraction" 1. r.Exec.delivered_fraction;
+  Alcotest.(check bool) "reroute delivers in every repetition" true r.Session.all_delivered;
+  check_feq ~eps:0. "full delivered fraction" 1. r.Session.delivered_fraction;
   (* Fanning the repetitions over a pool must not move a single bit: each
      rep's fault stream derives from (seed, rep) alone. *)
-  let par = Exec.mean_reliable ~repetitions:3 ~seed:5 ~spec ~jobs:4 machines plan in
+  let par = Session.mean_reliable ~repetitions:3 ~seed:5 ~spec ~jobs:4 machines plan in
   Alcotest.(check bool) "jobs=4 bit-identical to sequential" true (a = par)
 
-(* --- Exec.mean_makespan stream discipline ------------------------------- *)
+(* --- Session.mean_makespan stream discipline ------------------------------- *)
 
 let test_mean_makespan_seed_determinism () =
   let grid = Grid5000.grid () in
   let machines, plan = plan_of_grid ~msg:1_000_000 grid in
   let mean seed =
-    Exec.mean_makespan ~noise:(Noise.Lognormal 0.08) ~repetitions:5 ~seed machines plan
+    Session.mean_makespan ~noise:(Noise.Lognormal 0.08) ~repetitions:5 ~seed machines plan
   in
   check_feq ~eps:0. "equal seeds, equal means" (mean 9) (mean 9);
   Alcotest.(check bool) "different seeds differ" true (mean 9 <> mean 10)
@@ -663,28 +695,34 @@ let test_mean_makespan_split_streams () =
   let machines, plan = plan_of_grid ~msg:1_000_000 grid in
   let noise = Noise.Lognormal 0.08 in
   let rng = Rng.create 21 in
-  let direct = Exec.run ~noise ~rng:(Rng.split rng 0) machines plan in
-  let m1 = Exec.mean_makespan ~noise ~repetitions:1 ~seed:21 machines plan in
-  check_feq ~eps:0. "rep 0 is indexed stream 0" direct.Exec.makespan m1;
-  let m2 = Exec.mean_makespan ~noise ~repetitions:2 ~seed:21 machines plan in
-  let m3 = Exec.mean_makespan ~noise ~repetitions:3 ~seed:21 machines plan in
+  let direct =
+    Session.run (Session.Config.v ~noise ~rng:(Rng.split rng 0) ()) machines plan
+  in
+  let m1 = Session.mean_makespan ~noise ~repetitions:1 ~seed:21 machines plan in
+  check_feq ~eps:0. "rep 0 is indexed stream 0" direct.Session.makespan m1;
+  let m2 = Session.mean_makespan ~noise ~repetitions:2 ~seed:21 machines plan in
+  let m3 = Session.mean_makespan ~noise ~repetitions:3 ~seed:21 machines plan in
   (* Prefix property: rep 1's value recovered from the 2-rep mean must be
      exactly what the 3-rep mean implies for it, which fails if one rep's
      draw count shifted another's stream. *)
   let rep1_from_2 = (2. *. m2) -. m1 in
-  let direct1 = Exec.run ~noise ~rng:(Rng.split rng 1) machines plan in
-  check_feq "rep 1 is indexed stream 1" direct1.Exec.makespan rep1_from_2;
+  let direct1 =
+    Session.run (Session.Config.v ~noise ~rng:(Rng.split rng 1) ()) machines plan
+  in
+  check_feq "rep 1 is indexed stream 1" direct1.Session.makespan rep1_from_2;
   let rep2_from_3 = (3. *. m3) -. (2. *. m2) in
-  let direct2 = Exec.run ~noise ~rng:(Rng.split rng 2) machines plan in
-  check_feq "rep 2 is indexed stream 2" direct2.Exec.makespan rep2_from_3;
+  let direct2 =
+    Session.run (Session.Config.v ~noise ~rng:(Rng.split rng 2) ()) machines plan
+  in
+  check_feq "rep 2 is indexed stream 2" direct2.Session.makespan rep2_from_3;
   (* The indexed derivation is pure: deriving streams above did not advance
      [rng], so the means are reproducible from the same base. *)
   check_feq ~eps:0. "split is pure in the base state" m1
-    (Exec.mean_makespan ~noise ~repetitions:1 ~seed:21 machines plan);
+    (Session.mean_makespan ~noise ~repetitions:1 ~seed:21 machines plan);
   (* And the pool gives the identical mean at any worker count. *)
   check_feq ~eps:0. "jobs=4 mean is bit-identical"
     m3
-    (Exec.mean_makespan ~noise ~repetitions:3 ~jobs:4 ~seed:21 machines plan)
+    (Session.mean_makespan ~noise ~repetitions:3 ~jobs:4 ~seed:21 machines plan)
 
 let test_noise_uniform_rejects_bad_eps () =
   let rng = Rng.create 0 in

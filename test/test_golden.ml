@@ -11,6 +11,7 @@ module Instance = Gridb_sched.Instance
 module Heuristics = Gridb_sched.Heuristics
 module Schedule = Gridb_sched.Schedule
 module Rng = Gridb_util.Rng
+module Session = Gridb_des.Session
 
 let check_golden name expected actual =
   Alcotest.(check bool)
@@ -85,11 +86,11 @@ let test_grid5000_instance_golden () =
 
 (* Golden pin of the DES executors' exact output over a seeded corpus —
    event streams, arrival vectors, protocol counters, at full precision.
-   The constant was recorded from the pre-refactor monolithic
-   [Exec.run]/[run_reliable] immediately BEFORE the wire/session split, so
-   the refactored single-session wrappers must reproduce every byte: a
-   reassociated float add, a reordered rng draw or a changed tie-break in
-   the session layer fails here even though the schedules still validate. *)
+   The constant was recorded from the monolithic executors that preceded
+   the wire/session split, so [Session.run]/[run_reliable] must reproduce
+   every byte: a reassociated float add, a reordered rng draw or a changed
+   tie-break in the session layer fails here even though the schedules
+   still validate. *)
 let exec_corpus_digest = "d505aeb03c59f565c075e1c5b8fb93a6"
 let exec_corpus_bytes = 9_195_362
 
@@ -97,7 +98,6 @@ let exec_corpus_buffer () =
   let module Generators = Gridb_topology.Generators in
   let module Machines = Gridb_topology.Machines in
   let module Plan = Gridb_des.Plan in
-  let module Exec = Gridb_des.Exec in
   let module Faults = Gridb_des.Faults in
   let module Dynamics = Gridb_des.Dynamics in
   let module Sink = Gridb_obs.Sink in
@@ -134,56 +134,60 @@ let exec_corpus_buffer () =
     let plan = Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst) in
     (* Simple executor: exact and noisy. *)
     let sink = Sink.memory () in
-    let r = Gridb_des.Exec.run ~msg ~obs:sink machines plan in
-    add_arrivals r.Exec.arrival;
-    addf r.Exec.makespan;
-    Buffer.add_string buf (string_of_int r.Exec.transmissions);
+    let r = Session.run (Session.Config.v ~msg ~obs:sink ()) machines plan in
+    add_arrivals r.Session.arrival;
+    addf r.Session.makespan;
+    Buffer.add_string buf (string_of_int r.Session.transmissions);
     add_events sink;
     let r =
-      Gridb_des.Exec.run
-        ~noise:(Gridb_des.Noise.Lognormal 0.08)
-        ~rng:(Rng.create (91_000 + i)) ~msg machines plan
+      Session.run
+        (Session.Config.v ~noise:(Gridb_des.Noise.Lognormal 0.08)
+           ~rng:(Rng.create (91_000 + i)) ~msg ())
+        machines plan
     in
-    add_arrivals r.Exec.arrival;
-    addf r.Exec.makespan;
+    add_arrivals r.Session.arrival;
+    addf r.Session.makespan;
     (* Reliable executor under faults, all three transports. *)
     List.iter
       (fun transport ->
         let faults = Faults.create ~seed:(61_000 + i) ~n:n_ranks faults_spec in
         let sink = Sink.memory () in
         let r =
-          Exec.run_reliable ~rng:(Rng.create (31_000 + i)) ~msg ~obs:sink ~faults
-            ~transport machines plan
+          Session.run_reliable
+            (Session.Config.v ~rng:(Rng.create (31_000 + i)) ~msg ~obs:sink ~faults
+               ~transport ())
+            machines plan
         in
-        add_arrivals r.Exec.r_arrival;
-        addf r.Exec.r_makespan;
-        addf r.Exec.horizon;
+        add_arrivals r.Session.r_arrival;
+        addf r.Session.r_makespan;
+        addf r.Session.horizon;
         Buffer.add_string buf
-          (Printf.sprintf "tx=%d,rtx=%d,acks=%d,del=%d,co=%d" r.Exec.r_transmissions
-             r.Exec.retransmissions r.Exec.acks r.Exec.delivered r.Exec.circuit_opens);
-        List.iter (fun (p, c) -> Buffer.add_string buf (Printf.sprintf "|g%d>%d" p c)) r.Exec.gave_up;
+          (Printf.sprintf "tx=%d,rtx=%d,acks=%d,del=%d,co=%d" r.Session.r_transmissions
+             r.Session.retransmissions r.Session.acks r.Session.delivered r.Session.circuit_opens);
+        List.iter (fun (p, c) -> Buffer.add_string buf (Printf.sprintf "|g%d>%d" p c)) r.Session.gave_up;
         List.iter
           (fun (d, o, p) -> Buffer.add_string buf (Printf.sprintf "|r%d:%d>%d" d o p))
-          r.Exec.reroutes;
+          r.Session.reroutes;
         add_events sink)
-      [ Exec.Fixed; Exec.adaptive (); Exec.adaptive ~reroute:true () ];
+      [ Session.Fixed; Session.adaptive (); Session.adaptive ~reroute:true () ];
     (* Dynamics-bearing reliable run (drift + churn + ticks). *)
     let faults = Faults.create ~seed:(61_000 + i) ~n:n_ranks faults_spec in
     let d = Dynamics.create ~seed:(71_000 + i) ~n:n_ranks ~clusters:n dyn_spec in
     let sink = Sink.memory () in
     let r =
-      Exec.run_reliable ~rng:(Rng.create (41_000 + i)) ~msg ~obs:sink ~faults ~dynamics:d
-        ~tick_every:dyn_spec.Dynamics.recluster_every
-        ~transport:(Exec.adaptive ~reroute:true ())
+      Session.run_reliable
+        (Session.Config.v ~rng:(Rng.create (41_000 + i)) ~msg ~obs:sink ~faults
+           ~dynamics:d ~tick_every:dyn_spec.Dynamics.recluster_every
+           ~transport:(Session.adaptive ~reroute:true ()) ())
         machines plan
     in
-    add_arrivals r.Exec.r_arrival;
-    addf r.Exec.r_makespan;
-    addf r.Exec.horizon;
+    add_arrivals r.Session.r_arrival;
+    addf r.Session.r_makespan;
+    addf r.Session.horizon;
     Buffer.add_string buf
-      (Printf.sprintf "del=%d,left=%s,joined=%s" r.Exec.delivered
-         (String.concat "," (List.map string_of_int r.Exec.left))
-         (String.concat "," (List.map string_of_int r.Exec.joined)));
+      (Printf.sprintf "del=%d,left=%s,joined=%s" r.Session.delivered
+         (String.concat "," (List.map string_of_int r.Session.left))
+         (String.concat "," (List.map string_of_int r.Session.joined)));
     add_events sink
   done;
   buf

@@ -16,6 +16,7 @@ module Hit_rate = Gridb_sched.Hit_rate
 module Machines = Gridb_topology.Machines
 module Generators = Gridb_topology.Generators
 module Rng = Gridb_util.Rng
+module Session = Gridb_des.Session
 
 let quick_config = Config.quick
 
@@ -278,9 +279,9 @@ let test_matrix_to_makespan_pipeline () =
     (Result.is_ok (Schedule.validate inst schedule));
   let detected_machines = Machines.expand detected in
   let plan = Gridb_des.Plan.of_cluster_schedule detected_machines schedule in
-  let r = Gridb_des.Exec.run ~msg:1_000_000 detected_machines plan in
+  let r = Session.run (Session.Config.v ~msg:1_000_000 ()) detected_machines plan in
   Alcotest.(check (float 1e-6)) "DES = prediction" (Schedule.makespan inst schedule)
-    r.Gridb_des.Exec.makespan
+    r.Session.makespan
 
 let test_serialize_cli_pipeline () =
   (* topology file -> parse -> instance -> identical makespans. *)

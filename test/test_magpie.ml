@@ -120,7 +120,7 @@ let test_strategies_deliver_everywhere () =
       Alcotest.(check bool)
         (Bcast.strategy_name strategy ^ " reaches all ranks")
         true
-        (Array.for_all (fun x -> not (Float.is_nan x)) r.Gridb_des.Exec.arrival))
+        (Array.for_all (fun x -> not (Float.is_nan x)) r.Gridb_des.Session.arrival))
     [
       Bcast.Binomial_world;
       Bcast.Flat_two_level;
@@ -132,7 +132,7 @@ let test_scheduled_beats_baselines () =
   let t = grid5000_tuning () in
   let time strategy =
     (Bcast.execute ~charge_overhead:false t strategy ~root:0 ~msg:4_000_000)
-      .Gridb_des.Exec.makespan
+      .Gridb_des.Session.makespan
   in
   let scheduled = time (Bcast.Scheduled Heuristics.ecef_la) in
   Alcotest.(check bool) "beats flat" true (scheduled < time Bcast.Flat_two_level);
@@ -157,7 +157,7 @@ let test_prediction_matches_execution_without_noise () =
       let predicted = Bcast.predict t strategy ~root:0 ~msg:1_000_000 in
       let measured =
         (Bcast.execute ~charge_overhead:false t strategy ~root:0 ~msg:1_048_576)
-          .Gridb_des.Exec.makespan
+          .Gridb_des.Session.makespan
       in
       check_feq ~eps:1e-6 (Bcast.strategy_name strategy) predicted measured)
     [ Bcast.Flat_two_level; Bcast.Scheduled Heuristics.ecef; Bcast.Binomial_world ]
@@ -168,10 +168,10 @@ let test_overhead_charged_once () =
   let first = Bcast.execute t strategy ~root:0 ~msg:1_000_000 in
   let second = Bcast.execute t strategy ~root:0 ~msg:1_000_000 in
   Alcotest.(check bool) "cache hit is cheaper" true
-    (second.Gridb_des.Exec.makespan < first.Gridb_des.Exec.makespan -. 1.);
+    (second.Gridb_des.Session.makespan < first.Gridb_des.Session.makespan -. 1.);
   let third = Bcast.execute ~charge_overhead:false t strategy ~root:0 ~msg:1_000_000 in
-  check_feq "uncharged equals hit" second.Gridb_des.Exec.makespan
-    third.Gridb_des.Exec.makespan
+  check_feq "uncharged equals hit" second.Gridb_des.Session.makespan
+    third.Gridb_des.Session.makespan
 
 let test_noisy_measurement_still_close () =
   let machines = small_machines () in

@@ -11,7 +11,7 @@ module Params = Gridb_plogp.Params
 module Cost = Gridb_collectives.Cost
 module Tree = Gridb_collectives.Tree
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 
 let feq ?(eps = 1e-9) a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
@@ -158,11 +158,11 @@ let test_bcast_plan_equals_exec () =
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
   let sched = Gridb_sched.Heuristics.run Gridb_sched.Heuristics.ecef_lat_max inst in
   let plan = Plan.of_cluster_schedule m sched in
-  let des = Exec.run ~msg:1_000_000 m plan in
+  let des = Session.run (Session.Config.v ~msg:1_000_000 ()) m plan in
   let r =
     Runtime.run_exn m (fun ~rank ~size:_ -> Collectives.bcast_plan ~rank plan ~msg:1_000_000)
   in
-  check_feq "simMPI = DES" des.Exec.makespan r.Runtime.makespan
+  check_feq "simMPI = DES" des.Session.makespan r.Runtime.makespan
 
 let test_allgather_matches_formula () =
   let n = 10 in

@@ -1,6 +1,6 @@
 (* Tests for the gridb_obs observability bus: JSON round-trips, sink
-   semantics, Null-sink bit-identity of instrumented producers, the
-   record_trace compatibility path, and the stream consumers. *)
+   semantics, Null-sink bit-identity of instrumented producers, and the stream
+   consumers. *)
 
 module Event = Gridb_obs.Event
 module Sink = Gridb_obs.Sink
@@ -12,7 +12,7 @@ module Machines = Topology.Machines
 module Instance = Gridb_sched.Instance
 module Sched_engine = Gridb_sched.Engine
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Faults = Gridb_des.Faults
 module Des_engine = Gridb_des.Engine
 
@@ -165,16 +165,17 @@ let test_exec_observation_is_transparent =
         let schedule = Sched_engine.run ?obs Gridb_sched.Policy.ecef_la inst in
         let plan = Plan.of_cluster_schedule machines schedule in
         let rng = Rng.create seed in
-        Exec.run ~noise:(Gridb_des.Noise.Lognormal 0.1) ~rng ?obs machines plan
+        Session.run (Session.Config.v ~noise:(Gridb_des.Noise.Lognormal 0.1) ~rng ?obs ())
+          machines plan
       in
       let plain = exec None in
       let nulled = exec (Some Sink.null) in
       let observed = exec (Some (Sink.memory ())) in
-      plain.Exec.arrival = nulled.Exec.arrival
-      && plain.Exec.arrival = observed.Exec.arrival
-      && plain.Exec.makespan = nulled.Exec.makespan
-      && plain.Exec.makespan = observed.Exec.makespan
-      && plain.Exec.transmissions = observed.Exec.transmissions)
+      plain.Session.arrival = nulled.Session.arrival
+      && plain.Session.arrival = observed.Session.arrival
+      && plain.Session.makespan = nulled.Session.makespan
+      && plain.Session.makespan = observed.Session.makespan
+      && plain.Session.transmissions = observed.Session.transmissions)
 
 let test_reliable_observation_is_transparent =
   QCheck.Test.make ~name:"observed reliable runs are bit-identical" ~count:(Testutil.count 20)
@@ -191,7 +192,8 @@ let test_reliable_observation_is_transparent =
       let reliable obs =
         let faults = Faults.create ~seed ~n spec in
         let rng = Rng.create seed in
-        Exec.run_reliable ~rng ~faults ~retries:3 ?obs machines plan
+        Session.run_reliable (Session.Config.v ~rng ~faults ~retries:3 ?obs ())
+          machines plan
       in
       let plain = reliable None in
       let observed = reliable (Some (Sink.memory ())) in
@@ -202,64 +204,13 @@ let test_reliable_observation_is_transparent =
              (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
              a b
       in
-      same_bits plain.Exec.r_arrival observed.Exec.r_arrival
-      && plain.Exec.r_makespan = observed.Exec.r_makespan
-      && plain.Exec.retransmissions = observed.Exec.retransmissions
-      && plain.Exec.gave_up = observed.Exec.gave_up)
+      same_bits plain.Session.r_arrival observed.Session.r_arrival
+      && plain.Session.r_makespan = observed.Session.r_makespan
+      && plain.Session.retransmissions = observed.Session.retransmissions
+      && plain.Session.gave_up = observed.Session.gave_up)
 
-(* The legacy record_trace path and an external Memory sink must describe
-   the same transmissions. *)
-let test_record_trace_compat () =
-  let grid = Topology.Grid5000.grid () in
-  let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let machines = Machines.expand grid in
-  let plan =
-    Plan.of_cluster_schedule machines (Sched_engine.run Gridb_sched.Policy.ecef_la inst)
-  in
-  let legacy = Exec.run ~record_trace:true machines plan in
-  let mem = Sink.memory () in
-  let via_sink = Exec.run ~obs:mem machines plan in
-  Alcotest.(check int) "legacy trace populated"
-    legacy.Exec.transmissions
-    (List.length legacy.Exec.trace);
-  Alcotest.(check (list (pair int int)))
-    "same transmissions, same order"
-    (List.map (fun t -> (t.Gridb_des.Trace.src, t.Gridb_des.Trace.dst)) legacy.Exec.trace)
-    (Gridb_des.Trace.of_events (Sink.events mem)
-    |> List.rev
-    |> List.sort (fun (a : Gridb_des.Trace.transmission) b ->
-           Float.compare a.arrival b.arrival)
-    |> List.map (fun t -> (t.Gridb_des.Trace.src, t.Gridb_des.Trace.dst)));
-  Alcotest.(check bool) "no-trace run has empty trace" true (via_sink.Exec.trace = [])
-
-let test_reliable_trace_compat () =
-  (* Old and new paths of run_reliable return identical trace lists even
-     under faults (retransmissions included). *)
-  let grid = random_grid 7 in
-  let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let machines = Machines.expand grid in
-  let plan =
-    Plan.of_cluster_schedule machines (Sched_engine.run Gridb_sched.Policy.ecef_la inst)
-  in
-  let n = Machines.count machines in
-  let spec = { Faults.none with Faults.loss = 0.15 } in
-  let run_with obs =
-    Exec.run_reliable ~rng:(Rng.create 7)
-      ~faults:(Faults.create ~seed:7 ~n spec)
-      ~record_trace:true ?obs machines plan
-  in
-  let legacy = run_with None in
-  let mem = Sink.memory () in
-  let observed = run_with (Some mem) in
-  Alcotest.(check bool) "trace non-empty" true (legacy.Exec.r_trace <> []);
-  Alcotest.(check bool) "identical traces" true
-    (legacy.Exec.r_trace = observed.Exec.r_trace);
-  (* The observed stream contains exactly the transmissions of the trace. *)
-  Alcotest.(check int) "sink sees every transmission"
-    legacy.Exec.r_transmissions
-    (List.length (Gridb_des.Trace.of_events (Sink.events mem)))
-
-(* JSONL round-trip of a full seeded faulty reliable run. *)
+(* JSONL round-trip of a full seeded faulty reliable run; its Memory-sink
+   stream holds exactly the run's transmissions, retransmissions included. *)
 let test_jsonl_faulty_run_roundtrip () =
   let grid = Topology.Grid5000.grid () in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
@@ -270,12 +221,16 @@ let test_jsonl_faulty_run_roundtrip () =
   let n = Machines.count machines in
   let spec = { Faults.none with Faults.loss = 0.1 } in
   let run_with obs =
-    Exec.run_reliable ~rng:(Rng.create 11)
-      ~faults:(Faults.create ~seed:11 ~n spec)
-      ~obs machines plan
+    Session.run_reliable
+      (Session.Config.v ~rng:(Rng.create 11)
+         ~faults:(Faults.create ~seed:11 ~n spec) ~obs ())
+      machines plan
   in
   let mem = Sink.memory () in
-  ignore (run_with mem);
+  let r = run_with mem in
+  Alcotest.(check bool) "loss caused retransmissions" true (r.Session.retransmissions > 0);
+  Alcotest.(check int) "sink sees every transmission" r.Session.r_transmissions
+    (List.length (Gridb_des.Trace.of_events (Sink.events mem)));
   let path = Filename.temp_file "gridb_obs_run" ".jsonl" in
   ignore (Sink.with_jsonl path (fun js -> ignore (run_with js)));
   (match Sink.read path with
@@ -431,15 +386,16 @@ let profiled_events () =
         Sched_engine.run ~obs:mem Gridb_sched.Policy.ecef_la inst)
   in
   let machines = Machines.expand grid in
-  let r = Exec.run ~obs:mem machines (Plan.of_cluster_schedule machines schedule) in
+  let plan = Plan.of_cluster_schedule machines schedule in
+  let r = Session.run (Session.Config.v ~obs:mem ()) machines plan in
   (Sink.events mem, r)
 
 let test_profile_rollup () =
   let events, r = profiled_events () in
   let p = Profile.of_events events in
-  Alcotest.(check int) "sends" r.Exec.transmissions p.Profile.sends;
+  Alcotest.(check int) "sends" r.Session.transmissions p.Profile.sends;
   Alcotest.(check int) "no retransmits" 0 p.Profile.retransmits;
-  Alcotest.(check (float 1e-6)) "makespan from stream" r.Exec.makespan p.Profile.makespan_us;
+  Alcotest.(check (float 1e-6)) "makespan from stream" r.Session.makespan p.Profile.makespan_us;
   Alcotest.(check bool) "schedule span measured" true (p.Profile.schedule_us >= 0.);
   Alcotest.(check bool) "transmit time accumulated" true (p.Profile.transmit_us > 0.);
   Alcotest.(check bool) "intra time accumulated" true (p.Profile.intra_us > 0.);
@@ -542,8 +498,6 @@ let () =
         ] );
       ( "compat",
         [
-          quick "record_trace equals sink view" test_record_trace_compat;
-          quick "reliable traces identical" test_reliable_trace_compat;
           quick "jsonl of faulty run round-trips" test_jsonl_faulty_run_roundtrip;
         ] );
       ( "producers",

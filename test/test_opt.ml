@@ -14,7 +14,7 @@ module Optimal = Gridb_sched.Optimal
 module Generators = Gridb_topology.Generators
 module Machines = Gridb_topology.Machines
 module Plan = Gridb_des.Plan
-module Exec = Gridb_des.Exec
+module Session = Gridb_des.Session
 module Faults = Gridb_des.Faults
 module Invariant = Gridb_check.Invariant
 module Scenario = Gridb_check.Scenario
@@ -97,7 +97,7 @@ let test_bound_below_des_transports () =
      reproduces those exactly, on every transport.  Drive one heuristic
      schedule through all three transports and re-check the bound. *)
   let transports =
-    [ Exec.Fixed; Exec.adaptive (); Exec.adaptive ~reroute:true () ]
+    [ Session.Fixed; Session.adaptive (); Session.adaptive ~reroute:true () ]
   in
   List.iter
     (fun seed ->
@@ -109,11 +109,14 @@ let test_bound_below_des_transports () =
       let plan = Plan.of_cluster_schedule machines sched in
       List.iter
         (fun transport ->
-          let r = Exec.run_reliable ~msg:1_000_000 ~transport machines plan in
-          if not (lb <= r.Exec.r_makespan || feq lb r.Exec.r_makespan) then
+          let r =
+            Session.run_reliable (Session.Config.v ~msg:1_000_000 ~transport ())
+              machines plan
+          in
+          if not (lb <= r.Session.r_makespan || feq lb r.Session.r_makespan) then
             Alcotest.failf "seed=%d %s: bound %.17g beats DES makespan %.17g" seed
-              (Exec.transport_to_string transport)
-              lb r.Exec.r_makespan)
+              (Session.transport_to_string transport)
+              lb r.Session.r_makespan)
         transports)
     [ 3; 11; 2006 ]
 
@@ -291,19 +294,19 @@ let test_des_replay_certified () =
       replay_analytic name inst cert;
       let machines = Machines.expand grid in
       let plan = Plan.of_cluster_schedule machines cert.Exact.schedule in
-      let res = Exec.run ~msg:1_000_000 machines plan in
+      let res = Session.run (Session.Config.v ~msg:1_000_000 ()) machines plan in
       (match
          Invariant.cross_check ~invariant:"opt-des-replay"
-           ~expected:cert.Exact.makespan ~got:res.Exec.makespan
+           ~expected:cert.Exact.makespan ~got:res.Session.makespan
        with
       | Ok () -> ()
       | Error v -> Alcotest.failf "%s: %a" name Invariant.pp_violation v);
       (* And reliably, fault-free, on the fixed transport: bit-identical. *)
-      let r = Exec.run_reliable ~msg:1_000_000 machines plan in
+      let r = Session.run_reliable (Session.Config.v ~msg:1_000_000 ()) machines plan in
       Alcotest.(check bool)
         (name ^ ": reliable fault-free = certified")
         true
-        (feq r.Exec.r_makespan cert.Exact.makespan))
+        (feq r.Session.r_makespan cert.Exact.makespan))
     grids
 
 let test_heuristics_never_beat_certificate () =

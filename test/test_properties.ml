@@ -11,6 +11,7 @@ module Bounds = Gridb_sched.Bounds
 module Machines = Gridb_topology.Machines
 module Generators = Gridb_topology.Generators
 module Rng = Gridb_util.Rng
+module Session = Gridb_des.Session
 
 let feq ?(eps = 1e-9) a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
@@ -95,8 +96,8 @@ let des_agrees_on_random_topologies =
           let schedule = Heuristics.run h inst in
           let predicted = Schedule.makespan inst schedule in
           let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
-          let r = Gridb_des.Exec.run ~msg machines plan in
-          feq ~eps:1e-9 predicted r.Gridb_des.Exec.makespan)
+          let r = Session.run (Session.Config.v ~msg ()) machines plan in
+          feq ~eps:1e-9 predicted r.Session.makespan)
         Heuristics.all)
 
 (* simMPI and the DES plan executor agree on any plan. *)
@@ -110,12 +111,12 @@ let simmpi_agrees_with_des =
       let machines = Machines.expand grid in
       let root = Rng.int rng (Machines.count machines) in
       let plan = Gridb_des.Plan.binomial_ranks machines ~root in
-      let des = Gridb_des.Exec.run ~msg:100_000 machines plan in
+      let des = Session.run (Session.Config.v ~msg:100_000 ()) machines plan in
       let mpi =
         Gridb_mpi.Runtime.run_exn machines (fun ~rank ~size:_ ->
             Gridb_mpi.Collectives.bcast_plan ~rank plan ~msg:100_000)
       in
-      feq ~eps:1e-9 des.Gridb_des.Exec.makespan mpi.Gridb_mpi.Runtime.makespan)
+      feq ~eps:1e-9 des.Session.makespan mpi.Gridb_mpi.Runtime.makespan)
 
 (* Monotonicity: shrinking every T can only shrink (or keep) the optimal
    makespan. *)
