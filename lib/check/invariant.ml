@@ -559,6 +559,31 @@ let sessions_nic_serialization ~n events =
         per_src;
       (match !bad with None -> Ok () | Some d -> fail name "%s" d)
 
+let sessions_start_order events =
+  (* [fired]: the sessions with an Arrival (other than a start) or an Ack
+     stamped [at] so far.  Those two are stamped with their handler's
+     firing time, so their stamps never decrease along the stream. *)
+  let rec go at fired = function
+    | [] -> Ok ()
+    | e :: rest -> (
+        match (Event.sid e, Event.untag e) with
+        | Some sid, Event.Arrival { src; dst; time } when src = dst -> (
+            match
+              if time = at then List.find_opt (fun s -> s <> sid) fired else None
+            with
+            | Some other ->
+                fail "start-order"
+                  "session %d starts at %g after session %d's handlers due then" sid
+                  time other
+            | None -> go at fired rest)
+        | Some sid, (Event.Arrival { time; _ } | Event.Ack { time; _ }) ->
+            if time = at then
+              go at (if List.mem sid fired then fired else sid :: fired) rest
+            else go time [ sid ] rest
+        | _ -> go at fired rest)
+  in
+  go neg_infinity [] events
+
 let stream_invariant_names =
   [ "stream-receive-once"; "stream-receive-at-most-once"; "stream-causality";
     "stream-nic-serialization"; "stream-gap-conformance";

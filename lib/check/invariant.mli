@@ -158,4 +158,13 @@ val sessions_nic_serialization : n:int -> Gridb_obs.Event.t list -> outcome
     the shared-wire one-port discipline that only exists in multi-session
     runs.  Untagged events are ignored. *)
 
+val sessions_start_order : Gridb_obs.Event.t list -> outcome
+(** ["start-order"]: when a session's root self-arrival (its start) is
+    stamped [T], no [Arrival] or [Ack] of another session stamped [T]
+    comes before it in the stream — every start fires before the other
+    handlers due at its time.  Starts of other sessions at [T] and
+    untagged events are ignored.  Listed with the service family's checks
+    ([Run.service_invariant_names]), which runs it on one arrival window
+    whose sessions are all scheduled before the engine runs. *)
+
 val stream_invariant_names : string list

@@ -385,12 +385,15 @@ let check_service (sc : Scenario.t) =
         per_session rest
   in
   let* () = per_session sessions in
+  (* Every session is scheduled before the engine runs, so each start
+     fires before the other handlers due at its time. *)
+  let* () = Invariant.sessions_start_order events in
   (* The property only multi-session runs have: one-port serialization of
      the shared wire across concurrent sessions. *)
   Invariant.sessions_nic_serialization ~n:n_ranks events
 
 let service_invariant_names =
-  [ "service-accounting"; "session-attribution"; "session-clock" ]
+  [ "service-accounting"; "session-attribution"; "session-clock"; "start-order" ]
 
 (* --- chaos family ------------------------------------------------------- *)
 

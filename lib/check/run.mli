@@ -45,6 +45,9 @@ val check_service : Scenario.t -> Invariant.outcome
       ["arrival-accounting"], details prefixed with the session id);
     - ["session-clock"]: nothing in a session precedes its request's
       arrival time;
+    - ["start-order"]: every session start fires before the other
+      sessions' handlers due at its time
+      ({!Invariant.sessions_start_order});
     - ["sessions-nic-serialization"]: one-port discipline of the shared
       wire across concurrent sessions. *)
 

@@ -67,7 +67,13 @@ type link = {
   mutable samples : int;
 }
 
-type t = { config : config; n : int; links : link option array }
+module Links = Hashtbl.Make (Int)
+
+(* Only links a write ([rto], [on_sample], [on_timeout], an [usable]
+   transition) has touched are stored, keyed [src * n + dst]: a session
+   crosses a few of its n² links, and every estimator outlives its session
+   in the session's result. *)
+type t = { config : config; n : int; links : link Links.t }
 
 let create ?(config = default) ~n () =
   if n < 1 then invalid_arg "Adaptive.create: n < 1";
@@ -79,30 +85,45 @@ let create ?(config = default) ~n () =
       ~breaker_threshold:config.breaker_threshold ~blowup_factor:config.blowup_factor
       ~cooldown_mult:config.cooldown_mult ~max_reroutes:config.max_reroutes ()
   in
-  { config; n; links = Array.make (n * n) None }
+  { config; n; links = Links.create 16 }
 
 let config t = t.config
 let size t = t.n
 
-let link t ~src ~dst name =
+let fresh () =
+  {
+    srtt = nan;
+    rttvar = nan;
+    nominal = nan;
+    fallback_rto = nan;
+    strikes = 0;
+    state = Closed;
+    samples = 0;
+  }
+
+(* What every read of a link no write has touched sees.  Never stored and
+   never written: writers go through [link]. *)
+let untouched = fresh ()
+
+let index t ~src ~dst name =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg ("Adaptive." ^ name ^ ": rank out of range");
-  let idx = (src * t.n) + dst in
-  match t.links.(idx) with
-  | Some l -> l
-  | None ->
-      let l =
-        {
-          srtt = nan;
-          rttvar = nan;
-          nominal = nan;
-          fallback_rto = nan;
-          strikes = 0;
-          state = Closed;
-          samples = 0;
-        }
-      in
-      t.links.(idx) <- Some l;
+  (src * t.n) + dst
+
+(* Read-only view: an untouched link reads as the defaults, not stored. *)
+let peek t ~src ~dst name =
+  match Links.find t.links (index t ~src ~dst name) with
+  | l -> l
+  | exception Not_found -> untouched
+
+(* Writable link, stored on first use. *)
+let link t ~src ~dst name =
+  let idx = index t ~src ~dst name in
+  match Links.find t.links idx with
+  | l -> l
+  | exception Not_found ->
+      let l = fresh () in
+      Links.add t.links idx l;
       l
 
 let clamp t x = Float.min t.config.rto_max (Float.max t.config.rto_min x)
@@ -174,7 +195,9 @@ let on_timeout t ~src ~dst ~now =
       false
 
 let usable t ~src ~dst ~now =
-  let l = link t ~src ~dst "usable" in
+  (* An untouched link is closed: only a stored link can take the
+     cooldown-expiry transition below. *)
+  let l = peek t ~src ~dst "usable" in
   match l.state with
   | Closed | Half_open -> true
   | Open { until } ->
@@ -185,27 +208,27 @@ let usable t ~src ~dst ~now =
       else false
 
 let usable_now t ~src ~dst ~now =
-  let l = link t ~src ~dst "usable_now" in
+  let l = peek t ~src ~dst "usable_now" in
   match l.state with
   | Closed | Half_open -> true
   | Open { until } -> now >= until
 
 let circuit t ~src ~dst =
-  let l = link t ~src ~dst "circuit" in
+  let l = peek t ~src ~dst "circuit" in
   match l.state with Closed -> `Closed | Open _ -> `Open | Half_open -> `Half_open
 
 let srtt t ~src ~dst =
-  let l = link t ~src ~dst "srtt" in
+  let l = peek t ~src ~dst "srtt" in
   if l.samples = 0 then None else Some l.srtt
 
 let rttvar t ~src ~dst =
-  let l = link t ~src ~dst "rttvar" in
+  let l = peek t ~src ~dst "rttvar" in
   if l.samples = 0 then None else Some l.rttvar
 
-let samples t ~src ~dst = (link t ~src ~dst "samples").samples
+let samples t ~src ~dst = (peek t ~src ~dst "samples").samples
 
 let quality t ~src ~dst =
-  let l = link t ~src ~dst "quality" in
+  let l = peek t ~src ~dst "quality" in
   if l.samples = 0 || Float.is_nan l.nominal || l.nominal <= 0. then 1.
   else l.srtt /. l.nominal
 

@@ -62,8 +62,11 @@ val v :
     [max_reroutes]. *)
 
 type t
-(** Estimator + breaker state over [n] ranks (per directed link, lazily
-    materialised). *)
+(** Estimator + breaker state over [n] ranks, per directed link.  Only
+    links that {!rto}, {!on_sample}, {!on_timeout} or a {!usable}
+    transition has written are stored, so memory follows the links a
+    session crosses, not [n * n]; every read of an untouched link answers
+    with the defaults without storing it. *)
 
 val create : ?config:config -> n:int -> unit -> t
 (** @raise Invalid_argument if [n < 1] (the config is re-validated). *)

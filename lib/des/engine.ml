@@ -9,6 +9,11 @@ type event = { time : float; seq : int; action : t -> unit; timer : timer }
 and t = {
   mutable heap : event array;  (* [0, size): binary min-heap; the rest: [vacant] *)
   mutable size : int;
+  mutable lane : event array;
+      (* ring of [len] events from [head], sorted; the rest: [vacant].  Its
+         length is a power of two. *)
+  mutable head : int;
+  mutable len : int;
   mutable next_seq : int;
   obs : Sink.t;
   mutable clock : float;
@@ -20,8 +25,9 @@ and t = {
 (* Shared by every plain event: always live, never fired or cancelled. *)
 let no_timer = { live = true; id = -1 }
 
-(* Fills every slot outside the heap, so the queue keeps no reference to
-   an event that has fired — nor to whatever its closure captured. *)
+(* Fills every slot outside the heap and the lane, so the queue keeps no
+   reference to an event that has fired — nor to whatever its closure
+   captured.  It sorts after every real event. *)
 let vacant = { time = infinity; seq = max_int; action = ignore; timer = no_timer }
 
 let initial_capacity = 16
@@ -30,6 +36,9 @@ let create ?(obs = Sink.null) () =
   {
     heap = Array.make initial_capacity vacant;
     size = 0;
+    lane = Array.make initial_capacity vacant;
+    head = 0;
+    len = 0;
     next_seq = 0;
     obs;
     clock = 0.;
@@ -71,7 +80,7 @@ let push t e =
   t.size <- t.size + 1;
   sift_up t.heap e (t.size - 1)
 
-(* Remove and return the earliest event; [t.size > 0]. *)
+(* Remove and return the heap's earliest event; [t.size > 0]. *)
 let pop t =
   let h = t.heap and size = t.size - 1 in
   let top = h.(0) and last = h.(size) in
@@ -80,11 +89,49 @@ let pop t =
   if size > 0 then sift_down h size last 0;
   top
 
+(* The lane is a FIFO of events appended in non-decreasing time.  Their
+   seqs increase too, so it stays sorted by (time, seq) and its head is its
+   earliest event.  An empty lane's head slot is [vacant]. *)
+let lane_head t = t.lane.(t.head)
+
+let lane_last t = t.lane.((t.head + t.len - 1) land (Array.length t.lane - 1))
+
+let append t e =
+  let cap = Array.length t.lane in
+  if t.len = cap then begin
+    let bigger = Array.make (2 * cap) vacant in
+    Array.blit t.lane t.head bigger 0 (cap - t.head);
+    Array.blit t.lane 0 bigger (cap - t.head) t.head;
+    t.lane <- bigger;
+    t.head <- 0
+  end;
+  t.lane.((t.head + t.len) land (Array.length t.lane - 1)) <- e;
+  t.len <- t.len + 1
+
+let pop_lane t =
+  let e = t.lane.(t.head) in
+  t.lane.(t.head) <- vacant;
+  t.head <- (t.head + 1) land (Array.length t.lane - 1);
+  t.len <- t.len - 1;
+  e
+
+(* The earliest queued event: the earlier of the lane's head and the heap's
+   top, or [vacant] when both are empty.  Taking the smaller (time, seq) of
+   the two sorted sources gives the same order one heap of every event
+   would. *)
+let peek t =
+  let l = lane_head t and h = t.heap.(0) in
+  if before l h then l else h
+
+(* Remove the earliest event; the queue is not empty. *)
+let pop_head t = if before (lane_head t) t.heap.(0) then pop_lane t else pop t
+
 let enqueue t ~time action timer =
   if Float.is_nan time then invalid_arg "Engine.schedule: NaN time";
   if time < t.clock then invalid_arg "Engine.schedule: time in the past";
-  push t { time; seq = t.next_seq; action; timer };
-  t.next_seq <- t.next_seq + 1
+  let e = { time; seq = t.next_seq; action; timer } in
+  t.next_seq <- t.next_seq + 1;
+  if t.len = 0 || time >= (lane_last t).time then append t e else push t e
 
 let schedule t ~time action = enqueue t ~time action no_timer
 
@@ -114,17 +161,18 @@ let timer_live timer = timer.live
    invisible to [step]/[run_until] (neither executed, nor allowed to drag
    the clock or the horizon check). *)
 let rec drop_cancelled t =
-  if t.size > 0 && not t.heap.(0).timer.live then begin
-    ignore (pop t : event);
+  let e = peek t in
+  if e != vacant && not e.timer.live then begin
+    ignore (pop_head t : event);
     t.cancelled_pending <- t.cancelled_pending - 1;
     drop_cancelled t
   end
 
 let step t =
   drop_cancelled t;
-  if t.size = 0 then false
+  if peek t == vacant then false
   else begin
-    let e = pop t in
+    let e = pop_head t in
     t.clock <- e.time;
     t.processed <- t.processed + 1;
     if e.timer != no_timer then begin
@@ -140,7 +188,10 @@ let run t = while step t do () done
 
 let run_until t horizon =
   drop_cancelled t;
-  while t.size > 0 && t.heap.(0).time <= horizon do
+  while
+    let e = peek t in
+    e != vacant && e.time <= horizon
+  do
     ignore (step t : bool);
     drop_cancelled t
   done;
@@ -148,18 +199,26 @@ let run_until t horizon =
 
 let pending t =
   drop_cancelled t;
-  t.size - t.cancelled_pending
+  t.size + t.len - t.cancelled_pending
 
 let processed t = t.processed
 
-let capacity t = Array.length t.heap
+let capacity t = Array.length t.heap + Array.length t.lane
 
 let check_invariant t =
   let ok = ref true in
   for i = 1 to t.size - 1 do
     if before t.heap.(i) t.heap.((i - 1) / 2) then ok := false
   done;
-  for i = t.size to Array.length t.heap - 1 do
-    if t.heap.(i) != vacant then ok := false
+  for i = 0 to Array.length t.heap - 1 do
+    if (i < t.size) = (t.heap.(i) == vacant) then ok := false
+  done;
+  let cap = Array.length t.lane in
+  let slot k = t.lane.((t.head + k) land (cap - 1)) in
+  for k = 1 to t.len - 1 do
+    if before (slot k) (slot (k - 1)) then ok := false
+  done;
+  for k = 0 to cap - 1 do
+    if (k < t.len) = (slot k == vacant) then ok := false
   done;
   !ok

@@ -14,10 +14,19 @@
     timers of the reliable executor: the common (ACK received) path cancels
     the timer instead of letting a stale timeout fire.
 
-    Memory: the queue is a binary min-heap of (time, insertion seq)
-    ordered events.  A popped slot is overwritten with a shared vacant
-    record, so a fired event, and all its callback captured, is
-    unreachable from the engine: memory follows the events still queued.
+    Memory: the queue is two arrays of events ordered by (time,
+    insertion seq).  An event goes to the {e lane}, a FIFO ring, when its
+    time is at least that of the lane's last event (or the lane is
+    empty), and to a binary min-heap otherwise.  Lane events are appended
+    in non-decreasing time with increasing seq, so the lane stays sorted,
+    and the next event is the earlier of the lane's head and the heap's
+    top: exactly the order one heap of every event would give, equal-time
+    ties included.  Events scheduled in time order, such as a service's
+    session starts in arrival order, cost O(1) each and stay out of the
+    heap, which then holds only the work in flight.  A popped slot of
+    either array is overwritten with a shared vacant record, so a fired
+    event, and all its callback captured, is unreachable from the engine:
+    memory follows the events still queued.
 
     Observability: pass a {!Gridb_obs.Sink.t} at creation to receive
     [Timer_set]/[Timer_fire]/[Timer_cancel] events.  With the default
@@ -73,9 +82,13 @@ val processed : t -> int
 (** {2 Queue introspection, for tests} *)
 
 val capacity : t -> int
-(** Backing array length: 16, doubled only when full, so at most
-    [max 16 (2 * peak)] for [peak] the most events ever queued at once. *)
+(** Total length of the heap and lane arrays.  Each starts at 16 and is
+    doubled only when full, so the total is at most
+    [2 * max 16 (2 * peak)] for [peak] the most events ever queued at
+    once. *)
 
 val check_invariant : t -> bool
-(** True iff the queued events form a (time, insertion seq) min-heap and
-    every slot past them is vacant (holds no fired event). *)
+(** True iff the heap's events form a (time, insertion seq) min-heap, the
+    lane's events are sorted by (time, insertion seq), and every slot of
+    either array outside its live range is vacant (holds no fired
+    event). *)

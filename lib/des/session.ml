@@ -194,7 +194,6 @@ let result (s : t) =
 type reliable_t = {
   r_n : int;
   r_arr : float array;
-  r_has_msg : bool array;
   r_tx : int ref;
   r_rtx : int ref;
   r_acks : int ref;
@@ -234,10 +233,13 @@ type reliable_t = {
    has: it draws no randomness and never touches the data-path arithmetic,
    and with no faults every retransmission timer is cancelled by its ACK
    before firing — which is why the zero-fault adaptive run stays
-   bit-identical to [launch] too. *)
-let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
-    (config : Config.t) machines plan =
-  Config.validate ~who config machines plan;
+   bit-identical to [launch] too.
+
+   [start] is the session's start event: it builds the per-rank protocol
+   arrays and the handlers, then lets the root forward.  [launch_reliable]
+   allocates only the result state, so a session queued behind a long
+   backlog of others holds no protocol state until it starts. *)
+let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   let {
     Config.noise;
     rng;
@@ -256,15 +258,8 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   } =
     config
   in
-  let n = Machines.count machines in
-  (* Joins extend the rank space above the planning-time population: every
-     per-rank array is sized [ntot], and ranks >= n exist from time 0 as
-     far as the arrays are concerned but only become reachable once their
-     join event fires (the adoption below). *)
-  let joins = match dynamics with Some d -> Dynamics.joins d | None -> [||] in
+  let n = s.r_n and joins = s.r_joins in
   let ntot = n + Array.length joins in
-  if Wire.size wire < ntot then
-    invalid_arg (who ^ ": wire smaller than machine view (joins included)");
   let grid = Machines.grid machines in
   let cluster_of r =
     if r < n then (Machines.machine machines r).Machines.cluster
@@ -313,18 +308,15 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
     match dynamics with None -> f | Some d -> f *. Dynamics.factor d ~src ~dst ~at
   in
   let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
-  let arrival = Array.make ntot nan in
-  let has_msg = Array.make ntot false in
-  let transmissions = ref 0 in
-  let retransmissions = ref 0 in
-  let acks = ref 0 in
-  let gave_up = ref [] in
+  let arrival = s.r_arr in
+  (* Arrival times are never NaN, so a rank holds the message iff its
+     arrival is stamped. *)
+  let has_msg r = not (Float.is_nan arrival.(r)) in
+  let transmissions = s.r_tx and retransmissions = s.r_rtx and acks = s.r_acks in
+  let gave_up = s.r_gave_up in
   let tracing, emit = emitter ~sid ~obs in
-  let est, reroute =
-    match transport with
-    | Fixed -> (None, false)
-    | Adaptive { config; reroute } -> (Some (Adaptive.create ~config ~n:ntot ()), reroute)
-  in
+  let est = s.r_est in
+  let reroute = match transport with Fixed -> false | Adaptive a -> a.reroute in
   let max_reroutes =
     match est with
     | None -> 0
@@ -348,8 +340,8 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   (* Orphans with no delivered alive candidate yet, retried on the next
      delivery: (dst, parent that last failed it). *)
   let pending = ref [] in
-  let reroute_log = ref [] in
-  let circuit_opens = ref 0 in
+  let reroute_log = s.r_reroute_log in
+  let circuit_opens = s.r_circuit_opens in
   (* Noiseless round trip: data gap + data latency + ACK latency.  The RTO
      inflates it by rto_mult and floors it at rto_min; the estimator's
      nominal (the quality denominator SRTT converges to) must stay raw. *)
@@ -385,7 +377,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
              would churn the whole reroute budget in one instant.  Judged at
              the send horizon, doomed parents are no candidates at all and
              the orphan parks until a later delivery provides a live one. *)
-          if p <> dst && has_msg.(p) && halt p > Float.max now (Wire.free_at wire p)
+          if p <> dst && has_msg p && halt p > Float.max now (Wire.free_at wire p)
           then begin
             (* Pure breaker read: scoring must not half-open circuits of
                candidates no probe will cross; the winner's transition is
@@ -426,7 +418,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
          (* The new rank announces itself to its cluster's coordinator and
             is adopted through the ordinary reroute machinery — parked
             until a delivered alive parent exists. *)
-         if not has_msg.(j.Dynamics.rank) then
+         if not (has_msg j.Dynamics.rank) then
            try_reroute
              ~old_parent:(Machines.coordinator machines j.Dynamics.cluster)
              ~dst:j.Dynamics.rank engine
@@ -481,8 +473,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   and data_arrives ~src ~dst engine =
     if dyn_on then dyn_tick engine;
     let now = Engine.now engine in
-    if not has_msg.(dst) then begin
-      has_msg.(dst) <- true;
+    if not (has_msg dst) then begin
       arrival.(dst) <- now;
       Wire.touch wire dst ~now;
       if tracing then emit (Event.Arrival { src; dst; time = now });
@@ -576,7 +567,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
   and orphaned ~old_parent ~dst engine =
     (* A duplicate delivery may already have landed; then there is nothing
        to reroute (the timer is gone either way). *)
-    if not has_msg.(dst) then begin
+    if not (has_msg dst) then begin
       Edges.replace (Lazy.force failed) ((dst * ntot) + old_parent) ();
       try_reroute ~old_parent ~dst engine
     end
@@ -623,7 +614,7 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
         pending := [];
         List.iter
           (fun (dst, old_parent) ->
-            if not has_msg.(dst) then try_reroute ~old_parent ~dst engine)
+            if not (has_msg dst) then try_reroute ~old_parent ~dst engine)
           (List.rev parked)
   and forward rank engine =
     (* A delivered join rank forwards nothing: the plan predates it. *)
@@ -633,39 +624,65 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
           attempt ~src:rank ~dst:child ~try_no:0 ~rto:(initial_rto rank child) engine)
         plan.Plan.children.(rank)
   in
-  Engine.schedule engine ~time:start_delay (fun engine ->
-      let now = Engine.now engine in
-      if halt plan.Plan.root > now then begin
-        has_msg.(plan.Plan.root) <- true;
-        arrival.(plan.Plan.root) <- now;
-        Wire.touch wire plan.Plan.root ~now;
-        if tracing then
-          emit (Event.Arrival { src = plan.Plan.root; dst = plan.Plan.root; time = now });
-        forward plan.Plan.root engine
-      end);
-  {
-    r_n = n;
-    r_arr = arrival;
-    r_has_msg = has_msg;
-    r_tx = transmissions;
-    r_rtx = retransmissions;
-    r_acks = acks;
-    r_gave_up = gave_up;
-    r_reroute_log = reroute_log;
-    r_circuit_opens = circuit_opens;
-    r_est = est;
-    r_faults = faults;
-    r_dynamics = dynamics;
-    r_joins = joins;
-    r_engine = engine;
-  }
+  let now = Engine.now engine in
+  if halt plan.Plan.root > now then begin
+    arrival.(plan.Plan.root) <- now;
+    Wire.touch wire plan.Plan.root ~now;
+    if tracing then
+      emit (Event.Arrival { src = plan.Plan.root; dst = plan.Plan.root; time = now });
+    forward plan.Plan.root engine
+  end
+
+let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
+    (config : Config.t) machines plan =
+  Config.validate ~who config machines plan;
+  let n = Machines.count machines in
+  (* Joins extend the rank space above the planning-time population: every
+     per-rank array is sized [ntot], and ranks >= n exist from time 0 as
+     far as the arrays are concerned but only become reachable once their
+     join event fires (the adoption in [start]). *)
+  let joins =
+    match config.Config.dynamics with Some d -> Dynamics.joins d | None -> [||]
+  in
+  let ntot = n + Array.length joins in
+  if Wire.size wire < ntot then
+    invalid_arg (who ^ ": wire smaller than machine view (joins included)");
+  let est =
+    match config.Config.transport with
+    | Fixed -> None
+    | Adaptive { config; _ } -> Some (Adaptive.create ~config ~n:ntot ())
+  in
+  let s =
+    {
+      r_n = n;
+      r_arr = Array.make ntot nan;
+      r_tx = ref 0;
+      r_rtx = ref 0;
+      r_acks = ref 0;
+      r_gave_up = ref [];
+      r_reroute_log = ref [];
+      r_circuit_opens = ref 0;
+      r_est = est;
+      r_faults = config.Config.faults;
+      r_dynamics = config.Config.dynamics;
+      r_joins = joins;
+      r_engine = engine;
+    }
+  in
+  Engine.schedule engine ~time:config.Config.start_delay
+    (start ~sid ~wire s config machines plan);
+  s
 
 let reliable_result (s : reliable_t) =
-  let makespan =
-    Array.fold_left
-      (fun acc t -> if Float.is_nan t then acc else Float.max acc t)
-      0. s.r_arr
-  in
+  (* A loop, not a fold: folding a float array boxes every element. *)
+  let makespan = ref 0. and delivered = ref 0 in
+  for k = 0 to Array.length s.r_arr - 1 do
+    let t = s.r_arr.(k) in
+    if not (Float.is_nan t) then begin
+      if t > !makespan then makespan := t;
+      incr delivered
+    end
+  done;
   let horizon = Engine.now s.r_engine in
   let n = s.r_n in
   let crashed =
@@ -684,16 +701,13 @@ let reliable_result (s : reliable_t) =
     |> List.filter_map (fun j ->
            if j.Dynamics.at <= horizon then Some j.Dynamics.rank else None)
   in
-  let delivered =
-    Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 s.r_has_msg
-  in
   {
     r_arrival = s.r_arr;
-    r_makespan = makespan;
+    r_makespan = !makespan;
     r_transmissions = !(s.r_tx);
     retransmissions = !(s.r_rtx);
     acks = !(s.r_acks);
-    delivered;
+    delivered = !delivered;
     gave_up = List.rev !(s.r_gave_up);
     crashed;
     left;

@@ -19,6 +19,9 @@
     first event at [config.start_delay] and return a handle; the caller
     runs the engine (once, for all launched sessions) and then extracts
     each session's outcome with [result]/[reliable_result].
+    [launch_reliable] allocates only what the outcome needs; the per-rank
+    protocol state and the handlers are built when the first event fires,
+    so sessions launched far ahead of their start hold little memory.
 
     Observability: sessions publish their full event stream to the
     [config.obs] sink — [Send_start]/[Send_end]/[Arrival] (plus

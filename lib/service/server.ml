@@ -246,14 +246,24 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     Session.Config.v ~rng ~start_delay ~msg:r.Workload.msg ~obs ?faults:fmodel
       ?dynamics:dmodel ?transport ()
   in
-  let launch (r : Workload.request) ~attempt ~start_delay =
-    let k = key_of r in
-    let schedule, _, _ = Hashtbl.find plan_tbl k in
-    let plan = Plan.of_cluster_schedule machines schedule in
+  (* One lowering per distinct schedule: sessions share the lowered plan,
+     which nothing mutates.  A key is lowered again only when the cache
+     hands back another schedule for it (a retry replan after an
+     invalidation). *)
+  let lowered = Hashtbl.create 64 in
+  let lower k schedule =
+    match Hashtbl.find_opt lowered k with
+    | Some (s, plan) when s == schedule -> plan
+    | _ ->
+        let plan = Plan.of_cluster_schedule machines schedule in
+        Hashtbl.replace lowered k (schedule, plan);
+        plan
+  in
+  let launch (r : Workload.request) k schedule ~attempt ~start_delay =
     let config = session_config r ~attempt ~start_delay in
     Session.launch_reliable
       ~sid:((attempt * nreq) + r.Workload.rid)
-      ~who:"Server.run" ~wire ~engine config machines plan
+      ~who:"Server.run" ~wire ~engine config machines (lower k schedule)
   in
   let sheds = ref 0 in
   let shed_by = Array.make nreq 0 in
@@ -292,7 +302,8 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
                        })
                 end;
                 None
-            | Admission.Admit -> Some (launch r ~attempt:0 ~start_delay:r.Workload.at)
+            | Admission.Admit ->
+                Some (launch r k schedule ~attempt:0 ~start_delay:r.Workload.at)
           in
           ((r, (kind :> [ `Hit | `Miss | `Invalidated | `Unplanned ]), plan_us, predicted,
             decision, session)
@@ -405,14 +416,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
                 incr retry_lookups;
                 incr requeues;
                 emit (Event.Retry { rid; attempt; time = retry_at });
-                let plan = Plan.of_cluster_schedule machines schedule in
-                let config = session_config r ~attempt ~start_delay:retry_at in
-                let s =
-                  Session.launch_reliable
-                    ~sid:((attempt * nreq) + rid)
-                    ~who:"Server.run" ~wire ~engine config machines plan
-                in
-                Some (r, s)
+                Some (r, launch r k schedule ~attempt ~start_delay:retry_at)
           end)
         wave
     in

@@ -20,13 +20,15 @@ let length t = t.size
 let is_empty t = t.size = 0
 let clear t = t.size <- 0
 
-(* Strict "a sorts before b" under the heap order; equal scores break
-   towards the smaller id in both orders so drain sequences are fully
-   deterministic. *)
-let before t sa ia sb ib =
+(* Strict "slot i sorts before slot j" under the heap order; equal scores
+   break towards the smaller id in both orders so drain sequences are
+   fully deterministic.  Slots are compared in place: passing their scores
+   as arguments would box two floats per comparison. *)
+let before t i j =
+  let si = t.scores.(i) and sj = t.scores.(j) in
   match t.order with
-  | Min -> sa < sb || (sa = sb && ia < ib)
-  | Max -> sa > sb || (sa = sb && ia < ib)
+  | Min -> si < sj || (si = sj && t.ids.(i) < t.ids.(j))
+  | Max -> si > sj || (si = sj && t.ids.(i) < t.ids.(j))
 
 let grow t =
   let cap = Array.length t.scores in
@@ -49,7 +51,7 @@ let swap t i j =
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if before t t.scores.(i) t.ids.(i) t.scores.(parent) t.ids.(parent) then begin
+    if before t i parent then begin
       swap t i parent;
       sift_up t parent
     end
@@ -58,10 +60,8 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let first = ref i in
-  if l < t.size && before t t.scores.(l) t.ids.(l) t.scores.(!first) t.ids.(!first)
-  then first := l;
-  if r < t.size && before t t.scores.(r) t.ids.(r) t.scores.(!first) t.ids.(!first)
-  then first := r;
+  if l < t.size && before t l !first then first := l;
+  if r < t.size && before t r !first then first := r;
   if !first <> i then begin
     swap t i !first;
     sift_down t !first
@@ -111,8 +111,7 @@ let pop t =
 let check_invariant t =
   let ok = ref true in
   for i = 1 to t.size - 1 do
-    let p = (i - 1) / 2 in
-    if before t t.scores.(i) t.ids.(i) t.scores.(p) t.ids.(p) then ok := false
+    if before t i ((i - 1) / 2) then ok := false
   done;
   !ok
 
@@ -161,10 +160,12 @@ module Bank = struct
     check_row t r "reset";
     t.sizes.(r) <- 0
 
-  let before t sa ia sb ib =
+  (* In place, on absolute slot indices, as [before] above. *)
+  let before t i j =
+    let si = t.scores.(i) and sj = t.scores.(j) in
     match t.order with
-    | Min -> sa < sb || (sa = sb && ia < ib)
-    | Max -> sa > sb || (sa = sb && ia < ib)
+    | Min -> si < sj || (si = sj && t.ids.(i) < t.ids.(j))
+    | Max -> si > sj || (si = sj && t.ids.(i) < t.ids.(j))
 
   let swap t i j =
     let s = t.scores.(i) and d = t.ids.(i) in
@@ -177,13 +178,7 @@ module Bank = struct
   let rec sift_up t base i =
     if i > 0 then begin
       let parent = (i - 1) / 2 in
-      if
-        before t
-          t.scores.(base + i)
-          t.ids.(base + i)
-          t.scores.(base + parent)
-          t.ids.(base + parent)
-      then begin
+      if before t (base + i) (base + parent) then begin
         swap t (base + i) (base + parent);
         sift_up t base parent
       end
@@ -192,22 +187,8 @@ module Bank = struct
   let rec sift_down t base size i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let first = ref i in
-    if
-      l < size
-      && before t
-           t.scores.(base + l)
-           t.ids.(base + l)
-           t.scores.(base + !first)
-           t.ids.(base + !first)
-    then first := l;
-    if
-      r < size
-      && before t
-           t.scores.(base + r)
-           t.ids.(base + r)
-           t.scores.(base + !first)
-           t.ids.(base + !first)
-    then first := r;
+    if l < size && before t (base + l) (base + !first) then first := l;
+    if r < size && before t (base + r) (base + !first) then first := r;
     if !first <> i then begin
       swap t (base + i) (base + !first);
       sift_down t base size !first
@@ -262,14 +243,7 @@ module Bank = struct
     let base = r * t.cap in
     let ok = ref true in
     for i = 1 to t.sizes.(r) - 1 do
-      let p = (i - 1) / 2 in
-      if
-        before t
-          t.scores.(base + i)
-          t.ids.(base + i)
-          t.scores.(base + p)
-          t.ids.(base + p)
-      then ok := false
+      if before t (base + i) (base + ((i - 1) / 2)) then ok := false
     done;
     !ok
 end

@@ -256,6 +256,254 @@ let test_estimated_params_rescale () =
   let un = Adaptive.estimated_params t ~src:1 ~dst:0 nominal in
   check_feq ~eps:0. "no samples, no rescale" (Params.latency nominal) (Params.latency un)
 
+(* --- sparse storage vs a dense reference ---------------------------------- *)
+
+(* The estimator's semantics over a dense [n * n] array of links, every
+   link materialised up front: the reference the sparse table must answer
+   identically to, whichever links an operation sequence touches. *)
+module Dense = struct
+  type circuit = Closed | Open of float | Half_open
+
+  type link = {
+    mutable srtt : float;
+    mutable rttvar : float;
+    mutable nominal : float;
+    mutable fallback_rto : float;
+    mutable strikes : int;
+    mutable state : circuit;
+    mutable samples : int;
+  }
+
+  type t = { c : Adaptive.config; n : int; links : link array }
+
+  let create c n =
+    {
+      c;
+      n;
+      links =
+        Array.init (n * n) (fun _ ->
+            {
+              srtt = nan;
+              rttvar = nan;
+              nominal = nan;
+              fallback_rto = nan;
+              strikes = 0;
+              state = Closed;
+              samples = 0;
+            });
+    }
+
+  let link t src dst = t.links.((src * t.n) + dst)
+  let clamp t x = Float.min t.c.Adaptive.rto_max (Float.max t.c.Adaptive.rto_min x)
+  let raw_rto t l = l.srtt +. (t.c.Adaptive.var_mult *. l.rttvar)
+
+  let rto t src dst ~nominal ~fallback =
+    let l = link t src dst in
+    if Float.is_nan l.nominal then l.nominal <- nominal;
+    if Float.is_nan l.fallback_rto then l.fallback_rto <- fallback;
+    if l.samples = 0 then clamp t fallback else clamp t (raw_rto t l)
+
+  let on_sample t src dst ~rtt ~retransmitted ~now =
+    let l = link t src dst in
+    let c = t.c in
+    let blowup =
+      (not retransmitted) && l.samples > 0 && rtt > c.Adaptive.blowup_factor *. l.srtt
+    in
+    if not retransmitted then begin
+      if l.samples = 0 then begin
+        l.srtt <- rtt;
+        l.rttvar <- rtt /. 2.
+      end
+      else begin
+        l.rttvar <-
+          ((1. -. c.Adaptive.beta) *. l.rttvar)
+          +. (c.Adaptive.beta *. Float.abs (l.srtt -. rtt));
+        l.srtt <- ((1. -. c.Adaptive.alpha) *. l.srtt) +. (c.Adaptive.alpha *. rtt)
+      end;
+      l.samples <- l.samples + 1
+    end;
+    l.strikes <- 0;
+    let was = l.state in
+    if blowup then begin
+      l.state <- Open (now +. (c.Adaptive.cooldown_mult *. clamp t (raw_rto t l)));
+      match was with Open _ -> `No_change | Closed | Half_open -> `Opened
+    end
+    else
+      match was with
+      | Closed -> `No_change
+      | Open _ | Half_open ->
+          l.state <- Closed;
+          `Closed
+
+  let on_timeout t src dst ~now =
+    let l = link t src dst in
+    l.strikes <- l.strikes + 1;
+    let cooldown =
+      let base = if l.samples > 0 then raw_rto t l else l.fallback_rto in
+      let base = if Float.is_nan base then t.c.Adaptive.rto_min else base in
+      t.c.Adaptive.cooldown_mult *. clamp t base
+    in
+    match l.state with
+    | Closed when l.strikes >= t.c.Adaptive.breaker_threshold ->
+        l.state <- Open (now +. cooldown);
+        true
+    | Closed -> false
+    | Open _ | Half_open ->
+        l.state <- Open (now +. cooldown);
+        false
+
+  let usable t src dst ~now =
+    let l = link t src dst in
+    match l.state with
+    | Closed | Half_open -> true
+    | Open until ->
+        if now >= until then begin
+          l.state <- Half_open;
+          true
+        end
+        else false
+
+  let usable_now t src dst ~now =
+    match (link t src dst).state with
+    | Closed | Half_open -> true
+    | Open until -> now >= until
+
+  let circuit t src dst =
+    match (link t src dst).state with
+    | Closed -> `Closed
+    | Open _ -> `Open
+    | Half_open -> `Half_open
+
+  let srtt t src dst =
+    let l = link t src dst in
+    if l.samples = 0 then None else Some l.srtt
+
+  let rttvar t src dst =
+    let l = link t src dst in
+    if l.samples = 0 then None else Some l.rttvar
+
+  let samples t src dst = (link t src dst).samples
+
+  let quality t src dst =
+    let l = link t src dst in
+    if l.samples = 0 || Float.is_nan l.nominal || l.nominal <= 0. then 1.
+    else l.srtt /. l.nominal
+end
+
+type est_op =
+  | Rto of float * float
+  | Sample of float * bool
+  | Timeout
+  | Usable
+  | Usable_now
+  | Circuit
+  | Srtt
+  | Rttvar
+  | Samples
+  | Quality
+  | Params_of
+
+let est_op_gen =
+  QCheck.Gen.(
+    let pos = map (fun x -> 1. +. float_of_int x) (int_bound 400) in
+    let op =
+      frequency
+        [
+          (3, map2 (fun a b -> Rto (a, b)) pos pos);
+          (4, map2 (fun r k -> Sample (r, k)) pos (map (fun x -> x = 0) (int_bound 3)));
+          (3, return Timeout);
+          (2, return Usable);
+          (1, return Usable_now);
+          (1, return Circuit);
+          (1, return Srtt);
+          (1, return Rttvar);
+          (1, return Samples);
+          (1, return Quality);
+          (1, return Params_of);
+        ]
+    in
+    (* (src, dst, clock advance, operation) over 4 ranks *)
+    quad (int_bound 3) (int_bound 3) (int_bound 300) op)
+
+let sparse_matches_dense =
+  QCheck.Test.make ~name:"sparse links answer like a dense reference"
+    ~count:(Testutil.count 300)
+    (QCheck.make QCheck.Gen.(list_size (0 -- 200) est_op_gen))
+    (fun ops ->
+      let n = 4 in
+      let config = Adaptive.v ~breaker_threshold:2 ~blowup_factor:3. () in
+      let sparse = Adaptive.create ~config ~n () in
+      let dense = Dense.create config n in
+      let nominal = Params.linear ~latency:50. ~g0:10. ~bandwidth_mb_s:100. in
+      let now = ref 0. in
+      let same_float a b = Float.equal a b in
+      List.for_all
+        (fun (src, dst, dt, op) ->
+          now := !now +. float_of_int dt;
+          let now = !now in
+          match op with
+          | Rto (nom, fallback) ->
+              same_float
+                (Adaptive.rto sparse ~src ~dst ~nominal:nom ~fallback)
+                (Dense.rto dense src dst ~nominal:nom ~fallback)
+          | Sample (rtt, retransmitted) ->
+              Adaptive.on_sample sparse ~src ~dst ~rtt ~retransmitted ~now
+              = Dense.on_sample dense src dst ~rtt ~retransmitted ~now
+          | Timeout ->
+              Adaptive.on_timeout sparse ~src ~dst ~now
+              = Dense.on_timeout dense src dst ~now
+          | Usable -> Adaptive.usable sparse ~src ~dst ~now = Dense.usable dense src dst ~now
+          | Usable_now ->
+              Adaptive.usable_now sparse ~src ~dst ~now
+              = Dense.usable_now dense src dst ~now
+          | Circuit -> Adaptive.circuit sparse ~src ~dst = Dense.circuit dense src dst
+          | Srtt ->
+              Option.equal same_float (Adaptive.srtt sparse ~src ~dst)
+                (Dense.srtt dense src dst)
+          | Rttvar ->
+              Option.equal same_float (Adaptive.rttvar sparse ~src ~dst)
+                (Dense.rttvar dense src dst)
+          | Samples -> Adaptive.samples sparse ~src ~dst = Dense.samples dense src dst
+          | Quality ->
+              same_float (Adaptive.quality sparse ~src ~dst) (Dense.quality dense src dst)
+          | Params_of ->
+              let q = Dense.quality dense src dst in
+              let p = Adaptive.estimated_params sparse ~src ~dst nominal in
+              let r =
+                if q = 1. then nominal
+                else Params.rescale ~gap_factor:q ~latency_factor:q nominal
+              in
+              same_float (Params.latency p) (Params.latency r)
+              && same_float (Params.gap p 65536) (Params.gap r 65536))
+        ops
+      &&
+      let nominal ~src ~dst = float_of_int (1 + src + (10 * dst)) in
+      Adaptive.estimated_latency_matrix sparse ~nominal
+      = Array.init n (fun i ->
+            Array.init n (fun j ->
+                if i = j then 0. else Dense.quality dense i j *. nominal ~src:i ~dst:j)))
+
+let test_reads_store_nothing () =
+  (* Reads of untouched links answer with the defaults and store nothing:
+     an estimator over 200 ranks stays as small after n² reads as fresh. *)
+  let n = 200 in
+  let t = Adaptive.create ~n () in
+  let fresh_words = Obj.reachable_words (Obj.repr t) in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      ignore (Adaptive.quality t ~src ~dst : float);
+      ignore (Adaptive.circuit t ~src ~dst);
+      ignore (Adaptive.usable t ~src ~dst ~now:0. : bool);
+      ignore (Adaptive.usable_now t ~src ~dst ~now:0. : bool);
+      ignore (Adaptive.srtt t ~src ~dst : float option)
+    done
+  done;
+  Alcotest.(check int) "no link stored by reads" fresh_words
+    (Obj.reachable_words (Obj.repr t));
+  ignore (Adaptive.rto t ~src:0 ~dst:1 ~nominal:50. ~fallback:100. : float);
+  Alcotest.(check bool) "a write stores its link" true
+    (Obj.reachable_words (Obj.repr t) > fresh_words)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "adaptive"
@@ -279,4 +527,9 @@ let () =
           quick "usable_now is pure" test_usable_now_is_pure;
         ] );
       ("estimated params", [ quick "rescale" test_estimated_params_rescale ]);
+      ( "storage",
+        [
+          QCheck_alcotest.to_alcotest sparse_matches_dense;
+          quick "reads store nothing" test_reads_store_nothing;
+        ] );
     ]

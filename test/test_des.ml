@@ -102,21 +102,45 @@ let[@inline never] schedule_capturing e weak =
   Engine.schedule e ~time:1. (fun _ -> ignore (Sys.opaque_identity (Bytes.length block)))
 
 let test_engine_frees_fired_events () =
-  (* Inserted last, the capturing event is the one a pop moves into the
-     root, so a queue that left the moved-from slot filled would keep it. *)
+  (* Heap: the event at 100. fills the lane first, so the later, earlier
+     events go to the heap.  Inserted last, the capturing event is the one
+     a pop moves into the root, so a heap that left the moved-from slot
+     filled would keep it. *)
   let e = Engine.create () in
   let weak = Weak.create 1 in
+  Engine.schedule e ~time:100. (fun _ -> ());
   Engine.schedule e ~time:0.5 (fun _ -> ());
   Engine.schedule e ~time:10. (fun _ -> ());
   schedule_capturing e weak;
   Alcotest.(check bool) "fired the first event" true (Engine.step e);
   Alcotest.(check bool) "fired the capturing event" true (Engine.step e);
   Gc.full_major ();
-  Alcotest.(check bool) "captured block collected" false (Weak.check weak 0);
-  Alcotest.(check int) "later event still queued" 1 (Engine.pending e)
+  Alcotest.(check bool) "captured block collected (heap)" false (Weak.check weak 0);
+  Alcotest.(check int) "later events still queued" 2 (Engine.pending e);
+  Alcotest.(check bool) "invariant (heap)" true (Engine.check_invariant e);
+  (* Lane: events scheduled in time order are appended to the lane; the
+     popped slot must not keep the capturing event. *)
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  schedule_capturing e weak;
+  Engine.schedule e ~time:10. (fun _ -> ());
+  Alcotest.(check bool) "fired the capturing event" true (Engine.step e);
+  Gc.full_major ();
+  Alcotest.(check bool) "captured block collected (lane)" false (Weak.check weak 0);
+  Alcotest.(check int) "later event still queued" 1 (Engine.pending e);
+  Alcotest.(check bool) "invariant (lane)" true (Engine.check_invariant e)
+
+(* The heap and the lane each start at 16 slots and double only when full. *)
+let check_capacity e peak =
+  Alcotest.(check bool)
+    (Printf.sprintf "capacity %d <= 2 * max 16 (2 * peak %d)" (Engine.capacity e) peak)
+    true
+    (Engine.capacity e <= 2 * max 16 (2 * peak));
+  Alcotest.(check bool) "queue invariant" true (Engine.check_invariant e)
 
 let test_engine_capacity_follows_live () =
-  (* One event stays queued throughout, so the queue never empties; each
+  (* Heap churn: one event stays queued throughout in the lane, so the
+     queue never empties and every later event goes to the heap; each
      cycle also arms and cancels a timer, whose slot is dropped later. *)
   let e = Engine.create () in
   Engine.schedule e ~time:infinity (fun _ -> ());
@@ -130,11 +154,22 @@ let test_engine_capacity_follows_live () =
   done;
   Alcotest.(check int) "processed" 100_000 (Engine.processed e);
   Alcotest.(check int) "long-lived event pending" 1 (Engine.pending e);
-  Alcotest.(check bool)
-    (Printf.sprintf "capacity %d <= max 16 (2 * peak %d)" (Engine.capacity e) !peak)
-    true
-    (Engine.capacity e <= max 16 (2 * !peak));
-  Alcotest.(check bool) "heap invariant" true (Engine.check_invariant e)
+  check_capacity e !peak;
+  (* Lane churn: events and cancelled timers arrive in time order, so the
+     lane takes all of them; its head walks around the ring while the
+     number of queued events stays small. *)
+  let e = Engine.create () in
+  let peak = ref 0 in
+  for i = 1 to 100_000 do
+    let t = float_of_int i in
+    Engine.schedule e ~time:t (fun _ -> ());
+    Engine.cancel e (Engine.schedule_timer e ~time:(t +. 0.5) (fun _ -> ()));
+    peak := max !peak (Engine.pending e + 1);
+    ignore (Engine.step e : bool)
+  done;
+  Alcotest.(check int) "processed (lane)" 100_000 (Engine.processed e);
+  Alcotest.(check int) "nothing live (lane)" 0 (Engine.pending e);
+  check_capacity e !peak
 
 (* --- Engine queue ------------------------------------------------------- *)
 
@@ -151,24 +186,54 @@ let test_heap_sorts () =
 
 let test_heap_ties () =
   (* Equal times fire in insertion order, around an earlier event. *)
-  let e = Engine.create () in
-  let log = ref [] in
-  List.iter
-    (fun (t, tag) -> Engine.schedule e ~time:t (fun _ -> log := tag :: !log))
-    [ (1., "a"); (1., "b"); (0., "c"); (1., "d") ];
-  Alcotest.(check int) "4 queued" 4 (Engine.pending e);
-  Engine.run e;
+  let fire events =
+    let e = Engine.create () in
+    let log = ref [] in
+    List.iter
+      (fun (t, tag) -> Engine.schedule e ~time:t (fun _ -> log := tag :: !log))
+      events;
+    Alcotest.(check int) "all queued" (List.length events) (Engine.pending e);
+    Engine.run e;
+    List.rev !log
+  in
   Alcotest.(check (list string)) "earliest first, then insertion order"
-    [ "c"; "a"; "b"; "d" ] (List.rev !log)
+    [ "c"; "a"; "b"; "d" ]
+    (fire [ (1., "a"); (1., "b"); (0., "c"); (1., "d") ]);
+  (* Ties that straddle the lane and the heap: a, b and e go to the lane
+     (each no earlier than the lane's last event), c and d to the heap
+     (earlier than b).  At time 5 the lane's a still fires before the
+     heap's c and d, and at 7 the lane's b and e keep their order. *)
+  Alcotest.(check (list string)) "insertion order across lane and heap"
+    [ "a"; "c"; "d"; "b"; "e" ]
+    (fire [ (5., "a"); (7., "b"); (5., "c"); (5., "d"); (7., "e") ])
 
-type op = Schedule of int | Timer of int | Cancel of int | Step
+(* [Run (d, k)]: [k] events at offsets [d, d + 1, ...] in time order, or
+   all at [d] when [d] is even — appended to the lane whenever [d] is no
+   earlier than its last event, and a source of ties that straddle the
+   lane and the heap.  [Armed d]: a timer cancelled at once, while still
+   queued in whichever array took it. *)
+type op =
+  | Schedule of int
+  | Timer of int
+  | Cancel of int
+  | Step
+  | Run of int * int
+  | Armed of int
 
 let op_gen =
   QCheck.(
     map
-      (fun (k, x) ->
-        match k with 0 -> Schedule x | 1 -> Timer x | 2 -> Cancel x | _ -> Step)
-      (pair (int_bound 4) (int_bound 20)))
+      (fun (k, (x, y)) ->
+        match k with
+        | 0 -> Schedule x
+        | 1 -> Timer x
+        | 2 -> Cancel x
+        | 8 -> Run (x, 1 + (y mod 4))
+        | 9 -> Armed x
+        | _ -> Step)
+      (pair (int_bound 9) (pair (int_bound 20) (int_bound 20))))
+
+let run_offsets d k = List.init k (fun i -> if d mod 2 = 0 then d else d + i)
 
 let test_heap_invariant_random =
   QCheck.Test.make ~name:"heap invariant after random ops" ~count:(Testutil.count 200)
@@ -185,7 +250,14 @@ let test_heap_invariant_random =
               timers := tm :: !timers
           | Cancel i -> (
               match List.nth_opt !timers i with Some tm -> Engine.cancel e tm | None -> ())
-          | Step -> ignore (Engine.step e : bool));
+          | Step -> ignore (Engine.step e : bool)
+          | Run (d, k) ->
+              List.iter
+                (fun d -> Engine.schedule e ~time:(Engine.now e +. float_of_int d) ignore)
+                (run_offsets d k)
+          | Armed d ->
+              Engine.cancel e
+                (Engine.schedule_timer e ~time:(Engine.now e +. float_of_int d) ignore));
           Engine.check_invariant e)
         ops)
 
@@ -213,16 +285,27 @@ let test_heap_differential =
       let live (_, _, tm) =
         match tm with Some tm -> Engine.timer_live tm | None -> true
       in
+      let agrees () =
+        Engine.pending e = List.length (List.filter live !model)
+        && Engine.check_invariant e
+      in
       List.for_all
         (fun op ->
           match op with
           | Schedule d -> add ~timer:false d; true
           | Timer d -> add ~timer:true d; true
+          | Run (d, k) -> List.iter (add ~timer:false) (run_offsets d k); true
+          | Armed d ->
+              add ~timer:true d;
+              (match !model with
+              | (_, _, Some tm) :: _ -> Engine.cancel e tm
+              | _ -> ());
+              agrees ()
           | Cancel i ->
               (match List.nth_opt (List.filter (fun (_, _, tm) -> tm <> None) !model) i with
               | Some (_, _, Some tm) -> Engine.cancel e tm
               | _ -> ());
-              Engine.pending e = List.length (List.filter live !model)
+              agrees ()
           | Step -> (
               let queued =
                 List.filter live !model

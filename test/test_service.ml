@@ -510,6 +510,67 @@ let test_server_zero_chaos_golden () =
   Alcotest.(check (list string)) "smoke lines pinned" zero_chaos_golden
     (Server.smoke_lines report)
 
+(* --- equal-time tie pins ------------------------------------------------ *)
+
+(* MD5 of a Memory sink's stream rendered as JSONL: event order, equal-time
+   ties included, is part of what it pins. *)
+let stream_md5 sink =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Buffer.add_string b (Event.to_json e);
+      Buffer.add_char b '\n')
+    (Sink.events sink);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let served_stream machines requests =
+  let sink = Sink.memory () in
+  ignore (Server.run ~obs:sink machines requests : Server.report);
+  (match I.sessions_start_order (Sink.events sink) with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "start order: %a" I.pp_violation v);
+  stream_md5 sink
+
+let test_server_stream_golden () =
+  let machines, requests = server_fixture () in
+  Alcotest.(check string) "seed-30 fixture stream" "959a8f814530baa25810d06f080e495f"
+    (served_stream machines requests)
+
+(* Request 1 arrives exactly when request 0's broadcast reaches cluster 1's
+   coordinator, which is request 1's root: its start and that delivery are
+   due at the same instant on the same NIC.  The start fires first (it was
+   scheduled before the run), so it takes the NIC first. *)
+let test_server_arrival_tie_golden () =
+  let machines = machines_of_seed 30 in
+  let request rid at root =
+    {
+      Workload.rid;
+      at;
+      root;
+      msg = 65536;
+      policy = "ECEF";
+      deadline = infinity;
+      priority = Workload.Low;
+    }
+  in
+  let first = request 0 1000. 0 in
+  let solo = Server.run machines [ first ] in
+  let arrival (report : Server.report) rid =
+    match report.Server.outcomes.(rid).Server.result with
+    | Some r -> r.Session.r_arrival
+    | None -> Alcotest.failf "request %d not admitted" rid
+  in
+  let coordinator = Machines.coordinator machines 1 in
+  let tie = (arrival solo 0).(coordinator) in
+  let requests = [ first; request 1 tie 1 ] in
+  let report = Server.run machines requests in
+  Alcotest.(check (float 0.)) "request 0 still reaches the coordinator at the tie" tie
+    (arrival report 0).(coordinator);
+  Alcotest.(check (float 0.)) "request 1 starts at the tie" tie
+    (arrival report 1).(coordinator);
+  Alcotest.(check string) "tie stream" "d9cf8e4e61de9cbe80a9a7e7fe800927"
+    (served_stream machines requests)
+
 (* --- resilience: retries, shedding, deadlines --------------------------- *)
 
 let chaotic_mix machines =
@@ -589,6 +650,66 @@ let test_server_retry_recovers_delivery () =
           Alcotest.(check int) "rejected requests launch nothing" 0
             o.Server.attempts)
     retried.Server.outcomes
+
+(* The cache already holds a FlatTree schedule under the request's ECEF
+   key: wave 0 launches the batch-planned ECEF schedule, and the retry
+   launches what the cache returns, lowered afresh — not the plan already
+   lowered for that key. *)
+let test_server_retry_lowers_cached_schedule () =
+  let machines = machines_of_seed 30 in
+  let request =
+    {
+      Workload.rid = 0;
+      at = 0.;
+      root = 0;
+      msg = 65536;
+      policy = "ECEF";
+      deadline = infinity;
+      priority = Workload.Low;
+    }
+  in
+  let key =
+    Plan_cache.key ~fingerprint:(Fingerprint.of_machines machines) ~root:0 ~msg:65536
+      ~policy:"ECEF"
+  in
+  let inst =
+    Instance.of_grid ~root:0 ~msg:key.Plan_cache.bucket (Machines.grid machines)
+  in
+  let plan_of policy =
+    Gridb_des.Plan.of_cluster_schedule machines
+      (Heuristics.run (Option.get (Heuristics.by_name policy)) inst)
+  in
+  let root_children (plan : Gridb_des.Plan.t) =
+    plan.Gridb_des.Plan.children.(plan.Gridb_des.Plan.root)
+  in
+  let cache = Plan_cache.create () in
+  let flat = Heuristics.run (Option.get (Heuristics.by_name "FlatTree")) inst in
+  ignore (Plan_cache.lookup cache key ~compute:(fun () -> flat));
+  Alcotest.(check bool) "the two plans' roots differ" false
+    (root_children (plan_of "ECEF") = root_children (plan_of "FlatTree"));
+  let sink = Sink.memory () in
+  let report =
+    Server.run ~cache ~obs:sink
+      ~faults:(Gridb_des.Faults.v ~loss:0.8 ())
+      ~retry:(Server.retry ~budget:1 ()) machines [ request ]
+  in
+  Alcotest.(check int) "the lossy first attempt is retried" 2
+    report.Server.outcomes.(0).Server.attempts;
+  (* A live root sends a first try to each of its plan children at once. *)
+  let first_sends sid =
+    List.filter_map
+      (fun e ->
+        match (Event.sid e, Event.untag e) with
+        | Some s, Event.Send_start { src; dst; try_no = 0; _ }
+          when s = sid && src = Machines.coordinator machines 0 ->
+            Some dst
+        | _ -> None)
+      (Sink.events sink)
+  in
+  Alcotest.(check (list int)) "wave 0 runs the batch plan"
+    (root_children (plan_of "ECEF")) (first_sends 0);
+  Alcotest.(check (list int)) "the retry runs the cached plan"
+    (root_children (plan_of "FlatTree")) (first_sends 1)
 
 let test_server_shedding_protects_high_priority () =
   let machines, requests = chaotic_fixture ~rate:8e-5 () in
@@ -707,6 +828,24 @@ let test_sessions_nic_serialization_allows_disjoint () =
   | Ok () -> ()
   | Error v -> Alcotest.failf "disjoint injections flagged: %a" I.pp_violation v
 
+let test_sessions_start_order () =
+  let start sid r t = Event.tag ~sid (Event.Arrival { src = r; dst = r; time = t }) in
+  let arrival sid t = Event.tag ~sid (Event.Arrival { src = 0; dst = 1; time = t }) in
+  let ack sid t = Event.tag ~sid (Event.Ack { src = 1; dst = 0; time = t }) in
+  let verdict events =
+    match I.sessions_start_order events with
+    | Ok () -> "ok"
+    | Error v -> v.I.invariant
+  in
+  Alcotest.(check string) "starts first, other starts at the same time" "ok"
+    (verdict [ start 0 0 0.; start 1 2 5.; start 2 3 5.; arrival 0 5.; ack 0 5.; arrival 1 5. ]);
+  Alcotest.(check string) "own handlers and earlier stamps do not count" "ok"
+    (verdict [ start 0 0 0.; ack 1 4.; start 0 0 5. ]);
+  Alcotest.(check string) "another session's arrival before a start" "start-order"
+    (verdict [ start 0 0 0.; arrival 0 5.; start 1 2 5. ]);
+  Alcotest.(check string) "another session's ACK before a start" "start-order"
+    (verdict [ start 0 0 0.; start 1 2 1.; arrival 1 3.; ack 0 5.; start 2 3 5. ])
+
 let test_split_sessions_groups_and_orders () =
   let e t = Event.Arrival { src = 0; dst = 1; time = t } in
   let events =
@@ -799,11 +938,15 @@ let () =
           quick "multi-session invariants hold" test_server_multi_session_invariants;
           quick "out-of-order requests rejected" test_server_rejects_out_of_order;
           quick "zero-chaos smoke output pinned" test_server_zero_chaos_golden;
+          quick "event stream pinned" test_server_stream_golden;
+          quick "arrival-tie event stream pinned" test_server_arrival_tie_golden;
         ] );
       ( "resilience",
         [
           quick "unknown policy rejected per-request" test_server_unknown_policy_rejected_per_request;
           quick "retries recover delivery" test_server_retry_recovers_delivery;
+          quick "retry lowers the schedule the cache returns"
+            test_server_retry_lowers_cached_schedule;
           quick "shedding protects high priority" test_server_shedding_protects_high_priority;
           quick "deadline bookkeeping" test_server_deadline_bookkeeping;
           quick "chaotic smoke lines jobs-invariant" test_server_chaotic_jobs_invariant;
@@ -813,6 +956,7 @@ let () =
           quick "cross-session overlap caught" test_sessions_nic_serialization_catches_overlap;
           quick "disjoint injections pass" test_sessions_nic_serialization_allows_disjoint;
           quick "split_sessions groups by sid" test_split_sessions_groups_and_orders;
+          quick "start order" test_sessions_start_order;
         ] );
       ( "family",
         [
