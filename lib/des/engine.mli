@@ -14,19 +14,32 @@
     timers of the reliable executor: the common (ACK received) path cancels
     the timer instead of letting a stale timeout fire.
 
-    Memory: the queue is two arrays of events ordered by (time,
-    insertion seq).  An event goes to the {e lane}, a FIFO ring, when its
-    time is at least that of the lane's last event (or the lane is
-    empty), and to a binary min-heap otherwise.  Lane events are appended
-    in non-decreasing time with increasing seq, so the lane stays sorted,
-    and the next event is the earlier of the lane's head and the heap's
-    top: exactly the order one heap of every event would give, equal-time
-    ties included.  Events scheduled in time order, such as a service's
-    session starts in arrival order, cost O(1) each and stay out of the
-    heap, which then holds only the work in flight.  A popped slot of
-    either array is overwritten with a shared vacant record, so a fired
-    event, and all its callback captured, is unreachable from the engine:
-    memory follows the events still queued.
+    Memory: a queued event is a {e slot}, one index into parallel arrays
+    of times (unboxed floats), insertion seqs, handlers, [int] payloads
+    and timer handles; a list of free slots, linked through the payload
+    array, recycles them.  The queue
+    itself orders slot indices: a slot goes to the {e lane}, a FIFO ring,
+    when its time is at least that of the lane's last event (or the lane
+    is empty), and to a binary min-heap otherwise.  Lane events are
+    appended in non-decreasing time with increasing seq, so the lane stays
+    sorted, and the next event is the earlier of the lane's head and the
+    heap's top: exactly the order one heap of every event would give,
+    equal-time ties included.  Events scheduled in time order, such as a
+    service's session starts in arrival order, cost O(1) each and stay out
+    of the heap, which then holds only the work in flight.  A sift moves
+    ints and compares unboxed floats, and the clock is a one-cell float
+    array, so the queue allocates nothing per event (its arrays double
+    when full).  A fired
+    slot is cleared at once, so its handler, and all the handler captured,
+    is unreachable from the engine: memory follows the events still
+    queued.
+
+    Events: the allocation-free form is {!schedule_with} — a handler
+    [t -> int -> unit] built once (say, per session) plus an [int]
+    payload naming what the event is about — and its timer variant
+    {!schedule_timer_with}, which allocates only the {!timer} handle.
+    {!schedule} and {!schedule_timer} are thin wrappers that wrap a
+    closure [t -> unit] into a handler, one small block per event.
 
     Observability: pass a {!Gridb_obs.Sink.t} at creation to receive
     [Timer_set]/[Timer_fire]/[Timer_cancel] events.  With the default
@@ -43,6 +56,17 @@ val create : ?obs:Gridb_obs.Sink.t -> unit -> t
 
 val now : t -> float
 (** Current simulation time (us).  0. before the first event. *)
+
+val schedule_with : t -> time:float -> (t -> int -> unit) -> int -> unit
+(** [schedule_with t ~time handler arg] enqueues [handler t arg] at an
+    absolute time.  It is marked for inlining, so where the compiler
+    inlines across modules (not under [-opaque], which dune's dev profile
+    passes) [time] reaches the slot array unboxed.
+    @raise Invalid_argument if [time] is NaN or in the past (< [now t]). *)
+
+val schedule_timer_with : t -> time:float -> (t -> int -> unit) -> int -> timer
+(** Like {!schedule_with}, returning a handle usable with {!cancel}.
+    @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Enqueue a callback at an absolute time.
@@ -82,13 +106,14 @@ val processed : t -> int
 (** {2 Queue introspection, for tests} *)
 
 val capacity : t -> int
-(** Total length of the heap and lane arrays.  Each starts at 16 and is
-    doubled only when full, so the total is at most
-    [2 * max 16 (2 * peak)] for [peak] the most events ever queued at
+(** Number of event slots (the length of each slot array) plus the
+    lengths of the heap and lane arrays.  Each of the three starts at 16
+    and doubles only when full, so the total is at most
+    [3 * max 16 (2 * peak)] for [peak] the most events ever queued at
     once. *)
 
 val check_invariant : t -> bool
-(** True iff the heap's events form a (time, insertion seq) min-heap, the
-    lane's events are sorted by (time, insertion seq), and every slot of
-    either array outside its live range is vacant (holds no fired
-    event). *)
+(** True iff the heap's slots form a (time, insertion seq) min-heap, the
+    lane's slots are sorted by (time, insertion seq), every slot is either
+    queued once (heap or lane) or on the free list once, and every free
+    slot is cleared (holds no handler or timer of a fired event). *)

@@ -107,11 +107,16 @@ let to_string s =
 (* Degradation episodes are generated lazily per link, in start order, from
    the link's private stream: [next_start] is the first episode not yet
    materialised, so a query at time [at] only forces episodes with
-   [start <= at] and later queries (at any time) see the same draws. *)
+   [start <= at] and later queries (at any time) see the same draws.  The
+   [count] episodes materialised so far sit in growable arrays: their
+   starts, ascending, and the running maximum of their stops, so a query
+   is a binary search. *)
 type degrade_stream = {
   drng : Rng.t;
   mutable next_start : float;
-  mutable episodes : (float * float) list;  (* (start, stop), ascending *)
+  mutable count : int;
+  mutable starts : float array;
+  mutable max_stop : float array;  (* [max_stop.(i)]: latest stop of episodes 0..i *)
 }
 
 module Links = Hashtbl.Make (Int)
@@ -194,6 +199,33 @@ let lose t ~src ~dst =
   if t.spec.loss = 0. then false
   else Rng.bernoulli (link_stream t t.loss_streams idx ~offset:0 Fun.id) t.spec.loss
 
+let add_episode s start stop =
+  let cap = Array.length s.starts in
+  if s.count = cap then begin
+    let grow a =
+      let b = Array.make (max 4 (2 * cap)) 0. in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    s.starts <- grow s.starts;
+    s.max_stop <- grow s.max_stop
+  end;
+  let prev = if s.count = 0 then neg_infinity else s.max_stop.(s.count - 1) in
+  s.starts.(s.count) <- start;
+  s.max_stop.(s.count) <- (if stop > prev then stop else prev);
+  s.count <- s.count + 1
+
+(* Index of the last episode with [start <= at], or -1. *)
+let last_start_at_most s at =
+  let rec search lo hi =
+    (* starts.(lo - 1) <= at (or lo = 0), and starts.(hi) > at (or hi = count) *)
+    if lo >= hi then lo - 1
+    else
+      let mid = (lo + hi) / 2 in
+      if s.starts.(mid) <= at then search (mid + 1) hi else search lo mid
+  in
+  search 0 s.count
+
 let slowdown t ~src ~dst ~at =
   let idx = link_index t ~src ~dst "slowdown" in
   if t.spec.degrade_rate = 0. then 1.
@@ -202,16 +234,23 @@ let slowdown t ~src ~dst ~at =
       link_stream t t.degrade_streams idx
         ~offset:(if t.spec.loss > 0. then t.n * t.n else 0)
         (fun drng ->
-          { drng; next_start = Rng.exponential drng t.spec.degrade_rate; episodes = [] })
+          {
+            drng;
+            next_start = Rng.exponential drng t.spec.degrade_rate;
+            count = 0;
+            starts = [||];
+            max_stop = [||];
+          })
     in
     let at = at -. t.t0 in
     while s.next_start <= at do
       let start = s.next_start in
       let stop = start +. Rng.exponential s.drng (1. /. t.spec.degrade_mean) in
-      s.episodes <- s.episodes @ [ (start, stop) ];
+      add_episode s start stop;
       s.next_start <- start +. Rng.exponential s.drng t.spec.degrade_rate
     done;
-    if List.exists (fun (start, stop) -> start <= at && at < stop) s.episodes then
-      t.spec.degrade_factor
-    else 1.
+    (* Some episode covers [at] iff one starting no later than [at] stops
+       after it: the episodes up to the last start <= [at] are a prefix. *)
+    let last = last_start_at_most s at in
+    if last >= 0 && s.max_stop.(last) > at then t.spec.degrade_factor else 1.
   end

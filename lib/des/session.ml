@@ -127,9 +127,9 @@ end
 
 module Edges = Hashtbl.Make (Int)
 
-let intra machines src dst =
-  (Machines.machine machines src).Machines.cluster
-  = (Machines.machine machines dst).Machines.cluster
+(* [Noise.apply] without the draw-free multiply by 1. of [Exact]. *)
+let[@inline] noisy noise rng x =
+  match noise with Noise.Exact -> x | _ -> Noise.apply noise rng x
 
 (* One session's emissions, optionally wrapped in [Event.Tagged] so
    multi-session streams can be attributed per request. *)
@@ -151,19 +151,24 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
   let arrival = Array.make n nan in
   let transmissions = ref 0 in
   let tracing, emit = emitter ~sid ~obs in
+  let cluster r = (Machines.machine machines r).Machines.cluster in
   (* On delivery, a rank enqueues its forwarding list: each send seizes the
      NIC for one (noisy) gap; the child receives a (noisy) latency after the
-     send starts injecting. *)
-  let rec deliver ~src rank engine =
+     send starts injecting.  A delivery's payload is [src * n + rank]. *)
+  let rec deliver engine payload =
+    let src = payload / n and rank = payload mod n in
     let time = Engine.now engine in
     arrival.(rank) <- time;
     Wire.touch wire rank ~now:time;
     if tracing then emit (Event.Arrival { src; dst = rank; time });
-    List.iter
-      (fun child ->
+    send rank plan.Plan.children.(rank) engine
+  and send rank children engine =
+    match children with
+    | [] -> ()
+    | child :: rest ->
         let p = Machines.link_params machines rank child in
-        let g = Noise.apply noise rng (Params.gap p msg) in
-        let l = Noise.apply noise rng (Params.latency p) in
+        let g = noisy noise rng (Params.gap p msg) in
+        let l = noisy noise rng (Params.latency p) in
         let start = Wire.seize wire rank ~gap:g in
         incr transmissions;
         if tracing then begin
@@ -174,17 +179,18 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
                  dst = child;
                  time = start;
                  msg;
-                 intra = intra machines rank child;
+                 intra = cluster rank = cluster child;
                  try_no = 0;
                });
           emit
             (Event.Send_end
                { src = rank; dst = child; time = start +. g; arrival = start +. g +. l })
         end;
-        Engine.schedule engine ~time:(start +. g +. l) (deliver ~src:rank child))
-      plan.Plan.children.(rank)
+        Engine.schedule_with engine ~time:(start +. g +. l) deliver ((rank * n) + child);
+        send rank rest engine
   in
-  Engine.schedule engine ~time:start_delay (deliver ~src:plan.Plan.root plan.Plan.root);
+  let root = plan.Plan.root in
+  Engine.schedule_with engine ~time:start_delay deliver ((root * n) + root);
   { s_arrival = arrival; s_transmissions = transmissions }
 
 let result (s : t) =
@@ -275,30 +281,58 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
       if cs = cd then (Gridb_topology.Grid.cluster grid cs).Gridb_topology.Cluster.intra
       else Gridb_topology.Grid.link grid cs cd
   in
-  (* A rank halts at its fault-model crash or its dynamics departure,
-     whichever comes first; join ranks never halt. *)
-  let halt r =
-    let crash =
-      match faults with Some f when r < n -> Faults.crash_time f r | _ -> infinity
-    in
-    match dynamics with
-    | None -> crash
-    | Some d -> Float.min crash (Dynamics.leave_time d r)
+  (* Gap and latency by cluster pair, [links.(k)] and [links.(k + 1)] for
+     [k = link src dst], filled on first use: a send reads unboxed floats
+     instead of interpolating the gap table and boxing the result.  The
+     table is direct-mapped on [cs * nc + cd] with at most [ntot] entries,
+     so it holds every pair when there are few clusters and stays linear
+     in ranks, not quadratic in clusters, when there are many.  A read
+     must come before the next [link] call, which may evict its entry. *)
+  let nc = Gridb_topology.Grid.size grid in
+  let entries = min (nc * nc) ntot in
+  let pairs = Array.make entries (-1) and links = Array.make (2 * entries) nan in
+  let link src dst =
+    let pair = (cluster_of src * nc) + cluster_of dst in
+    let e = pair mod entries in
+    if pairs.(e) <> pair then begin
+      let p = params_for src dst in
+      links.(2 * e) <- Params.gap p msg;
+      links.((2 * e) + 1) <- Params.latency p;
+      pairs.(e) <- pair
+    end;
+    2 * e
   in
+  (* A rank halts at its fault-model crash or its dynamics departure,
+     whichever comes first; join ranks never crash. *)
+  let halt_at = Array.make ntot infinity in
+  (match faults with
+  | Some f ->
+      for r = 0 to n - 1 do
+        halt_at.(r) <- Faults.crash_time f r
+      done
+  | None -> ());
+  (match dynamics with
+  | Some d ->
+      for r = 0 to ntot - 1 do
+        let leave = Dynamics.leave_time d r in
+        if leave < halt_at.(r) then halt_at.(r) <- leave
+      done
+  | None -> ());
   (* Fault processes are drawn over the planning-time population only; a
      join's fresh links are loss-free, cut-free and undegraded (and
      {!Dynamics.factor} is exactly 1. on them too). *)
   let fresh_link src dst = src >= n || dst >= n in
-  let lose_on src dst =
+  (* Whether a message on [src -> dst] injected at [at] is lost to the
+     fault model: a loss draw, then a cut.  Called only under a fault
+     model, so a fault-free send boxes no [at]. *)
+  let lossy = faults <> None in
+  let faulty src dst ~at =
     match faults with
-    | Some f when not (fresh_link src dst) -> Faults.lose f ~src ~dst
+    | Some f when not (fresh_link src dst) ->
+        Faults.lose f ~src ~dst || not (Faults.link_up f ~src ~dst ~at)
     | _ -> false
   in
-  let link_up src dst ~at =
-    match faults with
-    | Some f when not (fresh_link src dst) -> Faults.link_up f ~src ~dst ~at
-    | _ -> true
-  in
+  let slows = faults <> None || dynamics <> None in
   let slowdown src dst ~at =
     let f =
       match faults with
@@ -326,13 +360,18 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   in
   (* Per-edge protocol state, indexed by the child (each non-root rank has a
      unique parent in the plan; under reroute the parent can change, but a
-     child still has at most one live edge at a time). *)
+     child still has at most one live edge, and so one live timer, at a
+     time: [timeout] checks it). *)
   let acked = Array.make ntot false in
   let timers = Array.make ntot None in
   let cur_parent = Array.make ntot (-1) in
   let cur_try = Array.make ntot 0 in
+  let cur_rto = Array.make ntot nan in
   let last_start = Array.make ntot nan in
   let reroutes_used = Array.make ntot 0 in
+  (* The RTO an attempt arms, computed before the sender's halt check as
+     the estimator's reads must be; one cell, so it is never boxed. *)
+  let next_rto = [| nan |] in
   (* Reroute edges that already failed an orphan, keyed dst * ntot +
      parent: only orphans touch it, so a session that never reroutes never
      builds it. *)
@@ -342,23 +381,6 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   let pending = ref [] in
   let reroute_log = s.r_reroute_log in
   let circuit_opens = s.r_circuit_opens in
-  (* Noiseless round trip: data gap + data latency + ACK latency.  The RTO
-     inflates it by rto_mult and floors it at rto_min; the estimator's
-     nominal (the quality denominator SRTT converges to) must stay raw. *)
-  let model_round_trip src dst =
-    let p = params_for src dst in
-    let pb = params_for dst src in
-    Params.gap p msg +. Params.latency p +. Params.latency pb
-  in
-  let model_rto src dst = Float.max rto_min (rto_mult *. model_round_trip src dst) in
-  let initial_rto src dst =
-    let fallback = model_rto src dst in
-    match est with
-    | None -> fallback
-    | Some est ->
-        Adaptive.rto est ~src ~dst ~nominal:(model_round_trip src dst) ~fallback
-  in
-  let backoff rto = Float.min rto_max (2. *. rto) in
   (* Best already-delivered alive parent for an orphan, by the ECEF arrival
      score over live-estimated link quality; candidates whose circuit to
      [dst] is open (or that already failed this orphan) only as a last
@@ -377,7 +399,7 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
              would churn the whole reroute budget in one instant.  Judged at
              the send horizon, doomed parents are no candidates at all and
              the orphan parks until a later delivery provides a live one. *)
-          if p <> dst && has_msg p && halt p > Float.max now (Wire.free_at wire p)
+          if p <> dst && has_msg p && halt_at.(p) > Float.max now (Wire.free_at wire p)
           then begin
             (* Pure breaker read: scoring must not half-open circuits of
                candidates no probe will cross; the winner's transition is
@@ -409,6 +431,10 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   let next_join = ref 0 in
   let next_tick = ref (if tick_every > 0. then start_delay +. tick_every else infinity) in
   let dyn_on = Array.length joins > 0 || tick_every > 0. in
+  (* The three protocol events are engine payload events on handlers of
+     this set: [data_arrives] and [ack_arrives] carry the edge as
+     [src * ntot + dst], [timeout] carries [(try_no * ntot + src) * ntot +
+     dst] and reads its RTO from [cur_rto].  No send allocates a closure. *)
   let rec dyn_tick engine =
     let now = Engine.now engine in
     (if reroute then
@@ -429,19 +455,44 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
       done;
       on_tick ~now est
     end
-  and attempt ~src ~dst ~try_no ~rto engine =
+  (* Try 0's RTO: the noiseless round trip (data gap + data latency + ACK
+     latency) inflated by rto_mult and floored at rto_min, or the
+     estimator's, which keeps the raw round trip as its nominal. *)
+  and initial_rto src dst =
+    let k = link src dst in
+    let there = links.(k) +. links.(k + 1) in
+    let kb = link dst src in
+    let round_trip = there +. links.(kb + 1) in
+    let inflated = rto_mult *. round_trip in
+    (* [Float.max rto_min inflated], NaN included, without boxing. *)
+    let fallback =
+      if inflated > rto_min || Float.is_nan inflated then inflated else rto_min
+    in
+    match est with
+    | None -> next_rto.(0) <- fallback
+    | Some est ->
+        next_rto.(0) <- Adaptive.rto est ~src ~dst ~nominal:round_trip ~fallback
+  (* Every timeout doubles the RTO, capped at rto_max ([Float.min rto_max],
+     NaN included). *)
+  and backoff dst =
+    let doubled = 2. *. cur_rto.(dst) in
+    next_rto.(0) <- (if doubled < rto_max || Float.is_nan doubled then doubled else rto_max)
+  and attempt src dst try_no engine =
+    if try_no = 0 then initial_rto src dst else backoff dst;
     let now = Engine.now engine in
-    let start = Float.max now (Wire.free_at wire src) in
+    let free = Wire.free_at wire src in
+    let start = if free > now then free else now in
     (* A halted sender transmits nothing more; its pending edges die here
        (under reroute the child becomes an orphan instead). *)
-    if halt src > start then begin
+    if halt_at.(src) > start then begin
       cur_parent.(dst) <- src;
       cur_try.(dst) <- try_no;
+      cur_rto.(dst) <- next_rto.(0);
       last_start.(dst) <- start;
-      let p = params_for src dst in
-      let d = slowdown src dst ~at:start in
-      let g = Noise.apply noise rng (Params.gap p msg) *. d in
-      let l = Noise.apply noise rng (Params.latency p) *. d in
+      let k = link src dst in
+      let d = if slows then slowdown src dst ~at:start else 1. in
+      let g = noisy noise rng links.(k) *. d in
+      let l = noisy noise rng links.(k + 1) *. d in
       Wire.occupy wire src ~start ~gap:g;
       incr transmissions;
       if try_no > 0 then incr retransmissions;
@@ -459,18 +510,20 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
              });
         emit (Event.Send_end { src; dst; time = start +. g; arrival = arr })
       end;
-      let lost =
-        lose_on src dst || (not (link_up src dst ~at:start)) || halt dst <= arr
-      in
-      if not lost then Engine.schedule engine ~time:arr (data_arrives ~src ~dst);
+      let lost = (lossy && faulty src dst ~at:start) || halt_at.(dst) <= arr in
+      let edge = (src * ntot) + dst in
+      if not lost then Engine.schedule_with engine ~time:arr data_arrives edge;
       let tm =
-        Engine.schedule_timer engine ~time:(start +. g +. rto)
-          (timeout ~src ~dst ~try_no ~rto)
+        Engine.schedule_timer_with engine
+          ~time:(start +. g +. cur_rto.(dst))
+          timeout
+          ((try_no * ntot * ntot) + edge)
       in
       timers.(dst) <- Some tm
     end
     else if reroute then orphaned ~old_parent:src ~dst engine
-  and data_arrives ~src ~dst engine =
+  and data_arrives engine edge =
+    let src = edge / ntot and dst = edge mod ntot in
     if dyn_on then dyn_tick engine;
     let now = Engine.now engine in
     if not (has_msg dst) then begin
@@ -484,15 +537,13 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
        reverse link is) but does not seize the receiver's NIC, so the ACK
        never perturbs data timing.  Duplicated deliveries are re-ACKed so a
        sender that lost an ACK eventually stops retransmitting. *)
-    let pb = params_for dst src in
-    let l_back = Noise.apply noise rng (Params.latency pb) *. slowdown dst src ~at:now in
-    let ack_at = now +. l_back in
-    let ack_lost =
-      lose_on dst src || (not (link_up dst src ~at:now)) || halt src <= ack_at
-    in
-    if not ack_lost then
-      Engine.schedule engine ~time:ack_at (ack_arrives ~parent:src ~child:dst)
-  and ack_arrives ~parent ~child engine =
+    let kb = link dst src in
+    let d = if slows then slowdown dst src ~at:now else 1. in
+    let ack_at = now +. (noisy noise rng links.(kb + 1) *. d) in
+    let ack_lost = (lossy && faulty dst src ~at:now) || halt_at.(src) <= ack_at in
+    if not ack_lost then Engine.schedule_with engine ~time:ack_at ack_arrives edge
+  and ack_arrives engine edge =
+    let parent = edge / ntot and child = edge mod ntot in
     if dyn_on then dyn_tick engine;
     incr acks;
     let now = Engine.now engine in
@@ -529,12 +580,21 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
           timers.(child) <- None
       | None -> ()
     end
-  and timeout ~src ~dst ~try_no ~rto engine =
+  and timeout engine payload =
+    let dst = payload mod ntot and src = payload / ntot mod ntot in
+    let try_no = payload / (ntot * ntot) in
+    (* One live timer per destination: the edge that armed this one is
+       still the destination's current edge, so [cur_rto] is its RTO. *)
+    if src <> cur_parent.(dst) || try_no <> cur_try.(dst) then
+      failwith
+        (Printf.sprintf
+           "Session: timeout of edge %d->%d try %d, but the live edge is %d->%d try %d"
+           src dst try_no cur_parent.(dst) dst cur_try.(dst));
     if dyn_on then dyn_tick engine;
     timers.(dst) <- None;
     if not acked.(dst) then begin
       let now = Engine.now engine in
-      if halt src <= now then begin
+      if halt_at.(src) <= now then begin
         if reroute then orphaned ~old_parent:src ~dst engine
       end
       else begin
@@ -556,11 +616,13 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
           if tracing then emit (Event.Give_up { src; dst; time = now })
         end
         else begin
-          let rto' = backoff rto in
-          if tracing then
+          if tracing then begin
+            backoff dst;
             emit
-              (Event.Retransmit { src; dst; time = now; try_no = try_no + 1; rto = rto' });
-          attempt ~src ~dst ~try_no:(try_no + 1) ~rto:rto' engine
+              (Event.Retransmit
+                 { src; dst; time = now; try_no = try_no + 1; rto = next_rto.(0) })
+          end;
+          attempt src dst (try_no + 1) engine
         end
       end
     end
@@ -577,7 +639,7 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
       (* A halted destination can never deliver (burning the reroute budget
          on it would only inflate the sweep); past the budget the orphan is
          abandoned for good. *)
-      halt dst <= now || reroutes_used.(dst) >= max_reroutes
+      halt_at.(dst) <= now || reroutes_used.(dst) >= max_reroutes
     in
     if lost then begin
       gave_up := (old_parent, dst) :: !gave_up;
@@ -603,7 +665,7 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
           reroute_log := (dst, old_parent, p) :: !reroute_log;
           if tracing then
             emit (Event.Reroute { dst; old_parent; new_parent = p; time = now });
-          attempt ~src:p ~dst ~try_no:0 ~rto:(initial_rto p dst) engine
+          attempt p dst 0 engine
       | None ->
           if not (List.exists (fun (d, _) -> d = dst) !pending) then
             pending := (dst, old_parent) :: !pending
@@ -618,14 +680,16 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
           (List.rev parked)
   and forward rank engine =
     (* A delivered join rank forwards nothing: the plan predates it. *)
-    if rank < n then
-      List.iter
-        (fun child ->
-          attempt ~src:rank ~dst:child ~try_no:0 ~rto:(initial_rto rank child) engine)
-        plan.Plan.children.(rank)
+    if rank < n then forward_to rank plan.Plan.children.(rank) engine
+  and forward_to rank children engine =
+    match children with
+    | [] -> ()
+    | child :: rest ->
+        attempt rank child 0 engine;
+        forward_to rank rest engine
   in
   let now = Engine.now engine in
-  if halt plan.Plan.root > now then begin
+  if halt_at.(plan.Plan.root) > now then begin
     arrival.(plan.Plan.root) <- now;
     Wire.touch wire plan.Plan.root ~now;
     if tracing then
@@ -669,8 +733,9 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
       r_engine = engine;
     }
   in
-  Engine.schedule engine ~time:config.Config.start_delay
-    (start ~sid ~wire s config machines plan);
+  Engine.schedule_with engine ~time:config.Config.start_delay
+    (fun engine _ -> start ~sid ~wire s config machines plan engine)
+    0;
   s
 
 let reliable_result (s : reliable_t) =

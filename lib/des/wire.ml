@@ -7,8 +7,9 @@ let create ~n =
 let size t = Array.length t.nic_free
 let free_at t rank = t.nic_free.(rank)
 
-let touch t rank ~now =
-  t.nic_free.(rank) <- Float.max t.nic_free.(rank) now
+(* Times are never NaN, so a comparison stands in for [Float.max], which
+   would box its arguments. *)
+let touch t rank ~now = if now > t.nic_free.(rank) then t.nic_free.(rank) <- now
 
 let seize t rank ~gap =
   let start = t.nic_free.(rank) in

@@ -17,7 +17,8 @@ val v :
   ?os:Piecewise.t -> ?or_:Piecewise.t -> latency:float -> gap:Piecewise.t -> unit -> t
 (** Builds a parameter set.  When omitted, [os] and [or_] default to
     [Piecewise.scale overhead_fraction gap] with {!overhead_fraction}.
-    @raise Invalid_argument if [latency < 0.]. *)
+    @raise Invalid_argument if [latency] or a value of the [gap], [os] or
+    [or_] table is NaN, infinite or negative. *)
 
 val overhead_fraction : float
 (** Fraction of the gap attributed to CPU overhead when no measured overhead
@@ -26,7 +27,8 @@ val overhead_fraction : float
 val linear : latency:float -> g0:float -> bandwidth_mb_s:float -> t
 (** Closed-form convenience: gap(m) = g0 + m / bandwidth.  [bandwidth_mb_s]
     is in decimal MB/s (1 MB/s = 1 byte/us exactly in this codebase's units).
-    @raise Invalid_argument if [g0 < 0.] or [bandwidth_mb_s <= 0.]. *)
+    @raise Invalid_argument if [latency] or [g0] is NaN, infinite or
+    negative, or [bandwidth_mb_s] is NaN, infinite or [<= 0.]. *)
 
 val latency : t -> float
 val gap : t -> int -> float
@@ -47,7 +49,8 @@ val rtt : t -> int -> float
 
 val scale_noise : factor:float -> t -> t
 (** Multiplies latency and all tables by [factor] (>0) — used by the DES
-    noise models.  @raise Invalid_argument if [factor <= 0.]. *)
+    noise models.  @raise Invalid_argument if [factor] is NaN, infinite or
+    [<= 0.]. *)
 
 val rescale : ?gap_factor:float -> ?latency_factor:float -> t -> t
 (** Anisotropic variant of {!scale_noise}: gap (and the overhead tables
@@ -55,7 +58,7 @@ val rescale : ?gap_factor:float -> ?latency_factor:float -> t -> t
     adaptive transport ({!Gridb_des.Adaptive}) turns a nominal parameter
     set plus an observed round-trip ratio into an {e estimated} one.
     Both factors default to 1.  @raise Invalid_argument if either factor
-    is non-positive. *)
+    is NaN, infinite or non-positive. *)
 
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

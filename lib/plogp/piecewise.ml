@@ -3,7 +3,10 @@ type t = { sizes : int array; values : float array }
 let of_points pts =
   if pts = [] then invalid_arg "Piecewise.of_points: empty list";
   List.iter
-    (fun (s, _) -> if s < 0 then invalid_arg "Piecewise.of_points: negative size")
+    (fun (s, v) ->
+      if s < 0 then invalid_arg "Piecewise.of_points: negative size";
+      if not (Float.is_finite v) then invalid_arg "Piecewise.of_points: non-finite value";
+      if v < 0. then invalid_arg "Piecewise.of_points: negative value")
     pts;
   let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) pts in
   (* Keep the last value for duplicated sizes. *)

@@ -11,7 +11,8 @@ type t
 val of_points : (int * float) list -> t
 (** Builds from (size, value) samples.  Points are sorted; duplicate sizes
     keep the last value.
-    @raise Invalid_argument on an empty list or a negative size. *)
+    @raise Invalid_argument on an empty list, a negative size, or a
+    value that is NaN, infinite or negative. *)
 
 val linear : intercept:float -> slope:float -> t
 (** The closed form [fun m -> intercept +. slope *. m] as a two-point table

@@ -42,12 +42,18 @@ let parse_gap_points s =
              | _ -> raise (Parse_error ("bad gap point " ^ pair)))
          | _ -> raise (Parse_error ("bad gap point " ^ pair)))
 
-let parse_params = function
+(* NaN, infinite and negative values are rejected by [Params.v] and
+   [Piecewise.of_points]; their [Invalid_argument] becomes a parse error
+   naming the line. *)
+let parse_params ln = function
   | "L" :: lat :: "G" :: gap :: [] -> (
       match float_of_string_opt lat with
-      | None -> raise (Parse_error ("bad latency " ^ lat))
-      | Some latency ->
-          Params.v ~latency ~gap:(Piecewise.of_points (parse_gap_points gap)) ())
+      | None -> raise (Parse_error (Printf.sprintf "line %d: bad latency %s" ln lat))
+      | Some latency -> (
+          let gap = parse_gap_points gap in
+          try Params.v ~latency ~gap:(Piecewise.of_points gap) ()
+          with Invalid_argument reason ->
+            raise (Parse_error (Printf.sprintf "line %d: %s" ln reason))))
   | toks -> raise (Parse_error ("bad parameter list: " ^ String.concat " " toks))
 
 let of_string text =
@@ -78,15 +84,15 @@ let of_string text =
             match toks with
             | "cluster" :: id :: name :: size :: params -> (
                 match (int_of_string_opt id, int_of_string_opt size) with
-                | Some id, Some size when id >= 0 && id < n ->
-                    let intra = parse_params params in
+                | Some id, Some size when id >= 0 && id < n && size >= 1 ->
+                    let intra = parse_params ln params in
                     clusters.(id) <- Some (Cluster.v ~id ~name ~size ~intra)
                 | _ ->
                     raise (Parse_error (Printf.sprintf "line %d: bad cluster header" ln)))
             | "link" :: i :: j :: params -> (
                 match (int_of_string_opt i, int_of_string_opt j) with
                 | Some i, Some j when i >= 0 && i < n && j >= 0 && j < n && i <> j ->
-                    links.(i).(j) <- Some (parse_params params)
+                    links.(i).(j) <- Some (parse_params ln params)
                 | _ -> raise (Parse_error (Printf.sprintf "line %d: bad link header" ln)))
             | _ -> raise (Parse_error (Printf.sprintf "line %d: unknown directive" ln)))
           rest;

@@ -17,7 +17,9 @@
 
 val to_string : Grid.t -> string
 val of_string : string -> (Grid.t, string) result
-(** Parse failure yields [Error reason] with a line number. *)
+(** Parse failure yields [Error reason] with a line number.  A latency or
+    gap value that is NaN, infinite or negative, and a negative message
+    size, are parse failures too. *)
 
 val save : string -> Grid.t -> unit
 (** Write to a file.  @raise Sys_error on IO failure. *)

@@ -92,16 +92,29 @@ let test_engine_rejects_nan () =
       ignore (Engine.schedule_timer e ~time:nan (fun _ -> ())));
   Alcotest.check_raises "schedule_after" nan_time (fun () ->
       Engine.schedule_after e ~delay:nan (fun _ -> ()));
+  Alcotest.check_raises "schedule_with" nan_time (fun () ->
+      Engine.schedule_with e ~time:nan (fun _ _ -> ()) 0);
+  Alcotest.check_raises "schedule_timer_with" nan_time (fun () ->
+      ignore (Engine.schedule_timer_with e ~time:nan (fun _ _ -> ()) 0));
   Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
 
 (* The block lives only in the closure of an event that fires while a
-   later event is still queued; once fired, the engine must not keep it. *)
+   later event is still queued; once fired, the engine must not keep it.
+   One form wraps a closure ([Engine.schedule]); the other is a payload
+   event whose handler captured the block. *)
 let[@inline never] schedule_capturing e weak =
   let block = Bytes.make 64 'x' in
   Weak.set weak 0 (Some block);
   Engine.schedule e ~time:1. (fun _ -> ignore (Sys.opaque_identity (Bytes.length block)))
 
-let test_engine_frees_fired_events () =
+let[@inline never] schedule_capturing_handler e weak =
+  let block = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some block);
+  Engine.schedule_with e ~time:1.
+    (fun _ k -> ignore (Sys.opaque_identity (Bytes.length block + k)))
+    7
+
+let check_frees_fired schedule_capturing form =
   (* Heap: the event at 100. fills the lane first, so the later, earlier
      events go to the heap.  Inserted last, the capturing event is the one
      a pop moves into the root, so a heap that left the moved-from slot
@@ -115,7 +128,8 @@ let test_engine_frees_fired_events () =
   Alcotest.(check bool) "fired the first event" true (Engine.step e);
   Alcotest.(check bool) "fired the capturing event" true (Engine.step e);
   Gc.full_major ();
-  Alcotest.(check bool) "captured block collected (heap)" false (Weak.check weak 0);
+  Alcotest.(check bool) ("captured block collected (heap, " ^ form ^ ")") false
+    (Weak.check weak 0);
   Alcotest.(check int) "later events still queued" 2 (Engine.pending e);
   Alcotest.(check bool) "invariant (heap)" true (Engine.check_invariant e);
   (* Lane: events scheduled in time order are appended to the lane; the
@@ -126,16 +140,22 @@ let test_engine_frees_fired_events () =
   Engine.schedule e ~time:10. (fun _ -> ());
   Alcotest.(check bool) "fired the capturing event" true (Engine.step e);
   Gc.full_major ();
-  Alcotest.(check bool) "captured block collected (lane)" false (Weak.check weak 0);
+  Alcotest.(check bool) ("captured block collected (lane, " ^ form ^ ")") false
+    (Weak.check weak 0);
   Alcotest.(check int) "later event still queued" 1 (Engine.pending e);
   Alcotest.(check bool) "invariant (lane)" true (Engine.check_invariant e)
 
-(* The heap and the lane each start at 16 slots and double only when full. *)
+let test_engine_frees_fired_events () =
+  check_frees_fired schedule_capturing "closure";
+  check_frees_fired schedule_capturing_handler "payload"
+
+(* The slot arrays, the heap and the lane each start at 16 entries and
+   double only when full. *)
 let check_capacity e peak =
   Alcotest.(check bool)
-    (Printf.sprintf "capacity %d <= 2 * max 16 (2 * peak %d)" (Engine.capacity e) peak)
+    (Printf.sprintf "capacity %d <= 3 * max 16 (2 * peak %d)" (Engine.capacity e) peak)
     true
-    (Engine.capacity e <= 2 * max 16 (2 * peak));
+    (Engine.capacity e <= 3 * max 16 (2 * peak));
   Alcotest.(check bool) "queue invariant" true (Engine.check_invariant e)
 
 let test_engine_capacity_follows_live () =
@@ -211,27 +231,42 @@ let test_heap_ties () =
    all at [d] when [d] is even — appended to the lane whenever [d] is no
    earlier than its last event, and a source of ties that straddle the
    lane and the heap.  [Armed d]: a timer cancelled at once, while still
-   queued in whichever array took it. *)
+   queued in whichever array took it.  Each event is queued in one of the
+   two forms: a closure ([schedule]/[schedule_timer]) or a handler with an
+   int payload ([schedule_with]/[schedule_timer_with]). *)
+type form = Closure | Payload
+
 type op =
-  | Schedule of int
-  | Timer of int
+  | Schedule of form * int
+  | Timer of form * int
   | Cancel of int
   | Step
-  | Run of int * int
-  | Armed of int
+  | Run of form * int * int
+  | Armed of form * int
 
 let op_gen =
   QCheck.(
     map
-      (fun (k, (x, y)) ->
+      (fun (k, (x, (y, payload))) ->
+        let f = if payload then Payload else Closure in
         match k with
-        | 0 -> Schedule x
-        | 1 -> Timer x
+        | 0 -> Schedule (f, x)
+        | 1 -> Timer (f, x)
         | 2 -> Cancel x
-        | 8 -> Run (x, 1 + (y mod 4))
-        | 9 -> Armed x
+        | 8 -> Run (f, x, 1 + (y mod 4))
+        | 9 -> Armed (f, x)
         | _ -> Step)
-      (pair (int_bound 9) (pair (int_bound 20) (int_bound 20))))
+      (pair (int_bound 9) (pair (int_bound 20) (pair (int_bound 20) bool))))
+
+let plain form e ~time handler id =
+  match form with
+  | Closure -> Engine.schedule e ~time (fun e -> handler e id)
+  | Payload -> Engine.schedule_with e ~time handler id
+
+let timer form e ~time handler id =
+  match form with
+  | Closure -> Engine.schedule_timer e ~time (fun e -> handler e id)
+  | Payload -> Engine.schedule_timer_with e ~time handler id
 
 let run_offsets d k = List.init k (fun i -> if d mod 2 = 0 then d else d + i)
 
@@ -241,46 +276,54 @@ let test_heap_invariant_random =
     (fun ops ->
       let e = Engine.create () in
       let timers = ref [] in
+      let at d = Engine.now e +. float_of_int d in
+      let handler _ (_ : int) = () in
       List.for_all
         (fun op ->
           (match op with
-          | Schedule d -> Engine.schedule e ~time:(Engine.now e +. float_of_int d) ignore
-          | Timer d ->
-              let tm = Engine.schedule_timer e ~time:(Engine.now e +. float_of_int d) ignore in
-              timers := tm :: !timers
+          | Schedule (f, d) -> plain f e ~time:(at d) handler 0
+          | Timer (f, d) -> timers := timer f e ~time:(at d) handler 0 :: !timers
           | Cancel i -> (
               match List.nth_opt !timers i with Some tm -> Engine.cancel e tm | None -> ())
           | Step -> ignore (Engine.step e : bool)
-          | Run (d, k) ->
-              List.iter
-                (fun d -> Engine.schedule e ~time:(Engine.now e +. float_of_int d) ignore)
-                (run_offsets d k)
-          | Armed d ->
-              Engine.cancel e
-                (Engine.schedule_timer e ~time:(Engine.now e +. float_of_int d) ignore));
+          | Run (f, d, k) -> List.iter (fun d -> plain f e ~time:(at d) handler 0) (run_offsets d k)
+          | Armed (f, d) -> Engine.cancel e (timer f e ~time:(at d) handler 0));
           Engine.check_invariant e)
         ops)
 
 (* Random schedule/timer/cancel/step sequences against a stable model: a
    list of (time, insertion seq) entries from which [step] must fire the
-   least live one.  Offsets in [0, 20] make equal times common. *)
+   least live one.  Offsets in [0, 20] make equal times common.  Closure
+   and payload events share the queue, freed slots are taken again by
+   later events, and a cancelled timer's handler must never run. *)
 let test_heap_differential =
   QCheck.Test.make ~name:"binary heap vs stable reference model" ~count:(Testutil.count 300)
     QCheck.(list op_gen)
     (fun ops ->
       let e = Engine.create () in
       let fired = ref (-1) in
+      let cancelled = Hashtbl.create 16 and cancelled_fired = ref false in
+      let handler _ id =
+        if Hashtbl.mem cancelled id then cancelled_fired := true;
+        fired := id
+      in
       (* (time, insertion seq, timer handle for cancellable events) *)
       let model = ref [] and seq = ref 0 in
-      let add ~timer d =
+      let add ~timer:is_timer f d =
         let time = Engine.now e +. float_of_int d and id = !seq in
         incr seq;
-        let action _ = fired := id in
         let tm =
-          if timer then Some (Engine.schedule_timer e ~time action)
-          else (Engine.schedule e ~time action; None)
+          if is_timer then Some (timer f e ~time handler id)
+          else (plain f e ~time handler id; None)
         in
         model := (time, id, tm) :: !model
+      in
+      let cancel (_, id, tm) =
+        match tm with
+        | Some tm ->
+            if Engine.timer_live tm then Hashtbl.replace cancelled id ();
+            Engine.cancel e tm
+        | None -> ()
       in
       let live (_, _, tm) =
         match tm with Some tm -> Engine.timer_live tm | None -> true
@@ -292,19 +335,17 @@ let test_heap_differential =
       List.for_all
         (fun op ->
           match op with
-          | Schedule d -> add ~timer:false d; true
-          | Timer d -> add ~timer:true d; true
-          | Run (d, k) -> List.iter (add ~timer:false) (run_offsets d k); true
-          | Armed d ->
-              add ~timer:true d;
-              (match !model with
-              | (_, _, Some tm) :: _ -> Engine.cancel e tm
-              | _ -> ());
+          | Schedule (f, d) -> add ~timer:false f d; true
+          | Timer (f, d) -> add ~timer:true f d; true
+          | Run (f, d, k) -> List.iter (add ~timer:false f) (run_offsets d k); true
+          | Armed (f, d) ->
+              add ~timer:true f d;
+              (match !model with entry :: _ -> cancel entry | [] -> ());
               agrees ()
           | Cancel i ->
               (match List.nth_opt (List.filter (fun (_, _, tm) -> tm <> None) !model) i with
-              | Some (_, _, Some tm) -> Engine.cancel e tm
-              | _ -> ());
+              | Some entry -> cancel entry
+              | None -> ());
               agrees ()
           | Step -> (
               let queued =
@@ -320,7 +361,12 @@ let test_heap_differential =
                   model := List.filter (fun (_, i, _) -> i <> id) !model;
                   stepped && !fired = id && Engine.now e = t
                   && Engine.check_invariant e))
-        ops)
+        ops
+      && begin
+           (* Drained, the queue ran every live event and no cancelled one. *)
+           Engine.run e;
+           Engine.pending e = 0 && (not !cancelled_fired) && Engine.check_invariant e
+         end)
 
 (* --- Noise ------------------------------------------------------------- *)
 

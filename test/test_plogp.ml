@@ -122,7 +122,29 @@ let test_params_rejects () =
       ignore (Params.v ~latency:(-1.) ~gap:(Piecewise.of_points [ (0, 1.) ]) ()));
   Alcotest.check_raises "bad bandwidth"
     (Invalid_argument "Params.linear: non-positive bandwidth") (fun () ->
-      ignore (Params.linear ~latency:1. ~g0:1. ~bandwidth_mb_s:0.))
+      ignore (Params.linear ~latency:1. ~g0:1. ~bandwidth_mb_s:0.));
+  let gap = Piecewise.of_points [ (0, 1.) ] in
+  Alcotest.check_raises "NaN latency" (Invalid_argument "Params.v: non-finite latency")
+    (fun () -> ignore (Params.v ~latency:nan ~gap ()));
+  Alcotest.check_raises "infinite latency" (Invalid_argument "Params.v: non-finite latency")
+    (fun () -> ignore (Params.v ~latency:infinity ~gap ()));
+  Alcotest.check_raises "NaN gap value" (Invalid_argument "Piecewise.of_points: non-finite value")
+    (fun () -> ignore (Piecewise.of_points [ (0, nan) ]));
+  Alcotest.check_raises "negative gap value" (Invalid_argument "Piecewise.of_points: negative value")
+    (fun () -> ignore (Piecewise.of_points [ (0, -1.) ]));
+  Alcotest.check_raises "scaled table"
+    (Invalid_argument "Params.v: gap table value not finite and non-negative") (fun () ->
+      ignore (Params.v ~latency:1. ~gap:(Piecewise.scale nan gap) ()));
+  Alcotest.check_raises "infinite g0" (Invalid_argument "Params.linear: non-finite g0")
+    (fun () -> ignore (Params.linear ~latency:1. ~g0:infinity ~bandwidth_mb_s:1.));
+  Alcotest.check_raises "NaN bandwidth" (Invalid_argument "Params.linear: non-finite bandwidth")
+    (fun () -> ignore (Params.linear ~latency:1. ~g0:1. ~bandwidth_mb_s:nan));
+  let p = Params.v ~latency:1. ~gap () in
+  Alcotest.check_raises "NaN noise factor"
+    (Invalid_argument "Params.scale_noise: non-finite factor") (fun () ->
+      ignore (Params.scale_noise ~factor:nan p));
+  Alcotest.check_raises "infinite rescale" (Invalid_argument "Params.rescale: non-finite factor")
+    (fun () -> ignore (Params.rescale ~gap_factor:infinity p))
 
 let test_params_equal () =
   let p = Params.linear ~latency:1. ~g0:2. ~bandwidth_mb_s:3. in

@@ -261,6 +261,36 @@ let test_serialize_print_fixpoint =
       | Error _ -> false
       | Ok g2 -> String.equal text (Serialize.to_string g2))
 
+(* Values the per-send link tables of a DES session trust: each must be a
+   typed parse error, on a cluster line and on a link line alike, never
+   [Ok] or an escaping [Invalid_argument]. *)
+let test_serialize_rejects_bad_values () =
+  let text ~intra ~link =
+    Printf.sprintf
+      "grid 2\ncluster 0 a 2 %s\ncluster 1 b 2 L 1 G 0:1\nlink 0 1 %s\nlink 1 0 L 5 G 0:2\n"
+      intra link
+  in
+  let good = "L 5 G 0:2,1000:3" in
+  Alcotest.(check bool) "valid text parses" true
+    (Result.is_ok (Serialize.of_string (text ~intra:good ~link:good)));
+  List.iter
+    (fun (name, bad) ->
+      List.iter
+        (fun (where, t) ->
+          match Serialize.of_string t with
+          | Ok _ -> Alcotest.failf "%s on the %s line parsed" name where
+          | Error _ -> ()
+          | exception e ->
+              Alcotest.failf "%s on the %s line raised %s" name where (Printexc.to_string e))
+        [ ("cluster", text ~intra:bad ~link:good); ("link", text ~intra:good ~link:bad) ])
+    [
+      ("NaN latency", "L nan G 0:1");
+      ("infinite latency", "L inf G 0:1");
+      ("NaN gap", "L 1 G 0:nan");
+      ("negative latency", "L -5 G 0:1");
+      ("negative size", "L 1 G -1:1,0:2");
+    ]
+
 let test_serialize_rejects_garbage () =
   Alcotest.(check bool) "empty" true (Result.is_error (Serialize.of_string ""));
   Alcotest.(check bool) "bad header" true
@@ -363,6 +393,7 @@ let () =
           QCheck_alcotest.to_alcotest test_serialize_random_roundtrip;
           QCheck_alcotest.to_alcotest test_serialize_print_fixpoint;
           quick "rejects garbage" test_serialize_rejects_garbage;
+          quick "rejects bad values" test_serialize_rejects_bad_values;
         ] );
       ( "dot",
         [
