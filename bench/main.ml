@@ -103,10 +103,10 @@ let micro_tests () =
         (Staged.stage
            (let matrix = Gridb_topology.Machines.latency_matrix machines in
             fun () -> ignore (Gridb_clustering.Lowekamp.detect matrix)));
-      Test.make ~name:"substrate/optimal-n6"
+      Test.make ~name:"substrate/exact-n6"
         (Staged.stage
            (let inst = instance_of 6 13 in
-            fun () -> ignore (Gridb_sched.Optimal.makespan inst)));
+            fun () -> ignore (Gridb_opt.Exact.makespan inst)));
     ]
   in
   Test.make_grouped ~name:"gridsched"

@@ -36,6 +36,6 @@ let () =
     Sched.Heuristics.all;
 
   (* 6. For small grids the true optimum is computable: 6 clusters is well
-        inside the brute-force ceiling. *)
-  Format.printf "@.optimal (brute force): %a@." Gridb_util.Units.pp_time
-    (Sched.Optimal.makespan inst)
+        inside the exact solver's ceiling of 12. *)
+  Format.printf "@.certified optimum (Opt.Exact): %a@." Gridb_util.Units.pp_time
+    (Gridb_opt.Exact.makespan inst)

@@ -1,5 +1,5 @@
 (* Schedule anatomy: the analysis toolkit around one broadcast schedule —
-   Gantt timeline, lower bounds, brute-force optimum, local search,
+   Gantt timeline, lower bounds, certified optimum, local search,
    simulated annealing, genetic search and the DES critical path.
 
    Run with: dune exec examples/schedule_anatomy.exe *)
@@ -29,8 +29,8 @@ let () =
   let genetic = Sched.Genetic.search ~seeds:[ flat ] inst in
   Printf.printf "after genetic search:    %.4f s\n"
     (seconds (Sched.Schedule.makespan inst genetic));
-  let optimal = Sched.Optimal.schedule inst in
-  Printf.printf "brute-force optimum:     %.4f s\n"
+  let optimal = Gridb_opt.Exact.schedule inst in
+  Printf.printf "certified optimum:       %.4f s\n"
     (seconds (Sched.Schedule.makespan inst optimal));
   Printf.printf "analytic lower bound:    %.4f s  (gap ratio of the optimum: %.3f)\n"
     (seconds (Sched.Bounds.combined inst))

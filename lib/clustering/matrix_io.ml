@@ -3,7 +3,8 @@ let parse_cell ~line_number cell =
   if cell = "" || cell = "-" then Ok 0.
   else
     match float_of_string_opt cell with
-    | Some v -> Ok v
+    | Some v when Float.is_finite v -> Ok v
+    | Some _ -> Error (Printf.sprintf "line %d: not a finite number: %S" line_number cell)
     | None -> Error (Printf.sprintf "line %d: not a number: %S" line_number cell)
 
 let of_string text =
@@ -66,7 +67,9 @@ let validate ?(require_symmetric = true) matrix =
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         if !problem = None then begin
-          if matrix.(i).(j) < 0. then
+          if not (Float.is_finite matrix.(i).(j)) then
+            problem := Some (Printf.sprintf "non-finite latency at (%d, %d)" i j)
+          else if matrix.(i).(j) < 0. then
             problem := Some (Printf.sprintf "negative latency at (%d, %d)" i j)
           else if require_symmetric && i < j then begin
             let a = matrix.(i).(j) and b = matrix.(j).(i) in

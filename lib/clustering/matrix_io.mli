@@ -9,8 +9,9 @@
 val load : string -> (float array array, string) result
 (** Parse a square numeric CSV.  Blank lines and lines starting with ['#']
     are skipped; the diagonal may be blank or ["-"], read as 0.  Errors
-    (file missing, non-numeric cell, ragged or non-square shape) are
-    returned as a human-readable message with a line number. *)
+    (file missing, non-numeric or non-finite cell such as [nan], [inf] or
+    [1e400], ragged or non-square shape) are returned as a human-readable
+    message with a line number. *)
 
 val of_string : string -> (float array array, string) result
 
@@ -19,5 +20,6 @@ val save : string -> float array array -> unit
 
 val validate :
   ?require_symmetric:bool -> float array array -> (unit, string) result
-(** Checks squareness, non-negative entries, and (by default) symmetry
-    within 1 % relative tolerance — measured matrices jitter. *)
+(** Checks squareness, finite non-negative entries, and (by default)
+    symmetry within 1 % relative tolerance — measured matrices jitter.
+    The error names the offending cell. *)

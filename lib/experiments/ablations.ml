@@ -248,8 +248,8 @@ let ratio_sweep config ~ns ~iterations_cap ~denominator heuristics ~id ~title ~y
 
 let optimality_gap config =
   ratio_sweep config ~ns:[ 3; 4; 5; 6; 7 ] ~iterations_cap:400
-    ~denominator:Gridb_sched.Optimal.makespan Heuristics.all ~id:"abl-optgap"
-    ~title:"Ablation: mean makespan ratio to the brute-force optimum"
+    ~denominator:Gridb_opt.Exact.makespan Heuristics.all ~id:"abl-optgap"
+    ~title:"Ablation: mean makespan ratio to the certified optimum (Opt.Exact)"
     ~y_label:"heuristic / optimal"
     ~notes:
       [ "1.0 means provably optimal; the paper's 'global minimum' only compares"; "heuristics against each other." ]
@@ -380,7 +380,7 @@ let metaheuristics config =
             { Gridb_sched.Genetic.default_config with generations = 12; population = 12; seed }
           in
           Schedule.makespan inst (Gridb_sched.Genetic.search ~config:cfg inst) );
-      ("optimal", fun inst _seed -> Gridb_sched.Optimal.makespan inst);
+      ("optimal", fun inst _seed -> Gridb_opt.Exact.makespan inst);
     ]
   in
   let series = List.map (fun (name, _) -> (name, ref [])) methods in

@@ -80,15 +80,15 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
      the live estimator to this hook; Lowekamp re-runs on the estimated
      machine matrix and the partition is diffed against plan time.  The
      hook observes only — the run's event stream is the same with the
-     trail disabled. *)
+     trail disabled.  The plan-time partition is detected once, and only
+     if an estimator exists. *)
+  let nominal = lazy (Robustness.nominal_partition machines) in
+  let drift est = Robustness.partition_drift ~nominal:(Lazy.force nominal) est machines in
   let trail = ref [] in
   let on_tick ~now est =
     match est with
     | None -> ()
-    | Some est ->
-        trail :=
-          { at = now; drift = Robustness.partition_drift est machines; divergence = divergence est }
-          :: !trail
+    | Some est -> trail := { at = now; drift = drift est; divergence = divergence est } :: !trail
   in
   let rel =
     Session.run_reliable
@@ -97,27 +97,14 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
       machines plan
   in
   let horizon = rel.Session.horizon in
-  (* Cluster-level halt vector at the decision instant: crash or departure
-     of the coordinator, within the horizon only. *)
-  let halt =
-    Array.init nc (fun c ->
-        let coord = Machines.coordinator machines c in
-        let t = ref infinity in
-        if List.mem coord rel.Session.crashed then t := Faults.crash_time faults coord;
-        (match dmodel with
-        | Some d when List.mem coord rel.Session.left ->
-            t := Float.min !t (Dyn.leave_time d coord)
-        | _ -> ());
-        !t)
-  in
+  (* Cluster-level halt vector at the decision instant. *)
+  let halt = Robustness.coordinator_halts machines faults dmodel rel in
   let departed = Array.fold_left (fun a t -> if Float.is_finite t then a + 1 else a) 0 halt in
   let final_drift, final_divergence, i_est =
     match rel.Session.estimator with
     | None -> (0., 0., inst)
     | Some est ->
-        ( Robustness.partition_drift est machines,
-          divergence est,
-          Robustness.estimated_instance est machines inst )
+        (drift est, divergence est, Instance.rescale machines (Adaptive.quality est) inst)
   in
   let decision =
     Replan.decide thresholds ~drift:final_drift ~divergence:final_divergence ~departed
@@ -142,17 +129,7 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
   let truth =
     match dmodel with
     | None -> inst
-    | Some d ->
-        let coord = Machines.coordinator machines in
-        let scale m =
-          Array.init nc (fun i ->
-              Array.init nc (fun j ->
-                  if i = j then m.(i).(j)
-                  else m.(i).(j) *. Dyn.factor d ~src:(coord i) ~dst:(coord j) ~at:horizon))
-        in
-        Instance.v ~root:inst.Instance.root
-          ~latency:(scale inst.Instance.latency)
-          ~gap:(scale inst.Instance.gap) ~intra:inst.Instance.intra
+    | Some d -> Instance.rescale machines (Dyn.factor d ~at:horizon) inst
   in
   let judge = Replan.evaluate truth ~halt in
   let ntot = n + List.length rel.Session.joined in

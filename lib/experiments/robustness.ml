@@ -44,40 +44,38 @@ type metrics = {
   summary : Session.reliable_summary option;
 }
 
-(* Cluster-level estimated instance: the estimator's per-link quality on the
-   coordinator-to-coordinator links rescales the nominal inter-cluster gap
-   and latency matrices — the Params-shaped live view, lifted to the
-   scheduling layer, so Repair replans on measured numbers. *)
-let estimated_instance est machines inst =
-  let nc = inst.Instance.n in
-  let q c d =
-    if c = d then 1.
-    else
-      Adaptive.quality est
-        ~src:(Machines.coordinator machines c)
-        ~dst:(Machines.coordinator machines d)
-  in
-  let scale m = Array.init nc (fun i -> Array.init nc (fun j -> m.(i).(j) *. q i j)) in
-  Instance.v ~root:inst.Instance.root ~latency:(scale inst.Instance.latency)
-    ~gap:(scale inst.Instance.gap) ~intra:inst.Instance.intra
+let nominal_partition machines = Lowekamp.detect (Machines.latency_matrix machines)
 
 (* Machine-level partition drift: Lowekamp re-run on the estimator's live
    latency matrix (planning-time ranks only — joins have no planning-time
    pairing to diff against), compared by Rand index against the partition
    the same detector finds on the nominal matrix. *)
-let partition_drift est machines =
+let partition_drift ~nominal est machines =
   let n = Machines.count machines in
-  let nominal ~src ~dst =
+  let latency ~src ~dst =
     if src >= n || dst >= n then 0. else Machines.latency machines src dst
   in
-  let full = Adaptive.estimated_latency_matrix ~symmetric:true est ~nominal in
+  let full = Adaptive.estimated_latency_matrix ~symmetric:true est ~nominal:latency in
   let estimated =
     if Array.length full = n then full
     else Array.init n (fun i -> Array.sub full.(i) 0 n)
   in
-  let plan_time = Lowekamp.detect (Machines.latency_matrix machines) in
-  let live = Lowekamp.detect estimated in
-  1. -. Partition.rand_index plan_time live
+  1. -. Partition.rand_index nominal (Lowekamp.detect estimated)
+
+(* Cluster-level halt vector: a cluster halts (as a schedule node) when its
+   coordinator does — by crash or by departure.  Only halts inside the
+   simulated horizon count ([rel.crashed] / [rel.left]); a draw beyond it
+   is a future fault, not this run's. *)
+let coordinator_halts machines faults dmodel (rel : Session.reliable) =
+  Array.init (Gridb_topology.Grid.size (Machines.grid machines)) (fun c ->
+      let coord = Machines.coordinator machines c in
+      let t = ref infinity in
+      if List.mem coord rel.Session.crashed then t := Faults.crash_time faults coord;
+      (match dmodel with
+      | Some d when List.mem coord rel.Session.left ->
+          t := Float.min !t (Dyn.leave_time d coord)
+      | _ -> ());
+      !t)
 
 let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
     ?(noise = Noise.Exact) ?(obs = Sink.null) ?(transport = Session.Fixed)
@@ -111,21 +109,7 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
          ())
       machines plan
   in
-  (* Cluster-level halt vector: a cluster halts (as a schedule node) when
-     its coordinator does — by crash or by departure.  Only halts inside
-     the simulated horizon count ([rel.crashed] / [rel.left]); a draw
-     beyond it is a future fault, not this run's. *)
-  let crash =
-    Array.init (Gridb_topology.Grid.size grid) (fun c ->
-        let coord = Machines.coordinator machines c in
-        let t = ref infinity in
-        if List.mem coord rel.Session.crashed then t := Faults.crash_time faults coord;
-        (match dmodel with
-        | Some d when List.mem coord rel.Session.left ->
-            t := Float.min !t (Dyn.leave_time d coord)
-        | _ -> ());
-        !t)
-  in
+  let crash = coordinator_halts machines faults dmodel rel in
   let repair_invoked = Array.exists Float.is_finite crash in
   let repairs, repaired_makespan, estimated_repaired_makespan =
     if repair_invoked then begin
@@ -143,7 +127,9 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
         | None -> None
         | Some est ->
             let o' =
-              Repair.repair ~policy (estimated_instance est machines inst) schedule ~crash
+              Repair.repair ~policy
+                (Instance.rescale machines (Adaptive.quality est) inst)
+                schedule ~crash
             in
             Some o'.Repair.makespan
       in
@@ -175,7 +161,10 @@ let run ?(policy = Policy.ecef_la) ?(msg = 1_000_000) ?(retries = 5) ?(seed = 0)
     crashed_ranks = List.length rel.Session.crashed;
     left_ranks = List.length rel.Session.left;
     joined_ranks = List.length rel.Session.joined;
-    partition_drift = Option.map (fun est -> partition_drift est machines) rel.Session.estimator;
+    partition_drift =
+      Option.map
+        (fun est -> partition_drift ~nominal:(nominal_partition machines) est machines)
+        rel.Session.estimator;
     baseline_makespan = baseline.Session.makespan;
     makespan = rel.Session.r_makespan;
     inflation =

@@ -55,22 +55,31 @@ type metrics = {
           fault draws; [None] unless [repetitions] was given *)
 }
 
-val estimated_instance :
+val nominal_partition : Gridb_topology.Machines.t -> Gridb_clustering.Partition.t
+(** Lowekamp partition of the nominal machine latency matrix — the plan-time
+    clustering that {!partition_drift} diffs against.  It does not change
+    during a run, so a run computes it once. *)
+
+val partition_drift :
+  nominal:Gridb_clustering.Partition.t ->
   Gridb_des.Adaptive.t ->
   Gridb_topology.Machines.t ->
-  Gridb_sched.Instance.t ->
-  Gridb_sched.Instance.t
-(** Cluster-level estimated instance: the estimator's per-link quality on
-    the coordinator-to-coordinator links rescales the nominal
-    inter-cluster gap and latency matrices — the live measured view lifted
-    to the scheduling layer, which {!Gridb_sched.Repair} and
-    {!Dynamics.run} replan on. *)
-
-val partition_drift : Gridb_des.Adaptive.t -> Gridb_topology.Machines.t -> float
-(** [1 - Rand index] between the Lowekamp partition of the nominal machine
-    latency matrix and that of the estimator's live
+  float
+(** [1 - Rand index] between [nominal] (from {!nominal_partition}) and the
+    Lowekamp partition of the estimator's live
     {!Gridb_des.Adaptive.estimated_latency_matrix} (planning-time ranks
     only).  0. when the estimated clustering still matches plan time. *)
+
+val coordinator_halts :
+  Gridb_topology.Machines.t ->
+  Gridb_des.Faults.t ->
+  Gridb_des.Dynamics.t option ->
+  Gridb_des.Session.reliable ->
+  float array
+(** Cluster-level halt vector of a reliable run: per cluster, the instant
+    its coordinator crashed or departed within the run's horizon,
+    [infinity] if it did neither — the [~crash] input of
+    {!Gridb_sched.Repair}. *)
 
 val run :
   ?policy:Gridb_sched.Policy.t ->

@@ -44,11 +44,11 @@ let incumbent_of inst =
 let choices_of (s : Schedule.t) =
   List.map (fun (e : Schedule.event) -> (e.Schedule.src, e.Schedule.dst)) s.Schedule.events
 
-let solve ?(max_clusters = default_max_clusters) inst =
+let solve inst =
   let n = inst.Instance.n in
-  if n > max_clusters then
+  if n > default_max_clusters then
     invalid_arg
-      (Printf.sprintf "Exact: %d clusters exceeds the ceiling of %d" n max_clusters);
+      (Printf.sprintf "Exact: %d clusters exceeds the ceiling of %d" n default_max_clusters);
   let root = inst.Instance.root in
   let gap = inst.Instance.gap
   and lat = inst.Instance.latency
@@ -252,5 +252,5 @@ let solve ?(max_clusters = default_max_clusters) inst =
       };
   }
 
-let makespan ?max_clusters inst = (solve ?max_clusters inst).makespan
-let schedule ?max_clusters inst = (solve ?max_clusters inst).schedule
+let makespan inst = (solve inst).makespan
+let schedule inst = (solve inst).schedule

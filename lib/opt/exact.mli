@@ -4,7 +4,7 @@
     non-root cluster receives exactly once, senders are gap-serialised,
     intra-cluster broadcast after the last send — explored as a DFS over
     delivered-set states [(A, avail)].  Three prunings keep n <= ~12
-    tractable where {!Gridb_sched.Optimal}'s brute force stops at 8:
+    tractable where plain exhaustive search stops at 8:
 
     - {b incumbent}: the best of the seven paper heuristics seeds the
       upper bound, so the search only ever proves or improves it;
@@ -49,11 +49,11 @@ type certificate = {
 val default_max_clusters : int
 (** 12. *)
 
-val solve : ?max_clusters:int -> Gridb_sched.Instance.t -> certificate
-(** @raise Invalid_argument if the instance exceeds [max_clusters]. *)
+val solve : Gridb_sched.Instance.t -> certificate
+(** @raise Invalid_argument above {!default_max_clusters} clusters. *)
 
-val makespan : ?max_clusters:int -> Gridb_sched.Instance.t -> float
+val makespan : Gridb_sched.Instance.t -> float
 (** [(solve inst).makespan]. *)
 
-val schedule : ?max_clusters:int -> Gridb_sched.Instance.t -> Gridb_sched.Schedule.t
+val schedule : Gridb_sched.Instance.t -> Gridb_sched.Schedule.t
 (** [(solve inst).schedule]. *)

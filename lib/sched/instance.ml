@@ -91,6 +91,15 @@ let of_machines ~root ~msg machines =
   in
   v ~root ~latency ~gap ~intra:(Array.make n 0.)
 
+let rescale machines factor t =
+  let coord = Gridb_topology.Machines.coordinator machines in
+  let scale m =
+    Array.init t.n (fun i ->
+        Array.init t.n (fun j ->
+            if i = j then m.(i).(j) else m.(i).(j) *. factor ~src:(coord i) ~dst:(coord j)))
+  in
+  v ~root:t.root ~latency:(scale t.latency) ~gap:(scale t.gap) ~intra:t.intra
+
 type ranges = {
   latency_us : float * float;
   gap_us : float * float;

@@ -50,6 +50,15 @@ val of_machines :
     that claim by scheduling the same grid both ways.  [root] is a global
     rank. *)
 
+val rescale :
+  Gridb_topology.Machines.t -> (src:int -> dst:int -> float) -> t -> t
+(** [rescale machines factor t] multiplies the latency and gap of every
+    inter-cluster pair [(i, j)], [i <> j], by [factor] on the link between
+    the coordinators of clusters [i] and [j]; the diagonal and [intra] stay
+    nominal.  This lifts a machine-level live view to the scheduling
+    layer: an estimator's per-link quality (the instance that retries and
+    repairs replan on) or a dynamics model's drift at one instant. *)
+
 type ranges = {
   latency_us : float * float;
   gap_us : float * float;

@@ -107,23 +107,6 @@ let heuristic_of policy =
   | Some h -> h
   | None -> invalid_arg (Printf.sprintf "Server.run: unknown policy %S" policy)
 
-(* Cluster-level live view for retry replanning: the retry's estimator
-   rescales the nominal inter-cluster latency/gap matrices by the measured
-   per-link quality on coordinator-to-coordinator links — the same lift
-   {!Gridb_experiments.Robustness} uses for post-crash replans. *)
-let estimated_instance est machines (inst : Instance.t) =
-  let nc = inst.Instance.n in
-  let q c d =
-    if c = d then 1.
-    else
-      Adaptive.quality est
-        ~src:(Machines.coordinator machines c)
-        ~dst:(Machines.coordinator machines d)
-  in
-  let scale m = Array.init nc (fun i -> Array.init nc (fun j -> m.(i).(j) *. q i j)) in
-  Instance.v ~root:inst.Instance.root ~latency:(scale inst.Instance.latency)
-    ~gap:(scale inst.Instance.gap) ~intra:inst.Instance.intra
-
 let count_delivered arr lo hi =
   let c = ref 0 in
   for k = lo to hi - 1 do
@@ -405,9 +388,11 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
                   let inst =
                     Instance.of_grid ~root:r.Workload.root ~msg:k.Plan_cache.bucket grid
                   in
+                  (* Retries replan on the live view: the estimator's
+                     measured quality on the coordinator links. *)
                   let inst =
                     match estimator with
-                    | Some est -> estimated_instance est machines inst
+                    | Some est -> Instance.rescale machines (Adaptive.quality est) inst
                     | None -> inst
                   in
                   Heuristics.run h inst

@@ -1,4 +1,12 @@
-let default_max_clusters = 8
+(* Exhaustive depth-first search over the paper's schedule space.  Kept
+   outside the library as an independent oracle: it shares no search code
+   with Gridb_opt.Exact, so the tests can check the certified optimum
+   against it. *)
+
+module Instance = Gridb_sched.Instance
+module State = Gridb_sched.State
+
+let max_clusters = 8
 
 let schedule_count n =
   let rec loop k acc = if k = n then acc else loop (k + 1) (acc * k * (n - k)) in
@@ -77,19 +85,19 @@ let search inst =
   dfs 0;
   { best = !best; choices = !best_choices }
 
-let check_size max_clusters inst =
+let check_size inst =
   if inst.Instance.n > max_clusters then
     invalid_arg
-      (Printf.sprintf "Optimal: %d clusters exceeds the ceiling of %d" inst.Instance.n
+      (Printf.sprintf "Brute_force: %d clusters exceeds the ceiling of %d" inst.Instance.n
          max_clusters)
 
-let makespan ?(max_clusters = default_max_clusters) inst =
-  check_size max_clusters inst;
+let makespan inst =
+  check_size inst;
   if inst.Instance.n = 1 then inst.Instance.intra.(inst.Instance.root)
   else (search inst).best
 
-let schedule ?(max_clusters = default_max_clusters) inst =
-  check_size max_clusters inst;
+let schedule inst =
+  check_size inst;
   let result = if inst.Instance.n = 1 then { best = 0.; choices = [] } else search inst in
   let state = State.create inst in
   List.iter (fun (src, dst) -> State.send state ~src ~dst) result.choices;

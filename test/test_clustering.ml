@@ -216,6 +216,26 @@ let test_matrix_io_validate () =
   Alcotest.(check bool) "negative rejected" true
     (Result.is_error (Matrix_io.validate [| [| 0.; -1. |]; [| -1.; 0. |] |]))
 
+let test_matrix_io_non_finite () =
+  (* Every spelling float_of_string accepts for a non-finite value is a
+     typed error naming the line, not a matrix that poisons detection. *)
+  List.iter
+    (fun cell ->
+      match Matrix_io.of_string (Printf.sprintf "# header\n0,5\n%s,0\n" cell) with
+      | Ok _ -> Alcotest.failf "%S accepted" cell
+      | Error e ->
+          Alcotest.(check string)
+            (Printf.sprintf "%S error" cell)
+            (Printf.sprintf "line 3: not a finite number: %S" cell)
+            e)
+    [ "nan"; "NaN"; "-nan"; "inf"; "-inf"; "infinity"; "Infinity"; "1e400"; "-1e400" ];
+  List.iter
+    (fun (label, x) ->
+      match Matrix_io.validate ~require_symmetric:false [| [| 0.; 1. |]; [| x; 0. |] |] with
+      | Ok () -> Alcotest.failf "%s accepted by validate" label
+      | Error e -> Alcotest.(check string) label "non-finite latency at (1, 0)" e)
+    [ ("nan", Float.nan); ("infinity", Float.infinity); ("-infinity", Float.neg_infinity) ]
+
 let test_matrix_io_pipeline () =
   (* CSV -> detect -> grid: the full user path. *)
   let path = Filename.temp_file "gridb" ".csv" in
@@ -296,6 +316,7 @@ let () =
           quick "roundtrip" test_matrix_io_roundtrip;
           quick "parsing" test_matrix_io_parsing;
           quick "validate" test_matrix_io_validate;
+          quick "non-finite cells" test_matrix_io_non_finite;
           quick "csv pipeline" test_matrix_io_pipeline;
         ] );
       ( "abstraction",

@@ -10,7 +10,6 @@ module Policy = Gridb_sched.Policy
 module Heuristics = Gridb_sched.Heuristics
 module Engine = Gridb_sched.Engine
 module Bounds = Gridb_sched.Bounds
-module Optimal = Gridb_sched.Optimal
 module Generators = Gridb_topology.Generators
 module Machines = Gridb_topology.Machines
 module Plan = Gridb_des.Plan
@@ -21,6 +20,7 @@ module Scenario = Gridb_check.Scenario
 module Exact = Gridb_opt.Exact
 module Traff = Gridb_opt.Traff
 module Optgap = Gridb_experiments.Optgap
+module Config = Gridb_experiments.Config
 module Rng = Gridb_util.Rng
 
 let feq = Testutil.feq
@@ -125,15 +125,21 @@ let test_bound_below_des_transports () =
 (* ------------------------------------------------------------------ *)
 
 let test_exact_matches_brute_force () =
-  (* The old exhaustive search explores the identical schedule space with
-     no pruning: both must certify the same optimum (feq: two distinct
-     optimal schedules may differ by summation order ulps). *)
-  List.iter
-    (fun (seed, inst) ->
-      let bnb = Exact.makespan inst and brute = Optimal.makespan inst in
-      if not (feq bnb brute) then
-        Alcotest.failf "seed=%d: B&B %.17g <> brute force %.17g" seed bnb brute)
-    (Testutil.corpus ~n_range:(2, 7) ~seed:77 ~count:6 ())
+  (* The exhaustive oracle explores the identical schedule space with no
+     pruning.  The ablation tables divide by Exact.makespan on draws from
+     the Config.point_rng streams, so on those streams the two must agree
+     bit for bit, not merely within a tolerance. *)
+  let config = Config.default in
+  List.iteri
+    (fun point n ->
+      let rng = Config.point_rng config ~point in
+      for draw = 1 to 40 do
+        let inst = Instance.random ~rng ~n config.Config.ranges in
+        let bnb = Exact.makespan inst and brute = Brute_force.makespan inst in
+        if not (Float.equal bnb brute) then
+          Alcotest.failf "n=%d draw=%d: B&B %.17g <> brute force %.17g" n draw bnb brute
+      done)
+    [ 2; 3; 4; 5; 6; 7; 8 ]
 
 let test_certificate_coherent () =
   List.iter

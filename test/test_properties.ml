@@ -6,7 +6,6 @@
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Heuristics = Gridb_sched.Heuristics
-module Optimal = Gridb_sched.Optimal
 module Bounds = Gridb_sched.Bounds
 module Machines = Gridb_topology.Machines
 module Generators = Gridb_topology.Generators
@@ -44,7 +43,7 @@ let permutation_invariance_of_optimal =
       let inst = random_instance ~n seed in
       let rng = Rng.create (seed + 1) in
       let perm = Rng.permutation rng n in
-      feq (Optimal.makespan inst) (Optimal.makespan (permute_instance perm inst)))
+      feq (Brute_force.makespan inst) (Brute_force.makespan (permute_instance perm inst)))
 
 let permutation_invariance_of_bounds =
   QCheck.Test.make ~name:"lower bounds are invariant under cluster relabeling"
@@ -130,7 +129,7 @@ let optimal_monotone_in_t =
           ~gap:inst.Instance.gap
           ~intra:(Array.map (fun t -> t /. 2.) inst.Instance.intra)
       in
-      Optimal.makespan reduced <= Optimal.makespan inst +. 1e-6)
+      Brute_force.makespan reduced <= Brute_force.makespan inst +. 1e-6)
 
 (* Message-size monotonicity end to end: larger broadcasts never finish
    earlier, whatever the heuristic. *)

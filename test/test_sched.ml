@@ -8,7 +8,6 @@ module State = Gridb_sched.State
 module Schedule = Gridb_sched.Schedule
 module Heuristics = Gridb_sched.Heuristics
 module Lookahead = Gridb_sched.Lookahead
-module Optimal = Gridb_sched.Optimal
 module Mixed = Gridb_sched.Mixed
 module Hit_rate = Gridb_sched.Hit_rate
 module Rng = Gridb_util.Rng
@@ -384,21 +383,21 @@ let test_by_name () =
   Alcotest.(check int) "all has 7" 7 (List.length Heuristics.all);
   Alcotest.(check int) "family has 4" 4 (List.length Heuristics.ecef_family)
 
-(* --- Optimal -------------------------------------------------------------- *)
+(* --- Brute-force oracle ------------------------------------------------ *)
 
 let test_optimal_schedule_count () =
-  Alcotest.(check int) "n=1" 1 (Optimal.schedule_count 1);
-  Alcotest.(check int) "n=2" 1 (Optimal.schedule_count 2);
-  Alcotest.(check int) "n=3" 4 (Optimal.schedule_count 3);
-  Alcotest.(check int) "n=4" 36 (Optimal.schedule_count 4);
-  Alcotest.(check int) "n=5" 576 (Optimal.schedule_count 5)
+  Alcotest.(check int) "n=1" 1 (Brute_force.schedule_count 1);
+  Alcotest.(check int) "n=2" 1 (Brute_force.schedule_count 2);
+  Alcotest.(check int) "n=3" 4 (Brute_force.schedule_count 3);
+  Alcotest.(check int) "n=4" 36 (Brute_force.schedule_count 4);
+  Alcotest.(check int) "n=5" 576 (Brute_force.schedule_count 5)
 
 let optimal_not_beaten =
   QCheck.Test.make ~name:"no heuristic beats the optimal" ~count:(Testutil.count 60)
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let opt = Optimal.makespan inst in
+      let opt = Brute_force.makespan inst in
       List.for_all (fun h -> Heuristics.makespan h inst >= opt -. 1e-6) Heuristics.all)
 
 let optimal_schedule_is_valid_and_matches =
@@ -406,20 +405,20 @@ let optimal_schedule_is_valid_and_matches =
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let s = Optimal.schedule inst in
+      let s = Brute_force.schedule inst in
       Result.is_ok (Schedule.validate inst s)
-      && feq ~eps:1e-9 (Schedule.makespan inst s) (Optimal.makespan inst))
+      && feq ~eps:1e-9 (Schedule.makespan inst s) (Brute_force.makespan inst))
 
 let test_optimal_rejects_large () =
   let inst = random_instance ~n:9 3 in
   Alcotest.check_raises "ceiling"
-    (Invalid_argument "Optimal: 9 clusters exceeds the ceiling of 8") (fun () ->
-      ignore (Optimal.makespan inst))
+    (Invalid_argument "Brute_force: 9 clusters exceeds the ceiling of 8") (fun () ->
+      ignore (Brute_force.makespan inst))
 
 let test_optimal_two_clusters () =
   let inst = hand_instance () in
   (* Optimal for the hand instance is the ECEF schedule (relay through 1). *)
-  check_feq "optimal = 6" 6. (Optimal.makespan inst)
+  check_feq "optimal = 6" 6. (Brute_force.makespan inst)
 
 (* --- Mixed strategy -------------------------------------------------------- *)
 
@@ -482,7 +481,7 @@ let bounds_below_optimal =
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      Gridb_sched.Bounds.combined inst <= Optimal.makespan inst +. 1e-6)
+      Gridb_sched.Bounds.combined inst <= Brute_force.makespan inst +. 1e-6)
 
 let test_bounds_hand_instance () =
   let inst = hand_instance () in
@@ -498,7 +497,7 @@ let test_bounds_hand_instance () =
   check_feq "combined" 5. (Gridb_sched.Bounds.combined inst);
   (* optimal is 6: the bound is tight within 20% here *)
   check_feq "gap ratio of optimum" (6. /. 5.)
-    (Gridb_sched.Bounds.gap_ratio inst (Optimal.makespan inst))
+    (Gridb_sched.Bounds.gap_ratio inst (Brute_force.makespan inst))
 
 let test_bounds_single_cluster () =
   let inst = Instance.v ~root:0 ~latency:[| [| 0. |] |] ~gap:[| [| 0. |] |] ~intra:[| 42. |] in
@@ -543,7 +542,7 @@ let refine_never_beats_optimal =
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
       let s = Gridb_sched.Refine.improve inst (Heuristics.run Heuristics.flat_tree inst) in
-      Schedule.makespan inst s >= Optimal.makespan inst -. 1e-6)
+      Schedule.makespan inst s >= Brute_force.makespan inst -. 1e-6)
 
 let test_refine_improves_flat_tree () =
   (* On the hand instance, the flat tree (makespan 32) must be improved to
@@ -613,7 +612,7 @@ let ga_respects_optimal =
       let inst = random_instance ~n seed in
       let config = { Genetic.default_config with generations = 15; population = 12; seed } in
       Schedule.makespan inst (Genetic.search ~config inst)
-      >= Optimal.makespan inst -. 1e-6)
+      >= Brute_force.makespan inst -. 1e-6)
 
 let test_ga_improves_flat_seed () =
   (* Seeded only with the flat tree, the GA must find the relay schedule of
