@@ -23,6 +23,17 @@ let heuristic_conv =
   in
   Arg.conv (parse, fun ppf h -> Format.pp_print_string ppf h.Heuristics.name)
 
+(* [Arg.float], refusing NaN and infinities: every float flag feeds a
+   score, a rate or a loop bound that a non-finite value would poison. *)
+let finite_float =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok f when not (Float.is_finite f) ->
+        Error (`Msg (Printf.sprintf "not a finite number (%S)" s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let engine_arg =
   let mode = Arg.enum [ ("incremental", `Incremental); ("naive", `Naive) ] in
   Arg.(
@@ -300,8 +311,8 @@ let cluster_cmd =
       & info [ "matrix" ] ~docv:"CSV"
           ~doc:"NxN machine latency matrix in microseconds (CSV); overrides --topology.")
   in
-  let rho = Arg.(value & opt float 0.30 & info [ "rho" ] ~docv:"TOLERANCE") in
-  let jitter = Arg.(value & opt float 0.03 & info [ "jitter" ] ~docv:"SIGMA") in
+  let rho = Arg.(value & opt finite_float 0.30 & info [ "rho" ] ~docv:"TOLERANCE") in
+  let jitter = Arg.(value & opt finite_float 0.03 & info [ "jitter" ] ~docv:"SIGMA") in
   let save_grid =
     Arg.(
       value
@@ -407,7 +418,7 @@ let measure_cmd =
   in
   let a = Arg.(value & opt int 0 & info [ "src" ] ~docv:"RANK") in
   let b = Arg.(value & opt int 1 & info [ "dst" ] ~docv:"RANK") in
-  let jitter = Arg.(value & opt float 0. & info [ "jitter" ] ~docv:"SIGMA") in
+  let jitter = Arg.(value & opt finite_float 0. & info [ "jitter" ] ~docv:"SIGMA") in
   Cmd.v
     (Cmd.info "measure" ~doc:"Measure a link's pLogP parameters on the simulated wire")
     Term.(const run $ topology_arg $ a $ b $ jitter $ seed_arg)
@@ -545,7 +556,7 @@ let simulate_cmd =
   let jitter =
     Arg.(
       value
-      & opt float 0.
+      & opt finite_float 0.
       & info [ "jitter" ] ~docv:"SIGMA" ~doc:"Lognormal noise sigma for the reliable run.")
   in
   Cmd.v
@@ -776,14 +787,14 @@ let serve_cmd =
   let rate =
     Arg.(
       value
-      & opt float 50.
+      & opt finite_float 50.
       & info [ "rate" ] ~docv:"REQ_S"
           ~doc:"Open-loop request arrival rate, requests per simulated second.")
   in
   let duration =
     Arg.(
       value
-      & opt float 2e6
+      & opt finite_float 2e6
       & info [ "duration" ] ~docv:"US"
           ~doc:"Length of the arrival window, simulated microseconds.")
   in
@@ -797,7 +808,7 @@ let serve_cmd =
   let max_backlog =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "max-backlog" ] ~docv:"US"
           ~doc:"Admission cap on predicted backlog (default: unbounded).")
   in
@@ -865,14 +876,14 @@ let serve_cmd =
   let retry_backoff =
     Arg.(
       value
-      & opt float 1e4
+      & opt finite_float 1e4
       & info [ "retry-backoff" ] ~docv:"US"
           ~doc:"Base requeue backoff; the k-th retry waits $(docv)*2^(k-1) us.")
   in
   let shed_watermark =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "shed-watermark" ] ~docv:"US"
           ~doc:
             "Shed low-priority requests when the predicted backlog exceeds $(docv) \
@@ -881,7 +892,7 @@ let serve_cmd =
   let shed_open_frac =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some finite_float) None
       & info [ "shed-open-frac" ] ~docv:"FRAC"
           ~doc:
             "Shed low-priority requests when the open-circuit fraction of finished \

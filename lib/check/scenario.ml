@@ -92,185 +92,25 @@ let dynamics_spec t = Gridb_des.Dynamics.of_string t.dynamics
 
 (* --- codec ------------------------------------------------------------- *)
 
-let add_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Gridb_util.Flat_json
 
 let to_json ?(extra = []) t =
-  let buf = Buffer.create 128 in
-  Printf.bprintf buf "{\"format\":%S" format_tag;
-  Printf.bprintf buf ",\"seed\":%d,\"n\":%d,\"msg\":%d,\"root\":%d" t.seed t.n
-    t.msg t.root;
-  let str k v =
-    Printf.bprintf buf ",%S:" k;
-    add_string buf v
-  in
-  str "policy" t.policy;
-  str "transport" t.transport;
-  str "faults" t.faults;
-  str "dynamics" t.dynamics;
-  List.iter (fun (k, v) -> str k v) extra;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.obj
+    Json.(
+      [
+        S ("format", format_tag); I ("seed", t.seed); I ("n", t.n); I ("msg", t.msg);
+        I ("root", t.root); S ("policy", t.policy); S ("transport", t.transport);
+        S ("faults", t.faults); S ("dynamics", t.dynamics);
+      ]
+      @ List.map (fun (k, v) -> S (k, v)) extra)
 
 let pp ppf t = Format.pp_print_string ppf (to_json t)
 
-type scalar = Int of int | Float of float | Str of string | Bool of bool
-
-exception Bad of string
-
-(* Same flat one-object grammar as [Gridb_obs.Event]'s reader: string,
-   number and boolean values only, no nesting. *)
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then incr pos else fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = line.[!pos] in
-      incr pos;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if !pos >= n then fail "truncated escape");
-        let e = line.[!pos] in
-        incr pos;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | '/' -> Buffer.add_char buf '/'
-        | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub line !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with Failure _ -> fail "bad \\u escape"
-            in
-            if code > 0xff then fail "\\u escape beyond latin-1"
-            else Buffer.add_char buf (Char.chr code)
-        | _ -> fail "unknown escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_scalar () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some ('t' | 'f') ->
-        if n - !pos >= 4 && String.sub line !pos 4 = "true" then begin
-          pos := !pos + 4;
-          Bool true
-        end
-        else if n - !pos >= 5 && String.sub line !pos 5 = "false" then begin
-          pos := !pos + 5;
-          Bool false
-        end
-        else fail "bad literal"
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && match line.[!pos] with ',' | '}' | ' ' | '\t' -> false | _ -> true
-        do
-          incr pos
-        done;
-        let tok = String.sub line start (!pos - start) in
-        if tok = "" then fail "empty value";
-        (match int_of_string_opt tok with
-        | Some i when tok <> "-0" -> Int i
-        | _ -> (
-            match float_of_string_opt tok with
-            | Some f -> Float f
-            | None -> fail (Printf.sprintf "bad number %S" tok)))
-    | None -> fail "missing value"
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then incr pos
-  else begin
-    let continue = ref true in
-    while !continue do
-      let key =
-        skip_ws ();
-        parse_string ()
-      in
-      expect ':';
-      let v = parse_scalar () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' -> incr pos
-      | Some '}' ->
-          incr pos;
-          continue := false
-      | _ -> fail "expected , or }"
-    done
-  end;
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  List.rev !fields
-
 let of_json line =
-  match parse_fields (String.trim line) with
-  | exception Bad msg -> Error msg
+  match Json.parse_fields (String.trim line) with
+  | exception Json.Bad msg -> Error msg
   | fields -> (
-      let geti k =
-        match List.assoc_opt k fields with
-        | Some (Int i) -> i
-        | Some _ -> raise (Bad (Printf.sprintf "field %S: expected int" k))
-        | None -> raise (Bad (Printf.sprintf "missing field %S" k))
-      in
-      let gets k =
-        match List.assoc_opt k fields with
-        | Some (Str s) -> s
-        | Some _ -> raise (Bad (Printf.sprintf "field %S: expected string" k))
-        | None -> raise (Bad (Printf.sprintf "missing field %S" k))
-      in
-      (* Optional so reproducers written before the field existed still
-         load; a pre-dynamics scenario is one with no dynamics. *)
-      let gets_opt k ~default =
-        match List.assoc_opt k fields with
-        | Some (Str s) -> s
-        | Some _ -> raise (Bad (Printf.sprintf "field %S: expected string" k))
-        | None -> default
-      in
+      let geti = Json.geti fields and gets = Json.gets fields in
       try
         let fmt = gets "format" in
         if fmt <> format_tag then
@@ -285,7 +125,11 @@ let of_json line =
               policy = gets "policy";
               transport = gets "transport";
               faults = gets "faults";
-              dynamics = gets_opt "dynamics" ~default:"none";
+              (* Optional so reproducers written before the field
+                 existed still load; a pre-dynamics scenario is one with
+                 no dynamics. *)
+              dynamics =
+                (if List.mem_assoc "dynamics" fields then gets "dynamics" else "none");
             }
           in
           if t.n < 1 then Error "n must be >= 1"
@@ -293,11 +137,11 @@ let of_json line =
           else if t.root < 0 || t.root >= t.n then
             Error (Printf.sprintf "root %d out of range for n = %d" t.root t.n)
           else Ok t
-      with Bad msg -> Error msg)
+      with Json.Bad msg -> Error msg)
 
 let string_field ~key line =
-  match parse_fields (String.trim line) with
-  | exception Bad _ -> None
+  match Json.parse_fields (String.trim line) with
+  | exception Json.Bad _ -> None
   | fields -> (
       match List.assoc_opt key fields with Some (Str s) -> Some s | _ -> None)
 

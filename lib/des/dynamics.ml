@@ -1,4 +1,5 @@
 module Rng = Gridb_util.Rng
+module Kv_spec = Gridb_util.Kv_spec
 
 type spec = {
   drift_rate : float;
@@ -25,125 +26,100 @@ let none =
     recluster_every = 0.;
   }
 
+(* [v]'s checks, also run by [create] so hand-built records cannot smuggle
+   invalid parameters in. *)
+let validate s =
+  let finite name x =
+    if not (Float.is_finite x) then invalid_arg ("Dynamics.v: " ^ name ^ " must be finite")
+  in
+  finite "drift_rate" s.drift_rate;
+  finite "drift_sigma" s.drift_sigma;
+  finite "drift_max" s.drift_max;
+  finite "load_on_mean" s.load_on_mean;
+  finite "load_off_mean" s.load_off_mean;
+  finite "leave_rate" s.leave_rate;
+  finite "join_rate" s.join_rate;
+  finite "recluster_every" s.recluster_every;
+  if s.drift_rate < 0. then invalid_arg "Dynamics.v: negative drift_rate";
+  if s.drift_sigma <= 0. then invalid_arg "Dynamics.v: drift_sigma must be positive";
+  if s.drift_max < 1. then invalid_arg "Dynamics.v: drift_max < 1";
+  if s.load_on_mean <= 0. then invalid_arg "Dynamics.v: load_on_mean must be positive";
+  if s.load_off_mean < 0. then invalid_arg "Dynamics.v: negative load_off_mean";
+  if s.leave_rate < 0. then invalid_arg "Dynamics.v: negative leave_rate";
+  if s.join_rate < 0. then invalid_arg "Dynamics.v: negative join_rate";
+  if s.join_max < 0 then invalid_arg "Dynamics.v: negative join_max";
+  if s.join_max > 1 lsl 53 then invalid_arg "Dynamics.v: join_max beyond 2^53";
+  if s.recluster_every < 0. then invalid_arg "Dynamics.v: negative recluster_every";
+  s
+
 let v ?(drift_rate = 0.) ?(drift_sigma = none.drift_sigma) ?(drift_max = none.drift_max)
     ?(load_on_mean = none.load_on_mean) ?(load_off_mean = none.load_off_mean)
     ?(leave_rate = 0.) ?(join_rate = 0.) ?(join_max = none.join_max)
     ?(recluster_every = 0.) () =
-  if drift_rate < 0. then invalid_arg "Dynamics.v: negative drift_rate";
-  if drift_sigma <= 0. then invalid_arg "Dynamics.v: drift_sigma must be positive";
-  if drift_max < 1. then invalid_arg "Dynamics.v: drift_max < 1";
-  if load_on_mean <= 0. then invalid_arg "Dynamics.v: load_on_mean must be positive";
-  if load_off_mean < 0. then invalid_arg "Dynamics.v: negative load_off_mean";
-  if leave_rate < 0. then invalid_arg "Dynamics.v: negative leave_rate";
-  if join_rate < 0. then invalid_arg "Dynamics.v: negative join_rate";
-  if join_max < 0 then invalid_arg "Dynamics.v: negative join_max";
-  if recluster_every < 0. then invalid_arg "Dynamics.v: negative recluster_every";
-  {
-    drift_rate;
-    drift_sigma;
-    drift_max;
-    load_on_mean;
-    load_off_mean;
-    leave_rate;
-    join_rate;
-    join_max;
-    recluster_every;
-  }
+  validate
+    { drift_rate; drift_sigma; drift_max; load_on_mean; load_off_mean; leave_rate;
+      join_rate; join_max; recluster_every }
 
 let is_none s =
   s.drift_rate = 0. && s.leave_rate = 0. && s.join_rate = 0. && s.recluster_every = 0.
 
-let of_string str =
-  let str = String.trim str in
-  if str = "" || String.lowercase_ascii str = "none" then Ok none
-  else
-    let parse_pair acc pair =
-      match acc with
-      | Error _ as e -> e
-      | Ok s -> (
-          match String.index_opt pair '=' with
-          | None -> Error (Printf.sprintf "malformed %S (want key=value)" pair)
-          | Some i -> (
-              let key = String.trim (String.sub pair 0 i) in
-              let value = String.trim (String.sub pair (i + 1) (String.length pair - i - 1)) in
-              match float_of_string_opt value with
-              | None -> Error (Printf.sprintf "%s: not a number (%S)" key value)
-              | Some f -> (
-                  (* Range checks live here, per key, so the error names the
-                     CLI key the user typed — the Faults.of_string
-                     contract. *)
-                  let checked ok msg update =
-                    if ok then Ok (update s)
-                    else Error (Printf.sprintf "%s: %s (got %g)" key msg f)
-                  in
-                  match key with
-                  | "drift" ->
-                      checked (f >= 0.) "negative rate" (fun s -> { s with drift_rate = f })
-                  | "drift-sigma" ->
-                      checked (f > 0.) "must be positive"
-                        (fun s -> { s with drift_sigma = f })
-                  | "drift-max" ->
-                      checked (f >= 1.) "must be >= 1" (fun s -> { s with drift_max = f })
-                  | "load-on" ->
-                      checked (f > 0.) "must be positive"
-                        (fun s -> { s with load_on_mean = f })
-                  | "load-off" ->
-                      checked (f >= 0.) "negative duration"
-                        (fun s -> { s with load_off_mean = f })
-                  | "leave" ->
-                      checked (f >= 0.) "negative rate" (fun s -> { s with leave_rate = f })
-                  | "join" ->
-                      checked (f >= 0.) "negative rate" (fun s -> { s with join_rate = f })
-                  | "churn" ->
-                      (* Shorthand: symmetric churn sets both rates; never
-                         printed back, so round-trips stay fixpoints. *)
-                      checked (f >= 0.) "negative rate"
-                        (fun s -> { s with leave_rate = f; join_rate = f })
-                  | "join-max" ->
-                      checked
-                        (f >= 0. && Float.is_integer f)
-                        "must be a non-negative integer"
-                        (fun s -> { s with join_max = int_of_float f })
-                  | "recluster" ->
-                      checked (f >= 0.) "negative period"
-                        (fun s -> { s with recluster_every = f })
-                  | other ->
-                      Error
-                        (Printf.sprintf
-                           "unknown key %S (known: drift, drift-sigma, drift-max, \
-                            load-on, load-off, leave, join, join-max, churn, recluster)"
-                           other))))
-    in
-    match List.fold_left parse_pair (Ok none) (String.split_on_char ',' str) with
-    | Error _ as e -> e
-    | Ok s -> (
-        match
-          v ~drift_rate:s.drift_rate ~drift_sigma:s.drift_sigma ~drift_max:s.drift_max
-            ~load_on_mean:s.load_on_mean ~load_off_mean:s.load_off_mean
-            ~leave_rate:s.leave_rate ~join_rate:s.join_rate ~join_max:s.join_max
-            ~recluster_every:s.recluster_every ()
-        with
-        | s -> Ok s
-        | exception Invalid_argument m -> Error m)
+(* The CLI keys, with [v]'s range checks stated per key (the
+   Faults.of_string contract: errors name the key as typed). *)
+let non_negative name invalid get set =
+  Kv_spec.key name ~ok:(fun f -> f >= 0.) ~invalid ~get ~set
 
-let to_string s =
-  if is_none s then "none"
-  else
-    let fields = ref [] in
-    let add key value default =
-      if value <> default then fields := Printf.sprintf "%s=%g" key value :: !fields
-    in
-    add "recluster" s.recluster_every 0.;
-    if s.join_max <> none.join_max then
-      fields := Printf.sprintf "join-max=%d" s.join_max :: !fields;
-    add "join" s.join_rate 0.;
-    add "leave" s.leave_rate 0.;
-    add "load-off" s.load_off_mean none.load_off_mean;
-    add "load-on" s.load_on_mean none.load_on_mean;
-    add "drift-max" s.drift_max none.drift_max;
-    add "drift-sigma" s.drift_sigma none.drift_sigma;
-    add "drift" s.drift_rate 0.;
-    String.concat "," !fields
+let positive name get set =
+  Kv_spec.key name ~ok:(fun f -> f > 0.) ~invalid:"must be positive" ~get ~set
+
+let drift =
+  non_negative "drift" "negative rate"
+    (fun s -> s.drift_rate) (fun s f -> { s with drift_rate = f })
+
+let drift_sigma =
+  positive "drift-sigma" (fun s -> s.drift_sigma) (fun s f -> { s with drift_sigma = f })
+
+let drift_max =
+  Kv_spec.key "drift-max" ~ok:(fun f -> f >= 1.) ~invalid:"must be >= 1"
+    ~get:(fun s -> s.drift_max) ~set:(fun s f -> { s with drift_max = f })
+
+let load_on =
+  positive "load-on" (fun s -> s.load_on_mean) (fun s f -> { s with load_on_mean = f })
+
+let load_off =
+  non_negative "load-off" "negative duration"
+    (fun s -> s.load_off_mean) (fun s f -> { s with load_off_mean = f })
+
+let leave =
+  non_negative "leave" "negative rate"
+    (fun s -> s.leave_rate) (fun s f -> { s with leave_rate = f })
+
+let join =
+  non_negative "join" "negative rate"
+    (fun s -> s.join_rate) (fun s f -> { s with join_rate = f })
+
+(* Shorthand: symmetric churn sets both rates; never printed back, so
+   round-trips stay fixpoints. *)
+let churn =
+  non_negative "churn" "negative rate" (fun s -> s.leave_rate)
+    (fun s f -> { s with leave_rate = f; join_rate = f })
+
+let join_max =
+  Kv_spec.int_key "join-max" ~ok:(fun f -> f >= 0.) ~invalid:"must be a non-negative integer"
+    ~get:(fun s -> s.join_max) ~set:(fun s j -> { s with join_max = j })
+
+let recluster =
+  non_negative "recluster" "negative period"
+    (fun s -> s.recluster_every) (fun s f -> { s with recluster_every = f })
+
+let of_string =
+  Kv_spec.of_string
+    [ drift; drift_sigma; drift_max; load_on; load_off; leave; join; join_max; churn; recluster ]
+    ~none
+
+let to_string =
+  Kv_spec.to_string
+    [ drift; drift_sigma; drift_max; load_on; load_off; leave; join; join_max; recluster ]
+    ~none
 
 (* One directed link's drift process.  Two merged Poisson-ish event streams
    — phase toggles and walk steps — are materialised lazily in time order
@@ -175,14 +151,7 @@ let create ?(seed = 0) ?(t0 = 0.) ~n ~clusters spec =
   if n < 1 then invalid_arg "Dynamics.create: n < 1";
   if clusters < 1 then invalid_arg "Dynamics.create: clusters < 1";
   if not (Float.is_finite t0) then invalid_arg "Dynamics.create: t0 must be finite";
-  (* Re-run the smart constructor so hand-built records cannot smuggle
-     invalid parameters in (the Faults.create discipline). *)
-  let spec =
-    v ~drift_rate:spec.drift_rate ~drift_sigma:spec.drift_sigma ~drift_max:spec.drift_max
-      ~load_on_mean:spec.load_on_mean ~load_off_mean:spec.load_off_mean
-      ~leave_rate:spec.leave_rate ~join_rate:spec.join_rate ~join_max:spec.join_max
-      ~recluster_every:spec.recluster_every ()
-  in
+  let spec = validate spec in
   let master = Rng.create seed in
   let leave =
     if spec.leave_rate > 0. then

@@ -60,9 +60,10 @@ val v :
   spec
 (** Build a validated spec; omitted fields default to {!none}'s values
     (sigma 0.25, clamp 4., ON/OFF means 2e5 us, [join_max] 4).
-    @raise Invalid_argument on negative rates, non-positive [drift_sigma]
+    @raise Invalid_argument on a NaN or infinite field, negative rates,
+    non-positive [drift_sigma]
     or [load_on_mean], [drift_max < 1.], negative [load_off_mean],
-    [join_max < 0] or negative [recluster_every]. *)
+    [join_max] outside [0, 2^53] or negative [recluster_every]. *)
 
 val is_none : spec -> bool
 (** True iff nothing ever changes: zero drift, leave and join rates and no
@@ -74,13 +75,13 @@ val of_string : string -> (spec, string) result
     [leave], [join], [join-max], [recluster], plus the shorthand [churn=r]
     that sets [leave] and [join] to [r] at once.  [""] and ["none"] parse
     to {!none}.  Example: ["drift=2e-5,churn=5e-8,recluster=2e5"].
-    Errors name the offending key as typed — same contract as
-    {!Faults.of_string}. *)
+    Every value must be a finite number; errors name the offending key as
+    typed — same contract as {!Faults.of_string}. *)
 
 val to_string : spec -> string
-(** Inverse of {!of_string} up to field order; ["none"] for {!none}.  The
-    [churn] shorthand is never emitted, so print∘parse∘print is a
-    fixpoint. *)
+(** Inverse of {!of_string}: the non-default fields, each printed exactly
+    (as {!Faults.to_string}); ["none"] for {!none}.  The [churn] shorthand
+    is never emitted, so print∘parse∘print is a fixpoint. *)
 
 type t
 (** An instantiated dynamics model over [n] planning-time ranks (plus any

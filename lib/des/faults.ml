@@ -1,4 +1,5 @@
 module Rng = Gridb_util.Rng
+module Kv_spec = Gridb_util.Kv_spec
 
 type spec = {
   loss : float;
@@ -19,90 +20,61 @@ let none =
     crash_rate = 0.;
   }
 
+(* [v]'s checks, also run by [create] so hand-built records cannot smuggle
+   invalid parameters in. *)
+let validate s =
+  let finite name x =
+    if not (Float.is_finite x) then invalid_arg ("Faults.v: " ^ name ^ " must be finite")
+  in
+  finite "loss" s.loss;
+  finite "cut_rate" s.cut_rate;
+  finite "degrade_rate" s.degrade_rate;
+  finite "degrade_mean" s.degrade_mean;
+  finite "degrade_factor" s.degrade_factor;
+  finite "crash_rate" s.crash_rate;
+  if not (s.loss >= 0. && s.loss < 1.) then invalid_arg "Faults.v: loss outside [0, 1)";
+  if s.cut_rate < 0. then invalid_arg "Faults.v: negative cut_rate";
+  if s.degrade_rate < 0. then invalid_arg "Faults.v: negative degrade_rate";
+  if s.degrade_mean <= 0. then invalid_arg "Faults.v: degrade_mean must be positive";
+  if s.degrade_factor < 1. then invalid_arg "Faults.v: degrade_factor < 1";
+  if s.crash_rate < 0. then invalid_arg "Faults.v: negative crash_rate";
+  s
+
 let v ?(loss = 0.) ?(cut_rate = 0.) ?(degrade_rate = 0.) ?(degrade_mean = 1e6)
     ?(degrade_factor = 3.) ?(crash_rate = 0.) () =
-  if not (loss >= 0. && loss < 1.) then invalid_arg "Faults.v: loss outside [0, 1)";
-  if cut_rate < 0. then invalid_arg "Faults.v: negative cut_rate";
-  if degrade_rate < 0. then invalid_arg "Faults.v: negative degrade_rate";
-  if degrade_mean <= 0. then invalid_arg "Faults.v: degrade_mean must be positive";
-  if degrade_factor < 1. then invalid_arg "Faults.v: degrade_factor < 1";
-  if crash_rate < 0. then invalid_arg "Faults.v: negative crash_rate";
-  { loss; cut_rate; degrade_rate; degrade_mean; degrade_factor; crash_rate }
+  validate { loss; cut_rate; degrade_rate; degrade_mean; degrade_factor; crash_rate }
 
 let is_none s =
   s.loss = 0. && s.cut_rate = 0. && s.degrade_rate = 0. && s.crash_rate = 0.
 
-let of_string str =
-  let str = String.trim str in
-  if str = "" || String.lowercase_ascii str = "none" then Ok none
-  else
-    let parse_pair acc pair =
-      match acc with
-      | Error _ as e -> e
-      | Ok s -> (
-          match String.index_opt pair '=' with
-          | None -> Error (Printf.sprintf "malformed %S (want key=value)" pair)
-          | Some i -> (
-              let key = String.trim (String.sub pair 0 i) in
-              let value = String.trim (String.sub pair (i + 1) (String.length pair - i - 1)) in
-              match float_of_string_opt value with
-              | None -> Error (Printf.sprintf "%s: not a number (%S)" key value)
-              | Some f -> (
-                  (* Range checks live here, per key, so the error names the
-                     CLI key the user typed — not the spec record field that
-                     [v] would complain about. *)
-                  let checked ok msg update =
-                    if ok then Ok (update s)
-                    else Error (Printf.sprintf "%s: %s (got %g)" key msg f)
-                  in
-                  match key with
-                  | "loss" ->
-                      checked (f >= 0. && f < 1.) "outside [0, 1)"
-                        (fun s -> { s with loss = f })
-                  | "cut" ->
-                      checked (f >= 0.) "negative rate" (fun s -> { s with cut_rate = f })
-                  | "crash" ->
-                      checked (f >= 0.) "negative rate"
-                        (fun s -> { s with crash_rate = f })
-                  | "degrade" ->
-                      checked (f >= 0.) "negative rate"
-                        (fun s -> { s with degrade_rate = f })
-                  | "degrade-mean" ->
-                      checked (f > 0.) "must be positive"
-                        (fun s -> { s with degrade_mean = f })
-                  | "degrade-factor" ->
-                      checked (f >= 1.) "must be >= 1"
-                        (fun s -> { s with degrade_factor = f })
-                  | other ->
-                      Error
-                        (Printf.sprintf
-                           "unknown key %S (known: loss, cut, crash, degrade, \
-                            degrade-mean, degrade-factor)"
-                           other))))
-    in
-    match List.fold_left parse_pair (Ok none) (String.split_on_char ',' str) with
-    | Error _ as e -> e
-    | Ok s -> (
-        match
-          v ~loss:s.loss ~cut_rate:s.cut_rate ~degrade_rate:s.degrade_rate
-            ~degrade_mean:s.degrade_mean ~degrade_factor:s.degrade_factor
-            ~crash_rate:s.crash_rate ()
-        with
-        | s -> Ok s
-        | exception Invalid_argument m -> Error m)
+(* The CLI keys.  Their range checks are [v]'s, stated per key so an error
+   names the key the user typed rather than the record field. *)
+let rate name get set =
+  Kv_spec.key name ~ok:(fun f -> f >= 0.) ~invalid:"negative rate" ~get ~set
 
-let to_string s =
-  if is_none s then "none"
-  else
-    let fields = ref [] in
-    let add key value default = if value <> default then fields := Printf.sprintf "%s=%g" key value :: !fields in
-    add "crash" s.crash_rate 0.;
-    add "degrade-factor" s.degrade_factor none.degrade_factor;
-    add "degrade-mean" s.degrade_mean none.degrade_mean;
-    add "degrade" s.degrade_rate 0.;
-    add "cut" s.cut_rate 0.;
-    add "loss" s.loss 0.;
-    String.concat "," !fields
+let loss =
+  Kv_spec.key "loss" ~ok:(fun f -> f >= 0. && f < 1.) ~invalid:"outside [0, 1)"
+    ~get:(fun s -> s.loss) ~set:(fun s f -> { s with loss = f })
+
+let cut = rate "cut" (fun s -> s.cut_rate) (fun s f -> { s with cut_rate = f })
+let crash = rate "crash" (fun s -> s.crash_rate) (fun s f -> { s with crash_rate = f })
+let degrade =
+  rate "degrade" (fun s -> s.degrade_rate) (fun s f -> { s with degrade_rate = f })
+
+let degrade_mean =
+  Kv_spec.key "degrade-mean" ~ok:(fun f -> f > 0.) ~invalid:"must be positive"
+    ~get:(fun s -> s.degrade_mean) ~set:(fun s f -> { s with degrade_mean = f })
+
+let degrade_factor =
+  Kv_spec.key "degrade-factor" ~ok:(fun f -> f >= 1.) ~invalid:"must be >= 1"
+    ~get:(fun s -> s.degrade_factor) ~set:(fun s f -> { s with degrade_factor = f })
+
+let of_string =
+  Kv_spec.of_string [ loss; cut; crash; degrade; degrade_mean; degrade_factor ] ~none
+
+(* Printed with crash last, the order reports have always shown. *)
+let to_string =
+  Kv_spec.to_string [ loss; cut; degrade; degrade_mean; degrade_factor; crash ] ~none
 
 (* Degradation episodes are generated lazily per link, in start order, from
    the link's private stream: [next_start] is the first episode not yet
@@ -135,13 +107,7 @@ type t = {
 let create ?(seed = 0) ?(t0 = 0.) ~n spec =
   if n < 1 then invalid_arg "Faults.create: n < 1";
   if not (Float.is_finite t0) then invalid_arg "Faults.create: t0 must be finite";
-  (* Field validity: re-run the smart constructor so hand-built records
-     cannot smuggle invalid parameters in. *)
-  let spec =
-    v ~loss:spec.loss ~cut_rate:spec.cut_rate ~degrade_rate:spec.degrade_rate
-      ~degrade_mean:spec.degrade_mean ~degrade_factor:spec.degrade_factor
-      ~crash_rate:spec.crash_rate ()
-  in
+  let spec = validate spec in
   let master = Rng.create seed in
   let crash =
     if spec.crash_rate > 0. then

@@ -47,8 +47,9 @@ val v :
   spec
 (** Build a validated spec; omitted fields default to {!none}'s values
     (except [degrade_mean], default 1e6 us, and [degrade_factor], default
-    3.).  @raise Invalid_argument on [loss] outside [0, 1), negative rates,
-    non-positive [degrade_mean] or [degrade_factor < 1.]. *)
+    3.).  @raise Invalid_argument on a NaN or infinite field, [loss]
+    outside [0, 1), negative rates, non-positive [degrade_mean] or
+    [degrade_factor < 1.]. *)
 
 val is_none : spec -> bool
 (** True iff no fault process is active (an empty fault spec). *)
@@ -58,12 +59,15 @@ val of_string : string -> (spec, string) result
     [cut], [crash], [degrade] (episode rate), [degrade-mean],
     [degrade-factor].  [""] and ["none"] parse to {!none}.
     Example: ["loss=0.05,crash=2e-8,degrade=1e-7,degrade-factor=4"].
+    Every value must be a finite number ({!Gridb_util.Kv_spec}).
     Errors name the offending key as typed: unknown keys list the known
-    ones, non-numbers quote the value, and out-of-range values state the
-    accepted range (e.g. ["loss: outside [0, 1) (got 1.5)"]). *)
+    ones, non-numbers and NaN/infinities quote the value, and out-of-range
+    values state the accepted range (e.g.
+    ["loss: outside [0, 1) (got 1.5)"]). *)
 
 val to_string : spec -> string
-(** Inverse of {!of_string} up to field order; ["none"] for {!none}. *)
+(** Inverse of {!of_string}: the non-default fields, each printed exactly
+    (as [%g] prints it when that is exact); ["none"] for {!none}. *)
 
 type t
 (** An instantiated fault model over [n] ranks. *)

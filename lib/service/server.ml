@@ -24,6 +24,7 @@ let retry ?(budget = 2) ?(backoff_us = 1e4) () =
   if budget < 0 then invalid_arg "Server.retry: budget < 0";
   if Float.is_nan backoff_us || backoff_us < 0. then
     invalid_arg "Server.retry: backoff_us < 0";
+  if backoff_us = infinity then invalid_arg "Server.retry: backoff_us must be finite";
   { budget; backoff_us }
 
 type outcome = {

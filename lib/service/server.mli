@@ -44,7 +44,8 @@ val no_retry : retry
 
 val retry : ?budget:int -> ?backoff_us:float -> unit -> retry
 (** Defaults: budget 2, base backoff 10 ms.
-    @raise Invalid_argument on a negative budget or backoff. *)
+    @raise Invalid_argument on a negative budget or a negative, NaN or
+    infinite backoff. *)
 
 type outcome = {
   request : Workload.request;

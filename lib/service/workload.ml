@@ -74,6 +74,10 @@ let validate_mix machines m =
     invalid_arg "Workload.generate: high_frac outside [0, 1]"
 
 let generate ?mix ~seed ~rate ~duration machines =
+  (* NaN fails every comparison and an infinite rate draws zero gaps, so
+     either would keep the loop below consing requests forever. *)
+  if not (Float.is_finite rate && Float.is_finite duration) then
+    invalid_arg "Workload.generate: rate and duration must be finite";
   if rate <= 0. then invalid_arg "Workload.generate: rate must be positive";
   if duration <= 0. then invalid_arg "Workload.generate: duration must be positive";
   let m = match mix with Some m -> m | None -> default_mix machines in
@@ -114,45 +118,45 @@ let generate ?mix ~seed ~rate ~duration machines =
    comma-separated key=value pairs, every parse error names the offending
    key.  List-valued keys separate their elements with '|'. *)
 
-let float_string f = if Float.is_integer f then Printf.sprintf "%.0f" f else Printf.sprintf "%.17g" f
-
 let mix_to_string m =
-  let ints a = String.concat "|" (Array.to_list (Array.map string_of_int a)) in
-  let floats a =
-    String.concat "|"
-      (Array.to_list
-         (Array.map (fun d -> if d = infinity then "inf" else float_string d) a))
-  in
-  Printf.sprintf "roots=%s,msgs=%s,policies=%s,deadlines=%s,high=%s" (ints m.roots)
-    (ints m.msgs)
-    (String.concat "|" (Array.to_list m.policies))
-    (floats m.deadlines) (float_string m.high_frac)
+  let join to_string a = String.concat "|" (Array.to_list (Array.map to_string a)) in
+  let float_string = Gridb_util.Kv_spec.float_to_string in
+  Printf.sprintf "roots=%s,msgs=%s,policies=%s,deadlines=%s,high=%s"
+    (join string_of_int m.roots) (join string_of_int m.msgs) (join Fun.id m.policies)
+    (join float_string m.deadlines) (float_string m.high_frac)
+
+(* Split at [sep] where it sits outside every [<...>], so a policy such as
+   [Mixed<FEF|ECEF@1000>] stays one element. *)
+let split_outside_brackets sep s =
+  let depth = ref 0 and start = ref 0 and parts = ref [] in
+  String.iteri
+    (fun i c ->
+      if c = '<' then incr depth
+      else if c = '>' then depth := max 0 (!depth - 1)
+      else if c = sep && !depth = 0 then begin
+        parts := String.sub s !start (i - !start) :: !parts;
+        start := i + 1
+      end)
+    s;
+  List.rev (String.sub s !start (String.length s - !start) :: !parts)
 
 let mix_of_string machines s =
   let err key fmt =
     Printf.ksprintf (fun m -> Error (Printf.sprintf "mix key %S: %s" key m)) fmt
   in
-  let split_elems v = String.split_on_char '|' v in
-  let parse_ints key v k =
+  let split_elems v = split_outside_brackets '|' v in
+  let parse_list of_string what key v k =
     let rec go acc = function
       | [] -> k (Array.of_list (List.rev acc))
       | e :: rest -> (
-          match int_of_string_opt (String.trim e) with
-          | Some i -> go (i :: acc) rest
-          | None -> err key "bad integer %S" e)
+          match of_string (String.trim e) with
+          | Some x -> go (x :: acc) rest
+          | None -> err key "bad %s %S" what e)
     in
     go [] (split_elems v)
   in
-  let parse_floats key v k =
-    let rec go acc = function
-      | [] -> k (Array.of_list (List.rev acc))
-      | e :: rest -> (
-          match float_of_string_opt (String.trim e) with
-          | Some f -> go (f :: acc) rest
-          | None -> err key "bad number %S" e)
-    in
-    go [] (split_elems v)
-  in
+  let parse_ints key = parse_list int_of_string_opt "integer" key
+  and parse_floats key = parse_list float_of_string_opt "number" key in
   let rec fold m = function
     | [] -> Ok m
     | pair :: rest -> (
@@ -180,7 +184,7 @@ let mix_of_string machines s =
   let m0 = default_mix machines in
   if String.trim s = "default" then Ok m0
   else
-    match fold m0 (String.split_on_char ',' (String.trim s)) with
+    match fold m0 (split_outside_brackets ',' (String.trim s)) with
     | Error _ as e -> e
     | Ok m -> (
         match validate_mix machines m with

@@ -54,7 +54,8 @@ val generate :
     over [(0, duration]], each drawing root/size/policy — and, when the
     mix carries more than one candidate, deadline and priority — uniformly
     from [mix] (default {!default_mix}); chronological, rids dense from 0.
-    @raise Invalid_argument on non-positive [rate]/[duration], an empty or
+    @raise Invalid_argument on a NaN, infinite or non-positive
+    [rate]/[duration], an empty or
     out-of-range mix, an unknown policy name, a non-positive deadline or a
     [high_frac] outside [0, 1]. *)
 
@@ -62,7 +63,9 @@ val mix_to_string : mix -> string
 (** Render a mix as comma-separated [key=value] pairs with ['|']-separated
     list elements, e.g.
     [roots=0|1|2,msgs=65536|1000000,policies=ECEF|ECEF-LA,deadlines=inf,high=0].
-    Round-trips through {!mix_of_string}. *)
+    A ['|'] or [','] inside [<...>] belongs to the element, so
+    [Mixed<FEF|ECEF@1000>] is one policy.  Numbers print exactly, and the
+    mix round-trips through {!mix_of_string}. *)
 
 val mix_of_string :
   Gridb_topology.Machines.t -> string -> (mix, string) result

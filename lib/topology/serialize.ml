@@ -70,7 +70,16 @@ let of_string text =
           match String.split_on_char ' ' first with
           | [ "grid"; n ] -> (
               match int_of_string_opt n with
-              | Some n when n > 0 -> n
+              (* n cluster lines and n(n-1) link lines must follow; checked
+                 before allocating, so a forged size cannot ask for n^2
+                 cells of memory *)
+              | Some n when n > 0 && n <= List.length rest && n * n <= List.length rest ->
+                  n
+              | Some n when n > 0 ->
+                  raise
+                    (Parse_error
+                       (Printf.sprintf "line %d: grid %d needs %d^2 directive lines, found %d"
+                          ln n n (List.length rest)))
               | _ -> raise (Parse_error (Printf.sprintf "line %d: bad grid size" ln)))
           | _ -> raise (Parse_error (Printf.sprintf "line %d: expected 'grid <n>'" ln))
         in

@@ -34,3 +34,16 @@ val corpus :
     instance), sizes uniform in [n_range] (default 2-12).  The
     per-instance seed is what a failure should report — feeding it back
     to {!random_instance} rebuilds the offending instance. *)
+
+val grammar_fuzz :
+  name:string ->
+  seeds:string list ->
+  ?print:('a -> string) ->
+  ?equal:('a -> 'a -> bool) ->
+  (string -> ('a, string) result) ->
+  QCheck.Test.t
+(** [grammar_fuzz ~name ~seeds parse]: feed [parse] random bytes and
+    [seeds] (which must parse) with one to three bytes replaced, inserted
+    or deleted.  It must return [Ok] or [Error], never raise; with
+    [print], every [Ok] must print and parse back to an [equal] value
+    (default [( = )]). *)

@@ -291,6 +291,94 @@ let scenario_codec_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an out-of-range root"
 
+(* --- grammar fuzz --------------------------------------------------------- *)
+
+(* Every text grammar a user or a file can feed the system, fuzzed from
+   random bytes and from mutated valid lines: a parser answers Ok or
+   Error, never raises, and whatever it accepts prints back to itself. *)
+let grammar_fuzz =
+  let faults =
+    Testutil.grammar_fuzz ~name:"fuzz: fault specs" ~print:Gridb_des.Faults.to_string
+      ~seeds:
+        [ "loss=0.05,crash=2e-8"; "cut=1e-9,degrade=1e-7,degrade-mean=5e5,degrade-factor=4";
+          (* one digit away from overflowing to infinity *)
+          "degrade=1e308,degrade-factor=1e308" ]
+      (* whatever parses, the model accepts: create re-validates *)
+      (fun s ->
+        Result.map
+          (fun spec -> ignore (Gridb_des.Faults.create ~n:2 spec); spec)
+          (Gridb_des.Faults.of_string s))
+  in
+  let dynamics =
+    Testutil.grammar_fuzz ~name:"fuzz: dynamics specs" ~print:Gridb_des.Dynamics.to_string
+      ~seeds:
+        [ "drift=2e-5,churn=5e-8,recluster=2e5";
+          "drift=1e-4,drift-sigma=0.5,drift-max=8,load-on=1e5,load-off=0,join=1e-7,join-max=3";
+          "drift=1e308,load-on=1e308" ]
+      (* whatever parses, the model accepts: create re-validates (joins
+         off, so a fuzzed join-max allocates nothing) *)
+      (fun s ->
+        Result.map
+          (fun (d : Gridb_des.Dynamics.spec) ->
+            ignore (Gridb_des.Dynamics.create ~n:2 ~clusters:1 { d with join_rate = 0. });
+            d)
+          (Gridb_des.Dynamics.of_string s))
+  in
+  let mix =
+    let machines = Machines.expand (Testutil.random_grid ~cluster_size:(1, 4) ~n:4 7) in
+    Testutil.grammar_fuzz ~name:"fuzz: serve mixes" ~print:Gridb_service.Workload.mix_to_string
+      ~seeds:
+        [ "roots=0|1|2,msgs=65536|1000000,policies=ECEF|Mixed<FEF|ECEF@1000>,\
+           deadlines=500000|inf,high=0.3"; "default" ]
+      (Gridb_service.Workload.mix_of_string machines)
+  in
+  let transport =
+    Testutil.grammar_fuzz ~name:"fuzz: transports" ~print:Session.transport_to_string
+      ~equal:(fun a b -> Session.transport_to_string a = Session.transport_to_string b)
+      ~seeds:[ "fixed"; "adaptive"; "adaptive,reroute" ]
+      Session.transport_of_string
+  in
+  let topology =
+    let module Serialize = Gridb_topology.Serialize in
+    Testutil.grammar_fuzz ~name:"fuzz: topology files" ~print:Serialize.to_string
+      ~equal:(fun a b -> Serialize.to_string a = Serialize.to_string b)
+      ~seeds:[ Serialize.to_string (Testutil.random_grid ~cluster_size:(1, 4) ~n:2 3) ]
+      Serialize.of_string
+  in
+  let matrix =
+    Testutil.grammar_fuzz ~name:"fuzz: latency matrices"
+      ~seeds:[ "0,10,200\n10,0,200\n200,200,-\n"; "# two machines\n-,5\n5,-\n" ]
+      Gridb_clustering.Matrix_io.of_string
+  in
+  let events =
+    Testutil.grammar_fuzz ~name:"fuzz: trace events" ~print:Event.to_json
+      ~equal:(fun a b -> compare a b = 0)
+      ~seeds:
+        (List.map Event.to_json
+           [
+             Event.tag ~sid:3
+               (Event.Send_start
+                  { src = 0; dst = 1; time = 1.5; msg = 65_536; intra = false; try_no = 0 });
+             Event.Deadline_miss { rid = 2; deadline = 5e5; finish = Float.nan };
+             Event.Shed { rid = 1; priority = "low"; reason = "backlog \"9\""; time = 0.25 };
+             Event.Heap_op { op = Event.Rescore; receiver = 4; sender = 2 };
+           ])
+      Event.of_json
+  in
+  let scenarios =
+    Testutil.grammar_fuzz ~name:"fuzz: check reproducers" ~print:Scenario.to_json
+      ~equal:Scenario.equal
+      ~seeds:
+        [
+          Scenario.to_json
+            ~extra:[ ("violation", "causality") ]
+            (Scenario.generate (Rng.create 11));
+        ]
+      Scenario.of_json
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [ faults; dynamics; mix; transport; topology; matrix; events; scenarios ]
+
 let minimal_scenario =
   {
     Scenario.seed = 0;
@@ -461,6 +549,7 @@ let () =
           Alcotest.test_case "codec errors and string_field" `Quick scenario_codec_errors;
           Alcotest.test_case "shrink candidates" `Quick scenario_shrink_candidates;
         ] );
+      ("grammar fuzz", grammar_fuzz);
       ( "fuzz",
         [
           Alcotest.test_case "Run.check over scenarios" `Quick run_check_cases;

@@ -79,39 +79,64 @@ let test_spec_parse_errors () =
   (match Dyn.of_string "drift" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "key without value parsed");
-  match Dyn.of_string "drift=fast" with
+  (match Dyn.of_string "drift=fast" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-numeric value parsed"
+  | Ok _ -> Alcotest.fail "non-numeric value parsed");
+  (* Non-finite values used to hang the drift loop (drift=inf, a zero step
+     gap) or kill the exponential draws (load-on/load-off=inf). *)
+  List.iter
+    (fun key ->
+      List.iter
+        (fun value ->
+          match Dyn.of_string (key ^ "=" ^ value) with
+          | Error e ->
+              Alcotest.(check string) (key ^ "=" ^ value)
+                (Printf.sprintf "%s: not a finite number (%S)" key value) e
+          | Ok _ -> Alcotest.failf "%s=%s parsed" key value)
+        [ "inf"; "nan" ])
+    [ "drift"; "drift-sigma"; "drift-max"; "load-on"; "load-off"; "leave"; "join";
+      "join-max"; "churn"; "recluster" ];
+  Alcotest.(check (result reject string)) "join-max beyond 2^53"
+    (Error "join-max: beyond 2^53 (got 1e+16)") (Dyn.of_string "join-max=1e16");
+  Alcotest.check_raises "Dyn.v refuses join_max beyond 2^53"
+    (Invalid_argument "Dynamics.v: join_max beyond 2^53") (fun () ->
+      ignore (Dyn.v ~join_max:((1 lsl 53) + 1) ()));
+  Alcotest.check_raises "Dyn.v refuses a NaN rate"
+    (Invalid_argument "Dynamics.v: leave_rate must be finite") (fun () ->
+      ignore (Dyn.v ~leave_rate:Float.nan ()))
 
-(* Specs drawn from %g-exact values, so print/parse is lossless. *)
 let spec_gen =
   let open QCheck.Gen in
-  let pickf l = oneofl l in
+  (* Either a menu value (zeros keep the inert paths hot) or any float in
+     range, which needs more than %g's six digits to print back exactly. *)
+  let pickf l lo hi = oneof [ oneofl l; float_range lo hi ] in
   map
     (fun ((drift, sigma, dmax), (on, off), (leave, join, jmax, recluster)) ->
       Dyn.v ~drift_rate:drift ~drift_sigma:sigma ~drift_max:dmax ~load_on_mean:on
         ~load_off_mean:off ~leave_rate:leave ~join_rate:join ~join_max:jmax
         ~recluster_every:recluster ())
     (triple
-       (triple (pickf [ 0.; 1e-5; 2e-5; 1e-4 ]) (pickf [ 0.25; 0.5; 1. ])
-          (pickf [ 2.; 4.; 8. ]))
-       (pair (pickf [ 1e5; 2e5 ]) (pickf [ 0.; 2e5 ]))
-       (quad (pickf [ 0.; 3e-8; 1e-7 ]) (pickf [ 0.; 3e-8; 1e-7 ]) (pickf [ 0; 2; 4 ])
-          (pickf [ 0.; 2e5; 5e5 ])))
+       (triple (pickf [ 0.; 1e-5; 2e-5; 1e-4 ] 0. 1e-3) (pickf [ 0.25; 0.5; 1. ] 0.01 2.)
+          (pickf [ 2.; 4.; 8. ] 1. 16.))
+       (pair (pickf [ 1e5; 2e5 ] 1. 1e6) (pickf [ 0.; 2e5 ] 0. 1e6))
+       (quad (pickf [ 0.; 3e-8; 1e-7 ] 0. 1e-6) (pickf [ 0.; 3e-8; 1e-7 ] 0. 1e-6)
+          (oneofl [ 0; 2; 4 ]) (pickf [ 0.; 2e5; 5e5 ] 0. 1e6)))
 
 let spec_roundtrip =
   QCheck.Test.make ~name:"dynamics spec print/parse round-trips"
     ~count:(Testutil.count 200)
     (QCheck.make spec_gen ~print:Dyn.to_string)
     (fun s ->
-      match Dyn.of_string (Dyn.to_string s) with
-      (* An inert spec prints as "none", so auxiliary fields (sigma, load
-         means...) legitimately reset to the defaults on the way back. *)
-      | Ok s' -> if Dyn.is_none s then s' = Dyn.none else s' = s
-      | Error _ -> false)
+      match Dyn.of_string (Dyn.to_string s) with Ok s' -> s' = s | Error _ -> false)
 
 let test_to_string_fixpoint () =
   Alcotest.(check string) "none prints none" "none" (Dyn.to_string Dyn.none);
+  (* An inert spec keeps its other fields: printing is an exact inverse. *)
+  Alcotest.(check string) "inert spec" "drift-sigma=0.5,join-max=1000000"
+    (Dyn.to_string (Dyn.v ~drift_sigma:0.5 ~join_max:1_000_000 ()));
+  Alcotest.(check (result string string)) "drift=0e308"
+    (Ok "load-on=1e+308")
+    (Result.map Dyn.to_string (Dyn.of_string "drift=0e308,load-on=1e308"));
   (* churn shorthand is never printed back, so print∘parse∘print is a
      fixpoint even for specs entered via the shorthand. *)
   match Dyn.of_string "churn=5e-8" with

@@ -137,7 +137,13 @@ let test_spec_validation () =
       ignore (Faults.v ~crash_rate:(-1e-6) ()));
   Alcotest.check_raises "degrade factor < 1"
     (Invalid_argument "Faults.v: degrade_factor < 1") (fun () ->
-      ignore (Faults.v ~degrade_factor:0.5 ()))
+      ignore (Faults.v ~degrade_factor:0.5 ()));
+  Alcotest.check_raises "NaN rate"
+    (Invalid_argument "Faults.v: cut_rate must be finite") (fun () ->
+      ignore (Faults.v ~cut_rate:Float.nan ()));
+  Alcotest.check_raises "hand-built infinite rate, re-validated by create"
+    (Invalid_argument "Faults.v: degrade_rate must be finite") (fun () ->
+      ignore (Faults.create ~n:2 { Faults.none with Faults.degrade_rate = infinity }))
 
 let test_spec_of_string () =
   (match Faults.of_string "loss=0.05,crash=2e-8" with
@@ -163,7 +169,19 @@ let test_spec_roundtrip () =
       check_feq "loss" spec.Faults.loss spec'.Faults.loss;
       check_feq "crash" spec.Faults.crash_rate spec'.Faults.crash_rate;
       check_feq "degrade" spec.Faults.degrade_rate spec'.Faults.degrade_rate;
-      check_feq "factor" spec.Faults.degrade_factor spec'.Faults.degrade_factor
+      check_feq "factor" spec.Faults.degrade_factor spec'.Faults.degrade_factor;
+  (* Short values print as %g did; longer ones keep every digit. *)
+  Alcotest.(check string) "%g form" "loss=0.05,crash=2e-08"
+    (Faults.to_string (Faults.v ~loss:0.05 ~crash_rate:2e-8 ()));
+  Alcotest.(check string) "exact form" "loss=0.0512345678,degrade-mean=1234567"
+    (Faults.to_string (Faults.v ~loss:0.0512345678 ~degrade_mean:1234567. ()));
+  (* An inert spec prints its other fields, so it reads back unchanged. *)
+  match Faults.of_string "degrade=0e308,degrade-factor=1e308" with
+  | Error e -> Alcotest.fail e
+  | Ok spec ->
+      Alcotest.(check string) "inert spec" "degrade-factor=1e+308" (Faults.to_string spec);
+      Alcotest.(check bool) "reads back" true
+        (Faults.of_string (Faults.to_string spec) = Ok spec)
 
 let test_spec_errors_name_keys () =
   let err s =
@@ -188,10 +206,22 @@ let test_spec_errors_name_keys () =
      degrade-factor)"
     (err "bogus=1");
   Alcotest.(check string) "malformed pair" "malformed \"loss\" (want key=value)"
-    (err "loss")
+    (err "loss");
+  (* Non-finite values used to hang (degrade, a zero episode gap), crash
+     the exponential draws (degrade-mean) or fail every rank
+     (degrade-factor). *)
+  List.iter
+    (fun (spec, expected) ->
+      Alcotest.(check string) ("non-finite " ^ spec) expected (err spec))
+    [
+      ("loss=nan", "loss: not a finite number (\"nan\")");
+      ("cut=inf", "cut: not a finite number (\"inf\")");
+      ("crash=infinity", "crash: not a finite number (\"infinity\")");
+      ("degrade=inf", "degrade: not a finite number (\"inf\")");
+      ("degrade-mean=inf", "degrade-mean: not a finite number (\"inf\")");
+      ("degrade-factor=-inf", "degrade-factor: not a finite number (\"-inf\")");
+    ]
 
-(* to_string prints with %g (6 significant digits), so the round trip is
-   exact only to that precision. *)
 let spec_roundtrip_property =
   QCheck.Test.make ~name:"Faults.to_string/of_string round-trips every spec" ~count:(Testutil.count 200)
     QCheck.(
@@ -208,13 +238,12 @@ let spec_roundtrip_property =
       match Faults.of_string (Faults.to_string spec) with
       | Error e -> QCheck.Test.fail_reportf "rejected own rendering: %s" e
       | Ok spec' ->
-          let close a b = feq ~eps:1e-5 a b || abs_float (a -. b) <= 1e-5 *. abs_float a in
-          close spec.Faults.loss spec'.Faults.loss
-          && close spec.Faults.cut_rate spec'.Faults.cut_rate
-          && close spec.Faults.degrade_rate spec'.Faults.degrade_rate
-          && close spec.Faults.degrade_mean spec'.Faults.degrade_mean
-          && close spec.Faults.degrade_factor spec'.Faults.degrade_factor
-          && close spec.Faults.crash_rate spec'.Faults.crash_rate)
+          Float.equal spec.Faults.loss spec'.Faults.loss
+          && Float.equal spec.Faults.cut_rate spec'.Faults.cut_rate
+          && Float.equal spec.Faults.degrade_rate spec'.Faults.degrade_rate
+          && Float.equal spec.Faults.degrade_mean spec'.Faults.degrade_mean
+          && Float.equal spec.Faults.degrade_factor spec'.Faults.degrade_factor
+          && Float.equal spec.Faults.crash_rate spec'.Faults.crash_rate)
 
 let test_faults_deterministic () =
   let spec = Faults.v ~loss:0.2 ~crash_rate:1e-6 ~cut_rate:1e-7 ()

@@ -237,6 +237,20 @@ let test_workload_validation () =
   Alcotest.check_raises "non-positive rate"
     (Invalid_argument "Workload.generate: rate must be positive") (fun () ->
       ignore (Workload.generate ~seed:0 ~rate:0. ~duration:1e6 machines));
+  (* A NaN rate passes [rate <= 0.], and an infinite one draws zero gaps:
+     either used to loop forever, consing one request per pass. *)
+  List.iter
+    (fun (name, rate, duration) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Workload.generate: rate and duration must be finite")
+        (fun () -> ignore (Workload.generate ~seed:0 ~rate ~duration machines)))
+    [
+      ("NaN rate", Float.nan, 1e6); ("infinite rate", infinity, 1e6);
+      ("NaN duration", 1e-5, Float.nan); ("infinite duration", 1e-5, infinity);
+    ];
+  Alcotest.check_raises "infinite retry backoff"
+    (Invalid_argument "Server.retry: backoff_us must be finite") (fun () ->
+      ignore (Server.retry ~backoff_us:infinity ()));
   let bad_mix =
     {
       Workload.roots = [| 0 |];
@@ -270,6 +284,12 @@ let test_mix_round_trip () =
       policies = [| "ECEF" |];
       deadlines = [| 2e5; infinity |];
       high_frac = 0.25;
+    };
+  (* A Mixed policy carries its own '|' inside the angle brackets. *)
+  check_mix "mixed policy round-trips"
+    {
+      (Workload.default_mix machines) with
+      Workload.policies = [| "Mixed<FEF|ECEF@1000>"; "ECEF-LA<min-edge+T>"; "FEF" |];
     };
   Alcotest.(check bool) "\"default\" is the default mix" true
     (Workload.mix_of_string machines "default"

@@ -300,7 +300,16 @@ let test_serialize_rejects_garbage () =
        (Serialize.of_string
           "grid 2\ncluster 0 a 1 L 1 G 0:1\ncluster 1 b 1 L 1 G 0:1\n"));
   Alcotest.(check bool) "comments ok" true
-    (Result.is_error (Serialize.of_string "# only a comment\n"))
+    (Result.is_error (Serialize.of_string "# only a comment\n"));
+  (* A forged size is refused before the n x n link table is allocated. *)
+  Alcotest.(check (result reject string)) "forged size"
+    (Error "line 1: grid 1000000000 needs 1000000000^2 directive lines, found 1")
+    (Serialize.of_string "grid 1000000000\ncluster 0 a 1 L 1 G 0:1\n");
+  Alcotest.(check (result reject string)) "one line short"
+    (Error "line 2: grid 2 needs 2^2 directive lines, found 3")
+    (Serialize.of_string
+       "# header below\ngrid 2\ncluster 0 a 1 L 1 G 0:1\ncluster 1 b 1 L 1 G 0:1\n\
+        link 0 1 L 1 G 0:1\n")
 
 (* --- Dot ---------------------------------------------------------------- *)
 
