@@ -34,6 +34,46 @@ let finite_float =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
+(* Range-checked converters: a value outside what the flag's consumer
+   accepts is a usage error (exit 124) naming the flag, not an
+   [Invalid_argument] raised deep in the library. *)
+let bounded conv ~ok ~bound =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) -> Error (`Msg (Printf.sprintf "must be %s (got %s)" bound s))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_at_least lo =
+  bounded Arg.int ~ok:(fun i -> i >= lo) ~bound:(Printf.sprintf "at least %d" lo)
+
+let float_at_least lo =
+  bounded finite_float ~ok:(fun f -> f >= lo) ~bound:(Printf.sprintf "at least %g" lo)
+
+let positive_float = bounded finite_float ~ok:(fun f -> f > 0.) ~bound:"positive"
+
+(* An index that only the loaded topology can range-check.  [Usage] leaves
+   the command body and [with_usage] turns it into the same usage error a
+   converter gives. *)
+exception Usage of string
+
+let check_index ~flag ~what ~count i =
+  if i >= count then
+    raise
+      (Usage
+         (Printf.sprintf "option '%s': no %s %d (the topology has %d, numbered from 0)"
+            flag what i count))
+
+let with_usage body =
+  Term.(ret (const (fun run -> try `Ok (run ()) with Usage m -> `Error (true, m)) $ body))
+
+let root_arg =
+  Arg.(value & opt (int_at_least 0) 0 & info [ "root" ] ~docv:"CLUSTER" ~doc:"Root cluster.")
+
+let check_root grid root =
+  check_index ~flag:"--root" ~what:"cluster" ~count:(Topology.Grid.size grid) root
+
 let engine_arg =
   let mode = Arg.enum [ ("incremental", `Incremental); ("naive", `Naive) ] in
   Arg.(
@@ -46,7 +86,10 @@ let engine_arg =
            schedule; naive is kept as the reference oracle.")
 
 let msg_arg =
-  Arg.(value & opt int 1_000_000 & info [ "m"; "message" ] ~docv:"BYTES" ~doc:"Message size in bytes.")
+  Arg.(
+    value
+    & opt (int_at_least 0) 1_000_000
+    & info [ "m"; "message" ] ~docv:"BYTES" ~doc:"Message size in bytes.")
 
 let seed_arg =
   Arg.(value & opt int 2006 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -78,12 +121,13 @@ let load_grid = function
 (* --- schedule: run one heuristic on a topology and print the schedule --- *)
 
 let schedule_cmd =
-  let run heuristic topology msg root gantt improve mode =
+  let run heuristic topology msg root gantt improve mode () =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
         1
     | Ok grid ->
+        check_root grid root;
         let inst = Instance.of_grid ~root ~msg grid in
         let schedule = Heuristics.run ~mode heuristic inst in
         let schedule =
@@ -111,24 +155,27 @@ let schedule_cmd =
   let heuristic =
     Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
   in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   let gantt = Arg.(value & flag & info [ "gantt" ] ~doc:"Render a text Gantt chart.") in
   let improve =
     Arg.(value & flag & info [ "improve" ] ~doc:"Refine the schedule with local search.")
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Compute and print one heuristic's broadcast schedule")
-    Term.(const run $ heuristic $ topology_arg $ msg_arg $ root $ gantt $ improve $ engine_arg)
+    (with_usage
+       Term.(
+         const run $ heuristic $ topology_arg $ msg_arg $ root_arg $ gantt $ improve
+         $ engine_arg))
 
 (* --- compare: all heuristics on one topology --- *)
 
 let compare_cmd =
-  let run topology msg root mode =
+  let run topology msg root mode () =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
         1
     | Ok grid ->
+        check_root grid root;
         let inst = Instance.of_grid ~root ~msg grid in
         let table =
           Gridb_util.Text_table.create
@@ -148,10 +195,9 @@ let compare_cmd =
         Gridb_util.Text_table.print table;
         0
   in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare all heuristics' makespans on one topology")
-    Term.(const run $ topology_arg $ msg_arg $ root $ engine_arg)
+    (with_usage Term.(const run $ topology_arg $ msg_arg $ root_arg $ engine_arg))
 
 (* --- topology: generate and save a random topology --- *)
 
@@ -183,7 +229,7 @@ let topology_cmd =
     0
   in
   let kind = Arg.(value & pos 0 string "random" & info [] ~docv:"KIND") in
-  let n = Arg.(value & opt int 10 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
+  let n = Arg.(value & opt (int_at_least 1) 10 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
   let output = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE") in
   let dot =
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc:"Also write Graphviz DOT.")
@@ -220,8 +266,8 @@ let hitrate_cmd =
     Gridb_util.Text_table.print table;
     0
   in
-  let n = Arg.(value & opt int 20 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
-  let iterations = Arg.(value & opt int 10_000 & info [ "i"; "iterations" ]) in
+  let n = Arg.(value & opt (int_at_least 1) 20 & info [ "n"; "clusters" ] ~docv:"CLUSTERS") in
+  let iterations = Arg.(value & opt (int_at_least 1) 10_000 & info [ "i"; "iterations" ]) in
   let overlapped =
     Arg.(value & flag & info [ "overlapped" ] ~doc:"Use the overlapped completion model.")
   in
@@ -260,7 +306,7 @@ let figure_cmd =
     0
   in
   let which = Arg.(value & pos 0 string "1" & info [] ~docv:"FIGURE") in
-  let iterations = Arg.(value & opt int 10_000 & info [ "i"; "iterations" ]) in
+  let iterations = Arg.(value & opt (int_at_least 1) 10_000 & info [ "i"; "iterations" ]) in
   let csv_dir = Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR") in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate a paper figure (1-6)")
@@ -311,8 +357,8 @@ let cluster_cmd =
       & info [ "matrix" ] ~docv:"CSV"
           ~doc:"NxN machine latency matrix in microseconds (CSV); overrides --topology.")
   in
-  let rho = Arg.(value & opt finite_float 0.30 & info [ "rho" ] ~docv:"TOLERANCE") in
-  let jitter = Arg.(value & opt finite_float 0.03 & info [ "jitter" ] ~docv:"SIGMA") in
+  let rho = Arg.(value & opt (float_at_least 0.) 0.30 & info [ "rho" ] ~docv:"TOLERANCE") in
+  let jitter = Arg.(value & opt (float_at_least 0.) 0.03 & info [ "jitter" ] ~docv:"SIGMA") in
   let save_grid =
     Arg.(
       value
@@ -327,12 +373,13 @@ let cluster_cmd =
 (* --- optimal: certified optimum for small topologies --- *)
 
 let optimal_cmd =
-  let run topology msg root =
+  let run topology msg root () =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
         1
     | Ok grid ->
+        check_root grid root;
         let inst = Instance.of_grid ~root ~msg grid in
         if inst.Instance.n > Gridb_opt.Exact.default_max_clusters then begin
           Printf.eprintf "exact search is capped at %d clusters (topology has %d)\n"
@@ -374,22 +421,26 @@ let optimal_cmd =
           0
         end
   in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   Cmd.v
     (Cmd.info "optimal"
        ~doc:"Certified optimal schedule (branch-and-bound) and per-heuristic gaps")
-    Term.(const run $ topology_arg $ msg_arg $ root)
+    (with_usage Term.(const run $ topology_arg $ msg_arg $ root_arg))
 
 (* --- measure: pLogP link measurement over the simulated wire --- *)
 
 let measure_cmd =
-  let run topology a b jitter seed =
+  let run topology a b jitter seed () =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
         1
     | Ok grid ->
         let machines = Topology.Machines.expand grid in
+        let count = Topology.Machines.count machines in
+        check_index ~flag:"--src" ~what:"rank" ~count a;
+        check_index ~flag:"--dst" ~what:"rank" ~count b;
+        if a = b then
+          raise (Usage (Printf.sprintf "options '--src' and '--dst' both name rank %d" a));
         let noise =
           if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
         in
@@ -416,12 +467,12 @@ let measure_cmd =
         Gridb_util.Text_table.print table;
         0
   in
-  let a = Arg.(value & opt int 0 & info [ "src" ] ~docv:"RANK") in
-  let b = Arg.(value & opt int 1 & info [ "dst" ] ~docv:"RANK") in
-  let jitter = Arg.(value & opt finite_float 0. & info [ "jitter" ] ~docv:"SIGMA") in
+  let a = Arg.(value & opt (int_at_least 0) 0 & info [ "src" ] ~docv:"RANK") in
+  let b = Arg.(value & opt (int_at_least 0) 1 & info [ "dst" ] ~docv:"RANK") in
+  let jitter = Arg.(value & opt (float_at_least 0.) 0. & info [ "jitter" ] ~docv:"SIGMA") in
   Cmd.v
     (Cmd.info "measure" ~doc:"Measure a link's pLogP parameters on the simulated wire")
-    Term.(const run $ topology_arg $ a $ b $ jitter $ seed_arg)
+    (with_usage Term.(const run $ topology_arg $ a $ b $ jitter $ seed_arg))
 
 (* --- simulate: reliable broadcast under injected faults --- *)
 
@@ -529,7 +580,7 @@ let simulate_cmd =
   let retries =
     Arg.(
       value
-      & opt int 5
+      & opt (int_at_least 0) 5
       & info [ "retries" ] ~docv:"N"
           ~doc:"Retransmission budget per plan edge before giving up.")
   in
@@ -556,7 +607,7 @@ let simulate_cmd =
   let jitter =
     Arg.(
       value
-      & opt finite_float 0.
+      & opt (float_at_least 0.) 0.
       & info [ "jitter" ] ~docv:"SIGMA" ~doc:"Lognormal noise sigma for the reliable run.")
   in
   Cmd.v
@@ -571,12 +622,13 @@ let simulate_cmd =
 (* --- profile: per-phase rollup of one schedule-and-execute pipeline --- *)
 
 let profile_cmd =
-  let run heuristic topology msg root gantt trace =
+  let run heuristic topology msg root gantt trace () =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
         1
     | Ok grid ->
+        check_root grid root;
         let policy = heuristic.Heuristics.policy in
         (* One Memory sink observes the whole pipeline: a host-time span
            around scheduling, then the rank-level DES execution. *)
@@ -606,14 +658,14 @@ let profile_cmd =
   let heuristic =
     Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
   in
-  let root = Arg.(value & opt int 0 & info [ "root" ] ~docv:"CLUSTER") in
   let gantt =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Also render the executed-run event Gantt chart.")
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Per-phase profile (schedule vs transmit vs intra-cluster) of one broadcast")
-    Term.(const run $ heuristic $ topology_arg $ msg_arg $ root $ gantt $ trace_arg)
+    (with_usage
+       Term.(const run $ heuristic $ topology_arg $ msg_arg $ root_arg $ gantt $ trace_arg))
 
 (* --- check: conformance fuzzing of the whole pipeline --- *)
 
@@ -662,7 +714,7 @@ let check_cmd =
   let count =
     Arg.(
       value
-      & opt int 100
+      & opt (int_at_least 0) 100
       & info [ "count" ] ~docv:"N" ~doc:"Number of generated scenarios to check.")
   in
   let out =
@@ -787,28 +839,28 @@ let serve_cmd =
   let rate =
     Arg.(
       value
-      & opt finite_float 50.
+      & opt positive_float 50.
       & info [ "rate" ] ~docv:"REQ_S"
           ~doc:"Open-loop request arrival rate, requests per simulated second.")
   in
   let duration =
     Arg.(
       value
-      & opt finite_float 2e6
+      & opt positive_float 2e6
       & info [ "duration" ] ~docv:"US"
           ~doc:"Length of the arrival window, simulated microseconds.")
   in
   let max_concurrent =
     Arg.(
       value
-      & opt int 8
+      & opt (int_at_least 1) 8
       & info [ "max-concurrent" ] ~docv:"N"
           ~doc:"Admission cap on predicted-concurrent sessions.")
   in
   let max_backlog =
     Arg.(
       value
-      & opt (some finite_float) None
+      & opt (some positive_float) None
       & info [ "max-backlog" ] ~docv:"US"
           ~doc:"Admission cap on predicted backlog (default: unbounded).")
   in
@@ -867,7 +919,7 @@ let serve_cmd =
   let retry_budget =
     Arg.(
       value
-      & opt int 0
+      & opt (int_at_least 0) 0
       & info [ "retry-budget" ] ~docv:"N"
           ~doc:
             "Requeue a partially-delivered request up to $(docv) times (0 disables \
@@ -876,14 +928,14 @@ let serve_cmd =
   let retry_backoff =
     Arg.(
       value
-      & opt finite_float 1e4
+      & opt (float_at_least 0.) 1e4
       & info [ "retry-backoff" ] ~docv:"US"
           ~doc:"Base requeue backoff; the k-th retry waits $(docv)*2^(k-1) us.")
   in
   let shed_watermark =
     Arg.(
       value
-      & opt (some finite_float) None
+      & opt (some positive_float) None
       & info [ "shed-watermark" ] ~docv:"US"
           ~doc:
             "Shed low-priority requests when the predicted backlog exceeds $(docv) \
@@ -892,7 +944,7 @@ let serve_cmd =
   let shed_open_frac =
     Arg.(
       value
-      & opt (some finite_float) None
+      & opt (some (float_at_least 0.)) None
       & info [ "shed-open-frac" ] ~docv:"FRAC"
           ~doc:
             "Shed low-priority requests when the open-circuit fraction of finished \

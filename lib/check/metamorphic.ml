@@ -234,6 +234,21 @@ let dynamics_identity ?(msg = 1_000_000) ?(seed = 0) ?fault_seed
       (List.length dyn.Session.joined)
   else Ok ()
 
+let segmented_chain ~params ~size ~msg ~segments =
+  let open Gridb_topology in
+  let cluster = Cluster.v ~id:0 ~name:"chain" ~size ~intra:params in
+  let machines = Machines.expand (Grid.v ~clusters:[ cluster ] ~inter:[| [| params |] |]) in
+  let children = Array.init size (fun r -> if r + 1 < size then [ r + 1 ] else []) in
+  let plan = Gridb_des.Plan.v ~root:0 ~children in
+  let r = Gridb_des.Session.run ~segments (Gridb_des.Session.Config.v ~msg ()) machines plan in
+  let expected = Gridb_collectives.Pipeline.chain_time ~params ~size ~msg ~segments in
+  if feq expected r.Gridb_des.Session.makespan then Ok ()
+  else
+    fail "segmented-chain"
+      "%d-rank chain, %d bytes in %d segments: DES replay finishes at %.17g, \
+       Pipeline.chain_time predicts %.17g"
+      size msg segments r.Gridb_des.Session.makespan expected
+
 let metamorphic_names =
   [
     "scaling";
@@ -242,4 +257,5 @@ let metamorphic_names =
     "size-monotonicity";
     "transport-equivalence";
     "dynamics-identity";
+    "segmented-chain";
   ]

@@ -27,7 +27,11 @@
     - {b dynamics identity}: attaching a {!Gridb_des.Dynamics} model whose
       spec is {!Gridb_des.Dynamics.none} — with a live observation tick —
       must leave a reliable run bit-identical to the same run without a
-      model, faults and all. *)
+      model, faults and all.
+    - {b segmented chain}: a chain plan over one homogeneous cluster,
+      replayed by the DES with [S] segments, must finish when the closed
+      form {!Gridb_collectives.Pipeline.chain_time} says — both cut the
+      message by the same segment rule. *)
 
 open Gridb_sched
 
@@ -80,6 +84,14 @@ val dynamics_identity :
     must report no churn.  [spec] (default no faults) and [transport]
     (default fixed) select the baseline being perturbed; [fault_seed]
     defaults to [seed]. *)
+
+val segmented_chain :
+  params:Gridb_plogp.Params.t -> size:int -> msg:int -> segments:int -> Invariant.outcome
+(** ["segmented-chain"]: the chain [0 -> 1 -> ... -> size - 1] over one
+    cluster of [size] ranks with intra-cluster [params], replayed by
+    {!Gridb_des.Session.run}[ ~segments] under exact noise, must finish at
+    {!Gridb_collectives.Pipeline.chain_time} within {!Invariant.feq}.
+    @raise Invalid_argument if [size < 1] or [segments < 1]. *)
 
 val metamorphic_names : string list
 (** The invariant names the laws above can report. *)

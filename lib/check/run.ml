@@ -180,6 +180,20 @@ let check (sc : Scenario.t) =
       ~expected:(Schedule.makespan inst s) ~got:res.Session.makespan
   in
   let* () = Metamorphic.transport_equivalence ~msg:sc.msg ~seed:sc.seed machines plan in
+  (* Segmented replay against the closed form, on a chain over the root
+     cluster's parameters: once with the scenario's message (more bytes
+     than segments) and once with fewer bytes than segments. *)
+  let* () =
+    let rng = Rng.create (Scenario.seg_seed sc) in
+    let segments = Rng.int_in rng 2 64 in
+    let short = Rng.int_in rng 1 (segments - 1) in
+    let cl = Gridb_topology.Grid.cluster grid sc.root in
+    let law msg =
+      Metamorphic.segmented_chain ~params:cl.Gridb_topology.Cluster.intra
+        ~size:(max 2 cl.Gridb_topology.Cluster.size) ~msg ~segments
+    in
+    Result.bind (law sc.msg) (fun () -> law short)
+  in
   (* Zero-dynamics identity, in the scenario's own fault/transport cell:
      attaching an inert dynamics model may change nothing. *)
   let* () =

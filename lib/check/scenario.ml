@@ -72,6 +72,7 @@ let dyn_seed t = t.seed lxor 0x64796e (* "dyn" *)
 let service_seed t = t.seed lxor 0x737663 (* "svc" *)
 let chaos_seed t = t.seed lxor 0x63686173 (* "chas" *)
 let opt_seed t = t.seed lxor 0x6f7074 (* "opt" *)
+let seg_seed t = t.seed lxor 0x736567 (* "seg" *)
 
 let grid t =
   let spec =

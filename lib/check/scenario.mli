@@ -64,6 +64,10 @@ val opt_seed : t -> int
 (** Seed for the opt family's homogeneous-instance draw ([seed lxor
     0x6f7074], "opt"), distinct from every other derived stream. *)
 
+val seg_seed : t -> int
+(** Seed for the segmented-chain law's segment count and short message
+    ([seed lxor 0x736567], "seg"). *)
+
 val policy : t -> (Gridb_sched.Policy.t, string) result
 val transport : t -> (Gridb_des.Session.transport, string) result
 val faults_spec : t -> (Gridb_des.Faults.spec, string) result

@@ -33,11 +33,6 @@ val allgather_ring_time : params:Gridb_plogp.Params.t -> size:int -> msg:int -> 
 (** Ring allgather: [size - 1] rounds of one [msg]-byte neighbour exchange:
     [(size - 1) * (g(m) + L)]. *)
 
-val alltoall_time : params:Gridb_plogp.Params.t -> size:int -> msg:int -> float
-(** Pairwise-exchange alltoall: [size - 1] rounds, each a full [msg]-byte
-    exchange: [(size - 1) * (g(m) + L)] with gap-limited injection
-    [max (g) ...]; under the homogeneous model this equals the ring bound. *)
-
 val barrier_time : params:Gridb_plogp.Params.t -> size:int -> float
 (** Dissemination barrier: [ceil (log2 size)] rounds of zero-byte
     exchanges. *)

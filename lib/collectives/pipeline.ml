@@ -1,11 +1,20 @@
 module Params = Gridb_plogp.Params
 
+let segment_count ~msg ~segments =
+  if segments < 1 then invalid_arg "Pipeline.segment_count: segments < 1";
+  min segments (max 1 msg)
+
+let segment_size ~msg ~segments =
+  if segments < 1 then invalid_arg "Pipeline.segment_size: segments < 1";
+  let segments = segment_count ~msg ~segments in
+  (msg + segments - 1) / segments
+
 let chain_time ~params ~size ~msg ~segments =
   if segments < 1 then invalid_arg "Pipeline.chain_time: segments < 1";
   if size <= 1 then 0.
   else begin
-    let segments = min segments (max 1 msg) in
-    let seg_size = (msg + segments - 1) / segments in
+    let seg_size = segment_size ~msg ~segments in
+    let segments = segment_count ~msg ~segments in
     let g = Params.gap params seg_size and l = Params.latency params in
     (float_of_int (segments + size - 2) *. g) +. (float_of_int (size - 1) *. l)
   end
@@ -20,8 +29,3 @@ let best_segments ?(candidates = default_candidates) ~params ~size ~msg () =
       List.fold_left
         (fun (bs, bt) (s, t) -> if t < bt then (s, t) else (bs, bt))
         first rest
-
-let binomial_vs_pipeline ~params ~size ~msg =
-  let binomial = Cost.broadcast_time ~params ~size ~msg () in
-  let segments, pipeline = best_segments ~params ~size ~msg () in
-  if binomial <= pipeline then `Binomial binomial else `Pipeline (segments, pipeline)

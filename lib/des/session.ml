@@ -141,33 +141,54 @@ let emitter ~sid ~obs =
 
 type t = { s_arrival : float array; s_transmissions : int ref }
 
-let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
-    machines plan =
+let launch ?sid ?(who = "Session.launch") ?(segments = 1) ~wire ~engine
+    (config : Config.t) machines plan =
   let n = Machines.count machines in
   if Plan.size plan <> n then invalid_arg (who ^ ": plan size mismatch");
   if Wire.size wire < n then invalid_arg (who ^ ": wire smaller than machine view");
+  if segments < 1 then invalid_arg (who ^ ": segments < 1");
   let { Config.noise; rng; start_delay; msg; obs; _ } = config in
   let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
+  let seg = Gridb_collectives.Pipeline.segment_size ~msg ~segments in
+  let segments = Gridb_collectives.Pipeline.segment_count ~msg ~segments in
   let arrival = Array.make n nan in
   let transmissions = ref 0 in
   let tracing, emit = emitter ~sid ~obs in
   let cluster r = (Machines.machine machines r).Machines.cluster in
-  (* On delivery, a rank enqueues its forwarding list: each send seizes the
-     NIC for one (noisy) gap; the child receives a (noisy) latency after the
-     send starts injecting.  A delivery's payload is [src * n + rank]. *)
+  let root = plan.Plan.root in
+  (* [next.(r)] is the next segment rank [r] forwards, and [held] marks the
+     segments that landed ahead of it (noise can reorder two segments on
+     one link). *)
+  let next = Array.make n 0 and held = Bytes.make (n * segments) '\000' in
+  (* On delivery of segment [k], a rank enqueues its forwarding list for
+     [k]: each send seizes the NIC for one (noisy) gap; the child receives a
+     (noisy) latency after the send starts injecting.  A delivery's payload
+     is [(k * n + src) * n + rank]; the root holds every segment at once. *)
   let rec deliver engine payload =
-    let src = payload / n and rank = payload mod n in
+    let rank = payload mod n and sk = payload / n in
+    let src = sk mod n and k = sk / n in
     let time = Engine.now engine in
     arrival.(rank) <- time;
     Wire.touch wire rank ~now:time;
     if tracing then emit (Event.Arrival { src; dst = rank; time });
-    send rank plan.Plan.children.(rank) engine
-  and send rank children engine =
+    if rank = root then
+      for k = 0 to segments - 1 do
+        send rank k plan.Plan.children.(rank) engine
+      done
+    else if k = next.(rank) then forward rank k engine
+    else Bytes.set held ((rank * segments) + k) '\001'
+  and forward rank k engine =
+    send rank k plan.Plan.children.(rank) engine;
+    let k = k + 1 in
+    next.(rank) <- k;
+    if k < segments && Bytes.get held ((rank * segments) + k) = '\001' then
+      forward rank k engine
+  and send rank k children engine =
     match children with
     | [] -> ()
     | child :: rest ->
         let p = Machines.link_params machines rank child in
-        let g = noisy noise rng (Params.gap p msg) in
+        let g = noisy noise rng (Params.gap p seg) in
         let l = noisy noise rng (Params.latency p) in
         let start = Wire.seize wire rank ~gap:g in
         incr transmissions;
@@ -178,7 +199,7 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
                  src = rank;
                  dst = child;
                  time = start;
-                 msg;
+                 msg = seg;
                  intra = cluster rank = cluster child;
                  try_no = 0;
                });
@@ -186,10 +207,10 @@ let launch ?sid ?(who = "Session.launch") ~wire ~engine (config : Config.t)
             (Event.Send_end
                { src = rank; dst = child; time = start +. g; arrival = start +. g +. l })
         end;
-        Engine.schedule_with engine ~time:(start +. g +. l) deliver ((rank * n) + child);
-        send rank rest engine
+        Engine.schedule_with engine ~time:(start +. g +. l) deliver
+          ((((k * n) + rank) * n) + child);
+        send rank k rest engine
   in
-  let root = plan.Plan.root in
   Engine.schedule_with engine ~time:start_delay deliver ((root * n) + root);
   { s_arrival = arrival; s_transmissions = transmissions }
 
@@ -791,10 +812,10 @@ let population (config : Config.t) machines =
 
 (* Single-session replays: a private wire sized to the session's rank
    population, a private engine, one launch, run to quiescence. *)
-let run (config : Config.t) machines plan =
+let run ?segments (config : Config.t) machines plan =
   let wire = Wire.create ~n:(Machines.count machines) in
   let engine = Engine.create ~obs:config.Config.obs () in
-  let s = launch ~who:"Session.run" ~wire ~engine config machines plan in
+  let s = launch ~who:"Session.run" ?segments ~wire ~engine config machines plan in
   Engine.run engine;
   result s
 

@@ -148,12 +148,13 @@ module Config : sig
       [tick_every], or a NaN in any of the four float knobs. *)
 end
 
-val run : Config.t -> Gridb_topology.Machines.t -> Plan.t -> result
+val run : ?segments:int -> Config.t -> Gridb_topology.Machines.t -> Plan.t -> result
 (** [run config machines plan] broadcasts one [config.msg]-byte message
     along [plan] on a private wire and engine run to quiescence (the
-    {!launch} semantics).  Only the [noise]/[rng]/[start_delay]/[msg]/[obs]
-    fields of [config] apply.
-    @raise Invalid_argument if plan and machine view sizes differ. *)
+    {!launch} semantics, [segments] included).  Only the
+    [noise]/[rng]/[start_delay]/[msg]/[obs] fields of [config] apply.
+    @raise Invalid_argument if plan and machine view sizes differ or
+    [segments < 1]. *)
 
 val run_reliable : Config.t -> Gridb_topology.Machines.t -> Plan.t -> reliable
 (** [run_reliable config machines plan] replays one reliable broadcast
@@ -223,6 +224,7 @@ type t
 val launch :
   ?sid:int ->
   ?who:string ->
+  ?segments:int ->
   wire:Wire.t ->
   engine:Engine.t ->
   Config.t ->
@@ -234,8 +236,30 @@ val launch :
     there.  Only the [noise]/[rng]/[start_delay]/[msg]/[obs] fields of
     [config] apply; the reliability fields are ignored.  [who] (default
     ["Session.launch"]) prefixes error messages.
-    @raise Invalid_argument on plan size mismatch or a wire smaller than
-    the machine view. *)
+
+    [segments] (default 1) cuts the message for a store-and-forward
+    pipeline along the same plan, by the one segment rule of
+    {!Gridb_collectives.Pipeline}: {!Gridb_collectives.Pipeline.segment_count}
+    segments (at most [msg], so a segment carries at least one byte) of
+    {!Gridb_collectives.Pipeline.segment_size} bytes each, every send
+    costing the link's gap at the segment size.  The root holds every
+    segment at [start_delay] and sends them in segment order, each to all
+    its children in plan order.  Any other rank forwards segment [k] to its
+    children, in plan order, when [k] arrives, and always in segment
+    order: a segment that lands ahead of an earlier one (noise can reorder
+    them) waits for it.  A rank's [arrival] is the time its last segment
+    lands; [transmissions] counts segment sends.  [segments = 1] is the
+    unsegmented broadcast, bit for bit.
+
+    A segmented session publishes one [Send_start]/[Send_end] pair per
+    segment send ([msg] is the segment size) and one [Arrival] per segment
+    delivered (the root's single self-arrival included).  The stream
+    passes the stream invariants of [Gridb_check.Invariant] for NIC
+    serialization, causality, no spontaneous delivery and gap conformance
+    (at the segment size); receive-exactly-once holds only for
+    [segments = 1], as every segment is a delivery of its own.
+    @raise Invalid_argument on plan size mismatch, a wire smaller than the
+    machine view, or [segments < 1]. *)
 
 val result : t -> result
 (** The session's outcome.  Call after [Engine.run] has reached

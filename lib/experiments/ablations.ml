@@ -578,8 +578,8 @@ let segmented_broadcast () =
             (fun s ->
               ( float_of_int s,
                 seconds
-                  (Gridb_extensions.Pipeline_bcast.simulate machines plan ~msg ~segments:s)
-              ))
+                  (Des.Session.run ~segments:s (Des.Session.Config.v ~msg ()) machines plan)
+                    .Des.Session.makespan ))
             segment_counts ))
       [ 1_000_000; 2_000_000; 4_000_000 ]
   in

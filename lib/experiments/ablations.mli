@@ -95,8 +95,8 @@ val tuned_intra : unit -> Report.figure
     the notes. *)
 
 val segmented_broadcast : unit -> Report.figure
-(** Segmented hierarchical broadcast
-    ({!Gridb_extensions.Pipeline_bcast}): simulated makespan vs segment
+(** Segmented hierarchical broadcast, replayed by
+    {!Gridb_des.Session.run}[ ~segments]: simulated makespan vs segment
     count for several message sizes on the GRID5000 ECEF-LA plan. *)
 
 val all : Config.t -> Report.figure list

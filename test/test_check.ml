@@ -246,7 +246,14 @@ let metamorphic_positive () =
   let plan =
     Gridb_des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef small)
   in
-  ok "transport equivalence" (M.transport_equivalence ~msg:100_000 machines plan)
+  ok "transport equivalence" (M.transport_equivalence ~msg:100_000 machines plan);
+  let params = (Gridb_topology.Grid.cluster grid 0).Gridb_topology.Cluster.intra in
+  List.iter
+    (fun (size, msg, segments) ->
+      ok
+        (Printf.sprintf "segmented chain (%d ranks, %d bytes, %d segments)" size msg segments)
+        (M.segmented_chain ~params ~size ~msg ~segments))
+    [ (1, 1_000, 4); (2, 1_000_000, 1); (6, 1_000_000, 32); (5, 7, 40) ]
 
 let metamorphic_negative () =
   (* Swapping small and large breaks the dominance precondition. *)

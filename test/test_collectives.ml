@@ -169,11 +169,9 @@ let test_pipeline_best_segments () =
 let test_pipeline_beats_binomial_large_messages () =
   (* With high per-message cost amortised, pipelining wins for large
      messages on long chains. *)
-  match Pipeline.binomial_vs_pipeline ~params ~size:32 ~msg:4_000_000 with
-  | `Pipeline (_, t) ->
-      let b = Cost.broadcast_time ~params ~size:32 ~msg:4_000_000 () in
-      Alcotest.(check bool) "pipeline faster" true (t < b)
-  | `Binomial _ -> Alcotest.fail "expected pipeline to win at 4 MB over 32 nodes"
+  let _, t = Pipeline.best_segments ~params ~size:32 ~msg:4_000_000 () in
+  let b = Cost.broadcast_time ~params ~size:32 ~msg:4_000_000 () in
+  Alcotest.(check bool) "pipeline faster" true (t < b)
 
 let test_pipeline_rejects () =
   Alcotest.check_raises "segments < 1" (Invalid_argument "Pipeline.chain_time: segments < 1")

@@ -211,61 +211,146 @@ let test_reduce_best_heuristic () =
 
 (* --- Segmented hierarchical broadcast ------------------------------------------- *)
 
-module Pb = Gridb_extensions.Pipeline_bcast
+module Pipeline = Gridb_collectives.Pipeline
+module Invariant = Gridb_check.Invariant
 
-let grid5000_plan_and_schedule msg =
+let grid5000_plan msg =
   let grid = Grid5000.grid () in
   let machines = Machines.expand grid in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg grid in
-  let schedule = Heuristics.run Heuristics.ecef_la inst in
-  (grid, machines, schedule, Plan.of_cluster_schedule machines schedule)
+  (machines, Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst))
+
+let segmented ?(noise = Gridb_des.Noise.Exact) ?obs ~msg ~segments machines plan =
+  Session.run ~segments
+    (Session.Config.v ~noise ~rng:(Rng.create 7) ?obs ~msg ())
+    machines plan
 
 let test_pb_segment_size () =
-  Alcotest.(check int) "even" 1_000 (Pb.segment_size ~msg:4_000 ~segments:4);
-  Alcotest.(check int) "rounds up" 1_001 (Pb.segment_size ~msg:4_001 ~segments:4);
-  Alcotest.(check int) "floor 1" 1 (Pb.segment_size ~msg:2 ~segments:10);
+  Alcotest.(check int) "even" 1_000 (Pipeline.segment_size ~msg:4_000 ~segments:4);
+  Alcotest.(check int) "rounds up" 1_001 (Pipeline.segment_size ~msg:4_001 ~segments:4);
+  Alcotest.(check int) "floor 1" 1 (Pipeline.segment_size ~msg:2 ~segments:10);
+  (* msg < segments: the count clamps to msg, so no byte is sent twice *)
+  Alcotest.(check int) "clamped count" 3 (Pipeline.segment_count ~msg:3 ~segments:10);
+  Alcotest.(check int) "clamped size" 1 (Pipeline.segment_size ~msg:3 ~segments:10);
+  Alcotest.(check int) "empty message count" 1 (Pipeline.segment_count ~msg:0 ~segments:4);
+  Alcotest.(check int) "empty message size" 0 (Pipeline.segment_size ~msg:0 ~segments:4);
   Alcotest.check_raises "segments < 1"
-    (Invalid_argument "Pipeline_bcast.segment_size: segments < 1") (fun () ->
-      ignore (Pb.segment_size ~msg:10 ~segments:0))
+    (Invalid_argument "Pipeline.segment_size: segments < 1") (fun () ->
+      ignore (Pipeline.segment_size ~msg:10 ~segments:0))
 
 let test_pb_one_segment_matches_plain () =
   let msg = 1_000_000 in
-  let _, machines, _, plan = grid5000_plan_and_schedule msg in
-  let plain = (Session.run (Session.Config.v ~msg ()) machines plan).Session.makespan in
-  let seg1 = Pb.simulate machines plan ~msg ~segments:1 in
-  Alcotest.(check (float 1e-6)) "S=1 = plain broadcast" plain seg1
-
-let test_pb_approx_one_segment_is_makespan () =
-  let msg = 1_000_000 in
-  let grid, _, schedule, _ = grid5000_plan_and_schedule msg in
-  let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg grid in
-  Alcotest.(check (float 1e-3)) "approx S=1"
-    (Gridb_sched.Schedule.makespan inst schedule)
-    (Pb.approx grid schedule ~msg ~segments:1)
+  let machines, plan = grid5000_plan msg in
+  let same name (a : Session.result) (b : Session.result) =
+    Alcotest.(check bool) (name ^ ": arrivals") true
+      (Array.for_all2 Float.equal a.Session.arrival b.Session.arrival);
+    Alcotest.(check int) (name ^ ": transmissions") a.Session.transmissions
+      b.Session.transmissions
+  in
+  let plain ~msg = Session.run (Session.Config.v ~rng:(Rng.create 7) ~msg ()) machines plan in
+  same "S=1" (plain ~msg) (segmented ~msg ~segments:1 machines plan);
+  (* a 1-byte message cannot be cut: ten segments clamp to one *)
+  same "msg < S" (plain ~msg:1) (segmented ~msg:1 ~segments:10 machines plan)
 
 let test_pb_segmentation_helps_large_messages () =
   let msg = 4_000_000 in
-  let _, machines, _, plan = grid5000_plan_and_schedule msg in
-  let s1 = Pb.simulate machines plan ~msg ~segments:1 in
-  let s8 = Pb.simulate machines plan ~msg ~segments:8 in
+  let machines, plan = grid5000_plan msg in
+  let time segments = (segmented ~msg ~segments machines plan).Session.makespan in
+  let s1 = time 1 and s8 = time 8 in
   Alcotest.(check bool) "8 segments beat 1" true (s8 < s1);
-  let best_s, best_t = Pb.best_segments machines plan ~msg () in
+  let best_s, best_t =
+    List.fold_left
+      (fun (bs, bt) s ->
+        let t = time s in
+        if t < bt then (s, t) else (bs, bt))
+      (1, s1) [ 2; 4; 8; 16; 32; 64 ]
+  in
   Alcotest.(check bool) "optimum is segmented" true (best_s > 1);
   Alcotest.(check bool) "optimum <= both" true (best_t <= s8 && best_t <= s1)
 
-let test_pb_approx_tracks_simulation () =
-  let msg = 4_000_000 in
-  let grid, machines, schedule, plan = grid5000_plan_and_schedule msg in
+let test_pb_stream () =
+  let msg = 1_000_000 and segments = 6 in
+  let machines, plan = grid5000_plan msg in
+  let n = Machines.count machines and root = plan.Plan.root in
+  let seg = Pipeline.segment_size ~msg ~segments in
   List.iter
-    (fun segments ->
-      let sim = Pb.simulate machines plan ~msg ~segments in
-      let app = Pb.approx grid schedule ~msg ~segments in
-      Alcotest.(check bool)
-        (Printf.sprintf "S=%d approx within 2x of simulation (%.3g vs %.3g)" segments app
-           sim)
-        true
-        (app > 0.4 *. sim && app < 2.5 *. sim))
-    [ 1; 4; 16 ]
+    (fun (label, noise) ->
+      let sink = Gridb_obs.Sink.memory () in
+      let r = segmented ~noise ~obs:sink ~msg ~segments machines plan in
+      let events = Gridb_obs.Sink.events sink in
+      let ok name = function
+        | Ok () -> ()
+        | Error v -> Alcotest.failf "%s %s: %a" label name Invariant.pp_violation v
+      in
+      ok "nic" (Invariant.stream_nic_serialization ~n events);
+      ok "causality" (Invariant.stream_causality ~n events);
+      ok "no spontaneous delivery" (Invariant.stream_no_spontaneous_delivery ~root events);
+      if noise = Gridb_des.Noise.Exact then
+        ok "gap conformance" (Invariant.stream_gap_conformance ~machines ~msg:seg events);
+      Alcotest.(check int) (label ^ ": one send per segment and edge")
+        (segments * (n - 1)) r.Session.transmissions;
+      (* every non-root rank hears every segment; its arrival is the last *)
+      let last = Array.make n neg_infinity and count = Array.make n 0 in
+      List.iter
+        (function
+          | Gridb_obs.Event.Arrival { dst; time; _ } ->
+              count.(dst) <- count.(dst) + 1;
+              last.(dst) <- Float.max last.(dst) time
+          | _ -> ())
+        events;
+      for rank = 0 to n - 1 do
+        if rank <> root then begin
+          Alcotest.(check int) (label ^ ": segments heard") segments count.(rank);
+          Alcotest.(check (float 0.)) (label ^ ": arrival is the last segment") last.(rank)
+            r.Session.arrival.(rank)
+        end
+      done)
+    [ ("exact", Gridb_des.Noise.Exact); ("noisy", Gridb_des.Noise.default_measured) ]
+
+(* Tiny segments under heavy latency noise land out of order; a rank must
+   still forward them in segment order.  A parent's j-th send on an edge
+   carries segment j (the root sends in order; inductively, so does every
+   rank that forwards in order), so a rank's j-th send to each child may
+   not start before segments 0 .. j have all landed. *)
+let test_pb_reordered_segments_forward_in_order () =
+  let msg = 64 and segments = 32 in
+  let machines, plan = grid5000_plan 1_000_000 in
+  let n = Machines.count machines in
+  let sink = Gridb_obs.Sink.memory () in
+  ignore
+    (segmented ~noise:(Gridb_des.Noise.Lognormal 0.5) ~obs:sink ~msg ~segments machines
+       plan);
+  let events = Gridb_obs.Sink.events sink in
+  (* landed.(r): predicted arrivals of the sends into r, in send order *)
+  let landed = Array.make n [] and sent = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Gridb_obs.Event.Send_end { dst; arrival; _ } -> landed.(dst) <- arrival :: landed.(dst)
+      | _ -> ())
+    events;
+  let reordered = ref 0 in
+  let ready =
+    Array.map
+      (fun l ->
+        let l = Array.of_list (List.rev l) in
+        for j = 1 to Array.length l - 1 do
+          if l.(j) < l.(j - 1) then incr reordered;
+          l.(j) <- Float.max l.(j) l.(j - 1)
+        done;
+        l)
+      landed
+  in
+  List.iter
+    (function
+      | Gridb_obs.Event.Send_start { src; dst; time; _ } when src <> plan.Plan.root ->
+          let j = Option.value ~default:0 (Hashtbl.find_opt sent (src, dst)) in
+          Hashtbl.replace sent (src, dst) (j + 1);
+          if time < ready.(src).(j) then
+            Alcotest.failf "rank %d sends segment %d to %d at %g before it holds 0..%d (%g)"
+              src j dst time j ready.(src).(j)
+      | _ -> ())
+    events;
+  Alcotest.(check bool) "some segments landed out of order" true (!reordered > 0)
 
 (* --- DOT export ---------------------------------------------------------------- *)
 
@@ -373,9 +458,9 @@ let () =
         [
           quick "segment size" test_pb_segment_size;
           quick "one segment = plain" test_pb_one_segment_matches_plain;
-          quick "approx S=1" test_pb_approx_one_segment_is_makespan;
           quick "segmentation helps" test_pb_segmentation_helps_large_messages;
-          quick "approx tracks simulation" test_pb_approx_tracks_simulation;
+          quick "segmented stream" test_pb_stream;
+          quick "reordered segments forward in order" test_pb_reordered_segments_forward_in_order;
         ] );
       ("dot", [ quick "export" test_dot_export ]);
       ( "multilevel",

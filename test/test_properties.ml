@@ -99,23 +99,52 @@ let des_agrees_on_random_topologies =
           feq ~eps:1e-9 predicted r.Session.makespan)
         Heuristics.all)
 
-(* simMPI and the DES plan executor agree on any plan. *)
+(* The store-and-forward segmented broadcast as a simMPI rank program, the
+   oracle for the DES's segmented replay: every rank receives segment [k]
+   from its parent, forwards it to all its children in plan order, then
+   proceeds to segment [k + 1]. *)
+let segmented_rank_program (plan : Gridb_des.Plan.t) ~msg ~segments =
+  let module Api = Gridb_mpi.Runtime.Api in
+  let seg = Gridb_collectives.Pipeline.segment_size ~msg ~segments in
+  let count = Gridb_collectives.Pipeline.segment_count ~msg ~segments in
+  let parents = Gridb_des.Plan.parent_array plan in
+  fun ~rank ~size:_ ->
+    for tag = 1 to count do
+      if rank <> plan.root then ignore (Api.recv ~src:parents.(rank) ~tag ());
+      List.iter
+        (fun child -> Api.send ~dst:child ~tag ~msg_size:seg ())
+        plan.children.(rank)
+    done
+
+(* simMPI and the DES plan executor agree on any plan, cut into any number
+   of segments, bit for bit under exact noise; unsegmented, both also equal
+   simMPI's own bcast_plan. *)
 let simmpi_agrees_with_des =
   QCheck.Test.make ~name:"simMPI bcast_plan equals DES executor" ~count:(Testutil.count 20)
-    QCheck.(pair (int_range 1 5) (int_bound 10_000))
-    (fun (n, seed) ->
+    QCheck.(quad (int_range 1 5) (int_bound 10_000) (int_range 1 40) bool)
+    (fun (n, seed, segments, flat) ->
       let rng = Rng.create seed in
       let spec = { Generators.default_random_spec with cluster_size = (1, 12) } in
       let grid = Generators.uniform_random ~rng ~n spec in
       let machines = Machines.expand grid in
       let root = Rng.int rng (Machines.count machines) in
-      let plan = Gridb_des.Plan.binomial_ranks machines ~root in
-      let des = Session.run (Session.Config.v ~msg:100_000 ()) machines plan in
-      let mpi =
-        Gridb_mpi.Runtime.run_exn machines (fun ~rank ~size:_ ->
-            Gridb_mpi.Collectives.bcast_plan ~rank plan ~msg:100_000)
+      let plan =
+        if flat then Gridb_des.Plan.flat_ranks machines ~root
+        else Gridb_des.Plan.binomial_ranks machines ~root
       in
-      feq ~eps:1e-9 des.Session.makespan mpi.Gridb_mpi.Runtime.makespan)
+      (* at or below [segments] bytes the count clamps to [msg] *)
+      let msg = if Rng.bool rng then 100_000 else 1 + Rng.int rng segments in
+      let des = Session.run ~segments (Session.Config.v ~msg ()) machines plan in
+      let mpi =
+        Gridb_mpi.Runtime.run_exn machines (segmented_rank_program plan ~msg ~segments)
+      in
+      let bcast_plan () =
+        Gridb_mpi.Runtime.run_exn machines (fun ~rank ~size:_ ->
+            Gridb_mpi.Collectives.bcast_plan ~rank plan ~msg)
+      in
+      Float.equal des.Session.makespan mpi.Gridb_mpi.Runtime.makespan
+      && (segments > 1
+         || Float.equal des.Session.makespan (bcast_plan ()).Gridb_mpi.Runtime.makespan))
 
 (* Monotonicity: shrinking every T can only shrink (or keep) the optimal
    makespan. *)
