@@ -181,19 +181,19 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--reps" :: v :: rest ->
-        reps := int_of_string v;
+        reps := Flags.int ~min:1 "--reps" v;
         parse rest
     | "--max-n" :: v :: rest ->
-        max_n := int_of_string v;
+        max_n := Flags.int ~min:1 "--max-n" v;
         parse rest
     | ("-o" | "--output") :: v :: rest ->
         out := v;
         parse rest
     | "--seed" :: v :: rest ->
-        seed := int_of_string v;
+        seed := Flags.int "--seed" v;
         parse rest
     | ("-j" | "--jobs") :: v :: rest ->
-        jobs := int_of_string v;
+        jobs := Flags.int ~min:1 "--jobs" v;
         parse rest
     | "--assert-replan-wins" :: rest ->
         assert_wins := true;

@@ -128,19 +128,19 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--max-n" :: v :: rest ->
-        max_n := int_of_string v;
+        max_n := Flags.int ~min:1 "--max-n" v;
         parse rest
     | "--max-naive-n" :: v :: rest ->
-        max_naive_n := int_of_string v;
+        max_naive_n := Flags.int ~min:0 "--max-naive-n" v;
         parse rest
     | ("-o" | "--output") :: v :: rest ->
         out := v;
         parse rest
     | "--seed" :: v :: rest ->
-        seed := int_of_string v;
+        seed := Flags.int "--seed" v;
         parse rest
     | ("-j" | "--jobs") :: v :: rest ->
-        jobs := int_of_string v;
+        jobs := Flags.int ~min:1 "--jobs" v;
         parse rest
     | other :: _ ->
         prerr_endline

@@ -80,16 +80,16 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--duration" :: v :: rest ->
-        duration := float_of_string v;
+        duration := Flags.positive_float "--duration" v;
         parse rest
     | ("-o" | "--output") :: v :: rest ->
         out := v;
         parse rest
     | "--seed" :: v :: rest ->
-        seed := int_of_string v;
+        seed := Flags.int "--seed" v;
         parse rest
     | ("-j" | "--jobs") :: v :: rest ->
-        jobs := int_of_string v;
+        jobs := Flags.int ~min:1 "--jobs" v;
         parse rest
     | "--assert-hit-rate" :: rest ->
         assert_hit_rate := true;

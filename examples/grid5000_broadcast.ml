@@ -38,7 +38,7 @@ let () =
           (* Execute the exact same schedule under lognormal noise, with the
              heuristic's own scheduling cost charged up front. *)
           let plan = Des.Plan.of_cluster_schedule machines schedule in
-          let overhead = Gridb_sched.Overhead.cost_us ~n:inst.Sched.Instance.n h.Sched.Heuristics.name in
+          let overhead = Gridb_sched.Overhead.cost_us ~n:inst.Sched.Instance.n h.Sched.Heuristics.policy in
           let rng = Gridb_util.Rng.create (42 + msg) in
           let reps = 20 in
           let total = ref 0. in

@@ -46,16 +46,16 @@ let () =
   let r =
     Des.Session.run (Des.Session.Config.v ~msg:1_000_000 ~obs:mem ()) machines plan
   in
-  let trace = Des.Trace.of_events (Gridb_obs.Sink.events mem) in
+  let trace = (Gridb_obs.Trace.of_events (Gridb_obs.Sink.events mem)).transmissions in
   Printf.printf "\nDES makespan:            %.4f s over %d transmissions\n"
     (seconds r.Des.Session.makespan) r.Des.Session.transmissions;
   print_endline "critical path (rank -> rank, arrival):";
   List.iter
     (fun t ->
-      Printf.printf "  %3d -> %-3d at %.4f s\n" t.Des.Trace.src t.Des.Trace.dst
-        (seconds t.Des.Trace.arrival))
-    (Des.Trace.critical_path trace);
-  match Des.Trace.busiest_sender trace with
+      Printf.printf "  %3d -> %-3d at %.4f s\n" t.Gridb_obs.Trace.src t.Gridb_obs.Trace.dst
+        (seconds t.Gridb_obs.Trace.arrival))
+    (Gridb_obs.Trace.critical_path trace);
+  match Gridb_obs.Trace.busiest_sender trace with
   | Some (rank, busy) ->
       Printf.printf "busiest sender: rank %d (NIC busy %.4f s)\n" rank (seconds busy)
   | None -> ()

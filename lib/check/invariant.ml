@@ -8,6 +8,7 @@
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Event = Gridb_obs.Event
+module Trace = Gridb_obs.Trace
 module Machines = Gridb_topology.Machines
 module Params = Gridb_plogp.Params
 
@@ -328,120 +329,102 @@ let stream_causality ~n events =
   in
   go events
 
-(* Pair each Send_start with its Send_end.  Both executors emit the pair
-   back to back, so a pending start keyed by (src, dst) is always consumed
-   by the next end of that edge. *)
-let injection_intervals ~n events =
-  let pending = Hashtbl.create 64 in
+(* The stream's transmissions, from the one reader: an event it could not
+   pair, or a sender outside [0, n), violates [name]. *)
+let transmissions name ~n events =
+  let trace = Trace.of_events events in
+  match trace.Trace.unpaired with
+  | u :: _ -> fail name "%s" (Trace.describe u)
+  | [] -> (
+      match
+        List.find_opt
+          (fun (t : Trace.transmission) -> t.src < 0 || t.src >= n)
+          trace.Trace.transmissions
+      with
+      | Some t -> fail name "send from out-of-range rank %d" t.src
+      | None -> Ok trace.Trace.transmissions)
+
+let send_label (t : Trace.transmission) =
+  match t.sid with
+  | None -> Printf.sprintf "send %d -> %d" t.src t.dst
+  | Some sid -> Printf.sprintf "session %d's send %d -> %d" sid t.src t.dst
+
+(* One port per sender NIC: sorted by start, each injection ends before the
+   next one of the same sender starts.  Sessions share the check: on a
+   merged stream the intervals of every session meet on one sender. *)
+let nic_scan name ~n events =
+  let* sends = transmissions name ~n events in
   let per_src = Array.make n [] in
-  let rec go = function
-    | [] ->
-        if Hashtbl.length pending > 0 then
-          let (src, dst), _ = Hashtbl.fold (fun k v _ -> (k, v)) pending (((-1), -1), 0.) in
-          Error (Printf.sprintf "send %d -> %d has a start but no end" src dst)
-        else Ok per_src
-    | Event.Send_start { src; dst; time; _ } :: rest ->
-        if src < 0 || src >= n then Error (Printf.sprintf "send from out-of-range rank %d" src)
-        else if Hashtbl.mem pending (src, dst) then
-          Error (Printf.sprintf "send %d -> %d started twice without ending" src dst)
-        else begin
-          Hashtbl.add pending (src, dst) time;
-          go rest
-        end
-    | Event.Send_end { src; dst; time; arrival } :: rest -> (
-        match Hashtbl.find_opt pending (src, dst) with
-        | None -> Error (Printf.sprintf "send %d -> %d ends without a start" src dst)
-        | Some start ->
-            Hashtbl.remove pending (src, dst);
-            per_src.(src) <- (start, time, dst, arrival) :: per_src.(src);
-            go rest)
-    | _ :: rest -> go rest
+  List.iter (fun (t : Trace.transmission) -> per_src.(t.src) <- t :: per_src.(t.src)) sends;
+  let rec scan = function
+    | (t0 : Trace.transmission) :: ((t1 : Trace.transmission) :: _ as rest) ->
+        if t0.gap_end < t0.start then
+          fail name "%s ends at %g before it starts at %g" (send_label t0) t0.gap_end
+            t0.start
+        else if t1.start < t0.gap_end then
+          fail name "rank %d: %s starts at %g while the NIC is busy until %g with %s"
+            t0.src (send_label t1) t1.start t0.gap_end (send_label t0)
+        else scan rest
+    | _ -> Ok ()
   in
-  go events
+  let rec senders src =
+    if src = n then Ok ()
+    else
+      let* () =
+        scan
+          (List.sort
+             (fun (a : Trace.transmission) (b : Trace.transmission) ->
+               Float.compare a.start b.start)
+             per_src.(src))
+      in
+      senders (src + 1)
+  in
+  senders 0
 
 let stream_nic_serialization ~n events =
-  let name = "stream-nic-serialization" in
-  match injection_intervals ~n events with
-  | Error d -> fail name "%s" d
-  | Ok per_src ->
-      let bad = ref None in
-      Array.iteri
-        (fun src intervals ->
-          if !bad = None then begin
-            let sorted =
-              List.sort (fun (a, _, _, _) (b, _, _, _) -> Float.compare a b) intervals
-            in
-            let rec scan = function
-              | (s0, e0, d0, _) :: ((s1, _, d1, _) :: _ as rest) ->
-                  if e0 < s0 then
-                    bad :=
-                      Some
-                        (Printf.sprintf "send %d -> %d ends at %g before it starts at %g" src
-                           d0 e0 s0)
-                  else if s1 < e0 then
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "rank %d injects to %d at %g while the NIC is busy until %g (send \
-                            to %d)"
-                           src d1 s1 e0 d0)
-                  else scan rest
-              | _ -> ()
-            in
-            scan sorted
-          end)
-        per_src;
-      (match !bad with None -> Ok () | Some d -> fail name "%s" d)
+  nic_scan "stream-nic-serialization" ~n events
 
 let stream_gap_conformance ~machines ~msg events =
   let name = "stream-gap-conformance" in
   let n = Machines.count machines in
-  match injection_intervals ~n events with
-  | Error d -> fail name "%s" d
-  | Ok per_src ->
-      let bad = ref None in
-      Array.iteri
-        (fun src intervals ->
-          List.iter
-            (fun (start, stop, dst, arrival) ->
-              if !bad = None && dst >= 0 && dst < n && dst <> src then begin
-                let p = Machines.link_params machines src dst in
-                let g = Params.gap p msg and l = Params.latency p in
-                if not (feq (stop -. start) g) then
-                  bad :=
-                    Some
-                      (Printf.sprintf "send %d -> %d occupies the NIC for %g, link gap is %g"
-                         src dst (stop -. start) g)
-                else if not (feq arrival (stop +. l)) then
-                  bad :=
-                    Some
-                      (Printf.sprintf
-                         "send %d -> %d predicts arrival %g, injection end %g + latency %g = \
-                          %g"
-                         src dst arrival stop l (stop +. l))
-              end)
-            intervals)
-        per_src;
-      (match !bad with None -> Ok () | Some d -> fail name "%s" d)
+  let* sends = transmissions name ~n events in
+  let conforms (t : Trace.transmission) =
+    if t.dst < 0 || t.dst >= n || t.dst = t.src then Ok ()
+    else
+      let p = Machines.link_params machines t.src t.dst in
+      let g = Params.gap p msg and l = Params.latency p in
+      if not (feq (t.gap_end -. t.start) g) then
+        fail name "%s occupies the NIC for %g, link gap is %g" (send_label t)
+          (t.gap_end -. t.start) g
+      else if not (feq t.arrival (t.gap_end +. l)) then
+        fail name "%s predicts arrival %g, injection end %g + latency %g = %g"
+          (send_label t) t.arrival t.gap_end l (t.gap_end +. l)
+      else Ok ()
+  in
+  List.fold_left (fun acc t -> Result.bind acc (fun () -> conforms t)) (Ok ()) sends
 
 let stream_no_spontaneous_delivery ~root events =
   let name = "stream-no-spontaneous-delivery" in
   let promised = Hashtbl.create 64 in
   List.iter
-    (function
-      | Event.Send_end { src; dst; arrival; _ } -> Hashtbl.add promised (src, dst) arrival
-      | _ -> ())
-    events;
+    (fun (t : Trace.transmission) -> Hashtbl.add promised (t.sid, t.src, t.dst) t.arrival)
+    (Trace.of_events events).Trace.transmissions;
   let rec go = function
     | [] -> Ok ()
-    | Event.Arrival { src; dst; time } :: rest ->
-        if src = dst && dst = root then go rest (* the root injects the message itself *)
-        else if List.exists (fun t -> t = time) (Hashtbl.find_all promised (src, dst)) then
-          go rest
-        else
-          fail name "rank %d 'arrives' at %d at time %g with no transmission predicting it"
-            src dst time
-    | _ :: rest -> go rest
+    | e :: rest -> (
+        match Event.untag e with
+        | Event.Arrival { src; dst; time } ->
+            (* the root injects the message itself *)
+            if src = dst && dst = root then go rest
+            else if
+              List.exists (fun t -> t = time)
+                (Hashtbl.find_all promised (Event.sid e, src, dst))
+            then go rest
+            else
+              fail name
+                "rank %d 'arrives' at %d at time %g with no transmission predicting it" src
+                dst time
+        | _ -> go rest)
   in
   go events
 
@@ -477,87 +460,7 @@ let split_sessions events =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let sessions_nic_serialization ~n events =
-  let name = "sessions-nic-serialization" in
-  (* Injection intervals keyed by (sid, src, dst): within one session the
-     executors emit each start/end pair back to back, and distinct sessions
-     never share a key, so sequential pairing is unambiguous even though
-     the merged stream interleaves sessions. *)
-  let pending = Hashtbl.create 64 in
-  let per_src = Array.make n [] in
-  let rec collect = function
-    | [] ->
-        if Hashtbl.length pending > 0 then
-          let (sid, src, dst), _ =
-            Hashtbl.fold (fun k v _ -> (k, v)) pending ((-1, -1, -1), 0.)
-          in
-          Error
-            (Printf.sprintf "session %d: send %d -> %d has a start but no end" sid src
-               dst)
-        else Ok per_src
-    | e :: rest -> (
-        match Event.sid e with
-        | None -> collect rest
-        | Some sid -> (
-            match Event.untag e with
-            | Event.Send_start { src; dst; time; _ } ->
-                if src < 0 || src >= n then
-                  Error
-                    (Printf.sprintf "session %d: send from out-of-range rank %d" sid src)
-                else if Hashtbl.mem pending (sid, src, dst) then
-                  Error
-                    (Printf.sprintf
-                       "session %d: send %d -> %d started twice without ending" sid src
-                       dst)
-                else begin
-                  Hashtbl.add pending (sid, src, dst) time;
-                  collect rest
-                end
-            | Event.Send_end { src; dst; time; _ } -> (
-                match Hashtbl.find_opt pending (sid, src, dst) with
-                | None ->
-                    Error
-                      (Printf.sprintf "session %d: send %d -> %d ends without a start"
-                         sid src dst)
-                | Some start ->
-                    Hashtbl.remove pending (sid, src, dst);
-                    per_src.(src) <- (start, time, sid, dst) :: per_src.(src);
-                    collect rest)
-            | _ -> collect rest))
-  in
-  match collect events with
-  | Error d -> fail name "%s" d
-  | Ok per_src ->
-      let bad = ref None in
-      Array.iteri
-        (fun src intervals ->
-          if !bad = None then begin
-            let sorted =
-              List.sort
-                (fun (a, _, _, _) (b, _, _, _) -> Float.compare a b)
-                intervals
-            in
-            let rec scan = function
-              | (s0, e0, sid0, d0) :: ((s1, _, sid1, d1) :: _ as rest) ->
-                  if e0 < s0 then
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "session %d: send %d -> %d ends at %g before it starts at %g"
-                           sid0 src d0 e0 s0)
-                  else if s1 < e0 then
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "rank %d: session %d injects to %d at %g while the NIC is \
-                            busy until %g with session %d's send to %d"
-                           src sid1 d1 s1 e0 sid0 d0)
-                  else scan rest
-              | _ -> ()
-            in
-            scan sorted
-          end)
-        per_src;
-      (match !bad with None -> Ok () | Some d -> fail name "%s" d)
+  nic_scan "sessions-nic-serialization" ~n events
 
 let sessions_start_order events =
   (* [fired]: the sessions with an Arrival (other than a start) or an Ack

@@ -104,7 +104,15 @@ val replay_makespan :
 (** {1 Stream invariants}
 
     Over the chronological event list of a DES run ([n] ranks, plan rooted
-    at rank [root]); names match {!stream_invariant_names}. *)
+    at rank [root]); names match {!stream_invariant_names}.  The
+    transmission invariants (NIC serialization, gap conformance, no
+    spontaneous delivery) read transmissions through
+    {!Gridb_obs.Trace.of_events}; the first two reject a stream with any
+    event that reader could not pair, or a sender outside [[0, n)]. *)
+
+val first_arrivals : n:int -> Gridb_obs.Event.t list -> float array
+(** Each rank's first [Arrival] time ([nan] if none); arrivals at ranks
+    outside [[0, n)] are ignored. *)
 
 val stream_receive_exactly_once : n:int -> Gridb_obs.Event.t list -> outcome
 (** ["stream-receive-once"]: every rank has exactly one [Arrival] — the
@@ -119,10 +127,9 @@ val stream_causality : n:int -> Gridb_obs.Event.t list -> outcome
     after [r]'s own [Arrival]; a rank that never received sends nothing. *)
 
 val stream_nic_serialization : n:int -> Gridb_obs.Event.t list -> outcome
-(** ["stream-nic-serialization"]: pairing each [Send_start] with its
-    [Send_end], the injection intervals of any one sender never overlap
-    (ACKs are control-plane and exempt by construction — they produce no
-    send events). *)
+(** ["stream-nic-serialization"]: the injection intervals of any one
+    sender never overlap (ACKs are control-plane and exempt by
+    construction — they produce no send events). *)
 
 val stream_gap_conformance :
   machines:Gridb_topology.Machines.t -> msg:int -> Gridb_obs.Event.t list -> outcome
@@ -132,8 +139,8 @@ val stream_gap_conformance :
 
 val stream_no_spontaneous_delivery : root:int -> Gridb_obs.Event.t list -> outcome
 (** ["stream-no-spontaneous-delivery"]: every [Arrival] (except the root's
-    own injection of the message) is explained by a [Send_end] of the same
-    edge whose predicted arrival is exactly that time. *)
+    own injection of the message) is explained by a transmission of the
+    same session and edge whose predicted arrival is exactly that time. *)
 
 val check_stream : ?faulty:bool -> n:int -> root:int -> Gridb_obs.Event.t list -> outcome
 (** Receive discipline (exactly-once, or at-most-once when [faulty], which
@@ -152,11 +159,11 @@ val split_sessions : Gridb_obs.Event.t list -> (int * Gridb_obs.Event.t list) li
     belong to no session and are dropped. *)
 
 val sessions_nic_serialization : n:int -> Gridb_obs.Event.t list -> outcome
-(** ["sessions-nic-serialization"]: pairing each session's [Send_start]
-    with its [Send_end] (keys are [(sid, src, dst)]), the injection
+(** ["sessions-nic-serialization"]: on a merged stream, the injection
     intervals of any one sender NIC never overlap {e across} sessions —
     the shared-wire one-port discipline that only exists in multi-session
-    runs.  Untagged events are ignored. *)
+    runs.  The same scan as {!stream_nic_serialization} (transmissions are
+    paired per [(sid, src, dst)]), reported under this name. *)
 
 val sessions_start_order : Gridb_obs.Event.t list -> outcome
 (** ["start-order"]: when a session's root self-arrival (its start) is

@@ -33,15 +33,12 @@ let engine_differential policy inst =
 (* Arrival vector, [delivered] counter and [Arrival] events must agree. *)
 let arrival_accounting (r : Session.reliable) events =
   let n = Array.length r.Session.r_arrival in
-  let seen = Array.make n nan in
-  let arrivals = ref 0 in
-  List.iter
-    (function
-      | Event.Arrival { dst; time; _ } ->
-          incr arrivals;
-          if Float.is_nan seen.(dst) then seen.(dst) <- time
-      | _ -> ())
-    events;
+  let seen = Invariant.first_arrivals ~n events in
+  let arrivals =
+    List.fold_left
+      (fun acc -> function Event.Arrival _ -> acc + 1 | _ -> acc)
+      0 events
+  in
   let rec ranks k =
     if k >= n then Ok ()
     else
@@ -64,9 +61,9 @@ let arrival_accounting (r : Session.reliable) events =
     fail "delivered-accounting"
       "arrival vector has %d delivered ranks but the executor counted %d"
       delivered_vec r.Session.delivered
-  else if !arrivals <> r.Session.delivered then
+  else if arrivals <> r.Session.delivered then
     fail "delivered-accounting"
-      "event stream has %d arrivals but the executor delivered %d" !arrivals
+      "event stream has %d arrivals but the executor delivered %d" arrivals
       r.Session.delivered
   else
     let max_arrival =

@@ -29,7 +29,7 @@
     sessions).  With the default {!Gridb_obs.Sink.null} every emission
     site is a single always-false test: seeded runs are bit-identical with
     and without the instrumentation layer.  For a transmission log, pass a
-    {!Gridb_obs.Sink.memory} sink and read it back with {!Trace.of_events}.
+    {!Gridb_obs.Sink.memory} sink and read it back with {!Gridb_obs.Trace.of_events}.
     When [sid] is given, every published event is wrapped in
     {!Gridb_obs.Event.Tagged}[ { sid; _ }] so multi-session streams can be
     attributed per request ({!Gridb_obs.Profile} rolls them up). *)

@@ -480,7 +480,7 @@ let hierarchy_vs_flat () =
       ("grid-unaware binomial", List.map (fun m -> (float_of_int m, binomial m)) sizes);
     ]
   in
-  let evals n = Gridb_sched.Overhead.evaluations ~n heuristic.Heuristics.name in
+  let evals n = Gridb_sched.Overhead.evaluations ~n heuristic.Heuristics.policy in
   {
     Report.id = "abl-hierarchy";
     title = "Ablation: hierarchical vs per-process scheduling (Sections 1-2)";

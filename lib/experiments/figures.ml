@@ -152,7 +152,7 @@ let fig6_measured config =
               let schedule = Heuristics.run h inst in
               let plan = Des.Plan.of_cluster_schedule machines schedule in
               let overhead =
-                Gridb_sched.Overhead.cost_us ~n:inst.Instance.n h.Heuristics.name
+                Gridb_sched.Overhead.cost_us ~n:inst.Instance.n h.Heuristics.policy
               in
               let rng = Gridb_util.Rng.create (config.Config.seed + msg) in
               let total = ref 0. in

@@ -42,11 +42,6 @@ let of_broadcast inst schedule =
   in
   { root = schedule.Schedule.root; n = schedule.Schedule.n; events = ordered; makespan = horizon }
 
-let makespan_equals_broadcast inst schedule =
-  let r = of_broadcast inst schedule in
-  let b = Schedule.makespan ~model:Schedule.After_sends inst schedule in
-  Float.abs (r.makespan -. b) <= 1e-9 *. Float.max 1. b
-
 let best_heuristic inst heuristics =
   match heuristics with
   | [] -> invalid_arg "Reduce_sched.best_heuristic: empty list"

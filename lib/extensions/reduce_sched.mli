@@ -34,10 +34,6 @@ val of_broadcast : Gridb_sched.Instance.t -> Gridb_sched.Schedule.t -> t
     instance.  @raise Invalid_argument if the schedule does not match the
     instance. *)
 
-val makespan_equals_broadcast : Gridb_sched.Instance.t -> Gridb_sched.Schedule.t -> bool
-(** The duality check the tests rely on: reversed makespan = broadcast
-    makespan (After_sends model), up to floating point. *)
-
 val best_heuristic :
   Gridb_sched.Instance.t -> Gridb_sched.Heuristics.t list -> Gridb_sched.Heuristics.t * t
 (** Schedule a reduction with every given heuristic (via duality) and keep

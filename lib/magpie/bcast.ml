@@ -68,7 +68,8 @@ let predict tuning strategy ~root ~msg =
         Plan.binomial_ranks measured_machines
           ~root:(Machines.coordinator measured_machines root)
       in
-      let config = Session.Config.v ~msg:(Tuning.size_class msg) () in
+      let msg = Gridb_service.Plan_cache.bucket_of_size msg in
+      let config = Session.Config.v ~msg () in
       (Session.run config measured_machines p).Session.makespan
   | Flat_two_level ->
       Schedule.makespan inst
@@ -84,12 +85,8 @@ let scheduling_cost strategy ~n ~fresh =
   else
     match strategy with
     | Binomial_world -> 0.
-    | Flat_two_level -> Gridb_sched.Overhead.cost_us ~n "FlatTree"
-    | Scheduled h ->
-        (* The policy descriptor is exact for parameterised names the
-           string model would have to guess at. *)
-        Gridb_sched.Overhead.of_policy ~n h.Heuristics.policy
-        *. Gridb_sched.Overhead.default_per_evaluation_us
+    | Flat_two_level -> Gridb_sched.Overhead.cost_us ~n Gridb_sched.Policy.flat_tree
+    | Scheduled h -> Gridb_sched.Overhead.cost_us ~n h.Heuristics.policy
     | Adaptive hs ->
         Gridb_sched.Portfolio.scheduling_evaluations ~heuristics:hs n
         *. Gridb_sched.Overhead.default_per_evaluation_us

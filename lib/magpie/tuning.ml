@@ -64,13 +64,8 @@ let machines t = t.machines
 let obs t = t.obs
 let measured_grid t = t.measured
 
-let size_class msg =
-  if msg < 0 then invalid_arg "Tuning.size_class: negative size";
-  let rec up c = if c >= msg then c else up (2 * c) in
-  up 64
-
 let instance t ~root ~msg =
-  Gridb_sched.Instance.of_grid ~root ~msg:(size_class msg) t.measured
+  Gridb_sched.Instance.of_grid ~root ~msg:(Plan_cache.bucket_of_size msg) t.measured
 
 let schedule ?estimator t ~heuristic ~root ~msg =
   let key =

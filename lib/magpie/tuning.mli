@@ -42,14 +42,10 @@ val obs : t -> Gridb_obs.Sink.t
 
 val measured_grid : t -> Gridb_topology.Grid.t
 
-val size_class : int -> int
-(** MagPIe-style message classes: sizes are bucketed to the next power of
-    two (minimum 64 B) so the schedule cache stays small.
-    @raise Invalid_argument on negative size. *)
-
 val instance : t -> root:int -> msg:int -> Gridb_sched.Instance.t
-(** Scheduling instance against the measured grid, at the class-rounded
-    message size. *)
+(** Scheduling instance against the measured grid, at the message's size
+    class ({!Gridb_service.Plan_cache.bucket_of_size}: the next power of
+    two, minimum 64 B, so the schedule cache stays small). *)
 
 val schedule :
   ?estimator:Gridb_des.Adaptive.t ->

@@ -6,9 +6,10 @@
     timer lifecycle, simMPI its message plane, the scheduling engine its
     per-round picks, work counters and heap maintenance, MagPIe its cache
     and strategy decisions, and the repair machinery its splices.  Sinks
-    ({!Sink}) receive events; consumers ({!Profile},
-    [Gridb_des.Trace.of_events], [Gridb_sched.Gantt.render_events]) fold
-    over the stream.
+    ({!Sink}) receive events.  {!Trace.of_events} is the one reader that
+    pairs [Send_start]/[Send_end] into transmissions; the consumers
+    ({!Profile}, [Gridb_sched.Gantt.render_events] and the stream
+    invariants of [Gridb_check.Invariant]) fold over its records.
 
     Times are producer-defined: simulation events carry simulated
     microseconds, span events whatever clock the producer sampled

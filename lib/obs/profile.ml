@@ -41,11 +41,11 @@ let of_events events =
   let sends = ref 0 and retransmits = ref 0 and give_ups = ref 0 in
   let circuit_opens = ref 0 and reroutes = ref 0 in
   let sheds = ref 0 and requeues = ref 0 and deadline_misses = ref 0 in
-  let pending_send : (int * int, Event.t) Hashtbl.t = Hashtbl.create 64 in
   let open_spans : (string, float list) Hashtbl.t = Hashtbl.create 8 in
   let spans = ref [] and counters = ref [] in
   let total = ref 0 in
-  (* Per-correlation-id attribution, first-seen sid order. *)
+  (* Per-correlation-id attribution, in the order a sid first sends or
+     receives. *)
   let session_tbl : (int, session_row ref) Hashtbl.t = Hashtbl.create 8 in
   let session_order = ref [] in
   let session sid =
@@ -57,31 +57,16 @@ let of_events events =
         session_order := sid :: !session_order;
         r
   in
+  let tally sid f = match sid with None -> () | Some s -> let r = session s in r := f !r in
   List.iter
     (fun (e : Event.t) ->
       incr total;
-      let sid = Event.sid e in
-      let tally f = match sid with None -> () | Some s -> let r = session s in r := f !r in
       match Event.untag e with
-      | Send_start { src; dst; try_no; _ } as e ->
-          incr sends;
-          if try_no > 0 then incr retransmits;
-          tally (fun r -> { r with s_sends = r.s_sends + 1 });
-          Hashtbl.replace pending_send (src, dst) e
-      | Send_end { src; dst; time; arrival } -> (
-          makespan := Float.max !makespan arrival;
-          match Hashtbl.find_opt pending_send (src, dst) with
-          | Some (Send_start { time = start; intra = is_intra; try_no; _ }) ->
-              Hashtbl.remove pending_send (src, dst);
-              let gap = time -. start in
-              tally (fun r -> { r with s_busy_us = r.s_busy_us +. gap });
-              if try_no > 0 then retransmit := !retransmit +. gap
-              else if is_intra then intra := !intra +. gap
-              else transmit := !transmit +. gap
-          | _ -> ())
+      | Send_start _ -> tally (Event.sid e) Fun.id
       | Arrival { time; _ } ->
           makespan := Float.max !makespan time;
-          tally (fun r -> { r with s_makespan_us = Float.max r.s_makespan_us time })
+          tally (Event.sid e) (fun r ->
+              { r with s_makespan_us = Float.max r.s_makespan_us time })
       | Give_up _ -> incr give_ups
       | Circuit_open _ -> incr circuit_opens
       | Reroute _ -> incr reroutes
@@ -103,6 +88,18 @@ let of_events events =
       | Counter { name; value } -> counters := upd !counters name (fun _ -> value)
       | _ -> ())
     events;
+  List.iter
+    (fun (t : Trace.transmission) ->
+      incr sends;
+      if t.try_no > 0 then incr retransmits;
+      makespan := Float.max !makespan t.arrival;
+      let gap = t.gap_end -. t.start in
+      tally t.sid (fun r ->
+          { r with s_sends = r.s_sends + 1; s_busy_us = r.s_busy_us +. gap });
+      if t.try_no > 0 then retransmit := !retransmit +. gap
+      else if t.intra then intra := !intra +. gap
+      else transmit := !transmit +. gap)
+    (Trace.of_events events).Trace.transmissions;
   {
     schedule_us = (match List.assoc_opt "schedule" !spans with Some v -> v | None -> 0.);
     transmit_us = !transmit;

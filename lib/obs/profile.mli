@@ -42,9 +42,9 @@ type report = {
 }
 
 val of_events : Event.t list -> report
-(** Fold a chronological stream into a report.  Send gaps are paired
-    [Send_start]/[Send_end] per directed link (the executors emit the two
-    back to back); unmatched starts contribute nothing. *)
+(** Fold a chronological stream into a report.  Send gaps and counts come
+    from the transmissions {!Trace.of_events} pairs; unpaired sends
+    contribute nothing. *)
 
 val render : report -> string
 (** Two-column text table of the rollup. *)

@@ -51,51 +51,43 @@ let print ?model ?width inst s = print_string (render ?model ?width inst s)
 
 let render_events ?(width = 72) events =
   if width < 10 then invalid_arg "Gantt.render_events: width < 10";
-  (* Collect the per-rank busy intervals straight off the bus: each
-     [Send_start]/[Send_end] pair is one NIC seizure of the sender. *)
-  let open_start : (int * int, float * bool) Hashtbl.t = Hashtbl.create 64 in
-  let intervals = ref [] in
-  (* (rank, start, stop, glyph) *)
-  let horizon = ref 1e-9 in
-  let max_rank = ref 0 in
-  List.iter
-    (fun (e : Gridb_obs.Event.t) ->
-      match Gridb_obs.Event.untag e with
-      | Send_start { src; dst; time; try_no; _ } ->
-          max_rank := max !max_rank (max src dst);
-          Hashtbl.replace open_start (src, dst) (time, try_no > 0)
-      | Send_end { src; dst; time; arrival } -> (
-          horizon := Float.max !horizon arrival;
-          match Hashtbl.find_opt open_start (src, dst) with
-          | Some (start, retry) ->
-              Hashtbl.remove open_start (src, dst);
-              intervals := (src, start, time, if retry then 'r' else '>') :: !intervals
-          | None -> ())
-      | Arrival { dst; time; _ } ->
-          max_rank := max !max_rank dst;
-          horizon := Float.max !horizon time
-      | _ -> ())
-    events;
-  let n = !max_rank + 1 in
-  let makespan = !horizon in
+  (* Each transmission is one NIC seizure of its sender; arrivals are read
+     through their session tags like the transmissions are. *)
+  let sends = (Gridb_obs.Trace.of_events events).Gridb_obs.Trace.transmissions in
+  let arrivals =
+    List.filter_map
+      (fun e ->
+        match Gridb_obs.Event.untag e with
+        | Arrival { dst; time; _ } -> Some (dst, time)
+        | _ -> None)
+      events
+  in
+  let n =
+    1
+    + List.fold_left
+        (fun acc (t : Gridb_obs.Trace.transmission) -> max acc (max t.src t.dst))
+        (List.fold_left (fun acc (dst, _) -> max acc dst) 0 arrivals)
+        sends
+  in
+  let makespan =
+    List.fold_left
+      (fun acc (t : Gridb_obs.Trace.transmission) -> Float.max acc t.arrival)
+      (List.fold_left (fun acc (_, time) -> Float.max acc time) 1e-9 arrivals)
+      sends
+  in
   let column t =
     let c = int_of_float (t /. makespan *. float_of_int width) in
     min (width - 1) (max 0 c)
   in
   let rows = Array.init n (fun _ -> Bytes.make width ' ') in
   List.iter
-    (fun (rank, a, b, ch) ->
-      let ca = column a and cb = max (column a + 1) (column b) in
+    (fun (t : Gridb_obs.Trace.transmission) ->
+      let ca = column t.start and cb = max (column t.start + 1) (column t.gap_end) in
       for c = ca to min (width - 1) (cb - 1) do
-        Bytes.set rows.(rank) c ch
+        Bytes.set rows.(t.src) c (if t.try_no > 0 then 'r' else '>')
       done)
-    (List.rev !intervals);
-  List.iter
-    (fun (e : Gridb_obs.Event.t) ->
-      match e with
-      | Arrival { dst; time; _ } -> Bytes.set rows.(dst) (column time) '*'
-      | _ -> ())
-    events;
+    sends;
+  List.iter (fun (dst, time) -> Bytes.set rows.(dst) (column time) '*') arrivals;
   let buf = Buffer.create ((width + 16) * (n + 3)) in
   Buffer.add_string buf
     (Printf.sprintf "event gantt (makespan %s)\n"

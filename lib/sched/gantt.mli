@@ -21,7 +21,8 @@ val print :
 val render_events : ?width:int -> Gridb_obs.Event.t list -> string
 (** Per-rank timeline reconstructed from an observability stream instead of
     an analytic schedule: ['>'] first-attempt sends, ['r'] retransmissions
-    (both from paired [Send_start]/[Send_end]), ['*'] message arrivals.
+    (both from {!Gridb_obs.Trace.of_events}; unpaired sends are not drawn),
+    ['*'] message arrivals.  Tagged events are read through their tags.
     Renders whatever actually happened — noise, faults and retries
     included — making it the executed-run counterpart of {!render}.
     @raise Invalid_argument if [width < 10]. *)

@@ -16,9 +16,9 @@ let lookahead_evaluations n =
   done;
   float_of_int !total
 
-let rec of_policy ~n policy =
+let rec evaluations ~n policy =
   match Policy.shape policy with
-  | Policy.Sized _ -> of_policy ~n (Policy.resolve ~n policy)
+  | Policy.Sized _ -> evaluations ~n (Policy.resolve ~n policy)
   | Policy.Root_first -> float_of_int n
   | Policy.Max_reach -> pair_scan_evaluations n
   | Policy.Select_min { lookahead; _ } -> (
@@ -27,18 +27,7 @@ let rec of_policy ~n policy =
       | Lookahead.Fold _ | Lookahead.Dynamic ->
           pair_scan_evaluations n +. lookahead_evaluations n)
 
-let evaluations ~n heuristic =
-  match Policy.by_name heuristic with
-  | Some p -> of_policy ~n p
-  | None ->
-      (* Unknown names: keep the historical string-prefix guess. *)
-      let canon = String.lowercase_ascii heuristic in
-      if canon = "flattree" then float_of_int n
-      else if String.length canon >= 7 && String.sub canon 0 7 = "ecef-la" then
-        pair_scan_evaluations n +. lookahead_evaluations n
-      else pair_scan_evaluations n
-
 let default_per_evaluation_us = 0.5
 
-let cost_us ?(per_evaluation_us = default_per_evaluation_us) ~n heuristic =
-  evaluations ~n heuristic *. per_evaluation_us
+let cost_us ?(per_evaluation_us = default_per_evaluation_us) ~n policy =
+  evaluations ~n policy *. per_evaluation_us

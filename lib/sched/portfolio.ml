@@ -26,5 +26,5 @@ let scheduling_evaluations ?(heuristics = Heuristics.all) n =
   (* Charged by descriptor: exact for the parameterised ECEF-LA<...> and
      Mixed<...> names too. *)
   List.fold_left
-    (fun acc h -> acc +. Overhead.of_policy ~n h.Heuristics.policy)
+    (fun acc h -> acc +. Overhead.evaluations ~n h.Heuristics.policy)
     0. heuristics

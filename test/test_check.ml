@@ -196,7 +196,22 @@ let stream_synthetic () =
          se ~src:0 ~dst:2 ~time:150. ~arrival:160.;
        ]);
   violates "unexplained arrival" "stream-no-spontaneous-delivery"
-    (I.stream_no_spontaneous_delivery ~root:0 [ arr ~src:0 ~dst:1 ~time:42. ])
+    (I.stream_no_spontaneous_delivery ~root:0 [ arr ~src:0 ~dst:1 ~time:42. ]);
+  (* Sends that do not pair up are violations, not silently dropped. *)
+  List.iter
+    (fun (what, events) ->
+      violates what "stream-nic-serialization" (I.stream_nic_serialization ~n:3 events))
+    [
+      ( "start twice without an end",
+        [ ss ~src:0 ~dst:1 ~time:0.; ss ~src:0 ~dst:1 ~time:5.;
+          se ~src:0 ~dst:1 ~time:100. ~arrival:110. ] );
+      ( "end without a start",
+        [ ss ~src:0 ~dst:1 ~time:0.; se ~src:0 ~dst:1 ~time:100. ~arrival:110.;
+          se ~src:0 ~dst:2 ~time:200. ~arrival:210. ] );
+      ( "start with no end",
+        [ ss ~src:0 ~dst:1 ~time:0.; se ~src:0 ~dst:1 ~time:100. ~arrival:110.;
+          ss ~src:0 ~dst:2 ~time:100. ] );
+    ]
 
 (* Stream invariants against a real executed run, gap conformance included;
    the negative case tampers one Send_end of the genuine stream. *)

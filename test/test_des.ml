@@ -8,6 +8,7 @@ module Noise = Gridb_des.Noise
 module Plan = Gridb_des.Plan
 module Session = Gridb_des.Session
 module Overhead = Gridb_sched.Overhead
+module Policy = Gridb_sched.Policy
 module Machines = Gridb_topology.Machines
 module Grid5000 = Gridb_topology.Grid5000
 module Generators = Gridb_topology.Generators
@@ -583,11 +584,13 @@ let exec_arrival_monotone_along_tree =
 
 (* --- Trace ------------------------------------------------------------ *)
 
+module Trace = Gridb_obs.Trace
+
 (* A Memory sink plus [Trace.of_events] is the transmission log of a run. *)
 let traced ?(msg = 1_000_000) m plan =
   let mem = Gridb_obs.Sink.memory () in
   let r = Session.run (Session.Config.v ~msg ~obs:mem ()) m plan in
-  (r, Gridb_des.Trace.of_events (Gridb_obs.Sink.events mem))
+  (r, (Trace.of_events (Gridb_obs.Sink.events mem)).Trace.transmissions)
 
 let test_trace_recorded_on_request () =
   let m = machines () in
@@ -601,28 +604,28 @@ let test_trace_flat_root_busiest () =
   let m = machines () in
   let plan = Plan.flat_ranks m ~root:0 in
   let r, trace = traced m plan in
-  (match Gridb_des.Trace.busiest_sender trace with
+  (match Trace.busiest_sender trace with
   | Some (rank, busy) ->
       Alcotest.(check int) "root carries all traffic" 0 rank;
       Alcotest.(check bool) "busy the whole run" true (busy > 0.9 *. r.Session.makespan)
   | None -> Alcotest.fail "no senders");
   Alcotest.(check int) "only one sender" 1
-    (List.length (Gridb_des.Trace.sender_busy_time trace))
+    (List.length (Trace.sender_busy_time trace))
 
 let test_trace_critical_path () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
   let r, trace = traced m plan in
-  let path = Gridb_des.Trace.critical_path trace in
+  let path = Trace.critical_path trace in
   Alcotest.(check bool) "non-empty" true (path <> []);
   (* path starts at the root and ends at the latest arrival *)
   let first = List.hd path and last = List.nth path (List.length path - 1) in
-  Alcotest.(check int) "starts at root" 0 first.Gridb_des.Trace.src;
-  check_feq "ends at makespan" r.Session.makespan last.Gridb_des.Trace.arrival;
+  Alcotest.(check int) "starts at root" 0 first.Trace.src;
+  check_feq "ends at makespan" r.Session.makespan last.Trace.arrival;
   (* hops chain: receiver of hop i = sender of hop i+1 *)
   let rec chained = function
     | a :: (b :: _ as rest) ->
-        a.Gridb_des.Trace.dst = b.Gridb_des.Trace.src && chained rest
+        a.Trace.dst = b.Trace.src && chained rest
     | _ -> true
   in
   Alcotest.(check bool) "chained" true (chained path)
@@ -631,32 +634,33 @@ let test_trace_total_bytes () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
   let _, trace = traced ~msg:1_000 m plan in
-  Alcotest.(check int) "87 KB moved" 87_000 (Gridb_des.Trace.total_bytes trace)
+  Alcotest.(check int) "87 KB moved" 87_000 (Trace.total_bytes trace)
 
 (* --- Overhead ------------------------------------------------------------ *)
 
 let test_overhead_shapes () =
-  Alcotest.(check bool) "flat linear" true (Overhead.evaluations ~n:50 "FlatTree" = 50.);
-  let ecef = Overhead.evaluations ~n:20 "ECEF" in
-  let la = Overhead.evaluations ~n:20 "ECEF-LA" in
+  let evals = Overhead.evaluations in
+  Alcotest.(check bool) "flat linear" true (evals ~n:50 Policy.flat_tree = 50.);
+  let ecef = evals ~n:20 Policy.ecef in
+  let la = evals ~n:20 Policy.ecef_la in
   Alcotest.(check bool) "lookahead costs more" true (la > ecef);
-  Alcotest.(check bool) "LAT like LA" true
-    (Overhead.evaluations ~n:20 "ECEF-LAT" = la);
+  Alcotest.(check bool) "LAT like LA" true (evals ~n:20 Policy.ecef_lat_max = la);
   (* pair scans: sum r(n-r) for n=4 -> 3+4+3 = 10 *)
-  Alcotest.(check bool) "pair scan n=4" true (Overhead.evaluations ~n:4 "ECEF" = 10.);
+  Alcotest.(check bool) "pair scan n=4" true (evals ~n:4 Policy.ecef = 10.);
   (* lookahead: sum b(b-1) for n=4 -> 3*2 + 2*1 + 1*0 = 8 on top of the scan *)
-  Alcotest.(check bool) "lookahead n=4" true (Overhead.evaluations ~n:4 "ECEF-LA" = 18.);
-  (* parameterised names resolve through the policy descriptor instead of
-     falling into the bare-scan bucket *)
+  Alcotest.(check bool) "lookahead n=4" true (evals ~n:4 Policy.ecef_la = 18.);
+  (* parameterised policies are charged by their descriptor *)
   Alcotest.(check bool) "ECEF-LA<...> charged for lookahead" true
-    (Overhead.evaluations ~n:20 "ECEF-LA<min-edge+T>" = la);
-  let mixed = "Mixed<ECEF-LA|ECEF-LAT@10>" in
+    (evals ~n:20 (Policy.ecef_with Gridb_sched.Lookahead.min_edge_plus_t) = la);
+  let mixed =
+    Policy.sized ~threshold:10 ~small:Policy.ecef_la ~large:Policy.ecef_lat_max
+  in
   Alcotest.(check bool) "mixed small branch" true
-    (Overhead.evaluations ~n:8 mixed = Overhead.evaluations ~n:8 "ECEF-LA");
+    (evals ~n:8 mixed = evals ~n:8 Policy.ecef_la);
   Alcotest.(check bool) "mixed large branch" true
-    (Overhead.evaluations ~n:20 mixed = Overhead.evaluations ~n:20 "ECEF-LAT");
-  check_feq "cost scales" (2. *. Overhead.cost_us ~per_evaluation_us:1. ~n:10 "ECEF")
-    (Overhead.cost_us ~per_evaluation_us:2. ~n:10 "ECEF")
+    (evals ~n:20 mixed = evals ~n:20 Policy.ecef_lat_max);
+  check_feq "cost scales" (2. *. Overhead.cost_us ~per_evaluation_us:1. ~n:10 Policy.ecef)
+    (Overhead.cost_us ~per_evaluation_us:2. ~n:10 Policy.ecef)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in

@@ -200,7 +200,7 @@ let test_overhead_cross_check () =
       let flat = count Policy.flat_tree in
       Alcotest.(check int) "flat tree selections" (n - 1) flat.Engine.pair_evaluations;
       Alcotest.(check bool) "flat model within 1" true
-        (Float.abs (Overhead.evaluations ~n "FlatTree" -. float_of_int (n - 1)) <= 1.))
+        (Float.abs (Overhead.evaluations ~n Policy.flat_tree -. float_of_int (n - 1)) <= 1.))
     [ 2; 3; 8; 17 ]
 
 (* The incremental engine must do asymptotically less pair-score work than

@@ -154,17 +154,106 @@ let test_alltoall_simulation_close_to_prediction () =
 
 (* --- Reduce by duality ---------------------------------------------------------- *)
 
-let reduce_duality_holds =
-  QCheck.Test.make ~name:"reversed broadcast has identical makespan" ~count:(Testutil.count 50)
+module Reduce = Gridb_extensions.Reduce_sched
+
+(* The reduce law of a mirrored schedule: no cluster sends before every
+   contribution it gathers has arrived, nor before its own intra-cluster
+   gather [T_k] (started at time 0) can have finished; the reduction ends
+   with its latest arrival.  [None] when the law holds. *)
+let reduce_law_violation (inst : Gridb_sched.Instance.t) (r : Reduce.t) =
+  let le a b = a <= b +. (1e-9 *. Float.max 1. (Float.abs b)) in
+  let early_send (e : Reduce.event) =
+    if not (le inst.Gridb_sched.Instance.intra.(e.src) e.start) then
+      Some
+        (Printf.sprintf "cluster %d sends at %g, before its gather T = %g" e.src e.start
+           inst.Gridb_sched.Instance.intra.(e.src))
+    else
+      List.find_map
+        (fun (f : Reduce.event) ->
+          if f.dst = e.src && not (le f.arrival e.start) then
+            Some
+              (Printf.sprintf "cluster %d sends at %g, before %d's contribution lands at %g"
+                 e.src e.start f.src f.arrival)
+          else None)
+        r.Reduce.events
+  in
+  match List.find_map early_send r.Reduce.events with
+  | Some _ as v -> v
+  | None ->
+      let latest =
+        List.fold_left (fun acc (e : Reduce.event) -> Float.max acc e.arrival) 0.
+          r.Reduce.events
+      in
+      if feq latest r.Reduce.makespan then None
+      else
+        Some (Printf.sprintf "makespan %g, latest arrival %g" r.Reduce.makespan latest)
+
+let reduce_mirror_law =
+  QCheck.Test.make ~name:"mirrored sends wait for their gathers" ~count:(Testutil.count 50)
     QCheck.(pair (int_range 2 15) (int_bound 10_000))
     (fun (n, seed) ->
       let grid = random_grid ~n seed in
       let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:500_000 grid in
       List.for_all
         (fun h ->
-          Gridb_extensions.Reduce_sched.makespan_equals_broadcast inst
-            (Heuristics.run h inst))
+          let r = Reduce.of_broadcast inst (Heuristics.run h inst) in
+          match reduce_law_violation inst r with
+          | None -> true
+          | Some d -> QCheck.Test.fail_reportf "%s: %s" h.Heuristics.name d)
         Heuristics.all)
+
+(* Moving one mirrored transmission in time breaks the law, whichever
+   clause it crosses. *)
+let test_reduce_law_catches_a_shift () =
+  let grid = Grid5000.grid () in
+  let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
+  let r = Reduce.of_broadcast inst (Heuristics.run Heuristics.ecef inst) in
+  let events = Array.of_list r.Reduce.events in
+  let shift i d =
+    {
+      r with
+      Reduce.events =
+        List.mapi
+          (fun j (e : Reduce.event) ->
+            if j = i then { e with start = e.start +. d; arrival = e.arrival +. d } else e)
+          r.Reduce.events;
+    }
+  in
+  let index p =
+    let rec go i = if p events.(i) then i else go (i + 1) in
+    go 0
+  in
+  let holds name r =
+    Alcotest.(check (option string)) name None (reduce_law_violation inst r)
+  in
+  let breaks name r =
+    Alcotest.(check bool) name true (reduce_law_violation inst r <> None)
+  in
+  holds "mirror holds" r;
+  let latest =
+    Array.fold_left (fun acc (e : Reduce.event) -> Float.max acc e.arrival) 0. events
+  in
+  breaks "last arrival 1 us later"
+    (shift (index (fun (e : Reduce.event) -> e.arrival = latest)) 1.);
+  (* A contribution landing 1 us after the send of the cluster it feeds. *)
+  let into =
+    index (fun (f : Reduce.event) ->
+        Array.exists (fun (e : Reduce.event) -> e.src = f.dst) events)
+  in
+  let out = index (fun (e : Reduce.event) -> e.src = events.(into).dst) in
+  breaks "contribution after its sender's send"
+    (shift into (events.(out).start -. events.(into).arrival +. 1.));
+  (* A leaf's send moved to halfway through its own gather (the leaf with
+     the longest one). *)
+  let gather i = inst.Gridb_sched.Instance.intra.(events.(i).src) in
+  let is_leaf (e : Reduce.event) =
+    not (Array.exists (fun (f : Reduce.event) -> f.dst = e.src) events)
+  in
+  let leaf = ref (index is_leaf) in
+  Array.iteri (fun i e -> if is_leaf e && gather i > gather !leaf then leaf := i) events;
+  let leaf = !leaf and t = gather !leaf in
+  Alcotest.(check bool) "leaf gathers" true (t > 0.);
+  breaks "send inside its gather" (shift leaf ((t /. 2.) -. events.(leaf).start))
 
 let test_reduce_events_are_reversed () =
   let grid = Grid5000.grid () in
@@ -450,7 +539,8 @@ let () =
         ] );
       ( "reduce",
         [
-          QCheck_alcotest.to_alcotest reduce_duality_holds;
+          QCheck_alcotest.to_alcotest reduce_mirror_law;
+          quick "a one-event shift breaks the law" test_reduce_law_catches_a_shift;
           quick "events reversed" test_reduce_events_are_reversed;
           quick "best heuristic" test_reduce_best_heuristic;
         ] );

@@ -31,21 +31,25 @@ let tuning machines = Tuning.create ~sizes:probe_sizes machines
 
 (* --- size classes ------------------------------------------------------- *)
 
+(* Tuning schedules at the service cache's message classes. *)
+let size_class = Gridb_service.Plan_cache.bucket_of_size
+
 let test_size_class () =
-  Alcotest.(check int) "floor" 64 (Tuning.size_class 0);
-  Alcotest.(check int) "small" 64 (Tuning.size_class 37);
-  Alcotest.(check int) "exact power" 1024 (Tuning.size_class 1024);
-  Alcotest.(check int) "rounds up" 2048 (Tuning.size_class 1025);
-  Alcotest.(check int) "1MB class" 1_048_576 (Tuning.size_class 1_000_000);
-  Alcotest.check_raises "negative" (Invalid_argument "Tuning.size_class: negative size")
-    (fun () -> ignore (Tuning.size_class (-1)))
+  Alcotest.(check int) "floor" 64 (size_class 0);
+  Alcotest.(check int) "small" 64 (size_class 37);
+  Alcotest.(check int) "exact power" 1024 (size_class 1024);
+  Alcotest.(check int) "rounds up" 2048 (size_class 1025);
+  Alcotest.(check int) "1MB class" 1_048_576 (size_class 1_000_000);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Plan_cache.bucket_of_size: negative size")
+    (fun () -> ignore (size_class (-1)))
 
 let size_class_properties =
   QCheck.Test.make ~name:"size class covers and is idempotent" ~count:(Testutil.count 200)
     QCheck.(int_bound 10_000_000)
     (fun msg ->
-      let c = Tuning.size_class msg in
-      c >= msg && c >= 64 && Tuning.size_class c = c)
+      let c = size_class msg in
+      c >= msg && c >= 64 && size_class c = c)
 
 (* --- measurement --------------------------------------------------------- *)
 

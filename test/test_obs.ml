@@ -230,7 +230,8 @@ let test_jsonl_faulty_run_roundtrip () =
   let r = run_with mem in
   Alcotest.(check bool) "loss caused retransmissions" true (r.Session.retransmissions > 0);
   Alcotest.(check int) "sink sees every transmission" r.Session.r_transmissions
-    (List.length (Gridb_des.Trace.of_events (Sink.events mem)));
+    (List.length
+       (Gridb_obs.Trace.of_events (Sink.events mem)).Gridb_obs.Trace.transmissions);
   let path = Filename.temp_file "gridb_obs_run" ".jsonl" in
   ignore (Sink.with_jsonl path (fun js -> ignore (run_with js)));
   (match Sink.read path with
@@ -473,6 +474,44 @@ let test_gantt_events_renders () =
     (Invalid_argument "Gantt.render_events: width < 10") (fun () ->
       ignore (Gridb_sched.Gantt.render_events ~width:3 events))
 
+(* The one transmission reader: pairs per (sid, link), so two sessions on
+   one link interleave safely; a restart keeps the later start; whatever
+   does not pair is reported in stream order, open starts last. *)
+let test_trace_pairing () =
+  let start ?sid dst time =
+    let e = Event.Send_start { src = 0; dst; time; msg = 64; intra = false; try_no = 0 } in
+    match sid with Some sid -> Event.tag ~sid e | None -> e
+  in
+  let stop ?sid dst time =
+    let e = Event.Send_end { src = 0; dst; time; arrival = time +. 10. } in
+    match sid with Some sid -> Event.tag ~sid e | None -> e
+  in
+  let trace =
+    Gridb_obs.Trace.of_events
+      [
+        start ~sid:1 1 0.; start ~sid:2 1 5.; stop ~sid:2 1 50.; stop ~sid:1 1 100.;
+        start 2 200.; start 2 210.; stop 2 300.; stop 3 400.; start 3 500.;
+      ]
+  in
+  Alcotest.(check (list (triple (option int) (float 0.) (float 0.))))
+    "paired per session and link"
+    [ (Some 2, 5., 50.); (Some 1, 0., 100.); (None, 210., 300.) ]
+    (List.map
+       (fun (t : Gridb_obs.Trace.transmission) -> (t.sid, t.start, t.gap_end))
+       trace.Gridb_obs.Trace.transmissions);
+  Alcotest.(check (list string)) "unpaired, in stream order"
+    [ "send 0 -> 2 started twice without ending"; "send 0 -> 3 ends without a start";
+      "send 0 -> 3 has a start but no end" ]
+    (List.map Gridb_obs.Trace.describe trace.Gridb_obs.Trace.unpaired)
+
+(* The session layer tags every event it publishes in a multi-session run:
+   the chart of a tagged stream is the chart of its untagged copy. *)
+let test_gantt_tagged_events () =
+  let events, _ = profiled_events () in
+  Alcotest.(check string) "same chart"
+    (Gridb_sched.Gantt.render_events events)
+    (Gridb_sched.Gantt.render_events (List.map (Event.tag ~sid:0) events))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "obs"
@@ -515,5 +554,7 @@ let () =
           quick "tagged events round-trip" test_tagged_json_roundtrip;
           quick "profile per-session rollup" test_profile_sessions_rollup;
           quick "gantt from events" test_gantt_events_renders;
+          quick "gantt reads tagged arrivals" test_gantt_tagged_events;
+          quick "trace pairs per session and link" test_trace_pairing;
         ] );
     ]

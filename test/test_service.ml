@@ -848,6 +848,30 @@ let test_sessions_nic_serialization_allows_disjoint () =
   | Ok () -> ()
   | Error v -> Alcotest.failf "disjoint injections flagged: %a" I.pp_violation v
 
+(* Two sessions share sender 0; each stream has one send that does not
+   pair up within its own session. *)
+let test_sessions_nic_serialization_rejects_unpaired () =
+  let start sid dst time =
+    Event.tag ~sid
+      (Event.Send_start { src = 0; dst; time; msg = 64; intra = false; try_no = 0 })
+  in
+  let stop sid dst time =
+    Event.tag ~sid (Event.Send_end { src = 0; dst; time; arrival = time +. 10. })
+  in
+  List.iter
+    (fun (what, events) ->
+      match I.sessions_nic_serialization ~n:3 events with
+      | Ok () -> Alcotest.failf "%s not caught" what
+      | Error v ->
+          Alcotest.(check string) what "sessions-nic-serialization" v.I.invariant)
+    [
+      ( "start twice without an end",
+        [ start 0 1 0.; start 1 2 100.; stop 1 2 200.; start 0 1 300.; stop 0 1 400. ] );
+      ("end without a start", [ start 0 1 0.; stop 0 1 100.; stop 1 2 200. ]);
+      ("end from another session", [ start 0 1 0.; stop 1 1 100. ]);
+      ("start with no end", [ start 0 1 0.; stop 0 1 100.; start 1 2 100. ]);
+    ]
+
 let test_sessions_start_order () =
   let start sid r t = Event.tag ~sid (Event.Arrival { src = r; dst = r; time = t }) in
   let arrival sid t = Event.tag ~sid (Event.Arrival { src = 0; dst = 1; time = t }) in
@@ -975,6 +999,7 @@ let () =
         [
           quick "cross-session overlap caught" test_sessions_nic_serialization_catches_overlap;
           quick "disjoint injections pass" test_sessions_nic_serialization_allows_disjoint;
+          quick "unpaired sends caught" test_sessions_nic_serialization_rejects_unpaired;
           quick "split_sessions groups by sid" test_split_sessions_groups_and_orders;
           quick "start order" test_sessions_start_order;
         ] );
