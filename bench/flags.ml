@@ -1,4 +1,4 @@
-(* Checked numeric flag values for the sweep benches.  A malformed,
+(* Checked numeric flag values for the benches.  A malformed,
    non-finite or out-of-range value ends the run at once with exit 2 and
    one stderr line naming the flag, instead of an uncaught exception or a
    sweep over an empty or NaN-filled grid. *)

@@ -30,8 +30,8 @@ let parse_options () =
   in
   let rec parse = function
     | [] -> ()
-    | "-i" :: v :: rest | "--iterations" :: v :: rest ->
-        options := { !options with iterations = int_of_string v };
+    | (("-i" | "--iterations") as flag) :: v :: rest ->
+        options := { !options with iterations = Flags.int ~min:1 flag v };
         parse rest
     | "--full" :: rest ->
         options := { !options with iterations = 10_000 };

@@ -51,7 +51,13 @@ let v ?(alpha = default.alpha) ?(beta = default.beta) ?(var_mult = default.var_m
     max_reroutes;
   }
 
-type circuit = Closed | Open of { until : float } | Half_open
+(* A link's circuit state, as a float so the link record stays all-float:
+   OCaml stores such a record's fields flat, so writing one allocates
+   nothing, where a float field beside an int or a variant is a pointer to
+   a fresh box on every write. *)
+let closed = 0.
+let opened = 1.
+let half_open = 2.
 
 type link = {
   mutable srtt : float;
@@ -62,9 +68,10 @@ type link = {
   mutable fallback_rto : float;
       (* model-derived RTO (multipliers and floors included), latched at the
          first rto query; nan before *)
-  mutable strikes : int;  (* consecutive timeouts since the last success *)
-  mutable state : circuit;
-  mutable samples : int;
+  mutable strikes : float;  (* consecutive timeouts since the last success *)
+  mutable state : float;  (* [closed], [opened] or [half_open] *)
+  mutable until : float;  (* end of the cooldown while [opened] *)
+  mutable samples : float;  (* a count, exact as a float *)
 }
 
 module Links = Hashtbl.Make (Int)
@@ -96,9 +103,10 @@ let fresh () =
     rttvar = nan;
     nominal = nan;
     fallback_rto = nan;
-    strikes = 0;
-    state = Closed;
-    samples = 0;
+    strikes = 0.;
+    state = closed;
+    until = nan;
+    samples = 0.;
   }
 
 (* What every read of a link no write has touched sees.  Never stored and
@@ -138,7 +146,7 @@ let rto t ~src ~dst ~nominal ~fallback =
      estimated parameter read proportionally too fast. *)
   if Float.is_nan l.nominal then l.nominal <- nominal;
   if Float.is_nan l.fallback_rto then l.fallback_rto <- fallback;
-  if l.samples = 0 then clamp t fallback else clamp t (raw_rto t l)
+  if l.samples = 0. then clamp t fallback else clamp t (raw_rto t l)
 
 let on_sample t ~src ~dst ~rtt ~retransmitted ~now =
   if rtt < 0. then invalid_arg "Adaptive.on_sample: negative rtt";
@@ -146,12 +154,12 @@ let on_sample t ~src ~dst ~rtt ~retransmitted ~now =
   let blowup =
     (* Judged against the pre-sample SRTT: one sample worth several
        smoothed round trips is a degradation signal, not jitter. *)
-    (not retransmitted) && l.samples > 0 && rtt > t.config.blowup_factor *. l.srtt
+    (not retransmitted) && l.samples > 0. && rtt > t.config.blowup_factor *. l.srtt
   in
   if not retransmitted then begin
     (* Jacobson/Karn (RFC 6298): first valid sample seeds SRTT = R,
        RTTVAR = R/2; later ones are exponentially smoothed. *)
-    if l.samples = 0 then begin
+    if l.samples = 0. then begin
       l.srtt <- rtt;
       l.rttvar <- rtt /. 2.
     end
@@ -160,76 +168,77 @@ let on_sample t ~src ~dst ~rtt ~retransmitted ~now =
         ((1. -. t.config.beta) *. l.rttvar) +. (t.config.beta *. Float.abs (l.srtt -. rtt));
       l.srtt <- ((1. -. t.config.alpha) *. l.srtt) +. (t.config.alpha *. rtt)
     end;
-    l.samples <- l.samples + 1
+    l.samples <- l.samples +. 1.
   end;
-  l.strikes <- 0;
+  l.strikes <- 0.;
   let was = l.state in
   if blowup then begin
-    l.state <- Open { until = now +. (t.config.cooldown_mult *. clamp t (raw_rto t l)) };
-    match was with Open _ -> `No_change | Closed | Half_open -> `Opened
+    l.state <- opened;
+    l.until <- now +. (t.config.cooldown_mult *. clamp t (raw_rto t l));
+    if was = opened then `No_change else `Opened
   end
-  else
-    match was with
-    | Closed -> `No_change
-    | Open _ | Half_open ->
-        l.state <- Closed;
-        `Closed
+  else if was = closed then `No_change
+  else begin
+    l.state <- closed;
+    `Closed
+  end
 
 let on_timeout t ~src ~dst ~now =
   let l = link t ~src ~dst "on_timeout" in
-  l.strikes <- l.strikes + 1;
+  l.strikes <- l.strikes +. 1.;
   let cooldown =
-    let base = if l.samples > 0 then raw_rto t l else l.fallback_rto in
+    let base = if l.samples > 0. then raw_rto t l else l.fallback_rto in
     let base = if Float.is_nan base then t.config.rto_min else base in
     t.config.cooldown_mult *. clamp t base
   in
-  match l.state with
-  | Closed when l.strikes >= t.config.breaker_threshold ->
-      l.state <- Open { until = now +. cooldown };
-      true
-  | Closed -> false
-  | Open _ | Half_open ->
-      (* Restart the cooldown: a timeout while open/half-open (a failed
-         probe) pushes recovery further out. *)
-      l.state <- Open { until = now +. cooldown };
-      false
+  if l.state = closed then begin
+    let trips = l.strikes >= float_of_int t.config.breaker_threshold in
+    if trips then begin
+      l.state <- opened;
+      l.until <- now +. cooldown
+    end;
+    trips
+  end
+  else begin
+    (* Restart the cooldown: a timeout while open/half-open (a failed
+       probe) pushes recovery further out. *)
+    l.state <- opened;
+    l.until <- now +. cooldown;
+    false
+  end
 
 let usable t ~src ~dst ~now =
   (* An untouched link is closed: only a stored link can take the
      cooldown-expiry transition below. *)
   let l = peek t ~src ~dst "usable" in
-  match l.state with
-  | Closed | Half_open -> true
-  | Open { until } ->
-      if now >= until then begin
-        l.state <- Half_open;
-        true
-      end
-      else false
+  if l.state <> opened then true
+  else if now >= l.until then begin
+    l.state <- half_open;
+    true
+  end
+  else false
 
 let usable_now t ~src ~dst ~now =
   let l = peek t ~src ~dst "usable_now" in
-  match l.state with
-  | Closed | Half_open -> true
-  | Open { until } -> now >= until
+  l.state <> opened || now >= l.until
 
 let circuit t ~src ~dst =
   let l = peek t ~src ~dst "circuit" in
-  match l.state with Closed -> `Closed | Open _ -> `Open | Half_open -> `Half_open
+  if l.state = closed then `Closed else if l.state = opened then `Open else `Half_open
 
 let srtt t ~src ~dst =
   let l = peek t ~src ~dst "srtt" in
-  if l.samples = 0 then None else Some l.srtt
+  if l.samples = 0. then None else Some l.srtt
 
 let rttvar t ~src ~dst =
   let l = peek t ~src ~dst "rttvar" in
-  if l.samples = 0 then None else Some l.rttvar
+  if l.samples = 0. then None else Some l.rttvar
 
-let samples t ~src ~dst = (peek t ~src ~dst "samples").samples
+let samples t ~src ~dst = int_of_float (peek t ~src ~dst "samples").samples
 
 let quality t ~src ~dst =
   let l = peek t ~src ~dst "quality" in
-  if l.samples = 0 || Float.is_nan l.nominal || l.nominal <= 0. then 1.
+  if l.samples = 0. || Float.is_nan l.nominal || l.nominal <= 0. then 1.
   else l.srtt /. l.nominal
 
 let estimated_params t ~src ~dst nominal =

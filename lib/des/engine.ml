@@ -1,7 +1,9 @@
 module Sink = Gridb_obs.Sink
 module Event = Gridb_obs.Event
 
-type timer = { mutable live : bool; id : int }
+(* [slot] is the timer's queue slot while it is queued, -1 once it has
+   fired or been cancelled. *)
+type timer = { id : int; mutable slot : int }
 
 type t = {
   (* Slot arrays, all of one length: a queued event is one index into
@@ -12,6 +14,7 @@ type t = {
   mutable handlers : (t -> int -> unit) array;
   mutable args : int array;
   mutable timers : timer array;  (* [no_timer] for a plain event *)
+  mutable pos : int array;  (* a heap slot's index in [heap] *)
   mutable free : int;  (* first free slot, or -1 *)
   mutable heap : int array;  (* [0, size): binary min-heap of slots *)
   mutable size : int;
@@ -27,11 +30,11 @@ type t = {
          write. *)
   mutable next_timer : int;
   mutable processed : int;
-  mutable cancelled_pending : int;
 }
 
-(* Shared by every plain event: always live, never fired or cancelled. *)
-let no_timer = { live = true; id = -1 }
+(* Shared by every plain event, and never live: cancelling it is a
+   no-op. *)
+let no_timer = { id = -1; slot = -1 }
 
 (* Fills every free slot, so the queue keeps no reference to a handler
    that has fired, nor to whatever it captured. *)
@@ -56,6 +59,7 @@ let create ?(obs = Sink.null) () =
     handlers = Array.make cap vacant;
     args;
     timers = Array.make cap no_timer;
+    pos = Array.make cap 0;
     free = 0;
     heap = Array.make cap 0;
     size = 0;
@@ -67,7 +71,6 @@ let create ?(obs = Sink.null) () =
     clock = [| 0. |];
     next_timer = 0;
     processed = 0;
-    cancelled_pending = 0;
   }
 
 let[@inline] now t = t.clock.(0)
@@ -86,6 +89,7 @@ let grow_slots t =
   t.handlers <- extend t.handlers cap vacant;
   t.args <- extend t.args cap 0;
   t.timers <- extend t.timers cap no_timer;
+  t.pos <- extend t.pos cap 0;
   link_free t.args ~from:cap ~until:(2 * cap) ~next:(-1);
   t.free <- cap
 
@@ -107,39 +111,53 @@ let[@inline] before (times : float array) (seqs : int array) a b =
   let ta = times.(a) and tb = times.(b) in
   ta < tb || (ta = tb && seqs.(a) < seqs.(b))
 
+let[@inline] put (h : int array) (pos : int array) i s =
+  h.(i) <- s;
+  pos.(s) <- i
+
 (* Sift through a hole: entries move one level per step and [s] is
    written once, into the slot where it belongs. *)
-let rec sift_up times seqs (h : int array) s i =
+let rec sift_up times seqs h pos s i =
   let parent = (i - 1) / 2 in
   if i > 0 && before times seqs s h.(parent) then begin
-    h.(i) <- h.(parent);
-    sift_up times seqs h s parent
+    put h pos i h.(parent);
+    sift_up times seqs h pos s parent
   end
-  else h.(i) <- s
+  else put h pos i s
 
-let rec sift_down times seqs (h : int array) size s i =
+let rec sift_down times seqs h pos size s i =
   let l = (2 * i) + 1 in
   if l < size then begin
     let c = if l + 1 < size && before times seqs h.(l + 1) h.(l) then l + 1 else l in
     if before times seqs h.(c) s then begin
-      h.(i) <- h.(c);
-      sift_down times seqs h size s c
+      put h pos i h.(c);
+      sift_down times seqs h pos size s c
     end
-    else h.(i) <- s
+    else put h pos i s
   end
-  else h.(i) <- s
+  else put h pos i s
 
 let push t s =
   if t.size = Array.length t.heap then t.heap <- extend t.heap t.size 0;
   t.size <- t.size + 1;
-  sift_up t.times t.seqs t.heap s (t.size - 1)
+  sift_up t.times t.seqs t.heap t.pos s (t.size - 1)
+
+(* Remove the slot at heap index [i]: the last entry fills the hole and
+   sifts whichever way restores the order; [i < t.size]. *)
+let remove_at t i =
+  let h = t.heap and size = t.size - 1 in
+  t.size <- size;
+  if i < size then begin
+    let last = h.(size) in
+    if i > 0 && before t.times t.seqs last h.((i - 1) / 2) then
+      sift_up t.times t.seqs h t.pos last i
+    else sift_down t.times t.seqs h t.pos size last i
+  end
 
 (* Remove and return the heap's earliest slot; [t.size > 0]. *)
 let pop t =
-  let h = t.heap and size = t.size - 1 in
-  let top = h.(0) in
-  t.size <- size;
-  if size > 0 then sift_down t.times t.seqs h size h.(size) 0;
+  let top = t.heap.(0) in
+  remove_at t 0;
   top
 
 (* The lane is a FIFO of slots appended in non-decreasing time.  Their seqs
@@ -181,10 +199,12 @@ let peek t = if lane_first t then t.lane.(t.head) else t.heap.(0)
 (* Remove the earliest slot; the queue is not empty. *)
 let pop_head t = if lane_first t then pop_lane t else pop t
 
-let place t s =
+(* A timer always goes to the heap, where [cancel] can reach it. *)
+let place t s ~timer =
   t.seqs.(s) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  if t.len = 0 || t.times.(s) >= t.times.(lane_last t) then append t s else push t s
+  if (not timer) && (t.len = 0 || t.times.(s) >= t.times.(lane_last t)) then append t s
+  else push t s
 
 let[@inline never] reject_time time =
   if Float.is_nan time then invalid_arg "Engine.schedule: NaN time"
@@ -199,12 +219,13 @@ let[@inline] enqueue t ~time handler arg timer =
   t.handlers.(s) <- handler;
   t.args.(s) <- arg;
   t.timers.(s) <- timer;
-  place t s
+  if timer != no_timer then timer.slot <- s;
+  place t s ~timer:(timer != no_timer)
 
 let[@inline] schedule_with t ~time handler arg = enqueue t ~time handler arg no_timer
 
 let[@inline] schedule_timer_with t ~time handler arg =
-  let timer = { live = true; id = t.next_timer } in
+  let timer = { id = t.next_timer; slot = -1 } in
   t.next_timer <- t.next_timer + 1;
   enqueue t ~time handler arg timer;
   if Sink.enabled t.obs then
@@ -220,27 +241,18 @@ let schedule_after t ~delay action =
 let schedule_timer t ~time action = schedule_timer_with t ~time (fun e _ -> action e) 0
 
 let cancel t timer =
-  if timer.live then begin
-    timer.live <- false;
-    t.cancelled_pending <- t.cancelled_pending + 1;
+  let s = timer.slot in
+  if s >= 0 then begin
+    timer.slot <- -1;
+    remove_at t t.pos.(s);
+    release t s;
     if Sink.enabled t.obs then
       Sink.emit t.obs (Event.Timer_cancel { id = timer.id; time = t.clock.(0) })
   end
 
-let timer_live timer = timer.live
-
-(* Drop cancelled events sitting at the head of the queue: they must be
-   invisible to [step]/[run_until] (neither executed, nor allowed to drag
-   the clock or the horizon check). *)
-let rec drop_cancelled t =
-  if t.cancelled_pending > 0 && not (is_empty t) && not t.timers.(peek t).live then begin
-    release t (pop_head t);
-    t.cancelled_pending <- t.cancelled_pending - 1;
-    drop_cancelled t
-  end
+let timer_live timer = timer.slot >= 0
 
 let step t =
-  drop_cancelled t;
   if is_empty t then false
   else begin
     let s = pop_head t in
@@ -249,7 +261,7 @@ let step t =
     release t s;
     t.processed <- t.processed + 1;
     if timer != no_timer then begin
-      timer.live <- false;
+      timer.slot <- -1;
       if Sink.enabled t.obs then
         Sink.emit t.obs (Event.Timer_fire { id = timer.id; time = t.clock.(0) })
     end;
@@ -260,16 +272,12 @@ let step t =
 let run t = while step t do () done
 
 let run_until t horizon =
-  drop_cancelled t;
   while (not (is_empty t)) && t.times.(peek t) <= horizon do
-    ignore (step t : bool);
-    drop_cancelled t
+    ignore (step t : bool)
   done;
   if t.clock.(0) < horizon then t.clock.(0) <- horizon
 
-let pending t =
-  drop_cancelled t;
-  t.size + t.len - t.cancelled_pending
+let pending t = t.size + t.len
 
 let processed t = t.processed
 
@@ -279,12 +287,17 @@ let check_invariant t =
   let cap = Array.length t.times in
   let ok = ref true in
   let before = before t.times t.seqs in
-  for i = 1 to t.size - 1 do
-    if before t.heap.(i) t.heap.((i - 1) / 2) then ok := false
+  (* Each heap slot records its heap index, a queued timer names its own
+     slot, and only the heap holds timers. *)
+  for i = 0 to t.size - 1 do
+    let s = t.heap.(i) in
+    if (i > 0 && before s t.heap.((i - 1) / 2)) || t.pos.(s) <> i then ok := false;
+    if t.timers.(s) != no_timer && t.timers.(s).slot <> s then ok := false
   done;
   let slot k = t.lane.((t.head + k) land (Array.length t.lane - 1)) in
-  for k = 1 to t.len - 1 do
-    if before (slot k) (slot (k - 1)) then ok := false
+  for k = 0 to t.len - 1 do
+    if (k > 0 && before (slot k) (slot (k - 1))) || t.timers.(slot k) != no_timer then
+      ok := false
   done;
   (* Every slot is queued once (heap or lane) or free once, and a free
      slot keeps nothing of the event that held it. *)

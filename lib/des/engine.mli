@@ -7,12 +7,12 @@
     tests all run on this engine.
 
     Timers: {!schedule_timer} enqueues a {e cancellable} event and returns a
-    handle; {!cancel} marks it dead.  Cancelled events are never executed —
-    they are silently dropped when they reach the head of the queue — and do
-    not advance the clock, count towards {!processed}, or hold back a
-    {!run_until} horizon.  This is what arms the ACK-guarded retransmission
-    timers of the reliable executor: the common (ACK received) path cancels
-    the timer instead of letting a stale timeout fire.
+    handle; {!cancel} removes its event from the queue at once.  A cancelled
+    event is never executed, and does not advance the clock, count towards
+    {!processed}, or hold back a {!run_until} horizon.  This is what arms
+    the ACK-guarded retransmission timers of the reliable executor: the
+    common (ACK received) path cancels the timer instead of letting a stale
+    timeout fire, and the cancelled slot is free for the next event.
 
     Memory: a queued event is a {e slot}, one index into parallel arrays
     of times (unboxed floats), insertion seqs, handlers, [int] payloads
@@ -20,7 +20,9 @@
     array, recycles them.  The queue
     itself orders slot indices: a slot goes to the {e lane}, a FIFO ring,
     when its time is at least that of the lane's last event (or the lane
-    is empty), and to a binary min-heap otherwise.  Lane events are
+    is empty), and to a binary min-heap otherwise; a timer always goes to
+    the heap, which records each slot's position so {!cancel} can take it
+    out of the middle in O(log n).  Lane events are
     appended in non-decreasing time with increasing seq, so the lane stays
     sorted, and the next event is the earlier of the lane's head and the
     heap's top: exactly the order one heap of every event would give,
@@ -30,14 +32,15 @@
     ints and compares unboxed floats, and the clock is a one-cell float
     array, so the queue allocates nothing per event (its arrays double
     when full).  A fired
-    slot is cleared at once, so its handler, and all the handler captured,
-    is unreachable from the engine: memory follows the events still
-    queued.
+    or cancelled slot is cleared at once, so its handler, and all the
+    handler captured, is unreachable from the engine: memory follows the
+    live events still queued.
 
     Events: the allocation-free form is {!schedule_with} — a handler
     [t -> int -> unit] built once (say, per session) plus an [int]
     payload naming what the event is about — and its timer variant
-    {!schedule_timer_with}, which allocates only the {!timer} handle.
+    {!schedule_timer_with}, which allocates only the {!timer} handle
+    (three words).
     {!schedule} and {!schedule_timer} are thin wrappers that wrap a
     closure [t -> unit] into a handler, one small block per event.
 
@@ -50,6 +53,10 @@ type t
 
 type timer
 (** Handle of a cancellable event. *)
+
+val no_timer : timer
+(** A handle that is never live: {!cancel} on it is a no-op.  It fills
+    a slot that holds no timer, so a caller needs no [timer option]. *)
 
 val create : ?obs:Gridb_obs.Sink.t -> unit -> t
 (** [obs] defaults to {!Gridb_obs.Sink.null} (no instrumentation). *)
@@ -80,15 +87,15 @@ val schedule_timer : t -> time:float -> (t -> unit) -> timer
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val cancel : t -> timer -> unit
-(** Mark the timer's event dead; it will never execute.  Cancelling an
-    already-cancelled or already-fired timer is a no-op. *)
+(** Remove the timer's event from the queue; it will never execute.
+    Cancelling an already-cancelled or already-fired timer, or
+    {!no_timer}, is a no-op. *)
 
 val timer_live : timer -> bool
 (** False once cancelled or fired. *)
 
 val step : t -> bool
-(** Execute the next live event; [false] when the queue is empty (cancelled
-    events are discarded, not executed). *)
+(** Execute the next event; [false] when the queue is empty. *)
 
 val run : t -> unit
 (** Drain the queue.  Terminates iff the simulated system quiesces. *)
@@ -98,7 +105,7 @@ val run_until : t -> float -> unit
     and [now] is advanced to the horizon. *)
 
 val pending : t -> int
-(** Live events still queued (cancelled events are not counted). *)
+(** Events still queued; a cancelled event has already left the queue. *)
 
 val processed : t -> int
 (** Events executed so far. *)
@@ -113,7 +120,9 @@ val capacity : t -> int
     once. *)
 
 val check_invariant : t -> bool
-(** True iff the heap's slots form a (time, insertion seq) min-heap, the
-    lane's slots are sorted by (time, insertion seq), every slot is either
-    queued once (heap or lane) or on the free list once, and every free
-    slot is cleared (holds no handler or timer of a fired event). *)
+(** True iff the heap's slots form a (time, insertion seq) min-heap and
+    each records its own heap position, the lane's slots are sorted by
+    (time, insertion seq) and hold no timer, every queued timer names its
+    own slot, every slot is either queued once (heap or lane) or on the
+    free list once (so no free slot is queued), and every free slot is
+    cleared (holds no handler or timer of a fired or cancelled event). *)

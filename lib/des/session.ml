@@ -154,7 +154,7 @@ let launch ?sid ?(who = "Session.launch") ?(segments = 1) ~wire ~engine
   let arrival = Array.make n nan in
   let transmissions = ref 0 in
   let tracing, emit = emitter ~sid ~obs in
-  let cluster r = (Machines.machine machines r).Machines.cluster in
+  let cluster = Machines.clusters machines in
   let root = plan.Plan.root in
   (* [next.(r)] is the next segment rank [r] forwards, and [held] marks the
      segments that landed ahead of it (noise can reorder two segments on
@@ -200,7 +200,7 @@ let launch ?sid ?(who = "Session.launch") ?(segments = 1) ~wire ~engine
                  dst = child;
                  time = start;
                  msg = seg;
-                 intra = cluster rank = cluster child;
+                 intra = cluster.(rank) = cluster.(child);
                  try_no = 0;
                });
           emit
@@ -288,10 +288,8 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   let n = s.r_n and joins = s.r_joins in
   let ntot = n + Array.length joins in
   let grid = Machines.grid machines in
-  let cluster_of r =
-    if r < n then (Machines.machine machines r).Machines.cluster
-    else joins.(r - n).Dynamics.cluster
-  in
+  let clusters = Machines.clusters machines in
+  let cluster_of r = if r < n then clusters.(r) else joins.(r - n).Dynamics.cluster in
   (* Link parameters generalised to join ranks: a joining machine gets
      fresh links with its cluster's nominal intra parameters, and the
      nominal inter-cluster parameters towards everyone else. *)
@@ -384,7 +382,7 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
      child still has at most one live edge, and so one live timer, at a
      time: [timeout] checks it). *)
   let acked = Array.make ntot false in
-  let timers = Array.make ntot None in
+  let timers = Array.make ntot Engine.no_timer in
   let cur_parent = Array.make ntot (-1) in
   let cur_try = Array.make ntot 0 in
   let cur_rto = Array.make ntot nan in
@@ -534,13 +532,11 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
       let lost = (lossy && faulty src dst ~at:start) || halt_at.(dst) <= arr in
       let edge = (src * ntot) + dst in
       if not lost then Engine.schedule_with engine ~time:arr data_arrives edge;
-      let tm =
+      timers.(dst) <-
         Engine.schedule_timer_with engine
           ~time:(start +. g +. cur_rto.(dst))
           timeout
           ((try_no * ntot * ntot) + edge)
-      in
-      timers.(dst) <- Some tm
     end
     else if reroute then orphaned ~old_parent:src ~dst engine
   and data_arrives engine edge =
@@ -595,11 +591,8 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
     | _ -> ());
     if not acked.(child) then begin
       acked.(child) <- true;
-      match timers.(child) with
-      | Some tm ->
-          Engine.cancel engine tm;
-          timers.(child) <- None
-      | None -> ()
+      Engine.cancel engine timers.(child);
+      timers.(child) <- Engine.no_timer
     end
   and timeout engine payload =
     let dst = payload mod ntot and src = payload / ntot mod ntot in
@@ -612,7 +605,7 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
            "Session: timeout of edge %d->%d try %d, but the live edge is %d->%d try %d"
            src dst try_no cur_parent.(dst) dst cur_try.(dst));
     if dyn_on then dyn_tick engine;
-    timers.(dst) <- None;
+    timers.(dst) <- Engine.no_timer;
     if not acked.(dst) then begin
       let now = Engine.now engine in
       if halt_at.(src) <= now then begin

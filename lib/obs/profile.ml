@@ -92,7 +92,6 @@ let of_events events =
     (fun (t : Trace.transmission) ->
       incr sends;
       if t.try_no > 0 then incr retransmits;
-      makespan := Float.max !makespan t.arrival;
       let gap = t.gap_end -. t.start in
       tally t.sid (fun r ->
           { r with s_sends = r.s_sends + 1; s_busy_us = r.s_busy_us +. gap });

@@ -22,7 +22,9 @@ type report = {
       (** inter-cluster first-attempt NIC occupancy (simulated us) *)
   intra_us : float;  (** intra-cluster first-attempt NIC occupancy *)
   retransmit_us : float;  (** NIC occupancy of retransmissions (any link) *)
-  makespan_us : float;  (** latest arrival on the stream; 0 if none *)
+  makespan_us : float;
+      (** latest [Arrival] event on the stream; 0 if none.  A lost
+          attempt's planned arrival does not count. *)
   sends : int;  (** data transmissions (including retransmissions) *)
   retransmits : int;
   give_ups : int;

@@ -3,6 +3,7 @@ type machine = { rank : int; cluster : int; index_in_cluster : int }
 type t = {
   grid : Grid.t;
   machines : machine array;
+  clusters : int array;  (* each rank's cluster *)
   first_rank : int array;  (* first global rank of each cluster *)
 }
 
@@ -24,7 +25,8 @@ let expand grid =
       machines.(rank) <- { rank; cluster = c; index_in_cluster = i }
     done
   done;
-  { grid; machines; first_rank }
+  let clusters = Array.map (fun m -> m.cluster) machines in
+  { grid; machines; clusters; first_rank }
 
 let grid t = t.grid
 let count t = Array.length t.machines
@@ -32,6 +34,8 @@ let count t = Array.length t.machines
 let machine t rank =
   if rank < 0 || rank >= count t then invalid_arg "Machines.machine: rank out of range";
   t.machines.(rank)
+
+let clusters t = t.clusters
 
 let coordinator t c =
   if c < 0 || c >= Grid.size t.grid then invalid_arg "Machines.coordinator: cluster out of range";

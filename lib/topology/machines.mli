@@ -23,6 +23,11 @@ val count : t -> int
 val machine : t -> int -> machine
 (** @raise Invalid_argument on out-of-range rank. *)
 
+val clusters : t -> int array
+(** [(clusters t).(r)] is rank [r]'s cluster.  The array is the view's
+    own, shared with every caller, so a hot path reads a cluster without a
+    call or a bounds-checked record; do not mutate it. *)
+
 val coordinator : t -> int -> int
 (** [coordinator t c]: global rank of cluster [c]'s coordinator. *)
 

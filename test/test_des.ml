@@ -162,7 +162,7 @@ let check_capacity e peak =
 let test_engine_capacity_follows_live () =
   (* Heap churn: one event stays queued throughout in the lane, so the
      queue never empties and every later event goes to the heap; each
-     cycle also arms and cancels a timer, whose slot is dropped later. *)
+     cycle also arms and cancels a timer, whose slot is freed at once. *)
   let e = Engine.create () in
   Engine.schedule e ~time:infinity (fun _ -> ());
   let peak = ref 0 in
@@ -176,9 +176,10 @@ let test_engine_capacity_follows_live () =
   Alcotest.(check int) "processed" 100_000 (Engine.processed e);
   Alcotest.(check int) "long-lived event pending" 1 (Engine.pending e);
   check_capacity e !peak;
-  (* Lane churn: events and cancelled timers arrive in time order, so the
-     lane takes all of them; its head walks around the ring while the
-     number of queued events stays small. *)
+  (* Lane churn: events arrive in time order, so the lane takes all of
+     them (the cancelled timers between them take the heap); its head
+     walks around the ring while the number of queued events stays
+     small. *)
   let e = Engine.create () in
   let peak = ref 0 in
   for i = 1 to 100_000 do
@@ -232,9 +233,9 @@ let test_heap_ties () =
    all at [d] when [d] is even — appended to the lane whenever [d] is no
    earlier than its last event, and a source of ties that straddle the
    lane and the heap.  [Armed d]: a timer cancelled at once, while still
-   queued in whichever array took it.  Each event is queued in one of the
-   two forms: a closure ([schedule]/[schedule_timer]) or a handler with an
-   int payload ([schedule_with]/[schedule_timer_with]). *)
+   queued in the heap, which takes every timer.  Each event is queued in
+   one of the two forms: a closure ([schedule]/[schedule_timer]) or a
+   handler with an int payload ([schedule_with]/[schedule_timer_with]). *)
 type form = Closure | Payload
 
 type op =
@@ -367,6 +368,143 @@ let test_heap_differential =
            (* Drained, the queue ran every live event and no cancelled one. *)
            Engine.run e;
            Engine.pending e = 0 && (not !cancelled_fired) && Engine.check_invariant e
+         end)
+
+(* The whole queue API against a naive reference: a sorted list of
+   pending (time, seq) entries, fired from its head.  Besides plain events
+   and timers in both forms, the interleavings cancel from inside a
+   handler ([Q_canceller]), cancel twice or after the timer fired
+   ([Q_cancel] picks any timer ever armed), and advance with [run_until]
+   to integer horizons (events exactly at the horizon fire) and
+   half-integer ones.  Offsets in [0, 20] make equal-time ties common, and
+   [Q_run] bursts fill the lane while timers, which always take the heap,
+   straddle it.  After every operation the firing order so far, [now],
+   [pending], [processed] and each timer's liveness must agree with the
+   reference. *)
+type qop =
+  | Q_schedule of form * int
+  | Q_timer of form * int
+  | Q_canceller of int * int
+  | Q_cancel of int
+  | Q_step
+  | Q_until of int
+  | Q_run of form * int * int
+
+let qop_print = function
+  | Q_schedule (f, d) -> Printf.sprintf "schedule%s %d" (if f = Payload then "_with" else "") d
+  | Q_timer (f, d) -> Printf.sprintf "timer%s %d" (if f = Payload then "_with" else "") d
+  | Q_canceller (d, i) -> Printf.sprintf "canceller %d -> timer %d" d i
+  | Q_cancel i -> Printf.sprintf "cancel %d" i
+  | Q_step -> "step"
+  | Q_until h -> Printf.sprintf "run_until +%g" (float_of_int h /. 2.)
+  | Q_run (f, d, k) -> Printf.sprintf "run%s %d x%d" (if f = Payload then "_with" else "") d k
+
+let qop_gen =
+  QCheck.Gen.(
+    let form = map (fun p -> if p then Payload else Closure) bool and off = int_bound 20 in
+    frequency
+      [
+        (3, map2 (fun f d -> Q_schedule (f, d)) form off);
+        (4, map2 (fun f d -> Q_timer (f, d)) form off);
+        (2, map2 (fun d i -> Q_canceller (d, i)) off (int_bound 30));
+        (3, map (fun i -> Q_cancel i) (int_bound 30));
+        (4, return Q_step);
+        (2, map (fun h -> Q_until h) (int_bound 20));
+        (1, map3 (fun f d k -> Q_run (f, d, 1 + k)) form off (int_bound 3));
+      ])
+
+let test_queue_reference =
+  QCheck.Test.make ~name:"queue vs sorted-list reference" ~count:(Testutil.count 500)
+    (QCheck.make ~print:(QCheck.Print.list qop_print) QCheck.Gen.(list_size (0 -- 80) qop_gen))
+    (fun ops ->
+      let e = Engine.create () in
+      (* Reference state: the pending (time, id) entries, sorted (ids are
+         insertion seqs); the clock; the ids fired, latest first. *)
+      let queue = ref [] and clock = ref 0. and ref_fired = ref [] in
+      let fired = ref [] and next_id = ref 0 and steps_agree = ref true in
+      (* Every timer ever armed, in order: its engine handle and its id. *)
+      let timers = ref [||] in
+      (* What a canceller event's handler does: cancel the [i]th timer
+         armed so far, if any. *)
+      let cancels = Hashtbl.create 16 in
+      let pick i =
+        let n = Array.length !timers in
+        if n = 0 then None else Some !timers.(i mod n)
+      in
+      let ref_cancel id = queue := List.filter (fun (_, i) -> i <> id) !queue in
+      let handler e id =
+        fired := id :: !fired;
+        match Hashtbl.find_opt cancels id with
+        | Some i -> Option.iter (fun (tm, _) -> Engine.cancel e tm) (pick i)
+        | None -> ()
+      in
+      let add ~timer:is_timer f d =
+        let time = Engine.now e +. float_of_int d and id = !next_id in
+        incr next_id;
+        if is_timer then timers := Array.append !timers [| (timer f e ~time handler id, id) |]
+        else plain f e ~time handler id;
+        queue := List.merge compare !queue [ (time, id) ];
+        id
+      in
+      let ref_step () =
+        match !queue with
+        | [] -> false
+        | (time, id) :: rest ->
+            queue := rest;
+            clock := time;
+            ref_fired := id :: !ref_fired;
+            (match Hashtbl.find_opt cancels id with
+            | Some i -> Option.iter (fun (_, id) -> ref_cancel id) (pick i)
+            | None -> ());
+            true
+      in
+      let rec ref_run () = if ref_step () then ref_run () in
+      let rec ref_until h =
+        match !queue with
+        | (time, _) :: _ when time <= h ->
+            ignore (ref_step () : bool);
+            ref_until h
+        | _ -> if !clock < h then clock := h
+      in
+      let agrees () =
+        !steps_agree
+        && !fired = !ref_fired
+        && Engine.now e = !clock
+        && Engine.pending e = List.length !queue
+        && Engine.processed e = List.length !ref_fired
+        && Array.for_all
+             (fun (tm, id) ->
+               Engine.timer_live tm = List.exists (fun (_, i) -> i = id) !queue)
+             !timers
+        && Engine.check_invariant e
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Q_schedule (f, d) -> ignore (add ~timer:false f d : int)
+          | Q_timer (f, d) -> ignore (add ~timer:true f d : int)
+          | Q_canceller (d, i) -> Hashtbl.replace cancels (add ~timer:false Payload d) i
+          | Q_cancel i ->
+              Option.iter
+                (fun (tm, id) ->
+                  Engine.cancel e tm;
+                  ref_cancel id)
+                (pick i)
+          | Q_step ->
+              let stepped = Engine.step e in
+              if stepped <> ref_step () then steps_agree := false
+          | Q_until h ->
+              let horizon = Engine.now e +. (float_of_int h /. 2.) in
+              Engine.run_until e horizon;
+              ref_until horizon
+          | Q_run (f, d, k) ->
+              List.iter (fun d -> ignore (add ~timer:false f d : int)) (run_offsets d k));
+          agrees ())
+        ops
+      && begin
+           Engine.run e;
+           ref_run ();
+           agrees () && Engine.pending e = 0
          end)
 
 (* --- Noise ------------------------------------------------------------- *)
@@ -683,6 +821,7 @@ let () =
           QCheck_alcotest.to_alcotest test_heap_invariant_random;
           quick "ties" test_heap_ties;
           QCheck_alcotest.to_alcotest test_heap_differential;
+          QCheck_alcotest.to_alcotest test_queue_reference;
         ] );
       ( "noise",
         [

@@ -411,6 +411,28 @@ let test_profile_rollup () =
      in
      contains rendered "makespan")
 
+(* Under loss a lost attempt still pairs a Send_start with a Send_end,
+   whose arrival never happens: only Arrival events set the makespan. *)
+let test_profile_makespan_under_loss () =
+  let grid = Topology.Grid5000.grid () in
+  let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
+  let machines = Machines.expand grid in
+  let plan =
+    Plan.of_cluster_schedule machines (Sched_engine.run Gridb_sched.Policy.ecef_la inst)
+  in
+  let n = Machines.count machines in
+  let mem = Sink.memory () in
+  let r =
+    Session.run_reliable
+      (Session.Config.v ~rng:(Rng.create 1)
+         ~faults:(Faults.create ~seed:1 ~n { Faults.none with Faults.loss = 0.2 })
+         ~obs:mem ())
+      machines plan
+  in
+  Alcotest.(check bool) "loss caused retransmissions" true (r.Session.retransmissions > 0);
+  Alcotest.(check (float 1e-6)) "makespan of delivered arrivals" r.Session.r_makespan
+    (Profile.of_events (Sink.events mem)).Profile.makespan_us
+
 let test_tagged_json_roundtrip () =
   List.iter
     (fun e ->
@@ -551,6 +573,7 @@ let () =
       ( "consumers",
         [
           quick "profile rollup" test_profile_rollup;
+          quick "profile makespan under loss" test_profile_makespan_under_loss;
           quick "tagged events round-trip" test_tagged_json_roundtrip;
           quick "profile per-session rollup" test_profile_sessions_rollup;
           quick "gantt from events" test_gantt_events_renders;
