@@ -9,7 +9,8 @@
 
    Every cell derives its workload from (seed, rate) alone and every
    per-session fault stream from (seed, rid, attempt), so all
-   simulation-side numbers are bit-identical at any --jobs.
+   simulation-side numbers are bit-identical at any --jobs.  Flags, the
+   cell loop and the JSON envelope come from bench/sweep.ml.
 
    --assert-delivery (the CI chaos job runs with it) fails the run unless
    (1) retrying keeps the high-priority union delivery ratio >= 0.95 in
@@ -37,7 +38,7 @@ let watermark_us = 5e5
 let max_open_frac = 0.5
 let retry_budget = 2
 
-let bench_cell ~seed ~duration ~jobs ~loss ~rate ~shed =
+let bench_cell ~seed ~duration ~jobs (loss, rate, shed) =
   let machines = Gridb_topology.Machines.expand (Gridb_topology.Grid5000.grid ()) in
   let mix =
     { (Workload.default_mix machines) with deadlines = [| deadline_us |]; high_frac }
@@ -73,9 +74,8 @@ let print_cell c =
     (Server.deadline_attainment l)
     (Server.delivery_ratio l)
 
-(* Handwritten JSON writer, same rationale as bench/scaling.ml. *)
-let json_of_cells buf cells =
-  let add fmt = Printf.bprintf buf fmt in
+let json_of_cell c =
+  let r = c.report in
   let slo name s =
     Printf.sprintf
       "\"%s\": {\"requests\": %d, \"admitted\": %d, \"shed\": %d, \"rejected\": %d, \
@@ -83,71 +83,39 @@ let json_of_cells buf cells =
       name s.Server.c_requests s.Server.c_admitted s.Server.c_shed s.Server.c_rejected
       s.Server.c_requeues (Server.delivery_ratio s) (Server.deadline_attainment s)
   in
-  add "[\n";
-  List.iteri
-    (fun i c ->
-      let r = c.report in
-      add
-        "  {\"loss\": %g, \"rate_req_s\": %g, \"shedding\": %b, \"requests\": %d, \
-         \"admitted\": %d,\n"
-        c.loss c.rate c.shed r.Server.requests r.Server.admitted;
-      add "   \"sheds\": %d, \"requeues\": %d, \"retry_lookups\": %d, \
-           \"deadline_misses\": %d,\n"
-        r.Server.sheds r.Server.requeues r.Server.retry_lookups r.Server.deadline_misses;
-      add "   %s,\n" (slo "slo_high" r.Server.slo_high);
-      add "   %s,\n" (slo "slo_low" r.Server.slo_low);
-      add "   \"delivered_ranks\": %d, \"horizon_us\": %.1f}%s\n" r.Server.delivered
-        r.Server.horizon_us
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  add "]"
+  Printf.sprintf
+    "  {\"loss\": %g, \"rate_req_s\": %g, \"shedding\": %b, \"requests\": %d, \
+     \"admitted\": %d,\n\
+    \   \"sheds\": %d, \"requeues\": %d, \"retry_lookups\": %d, \"deadline_misses\": %d,\n\
+    \   %s,\n\
+    \   %s,\n\
+    \   \"delivered_ranks\": %d, \"horizon_us\": %.1f}"
+    c.loss c.rate c.shed r.Server.requests r.Server.admitted r.Server.sheds
+    r.Server.requeues r.Server.retry_lookups r.Server.deadline_misses
+    (slo "slo_high" r.Server.slo_high) (slo "slo_low" r.Server.slo_low) r.Server.delivered
+    r.Server.horizon_us
 
 let () =
-  let duration = ref 4e6
-  and out = ref "BENCH_chaos.json"
-  and seed = ref 2006
-  and jobs = ref 1
-  and assert_delivery = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--duration" :: v :: rest ->
-        duration := Flags.positive_float "--duration" v;
-        parse rest
-    | ("-o" | "--output") :: v :: rest ->
-        out := v;
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := Flags.int "--seed" v;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Flags.int ~min:1 "--jobs" v;
-        parse rest
-    | "--assert-delivery" :: rest ->
-        assert_delivery := true;
-        parse rest
-    | other :: _ ->
-        prerr_endline
-          ("unknown option " ^ other
-         ^ " (known: --duration US, -o FILE, --seed S, --jobs J, --assert-delivery)");
-        exit 2
+  let duration = ref 4e6 and assert_delivery = ref false in
+  let o =
+    Sweep.parse ~output:"BENCH_chaos.json"
+      (Sweep.positive_float [ "--duration" ] "US simulated window per cell" duration
+      @ [
+          ( "--assert-delivery",
+            Arg.Set assert_delivery,
+            " exit 1 unless retries and shedding keep their delivery and deadline gates" );
+        ])
   in
-  parse (List.tl (Array.to_list Sys.argv));
+  (* One cell at a time; each cell's server fans planning out over --jobs. *)
   let cells =
-    List.concat_map
-      (fun loss ->
-        List.concat_map
-          (fun rate ->
-            List.map
-              (fun shed ->
-                let c =
-                  bench_cell ~seed:!seed ~duration:!duration ~jobs:!jobs ~loss ~rate
-                    ~shed
-                in
-                print_cell c;
-                c)
-              [ false; true ])
-          rates)
-      losses
+    Sweep.run ~jobs:1 ~print:print_cell
+      (bench_cell ~seed:o.seed ~duration:!duration ~jobs:o.jobs)
+      (List.concat_map
+         (fun loss ->
+           List.concat_map
+             (fun rate -> List.map (fun shed -> (loss, rate, shed)) [ false; true ])
+             rates)
+         losses)
   in
   (if !assert_delivery then begin
      let failed = ref false in
@@ -189,25 +157,19 @@ let () =
      end;
      if !failed then exit 1
    end);
-  let buf = Buffer.create 8_192 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"benchmark\": \"chaos-hardened-broadcast-service\",\n\
-    \  \"seed\": %d,\n\
-    \  %s,\n\
-    \  \"grid\": \"GRID5000 (Table 3)\",\n\
-    \  \"workload\": \"open-loop Poisson, %.0f us deadline, %g high-priority, %.0f \
-     us window\",\n\
-    \  \"resilience\": {\"retry_budget\": %d, \"backoff_us\": 1e4, \
-     \"shed_watermark_us\": %g, \"shed_max_open_frac\": %g},\n\
-    \  \"units\": {\"time\": \"us unless suffixed\", \"rates\": \"requests per \
-     second\"},\n\
-    \  \"results\": " !seed
-    (Gridb_util.Provenance.json_fields ~jobs:!jobs)
-    deadline_us high_frac !duration retry_budget watermark_us max_open_frac;
-  json_of_cells buf cells;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out !out in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote %s (%d cells)\n" !out (List.length cells)
+  Sweep.write o ~benchmark:"chaos-hardened-broadcast-service" ~cell:json_of_cell
+    ~header:
+      [
+        ("grid", {|"GRID5000 (Table 3)"|});
+        ( "workload",
+          Printf.sprintf
+            {|"open-loop Poisson, %.0f us deadline, %g high-priority, %.0f us window"|}
+            deadline_us high_frac !duration );
+        ( "resilience",
+          Printf.sprintf
+            "{\"retry_budget\": %d, \"backoff_us\": 1e4, \"shed_watermark_us\": %g, \
+             \"shed_max_open_frac\": %g}"
+            retry_budget watermark_us max_open_frac );
+        ("units", {|{"time": "us unless suffixed", "rates": "requests per second"}|});
+      ]
+    cells

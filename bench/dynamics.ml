@@ -19,8 +19,9 @@
    dynamic cell has replanning beat riding out on delivered clusters or —
    at equal delivery — on makespan, in a majority of its repetitions'
    wins-vs-losses (the CI dynamics job runs with it).  Every cell derives
-   its seeds from (seed, n, rep) alone, so Pool.map keeps the sweep
-   bit-identical at any --jobs. *)
+   its seeds from (seed, n, rep) alone, so the sweep is bit-identical at
+   any --jobs.  Flags, the cell loop and the JSON envelope come from
+   bench/sweep.ml. *)
 
 module Dynamics = Gridb_experiments.Dynamics
 module Dyn = Gridb_des.Dynamics
@@ -63,7 +64,7 @@ let compare_candidates (a : Replan.verdict) (b : Replan.verdict) =
     compare a.Replan.delivered_count b.Replan.delivered_count
   else compare b.Replan.makespan a.Replan.makespan
 
-let bench_cell ~seed ~reps n drift churn =
+let bench_cell ~seed ~reps (n, drift, churn) =
   let dyn =
     Dyn.v ~drift_rate:drift ~load_off_mean:0. ~leave_rate:churn ~join_rate:churn
       ~recluster_every:2e5 ()
@@ -137,34 +138,23 @@ let bench_cell ~seed ~reps n drift churn =
     },
     List.rev !sanity )
 
-(* Handwritten JSON writer, same rationale as bench/scaling.ml. *)
-let json_of_cells buf cells =
-  let add fmt = Printf.bprintf buf fmt in
-  let add_vcell name v last =
-    add
-      "    \"%s\": {\"delivery_ratio\": %.4f, \"makespan_us\": %.1f, \"stranded\": %d}%s\n"
+let json_of_cell c =
+  let vcell name v =
+    Printf.sprintf
+      "    \"%s\": {\"delivery_ratio\": %.4f, \"makespan_us\": %.1f, \"stranded\": %d},\n"
       name v.delivery_ratio v.makespan v.stranded
-      (if last then "" else ",")
   in
-  add "[\n";
-  List.iteri
-    (fun i c ->
-      let dr, ds, dp = c.decisions in
-      add "  {\"n\": %d, \"drift\": %g, \"churn\": %g, \"reps\": %d,\n" c.n c.drift c.churn
-        c.reps;
-      add_vcell "ride_out" c.ride_out false;
-      add_vcell "splice" c.splice false;
-      add_vcell "replan" c.replan false;
-      add
-        "    \"decisions\": {\"ride_out\": %d, \"splice\": %d, \"replan\": %d},\n\
-        \    \"mean_partition_drift\": %.4f, \"mean_divergence\": %.4f,\n\
-        \    \"departed_clusters\": %d, \"ranks_left\": %d, \"ranks_joined\": %d,\n\
-        \    \"replan_wins\": %d, \"ride_out_wins\": %d}%s\n"
-        dr ds dp c.mean_drift c.mean_divergence c.departed c.left c.joined c.replan_wins
-        c.ride_out_wins
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  add "]"
+  let dr, ds, dp = c.decisions in
+  Printf.sprintf
+    "  {\"n\": %d, \"drift\": %g, \"churn\": %g, \"reps\": %d,\n\
+     %s%s%s\
+    \    \"decisions\": {\"ride_out\": %d, \"splice\": %d, \"replan\": %d},\n\
+    \    \"mean_partition_drift\": %.4f, \"mean_divergence\": %.4f,\n\
+    \    \"departed_clusters\": %d, \"ranks_left\": %d, \"ranks_joined\": %d,\n\
+    \    \"replan_wins\": %d, \"ride_out_wins\": %d}"
+    c.n c.drift c.churn c.reps (vcell "ride_out" c.ride_out) (vcell "splice" c.splice)
+    (vcell "replan" c.replan) dr ds dp c.mean_drift c.mean_divergence c.departed c.left
+    c.joined c.replan_wins c.ride_out_wins
 
 let print_cell c =
   let dr, ds, dp = c.decisions in
@@ -176,58 +166,32 @@ let print_cell c =
     c.replan.delivery_ratio dr ds dp c.replan_wins c.reps c.departed c.joined
 
 let () =
-  let reps = ref 5 and max_n = ref 10 and out = ref "BENCH_dynamics.json" and seed = ref 2006 in
-  let assert_wins = ref false and jobs = ref 1 in
-  let rec parse = function
-    | [] -> ()
-    | "--reps" :: v :: rest ->
-        reps := Flags.int ~min:1 "--reps" v;
-        parse rest
-    | "--max-n" :: v :: rest ->
-        max_n := Flags.int ~min:1 "--max-n" v;
-        parse rest
-    | ("-o" | "--output") :: v :: rest ->
-        out := v;
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := Flags.int "--seed" v;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Flags.int ~min:1 "--jobs" v;
-        parse rest
-    | "--assert-replan-wins" :: rest ->
-        assert_wins := true;
-        parse rest
-    | other :: _ ->
-        prerr_endline
-          ("unknown option " ^ other
-         ^ " (known: --reps N, --max-n N, -o FILE, --seed S, --jobs J, \
-            --assert-replan-wins)");
-        exit 2
+  let reps = ref 5 and max_n, sizes = Sweep.max_n sizes and assert_wins = ref false in
+  let o =
+    Sweep.parse ~output:"BENCH_dynamics.json"
+      (Sweep.int ~min:1 [ "--reps" ] "N grids per cell" reps
+      @ max_n
+      @ [
+          ( "--assert-replan-wins",
+            Arg.Set assert_wins,
+            " exit 1 unless replanning beats riding out in some dynamic cell" );
+        ])
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let sizes = List.filter (fun n -> n <= !max_n) sizes in
-  let work =
-    Array.of_list
+  let results =
+    Sweep.run ~jobs:o.jobs
+      ~print:(fun (c, _) -> print_cell c)
+      (bench_cell ~seed:o.seed ~reps:!reps)
       (List.concat_map
          (fun n ->
            List.concat_map
              (fun drift -> List.map (fun churn -> (n, drift, churn)) churn_rates)
              drift_rates)
-         sizes)
+         (sizes ()))
   in
-  (* Cell lines stream out in index order as results land — no buffering
-     until the join, same bytes at any --jobs. *)
-  let results =
-    Gridb_util.Pool.mapi_stream ~jobs:!jobs
-      ~consume:(fun _ (c, _) -> print_cell c)
-      (fun _ (n, drift, churn) -> bench_cell ~seed:!seed ~reps:!reps n drift churn)
-      work
-  in
-  let cells = Array.to_list (Array.map fst results) in
+  let cells = List.map fst results in
   (* Sanity: with nothing drifting and nobody leaving, all three candidates
      deliver everywhere and the decision is ride-out. *)
-  (match List.concat_map snd (Array.to_list results) with
+  (match List.concat_map snd results with
   | [] -> ()
   | bad ->
       List.iter
@@ -251,25 +215,18 @@ let () =
        least one)";
     exit 1
   end;
-  let buf = Buffer.create 4_096 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"benchmark\": \"replan-vs-ride-out\",\n\
-    \  \"seed\": %d,\n\
-    \  %s,\n\
-    \  \"instance\": \"Generators.uniform_random default_random_spec, fresh grid per rep\",\n\
-    \  \"protocol\": \"ECEF-LA plan; adaptive+reroute reliable run under \
-     drift=D,load-off=0,churn=C,recluster=2e5 dynamics; candidates judged by \
-     Replan.evaluate on the true drifted instance at quiescence\",\n\
-    \  \"units\": {\"drift\": \"walk steps per us per link\", \"churn\": \"1/us per rank \
-     (leave and join)\", \"makespan_us\": \"us\"},\n\
-    \  \"replan_beats_ride_out_cells\": %d,\n\
-    \  \"results\": " !seed
-    (Gridb_util.Provenance.json_fields ~jobs:!jobs)
-    (List.length winning_cells);
-  json_of_cells buf cells;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out !out in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote %s (%d cells)\n" !out (List.length cells)
+  Sweep.write o ~benchmark:"replan-vs-ride-out" ~cell:json_of_cell
+    ~header:
+      [
+        ( "instance",
+          {|"Generators.uniform_random default_random_spec, fresh grid per rep"|} );
+        ( "protocol",
+          "\"ECEF-LA plan; adaptive+reroute reliable run under \
+           drift=D,load-off=0,churn=C,recluster=2e5 dynamics; candidates judged by \
+           Replan.evaluate on the true drifted instance at quiescence\"" );
+        ( "units",
+          "{\"drift\": \"walk steps per us per link\", \"churn\": \"1/us per rank \
+           (leave and join)\", \"makespan_us\": \"us\"}" );
+        ("replan_beats_ride_out_cells", string_of_int (List.length winning_cells));
+      ]
+    cells

@@ -15,6 +15,7 @@
    adaptive+reroute left any rank undelivered in a repetition where no rank
    crashed (the sweep has no link cuts, so the reachability graph is
    complete and delivery must be total) — the CI chaos job runs with it.
+   Flags, the cell loop and the JSON envelope come from bench/sweep.ml.
    CI runs this capped as a smoke test; the committed BENCH_faults.json
    comes from a full local run. *)
 
@@ -62,7 +63,7 @@ let transports =
    Returned per cell (not accumulated globally) so cells are independent
    tasks a Pool can run on any domain; the caller concatenates in grid
    order, reproducing the sequential report exactly. *)
-let bench_cell ~seed ~reps n loss crash_rate =
+let bench_cell ~seed ~reps (n, loss, crash_rate) =
   let spec = Faults.v ~loss ~crash_rate () in
   let acc =
     List.map (fun (name, _) -> (name, ref 0., ref 0., ref 0., ref 0, ref 0, ref 0)) transports
@@ -125,31 +126,23 @@ let bench_cell ~seed ~reps n loss crash_rate =
         List.rev !violations )
   | _ -> assert false
 
-(* Handwritten JSON writer, same rationale as bench/scaling.ml. *)
-let json_of_cells buf cells =
-  let add fmt = Printf.bprintf buf fmt in
-  let add_tcell name t last =
-    add
+
+let json_of_cell c =
+  let tcell name t =
+    Printf.sprintf
       "    \"%s\": {\"delivery_ratio\": %.4f, \"inflation\": %.4f, \
        \"retransmissions\": %.2f, \"gave_up\": %d, \"reroutes\": %d, \
-       \"circuit_opens\": %d}%s\n"
+       \"circuit_opens\": %d},\n"
       name t.delivery_ratio t.inflation t.retransmissions t.gave_up t.reroutes
       t.circuit_opens
-      (if last then "" else ",")
   in
-  add "[\n";
-  List.iteri
-    (fun i c ->
-      add "  {\"n\": %d, \"loss\": %g, \"crash_rate\": %g, \"reps\": %d,\n" c.n c.loss
-        c.crash_rate c.reps;
-      add_tcell "fixed" c.fixed false;
-      add_tcell "adaptive" c.adaptive false;
-      add_tcell "adaptive_reroute" c.adaptive_reroute false;
-      add "    \"crashed_ranks\": %d, \"repair_invocations\": %d, \"replanned\": %d}%s\n"
-        c.crashed_ranks c.repair_invocations c.replanned
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  add "]"
+  Printf.sprintf
+    "  {\"n\": %d, \"loss\": %g, \"crash_rate\": %g, \"reps\": %d,\n\
+     %s%s%s\
+    \    \"crashed_ranks\": %d, \"repair_invocations\": %d, \"replanned\": %d}"
+    c.n c.loss c.crash_rate c.reps (tcell "fixed" c.fixed) (tcell "adaptive" c.adaptive)
+    (tcell "adaptive_reroute" c.adaptive_reroute)
+    c.crashed_ranks c.repair_invocations c.replanned
 
 let print_cell c =
   Printf.printf
@@ -162,62 +155,33 @@ let print_cell c =
     c.adaptive_reroute.reroutes
 
 let () =
-  let reps = ref 5 and max_n = ref 20 and out = ref "BENCH_faults.json" and seed = ref 2006 in
-  let assert_total = ref false and jobs = ref 1 in
-  let rec parse = function
-    | [] -> ()
-    | "--reps" :: v :: rest ->
-        reps := Flags.int ~min:1 "--reps" v;
-        parse rest
-    | "--max-n" :: v :: rest ->
-        max_n := Flags.int ~min:1 "--max-n" v;
-        parse rest
-    | ("-o" | "--output") :: v :: rest ->
-        out := v;
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := Flags.int "--seed" v;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Flags.int ~min:1 "--jobs" v;
-        parse rest
-    | "--assert-total" :: rest ->
-        assert_total := true;
-        parse rest
-    | other :: _ ->
-        prerr_endline
-          ("unknown option " ^ other
-         ^ " (known: --reps N, --max-n N, -o FILE, --seed S, --jobs J, --assert-total)");
-        exit 2
+  let reps = ref 5 and max_n, sizes = Sweep.max_n sizes and assert_total = ref false in
+  let o =
+    Sweep.parse ~output:"BENCH_faults.json"
+      (Sweep.int ~min:1 [ "--reps" ] "N grids per cell" reps
+      @ max_n
+      @ [
+          ( "--assert-total",
+            Arg.Set assert_total,
+            " exit 1 if adaptive+reroute misses a rank with no crash" );
+        ])
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let sizes = List.filter (fun n -> n <= !max_n) sizes in
   (* Every cell derives its seeds from (seed, n, rep) alone, so cells are
-     independent and Pool.map keeps the sweep bit-identical at any --jobs;
-     unlike the timing bench, these numbers are simulation outputs, so
-     parallel cells cannot perturb them. *)
-  let work =
-    Array.of_list
+     independent and the sweep is bit-identical at any --jobs; unlike the
+     timing bench, these numbers are simulation outputs, so parallel cells
+     cannot perturb them. *)
+  let results =
+    Sweep.run ~jobs:o.jobs
+      ~print:(fun (c, _) -> print_cell c)
+      (bench_cell ~seed:o.seed ~reps:!reps)
       (List.concat_map
          (fun n ->
            List.concat_map
              (fun loss -> List.map (fun crash_rate -> (n, loss, crash_rate)) crash_rates)
              loss_levels)
-         sizes)
+         (sizes ()))
   in
-  let results =
-    Gridb_util.Pool.map ~jobs:!jobs
-      (fun (n, loss, crash_rate) ->
-        let c, violations = bench_cell ~seed:!seed ~reps:!reps n loss crash_rate in
-        if !jobs <= 1 then print_cell c;
-        (c, violations))
-      work
-  in
-  if !jobs > 1 then Array.iter (fun (c, _) -> print_cell c) results;
-  let cells = Array.to_list (Array.map fst results) in
-  let totality_violations =
-    List.concat_map snd (Array.to_list results)
-  in
+  let cells = List.map fst results in
   (* Sanity: the fault-free cells must show a bit-exact baseline under every
      transport. *)
   (match
@@ -243,7 +207,7 @@ let () =
         bad;
       exit 1);
   if !assert_total then begin
-    match totality_violations with
+    match List.concat_map snd results with
     | [] -> print_endline "assert-total: adaptive+reroute delivered everywhere no rank crashed"
     | vs ->
         List.iter
@@ -255,22 +219,16 @@ let () =
           vs;
         exit 1
   end;
-  let buf = Buffer.create 4_096 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"benchmark\": \"fault-injection\",\n\
-    \  \"seed\": %d,\n\
-    \  %s,\n\
-    \  \"instance\": \"Generators.uniform_random default_random_spec, fresh grid per rep\",\n\
-    \  \"protocol\": \"stop-and-wait ACK, 5 retries, exponential backoff; transports: \
-     fixed RTO / adaptive (Jacobson-Karn RTO, circuit breakers) / adaptive with in-flight \
-     reroute\",\n\
-    \  \"units\": {\"loss\": \"per-transmission probability\", \"crash_rate\": \"1/us per rank\"},\n\
-    \  \"results\": " !seed
-    (Gridb_util.Provenance.json_fields ~jobs:!jobs);
-  json_of_cells buf cells;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out !out in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote %s (%d cells)\n" !out (List.length cells)
+  Sweep.write o ~benchmark:"fault-injection" ~cell:json_of_cell
+    ~header:
+      [
+        ( "instance",
+          {|"Generators.uniform_random default_random_spec, fresh grid per rep"|} );
+        ( "protocol",
+          "\"stop-and-wait ACK, 5 retries, exponential backoff; transports: fixed RTO / \
+           adaptive (Jacobson-Karn RTO, circuit breakers) / adaptive with in-flight \
+           reroute\"" );
+        ( "units",
+          {|{"loss": "per-transmission probability", "crash_rate": "1/us per rank"}|} );
+      ]
+    cells

@@ -8,7 +8,8 @@
 
    The default iteration count is 2500 per data point (quarter of the
    paper's 10000) to keep a full run to a few minutes; pass --full for the
-   paper's exact count. *)
+   paper's exact count.  Flags are read through bench/sweep.ml's checked
+   readers. *)
 
 module Config = Gridb_experiments.Config
 module Figures = Gridb_experiments.Figures
@@ -17,47 +18,9 @@ module Ablations = Gridb_experiments.Ablations
 module Report = Gridb_experiments.Report
 module Session = Gridb_des.Session
 
-type options = {
-  iterations : int;
-  csv_dir : string option;
-  micro : bool;
-  ablations : bool;
-}
-
-let parse_options () =
-  let options =
-    ref { iterations = 2_500; csv_dir = Some "results"; micro = true; ablations = true }
-  in
-  let rec parse = function
-    | [] -> ()
-    | (("-i" | "--iterations") as flag) :: v :: rest ->
-        options := { !options with iterations = Flags.int ~min:1 flag v };
-        parse rest
-    | "--full" :: rest ->
-        options := { !options with iterations = 10_000 };
-        parse rest
-    | "--csv" :: dir :: rest ->
-        options := { !options with csv_dir = Some dir };
-        parse rest
-    | "--no-csv" :: rest ->
-        options := { !options with csv_dir = None };
-        parse rest
-    | "--skip-micro" :: rest ->
-        options := { !options with micro = false };
-        parse rest
-    | "--skip-ablations" :: rest ->
-        options := { !options with ablations = false };
-        parse rest
-    | other :: _ ->
-        prerr_endline ("unknown option " ^ other);
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  !options
-
-let emit options figure =
+let emit csv_dir figure =
   Report.print figure;
-  match options.csv_dir with
+  match csv_dir with
   | Some dir ->
       let path = Report.to_csv ~dir figure in
       let gp = Report.to_gnuplot ~dir figure in
@@ -147,12 +110,25 @@ let run_micro () =
   print_endline " charges this class of cost before the root's first transmission)"
 
 let () =
-  let options = parse_options () in
-  let config = Config.(with_iterations options.iterations default) in
+  let iterations = ref 2_500 and csv_dir = ref (Some "results") in
+  let micro = ref true and ablations = ref true in
+  Sweep.args
+    (Sweep.int ~min:1 [ "-i"; "--iterations" ] "N simulation runs per data point" iterations
+    @ [
+        ("--full", Arg.Unit (fun () -> iterations := 10_000), " the paper's 10000 iterations");
+        ( "--csv",
+          Arg.String (fun dir -> csv_dir := Some dir),
+          "DIR write CSV and gnuplot files to DIR (default results)" );
+        ("--no-csv", Arg.Unit (fun () -> csv_dir := None), " write no CSV");
+        ("--skip-micro", Arg.Clear micro, " skip the Bechamel micro-benchmarks");
+        ("--skip-ablations", Arg.Clear ablations, " skip the ablation tables");
+      ]);
+  let emit = emit !csv_dir in
+  let config = Config.(with_iterations !iterations default) in
   Printf.printf
     "Grid broadcast scheduling reproduction bench (PMEO-PDS'06 / hal-00022008)\n";
   Printf.printf "iterations per simulation point: %d (paper: 10000; use --full)\n"
-    options.iterations;
+    !iterations;
 
   section "Tables";
   print_endline (Tables.table1 ());
@@ -162,27 +138,27 @@ let () =
 
   section "Figure 1 - small grids (2-10 clusters)";
   let fig1 = Figures.fig1_small_grids config in
-  emit options fig1;
+  emit fig1;
   section "Figure 2 - up to 50 clusters";
   let fig2 = Figures.fig2_large_grids config in
-  emit options fig2;
+  emit fig2;
   section "Figure 3 - ECEF-like heuristics";
   let fig3 = Figures.fig3_ecef_zoom config in
-  emit options fig3;
+  emit fig3;
   section "Figure 4 - hit rates (both completion models)";
   let fig4a, fig4b = Figures.fig4_hit_rate config in
-  emit options fig4a;
-  emit options fig4b;
+  emit fig4a;
+  emit fig4b;
   section "Figure 5 - predicted times on the 88-machine GRID5000 grid";
   let fig5 = Figures.fig5_predicted config in
-  emit options fig5;
+  emit fig5;
   section "Figure 6 - measured times (DES + noise + scheduling overhead)";
   let fig6 = Figures.fig6_measured config in
-  emit options fig6;
+  emit fig6;
 
-  if options.ablations then begin
+  if !ablations then begin
     section "Ablations (DESIGN.md section 5)";
-    List.iter (emit options) (Ablations.all config)
+    List.iter emit (Ablations.all config)
   end;
 
   section "Reproduction scorecard";
@@ -197,7 +173,7 @@ let () =
        "all paper claims reproduced"
      else "SOME CLAIMS NOT REPRODUCED - see EXPERIMENTS.md");
 
-  if options.micro then begin
+  if !micro then begin
     section "Bechamel micro-benchmarks (scheduling cost, Section 7 overhead)";
     run_micro ()
   end

@@ -12,8 +12,9 @@
    is >= 1 - 1e-9 (nothing beats a certified optimum), every homogeneous
    rep had Träff agree, and the FEF / ECEF-LAT mean gaps stay under the
    pinned ceilings below.  Every cell derives its seeds from
-   (seed, topology, n, rep) alone, so Pool.mapi_stream keeps the sweep
-   bit-identical at any --jobs. *)
+   (seed, topology, n, rep) alone, so the sweep is bit-identical at any
+   --jobs.  Flags, the cell loop and the JSON envelope come from
+   bench/sweep.ml. *)
 
 module Optgap = Gridb_experiments.Optgap
 
@@ -41,7 +42,7 @@ type cell = {
   min_gap : float;  (* smallest gap ratio seen anywhere in the cell *)
 }
 
-let bench_cell ~seed ~reps (tname, topo) n =
+let bench_cell ~seed ~reps ((tname, topo), n) =
   let acc = Hashtbl.create 8 in
   let order = ref [] in
   let bound_ratio = ref 0. and expanded = ref 0. in
@@ -91,27 +92,22 @@ let bench_cell ~seed ~reps (tname, topo) n =
     min_gap = !min_gap;
   }
 
-let json_of_cells buf cells =
-  let add fmt = Printf.bprintf buf fmt in
-  add "[\n";
-  List.iteri
-    (fun i c ->
-      add "  {\"topology\": %S, \"n\": %d, \"reps\": %d,\n" c.topology c.n c.reps;
-      add "    \"mean_bound_ratio\": %.4f, \"mean_expanded\": %.1f,\n" c.mean_bound_ratio
-        c.mean_expanded;
-      (match c.traff_ok with
-      | Some k -> add "    \"traff_agrees\": %d,\n" k
-      | None -> ());
-      add "    \"gaps\": {";
-      List.iteri
-        (fun j s ->
-          add "%s\"%s\": {\"mean\": %.4f, \"max\": %.4f, \"optimal_hits\": %d}"
-            (if j = 0 then "" else ", ")
-            s.name s.mean s.max s.hits)
-        c.stats;
-      add "}}%s\n" (if i = List.length cells - 1 then "" else ","))
-    cells;
-  add "]"
+let json_of_cell c =
+  Printf.sprintf
+    "  {\"topology\": %S, \"n\": %d, \"reps\": %d,\n\
+    \    \"mean_bound_ratio\": %.4f, \"mean_expanded\": %.1f,\n\
+     %s\
+    \    \"gaps\": {%s}}"
+    c.topology c.n c.reps c.mean_bound_ratio c.mean_expanded
+    (match c.traff_ok with
+    | Some k -> Printf.sprintf "    \"traff_agrees\": %d,\n" k
+    | None -> "")
+    (String.concat ", "
+       (List.map
+          (fun s ->
+            Printf.sprintf "\"%s\": {\"mean\": %.4f, \"max\": %.4f, \"optimal_hits\": %d}"
+              s.name s.mean s.max s.hits)
+          c.stats))
 
 let print_cell c =
   let find n = List.find (fun s -> s.name = n) c.stats in
@@ -128,46 +124,21 @@ let print_cell c =
     c.mean_expanded
 
 let () =
-  let reps = ref 5 and max_n = ref 8 and out = ref "BENCH_optgap.json" in
-  let seed = ref 2006 and jobs = ref 1 and assert_gaps = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--reps" :: v :: rest ->
-        reps := Flags.int ~min:1 "--reps" v;
-        parse rest
-    | "--max-n" :: v :: rest ->
-        max_n := Flags.int ~min:1 "--max-n" v;
-        parse rest
-    | ("-o" | "--output") :: v :: rest ->
-        out := v;
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := Flags.int "--seed" v;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Flags.int ~min:1 "--jobs" v;
-        parse rest
-    | "--assert-gaps" :: rest ->
-        assert_gaps := true;
-        parse rest
-    | other :: _ ->
-        prerr_endline
-          ("unknown option " ^ other
-         ^ " (known: --reps N, --max-n N, -o FILE, --seed S, --jobs J, --assert-gaps)");
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let sizes = List.filter (fun n -> n <= !max_n) sizes in
-  let work =
-    Array.of_list
-      (List.concat_map (fun t -> List.map (fun n -> (t, n)) sizes) Optgap.topologies)
+  let reps = ref 5 and max_n, sizes = Sweep.max_n sizes and assert_gaps = ref false in
+  let o =
+    Sweep.parse ~output:"BENCH_optgap.json"
+      (Sweep.int ~min:1 [ "--reps" ] "N instances per cell" reps
+      @ max_n
+      @ [
+          ( "--assert-gaps",
+            Arg.Set assert_gaps,
+            " exit 1 on a gap below 1, a Traff mismatch or a mean gap over its ceiling" );
+        ])
   in
   let cells =
-    Array.to_list
-      (Gridb_util.Pool.mapi_stream ~jobs:!jobs
-         ~consume:(fun _ c -> print_cell c)
-         (fun _ (t, n) -> bench_cell ~seed:!seed ~reps:!reps t n)
-         work)
+    Sweep.run ~jobs:o.jobs ~print:print_cell
+      (bench_cell ~seed:o.seed ~reps:!reps)
+      (List.concat_map (fun t -> List.map (fun n -> (t, n)) (sizes ())) Optgap.topologies)
   in
   (* A gap below 1 means a heuristic beat a "certified optimum": always a
      bug, reported unconditionally, fatal under --assert-gaps. *)
@@ -209,26 +180,19 @@ let () =
     prerr_endline "ASSERTION FAILED: optimality-gap gates violated";
     exit 1
   end;
-  let buf = Buffer.create 4_096 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"benchmark\": \"optimality-gap\",\n\
-    \  \"seed\": %d,\n\
-    \  %s,\n\
-    \  \"msg\": %d,\n\
-    \  \"instance\": \"per cell: table2 matrices, uniform_random grids, 2-per-site \
-     multilevel grids, or uniform (L,g,T) draws; root 0; seeds from (seed, topology, \
-     n, rep)\",\n\
-    \  \"protocol\": \"Gridb_opt.Exact.solve per instance; gap = heuristic makespan / \
-     certified optimum (After_sends); homogeneous cells cross-checked against Traff's \
-     closed form\",\n\
-    \  \"ceilings\": {\"FEF\": %.2f, \"ECEF-LAT\": %.2f},\n\
-    \  \"results\": " !seed
-    (Gridb_util.Provenance.json_fields ~jobs:!jobs)
-    msg fef_ceiling ecef_lat_ceiling;
-  json_of_cells buf cells;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out !out in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote %s (%d cells)\n" !out (List.length cells)
+  Sweep.write o ~benchmark:"optimality-gap" ~cell:json_of_cell
+    ~header:
+      [
+        ("msg", string_of_int msg);
+        ( "instance",
+          "\"per cell: table2 matrices, uniform_random grids, 2-per-site multilevel \
+           grids, or uniform (L,g,T) draws; root 0; seeds from (seed, topology, n, \
+           rep)\"" );
+        ( "protocol",
+          "\"Gridb_opt.Exact.solve per instance; gap = heuristic makespan / certified \
+           optimum (After_sends); homogeneous cells cross-checked against Traff's \
+           closed form\"" );
+        ( "ceilings",
+          Printf.sprintf {|{"FEF": %.2f, "ECEF-LAT": %.2f}|} fef_ceiling ecef_lat_ceiling );
+      ]
+    cells

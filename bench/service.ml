@@ -14,7 +14,8 @@
    --jobs; only the host-clock throughput/latency fields vary run to run.
    --assert-hit-rate fails the run unless the default-mix cells reuse
    cached plans for more than half their lookups (the CI service job runs
-   with it). *)
+   with it).  Flags, the cell loop and the JSON envelope come from
+   bench/sweep.ml. *)
 
 module Workload = Gridb_service.Workload
 module Server = Gridb_service.Server
@@ -44,70 +45,37 @@ let print_cell c =
     c.rate r.Server.requests r.Server.admitted r.Server.hit_rate r.Server.plans_per_sec
     r.Server.plan_p50_us r.Server.plan_p99_us r.Server.mean_makespan_us
 
-(* Handwritten JSON writer, same rationale as bench/scaling.ml. *)
-let json_of_cells buf cells =
-  let add fmt = Printf.bprintf buf fmt in
-  add "[\n";
-  List.iteri
-    (fun i c ->
-      let r = c.report in
-      let s = r.Server.cache_stats in
-      add "  {\"rate_req_s\": %g, \"requests\": %d, \"admitted\": %d, \"rejected\": %d,\n"
-        c.rate r.Server.requests r.Server.admitted r.Server.rejected;
-      add
-        "   \"cache\": {\"hits\": %d, \"misses\": %d, \"invalidations\": %d, \
-         \"entries\": %d, \"hit_rate\": %.4f},\n"
-        s.Plan_cache.hits s.Plan_cache.misses s.Plan_cache.invalidations
-        s.Plan_cache.entries r.Server.hit_rate;
-      add
-        "   \"plans_per_sec\": %.0f, \"plan_p50_us\": %.1f, \"plan_p99_us\": %.1f, \
-         \"plan_wall_s\": %.4f,\n"
-        r.Server.plans_per_sec r.Server.plan_p50_us r.Server.plan_p99_us
-        r.Server.plan_wall_s;
-      add
-        "   \"delivered_ranks\": %d, \"mean_makespan_us\": %.1f, \"horizon_us\": %.1f}%s\n"
-        r.Server.delivered r.Server.mean_makespan_us r.Server.horizon_us
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  add "]"
+let json_of_cell c =
+  let r = c.report in
+  let s = r.Server.cache_stats in
+  Printf.sprintf
+    "  {\"rate_req_s\": %g, \"requests\": %d, \"admitted\": %d, \"rejected\": %d,\n\
+    \   \"cache\": {\"hits\": %d, \"misses\": %d, \"invalidations\": %d, \
+     \"entries\": %d, \"hit_rate\": %.4f},\n\
+    \   \"plans_per_sec\": %.0f, \"plan_p50_us\": %.1f, \"plan_p99_us\": %.1f, \
+     \"plan_wall_s\": %.4f,\n\
+    \   \"delivered_ranks\": %d, \"mean_makespan_us\": %.1f, \"horizon_us\": %.1f}"
+    c.rate r.Server.requests r.Server.admitted r.Server.rejected s.Plan_cache.hits
+    s.Plan_cache.misses s.Plan_cache.invalidations s.Plan_cache.entries r.Server.hit_rate
+    r.Server.plans_per_sec r.Server.plan_p50_us r.Server.plan_p99_us r.Server.plan_wall_s
+    r.Server.delivered r.Server.mean_makespan_us r.Server.horizon_us
 
 let () =
-  let duration = ref 2e6
-  and out = ref "BENCH_service.json"
-  and seed = ref 2006
-  and jobs = ref 1
-  and assert_hit_rate = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--duration" :: v :: rest ->
-        duration := Flags.positive_float "--duration" v;
-        parse rest
-    | ("-o" | "--output") :: v :: rest ->
-        out := v;
-        parse rest
-    | "--seed" :: v :: rest ->
-        seed := Flags.int "--seed" v;
-        parse rest
-    | ("-j" | "--jobs") :: v :: rest ->
-        jobs := Flags.int ~min:1 "--jobs" v;
-        parse rest
-    | "--assert-hit-rate" :: rest ->
-        assert_hit_rate := true;
-        parse rest
-    | other :: _ ->
-        prerr_endline
-          ("unknown option " ^ other
-         ^ " (known: --duration US, -o FILE, --seed S, --jobs J, --assert-hit-rate)");
-        exit 2
+  let duration = ref 2e6 and assert_hit_rate = ref false in
+  let o =
+    Sweep.parse ~output:"BENCH_service.json"
+      (Sweep.positive_float [ "--duration" ] "US simulated window per cell" duration
+      @ [
+          ( "--assert-hit-rate",
+            Arg.Set assert_hit_rate,
+            " exit 1 if a long default-mix cell reuses at most half its plans" );
+        ])
   in
-  parse (List.tl (Array.to_list Sys.argv));
   (* Cells are cheap and share nothing; the pool inside each cell's server
-     does the fan-out, so the sweep itself runs sequentially. *)
+     does the fan-out, so the sweep itself runs its cells one at a time. *)
   let cells =
-    List.map (fun rate ->
-        let c = bench_cell ~seed:!seed ~duration:!duration ~jobs:!jobs rate in
-        print_cell c;
-        c)
+    Sweep.run ~jobs:1 ~print:print_cell
+      (bench_cell ~seed:o.seed ~duration:!duration ~jobs:o.jobs)
       rates
   in
   (* A sustained stream must amortise planning: over enough requests the
@@ -128,22 +96,13 @@ let () =
                c.rate c.report.Server.hit_rate c.report.Server.requests)
            bad;
          exit 1);
-  let buf = Buffer.create 4_096 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"benchmark\": \"broadcast-service\",\n\
-    \  \"seed\": %d,\n\
-    \  %s,\n\
-    \  \"grid\": \"GRID5000 (Table 3)\",\n\
-    \  \"workload\": \"open-loop Poisson, default mix, %.0f us window\",\n\
-    \  \"admission\": \"max 8 predicted-concurrent sessions\",\n\
-    \  \"units\": {\"time\": \"us unless suffixed\", \"rates\": \"requests per second\"},\n\
-    \  \"results\": " !seed
-    (Gridb_util.Provenance.json_fields ~jobs:!jobs)
-    !duration;
-  json_of_cells buf cells;
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out !out in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote %s (%d cells)\n" !out (List.length cells)
+  Sweep.write o ~benchmark:"broadcast-service" ~cell:json_of_cell
+    ~header:
+      [
+        ("grid", {|"GRID5000 (Table 3)"|});
+        ( "workload",
+          Printf.sprintf {|"open-loop Poisson, default mix, %.0f us window"|} !duration );
+        ("admission", {|"max 8 predicted-concurrent sessions"|});
+        ("units", {|{"time": "us unless suffixed", "rates": "requests per second"}|});
+      ]
+    cells
