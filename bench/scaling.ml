@@ -15,7 +15,6 @@ module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
-module Heuristics = Gridb_sched.Heuristics
 module Rng = Gridb_util.Rng
 
 type cell = {
@@ -108,7 +107,7 @@ let () =
       @ Sweep.int ~min:0 [ "--max-naive-n" ] "N largest n the naive scan runs at"
           max_naive_n)
   in
-  let policies = List.map (fun h -> h.Heuristics.policy) Heuristics.all in
+  let policies = Policy.all in
   (* --jobs fans cells out over a Pool, for a quick CI sweep where
      throughput matters more than timing fidelity.  The default stays 1:
      concurrent cells contend for cores and caches, so committed timing

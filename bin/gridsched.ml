@@ -5,7 +5,8 @@
 
 open Cmdliner
 
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Topology = Gridb_topology
@@ -13,15 +14,15 @@ module Session = Gridb_des.Session
 
 let heuristic_conv =
   let parse s =
-    match Heuristics.by_name s with
+    match Policy.by_name s with
     | Some h -> Ok h
     | None ->
         Error
           (`Msg
             (Printf.sprintf "unknown heuristic %S (known: %s)" s
-               (String.concat ", " Heuristics.names)))
+               (String.concat ", " Policy.names)))
   in
-  Arg.conv (parse, fun ppf h -> Format.pp_print_string ppf h.Heuristics.name)
+  Arg.conv (parse, fun ppf h -> Format.pp_print_string ppf (Policy.name h))
 
 (* [Arg.float], refusing NaN and infinities: every float flag feeds a
    score, a rate or a loop bound that a non-finite value would poison. *)
@@ -129,7 +130,7 @@ let schedule_cmd =
     | Ok grid ->
         check_root grid root;
         let inst = Instance.of_grid ~root ~msg grid in
-        let schedule = Heuristics.run ~mode heuristic inst in
+        let schedule = Engine.run ~mode heuristic inst in
         let schedule =
           if improve then begin
             let refined = Gridb_sched.Refine.improve inst schedule in
@@ -153,7 +154,7 @@ let schedule_cmd =
         0
   in
   let heuristic =
-    Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
+    Arg.(value & opt heuristic_conv Policy.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
   in
   let gantt = Arg.(value & flag & info [ "gantt" ] ~doc:"Render a text Gantt chart.") in
   let improve =
@@ -183,15 +184,15 @@ let compare_cmd =
         in
         List.iter
           (fun h ->
-            let s, stats = Gridb_sched.Engine.run_stats ~mode h.Heuristics.policy inst in
+            let s, stats = Engine.run_stats ~mode h inst in
             Gridb_util.Text_table.add_row table
               [
-                h.Heuristics.name;
+                Policy.name h;
                 Printf.sprintf "%.4f" (Schedule.makespan inst s /. 1e6);
                 string_of_int (Schedule.depth s);
-                string_of_int stats.Gridb_sched.Engine.pair_evaluations;
+                string_of_int stats.Engine.pair_evaluations;
               ])
-          Heuristics.all;
+          Policy.all;
         Gridb_util.Text_table.print table;
         0
   in
@@ -246,7 +247,7 @@ let hitrate_cmd =
     let model = if overlapped then Schedule.Overlapped else Schedule.After_sends in
     let outcomes =
       Gridb_sched.Hit_rate.run ~model ~rng ~iterations ~n Instance.table2_ranges
-        Heuristics.ecef_family
+        Policy.ecef_family
     in
     let table =
       Gridb_util.Text_table.create
@@ -409,14 +410,14 @@ let optimal_cmd =
           let opt = cert.Gridb_opt.Exact.makespan in
           List.iter
             (fun h ->
-              let m = Heuristics.makespan h inst in
+              let m = Engine.makespan h inst in
               Gridb_util.Text_table.add_row table
                 [
-                  h.Heuristics.name;
+                  Policy.name h;
                   Printf.sprintf "%.4f" (m /. 1e6);
                   Printf.sprintf "%+.2f%%" (100. *. ((m /. opt) -. 1.));
                 ])
-            Heuristics.all;
+            Policy.all;
           Gridb_util.Text_table.print table;
           0
         end
@@ -514,14 +515,13 @@ let simulate_cmd =
         prerr_endline e;
         1
     | Ok grid ->
-        let policy = heuristic.Heuristics.policy in
         let noise =
           if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
         in
         let repetitions = if reps > 0 then Some reps else None in
         let robustness obs =
-          Gridb_experiments.Robustness.run ~policy ~msg ~retries ~seed ~noise ?obs
-            ~transport ~dyn:dynamics ?repetitions ~jobs ~spec:faults grid
+          Gridb_experiments.Robustness.run ~policy:heuristic ~msg ~retries ~seed ~noise
+            ?obs ~transport ~dyn:dynamics ?repetitions ~jobs ~spec:faults grid
         in
         let metrics, traced =
           match trace with
@@ -546,7 +546,7 @@ let simulate_cmd =
         0
   in
   let heuristic =
-    Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
+    Arg.(value & opt heuristic_conv Policy.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
   in
   let faults =
     Arg.(
@@ -629,20 +629,22 @@ let profile_cmd =
         1
     | Ok grid ->
         check_root grid root;
-        let policy = heuristic.Heuristics.policy in
-        (* One Memory sink observes the whole pipeline: a host-time span
-           around scheduling, then the rank-level DES execution. *)
+        (* One Memory sink observes the whole pipeline: a span around
+           scheduling, in host monotonic us, then the rank-level DES
+           execution. *)
         let mem = Gridb_obs.Sink.memory () in
         let inst = Instance.of_grid ~root ~msg grid in
-        let schedule =
-          Gridb_obs.Span.wrap mem "schedule" (fun () ->
-              Gridb_sched.Engine.run ~obs:mem policy inst)
-        in
+        let host_us () = Int64.to_float (Monotonic_clock.now ()) /. 1e3 in
+        Gridb_obs.Sink.emit mem
+          (Gridb_obs.Event.Span_start { name = "schedule"; time = host_us () });
+        let schedule = Engine.run ~obs:mem heuristic inst in
+        Gridb_obs.Sink.emit mem
+          (Gridb_obs.Event.Span_end { name = "schedule"; time = host_us () });
         let machines = Topology.Machines.expand grid in
         let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
         ignore (Session.run (Session.Config.v ~msg ~obs:mem ()) machines plan);
         let events = Gridb_obs.Sink.events mem in
-        Printf.printf "profile: %s, %s, %s\n" heuristic.Heuristics.name
+        Printf.printf "profile: %s, %s, %s\n" (Policy.name heuristic)
           (match topology with None -> "GRID5000" | Some path -> path)
           (Gridb_util.Units.bytes_to_string msg);
         print_string (Gridb_obs.Profile.render (Gridb_obs.Profile.of_events events));
@@ -656,7 +658,7 @@ let profile_cmd =
         0
   in
   let heuristic =
-    Arg.(value & opt heuristic_conv Heuristics.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
+    Arg.(value & opt heuristic_conv Policy.ecef_la & info [ "H"; "heuristic" ] ~docv:"NAME")
   in
   let gantt =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Also render the executed-run event Gantt chart.")

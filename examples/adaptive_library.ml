@@ -12,7 +12,7 @@
    Run with: dune exec examples/adaptive_library.exe *)
 
 module Magpie = Gridb_magpie
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
 
 let seconds us = us /. 1e6
 
@@ -31,8 +31,8 @@ let () =
     [
       Magpie.Bcast.Binomial_world;
       Magpie.Bcast.Flat_two_level;
-      Magpie.Bcast.Scheduled Heuristics.ecef_la;
-      Magpie.Bcast.Adaptive Heuristics.all;
+      Magpie.Bcast.Scheduled Policy.ecef_la;
+      Magpie.Bcast.Adaptive Policy.all;
     ]
   in
   (* 18 broadcasts of 1 MB, root rotating over the 6 clusters. *)

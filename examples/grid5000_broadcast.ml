@@ -18,10 +18,10 @@ let () =
   let sizes = [ 500_000; 1_000_000; 2_000_000; 4_000_000 ] in
   let heuristics =
     [
-      Sched.Heuristics.flat_tree;
-      Sched.Heuristics.ecef;
-      Sched.Heuristics.ecef_lat_max;
-      Sched.Heuristics.bottom_up;
+      Sched.Policy.flat_tree;
+      Sched.Policy.ecef;
+      Sched.Policy.ecef_lat_max;
+      Sched.Policy.bottom_up;
     ]
   in
   let table =
@@ -33,12 +33,12 @@ let () =
       List.iter
         (fun msg ->
           let inst = Sched.Instance.of_grid ~root ~msg grid in
-          let schedule = Sched.Heuristics.run h inst in
+          let schedule = Sched.Engine.run h inst in
           let predicted = Sched.Schedule.makespan inst schedule in
           (* Execute the exact same schedule under lognormal noise, with the
              heuristic's own scheduling cost charged up front. *)
           let plan = Des.Plan.of_cluster_schedule machines schedule in
-          let overhead = Gridb_sched.Overhead.cost_us ~n:inst.Sched.Instance.n h.Sched.Heuristics.policy in
+          let overhead = Gridb_sched.Overhead.cost_us ~n:inst.Sched.Instance.n h in
           let rng = Gridb_util.Rng.create (42 + msg) in
           let reps = 20 in
           let total = ref 0. in
@@ -54,7 +54,7 @@ let () =
           let measured = !total /. float_of_int reps in
           Gridb_util.Text_table.add_row table
             [
-              h.Sched.Heuristics.name;
+              Sched.Policy.name h;
               Gridb_util.Units.bytes_to_string msg;
               Printf.sprintf "%.3f" (seconds predicted);
               Printf.sprintf "%.3f" (seconds measured);

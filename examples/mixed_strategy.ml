@@ -10,13 +10,13 @@
 module Sched = Gridb_sched
 
 let () =
-  let mixed = Sched.Mixed.strategy () in
-  let contenders = [ Sched.Heuristics.ecef_la; Sched.Heuristics.ecef_lat_max; mixed ] in
+  let mixed = Sched.Policy.mixed () in
+  let contenders = [ Sched.Policy.ecef_la; Sched.Policy.ecef_lat_max; mixed ] in
   let iterations = 1_500 in
   Printf.printf "hit rate against the global minimum (%d draws/point, %s model):\n\n"
     iterations "overlapped";
   Printf.printf "%8s" "clusters";
-  List.iter (fun h -> Printf.printf "  %22s" h.Sched.Heuristics.name) contenders;
+  List.iter (fun h -> Printf.printf "  %22s" (Sched.Policy.name h)) contenders;
   print_newline ();
   List.iter
     (fun n ->
@@ -35,6 +35,6 @@ let () =
   print_newline ();
   Printf.printf
     "The dispatcher switches heuristics at %d clusters (the paper's suggestion);\n"
-    Sched.Mixed.default_threshold;
+    Sched.Policy.mixed_threshold;
   print_endline "by construction its row matches ECEF-LA up to the threshold and ECEF-LAT";
   print_endline "beyond it — pick the threshold for your regime from a scan like this one."

@@ -19,7 +19,7 @@ let () =
   (* 3. Run a heuristic.  ECEF-LAt is one of the paper's grid-aware
         contributions: it extends Bhat's lookahead with the intra-cluster
         broadcast time. *)
-  let schedule = Sched.Heuristics.run Sched.Heuristics.ecef_lat_min inst in
+  let schedule = Sched.Engine.run Sched.Policy.ecef_lat_min inst in
   Format.printf "@.%a@." Sched.Schedule.pp schedule;
 
   (* 4. Inspect the result. *)
@@ -31,9 +31,9 @@ let () =
   Format.printf "@.all heuristics on this instance:@.";
   List.iter
     (fun h ->
-      Format.printf "  %-10s %a@." h.Sched.Heuristics.name Gridb_util.Units.pp_time
-        (Sched.Heuristics.makespan h inst))
-    Sched.Heuristics.all;
+      Format.printf "  %-10s %a@." (Sched.Policy.name h) Gridb_util.Units.pp_time
+        (Sched.Engine.makespan h inst))
+    Sched.Policy.all;
 
   (* 6. For small grids the true optimum is computable: 6 clusters is well
         inside the exact solver's ceiling of 12. *)

@@ -69,14 +69,13 @@ let () =
   let inst = Gridb_sched.Instance.of_grid ~root ~msg:1_000_000 grid in
   List.iter
     (fun h ->
-      let r = Ext.Reduce_sched.of_broadcast inst (Gridb_sched.Heuristics.run h inst) in
+      let r = Ext.Reduce_sched.of_broadcast inst (Gridb_sched.Engine.run h inst) in
       Printf.printf "  %-10s gathers everything at the root in %.4f s\n"
-        h.Gridb_sched.Heuristics.name
+        (Gridb_sched.Policy.name h)
         (seconds r.Ext.Reduce_sched.makespan))
-    Gridb_sched.Heuristics.
-      [ flat_tree; ecef; ecef_lat_max; bottom_up ];
-  let best, r =
-    Ext.Reduce_sched.best_heuristic inst Gridb_sched.Heuristics.all
-  in
-  Printf.printf "  best: %s (%.4f s)\n" best.Gridb_sched.Heuristics.name
+    Gridb_sched.Policy.[ flat_tree; ecef; ecef_lat_max; bottom_up ];
+  let best = Gridb_sched.Portfolio.run inst in
+  let r = Ext.Reduce_sched.of_broadcast inst best.Gridb_sched.Portfolio.schedule in
+  Printf.printf "  best: %s (%.4f s)\n"
+    (Gridb_sched.Policy.name best.Gridb_sched.Portfolio.heuristic)
     (seconds r.Ext.Reduce_sched.makespan)

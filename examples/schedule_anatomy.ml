@@ -15,7 +15,7 @@ let () =
   let inst = Sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
 
   (* Start from the worst schedule the paper considers. *)
-  let flat = Sched.Heuristics.(run flat_tree) inst in
+  let flat = Sched.Engine.run Sched.Policy.flat_tree inst in
   Printf.printf "flat tree makespan:      %.4f s\n" (seconds (Sched.Schedule.makespan inst flat));
   Sched.Gantt.print ~width:60 inst flat;
 

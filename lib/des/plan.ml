@@ -35,18 +35,12 @@ let v ~root ~children =
   validate ~root ~children;
   { root; children = Array.copy children }
 
-let of_cluster_schedule ?(shape = Tree.Binomial) machines schedule =
+(* [inter.(c)]: cluster [c]'s inter-cluster destinations, last send first. *)
+let of_inter ?(shape = Tree.Binomial) machines ~root inter =
   let grid = Machines.grid machines in
   let n_clusters = Gridb_topology.Grid.size grid in
-  if schedule.Schedule.n <> n_clusters then
-    invalid_arg "Plan.of_cluster_schedule: cluster count mismatch";
   let n = Machines.count machines in
   let children = Array.make n [] in
-  (* Inter-cluster relays, per sender in round order. *)
-  let inter = Array.make n_clusters [] in
-  List.iter
-    (fun e -> inter.(e.Schedule.src) <- e.Schedule.dst :: inter.(e.Schedule.src))
-    schedule.Schedule.events;
   for c = 0 to n_clusters - 1 do
     let coordinator = Machines.coordinator machines c in
     let inter_children =
@@ -68,9 +62,25 @@ let of_cluster_schedule ?(shape = Tree.Binomial) machines schedule =
     children.(coordinator) <- inter_children;
     lay tree
   done;
-  let root = Machines.coordinator machines schedule.Schedule.root in
+  let root = Machines.coordinator machines root in
   validate ~root ~children;
   { root; children }
+
+let of_cluster_sends ?shape machines ~root sends =
+  let n_clusters = Gridb_topology.Grid.size (Machines.grid machines) in
+  let inter = Array.make n_clusters [] in
+  List.iter (fun (src, dst) -> inter.(src) <- dst :: inter.(src)) sends;
+  of_inter ?shape machines ~root inter
+
+let of_cluster_schedule ?shape machines schedule =
+  let n_clusters = Gridb_topology.Grid.size (Machines.grid machines) in
+  if schedule.Schedule.n <> n_clusters then
+    invalid_arg "Plan.of_cluster_schedule: cluster count mismatch";
+  let inter = Array.make n_clusters [] in
+  List.iter
+    (fun e -> inter.(e.Schedule.src) <- e.Schedule.dst :: inter.(e.Schedule.src))
+    schedule.Schedule.events;
+  of_inter ?shape machines ~root:schedule.Schedule.root inter
 
 let of_flat_schedule machines schedule =
   let n = Machines.count machines in

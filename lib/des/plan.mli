@@ -3,8 +3,9 @@
     The DES executes one message dissemination described as an {e ordered}
     spanning tree over machine ranks: each node forwards to its children in
     list order, gap-serialised.  Plans are built three ways:
-    - {!of_cluster_schedule}: a heuristic's inter-cluster schedule glued to
-      intra-cluster trees (the hierarchical broadcast of the paper);
+    - {!of_cluster_sends}: ordered inter-cluster sends glued to
+      intra-cluster trees (the hierarchical broadcast of the paper;
+      {!of_cluster_schedule} reads the sends off a heuristic's schedule);
     - {!binomial_ranks}: the "grid-unaware" binomial over all ranks
       ("Default LAM" in Figure 6);
     - {!flat_ranks}: root sends to everyone (degenerate baseline). *)
@@ -18,14 +19,26 @@ val v : root:int -> children:int list array -> t
 (** @raise Invalid_argument if the structure is not a spanning tree over
     [0 .. Array.length children - 1] rooted at [root]. *)
 
+val of_cluster_sends :
+  ?shape:Gridb_collectives.Tree.shape ->
+  Gridb_topology.Machines.t ->
+  root:int ->
+  (int * int) list ->
+  t
+(** [of_cluster_sends machines ~root sends]: hierarchical plan rooted at
+    cluster [root]'s coordinator.  Each coordinator performs its
+    inter-cluster sends [(src, dst)] (cluster ids) in list order, {e then}
+    feeds its cluster's intra tree ([shape] defaults to binomial).
+    @raise Invalid_argument if a cluster id is out of range or the sends
+    do not form a spanning tree over the clusters from [root]. *)
+
 val of_cluster_schedule :
   ?shape:Gridb_collectives.Tree.shape ->
   Gridb_topology.Machines.t ->
   Gridb_sched.Schedule.t ->
   t
-(** Hierarchical plan: each coordinator performs its scheduled inter-cluster
-    sends in round order, {e then} feeds its cluster's intra tree ([shape]
-    defaults to binomial), matching the [After_sends] model.
+(** {!of_cluster_sends} over the schedule's sends in round order, which
+    matches the [After_sends] model.
     @raise Invalid_argument if the schedule's cluster count differs from the
     machine view's. *)
 

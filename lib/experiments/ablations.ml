@@ -1,8 +1,8 @@
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Lookahead = Gridb_sched.Lookahead
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
-module Mixed = Gridb_sched.Mixed
 module State = Gridb_sched.State
 module Topology = Gridb_topology
 module Tree = Gridb_collectives.Tree
@@ -25,13 +25,13 @@ let sweep_figure config ~id ~title ~extract ~y_label heuristics =
   let points = Sweep.run config ~ns heuristics in
   let series =
     List.combine
-      (List.map (fun h -> h.Heuristics.name) heuristics)
+      (List.map Policy.name heuristics)
       (transpose points extract)
   in
   { Report.id; title; x_label = "clusters"; y_label; series; notes = [] }
 
 let lookahead_sweep config =
-  let heuristics = List.map Heuristics.ecef_with Lookahead.all in
+  let heuristics = List.map Policy.ecef_with Lookahead.all in
   sweep_figure config ~id:"abl-lookahead"
     ~title:"Ablation: lookahead function plugged into the ECEF driver"
     ~extract:Sweep.mean_seconds ~y_label:"mean completion time (s)" heuristics
@@ -40,15 +40,13 @@ let lookahead_sweep config =
    pair score reproduces the old ascending-(i, j) first-wins scan, and being
    a policy it runs on the incremental engine like the named heuristics. *)
 let fef_transmission =
-  Heuristics.of_policy
-    (Gridb_sched.Policy.select_min ~name:"FEF(g+L)"
-       ~score:Gridb_sched.Policy.Transmission Lookahead.none)
+  Policy.select_min ~name:"FEF(g+L)" ~score:Policy.Transmission Lookahead.none
 
 let fef_edge_weight config =
   sweep_figure config ~id:"abl-fef-edge"
     ~title:"Ablation: FEF edge weight (latency vs transmission time)"
     ~extract:Sweep.mean_seconds ~y_label:"mean completion time (s)"
-    [ Heuristics.fef; fef_transmission; Heuristics.ecef ]
+    [ Policy.fef; fef_transmission; Policy.ecef ]
 
 let intra_shape _config =
   let grid = Topology.Grid5000.grid () in
@@ -63,7 +61,7 @@ let intra_shape _config =
                 Instance.of_grid ~shape ~root:Topology.Grid5000.root_cluster ~msg grid
               in
               ( float_of_int msg,
-                seconds (Heuristics.makespan Heuristics.ecef_lat_max inst) ))
+                seconds (Engine.makespan Policy.ecef_lat_max inst) ))
             Figures.message_sizes
         in
         (Tree.shape_name shape, points))
@@ -79,17 +77,17 @@ let intra_shape _config =
   }
 
 let mixed_strategy config =
-  let mixed = Mixed.strategy () in
+  let mixed = Policy.mixed () in
   sweep_figure config ~id:"abl-mixed"
     ~title:"Ablation: Section 6 mixed strategy vs its components (hit counts)"
     ~extract:Sweep.hits
     ~y_label:(Printf.sprintf "hits out of %d" config.Config.iterations)
-    [ Heuristics.ecef_la; Heuristics.ecef_lat_max; mixed ]
+    [ Policy.ecef_la; Policy.ecef_lat_max; mixed ]
 
 let completion_models config =
   let run model label =
     let cfg = Config.with_model model config in
-    let points = Sweep.run cfg ~ns [ Heuristics.ecef; Heuristics.ecef_lat_max ] in
+    let points = Sweep.run cfg ~ns [ Policy.ecef; Policy.ecef_lat_max ] in
     List.map2
       (fun name column -> (name ^ label, column))
       [ "ECEF"; "ECEF-LAT" ]
@@ -160,11 +158,11 @@ let multilevel_gain config =
       ( "single-level ECEF-LA",
         fun msg ->
           let inst = Instance.of_grid ~root ~msg grid in
-          Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst) );
+          Des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst) );
       ( "single-level FlatTree",
         fun msg ->
           let inst = Instance.of_grid ~root ~msg grid in
-          Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.flat_tree inst)
+          Des.Plan.of_cluster_schedule machines (Engine.run Policy.flat_tree inst)
       );
     ]
   in
@@ -219,7 +217,7 @@ let ratio_sweep config ~ns ~iterations_cap ~denominator heuristics ~id ~title ~y
     ~notes =
   let iterations = min config.Config.iterations iterations_cap in
   let series =
-    List.map (fun (h : Heuristics.t) -> (h.Heuristics.name, ref [])) heuristics
+    List.map (fun h -> (Policy.name h, ref [])) heuristics
   in
   List.iteri
     (fun point n ->
@@ -229,7 +227,7 @@ let ratio_sweep config ~ns ~iterations_cap ~denominator heuristics ~id ~title ~y
         let inst = Instance.random ~rng ~n config.Config.ranges in
         let denom = denominator inst in
         List.iteri
-          (fun i h -> sums.(i) <- sums.(i) +. (Heuristics.makespan h inst /. denom))
+          (fun i h -> sums.(i) <- sums.(i) +. (Engine.makespan h inst /. denom))
           heuristics
       done;
       List.iteri
@@ -248,7 +246,7 @@ let ratio_sweep config ~ns ~iterations_cap ~denominator heuristics ~id ~title ~y
 
 let optimality_gap config =
   ratio_sweep config ~ns:[ 3; 4; 5; 6; 7 ] ~iterations_cap:400
-    ~denominator:Gridb_opt.Exact.makespan Heuristics.all ~id:"abl-optgap"
+    ~denominator:Gridb_opt.Exact.makespan Policy.all ~id:"abl-optgap"
     ~title:"Ablation: mean makespan ratio to the certified optimum (Opt.Exact)"
     ~y_label:"heuristic / optimal"
     ~notes:
@@ -257,7 +255,7 @@ let optimality_gap config =
 let bound_gap config =
   ratio_sweep config ~ns ~iterations_cap:1_000
     ~denominator:Gridb_sched.Bounds.combined
-    [ Heuristics.flat_tree; Heuristics.ecef; Heuristics.ecef_la; Heuristics.ecef_lat_max ]
+    [ Policy.flat_tree; Policy.ecef; Policy.ecef_la; Policy.ecef_lat_max ]
     ~id:"abl-boundgap"
     ~title:"Ablation: mean makespan ratio to the analytic lower bound"
     ~y_label:"heuristic / lower bound"
@@ -267,8 +265,8 @@ let heterogeneity_sensitivity config =
   let n = 30 in
   let iterations = min config.Config.iterations 1_500 in
   let t_maxima_ms = [ 50.; 200.; 500.; 1_000.; 3_000.; 6_000. ] in
-  let heuristics = [ Heuristics.fef; Heuristics.ecef; Heuristics.ecef_lat_max; Heuristics.bottom_up ] in
-  let series = List.map (fun (h : Heuristics.t) -> (h.Heuristics.name, ref [])) heuristics in
+  let heuristics = [ Policy.fef; Policy.ecef; Policy.ecef_lat_max; Policy.bottom_up ] in
+  let series = List.map (fun h -> (Policy.name h, ref [])) heuristics in
   List.iteri
     (fun point t_max ->
       let rng = Config.point_rng config ~point in
@@ -279,7 +277,7 @@ let heterogeneity_sensitivity config =
       for _ = 1 to iterations do
         let inst = Instance.random ~rng ~n ranges in
         List.iteri
-          (fun i h -> sums.(i) <- sums.(i) +. Heuristics.makespan h inst)
+          (fun i h -> sums.(i) <- sums.(i) +. Engine.makespan h inst)
           heuristics
       done;
       List.iteri
@@ -301,14 +299,14 @@ let heterogeneity_sensitivity config =
 let root_rotation () =
   let grid = Topology.Grid5000.grid () in
   let msg = 1_000_000 in
-  let heuristics = [ Heuristics.flat_tree; Heuristics.ecef; Heuristics.ecef_lat_max ] in
+  let heuristics = [ Policy.flat_tree; Policy.ecef; Policy.ecef_lat_max ] in
   let series =
     List.map
-      (fun (h : Heuristics.t) ->
-        ( h.Heuristics.name,
+      (fun h ->
+        ( Policy.name h,
           List.init (Topology.Grid.size grid) (fun root ->
               let inst = Instance.of_grid ~root ~msg grid in
-              (float_of_int root, seconds (Heuristics.makespan h inst))) ))
+              (float_of_int root, seconds (Engine.makespan h inst))) ))
       heuristics
   in
   {
@@ -325,19 +323,19 @@ let local_search config =
   let iterations = min config.Config.iterations 150 in
   let small_ns = [ 4; 6; 8; 10 ] in
   let series =
-    List.map (fun (h : Heuristics.t) -> (h.Heuristics.name, ref [])) Heuristics.all
+    List.map (fun h -> (Policy.name h, ref [])) Policy.all
   in
   List.iteri
     (fun point n ->
       let rng = Config.point_rng config ~point in
-      let sums = Array.make (List.length Heuristics.all) 0. in
+      let sums = Array.make (List.length Policy.all) 0. in
       for _ = 1 to iterations do
         let inst = Instance.random ~rng ~n config.Config.ranges in
         List.iteri
           (fun i h ->
-            let s = Heuristics.run h inst in
+            let s = Engine.run h inst in
             sums.(i) <- sums.(i) +. Gridb_sched.Refine.improvement_ratio inst s)
-          Heuristics.all
+          Policy.all
       done;
       List.iteri
         (fun i (_, acc) ->
@@ -427,7 +425,7 @@ let application_payoff () =
           (fun msg ->
             let inst = Instance.of_grid ~root:0 ~msg grid in
             let plan =
-              Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst)
+              Des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst)
             in
             (float_of_int msg, solver ~bcast:(Gridb_mpi.Apps.plan_bcast plan) msg))
           sizes );
@@ -450,10 +448,10 @@ let hierarchy_vs_flat () =
   let grid = Topology.Grid5000.grid () in
   let machines = Topology.Machines.expand grid in
   let root = Topology.Grid5000.root_cluster in
-  let heuristic = Heuristics.ecef_la in
+  let heuristic = Policy.ecef_la in
   let hierarchical msg =
     let inst = Instance.of_grid ~root ~msg grid in
-    let plan = Des.Plan.of_cluster_schedule machines (Heuristics.run heuristic inst) in
+    let plan = Des.Plan.of_cluster_schedule machines (Engine.run heuristic inst) in
     seconds
       (Des.Session.run (Des.Session.Config.v ~msg ()) machines plan).Des.Session.makespan
   in
@@ -461,7 +459,7 @@ let hierarchy_vs_flat () =
     let inst =
       Instance.of_machines ~root:(Topology.Machines.coordinator machines root) ~msg machines
     in
-    let plan = Des.Plan.of_flat_schedule machines (Heuristics.run heuristic inst) in
+    let plan = Des.Plan.of_flat_schedule machines (Engine.run heuristic inst) in
     seconds
       (Des.Session.run (Des.Session.Config.v ~msg ()) machines plan).Des.Session.makespan
   in
@@ -480,7 +478,7 @@ let hierarchy_vs_flat () =
       ("grid-unaware binomial", List.map (fun m -> (float_of_int m, binomial m)) sizes);
     ]
   in
-  let evals n = Gridb_sched.Overhead.evaluations ~n heuristic.Heuristics.policy in
+  let evals n = Gridb_sched.Overhead.evaluations ~n heuristic in
   {
     Report.id = "abl-hierarchy";
     title = "Ablation: hierarchical vs per-process scheduling (Sections 1-2)";
@@ -527,13 +525,13 @@ let tuned_intra () =
         List.map
           (fun msg ->
             ( float_of_int msg,
-              seconds (Heuristics.makespan Heuristics.ecef_lat_max (with_t binomial_t msg)) ))
+              seconds (Engine.makespan Policy.ecef_lat_max (with_t binomial_t msg)) ))
           Figures.message_sizes );
       ( "auto-tuned T",
         List.map
           (fun msg ->
             ( float_of_int msg,
-              seconds (Heuristics.makespan Heuristics.ecef_lat_max (with_t tuned_t msg)) ))
+              seconds (Engine.makespan Policy.ecef_lat_max (with_t tuned_t msg)) ))
           Figures.message_sizes );
     ]
   in
@@ -567,7 +565,7 @@ let segmented_broadcast () =
   let machines = Topology.Machines.expand grid in
   let inst = Instance.of_grid ~root:Topology.Grid5000.root_cluster ~msg:4_000_000 grid in
   let plan =
-    Des.Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst)
+    Des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst)
   in
   let segment_counts = [ 1; 2; 4; 8; 16; 32; 64 ] in
   let series =

@@ -19,8 +19,8 @@ val representatives : site_of_cluster:(int -> int) -> n_clusters:int -> root:int
     @raise Invalid_argument on an empty grid or out-of-range mapping. *)
 
 val plan :
-  ?site_heuristic:Gridb_sched.Heuristics.t ->
-  ?cluster_heuristic:Gridb_sched.Heuristics.t ->
+  ?site_heuristic:Gridb_sched.Policy.t ->
+  ?cluster_heuristic:Gridb_sched.Policy.t ->
   ?shape:Gridb_collectives.Tree.shape ->
   site_of_cluster:(int -> int) ->
   root:int ->

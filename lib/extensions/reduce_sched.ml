@@ -41,18 +41,3 @@ let of_broadcast inst schedule =
     |> List.mapi (fun i e -> { e with round = i })
   in
   { root = schedule.Schedule.root; n = schedule.Schedule.n; events = ordered; makespan = horizon }
-
-let best_heuristic inst heuristics =
-  match heuristics with
-  | [] -> invalid_arg "Reduce_sched.best_heuristic: empty list"
-  | hs ->
-      let scored =
-        List.map
-          (fun h ->
-            let r = of_broadcast inst (Gridb_sched.Heuristics.run h inst) in
-            (h, r))
-          hs
-      in
-      List.fold_left
-        (fun (bh, br) (h, r) -> if r.makespan < br.makespan then (h, r) else (bh, br))
-        (List.hd scored) (List.tl scored)

@@ -33,8 +33,3 @@ val of_broadcast : Gridb_sched.Instance.t -> Gridb_sched.Schedule.t -> t
 (** Reverse a broadcast schedule into a reduce schedule over the same
     instance.  @raise Invalid_argument if the schedule does not match the
     instance. *)
-
-val best_heuristic :
-  Gridb_sched.Instance.t -> Gridb_sched.Heuristics.t list -> Gridb_sched.Heuristics.t * t
-(** Schedule a reduction with every given heuristic (via duality) and keep
-    the best.  @raise Invalid_argument on an empty list. *)

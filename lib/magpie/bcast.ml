@@ -1,5 +1,5 @@
 module Machines = Gridb_topology.Machines
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
 module Schedule = Gridb_sched.Schedule
 module Plan = Gridb_des.Plan
 module Session = Gridb_des.Session
@@ -9,16 +9,14 @@ module Event = Gridb_obs.Event
 type strategy =
   | Binomial_world
   | Flat_two_level
-  | Scheduled of Heuristics.t
-  | Adaptive of Heuristics.t list
+  | Scheduled of Policy.t
+  | Adaptive of Policy.t list
 
 let strategy_name = function
   | Binomial_world -> "binomial-world"
   | Flat_two_level -> "flat-two-level"
-  | Scheduled h -> "scheduled:" ^ h.Heuristics.name
-  | Adaptive hs ->
-      "adaptive:"
-      ^ String.concat "," (List.map (fun h -> h.Heuristics.name) hs)
+  | Scheduled h -> "scheduled:" ^ Policy.name h
+  | Adaptive hs -> "adaptive:" ^ String.concat "," (List.map Policy.name hs)
 
 let pick_adaptive tuning hs ~root ~msg =
   if hs = [] then invalid_arg "Magpie.Bcast: Adaptive with no candidates";
@@ -39,7 +37,7 @@ let pick_adaptive tuning hs ~root ~msg =
   if Sink.enabled obs then
     Sink.emit obs
       (Event.Strategy_selected
-         { name = best.Heuristics.name; predicted = best_makespan });
+         { name = Policy.name best; predicted = best_makespan });
   best
 
 let plan tuning strategy ~root ~msg =
@@ -49,7 +47,7 @@ let plan tuning strategy ~root ~msg =
       Plan.binomial_ranks machines ~root:(Machines.coordinator machines root)
   | Flat_two_level ->
       Plan.of_cluster_schedule machines
-        (Tuning.schedule tuning ~heuristic:Heuristics.flat_tree ~root ~msg)
+        (Tuning.schedule tuning ~heuristic:Policy.flat_tree ~root ~msg)
   | Scheduled h ->
       Plan.of_cluster_schedule machines (Tuning.schedule tuning ~heuristic:h ~root ~msg)
   | Adaptive hs ->
@@ -73,7 +71,7 @@ let predict tuning strategy ~root ~msg =
       (Session.run config measured_machines p).Session.makespan
   | Flat_two_level ->
       Schedule.makespan inst
-        (Tuning.schedule tuning ~heuristic:Heuristics.flat_tree ~root ~msg)
+        (Tuning.schedule tuning ~heuristic:Policy.flat_tree ~root ~msg)
   | Scheduled h ->
       Schedule.makespan inst (Tuning.schedule tuning ~heuristic:h ~root ~msg)
   | Adaptive hs ->
@@ -85,8 +83,8 @@ let scheduling_cost strategy ~n ~fresh =
   else
     match strategy with
     | Binomial_world -> 0.
-    | Flat_two_level -> Gridb_sched.Overhead.cost_us ~n Gridb_sched.Policy.flat_tree
-    | Scheduled h -> Gridb_sched.Overhead.cost_us ~n h.Heuristics.policy
+    | Flat_two_level -> Gridb_sched.Overhead.cost_us ~n Policy.flat_tree
+    | Scheduled h -> Gridb_sched.Overhead.cost_us ~n h
     | Adaptive hs ->
         Gridb_sched.Portfolio.scheduling_evaluations ~heuristics:hs n
         *. Gridb_sched.Overhead.default_per_evaluation_us

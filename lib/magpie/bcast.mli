@@ -10,9 +10,9 @@
 type strategy =
   | Binomial_world  (** grid-unaware binomial over all ranks ("Default LAM") *)
   | Flat_two_level  (** ECO / MagPIe: flat inter-cluster, binomial inside *)
-  | Scheduled of Gridb_sched.Heuristics.t
+  | Scheduled of Gridb_sched.Policy.t
       (** hierarchical with the given inter-cluster heuristic *)
-  | Adaptive of Gridb_sched.Heuristics.t list
+  | Adaptive of Gridb_sched.Policy.t list
       (** portfolio over the measured parameters: predict every candidate,
           run the winner (the paper's mixed-strategy suggestion, taken to
           its limit).  @raise Invalid_argument on an empty list at use. *)

@@ -12,9 +12,9 @@
     invariants of [Gridb_check.Invariant]) fold over its records.
 
     Times are producer-defined: simulation events carry simulated
-    microseconds, span events whatever clock the producer sampled
-    ({!Span} uses CPU time) — only differences within one producer are
-    meaningful. *)
+    microseconds, span events whatever clock the producer sampled ([gridsched
+    profile] uses host monotonic time) — only differences within one
+    producer are meaningful. *)
 
 type heap_op =
   | Rescore  (** a stale candidate entry was re-scored on pop *)

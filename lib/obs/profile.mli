@@ -17,7 +17,7 @@ type session_row = {
 
 type report = {
   schedule_us : float;
-      (** total of spans named ["schedule"] (host CPU time, us) *)
+      (** total of spans named ["schedule"] (host monotonic time, us) *)
   transmit_us : float;
       (** inter-cluster first-attempt NIC occupancy (simulated us) *)
   intra_us : float;  (** intra-cluster first-attempt NIC occupancy *)

@@ -402,3 +402,6 @@ let run_stats ?(mode = `Incremental) ?(obs = Sink.null) policy inst =
   (State.to_schedule state, stats)
 
 let run ?mode ?obs policy inst = fst (run_stats ?mode ?obs policy inst)
+
+let makespan ?model ?mode policy inst =
+  Schedule.makespan ?model inst (run ?mode policy inst)

@@ -49,9 +49,13 @@ val run : ?mode:mode -> ?obs:Gridb_obs.Sink.t -> Policy.t -> Instance.t -> Sched
 val run_stats :
   ?mode:mode -> ?obs:Gridb_obs.Sink.t -> Policy.t -> Instance.t -> Schedule.t * stats
 (** Same, also returning work counters — the naive counters match the
-    {!Overhead} closed forms exactly.  Kept as a thin compatibility wrapper
-    over the bus: the returned record holds the same values the [Counter]
-    events publish. *)
+    {!Overhead} closed forms exactly; {!run} is this with the counters
+    dropped.  The returned record holds the same values the [Counter]
+    events publish on [obs]. *)
+
+val makespan :
+  ?model:Schedule.completion_model -> ?mode:mode -> Policy.t -> Instance.t -> float
+(** [Schedule.makespan ?model inst (run ?mode policy inst)]. *)
 
 val naive_select : Policy.t -> State.t -> int * int
 (** One reference selection round: the (sender, receiver) pair the naive

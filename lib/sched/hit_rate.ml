@@ -23,7 +23,7 @@ let score ?(epsilon = 1e-9) ?model instances heuristics =
     (fun inst ->
       incr count;
       let makespans =
-        List.map (fun h -> Heuristics.makespan ?model h inst) heuristics |> Array.of_list
+        List.map (fun h -> Engine.makespan ?model h inst) heuristics |> Array.of_list
       in
       let global_min = Array.fold_left Float.min infinity makespans in
       Array.iteri
@@ -33,9 +33,9 @@ let score ?(epsilon = 1e-9) ?model instances heuristics =
         makespans)
     instances;
   List.mapi
-    (fun i (h : Heuristics.t) ->
+    (fun i h ->
       {
-        name = h.Heuristics.name;
+        name = Policy.name h;
         hits = hits.(i);
         iterations = !count;
         mean_makespan = Gridb_util.Stats.Online.mean stats.(i);

@@ -27,7 +27,7 @@ val run :
   iterations:int ->
   n:int ->
   Instance.ranges ->
-  Heuristics.t list ->
+  Policy.t list ->
   outcome list
 (** [run ~rng ~iterations ~n ranges hs]: draws [iterations] random
     instances of [n] clusters and scores every heuristic of [hs].
@@ -39,6 +39,6 @@ val run_instances :
   ?epsilon:float ->
   ?model:Schedule.completion_model ->
   Instance.t list ->
-  Heuristics.t list ->
+  Policy.t list ->
   outcome list
 (** Same scoring over a fixed list of instances (deterministic tests). *)

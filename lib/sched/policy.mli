@@ -10,8 +10,11 @@
     schedule the reference scan defines, including ascending-(i, j)
     tie-breaking.
 
-    {!Heuristics} keeps the historical closure-based record as a thin
-    wrapper over this module. *)
+    The paper's seven heuristics are values of {!t}.  Classical (Section
+    4, after Bhat et al. and the ECO/MagPIe flat tree): {!flat_tree},
+    {!fef}, {!ecef}, {!ecef_la}.  Grid-aware (Section 5, the paper's
+    contribution): {!ecef_lat_min} (ECEF-LAt), {!ecef_lat_max} (ECEF-LAT),
+    {!bottom_up}.  {!Engine.run} builds the schedule of any of them. *)
 
 type pair_score =
   | Latency  (** [L_ij] — FEF.  Static: no {!State.send} invalidates it. *)
@@ -55,16 +58,35 @@ val v : name:string -> shape -> t
 (** Custom policy. *)
 
 val flat_tree : t
+(** Root sends to every other cluster in index order (ECO / MagPIe). *)
+
 val fef : t
+(** Fastest Edge First: smallest [L_ij] over [A x B]; ignores ready times. *)
+
 val ecef : t
+(** Early Completion Edge First: minimises [avail_i + g_ij + L_ij]. *)
+
 val ecef_la : t
+(** ECEF with Bhat's lookahead [F_j = min (g_jk + L_jk)]. *)
+
 val ecef_lat_min : t
+(** ECEF-LAt: lookahead [min (g_jk + L_jk + T_k)]. *)
+
 val ecef_lat_max : t
+(** ECEF-LAT: lookahead [max (g_jk + L_jk + T_k)]. *)
+
 val bottom_up : t
+(** Max-min: picks the receiver whose {e best} reach
+    [min_i (avail_i + g_ij + L_ij) + T_j] is {e largest}, served by that
+    best sender — contact the slowest clusters as early as possible. *)
 
 val all : t list
-(** The seven paper heuristics, in paper order (same order and names as
-    {!Heuristics.all}). *)
+(** The seven paper heuristics, in paper order: FlatTree, FEF, ECEF,
+    ECEF-LA, ECEF-LAt, ECEF-LAT, BottomUp. *)
+
+val ecef_family : t list
+(** The four curves of Figures 3 and 4: ECEF, ECEF-LA, ECEF-LAt,
+    ECEF-LAT. *)
 
 val names : string list
 (** [List.map name all] — {e the} policy name table.  Every surface that
@@ -76,11 +98,25 @@ val select_min : ?name:string -> score:pair_score -> Lookahead.t -> t
 (** General minimising policy; default name ["ECEF-LA<lookahead>"]. *)
 
 val ecef_with : ?name:string -> Lookahead.t -> t
-(** [select_min ~score:Arrival]. *)
+(** [select_min ~score:Arrival]: ECEF with an arbitrary lookahead
+    (ablations). *)
 
 val sized : threshold:int -> small:t -> large:t -> t
 (** Named ["Mixed<small|large@threshold>"].
     @raise Invalid_argument if [threshold < 1]. *)
+
+val mixed_threshold : int
+(** 10 clusters — the size of GRID5000 at the time of the paper and the
+    upper bound of Figure 1. *)
+
+val mixed : ?threshold:int -> ?small:t -> ?large:t -> unit -> t
+(** The mixed strategy suggested at the end of Section 6: "We suggest the
+    use of performance-oriented heuristics like ECEF or ECEF-LA when the
+    number of clusters is reduced, and the ECEF-LAT technique for grid
+    systems with more clusters".  {!sized} with [threshold] (default
+    {!mixed_threshold}), [small] (default {!ecef_la}) and [large]
+    (default {!ecef_lat_max}), so the default is named
+    ["Mixed<ECEF-LA|ECEF-LAT@10>"]. *)
 
 val resolve : n:int -> t -> t
 (** Unwrap {!Sized} dispatch for an [n]-cluster instance; the result's

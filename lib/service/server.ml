@@ -1,7 +1,7 @@
 module Machines = Gridb_topology.Machines
 module Grid = Gridb_topology.Grid
 module Fingerprint = Gridb_topology.Fingerprint
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Session = Gridb_des.Session
@@ -104,7 +104,7 @@ let percentile sorted p =
     sorted.(min (m - 1) (max 0 idx))
 
 let heuristic_of policy =
-  match Heuristics.by_name policy with
+  match Policy.by_name policy with
   | Some h -> h
   | None -> invalid_arg (Printf.sprintf "Server.run: unknown policy %S" policy)
 
@@ -135,7 +135,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
       if i > 0 && r.Workload.at < requests.(i - 1).Workload.at then
         invalid_arg "Server.run: requests not in arrival order")
     requests;
-  let known (r : Workload.request) = Heuristics.by_name r.Workload.policy <> None in
+  let known (r : Workload.request) = Policy.by_name r.Workload.policy <> None in
   let chaotic =
     faults <> None || dynamics <> None || retry.budget > 0
     || Admission.shedding admission
@@ -171,7 +171,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
         let t0 = Unix.gettimeofday () in
         let h = heuristic_of k.Plan_cache.policy in
         let inst = Instance.of_grid ~root:k.Plan_cache.root ~msg:k.Plan_cache.bucket grid in
-        let s = Heuristics.run h inst in
+        let s = Gridb_sched.Engine.run h inst in
         let predicted = Schedule.makespan inst s in
         (s, predicted, (Unix.gettimeofday () -. t0) *. 1e6))
       unique
@@ -396,7 +396,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
                     | Some est -> Instance.rescale machines (Adaptive.quality est) inst
                     | None -> inst
                   in
-                  Heuristics.run h inst
+                  Gridb_sched.Engine.run h inst
                 in
                 let schedule, _ = Plan_cache.lookup cache ?estimator k ~compute in
                 incr retry_lookups;

@@ -14,7 +14,6 @@ module Grid5000 = Gridb_topology.Grid5000
 module Generators = Gridb_topology.Generators
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
-module Heuristics = Gridb_sched.Heuristics
 module Params = Gridb_plogp.Params
 module Rng = Gridb_util.Rng
 
@@ -575,7 +574,7 @@ let test_plan_flat_ranks () =
 let test_plan_of_schedule_structure () =
   let m = machines () in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 (Grid5000.grid ()) in
-  let sched = Heuristics.run Heuristics.ecef_la inst in
+  let sched = Gridb_sched.Engine.run Policy.ecef_la inst in
   let p = Plan.of_cluster_schedule m sched in
   Alcotest.(check int) "spans ranks" 88 (Plan.size p);
   Alcotest.(check int) "rooted at coordinator 0" 0 p.Plan.root;
@@ -596,7 +595,7 @@ let test_plan_of_schedule_structure () =
 let test_plan_of_flat_schedule () =
   let m = machines () in
   let inst = Gridb_sched.Instance.of_machines ~root:0 ~msg:1_000_000 m in
-  let schedule = Heuristics.run Heuristics.ecef inst in
+  let schedule = Gridb_sched.Engine.run Policy.ecef inst in
   let plan = Plan.of_flat_schedule m schedule in
   Alcotest.(check int) "spans all machines" 88 (Plan.size plan);
   (* each sender's children in the schedule's send order *)
@@ -623,9 +622,9 @@ let plan_of_schedule_spans_random =
       let inst = Instance.of_grid ~root:0 ~msg:500_000 grid in
       List.for_all
         (fun h ->
-          let p = Plan.of_cluster_schedule m (Heuristics.run h inst) in
+          let p = Plan.of_cluster_schedule m (Gridb_sched.Engine.run h inst) in
           Plan.size p = Machines.count m)
-        Heuristics.all)
+        Policy.all)
 
 (* --- Session: exactness against the analytic models --------------------- *)
 
@@ -637,14 +636,14 @@ let test_exec_matches_schedule_makespan () =
       let inst = Instance.of_grid ~root:0 ~msg grid in
       List.iter
         (fun h ->
-          let sched = Heuristics.run h inst in
+          let sched = Gridb_sched.Engine.run h inst in
           let predicted = Schedule.makespan inst sched in
           let plan = Plan.of_cluster_schedule m sched in
           let r = Session.run (Session.Config.v ~msg ()) m plan in
           check_feq ~eps:1e-9
-            (Printf.sprintf "%s at %d B" h.Heuristics.name msg)
+            (Printf.sprintf "%s at %d B" (Policy.name h) msg)
             predicted r.Session.makespan)
-        Heuristics.all)
+        Policy.all)
     [ 1_000; 1_000_000; 4_000_000 ]
 
 let test_exec_matches_tree_cost () =

@@ -11,7 +11,6 @@ module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
 module Engine = Gridb_sched.Engine
 module Lookahead = Gridb_sched.Lookahead
-module Heuristics = Gridb_sched.Heuristics
 module Overhead = Gridb_sched.Overhead
 module Generators = Gridb_topology.Generators
 module Rng = Gridb_util.Rng
@@ -21,7 +20,7 @@ module Rng = Gridb_util.Rng
    and both Dynamic lookaheads), the Transmission pair score, and a Sized
    dispatch with a parameterised component. *)
 let policies =
-  List.map (fun h -> h.Heuristics.policy) Heuristics.all
+  Policy.all
   @ List.map Policy.ecef_with Lookahead.all
   @ [
       Policy.select_min ~name:"FEF(g+L)" ~score:Policy.Transmission Lookahead.none;

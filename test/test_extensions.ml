@@ -8,7 +8,8 @@ module Grid5000 = Gridb_topology.Grid5000
 module Generators = Gridb_topology.Generators
 module Machines = Gridb_topology.Machines
 module Grid = Gridb_topology.Grid
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Plan = Gridb_des.Plan
 module Session = Gridb_des.Session
 module Rng = Gridb_util.Rng
@@ -196,18 +197,18 @@ let reduce_mirror_law =
       let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:500_000 grid in
       List.for_all
         (fun h ->
-          let r = Reduce.of_broadcast inst (Heuristics.run h inst) in
+          let r = Reduce.of_broadcast inst (Engine.run h inst) in
           match reduce_law_violation inst r with
           | None -> true
-          | Some d -> QCheck.Test.fail_reportf "%s: %s" h.Heuristics.name d)
-        Heuristics.all)
+          | Some d -> QCheck.Test.fail_reportf "%s: %s" (Policy.name h) d)
+        Policy.all)
 
 (* Moving one mirrored transmission in time breaks the law, whichever
    clause it crosses. *)
 let test_reduce_law_catches_a_shift () =
   let grid = Grid5000.grid () in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let r = Reduce.of_broadcast inst (Heuristics.run Heuristics.ecef inst) in
+  let r = Reduce.of_broadcast inst (Engine.run Policy.ecef inst) in
   let events = Array.of_list r.Reduce.events in
   let shift i d =
     {
@@ -258,7 +259,7 @@ let test_reduce_law_catches_a_shift () =
 let test_reduce_events_are_reversed () =
   let grid = Grid5000.grid () in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let b = Heuristics.run Heuristics.ecef inst in
+  let b = Engine.run Policy.ecef inst in
   let r = Gridb_extensions.Reduce_sched.of_broadcast inst b in
   Alcotest.(check int) "same root" 0 r.Gridb_extensions.Reduce_sched.root;
   Alcotest.(check int) "same event count"
@@ -288,12 +289,14 @@ let test_reduce_events_are_reversed () =
 let test_reduce_best_heuristic () =
   let grid = Grid5000.grid () in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let h, r = Gridb_extensions.Reduce_sched.best_heuristic inst Heuristics.all in
-  Alcotest.(check bool) "best is not the flat tree" true
-    (h.Heuristics.name <> "FlatTree");
-  let _, flat =
-    Gridb_extensions.Reduce_sched.best_heuristic inst [ Heuristics.flat_tree ]
+  let best_reduce heuristics =
+    let c = Gridb_sched.Portfolio.run ~heuristics inst in
+    ( c.Gridb_sched.Portfolio.heuristic,
+      Gridb_extensions.Reduce_sched.of_broadcast inst c.Gridb_sched.Portfolio.schedule )
   in
+  let h, r = best_reduce Policy.all in
+  Alcotest.(check bool) "best is not the flat tree" true (Policy.name h <> "FlatTree");
+  let _, flat = best_reduce [ Policy.flat_tree ] in
   Alcotest.(check bool) "beats flat-tree reduce" true
     (r.Gridb_extensions.Reduce_sched.makespan
     < flat.Gridb_extensions.Reduce_sched.makespan)
@@ -307,7 +310,7 @@ let grid5000_plan msg =
   let grid = Grid5000.grid () in
   let machines = Machines.expand grid in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg grid in
-  (machines, Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst))
+  (machines, Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst))
 
 let segmented ?(noise = Gridb_des.Noise.Exact) ?obs ~msg ~segments machines plan =
   Session.run ~segments
@@ -497,7 +500,7 @@ let test_multilevel_beats_flat () =
   let grid = Machines.grid machines in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg grid in
   let single_flat =
-    Plan.of_cluster_schedule machines (Heuristics.run Heuristics.flat_tree inst)
+    Plan.of_cluster_schedule machines (Engine.run Policy.flat_tree inst)
   in
   let run p = (Session.run (Session.Config.v ~msg ()) machines p).Session.makespan in
   Alcotest.(check bool) "heuristic multilevel <= flat multilevel" true

@@ -8,7 +8,8 @@
      dune exec test/test_golden.exe -- regen *)
 
 module Instance = Gridb_sched.Instance
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Schedule = Gridb_sched.Schedule
 module Rng = Gridb_util.Rng
 module Session = Gridb_des.Session
@@ -37,9 +38,9 @@ let test_grid5000_golden () =
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
   List.iter
     (fun (name, expected) ->
-      match Heuristics.by_name name with
+      match Policy.by_name name with
       | None -> Alcotest.failf "unknown heuristic %s" name
-      | Some h -> check_golden name expected (Heuristics.makespan h inst /. 1e6))
+      | Some h -> check_golden name expected (Engine.makespan h inst /. 1e6))
     grid5000_expectations
 
 (* Random instance stream: seed 2006, n = 10, first draw. *)
@@ -62,9 +63,9 @@ let test_random_instance_golden () =
   let inst = golden_instance () in
   List.iter
     (fun (name, expected) ->
-      match Heuristics.by_name name with
+      match Policy.by_name name with
       | None -> Alcotest.failf "unknown heuristic %s" name
-      | Some h -> check_golden name expected (Heuristics.makespan h inst /. 1e6))
+      | Some h -> check_golden name expected (Engine.makespan h inst /. 1e6))
     random_expectations
 
 let test_rng_stream_golden () =
@@ -131,7 +132,7 @@ let exec_corpus_buffer () =
     let msg = if i mod 2 = 0 then 1_000_000 else 65_536 in
     let root = i mod n in
     let inst = Instance.of_grid ~root ~msg grid in
-    let plan = Plan.of_cluster_schedule machines (Heuristics.run Heuristics.ecef_la inst) in
+    let plan = Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst) in
     (* Simple executor: exact and noisy. *)
     let sink = Sink.memory () in
     let r = Session.run (Session.Config.v ~msg ~obs:sink ()) machines plan in
@@ -205,16 +206,16 @@ let regen () =
   Printf.printf "grid5000 expectations:\n";
   List.iter
     (fun h ->
-      Printf.printf "    (%S, %.6f);\n" h.Heuristics.name
-        (Heuristics.makespan h inst /. 1e6))
-    Heuristics.all;
+      Printf.printf "    (%S, %.6f);\n" (Policy.name h)
+        (Engine.makespan h inst /. 1e6))
+    Policy.all;
   let inst = golden_instance () in
   Printf.printf "random expectations (seed 2006, n=10):\n";
   List.iter
     (fun h ->
-      Printf.printf "    (%S, %.6f);\n" h.Heuristics.name
-        (Heuristics.makespan h inst /. 1e6))
-    Heuristics.all;
+      Printf.printf "    (%S, %.6f);\n" (Policy.name h)
+        (Engine.makespan h inst /. 1e6))
+    Policy.all;
   let rng = Rng.create 2006 in
   Printf.printf "rng stream: %s\n"
     (String.concat "; "

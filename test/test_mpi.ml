@@ -156,7 +156,7 @@ let test_bcast_plan_equals_exec () =
   let grid = Grid5000.grid () in
   let m = Machines.expand grid in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let sched = Gridb_sched.Heuristics.run Gridb_sched.Heuristics.ecef_lat_max inst in
+  let sched = Gridb_sched.Engine.run Gridb_sched.Policy.ecef_lat_max inst in
   let plan = Plan.of_cluster_schedule m sched in
   let des = Session.run (Session.Config.v ~msg:1_000_000 ()) m plan in
   let r =
@@ -383,7 +383,7 @@ let test_solver_better_bcast_helps () =
   let m = Machines.expand grid in
   let inst = Gridb_sched.Instance.of_grid ~root:0 ~msg:500_000 grid in
   let plan =
-    Plan.of_cluster_schedule m (Gridb_sched.Heuristics.run Gridb_sched.Heuristics.ecef_la inst)
+    Plan.of_cluster_schedule m (Gridb_sched.Engine.run Gridb_sched.Policy.ecef_la inst)
   in
   let default =
     (Apps.run_solver ~iterations:3 ~compute_us:10_000. ~msg:500_000 m).Runtime.makespan

@@ -4,7 +4,6 @@
 
 module Event = Gridb_obs.Event
 module Sink = Gridb_obs.Sink
-module Span = Gridb_obs.Span
 module Profile = Gridb_obs.Profile
 module Rng = Gridb_util.Rng
 module Topology = Gridb_topology
@@ -125,20 +124,6 @@ let test_jsonl_sink_roundtrip () =
   | Ok events -> Alcotest.(check (list event)) "file round-trip" sample_events events
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
-
-(* --- Spans ------------------------------------------------------------ *)
-
-let test_span_wrap_pairs () =
-  let mem = Sink.memory () in
-  let v = Span.wrap mem "phase" (fun () -> 42) in
-  Alcotest.(check int) "wrap returns" 42 v;
-  match Sink.events mem with
-  | [ Event.Span_start { name = n1; time = t1 }; Event.Span_end { name = n2; time = t2 } ]
-    ->
-      Alcotest.(check string) "start name" "phase" n1;
-      Alcotest.(check string) "end name" "phase" n2;
-      Alcotest.(check bool) "monotonic" true (t2 >= t1)
-  | evs -> Alcotest.failf "expected start/end pair, got %d events" (List.length evs)
 
 (* --- Producers: bit-identity and streams ------------------------------ *)
 
@@ -341,7 +326,7 @@ let test_magpie_cache_and_strategy_events () =
   let tuning = Gridb_magpie.Tuning.create ~obs:mem machines in
   let strategy =
     Gridb_magpie.Bcast.Adaptive
-      [ Gridb_sched.Heuristics.ecef_la; Gridb_sched.Heuristics.flat_tree ]
+      [ Gridb_sched.Policy.ecef_la; Gridb_sched.Policy.flat_tree ]
   in
   ignore (Gridb_magpie.Bcast.execute tuning strategy ~root:0 ~msg:1_000_000);
   ignore (Gridb_magpie.Bcast.execute tuning strategy ~root:0 ~msg:1_000_000);
@@ -382,10 +367,9 @@ let profiled_events () =
   let grid = Topology.Grid5000.grid () in
   let mem = Sink.memory () in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
-  let schedule =
-    Span.wrap mem "schedule" (fun () ->
-        Sched_engine.run ~obs:mem Gridb_sched.Policy.ecef_la inst)
-  in
+  Sink.emit mem (Event.Span_start { name = "schedule"; time = 17.0 });
+  let schedule = Sched_engine.run ~obs:mem Gridb_sched.Policy.ecef_la inst in
+  Sink.emit mem (Event.Span_end { name = "schedule"; time = 43.0 });
   let machines = Machines.expand grid in
   let plan = Plan.of_cluster_schedule machines schedule in
   let r = Session.run (Session.Config.v ~obs:mem ()) machines plan in
@@ -550,7 +534,6 @@ let () =
           quick "null is disabled" test_null_sink_disabled;
           quick "memory preserves order" test_memory_sink_order;
           quick "jsonl file round-trip" test_jsonl_sink_roundtrip;
-          quick "span wrap pairs" test_span_wrap_pairs;
         ] );
       ( "transparency",
         [

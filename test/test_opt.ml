@@ -7,7 +7,6 @@
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
-module Heuristics = Gridb_sched.Heuristics
 module Engine = Gridb_sched.Engine
 module Bounds = Gridb_sched.Bounds
 module Generators = Gridb_topology.Generators
@@ -31,16 +30,19 @@ let check_outcome name = function
 
 (* ------------------------------------------------------------------ *)
 (* Satellite 1: one shared policy name table, no drift between the    *)
-(* Policy registry, the Heuristics wrapper and the CLI/check listings *)
+(* Policy registry and the CLI/check listings                        *)
 (* ------------------------------------------------------------------ *)
 
 let test_policy_table_shared () =
   let slist = Alcotest.(check (list string)) in
-  slist "Heuristics.names is Policy.names" Policy.names Heuristics.names;
+  slist "Policy.names is the paper's seven, in paper order"
+    [ "FlatTree"; "FEF"; "ECEF"; "ECEF-LA"; "ECEF-LAt"; "ECEF-LAT"; "BottomUp" ]
+    Policy.names;
   slist "Policy.all renders to Policy.names" Policy.names
     (List.map Policy.name Policy.all);
-  slist "Heuristics.all renders to the same table" Policy.names
-    (List.map (fun h -> h.Heuristics.name) Heuristics.all)
+  slist "Policy.ecef_family is Figures 3 and 4's curves"
+    [ "ECEF"; "ECEF-LA"; "ECEF-LAt"; "ECEF-LAT" ]
+    (List.map Policy.name Policy.ecef_family)
 
 let test_policy_menu_consistent () =
   (* The seeded scenario menu is the shared table plus the pinned Mixed
@@ -55,12 +57,12 @@ let test_policy_menu_consistent () =
       (match Policy.by_name name with
       | Some _ -> ()
       | None -> Alcotest.failf "Policy.by_name %S: no policy" name);
-      match Heuristics.by_name name with
+      match Policy.by_name name with
       | Some h ->
           Alcotest.(check string)
             (Printf.sprintf "by_name %S round-trips" name)
-            name h.Heuristics.name
-      | None -> Alcotest.failf "Heuristics.by_name %S: no heuristic" name)
+            name (Policy.name h)
+      | None -> Alcotest.failf "Policy.by_name %S: no heuristic" name)
     menu
 
 (* ------------------------------------------------------------------ *)

@@ -5,7 +5,8 @@
 
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Bounds = Gridb_sched.Bounds
 module Machines = Gridb_topology.Machines
 module Generators = Gridb_topology.Generators
@@ -74,9 +75,9 @@ let time_scaling =
       List.for_all
         (fun h ->
           feq ~eps:1e-9
-            (k *. Heuristics.makespan h inst)
-            (Heuristics.makespan h scaled))
-        Heuristics.all)
+            (k *. Engine.makespan h inst)
+            (Engine.makespan h scaled))
+        Policy.all)
 
 (* DES/analytic agreement on arbitrary random topologies (not just the
    GRID5000 instance used by test_des). *)
@@ -92,12 +93,12 @@ let des_agrees_on_random_topologies =
       let inst = Instance.of_grid ~root:0 ~msg grid in
       List.for_all
         (fun h ->
-          let schedule = Heuristics.run h inst in
+          let schedule = Engine.run h inst in
           let predicted = Schedule.makespan inst schedule in
           let plan = Gridb_des.Plan.of_cluster_schedule machines schedule in
           let r = Session.run (Session.Config.v ~msg ()) machines plan in
           feq ~eps:1e-9 predicted r.Session.makespan)
-        Heuristics.all)
+        Policy.all)
 
 (* The store-and-forward segmented broadcast as a simMPI rank program, the
    oracle for the DES's segmented replay: every rank receives segment [k]
@@ -171,8 +172,8 @@ let makespan_monotone_in_message_size =
       let small = Instance.of_grid ~root:0 ~msg:100_000 grid in
       let large = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
       List.for_all
-        (fun h -> Heuristics.makespan h small <= Heuristics.makespan h large +. 1e-6)
-        Heuristics.all)
+        (fun h -> Engine.makespan h small <= Engine.makespan h large +. 1e-6)
+        Policy.all)
 
 (* Adding one more cluster can never help the portfolio's best makespan on
    the same sub-instance draws... not in general; instead: the portfolio is
@@ -183,16 +184,16 @@ let portfolio_beats_mixed =
     QCheck.(pair (int_range 2 15) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let mixed = Gridb_sched.Mixed.strategy () in
+      let mixed = Policy.mixed () in
       (Gridb_sched.Portfolio.run inst).Gridb_sched.Portfolio.makespan
-      <= Heuristics.makespan mixed inst +. 1e-9)
+      <= Engine.makespan mixed inst +. 1e-9)
 
 let gantt_width_invariance =
   QCheck.Test.make ~name:"gantt renders at any width >= 10" ~count:(Testutil.count 20)
     QCheck.(pair (int_range 10 120) (int_bound 1_000))
     (fun (width, seed) ->
       let inst = random_instance ~n:5 seed in
-      let s = Heuristics.run Heuristics.ecef inst in
+      let s = Engine.run Policy.ecef inst in
       String.length (Gridb_sched.Gantt.render ~width inst s) > width)
 
 let () =

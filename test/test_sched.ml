@@ -6,9 +6,9 @@
 module Instance = Gridb_sched.Instance
 module State = Gridb_sched.State
 module Schedule = Gridb_sched.Schedule
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Lookahead = Gridb_sched.Lookahead
-module Mixed = Gridb_sched.Mixed
 module Hit_rate = Gridb_sched.Hit_rate
 module Rng = Gridb_util.Rng
 
@@ -104,8 +104,8 @@ let test_instance_of_machines () =
   (* node-level scheduling never loses to hierarchical on the same grid *)
   let hier = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
   Alcotest.(check bool) "flat ECEF <= hierarchical ECEF" true
-    (Heuristics.makespan Heuristics.ecef inst
-    <= Heuristics.makespan Heuristics.ecef hier +. 1e-6)
+    (Engine.makespan Policy.ecef inst
+    <= Engine.makespan Policy.ecef hier +. 1e-6)
 
 (* --- State ------------------------------------------------------------ *)
 
@@ -173,13 +173,13 @@ let all_heuristics_valid =
       let inst = random_instance ~n seed in
       List.for_all
         (fun h ->
-          let s = Heuristics.run h inst in
+          let s = Engine.run h inst in
           match Schedule.validate inst s with
           | Ok () -> true
           | Error msg ->
-              QCheck.Test.fail_reportf "%s invalid on n=%d seed=%d: %s" h.Heuristics.name
+              QCheck.Test.fail_reportf "%s invalid on n=%d seed=%d: %s" (Policy.name h)
                 n seed msg)
-        Heuristics.all)
+        Policy.all)
 
 let schedules_are_deterministic =
   QCheck.Test.make ~name:"heuristics are deterministic" ~count:(Testutil.count 50)
@@ -188,9 +188,9 @@ let schedules_are_deterministic =
       let inst = random_instance ~n seed in
       List.for_all
         (fun h ->
-          Schedule.makespan inst (Heuristics.run h inst)
-          = Schedule.makespan inst (Heuristics.run h inst))
-        Heuristics.all)
+          Schedule.makespan inst (Engine.run h inst)
+          = Schedule.makespan inst (Engine.run h inst))
+        Policy.all)
 
 let makespan_lower_bound =
   (* Any schedule's makespan is at least the best single-hop reach of the
@@ -202,21 +202,21 @@ let makespan_lower_bound =
       let max_t = Array.fold_left Float.max 0. inst.Instance.intra in
       List.for_all
         (fun h ->
-          let ms = Heuristics.makespan h inst in
+          let ms = Engine.makespan h inst in
           ms >= max_t -. 1e-6)
-        Heuristics.all)
+        Policy.all)
 
 let flat_tree_has_depth_one =
   QCheck.Test.make ~name:"flat tree never relays" ~count:(Testutil.count 50)
     QCheck.(pair (int_range 2 20) (int_bound 1_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let s = Heuristics.run Heuristics.flat_tree inst in
+      let s = Engine.run Policy.flat_tree inst in
       Schedule.depth s = 1 && Schedule.senders s = [ 0 ])
 
 let test_schedule_depth_and_senders () =
   let inst = hand_instance () in
-  let s = Heuristics.run Heuristics.ecef inst in
+  let s = Engine.run Policy.ecef inst in
   (* ECEF: 0->1 arrives at 3; then both 0 and 1 can send to 2:
      from 1: avail 3 + g 2 + L 1 = 6; from 0: avail 2 + 20 + 10 = 32.
      So 1 relays: depth 2. *)
@@ -227,7 +227,7 @@ let test_schedule_depth_and_senders () =
 let test_flat_tree_order_dependence () =
   (* The paper: flat tree "depends on how the clusters list is arranged". *)
   let inst = hand_instance () in
-  let s = Heuristics.run Heuristics.flat_tree inst in
+  let s = Engine.run Policy.flat_tree inst in
   check_feq "flat sends in index order: ready_1" 3. s.Schedule.ready.(1);
   check_feq "flat second send" 32. s.Schedule.ready.(2);
   check_feq "flat makespan" 32. (Schedule.makespan inst s)
@@ -239,7 +239,7 @@ let test_completion_models_differ () =
     Instance.v ~root:0 ~latency:inst.Instance.latency ~gap:inst.Instance.gap
       ~intra:[| 0.; 100.; 0. |]
   in
-  let s = Heuristics.run Heuristics.ecef inst in
+  let s = Engine.run Policy.ecef inst in
   (* cluster 1 receives at 3, relays until 5, then T=100:
      after-sends: 5 + 100 = 105; overlapped: max(3 + 100, 5) = 103. *)
   check_feq "after-sends" 105. (Schedule.makespan ~model:Schedule.After_sends inst s);
@@ -247,7 +247,7 @@ let test_completion_models_differ () =
 
 let test_validate_catches_corruption () =
   let inst = hand_instance () in
-  let s = Heuristics.run Heuristics.ecef inst in
+  let s = Engine.run Policy.ecef inst in
   let bad_ready = { s with Schedule.ready = Array.map (fun r -> r +. 1.) s.Schedule.ready } in
   Alcotest.(check bool) "corrupted ready detected" true
     (Result.is_error (Schedule.validate inst bad_ready));
@@ -263,16 +263,16 @@ let test_single_cluster_schedule () =
   let inst = Instance.v ~root:0 ~latency:[| [| 0. |] |] ~gap:[| [| 0. |] |] ~intra:[| 55. |] in
   List.iter
     (fun h ->
-      let s = Heuristics.run h inst in
+      let s = Engine.run h inst in
       Alcotest.(check int) "no events" 0 (Schedule.rounds s);
       check_feq "makespan = T" 55. (Schedule.makespan inst s))
-    Heuristics.all
+    Policy.all
 
 (* --- Heuristic semantics -------------------------------------------------- *)
 
 let test_fef_picks_min_latency_first () =
   let inst = hand_instance () in
-  let s = Heuristics.run Heuristics.fef inst in
+  let s = Engine.run Policy.fef inst in
   match s.Schedule.events with
   | first :: _ ->
       Alcotest.(check int) "first dst is closest" 1 first.Schedule.dst;
@@ -281,13 +281,13 @@ let test_fef_picks_min_latency_first () =
 
 let test_ecef_la_reduces_to_ecef_with_none () =
   (* With the 'none' lookahead the ECEF-LA driver must equal plain ECEF. *)
-  let h = Heuristics.ecef_with Lookahead.none in
+  let h = Policy.ecef_with Lookahead.none in
   for seed = 0 to 20 do
     let inst = random_instance ~n:12 seed in
     check_feq
       (Printf.sprintf "seed %d" seed)
-      (Heuristics.makespan Heuristics.ecef inst)
-      (Heuristics.makespan h inst)
+      (Engine.makespan Policy.ecef inst)
+      (Engine.makespan h inst)
   done
 
 let test_lookahead_values () =
@@ -340,26 +340,26 @@ let test_ecef_lat_prefers_slow_cluster () =
   for i = 0 to 3 do gap.(i).(i) <- 0. done;
   let inst = Instance.v ~root:0 ~latency ~gap ~intra:[| 0.; 1000.; 0.; 0. |] in
   let first_dst h =
-    match (Heuristics.run h inst).Schedule.events with
+    match (Engine.run h inst).Schedule.events with
     | e :: _ -> e.Schedule.dst
     | [] -> -1
   in
   Alcotest.(check int) "LAT first fetches the slow cluster" 1
-    (first_dst Heuristics.ecef_lat_max);
+    (first_dst Policy.ecef_lat_max);
   Alcotest.(check int) "LAt first fetches a fast cluster" 2
-    (first_dst Heuristics.ecef_lat_min)
+    (first_dst Policy.ecef_lat_min)
 
 let test_bottom_up_targets_slowest () =
   let latency = [| [| 0.; 1.; 1. |]; [| 1.; 0.; 1. |]; [| 1.; 1.; 0. |] |] in
   let gap = [| [| 0.; 2.; 2. |]; [| 2.; 0.; 2. |]; [| 2.; 2.; 0. |] |] in
   let inst = Instance.v ~root:0 ~latency ~gap ~intra:[| 0.; 0.; 5000. |] in
-  let s = Heuristics.run Heuristics.bottom_up inst in
+  let s = Engine.run Policy.bottom_up inst in
   match s.Schedule.events with
   | e :: _ -> Alcotest.(check int) "slowest first" 2 e.Schedule.dst
   | [] -> Alcotest.fail "no events"
 
 let test_by_name () =
-  let name n = Option.map (fun h -> h.Heuristics.name) (Heuristics.by_name n) in
+  let name n = Option.map Policy.name (Policy.by_name n) in
   (* "ecef-lat" matches both ECEF-LAt (min) and ECEF-LAT (max) up to case:
      it must resolve to neither rather than silently picking one. *)
   Alcotest.(check (option string)) "ecef-lat is ambiguous" None (name "ecef-lat");
@@ -373,15 +373,47 @@ let test_by_name () =
   Alcotest.(check (option string))
     "mixed round-trips"
     (Some "Mixed<ECEF-LA|ECEF-LAT@10>")
-    (name (Mixed.strategy ()).Heuristics.name);
+    (name (Policy.name (Policy.mixed ())));
   Alcotest.(check (option string))
     "mixed with parameterised component"
     (Some "Mixed<ECEF-LA<min-edge>|ECEF-LAT@7>")
     (name "Mixed<ECEF-LA<min-edge>|ECEF-LAT@7>");
-  Alcotest.(check bool) "unknown" true (Heuristics.by_name "nope" = None);
-  Alcotest.(check bool) "ECEF-LA<nope>" true (Heuristics.by_name "ECEF-LA<nope>" = None);
-  Alcotest.(check int) "all has 7" 7 (List.length Heuristics.all);
-  Alcotest.(check int) "family has 4" 4 (List.length Heuristics.ecef_family)
+  Alcotest.(check bool) "unknown" true (Policy.by_name "nope" = None);
+  Alcotest.(check bool) "ECEF-LA<nope>" true (Policy.by_name "ECEF-LA<nope>" = None);
+  Alcotest.(check int) "all has 7" 7 (List.length Policy.all);
+  Alcotest.(check int) "family has 4" 4 (List.length Policy.ecef_family)
+
+(* Server.run and the CLI resolve policies by name, so a name must be a
+   faithful handle: it gives back a policy that schedules like the one it
+   names, event for event. *)
+let named_policies =
+  let nested =
+    Policy.mixed ~threshold:4
+      ~small:
+        (Policy.mixed ~threshold:2 ~small:Policy.fef
+           ~large:(Policy.ecef_with Lookahead.min_edge_plus_t) ())
+      ~large:Policy.bottom_up ()
+  in
+  Policy.all
+  @ List.map Policy.ecef_with Lookahead.all
+  @ [ Policy.mixed (); nested ]
+
+let names_are_faithful_handles =
+  QCheck.Test.make ~name:"by_name (name p) schedules like p" ~count:(Testutil.count 50)
+    QCheck.(pair (int_range 1 12) (int_bound 10_000))
+    (fun (n, seed) ->
+      let inst = random_instance ~n seed in
+      List.for_all
+        (fun p ->
+          let name = Policy.name p in
+          match Policy.by_name name with
+          | None -> QCheck.Test.fail_reportf "%s does not resolve" name
+          | Some q ->
+              let events p = (Engine.run p inst).Schedule.events in
+              (Policy.name q = name && events q = events p)
+              || QCheck.Test.fail_reportf "%s: resolved policy differs on n=%d seed=%d" name
+                   n seed)
+        named_policies)
 
 (* --- Brute-force oracle ------------------------------------------------ *)
 
@@ -398,7 +430,7 @@ let optimal_not_beaten =
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
       let opt = Brute_force.makespan inst in
-      List.for_all (fun h -> Heuristics.makespan h inst >= opt -. 1e-6) Heuristics.all)
+      List.for_all (fun h -> Engine.makespan h inst >= opt -. 1e-6) Policy.all)
 
 let optimal_schedule_is_valid_and_matches =
   QCheck.Test.make ~name:"optimal schedule valid and achieves its makespan" ~count:(Testutil.count 40)
@@ -423,21 +455,21 @@ let test_optimal_two_clusters () =
 (* --- Mixed strategy -------------------------------------------------------- *)
 
 let test_mixed_dispatch () =
-  let mixed = Mixed.strategy ~threshold:5 () in
+  let mixed = Policy.mixed ~threshold:5 () in
   let small = random_instance ~n:4 11 in
   check_feq "small = ECEF-LA"
-    (Heuristics.makespan Heuristics.ecef_la small)
-    (Heuristics.makespan mixed small);
+    (Engine.makespan Policy.ecef_la small)
+    (Engine.makespan mixed small);
   let large = random_instance ~n:12 11 in
   check_feq "large = ECEF-LAT"
-    (Heuristics.makespan Heuristics.ecef_lat_max large)
-    (Heuristics.makespan mixed large)
+    (Engine.makespan Policy.ecef_lat_max large)
+    (Engine.makespan mixed large)
 
 (* --- Hit rate -------------------------------------------------------------- *)
 
 let test_hit_rate_bookkeeping () =
   let instances = List.init 50 (fun i -> random_instance ~n:8 i) in
-  let outcomes = Hit_rate.run_instances instances Heuristics.ecef_family in
+  let outcomes = Hit_rate.run_instances instances Policy.ecef_family in
   Alcotest.(check int) "4 outcomes" 4 (List.length outcomes);
   List.iter
     (fun o ->
@@ -450,7 +482,7 @@ let test_hit_rate_bookkeeping () =
 
 let test_hit_rate_identical_heuristics_tie () =
   let instances = List.init 20 (fun i -> random_instance ~n:6 (100 + i)) in
-  let outcomes = Hit_rate.run_instances instances [ Heuristics.ecef; Heuristics.ecef ] in
+  let outcomes = Hit_rate.run_instances instances [ Policy.ecef; Policy.ecef ] in
   match outcomes with
   | [ a; b ] ->
       Alcotest.(check int) "both always hit" 20 a.Hit_rate.hits;
@@ -464,7 +496,7 @@ let test_hit_rate_rejects () =
     (fun () ->
       ignore
         (Hit_rate.run ~rng:(Rng.create 0) ~iterations:0 ~n:3 Instance.table2_ranges
-           Heuristics.all))
+           Policy.all))
 
 (* --- Bounds -------------------------------------------------------------- *)
 
@@ -474,7 +506,7 @@ let bounds_below_every_heuristic =
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
       let lb = Gridb_sched.Bounds.combined inst in
-      List.for_all (fun h -> Heuristics.makespan h inst >= lb -. 1e-6) Heuristics.all)
+      List.for_all (fun h -> Engine.makespan h inst >= lb -. 1e-6) Policy.all)
 
 let bounds_below_optimal =
   QCheck.Test.make ~name:"combined bound never exceeds the optimum" ~count:(Testutil.count 40)
@@ -510,7 +542,7 @@ let test_bounds_single_cluster () =
 
 let test_refine_picks_roundtrip () =
   let inst = random_instance ~n:8 5 in
-  let s = Heuristics.run Heuristics.ecef inst in
+  let s = Engine.run Policy.ecef inst in
   let picks = Gridb_sched.Refine.picks_of_schedule s in
   match Gridb_sched.Refine.replay inst picks with
   | None -> Alcotest.fail "replay of a valid schedule failed"
@@ -530,25 +562,25 @@ let refine_never_worse =
       let inst = random_instance ~n seed in
       List.for_all
         (fun h ->
-          let s = Heuristics.run h inst in
+          let s = Engine.run h inst in
           let refined = Gridb_sched.Refine.improve ~max_rounds:10 inst s in
           Result.is_ok (Schedule.validate inst refined)
           && Schedule.makespan inst refined <= Schedule.makespan inst s +. 1e-6)
-        [ Heuristics.flat_tree; Heuristics.fef; Heuristics.ecef_lat_max ])
+        [ Policy.flat_tree; Policy.fef; Policy.ecef_lat_max ])
 
 let refine_never_beats_optimal =
   QCheck.Test.make ~name:"local search stays above the optimum" ~count:(Testutil.count 30)
     QCheck.(pair (int_range 2 6) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let s = Gridb_sched.Refine.improve inst (Heuristics.run Heuristics.flat_tree inst) in
+      let s = Gridb_sched.Refine.improve inst (Engine.run Policy.flat_tree inst) in
       Schedule.makespan inst s >= Brute_force.makespan inst -. 1e-6)
 
 let test_refine_improves_flat_tree () =
   (* On the hand instance, the flat tree (makespan 32) must be improved to
      the optimal relay schedule (6). *)
   let inst = hand_instance () in
-  let flat = Heuristics.run Heuristics.flat_tree inst in
+  let flat = Engine.run Policy.flat_tree inst in
   check_feq "flat is 32" 32. (Schedule.makespan inst flat);
   let refined = Gridb_sched.Refine.improve inst flat in
   check_feq "refined reaches the optimum" 6. (Schedule.makespan inst refined);
@@ -560,20 +592,20 @@ let anneal_never_worse =
     QCheck.(pair (int_range 2 8) (int_bound 10_000))
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
-      let s = Heuristics.run Heuristics.flat_tree inst in
+      let s = Engine.run Policy.flat_tree inst in
       let refined = Gridb_sched.Refine.anneal ~seed ~steps:400 inst s in
       Result.is_ok (Schedule.validate inst refined)
       && Schedule.makespan inst refined <= Schedule.makespan inst s +. 1e-6)
 
 let test_anneal_escapes_hand_instance () =
   let inst = hand_instance () in
-  let flat = Heuristics.run Heuristics.flat_tree inst in
+  let flat = Engine.run Policy.flat_tree inst in
   let refined = Gridb_sched.Refine.anneal ~seed:3 ~steps:500 inst flat in
   check_feq "reaches the optimum" 6. (Schedule.makespan inst refined)
 
 let test_anneal_deterministic_per_seed () =
   let inst = random_instance ~n:7 77 in
-  let s = Heuristics.run Heuristics.fef inst in
+  let s = Engine.run Policy.fef inst in
   let a = Schedule.makespan inst (Gridb_sched.Refine.anneal ~seed:5 inst s) in
   let b = Schedule.makespan inst (Gridb_sched.Refine.anneal ~seed:5 inst s) in
   check_feq "same seed same result" a b
@@ -598,8 +630,8 @@ let ga_never_worse_than_best_seed =
       let config = { Genetic.default_config with generations = 8; population = 10; seed } in
       let best_heuristic =
         List.fold_left
-          (fun acc h -> Float.min acc (Heuristics.makespan h inst))
-          infinity Heuristics.all
+          (fun acc h -> Float.min acc (Engine.makespan h inst))
+          infinity Policy.all
       in
       let s = Genetic.search ~config inst in
       Result.is_ok (Schedule.validate inst s)
@@ -618,7 +650,7 @@ let test_ga_improves_flat_seed () =
   (* Seeded only with the flat tree, the GA must find the relay schedule of
      the hand instance. *)
   let inst = hand_instance () in
-  let flat = Heuristics.run Heuristics.flat_tree inst in
+  let flat = Engine.run Policy.flat_tree inst in
   let s =
     Genetic.search
       ~config:{ Genetic.default_config with generations = 20; population = 8; seed = 4 }
@@ -648,8 +680,8 @@ let portfolio_dominates_members =
       let choice = Gridb_sched.Portfolio.run inst in
       let member_min =
         List.fold_left
-          (fun acc h -> Float.min acc (Heuristics.makespan h inst))
-          infinity Heuristics.all
+          (fun acc h -> Float.min acc (Engine.makespan h inst))
+          infinity Policy.all
       in
       Float.abs (choice.Gridb_sched.Portfolio.makespan -. member_min) < 1e-9
       && Result.is_ok (Schedule.validate inst choice.Gridb_sched.Portfolio.schedule))
@@ -659,7 +691,7 @@ let test_portfolio_fields () =
   let c = Gridb_sched.Portfolio.run inst in
   Alcotest.(check int) "evaluated all" 7 c.Gridb_sched.Portfolio.evaluated;
   Alcotest.(check bool) "winner named" true
-    (Heuristics.by_name c.Gridb_sched.Portfolio.heuristic <> None);
+    (Policy.by_name (Policy.name c.Gridb_sched.Portfolio.heuristic) <> None);
   Alcotest.check_raises "empty list"
     (Invalid_argument "Portfolio.run: empty heuristic list") (fun () ->
       ignore (Gridb_sched.Portfolio.run ~heuristics:[] inst));
@@ -672,8 +704,9 @@ let test_portfolio_tie_break () =
   let inst = random_instance ~n:2 4 in
   let c = Gridb_sched.Portfolio.run inst in
   Alcotest.(check string) "first member wins ties"
-    (List.hd Heuristics.all).Heuristics.name c.Gridb_sched.Portfolio.heuristic;
-  check_feq "tie makespan" (Heuristics.makespan (List.hd Heuristics.all) inst)
+    (Policy.name (List.hd Policy.all))
+    (Policy.name c.Gridb_sched.Portfolio.heuristic);
+  check_feq "tie makespan" (Engine.makespan (List.hd Policy.all) inst)
     c.Gridb_sched.Portfolio.makespan
 
 (* --- Gantt -------------------------------------------------------------- *)
@@ -709,7 +742,7 @@ let test_gantt_golden () =
 
 let test_gantt_renders () =
   let inst = random_instance ~n:5 9 in
-  let s = Heuristics.run Heuristics.ecef_la inst in
+  let s = Engine.run Policy.ecef_la inst in
   let text = Gridb_sched.Gantt.render inst s in
   Alcotest.(check bool) "has rows for every cluster" true
     (List.length (String.split_on_char '\n' text) >= 5 + 3);
@@ -719,7 +752,7 @@ let test_gantt_renders () =
 
 let test_gantt_flat_tree_structure () =
   let inst = hand_instance () in
-  let s = Heuristics.run Heuristics.flat_tree inst in
+  let s = Engine.run Policy.flat_tree inst in
   let text = Gridb_sched.Gantt.render ~width:32 inst s in
   (* the root row must contain sending glyphs, receivers waiting dots *)
   let lines = String.split_on_char '\n' text in
@@ -770,6 +803,7 @@ let () =
           quick "LAT prefers slow receiver" test_ecef_lat_prefers_slow_cluster;
           quick "BottomUp targets slowest" test_bottom_up_targets_slowest;
           quick "by_name" test_by_name;
+          QCheck_alcotest.to_alcotest names_are_faithful_handles;
         ] );
       ( "optimal",
         [

@@ -9,7 +9,8 @@ module Grid = Gridb_topology.Grid
 module Generators = Gridb_topology.Generators
 module Fingerprint = Gridb_topology.Fingerprint
 module Params = Gridb_plogp.Params
-module Heuristics = Gridb_sched.Heuristics
+module Policy = Gridb_sched.Policy
+module Engine = Gridb_sched.Engine
 module Instance = Gridb_sched.Instance
 module Adaptive = Gridb_des.Adaptive
 module Session = Gridb_des.Session
@@ -31,8 +32,8 @@ let grid_of_seed ?(n = 4) seed =
 let machines_of_seed ?n seed = Machines.expand (grid_of_seed ?n seed)
 
 let fresh_schedule machines ~root ~msg ~policy =
-  let h = Option.get (Heuristics.by_name policy) in
-  Heuristics.run h (Instance.of_grid ~root ~msg (Machines.grid machines))
+  let h = Option.get (Policy.by_name policy) in
+  Engine.run h (Instance.of_grid ~root ~msg (Machines.grid machines))
 
 (* --- fingerprint ------------------------------------------------------- *)
 
@@ -697,13 +698,13 @@ let test_server_retry_lowers_cached_schedule () =
   in
   let plan_of policy =
     Gridb_des.Plan.of_cluster_schedule machines
-      (Heuristics.run (Option.get (Heuristics.by_name policy)) inst)
+      (Engine.run (Option.get (Policy.by_name policy)) inst)
   in
   let root_children (plan : Gridb_des.Plan.t) =
     plan.Gridb_des.Plan.children.(plan.Gridb_des.Plan.root)
   in
   let cache = Plan_cache.create () in
-  let flat = Heuristics.run (Option.get (Heuristics.by_name "FlatTree")) inst in
+  let flat = Engine.run (Option.get (Policy.by_name "FlatTree")) inst in
   ignore (Plan_cache.lookup cache key ~compute:(fun () -> flat));
   Alcotest.(check bool) "the two plans' roots differ" false
     (root_children (plan_of "ECEF") = root_children (plan_of "FlatTree"));
