@@ -66,14 +66,27 @@ let check_index ~flag ~what ~count i =
          (Printf.sprintf "option '%s': no %s %d (the topology has %d, numbered from 0)"
             flag what i count))
 
+(* An input that parses but that no command can run on: cmdliner's exit
+   124 with the one line, without the usage text. *)
+exception Refused of string
+
 let with_usage body =
-  Term.(ret (const (fun run -> try `Ok (run ()) with Usage m -> `Error (true, m)) $ body))
+  Term.(
+    ret
+      (const (fun run ->
+           try `Ok (run ()) with Usage m -> `Error (true, m) | Refused m -> `Error (false, m))
+      $ body))
 
 let root_arg =
   Arg.(value & opt (int_at_least 0) 0 & info [ "root" ] ~docv:"CLUSTER" ~doc:"Root cluster.")
 
 let check_root grid root =
   check_index ~flag:"--root" ~what:"cluster" ~count:(Topology.Grid.size grid) root
+
+(* A gap table extrapolates past its last point: a falling one goes
+   negative at a large message, a steep one overflows to infinity. *)
+let check_costs grid ~msg =
+  match Instance.check_grid ~msg grid with Ok () -> () | Error e -> raise (Refused e)
 
 let engine_arg =
   let mode = Arg.enum [ ("incremental", `Incremental); ("naive", `Naive) ] in
@@ -129,6 +142,7 @@ let schedule_cmd =
         1
     | Ok grid ->
         check_root grid root;
+        check_costs grid ~msg;
         let inst = Instance.of_grid ~root ~msg grid in
         let schedule = Engine.run ~mode heuristic inst in
         let schedule =
@@ -177,6 +191,7 @@ let compare_cmd =
         1
     | Ok grid ->
         check_root grid root;
+        check_costs grid ~msg;
         let inst = Instance.of_grid ~root ~msg grid in
         let table =
           Gridb_util.Text_table.create
@@ -381,6 +396,7 @@ let optimal_cmd =
         1
     | Ok grid ->
         check_root grid root;
+        check_costs grid ~msg;
         let inst = Instance.of_grid ~root ~msg grid in
         if inst.Instance.n > Gridb_opt.Exact.default_max_clusters then begin
           Printf.eprintf "exact search is capped at %d clusters (topology has %d)\n"
@@ -509,12 +525,14 @@ let trace_arg =
            line; read back with $(b,Gridb_obs.Sink.read)).")
 
 let simulate_cmd =
-  let run heuristic topology msg seed faults dynamics retries transport reps jitter jobs trace =
+  let run heuristic topology msg seed faults dynamics retries transport reps jitter jobs trace
+      () =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
         1
     | Ok grid ->
+        check_costs grid ~msg;
         let noise =
           if jitter > 0. then Gridb_des.Noise.Lognormal jitter else Gridb_des.Noise.Exact
         in
@@ -615,9 +633,10 @@ let simulate_cmd =
        ~doc:
          "Reliable broadcast under fault injection and grid dynamics (delivery ratio, \
           inflation, repair)")
-    Term.(
-      const run $ heuristic $ topology_arg $ msg_arg $ seed_arg $ faults $ dynamics
-      $ retries $ transport $ reps $ jitter $ jobs_arg $ trace_arg)
+    (with_usage
+       Term.(
+         const run $ heuristic $ topology_arg $ msg_arg $ seed_arg $ faults $ dynamics
+         $ retries $ transport $ reps $ jitter $ jobs_arg $ trace_arg))
 
 (* --- profile: per-phase rollup of one schedule-and-execute pipeline --- *)
 
@@ -629,6 +648,7 @@ let profile_cmd =
         1
     | Ok grid ->
         check_root grid root;
+        check_costs grid ~msg;
         (* One Memory sink observes the whole pipeline: a span around
            scheduling, in host monotonic us, then the rank-level DES
            execution. *)
@@ -772,7 +792,7 @@ let check_cmd =
 let serve_cmd =
   let run topology rate duration seed jobs transport max_concurrent max_backlog smoke
       profile trace mix faults dynamics retry_budget retry_backoff shed_watermark
-      shed_open_frac =
+      shed_open_frac () =
     match load_grid topology with
     | Error e ->
         prerr_endline e;
@@ -792,6 +812,13 @@ let serve_cmd =
             prerr_endline e;
             1
         | Ok mix ->
+        (* Every size the mix can draw, and the size class it is planned at. *)
+        let msgs = (Option.value mix ~default:(Gridb_service.Workload.default_mix machines)).msgs in
+        Array.iter
+          (fun msg ->
+            check_costs grid ~msg;
+            check_costs grid ~msg:(Gridb_service.Plan_cache.bucket_of_size msg))
+          msgs;
         let requests =
           Gridb_service.Workload.generate ?mix ~seed ~rate:(rate /. 1e6)
             ~duration machines
@@ -958,10 +985,11 @@ let serve_cmd =
          "Serve a seeded open-loop broadcast workload: memoized planning, admission \
           control, concurrent sessions on one shared wire, optional chaos (faults, \
           dynamics, retries, deadlines, load shedding)")
-    Term.(
-      const run $ topology_arg $ rate $ duration $ seed_arg $ jobs_arg $ transport
-      $ max_concurrent $ max_backlog $ smoke $ profile $ trace_arg $ mix $ faults
-      $ dynamics $ retry_budget $ retry_backoff $ shed_watermark $ shed_open_frac)
+    (with_usage
+       Term.(
+         const run $ topology_arg $ rate $ duration $ seed_arg $ jobs_arg $ transport
+         $ max_concurrent $ max_backlog $ smoke $ profile $ trace_arg $ mix $ faults
+         $ dynamics $ retry_budget $ retry_backoff $ shed_watermark $ shed_open_frac))
 
 let main_cmd =
   let doc = "broadcast scheduling heuristics for grid environments (PMEO-PDS'06 reproduction)" in

@@ -91,7 +91,7 @@ let nic_serialization (inst : Instance.t) (s : Schedule.t) =
             || e.src = e.dst
           then fail name "round %d: bad edge %d -> %d" e.round e.src e.dst
           else begin
-            let g = inst.Instance.gap.(e.src).(e.dst) in
+            let g = Instance.gap inst e.src e.dst in
             if e.start +. 1e-9 < busy.(e.src) then
               fail name
                 "round %d: cluster %d starts a send at %g while its NIC is busy until %g"
@@ -164,8 +164,8 @@ let replay (inst : Instance.t) order =
           Error "replay: root receives"
         else begin
           let start = Float.max ready.(i) busy.(i) in
-          busy.(i) <- start +. inst.Instance.gap.(i).(j);
-          ready.(j) <- busy.(i) +. inst.Instance.latency.(i).(j);
+          busy.(i) <- start +. Instance.gap inst i j;
+          ready.(j) <- busy.(i) +. Instance.latency inst i j;
           go rest
         end
   in
@@ -200,8 +200,8 @@ let makespan_recomputation (inst : Instance.t) (s : Schedule.t) =
             fail name "round %d: sender %d never received" e.round e.src
           else begin
             let start = Float.max ready.(e.src) busy.(e.src) in
-            let free = start +. inst.Instance.gap.(e.src).(e.dst) in
-            let arrival = free +. inst.Instance.latency.(e.src).(e.dst) in
+            let free = start +. Instance.gap inst e.src e.dst in
+            let arrival = free +. Instance.latency inst e.src e.dst in
             if not (feq start e.start) then
               fail name "round %d: recorded start %g, recomputed %g" e.round e.start start
             else if not (feq free e.sender_free) then

@@ -8,8 +8,8 @@ let fail invariant fmt =
 let feq = Invariant.feq
 
 let scale_instance c (inst : Instance.t) =
-  let mat = Array.map (Array.map (fun x -> c *. x)) in
-  Instance.v ~root:inst.root ~latency:(mat inst.latency) ~gap:(mat inst.gap)
+  let mat m = Array.init inst.n (fun i -> Array.init inst.n (fun j -> c *. m inst i j)) in
+  Instance.v ~root:inst.root ~latency:(mat Instance.latency) ~gap:(mat Instance.gap)
     ~intra:(Array.map (fun x -> c *. x) inst.intra)
 
 let check_permutation perm n =
@@ -24,19 +24,11 @@ let check_permutation perm n =
     perm
 
 let permute_instance perm (inst : Instance.t) =
-  let n = inst.n in
-  check_permutation perm n;
-  let latency = Array.make_matrix n n 0. in
-  let gap = Array.make_matrix n n 0. in
-  let intra = Array.make n 0. in
-  for i = 0 to n - 1 do
-    intra.(perm.(i)) <- inst.intra.(i);
-    for j = 0 to n - 1 do
-      latency.(perm.(i)).(perm.(j)) <- inst.latency.(i).(j);
-      gap.(perm.(i)).(perm.(j)) <- inst.gap.(i).(j)
-    done
-  done;
-  Instance.v ~root:perm.(inst.root) ~latency ~gap ~intra
+  check_permutation perm inst.n;
+  (* Cluster [perm.(i)] of the result is [inst]'s cluster [i]. *)
+  let ids = Array.make inst.n 0 in
+  Array.iteri (fun i p -> ids.(p) <- i) perm;
+  Instance.sub inst ~root:perm.(inst.root) ids
 
 let order (s : Schedule.t) =
   List.map (fun (e : Schedule.event) -> (e.round, e.src, e.dst)) s.events
@@ -99,18 +91,18 @@ let dominated ~(small : Instance.t) ~(large : Instance.t) =
   (* [large >= small] entrywise, up to the relative epsilon of [feq]. *)
   let ge a b = a >= b || feq a b in
   let bad = ref None in
-  let n = small.n in
+  let n = small.n and lat = Instance.latency and gap = Instance.gap in
   for i = 0 to n - 1 do
     if not (ge large.intra.(i) small.intra.(i)) then
       bad := Some (Printf.sprintf "intra.(%d): %.17g < %.17g" i
                      large.intra.(i) small.intra.(i));
     for j = 0 to n - 1 do
-      if not (ge large.latency.(i).(j) small.latency.(i).(j)) then
+      if not (ge (lat large i j) (lat small i j)) then
         bad := Some (Printf.sprintf "latency.(%d).(%d): %.17g < %.17g" i j
-                       large.latency.(i).(j) small.latency.(i).(j));
-      if not (ge large.gap.(i).(j) small.gap.(i).(j)) then
+                       (lat large i j) (lat small i j));
+      if not (ge (gap large i j) (gap small i j)) then
         bad := Some (Printf.sprintf "gap.(%d).(%d): %.17g < %.17g" i j
-                       large.gap.(i).(j) small.gap.(i).(j))
+                       (gap large i j) (gap small i j))
     done
   done;
   !bad

@@ -20,7 +20,9 @@ val per_node_arrival : params:Gridb_plogp.Params.t -> msg:int -> Tree.t -> (int 
 val broadcast_time :
   ?shape:Tree.shape -> params:Gridb_plogp.Params.t -> size:int -> msg:int -> unit -> float
 (** The paper's [T_k]: completion of an intra-cluster broadcast over [size]
-    processes ([shape] defaults to [Binomial]).  0. when [size <= 1]. *)
+    processes ([shape] defaults to [Binomial]), walking the implicit tree
+    without building it; bit-identical to {!tree_completion} on
+    [Tree.build shape size].  0. when [size <= 1]. *)
 
 val scatter_time : params:Gridb_plogp.Params.t -> size:int -> msg:int -> float
 (** Root sends a distinct [msg]-byte block to each of the [size - 1] others:

@@ -498,16 +498,9 @@ let tuned_intra () =
   let grid = Topology.Grid5000.grid () in
   let root = Topology.Grid5000.root_cluster in
   let with_t t_of msg =
-    let n = Topology.Grid.size grid in
-    let latency =
-      Array.init n (fun i ->
-          Array.init n (fun j -> if i = j then 0. else Topology.Grid.latency grid i j))
-    in
-    let gap =
-      Array.init n (fun i ->
-          Array.init n (fun j -> if i = j then 0. else Topology.Grid.gap grid i j msg))
-    in
-    Instance.v ~root ~latency ~gap ~intra:(Array.init n (fun c -> t_of c msg))
+    Instance.with_intra
+      (Instance.of_grid ~root ~msg grid)
+      (Array.init (Topology.Grid.size grid) (fun c -> t_of c msg))
   in
   let binomial_t c msg =
     let cl = Topology.Grid.cluster grid c in

@@ -1,8 +1,6 @@
 module Grid = Gridb_topology.Grid
-module Cluster = Gridb_topology.Cluster
 module Machines = Gridb_topology.Machines
 module Tree = Gridb_collectives.Tree
-module Cost = Gridb_collectives.Cost
 module Instance = Gridb_sched.Instance
 module Schedule = Gridb_sched.Schedule
 module Policy = Gridb_sched.Policy
@@ -24,24 +22,6 @@ let representatives ~site_of_cluster ~n_clusters ~root =
   reps.(sites.(root)) <- root;
   reps
 
-(* Instance over a subset of clusters; [t_of i] supplies the intra time of
-   the i-th subset member. *)
-let sub_instance grid ~ids ~root_local ~msg ~t_of =
-  let k = Array.length ids in
-  let latency =
-    Array.init k (fun i ->
-        Array.init k (fun j -> if i = j then 0. else Grid.latency grid ids.(i) ids.(j)))
-  in
-  let gap =
-    Array.init k (fun i ->
-        Array.init k (fun j -> if i = j then 0. else Grid.gap grid ids.(i) ids.(j) msg))
-  in
-  Instance.v ~root:root_local ~latency ~gap ~intra:(Array.init k t_of)
-
-let cluster_t ~shape grid msg c =
-  let cl = Grid.cluster grid c in
-  Cost.broadcast_time ~shape ~params:cl.Cluster.intra ~size:cl.Cluster.size ~msg ()
-
 (* Ordered (src, dst) pairs of a schedule, in global ids. *)
 let global_sends ids schedule =
   List.map
@@ -54,6 +34,8 @@ let build_plan ~site_heuristic ~cluster_heuristic ~shape ~site_of_cluster ~root 
   let n_clusters = Grid.size grid in
   let reps = representatives ~site_of_cluster ~n_clusters ~root in
   let n_sites = Array.length reps in
+  (* Every per-site and site-level instance is a part of this one. *)
+  let full = Instance.of_grid ~shape ~root ~msg grid in
   let site_members =
     Array.init n_sites (fun s ->
         List.filter (fun c -> site_of_cluster c = s) (List.init n_clusters (fun i -> i)))
@@ -68,10 +50,7 @@ let build_plan ~site_heuristic ~cluster_heuristic ~shape ~site_of_cluster ~root 
       | Some i -> i
       | None -> invalid_arg "Multilevel: representative outside its site"
     in
-    let inst =
-      sub_instance grid ~ids ~root_local ~msg ~t_of:(fun i ->
-          cluster_t ~shape grid msg ids.(i))
-    in
+    let inst = Instance.sub full ~root:root_local ids in
     let schedule = Engine.run cluster_heuristic inst in
     site_sends.(s) <- global_sends ids schedule;
     site_completion.(s) <- Schedule.makespan inst schedule
@@ -79,10 +58,7 @@ let build_plan ~site_heuristic ~cluster_heuristic ~shape ~site_of_cluster ~root 
   (* Site-level schedule among representatives, site-aware through T. *)
   let site_ids = Array.copy reps in
   let root_site = site_of_cluster root in
-  let site_inst =
-    sub_instance grid ~ids:site_ids ~root_local:root_site ~msg ~t_of:(fun s ->
-        site_completion.(s))
-  in
+  let site_inst = Instance.sub ~intra:site_completion full ~root:root_site site_ids in
   let site_schedule = Engine.run site_heuristic site_inst in
   let wan_sends = global_sends site_ids site_schedule in
   (* A coordinator sends over the WAN first, then within its site: one

@@ -50,8 +50,8 @@ let solve inst =
     invalid_arg
       (Printf.sprintf "Exact: %d clusters exceeds the ceiling of %d" n default_max_clusters);
   let root = inst.Instance.root in
-  let gap = inst.Instance.gap
-  and lat = inst.Instance.latency
+  let gap = inst.Instance.gap_flat
+  and lat = inst.Instance.lat_flat
   and intra = inst.Instance.intra in
   let inc_name, inc_sched, inc_mk = incumbent_of inst in
   let best = ref inc_mk in
@@ -61,20 +61,14 @@ let solve inst =
   and pruned_bound = ref 0
   and pruned_dominated = ref 0 in
   if n > 1 then begin
-    (* Static tables: cheapest final hop into [j] from anywhere, and the
-       globally cheapest gap (for the source-multiplication bound). *)
-    let min_in_edge =
-      Array.init n (fun j ->
-          let m = ref infinity in
-          for k = 0 to n - 1 do
-            if k <> j then m := Float.min !m (gap.(k).(j) +. lat.(k).(j))
-          done;
-          !m)
-    in
+    (* Static tables: cheapest final hop into [j] from anywhere (read for
+       [j] in B only, so the root's 0 never is), and the globally cheapest
+       gap (for the source-multiplication bound). *)
+    let min_in_edge = Array.init n (Bounds.reach inst) in
     let gmin = ref infinity in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
-        if i <> j then gmin := Float.min !gmin gap.(i).(j)
+        if i <> j then gmin := Float.min !gmin gap.((i * n) + j)
       done
     done;
     let gmin = !gmin in
@@ -114,11 +108,11 @@ let solve inst =
           let eb = ref infinity in
           for i = 0 to n - 1 do
             if in_a.(i) then begin
-              let c = (avail.(i) +. gap.(i).(j)) +. lat.(i).(j) in
+              let c = (avail.(i) +. gap.((i * n) + j)) +. lat.((i * n) + j) in
               if c < !eb then eb := c
             end
             else if i <> j then begin
-              let c = (eb0.(i) +. gap.(i).(j)) +. lat.(i).(j) in
+              let c = (eb0.(i) +. gap.((i * n) + j)) +. lat.((i * n) + j) in
               if c < !eb then eb := c
             end
           done;
@@ -201,8 +195,8 @@ let solve inst =
           if in_a.(i) then
             for j = n - 1 downto 0 do
               if not in_a.(j) then begin
-                let sender_free = avail.(i) +. gap.(i).(j) in
-                let arrival = sender_free +. lat.(i).(j) in
+                let sender_free = avail.(i) +. gap.((i * n) + j) in
+                let arrival = sender_free +. lat.((i * n) + j) in
                 cands := (arrival, i, j, sender_free) :: !cands
               end
             done

@@ -19,16 +19,16 @@ let homogeneous ?(eps = 0.) (inst : Instance.t) =
   if n = 1 then
     Some { n; root = inst.Instance.root; latency = 0.; gap = 0.; intra = inst.Instance.intra.(0) }
   else begin
-    let l0 = inst.Instance.latency.(0).(1)
-    and g0 = inst.Instance.gap.(0).(1)
+    let l0 = Instance.latency inst 0 1
+    and g0 = Instance.gap inst 0 1
     and t0 = inst.Instance.intra.(0) in
     let ok = ref true in
     for i = 0 to n - 1 do
       if not (close eps inst.Instance.intra.(i) t0) then ok := false;
       for j = 0 to n - 1 do
         if i <> j then begin
-          if not (close eps inst.Instance.latency.(i).(j) l0) then ok := false;
-          if not (close eps inst.Instance.gap.(i).(j) g0) then ok := false
+          if not (close eps (Instance.latency inst i j) l0) then ok := false;
+          if not (close eps (Instance.gap inst i j) g0) then ok := false
         end
       done
     done;

@@ -40,16 +40,15 @@ let eval t m =
     v1 +. (slope *. float_of_int (m - s1))
   end
   else begin
-    (* Binary search for the segment containing m. *)
-    let rec search lo hi =
-      (* invariant: sizes.(lo) <= m < sizes.(hi) *)
-      if hi - lo = 1 then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if t.sizes.(mid) <= m then search mid hi else search lo mid
-      end
-    in
-    let i = search 0 (n - 1) in
+    (* Binary search for the segment containing m, as a loop: a local
+       recursive function would be a closure allocated per call.
+       Invariant: sizes.(lo) <= m < sizes.(hi). *)
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if t.sizes.(mid) <= m then lo := mid else hi := mid
+    done;
+    let i = !lo in
     let s0 = t.sizes.(i) and s1 = t.sizes.(i + 1) in
     let v0 = t.values.(i) and v1 = t.values.(i + 1) in
     let w = float_of_int (m - s0) /. float_of_int (s1 - s0) in

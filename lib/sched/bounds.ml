@@ -3,9 +3,7 @@ let reach inst k =
   else begin
     let best = ref infinity in
     for i = 0 to inst.Instance.n - 1 do
-      if i <> k then
-        best :=
-          Float.min !best (inst.Instance.gap.(i).(k) +. inst.Instance.latency.(i).(k))
+      if i <> k then best := Float.min !best (Instance.send_time inst i k)
     done;
     !best
   end
@@ -31,11 +29,11 @@ let fanout_bound inst =
   if n <= 1 then inst.Instance.intra.(inst.Instance.root)
   else begin
     let gmin =
-      fold_off_diagonal inst (fun acc i j -> Float.min acc inst.Instance.gap.(i).(j)) infinity
+      fold_off_diagonal inst (fun acc i j -> Float.min acc (Instance.gap inst i j)) infinity
     in
     let lmin =
       fold_off_diagonal inst
-        (fun acc i j -> Float.min acc inst.Instance.latency.(i).(j))
+        (fun acc i j -> Float.min acc (Instance.latency inst i j))
         infinity
     in
     let tmin = ref infinity in
@@ -54,11 +52,7 @@ let root_gap_bound inst =
     let best = ref infinity in
     for j = 0 to n - 1 do
       if j <> root then
-        best :=
-          Float.min !best
-            (inst.Instance.gap.(root).(j)
-            +. inst.Instance.latency.(root).(j)
-            +. inst.Instance.intra.(j))
+        best := Float.min !best (Instance.send_time inst root j +. inst.Instance.intra.(j))
     done;
     !best
   end

@@ -5,8 +5,10 @@ type shape =
 
 type t = { name : string; eval : State.t -> j:int -> float; shape : shape }
 
-let edge inst j k =
-  inst.Instance.gap.(j).(k) +. inst.Instance.latency.(j).(k)
+(* [Instance.send_time], inlined by hand: a cross-module call boxes. *)
+let edge (inst : Instance.t) j k =
+  let jk = (j * inst.n) + k in
+  inst.gap_flat.(jk) +. inst.lat_flat.(jk)
 
 (* Fold [term] over k in B \ {j}; 0. when j is the last member of B. *)
 let fold_edges ~combine ~init ~term state j =
@@ -57,7 +59,7 @@ let avg_latency_to_b =
         let sum = ref 0. and count = ref 0 in
         State.iter_b state (fun k ->
             if k <> j then begin
-              sum := !sum +. inst.Instance.latency.(j).(k);
+              sum := !sum +. inst.Instance.lat_flat.((j * inst.Instance.n) + k);
               incr count
             end);
         if !count = 0 then 0. else !sum /. float_of_int !count);

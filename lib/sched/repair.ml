@@ -96,10 +96,8 @@ let repair ?(policy = Policy.ecef_la) ?at inst (schedule : Schedule.t) ~crash =
   else begin
     (* Residual instance over the surviving clusters only, renumbered
        0 .. n' - 1 in ascending original id. *)
-    let survivors = Array.of_list (sources @ orphans) in
-    Array.sort compare survivors;
-    let n' = Array.length survivors in
-    let back = survivors in
+    let back = Array.of_list (sources @ orphans) in
+    Array.sort compare back;
     let fwd = Array.make n (-1) in
     Array.iteri (fun i c -> fwd.(c) <- i) back;
     (* Sources may not inject repair transmissions before the detection
@@ -114,13 +112,7 @@ let repair ?(policy = Policy.ecef_la) ?at inst (schedule : Schedule.t) ~crash =
           if a < b || (a = b && c < best) then c else best)
         (List.hd sources) sources
     in
-    let sub m = Array.init n' (fun i -> Array.init n' (fun j -> m.(back.(i)).(back.(j)))) in
-    let residual =
-      Instance.v ~root:fwd.(root_orig)
-        ~latency:(sub inst.Instance.latency)
-        ~gap:(sub inst.Instance.gap)
-        ~intra:(Array.init n' (fun i -> inst.Instance.intra.(back.(i))))
-    in
+    let residual = Instance.sub inst ~root:fwd.(root_orig) back in
     let state = State.create_seeded residual ~sources:seeded in
     (* The residual is small (survivors only): the reference naive selector
        is plenty, and it is the tie-breaking oracle the engine reproduces. *)

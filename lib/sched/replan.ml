@@ -63,8 +63,8 @@ let evaluate (truth : Instance.t) ~halt (schedule : Schedule.t) =
       if delivered.(src) then begin
         let start = Float.max ready.(src) busy.(src) in
         if halt.(src) > start then begin
-          let g = truth.Instance.gap.(src).(dst) in
-          let l = truth.Instance.latency.(src).(dst) in
+          let g = Instance.gap truth src dst in
+          let l = Instance.latency truth src dst in
           busy.(src) <- start +. g;
           let arrival = start +. g +. l in
           if (not delivered.(dst)) && halt.(dst) > arrival then begin

@@ -88,8 +88,8 @@ let validate inst t =
             fail "round %d: send starts at %g during sender occupancy until %g" round e.start
               busy.(e.src)
           else begin
-            let g = inst.Instance.gap.(e.src).(e.dst)
-            and l = inst.Instance.latency.(e.src).(e.dst) in
+            let g = Instance.gap inst e.src e.dst
+            and l = Instance.latency inst e.src e.dst in
             if not (close_enough e.sender_free (e.start +. g)) then
               fail "round %d: sender_free mismatch" round
             else if not (close_enough e.arrival (e.start +. g +. l)) then

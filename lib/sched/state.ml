@@ -1,7 +1,7 @@
 (* Struct-of-arrays layout: every per-cluster quantity the selection loops
    touch lives in its own flat array ([in_a]/[ready]/[avail] plus the
-   instance's row-major [gap_flat]/[lat_flat] mirrors cached here), so the
-   hot paths are plain float/int array reads with no record or row-pointer
+   instance's row-major [gap_flat]/[lat_flat], cached here), so the hot
+   paths are plain float/int array reads with no record or row-pointer
    chasing. *)
 type t = {
   inst : Instance.t;
@@ -17,59 +17,48 @@ type t = {
   mutable first_b_hint : int;  (* lower bound on the smallest member of B *)
 }
 
-let create inst =
+(* A state with no cluster in A yet; the callers seed it. *)
+let empty inst =
   let n = inst.Instance.n in
-  let in_a = Array.make n false in
-  let ready = Array.make n infinity in
-  let avail = Array.make n infinity in
-  in_a.(inst.Instance.root) <- true;
-  ready.(inst.Instance.root) <- 0.;
-  avail.(inst.Instance.root) <- 0.;
   {
     inst;
     n;
     gap_flat = inst.Instance.gap_flat;
     lat_flat = inst.Instance.lat_flat;
-    in_a;
-    ready;
-    avail;
+    in_a = Array.make n false;
+    ready = Array.make n infinity;
+    avail = Array.make n infinity;
     events = [];
     round = 0;
-    remaining_b = n - 1;
+    remaining_b = n;
     first_b_hint = 0;
   }
 
+let create inst =
+  let t = empty inst and root = inst.Instance.root in
+  t.in_a.(root) <- true;
+  t.ready.(root) <- 0.;
+  t.avail.(root) <- 0.;
+  t.remaining_b <- t.n - 1;
+  t
+
 let create_seeded inst ~sources =
   if sources = [] then invalid_arg "State.create_seeded: no sources";
-  let n = inst.Instance.n in
-  let in_a = Array.make n false in
-  let ready = Array.make n infinity in
-  let avail = Array.make n infinity in
+  let t = empty inst in
   List.iter
     (fun (i, r, a) ->
-      if i < 0 || i >= n then invalid_arg "State.create_seeded: cluster out of range";
-      if in_a.(i) then invalid_arg "State.create_seeded: duplicate source";
+      if i < 0 || i >= t.n then invalid_arg "State.create_seeded: cluster out of range";
+      if t.in_a.(i) then invalid_arg "State.create_seeded: duplicate source";
       if not (0. <= r && r <= a) then
         invalid_arg "State.create_seeded: need 0 <= ready <= avail";
-      in_a.(i) <- true;
-      ready.(i) <- r;
-      avail.(i) <- a)
+      t.in_a.(i) <- true;
+      t.ready.(i) <- r;
+      t.avail.(i) <- a;
+      t.remaining_b <- t.remaining_b - 1)
     sources;
-  if not in_a.(inst.Instance.root) then
+  if not t.in_a.(inst.Instance.root) then
     invalid_arg "State.create_seeded: the instance root must be a source";
-  {
-    inst;
-    n;
-    gap_flat = inst.Instance.gap_flat;
-    lat_flat = inst.Instance.lat_flat;
-    in_a;
-    ready;
-    avail;
-    events = [];
-    round = 0;
-    remaining_b = n - List.length sources;
-    first_b_hint = 0;
-  }
+  t
 
 let instance t = t.inst
 
@@ -78,10 +67,10 @@ let in_a t i =
   t.in_a.(i)
 
 let members_a t =
-  List.filter (fun i -> t.in_a.(i)) (Instance.cluster_ids t.inst)
+  List.filter (fun i -> t.in_a.(i)) (List.init t.n Fun.id)
 
 let members_b t =
-  List.filter (fun i -> not t.in_a.(i)) (Instance.cluster_ids t.inst)
+  List.filter (fun i -> not t.in_a.(i)) (List.init t.n Fun.id)
 
 let iter_a t f =
   for i = 0 to t.n - 1 do
@@ -128,17 +117,6 @@ let avail t i =
 let score_arrival t src dst =
   let k = (src * t.n) + dst in
   t.avail.(src) +. t.gap_flat.(k) +. t.lat_flat.(k)
-
-let best_arrival_sender t ~dst =
-  if in_a t dst then invalid_arg "State.best_arrival_sender: dst in A";
-  let best = ref (-1) and best_a = ref infinity in
-  iter_a t (fun i ->
-      let a = score_arrival t i dst in
-      if a < !best_a then begin
-        best_a := a;
-        best := i
-      end);
-  if !best < 0 then None else Some !best
 
 let earliest_arrival t ~src ~dst =
   if not (in_a t src) then invalid_arg "State.earliest_arrival: src in B";

@@ -60,12 +60,6 @@ val score_arrival : t -> int -> int -> float
 (** Unchecked {!earliest_arrival} for the selection hot paths: meaningful
     only when the first cluster is in [A] (no membership validation). *)
 
-val best_arrival_sender : t -> dst:int -> int option
-(** Sender in [A] minimising {!score_arrival} towards [dst] (ties towards
-    the smallest id) — the per-receiver selection ECEF and BottomUp share.
-    [None] only on a state with an empty [A] (impossible via {!create}).
-    @raise Invalid_argument if [dst] is in [A]. *)
-
 val send : t -> src:int -> dst:int -> unit
 (** Applies the transmission.  @raise Invalid_argument if [src] is in [B],
     [dst] is in [A], or [src = dst]. *)

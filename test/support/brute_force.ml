@@ -17,7 +17,7 @@ type search_result = { best : float; choices : (int * int) list }
 let search inst =
   let n = inst.Instance.n in
   let root = inst.Instance.root in
-  let gap = inst.Instance.gap and lat = inst.Instance.latency in
+  let gap = inst.Instance.gap_flat and lat = inst.Instance.lat_flat in
   let intra = inst.Instance.intra in
   let in_a = Array.make n false in
   let avail = Array.make n infinity in
@@ -31,7 +31,7 @@ let search inst =
     Array.init n (fun j ->
         let m = ref infinity in
         for k = 0 to n - 1 do
-          if k <> j then m := Float.min !m (gap.(k).(j) +. lat.(k).(j))
+          if k <> j then m := Float.min !m (gap.((k * n) + j) +. lat.((k * n) + j))
         done;
         !m)
   in
@@ -69,8 +69,8 @@ let search inst =
           for j = 0 to n - 1 do
             if not in_a.(j) then begin
               let saved_avail_i = avail.(i) in
-              let arrival = avail.(i) +. gap.(i).(j) +. lat.(i).(j) in
-              avail.(i) <- avail.(i) +. gap.(i).(j);
+              let arrival = avail.(i) +. gap.((i * n) + j) +. lat.((i * n) + j) in
+              avail.(i) <- avail.(i) +. gap.((i * n) + j);
               in_a.(j) <- true;
               avail.(j) <- arrival;
               choices.(depth) <- (i, j);

@@ -281,7 +281,7 @@ let metamorphic_negative () =
   let inst = Testutil.random_instance ~n:4 3 in
   let scaled = M.scale_instance 2. inst in
   Alcotest.(check (float 1e-9))
-    "scaled gap" (2. *. inst.Instance.gap.(0).(1)) scaled.Instance.gap.(0).(1)
+    "scaled gap" (2. *. Instance.gap inst 0 1) (Instance.gap scaled 0 1)
 
 (* --- scenario codec ----------------------------------------------------- *)
 

@@ -114,6 +114,41 @@ let test_cost_binomial_beats_flat_and_chain =
       let c = Cost.broadcast_time ~shape:Tree.Chain ~params ~size:n ~msg:100_000 () in
       b <= f +. 1e-6 && b <= c +. 1e-6)
 
+(* [broadcast_time] walks the implicit tree; [tree_completion] folds over
+   the built one.  Both must give the same float, bit for bit, on linear
+   and on three-point tables, at sizes inside and beyond the table. *)
+let test_cost_walk_matches_tree =
+  let params_gen =
+    QCheck.Gen.(
+      let linear =
+        map3
+          (fun latency g0 bw -> Params.linear ~latency ~g0 ~bandwidth_mb_s:bw)
+          (float_range 0. 1e4) (float_range 0. 1e3) (float_range 1. 1e4)
+      in
+      let piecewise =
+        map3
+          (fun latency (s1, s2) (v0, v1, v2) ->
+            Params.v ~latency
+              ~gap:(Gridb_plogp.Piecewise.of_points [ (0, v0); (s1, v1); (s1 + s2, v2) ])
+              ())
+          (float_range 0. 1e4)
+          (pair (int_range 1 100_000) (int_range 1 1_000_000))
+          (triple (float_range 0. 1e3) (float_range 0. 1e5) (float_range 0. 1e6))
+      in
+      oneof [ linear; piecewise ])
+  in
+  let gen = QCheck.Gen.(triple params_gen (int_range 1 300) (int_range 0 3_000_000)) in
+  let print (p, size, msg) = Format.asprintf "%a size=%d msg=%d" Params.pp p size msg in
+  QCheck.Test.make ~name:"broadcast_time = tree_completion of the built tree, bit for bit"
+    ~count:(Testutil.count 200) (QCheck.make ~print gen)
+    (fun (params, size, msg) ->
+      List.for_all
+        (fun shape ->
+          Float.equal
+            (Cost.broadcast_time ~shape ~params ~size ~msg ())
+            (Cost.tree_completion ~params ~msg (Tree.build shape size)))
+        (Tree.all_shapes @ [ Tree.Kary 3; Tree.Kary 7 ]))
+
 let test_cost_trivial_sizes () =
   check_feq "size 1 is free" 0. (Cost.broadcast_time ~params ~size:1 ~msg:1_000_000 ());
   check_feq "scatter size 1" 0. (Cost.scatter_time ~params ~size:1 ~msg:1000);
@@ -238,6 +273,7 @@ let () =
           quick "flat formula" test_cost_flat_tree;
           quick "chain formula" test_cost_chain;
           quick "binomial arrivals" test_cost_binomial_power_of_two;
+          QCheck_alcotest.to_alcotest test_cost_walk_matches_tree;
           QCheck_alcotest.to_alcotest test_cost_monotone_in_size;
           QCheck_alcotest.to_alcotest test_cost_binomial_beats_flat_and_chain;
           quick "trivial sizes" test_cost_trivial_sizes;

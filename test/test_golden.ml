@@ -83,7 +83,7 @@ let test_grid5000_instance_golden () =
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
   (* T of Orsay-A (31 machines, binomial, 100 MB/s, 47.56 us): pinned. *)
   check_golden "T Orsay-A (ms)" 50.290240 (inst.Instance.intra.(0) /. 1e3);
-  check_golden "gap Orsay->IDPOT 1MB (ms)" 769.280769 (inst.Instance.gap.(0).(2) /. 1e3)
+  check_golden "gap Orsay->IDPOT 1MB (ms)" 769.280769 (Instance.gap inst 0 2 /. 1e3)
 
 (* Golden pin of the DES executors' exact output over a seeded corpus —
    event streams, arrival vectors, protocol counters, at full precision.
@@ -224,7 +224,7 @@ let regen () =
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
   Printf.printf "T Orsay-A: %.6f ms, gap 0->2: %.6f ms\n"
     (inst.Instance.intra.(0) /. 1e3)
-    (inst.Instance.gap.(0).(2) /. 1e3);
+    (Instance.gap inst 0 2 /. 1e3);
   let buf = exec_corpus_buffer () in
   Printf.printf "exec corpus: digest %s, %d bytes\n"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))

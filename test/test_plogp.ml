@@ -85,6 +85,52 @@ let test_pw_interpolation_bounds =
       let v = Piecewise.eval f mid in
       v >= 1. -. 1e-9 && v <= 3. +. 1e-9)
 
+(* Linear-scan reference for [Piecewise.eval], written from its contract
+   with the same float expressions, so the two agree bit for bit. *)
+let reference_eval pts m =
+  let sizes = Array.of_list (List.map fst pts) and values = Array.of_list (List.map snd pts) in
+  let n = Array.length sizes in
+  let segment i =
+    let s0 = sizes.(i) and s1 = sizes.(i + 1) in
+    let v0 = values.(i) and v1 = values.(i + 1) in
+    (s0, s1, v0, v1)
+  in
+  if n = 1 || m <= sizes.(0) then values.(0)
+  else if m >= sizes.(n - 1) then begin
+    let s0, s1, v0, v1 = segment (n - 2) in
+    v1 +. ((v1 -. v0) /. float_of_int (s1 - s0) *. float_of_int (m - s1))
+  end
+  else begin
+    let i = ref 0 in
+    while sizes.(!i + 1) <= m do
+      incr i
+    done;
+    let s0, s1, v0, v1 = segment !i in
+    v0 +. (float_of_int (m - s0) /. float_of_int (s1 - s0) *. (v1 -. v0))
+  end
+
+let test_pw_eval_matches_scan =
+  let table =
+    QCheck.Gen.(list_size (int_range 1 8) (pair (int_bound 100_000) (float_bound_inclusive 1e6)))
+  in
+  let gen = QCheck.Gen.(pair table (int_bound 300_000)) in
+  let print (pts, m) =
+    Printf.sprintf "%s at %d"
+      (String.concat "; " (List.map (fun (s, v) -> Printf.sprintf "%d->%h" s v) pts))
+      m
+  in
+  QCheck.Test.make ~name:"eval = linear-scan reference, bit for bit" ~count:(Testutil.count 500)
+    (QCheck.make ~print gen)
+    (fun (pts, m) ->
+      let f = Piecewise.of_points pts in
+      let pts = Piecewise.points f in
+      let sizes = List.map fst pts in
+      let first = List.hd sizes and last = List.nth sizes (List.length sizes - 1) in
+      (* the drawn size, every sample, and sizes past both ends *)
+      List.for_all
+        (fun m -> Float.equal (Piecewise.eval f m) (reference_eval pts m))
+        ([ m; max 0 (first - 1); last + 1; last + m ] @ sizes))
+
 (* --- Params ------------------------------------------------------------ *)
 
 let test_params_linear () =
@@ -245,6 +291,7 @@ let () =
           quick "add/scale/map" test_pw_add_scale_map;
           quick "monotonic check" test_pw_monotonic;
           QCheck_alcotest.to_alcotest test_pw_interpolation_bounds;
+          QCheck_alcotest.to_alcotest test_pw_eval_matches_scan;
         ] );
       ( "params",
         [

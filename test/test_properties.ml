@@ -21,20 +21,8 @@ let random_instance ?(n = 6) seed =
   let rng = Rng.create seed in
   Instance.random ~rng ~n Instance.table2_ranges
 
-(* Apply a permutation to an instance (relabel clusters). *)
-let permute_instance perm inst =
-  let n = inst.Instance.n in
-  let latency = Array.make_matrix n n 0. in
-  let gap = Array.make_matrix n n 0. in
-  let intra = Array.make n 0. in
-  for i = 0 to n - 1 do
-    intra.(perm.(i)) <- inst.Instance.intra.(i);
-    for j = 0 to n - 1 do
-      latency.(perm.(i)).(perm.(j)) <- inst.Instance.latency.(i).(j);
-      gap.(perm.(i)).(perm.(j)) <- inst.Instance.gap.(i).(j)
-    done
-  done;
-  Instance.v ~root:perm.(inst.Instance.root) ~latency ~gap ~intra
+(* Relabel clusters. *)
+let permute_instance = Gridb_check.Metamorphic.permute_instance
 
 let permutation_invariance_of_optimal =
   QCheck.Test.make ~name:"optimal makespan is invariant under cluster relabeling"
@@ -58,12 +46,7 @@ let permutation_invariance_of_bounds =
 
 (* Scaling: multiplying every time parameter by k scales every makespan by
    k (heuristic selections are scale-free). *)
-let scale_instance k inst =
-  let scale m = Array.map (Array.map (fun x -> k *. x)) m in
-  Instance.v ~root:inst.Instance.root
-    ~latency:(scale inst.Instance.latency)
-    ~gap:(scale inst.Instance.gap)
-    ~intra:(Array.map (fun x -> k *. x) inst.Instance.intra)
+let scale_instance = Gridb_check.Metamorphic.scale_instance
 
 let time_scaling =
   QCheck.Test.make ~name:"makespans scale linearly with the time unit" ~count:(Testutil.count 40)
@@ -155,9 +138,7 @@ let optimal_monotone_in_t =
     (fun (n, seed) ->
       let inst = random_instance ~n seed in
       let reduced =
-        Instance.v ~root:inst.Instance.root ~latency:inst.Instance.latency
-          ~gap:inst.Instance.gap
-          ~intra:(Array.map (fun t -> t /. 2.) inst.Instance.intra)
+        Instance.with_intra inst (Array.map (fun t -> t /. 2.) inst.Instance.intra)
       in
       Brute_force.makespan reduced <= Brute_force.makespan inst +. 1e-6)
 

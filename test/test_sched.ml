@@ -42,6 +42,10 @@ let test_instance_validation () =
     (fun () ->
       ignore
         (Instance.v ~root:0 ~latency:[| [| -1. |] |] ~gap:[| [| 0. |] |] ~intra:[| 0. |]));
+  Alcotest.check_raises "infinite entry" (Invalid_argument "Instance.v: bad gap entry")
+    (fun () ->
+      ignore
+        (Instance.v ~root:0 ~latency:[| [| 0. |] |] ~gap:[| [| infinity |] |] ~intra:[| 0. |]));
   Alcotest.check_raises "dim mismatch" (Invalid_argument "Instance.v: latency height mismatch")
     (fun () ->
       ignore (Instance.v ~root:0 ~latency:[| [| 0. |]; [| 0. |] |] ~gap:[| [| 0. |] |] ~intra:[| 0. |]))
@@ -51,7 +55,7 @@ let test_instance_copies_inputs () =
   let gap = [| [| 0.; 2. |]; [| 2.; 0. |] |] in
   let inst = Instance.v ~root:0 ~latency ~gap ~intra:[| 0.; 0. |] in
   latency.(0).(1) <- 999.;
-  check_feq "defensive copy" 1. inst.Instance.latency.(0).(1)
+  check_feq "defensive copy" 1. (Instance.latency inst 0 1)
 
 let test_instance_random_ranges =
   QCheck.Test.make ~name:"random instances respect Table 2 ranges" ~count:(Testutil.count 100)
@@ -65,11 +69,11 @@ let test_instance_random_ranges =
         ok := !ok && t >= 20_000. && t <= 3_000_000.;
         for j = 0 to n - 1 do
           if i <> j then begin
-            let l = inst.Instance.latency.(i).(j) and g = inst.Instance.gap.(i).(j) in
+            let l = Instance.latency inst i j and g = Instance.gap inst i j in
             ok :=
               !ok && l >= 1_000. && l <= 15_000. && g >= 100_000. && g <= 600_000.
-              && feq l inst.Instance.latency.(j).(i)
-              && feq g inst.Instance.gap.(j).(i)
+              && feq l (Instance.latency inst j i)
+              && feq g (Instance.gap inst j i)
           end
         done
       done;
@@ -80,8 +84,8 @@ let test_instance_of_grid_matches_components () =
   let msg = 1_000_000 in
   let inst = Instance.of_grid ~root:0 ~msg grid in
   check_feq "latency from grid" (Gridb_topology.Grid.latency grid 0 2)
-    inst.Instance.latency.(0).(2);
-  check_feq "gap from grid" (Gridb_topology.Grid.gap grid 0 2 msg) inst.Instance.gap.(0).(2);
+    (Instance.latency inst 0 2);
+  check_feq "gap from grid" (Gridb_topology.Grid.gap grid 0 2 msg) (Instance.gap inst 0 2);
   (* T of a singleton cluster is 0 *)
   check_feq "singleton T" 0. inst.Instance.intra.(3);
   (* T of Orsay-A equals the binomial cost model *)
@@ -91,6 +95,88 @@ let test_instance_of_grid_matches_components () =
        ~size:c.Gridb_topology.Cluster.size ~msg ())
     inst.Instance.intra.(0)
 
+(* The flat fill and the implicit-tree walk against the nested build they
+   replaced, cell by cell and bit for bit. *)
+let same_instance ~what (a : Instance.t) (b : Instance.t) =
+  let same x y = Array.length x = Array.length y && Array.for_all2 Float.equal x y in
+  Alcotest.(check bool) (what ^ ": bit-identical cells") true
+    (a.Instance.n = b.Instance.n && a.Instance.root = b.Instance.root
+    && same a.Instance.lat_flat b.Instance.lat_flat
+    && same a.Instance.gap_flat b.Instance.gap_flat
+    && same a.Instance.intra b.Instance.intra)
+
+let oracle_sizes = [ 0; 1; 65_536; 1 lsl 20; 16 lsl 20 ]
+
+let test_instance_of_grid_matches_nested_grid5000 () =
+  let grid = Gridb_topology.Grid5000.grid () in
+  for root = 0 to Gridb_topology.Grid.size grid - 1 do
+    List.iter
+      (fun shape ->
+        List.iter
+          (fun msg ->
+            same_instance
+              ~what:
+                (Printf.sprintf "root %d %s %d B" root (Gridb_collectives.Tree.shape_name shape)
+                   msg)
+              (Instance.of_grid ~shape ~root ~msg grid)
+              (Nested_instance.of_grid ~shape ~root ~msg grid))
+          oracle_sizes)
+      Gridb_collectives.Tree.(all_shapes @ [ Kary 3; Kary 7 ])
+  done
+
+let test_instance_of_grid_matches_nested_random () =
+  for seed = 1 to 50 do
+    let grid = Testutil.random_grid ~n:(2 + (seed mod 9)) seed in
+    List.iter
+      (fun msg ->
+        same_instance
+          ~what:(Printf.sprintf "uniform_random seed %d, %d B" seed msg)
+          (Instance.of_grid ~root:0 ~msg grid)
+          (Nested_instance.of_grid ~root:0 ~msg grid))
+      oracle_sizes
+  done
+
+(* A gap table parses when every point is finite and non-negative, but its
+   last segment extrapolates: falling, it goes negative at a large message;
+   steep, it overflows to infinity.  Both are refused with one line naming
+   the link, the message size and the value. *)
+let extrapolating_topology ?(cluster_gaps = "0:10,1000000:1000") gap_table =
+  let text =
+    String.concat "\n"
+      [
+        "grid 2";
+        "cluster 0 a 4 L 10 G " ^ cluster_gaps;
+        "cluster 1 b 4 L 10 G 0:10,1000000:1000";
+        "link 0 1 L 100 G " ^ gap_table;
+        "link 1 0 L 100 G 0:10,1000000:1000";
+      ]
+  in
+  Result.get_ok (Gridb_topology.Serialize.of_string text)
+
+let test_instance_refuses_extrapolated_gaps () =
+  List.iter
+    (fun (table, msg, value) ->
+      let grid = extrapolating_topology table in
+      Alcotest.(check bool) (table ^ ": small message is fine") true
+        (Instance.check_grid ~msg:0 grid = Ok ());
+      let expected =
+        Printf.sprintf "link 0 -> 1: gap at message size %d bytes is %s us, not finite and >= 0"
+          msg value
+      in
+      Alcotest.(check (result unit string)) (table ^ ": check_grid") (Error expected)
+        (Instance.check_grid ~msg grid);
+      Alcotest.check_raises (table ^ ": of_grid")
+        (Invalid_argument ("Instance.of_grid: " ^ expected))
+        (fun () -> ignore (Instance.of_grid ~root:0 ~msg grid)))
+    [ ("0:1000,1:999", 5000, "-4000"); ("0:1,1:1e300", 1_000_000_000, "inf") ];
+  (* A falling table inside a cluster leaves [T_k] finite (the walk's max
+     starts at 0) but would replay intra-cluster sends at a negative gap. *)
+  let grid = extrapolating_topology ~cluster_gaps:"0:1000,1:999" "0:10,1000000:1000" in
+  Alcotest.(check (result unit string)) "intra-cluster gap"
+    (Error
+       "cluster 0: intra-cluster gap at message size 5000 bytes is -4000 us, not finite and >= 0")
+    (Instance.check_grid ~msg:5000 grid)
+
 let test_instance_of_machines () =
   let grid = Gridb_topology.Grid5000.grid () in
   let machines = Gridb_topology.Machines.expand grid in
@@ -99,8 +185,8 @@ let test_instance_of_machines () =
   Alcotest.(check bool) "all T zero" true
     (Array.for_all (fun t -> t = 0.) inst.Instance.intra);
   (* intra-cluster pair: Orsay params; inter: Table 3 *)
-  check_feq "intra pair latency" 47.56 inst.Instance.latency.(0).(1);
-  check_feq "inter pair latency" 12181.52 inst.Instance.latency.(0).(61);
+  check_feq "intra pair latency" 47.56 (Instance.latency inst 0 1);
+  check_feq "inter pair latency" 12181.52 (Instance.latency inst 0 61);
   (* node-level scheduling never loses to hierarchical on the same grid *)
   let hier = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
   Alcotest.(check bool) "flat ECEF <= hierarchical ECEF" true
@@ -236,8 +322,7 @@ let test_completion_models_differ () =
   let inst = hand_instance () in
   (* give cluster 1 a long internal broadcast to expose the overlap *)
   let inst =
-    Instance.v ~root:0 ~latency:inst.Instance.latency ~gap:inst.Instance.gap
-      ~intra:[| 0.; 100.; 0. |]
+    Instance.with_intra inst [| 0.; 100.; 0. |]
   in
   let s = Engine.run Policy.ecef inst in
   (* cluster 1 receives at 3, relays until 5, then T=100:
@@ -772,6 +857,9 @@ let () =
           QCheck_alcotest.to_alcotest test_instance_random_ranges;
           quick "of_grid components" test_instance_of_grid_matches_components;
           quick "of_machines flat view" test_instance_of_machines;
+          quick "of_grid = nested build, GRID5000" test_instance_of_grid_matches_nested_grid5000;
+          quick "of_grid = nested build, random grids" test_instance_of_grid_matches_nested_random;
+          quick "extrapolated gaps refused" test_instance_refuses_extrapolated_gaps;
         ] );
       ( "state",
         [
