@@ -1,11 +1,9 @@
 (** pLogP parameter acquisition over simMPI — Kielmann's "fast measurement
     of LogP parameters" executed on the simulated wire.
 
-    Where {!Gridb_plogp.Fitting.Measurement} synthesises samples directly
-    from a ground-truth parameter set, this module actually runs the
-    benchmark programs (ping-pong, saturation trains) as rank programs on
-    the {!Runtime}, then fits parameters from the observed completion
-    times.  With noise off the recovered parameters must match the
+    This module runs the benchmark programs (ping-pong, saturation
+    trains) as rank programs on the {!Runtime}, then fits parameters from
+    the observed completion times.  With noise off the recovered parameters must match the
     topology's ground truth exactly — the strongest end-to-end check of the
     whole model stack (topology -> runtime -> timing -> fitting). *)
 

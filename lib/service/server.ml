@@ -103,17 +103,42 @@ let percentile sorted p =
     let idx = int_of_float (ceil (p /. 100. *. float_of_int m)) - 1 in
     sorted.(min (m - 1) (max 0 idx))
 
-let heuristic_of policy =
-  match Policy.by_name policy with
-  | Some h -> h
-  | None -> invalid_arg (Printf.sprintf "Server.run: unknown policy %S" policy)
-
 let count_delivered arr lo hi =
   let c = ref 0 in
   for k = lo to hi - 1 do
     if not (Float.is_nan arr.(k)) then incr c
   done;
   !c
+
+(* One per plan key: the batch plan, its predicted makespan and compute
+   time, and the latest schedule lowered for the key with its plan.
+   Sessions share a lowered plan, which nothing mutates; a key is lowered
+   again only when the cache hands back another schedule for it (a retry
+   replan after an invalidation). *)
+type entry = {
+  key : Plan_cache.key;
+  policy : Policy.t;
+  schedule : Schedule.t;
+  predicted : float;
+  compute_us : float;
+  mutable lowered : (Schedule.t * Plan.t) option;
+}
+
+(* One per request, filled in wave by wave.  [entry] is [None] for an
+   unknown policy; [decision] is the wave-0 one; [union] holds the
+   earliest arrival per base rank over every attempt so far. *)
+type job = {
+  request : Workload.request;
+  entry : entry option;
+  predicted : float;
+  mutable cache : [ `Hit | `Miss | `Invalidated | `Unplanned ];
+  mutable plan_us : float;
+  mutable decision : Admission.decision;
+  mutable attempts : int;
+  mutable result : Session.reliable option;
+  mutable union : float array;
+  mutable sheds : int;
+}
 
 let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     ?faults ?dynamics ?(retry = no_retry) machines requests =
@@ -124,10 +149,6 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
   let grid = Machines.grid machines in
   let clusters = Grid.size grid in
   let fingerprint = Fingerprint.of_machines machines in
-  let key_of (r : Workload.request) =
-    Plan_cache.key ~fingerprint ~root:r.Workload.root ~msg:r.Workload.msg
-      ~policy:r.Workload.policy
-  in
   (* Arrival order must be non-decreasing: the admission controller and the
      sequential cache replay both assume it. *)
   Array.iteri
@@ -135,7 +156,6 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
       if i > 0 && r.Workload.at < requests.(i - 1).Workload.at then
         invalid_arg "Server.run: requests not in arrival order")
     requests;
-  let known (r : Workload.request) = Policy.by_name r.Workload.policy <> None in
   let chaotic =
     faults <> None || dynamics <> None || retry.budget > 0
     || Admission.shedding admission
@@ -145,53 +165,64 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
          requests
   in
   let t0 = Unix.gettimeofday () in
-  (* Batch planning: the distinct cache keys of the whole request batch,
-     first-appearance order, each planned once — in parallel over the pool
-     (planning is pure; results land by index, so any --jobs gives the
-     same plans).  The sequential replay below then charges hits and
-     misses exactly as an online server would have.  Requests naming an
-     unknown policy never reach planning: they become [Bad_policy] rejects
-     during replay instead of killing the batch. *)
-  let seen = Hashtbl.create 64 in
-  let unique = ref [] in
-  Array.iter
-    (fun r ->
-      if known r then begin
-        let k = key_of r in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          unique := k :: !unique
-        end
-      end)
-    requests;
-  let unique = Array.of_list (List.rev !unique) in
-  let planned =
-    Pool.mapi ~jobs
-      (fun _ (k : Plan_cache.key) ->
-        let t0 = Unix.gettimeofday () in
-        let h = heuristic_of k.Plan_cache.policy in
-        let inst = Instance.of_grid ~root:k.Plan_cache.root ~msg:k.Plan_cache.bucket grid in
-        let s = Gridb_sched.Engine.run h inst in
-        let predicted = Schedule.makespan inst s in
-        (s, predicted, (Unix.gettimeofday () -. t0) *. 1e6))
-      unique
+  (* Each request's policy and plan key, resolved once: [slot] is the
+     key's index among the batch's distinct keys in first-appearance
+     order, or -1 for an unknown policy.  Such a request never reaches
+     planning: it becomes a [Bad_policy] reject in wave 0 instead of
+     killing the batch.  Every size a session would replay at is checked
+     against the grid first, since the DES cannot run a negative gap. *)
+  let slots = Hashtbl.create 64 and fresh = ref [] and sizes = Hashtbl.create 8 in
+  let slot =
+    Array.map
+      (fun (r : Workload.request) ->
+        match Policy.by_name r.Workload.policy with
+        | None -> -1
+        | Some policy -> (
+            let msg = r.Workload.msg in
+            if not (Hashtbl.mem sizes msg) then begin
+              Hashtbl.add sizes msg ();
+              match Instance.check_grid ~msg grid with
+              | Ok () -> ()
+              | Error line -> invalid_arg ("Server.run: " ^ line)
+            end;
+            let key =
+              Plan_cache.key ~fingerprint ~root:r.Workload.root ~msg ~policy:r.Workload.policy
+            in
+            match Hashtbl.find_opt slots key with
+            | Some i -> i
+            | None ->
+                let i = Hashtbl.length slots in
+                Hashtbl.add slots key i;
+                fresh := (key, policy) :: !fresh;
+                i))
+      requests
   in
-  let plan_tbl = Hashtbl.create 64 in
-  Array.iteri (fun i k -> Hashtbl.replace plan_tbl k planned.(i)) unique;
+  (* Batch planning: each distinct key planned once, in parallel over the
+     pool (planning is pure; results land by index, so any --jobs gives
+     the same plans).  The sequential replay below then charges hits and
+     misses exactly as an online server would have. *)
+  let entries =
+    Pool.mapi ~jobs
+      (fun _ (key, policy) ->
+        let t0 = Unix.gettimeofday () in
+        let inst = Instance.of_grid ~root:key.Plan_cache.root ~msg:key.Plan_cache.bucket grid in
+        let schedule = Gridb_sched.Engine.run policy inst in
+        let predicted = Schedule.makespan inst schedule in
+        let compute_us = (Unix.gettimeofday () -. t0) *. 1e6 in
+        { key; policy; schedule; predicted; compute_us; lowered = None })
+      (Array.of_list (List.rev !fresh))
+  in
   (* Sequential replay in arrival order: cache accounting, admission, and
      session launch onto ONE engine and ONE wire — admitted broadcasts
      contend for the same NICs.  The wire is sized for the worst-case
      session population (machines plus any dynamics joins). *)
   let n = Machines.count machines in
-  let wire_ranks =
-    n
-    +
+  let joins =
     match dynamics with
-    | Some (spec : Dynamics.spec) when spec.Dynamics.join_rate > 0. ->
-        spec.Dynamics.join_max
+    | Some { Dynamics.join_rate; join_max; _ } when join_rate > 0. -> join_max
     | _ -> 0
   in
-  let wire = Wire.create ~n:wire_ranks in
+  let wire = Wire.create ~n:(n + joins) in
   let engine = Engine.create ~obs () in
   let base = Rng.create seed in
   (* Chaotic sessions draw their fault/dynamics models and (for retries)
@@ -203,9 +234,9 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
   let retry_base = Rng.create (seed lxor 0x72747279) (* "rtry" *) in
   let derive b rid attempt = Rng.int (Rng.split (Rng.split b rid) attempt) 0x3FFFFFFF in
   let session_config (r : Workload.request) ~attempt ~start_delay =
+    let rid = r.Workload.rid in
     let rng =
-      if attempt = 0 then Rng.split base r.Workload.rid
-      else Rng.split (Rng.split retry_base r.Workload.rid) attempt
+      if attempt = 0 then Rng.split base rid else Rng.split (Rng.split retry_base rid) attempt
     in
     (* Models are anchored at the session's own start ([t0]): a request
        served (or retried) late in the simulation faces faults and churn
@@ -213,326 +244,249 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
        epoch — not a world that pre-decayed while it sat in the queue. *)
     let fmodel =
       Option.map
-        (fun spec ->
-          Faults.create
-            ~seed:(derive fault_base r.Workload.rid attempt)
-            ~t0:start_delay ~n spec)
+        (fun spec -> Faults.create ~seed:(derive fault_base rid attempt) ~t0:start_delay ~n spec)
         faults
     in
     let dmodel =
       Option.map
         (fun spec ->
-          Dynamics.create
-            ~seed:(derive dyn_base r.Workload.rid attempt)
-            ~t0:start_delay ~n ~clusters spec)
+          Dynamics.create ~seed:(derive dyn_base rid attempt) ~t0:start_delay ~n ~clusters spec)
         dynamics
     in
     Session.Config.v ~rng ~start_delay ~msg:r.Workload.msg ~obs ?faults:fmodel
       ?dynamics:dmodel ?transport ()
   in
-  (* One lowering per distinct schedule: sessions share the lowered plan,
-     which nothing mutates.  A key is lowered again only when the cache
-     hands back another schedule for it (a retry replan after an
-     invalidation). *)
-  let lowered = Hashtbl.create 64 in
-  let lower k schedule =
-    match Hashtbl.find_opt lowered k with
-    | Some (s, plan) when s == schedule -> plan
-    | _ ->
-        let plan = Plan.of_cluster_schedule machines schedule in
-        Hashtbl.replace lowered k (schedule, plan);
-        plan
+  let launch j e schedule ~attempt ~start_delay =
+    let config = session_config j.request ~attempt ~start_delay in
+    let plan =
+      match e.lowered with
+      | Some (s, plan) when s == schedule -> plan
+      | _ ->
+          let plan = Plan.of_cluster_schedule machines schedule in
+          e.lowered <- Some (schedule, plan);
+          plan
+    in
+    ( j,
+      Session.launch_reliable
+        ~sid:((attempt * nreq) + j.request.Workload.rid)
+        ~who:"Server.run" ~wire ~engine config machines plan )
   in
-  let launch (r : Workload.request) k schedule ~attempt ~start_delay =
-    let config = session_config r ~attempt ~start_delay in
-    Session.launch_reliable
-      ~sid:((attempt * nreq) + r.Workload.rid)
-      ~who:"Server.run" ~wire ~engine config machines (lower k schedule)
-  in
-  let sheds = ref 0 in
-  let shed_by = Array.make nreq 0 in
   let emit ev = if Sink.enabled obs then Sink.emit obs ev in
-  let partial =
-    Array.map
-      (fun (r : Workload.request) ->
-        if not (known r) then
-          (r, `Unplanned, 0., 0., Admission.Reject (Admission.Bad_policy r.Workload.policy), None)
-        else begin
-          let k = key_of r in
-          let schedule, predicted, compute_us = Hashtbl.find plan_tbl k in
-          let l0 = Unix.gettimeofday () in
-          let _, kind = Plan_cache.lookup cache k ~compute:(fun () -> schedule) in
-          let lookup_us = (Unix.gettimeofday () -. l0) *. 1e6 in
-          let plan_us = match kind with `Hit -> lookup_us | _ -> compute_us +. lookup_us in
-          (* Wave-0 decisions carry no circuit-health signal: nothing has
-             executed yet.  The open-circuit fraction gates requeues. *)
-          let decision =
-            Admission.decide ~priority:r.Workload.priority admission ~now:r.Workload.at
-              ~predicted_makespan:predicted
-          in
-          let session =
-            match decision with
-            | Admission.Reject reason ->
-                if Admission.is_shed reason then begin
-                  incr sheds;
-                  shed_by.(r.Workload.rid) <- 1;
-                  emit
-                    (Event.Shed
-                       {
-                         rid = r.Workload.rid;
-                         priority = Workload.priority_to_string r.Workload.priority;
-                         reason = Admission.reason_string reason;
-                         time = r.Workload.at;
-                       })
-                end;
-                None
+  (* Every admission, wave 0 or retry: a shed is counted on the request
+     and published at the decision time. *)
+  let admit ?open_frac j ~now =
+    let r = j.request in
+    let decision =
+      Admission.decide ~priority:r.Workload.priority ?open_frac admission ~now
+        ~predicted_makespan:j.predicted
+    in
+    (match decision with
+    | Admission.Reject reason when Admission.is_shed reason ->
+        j.sheds <- j.sheds + 1;
+        emit
+          (Event.Shed
+             {
+               rid = r.Workload.rid;
+               priority = Workload.priority_to_string r.Workload.priority;
+               reason = Admission.reason_string reason;
+               time = now;
+             })
+    | _ -> ());
+    decision
+  in
+  (* Wave 0.  Its decisions carry no circuit-health signal: nothing has
+     executed yet.  The open-circuit fraction gates requeues. *)
+  let launched = ref [] in
+  let jobs =
+    Array.mapi
+      (fun i (r : Workload.request) ->
+        let entry = if slot.(i) < 0 then None else Some entries.(slot.(i)) in
+        let j =
+          {
+            request = r;
+            entry;
+            predicted = (match entry with Some e -> e.predicted | None -> 0.);
+            cache = `Unplanned;
+            plan_us = 0.;
+            decision = Admission.Admit;
+            attempts = 0;
+            result = None;
+            union = [||];
+            sheds = 0;
+          }
+        in
+        (match entry with
+        | None -> j.decision <- Admission.Reject (Admission.Bad_policy r.Workload.policy)
+        | Some e -> (
+            let l0 = Unix.gettimeofday () in
+            let _, kind = Plan_cache.lookup cache e.key ~compute:(fun () -> e.schedule) in
+            let lookup_us = (Unix.gettimeofday () -. l0) *. 1e6 in
+            j.cache <- (kind :> [ `Hit | `Miss | `Invalidated | `Unplanned ]);
+            j.plan_us <- (match kind with `Hit -> lookup_us | _ -> e.compute_us +. lookup_us);
+            j.decision <- admit j ~now:r.Workload.at;
+            match j.decision with
             | Admission.Admit ->
-                Some (launch r k schedule ~attempt:0 ~start_delay:r.Workload.at)
-          in
-          ((r, (kind :> [ `Hit | `Miss | `Invalidated | `Unplanned ]), plan_us, predicted,
-            decision, session)
-            : Workload.request
-              * [ `Hit | `Miss | `Invalidated | `Unplanned ]
-              * float
-              * float
-              * Admission.decision
-              * Session.reliable_t option)
-        end)
+                launched :=
+                  launch j e e.schedule ~attempt:0 ~start_delay:r.Workload.at :: !launched
+            | Admission.Reject _ -> ()));
+        j)
       requests
   in
   let plan_wall_s = Unix.gettimeofday () -. t0 in
-  Engine.run engine;
-  (* Retry/requeue loop.  A request whose delivered-rank {e union} (over
-     every attempt so far, never double-counted) still misses base ranks
-     is re-enqueued with exponential backoff, re-admitted against the live
+  (* Retry waves.  A request whose delivered-rank {e union} (over every
+     attempt so far, never double-counted) still misses base ranks is
+     re-enqueued with exponential backoff, re-admitted against the live
      open-circuit fraction, re-planned on the live estimated latency
      matrix when quality drifted past the cache threshold, and relaunched
      as a fresh session ([sid = attempt * nreq + rid]).  Waves run to
      engine quiescence, so a requeue always starts at or after the
      previous wave's horizon. *)
-  let attempts = Array.make nreq 0 in
-  let final_result : Session.reliable option array = Array.make nreq None in
-  let union : float array array = Array.make nreq [||] in
-  let requeues = ref 0 and retry_lookups = ref 0 in
   let sessions_finished = ref 0 and sessions_opened = ref 0 in
-  let absorb rid (res : Session.reliable) =
-    attempts.(rid) <- attempts.(rid) + 1;
-    final_result.(rid) <- Some res;
+  let absorb (j, s) =
+    let res = Session.reliable_result s in
+    j.attempts <- j.attempts + 1;
+    j.result <- Some res;
     incr sessions_finished;
     if res.Session.circuit_opens > 0 then incr sessions_opened;
-    if Array.length union.(rid) = 0 then union.(rid) <- Array.make n nan;
-    let u = union.(rid) in
+    if Array.length j.union = 0 then j.union <- Array.make n nan;
+    let u = j.union in
     for k = 0 to n - 1 do
       let a = res.Session.r_arrival.(k) in
       if not (Float.is_nan a) && (Float.is_nan u.(k) || a < u.(k)) then u.(k) <- a
     done
   in
-  let needs_retry rid =
-    Array.length union.(rid) > 0 && count_delivered union.(rid) 0 n < n
+  let requeue open_frac (j, _) =
+    let r = j.request and e = Option.get j.entry and prev = Option.get j.result in
+    let attempt = j.attempts in
+    let backoff = retry.backoff_us *. Float.pow 2. (float_of_int (attempt - 1)) in
+    let retry_at = Float.max (Engine.now engine) (prev.Session.r_makespan +. backoff) in
+    match admit ~open_frac j ~now:retry_at with
+    | Admission.Reject _ -> None
+    | Admission.Admit ->
+        let estimator = prev.Session.estimator in
+        let compute () =
+          let inst = Instance.of_grid ~root:r.Workload.root ~msg:e.key.Plan_cache.bucket grid in
+          (* Retries replan on the live view: the estimator's measured
+             quality on the coordinator links. *)
+          let inst =
+            match estimator with
+            | Some est -> Instance.rescale machines (Adaptive.quality est) inst
+            | None -> inst
+          in
+          Gridb_sched.Engine.run e.policy inst
+        in
+        let schedule, _ = Plan_cache.lookup cache ?estimator e.key ~compute in
+        emit (Event.Retry { rid = r.Workload.rid; attempt; time = retry_at });
+        Some (launch j e schedule ~attempt ~start_delay:retry_at)
   in
-  Array.iter
-    (fun (r, _, _, _, _, session) ->
-      match session with
-      | Some s -> absorb r.Workload.rid (Session.reliable_result s)
-      | None -> ())
-    partial;
-  let queue =
-    ref
-      (if retry.budget = 0 then []
-       else
-         Array.to_list requests
-         |> List.filter (fun (r : Workload.request) -> needs_retry r.Workload.rid))
-  in
-  while !queue <> [] do
-    let wave = !queue in
-    queue := [];
-    let open_frac =
-      if !sessions_finished = 0 then 0.
-      else float_of_int !sessions_opened /. float_of_int !sessions_finished
-    in
-    let launched =
-      List.filter_map
-        (fun (r : Workload.request) ->
-          let rid = r.Workload.rid in
-          let attempt = attempts.(rid) in
-          if attempt > retry.budget then None
-          else begin
-            let prev = Option.get final_result.(rid) in
-            let backoff = retry.backoff_us *. Float.pow 2. (float_of_int (attempt - 1)) in
-            let retry_at =
-              Float.max (Engine.now engine) (prev.Session.r_makespan +. backoff)
-            in
-            let k = key_of r in
-            let _, predicted, _ = Hashtbl.find plan_tbl k in
-            match
-              Admission.decide ~priority:r.Workload.priority ~open_frac admission
-                ~now:retry_at ~predicted_makespan:predicted
-            with
-            | Admission.Reject reason ->
-                if Admission.is_shed reason then begin
-                  incr sheds;
-                  shed_by.(rid) <- shed_by.(rid) + 1;
-                  emit
-                    (Event.Shed
-                       {
-                         rid;
-                         priority = Workload.priority_to_string r.Workload.priority;
-                         reason = Admission.reason_string reason;
-                         time = retry_at;
-                       })
-                end;
-                None
-            | Admission.Admit ->
-                let estimator = prev.Session.estimator in
-                let compute () =
-                  let h = heuristic_of r.Workload.policy in
-                  let inst =
-                    Instance.of_grid ~root:r.Workload.root ~msg:k.Plan_cache.bucket grid
-                  in
-                  (* Retries replan on the live view: the estimator's
-                     measured quality on the coordinator links. *)
-                  let inst =
-                    match estimator with
-                    | Some est -> Instance.rescale machines (Adaptive.quality est) inst
-                    | None -> inst
-                  in
-                  Gridb_sched.Engine.run h inst
-                in
-                let schedule, _ = Plan_cache.lookup cache ?estimator k ~compute in
-                incr retry_lookups;
-                incr requeues;
-                emit (Event.Retry { rid; attempt; time = retry_at });
-                Some (r, launch r k schedule ~attempt ~start_delay:retry_at)
-          end)
-        wave
-    in
+  let rec drain wave =
     Engine.run engine;
-    List.iter
-      (fun ((r : Workload.request), s) ->
-        absorb r.Workload.rid (Session.reliable_result s);
-        if needs_retry r.Workload.rid && attempts.(r.Workload.rid) <= retry.budget then
-          queue := r :: !queue)
-      launched;
-    queue := List.rev !queue
-  done;
+    List.iter absorb wave;
+    match
+      List.filter
+        (fun (j, _) -> j.attempts <= retry.budget && count_delivered j.union 0 n < n)
+        wave
+    with
+    | [] -> ()
+    | queue ->
+        let open_frac = float_of_int !sessions_opened /. float_of_int !sessions_finished in
+        drain (List.filter_map (requeue open_frac) queue)
+  in
+  drain (List.rev !launched);
   (* Fold per-request outcomes: the recorded result is the final attempt's,
      delivery is the union (base ranks across attempts, joins from the
      final attempt), deadlines are judged on the time the union covered
-     every base rank. *)
-  let deadline_misses = ref 0 in
+     every base rank.  The report's totals are sums of the two classes. *)
+  let mk_sum = ref 0. in
+  let slo = Array.make 2 empty_slo in
   let outcomes =
     Array.map
-      (fun ((request : Workload.request), cache, plan_us, predicted_us, decision, _) ->
-        let rid = request.Workload.rid in
-        let result = final_result.(rid) in
+      (fun j ->
+        let request = j.request in
         let delivered_union, completion_us =
-          match result with
+          match j.result with
           | None -> (0, nan)
           | Some res ->
-              let u = union.(rid) in
-              let base = count_delivered u 0 n in
-              let join_delivered =
-                count_delivered res.Session.r_arrival n
-                  (Array.length res.Session.r_arrival)
-              in
+              let base = count_delivered j.union 0 n in
+              let arrival = res.Session.r_arrival in
+              let join_delivered = count_delivered arrival n (Array.length arrival) in
               let completion =
-                if base < n then nan
-                else Array.fold_left (fun acc a -> Float.max acc a) neg_infinity u
+                if base < n then nan else Array.fold_left Float.max neg_infinity j.union
               in
               (base + join_delivered, completion)
         in
+        (* A NaN completion (some base rank never delivered) misses. *)
         let deadline_met =
-          match result with
-          | None -> None
-          | Some _ ->
-              if request.Workload.deadline = infinity then None
-              else
-                Some
-                  ((not (Float.is_nan completion_us))
-                  && completion_us -. request.Workload.at <= request.Workload.deadline)
+          match j.result with
+          | Some _ when request.Workload.deadline <> infinity ->
+              Some (completion_us -. request.Workload.at <= request.Workload.deadline)
+          | _ -> None
         in
         (match deadline_met with
         | Some false ->
-            incr deadline_misses;
-            emit
-              (Event.Deadline_miss
-                 { rid; deadline = request.Workload.deadline; finish = completion_us })
+            let rid = request.Workload.rid and deadline = request.Workload.deadline in
+            emit (Event.Deadline_miss { rid; deadline; finish = completion_us })
         | _ -> ());
+        let c = match request.Workload.priority with Workload.High -> 0 | Workload.Low -> 1 in
+        let s = slo.(c) in
+        slo.(c) <-
+          (match j.result with
+          | Some res ->
+              mk_sum := !mk_sum +. (res.Session.r_makespan -. request.Workload.at);
+              {
+                s with
+                c_requests = s.c_requests + 1;
+                c_admitted = s.c_admitted + 1;
+                c_requeues = s.c_requeues + (j.attempts - 1);
+                c_shed = s.c_shed + j.sheds;
+                c_delivered = s.c_delivered + delivered_union;
+                c_ranks = s.c_ranks + Array.length res.Session.r_arrival;
+                c_deadlines = (s.c_deadlines + if deadline_met = None then 0 else 1);
+                c_deadline_met = (s.c_deadline_met + if deadline_met = Some true then 1 else 0);
+              }
+          | None ->
+              {
+                s with
+                c_requests = s.c_requests + 1;
+                c_shed = s.c_shed + j.sheds;
+                c_rejected = (s.c_rejected + if j.sheds > 0 then 0 else 1);
+              });
         {
           request;
-          cache;
-          plan_us;
-          predicted_us;
-          decision;
-          result;
-          attempts = attempts.(rid);
+          cache = j.cache;
+          plan_us = j.plan_us;
+          predicted_us = j.predicted;
+          decision = j.decision;
+          result = j.result;
+          attempts = j.attempts;
           delivered_union;
           completion_us;
           deadline_met;
         })
-      partial
+      jobs
   in
-  let admitted = ref 0 and invalid = ref 0 and delivered = ref 0 and mk_sum = ref 0. in
-  let slo = Array.make 2 empty_slo in
-  let class_of (r : Workload.request) =
-    match r.Workload.priority with Workload.High -> 0 | Workload.Low -> 1
-  in
-  Array.iter
-    (fun o ->
-      let c = class_of o.request in
-      let s = slo.(c) in
-      let s = { s with c_requests = s.c_requests + 1 } in
-      let s =
-        match o.result with
-        | Some r ->
-            incr admitted;
-            delivered := !delivered + o.delivered_union;
-            mk_sum := !mk_sum +. (r.Session.r_makespan -. o.request.Workload.at);
-            let population = Array.length r.Session.r_arrival in
-            let met = if o.deadline_met = Some true then 1 else 0 in
-            let has_deadline = if o.deadline_met = None then 0 else 1 in
-            {
-              s with
-              c_admitted = s.c_admitted + 1;
-              c_requeues = s.c_requeues + (o.attempts - 1);
-              c_shed = s.c_shed + shed_by.(o.request.Workload.rid);
-              c_delivered = s.c_delivered + o.delivered_union;
-              c_ranks = s.c_ranks + population;
-              c_deadlines = s.c_deadlines + has_deadline;
-              c_deadline_met = s.c_deadline_met + met;
-            }
-        | None ->
-            (match o.decision with
-            | Admission.Reject (Admission.Bad_policy _) -> incr invalid
-            | _ -> ());
-            let was_shed = shed_by.(o.request.Workload.rid) > 0 in
-            {
-              s with
-              c_shed = s.c_shed + shed_by.(o.request.Workload.rid);
-              c_rejected = (s.c_rejected + if was_shed then 0 else 1);
-            }
-      in
-      slo.(c) <- s)
-    outcomes;
   (* Plan latencies are wall-clock readings, so how many comparisons a
      sort makes varies run to run.  Sorting the float array itself boxes
      an element per comparison (and heapsort raises a data-dependent
      number of exceptions); a merge sort of indices into it allocates the
      same words on every run, keeping minor-word counts reproducible. *)
   let latencies =
-    let raw = Array.map (fun o -> o.plan_us) outcomes in
+    let raw = Array.map (fun j -> j.plan_us) jobs in
     let order = Array.init (Array.length raw) Fun.id in
     Array.stable_sort (fun i j -> Float.compare raw.(i) raw.(j)) order;
     Array.map (fun i -> raw.(i)) order
   in
+  let high = slo.(0) and low = slo.(1) in
+  let admitted = high.c_admitted + low.c_admitted in
+  let requeues = high.c_requeues + low.c_requeues in
   let stats = Plan_cache.stats cache in
   let lookups = stats.Plan_cache.hits + stats.Plan_cache.misses in
   {
     outcomes;
     requests = nreq;
-    admitted = !admitted;
-    rejected = nreq - !admitted;
-    invalid = !invalid;
+    admitted;
+    rejected = nreq - admitted;
+    invalid = Array.fold_left (fun c i -> if i < 0 then c + 1 else c) 0 slot;
     cache_stats = stats;
     hit_rate =
       (if lookups = 0 then 0.
@@ -543,14 +497,15 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     plan_p50_us = percentile latencies 50.;
     plan_p99_us = percentile latencies 99.;
     horizon_us = Engine.now engine;
-    delivered = !delivered;
-    mean_makespan_us = (if !admitted = 0 then 0. else !mk_sum /. float_of_int !admitted);
-    sheds = !sheds;
-    requeues = !requeues;
-    retry_lookups = !retry_lookups;
-    deadline_misses = !deadline_misses;
-    slo_high = slo.(0);
-    slo_low = slo.(1);
+    delivered = high.c_delivered + low.c_delivered;
+    mean_makespan_us = (if admitted = 0 then 0. else !mk_sum /. float_of_int admitted);
+    sheds = high.c_shed + low.c_shed;
+    requeues;
+    retry_lookups = requeues;
+    deadline_misses =
+      high.c_deadlines - high.c_deadline_met + low.c_deadlines - low.c_deadline_met;
+    slo_high = high;
+    slo_low = low;
     chaotic;
   }
 
@@ -558,7 +513,7 @@ let smoke_lines report =
   let lines = ref [] in
   let addf fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   Array.iter
-    (fun o ->
+    (fun (o : outcome) ->
       let r = o.request in
       let chaos_suffix =
         if not report.chaotic then ""

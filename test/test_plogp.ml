@@ -1,8 +1,7 @@
-(* Tests for gridb_plogp: piecewise functions, parameter sets, fitting. *)
+(* Tests for gridb_plogp: piecewise functions and parameter sets. *)
 
 module Piecewise = Gridb_plogp.Piecewise
 module Params = Gridb_plogp.Params
-module Fitting = Gridb_plogp.Fitting
 
 let feq ?(eps = 1e-9) a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
@@ -207,72 +206,6 @@ let test_gap_monotonic_in_size =
       let lo = min a b and hi = max a b in
       Params.gap p lo <= Params.gap p hi +. 1e-9)
 
-(* --- Fitting ------------------------------------------------------------ *)
-
-let test_fit_linear_exact () =
-  let samples =
-    List.map
-      (fun size -> { Fitting.size; time = 7. +. (0.25 *. float_of_int size) })
-      [ 0; 100; 500; 1000; 5000 ]
-  in
-  let fit = Fitting.fit_linear samples in
-  check_feq ~eps:1e-6 "intercept" 7. fit.Fitting.intercept;
-  check_feq ~eps:1e-6 "slope" 0.25 fit.Fitting.slope;
-  Alcotest.(check bool) "rmse ~ 0" true (fit.Fitting.rmse < 1e-6)
-
-let test_fit_linear_single_size () =
-  let samples = [ { Fitting.size = 100; time = 3. }; { Fitting.size = 100; time = 5. } ] in
-  let fit = Fitting.fit_linear samples in
-  check_feq "slope 0" 0. fit.Fitting.slope;
-  check_feq "intercept mean" 4. fit.Fitting.intercept
-
-let test_fit_table_min_reduction () =
-  let samples =
-    [
-      { Fitting.size = 10; time = 5. };
-      { Fitting.size = 10; time = 4. };
-      { Fitting.size = 20; time = 9. };
-    ]
-  in
-  let table = Fitting.fit_table samples in
-  check_feq "min kept" 4. (Piecewise.eval table 10);
-  check_feq "other size" 9. (Piecewise.eval table 20);
-  let mean_table = Fitting.fit_table ~per_size_reduce:`Mean samples in
-  check_feq "mean kept" 4.5 (Piecewise.eval mean_table 10)
-
-let test_measurement_recovers_exactly_without_noise () =
-  let truth = Params.linear ~latency:5_000. ~g0:100. ~bandwidth_mb_s:2. in
-  let config = { Fitting.Measurement.default_config with noise_sigma = 0. } in
-  let recovered = Fitting.Measurement.run config truth in
-  List.iter
-    (fun m ->
-      check_feq ~eps:1e-6
-        (Printf.sprintf "gap at %d" m)
-        (Params.gap truth m) (Params.gap recovered m))
-    [ 1; 1024; 65_536; 1_000_000 ];
-  check_feq ~eps:1e-6 "latency" (Params.latency truth) (Params.latency recovered)
-
-let test_measurement_recovers_with_noise () =
-  let truth = Params.linear ~latency:5_000. ~g0:100. ~bandwidth_mb_s:2. in
-  let config = { Fitting.Measurement.default_config with noise_sigma = 0.05 } in
-  let recovered = Fitting.Measurement.run ~seed:9 config truth in
-  List.iter
-    (fun m ->
-      let t = Params.gap truth m and r = Params.gap recovered m in
-      Alcotest.(check bool)
-        (Printf.sprintf "gap at %d within 15%%" m)
-        true
-        (Float.abs (r -. t) /. t < 0.15))
-    [ 1024; 65_536; 1_000_000 ];
-  let lt = Params.latency truth and lr = Params.latency recovered in
-  Alcotest.(check bool) "latency within 15%" true (Float.abs (lr -. lt) /. lt < 0.15)
-
-let test_fitting_rejects_empty () =
-  Alcotest.check_raises "empty linear" (Invalid_argument "Fitting.fit_linear: empty input")
-    (fun () -> ignore (Fitting.fit_linear []));
-  Alcotest.check_raises "empty table" (Invalid_argument "Fitting.fit_table: empty input")
-    (fun () -> ignore (Fitting.fit_table []))
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "plogp"
@@ -302,14 +235,5 @@ let () =
           quick "rejects" test_params_rejects;
           quick "equality" test_params_equal;
           QCheck_alcotest.to_alcotest test_gap_monotonic_in_size;
-        ] );
-      ( "fitting",
-        [
-          quick "exact linear fit" test_fit_linear_exact;
-          quick "single size" test_fit_linear_single_size;
-          quick "table min reduction" test_fit_table_min_reduction;
-          quick "noiseless recovery" test_measurement_recovers_exactly_without_noise;
-          quick "noisy recovery" test_measurement_recovers_with_noise;
-          quick "rejects empty" test_fitting_rejects_empty;
         ] );
     ]

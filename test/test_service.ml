@@ -467,6 +467,43 @@ let test_server_rejects_out_of_order () =
     (Invalid_argument "Server.run: requests not in arrival order") (fun () ->
       ignore (Server.run machines [ r 0 100.; r 1 50. ]))
 
+(* Cluster 0's own gap table falls, so at 5,000 bytes its intra-cluster
+   sends would replay at a negative gap, while its binomial [T_k] stays
+   finite and [Instance.of_grid] accepts the grid.  [Server.run] checks
+   every request size before planning and names the cluster. *)
+let test_server_refuses_negative_gap () =
+  let text =
+    String.concat "\n"
+      [
+        "grid 2";
+        "cluster 0 a 4 L 10 G 0:1000,1:999";
+        "cluster 1 b 4 L 10 G 0:10,1000000:1000";
+        "link 0 1 L 100 G 0:10,1000000:1000";
+        "link 1 0 L 100 G 0:10,1000000:1000";
+      ]
+  in
+  let machines =
+    Machines.expand (Result.get_ok (Gridb_topology.Serialize.of_string text))
+  in
+  let request msg =
+    {
+      Workload.rid = 0;
+      at = 0.;
+      root = 1;
+      msg;
+      policy = "ECEF";
+      deadline = infinity;
+      priority = Workload.Low;
+    }
+  in
+  let report = Server.run machines [ request 500 ] in
+  Alcotest.(check int) "a size the gap table covers is served" 8 report.Server.delivered;
+  Alcotest.check_raises "a negative gap is refused before planning"
+    (Invalid_argument
+       "Server.run: cluster 0: intra-cluster gap at message size 5000 bytes is -4000 us, \
+        not finite and >= 0") (fun () ->
+      ignore (Server.run machines [ request 500; { (request 5000) with Workload.rid = 1 } ]))
+
 (* --- zero-chaos regression pin ----------------------------------------- *)
 
 (* The exact smoke rendering of the seed-30 fixture served with every
@@ -792,6 +829,35 @@ let test_server_deadline_bookkeeping () =
   Alcotest.(check bool) "fixture exercises both verdicts" true
     (!misses > 0 && report.Server.deadline_misses < report.Server.admitted)
 
+(* The event stream of a chaotic run: lossy, crashing and degrading
+   sessions on the adaptive, rerouting transport, retry waves, low-priority
+   sheds, and a cache threshold low enough that retries invalidate.  The
+   digest pins the order of [Retry], [Shed] and [Cache_*] events within
+   and across waves, which the smoke lines do not show. *)
+let test_server_chaotic_stream_golden () =
+  let machines, requests = chaotic_fixture () in
+  let admission =
+    Admission.create ~shed:(Admission.shed ~watermark_us:2e5 ~max_open_frac:0.3 ()) ()
+  in
+  let sink = Sink.memory () in
+  let report =
+    Server.run ~obs:sink ~admission
+      ~cache:(Plan_cache.create ~obs:sink ~threshold:0.02 ())
+      ~transport:(Session.adaptive ~reroute:true ())
+      ~faults:(Gridb_des.Faults.v ~loss:0.45 ~crash_rate:2e-7 ~degrade_rate:1e-6 ())
+      ~retry:(Server.retry ~budget:2 ()) machines requests
+  in
+  let count p = List.length (List.filter p (Sink.events sink)) in
+  Alcotest.(check bool) "retry waves ran" true
+    (report.Server.requeues > 0
+    && count (function Event.Retry _ -> true | _ -> false) = report.Server.requeues);
+  Alcotest.(check bool) "requests were shed" true
+    (report.Server.sheds > 0
+    && count (function Event.Shed _ -> true | _ -> false) = report.Server.sheds);
+  Alcotest.(check bool) "retries invalidated cached plans" true
+    (report.Server.cache_stats.Plan_cache.invalidations > 0);
+  Alcotest.(check string) "chaotic stream" "6a9a6ea9fccef314b27c4f8834bcbf32" (stream_md5 sink)
+
 let test_server_chaotic_jobs_invariant () =
   let machines, requests = chaotic_fixture ~seed:34 ~rate:6e-5 () in
   let lines jobs =
@@ -982,6 +1048,7 @@ let () =
           quick "jobs-invariant smoke lines" test_server_jobs_invariant;
           quick "multi-session invariants hold" test_server_multi_session_invariants;
           quick "out-of-order requests rejected" test_server_rejects_out_of_order;
+          quick "negative gap refused" test_server_refuses_negative_gap;
           quick "zero-chaos smoke output pinned" test_server_zero_chaos_golden;
           quick "event stream pinned" test_server_stream_golden;
           quick "arrival-tie event stream pinned" test_server_arrival_tie_golden;
@@ -994,6 +1061,7 @@ let () =
             test_server_retry_lowers_cached_schedule;
           quick "shedding protects high priority" test_server_shedding_protects_high_priority;
           quick "deadline bookkeeping" test_server_deadline_bookkeeping;
+          quick "chaotic event stream pinned" test_server_chaotic_stream_golden;
           quick "chaotic smoke lines jobs-invariant" test_server_chaotic_jobs_invariant;
         ] );
       ( "invariants",
