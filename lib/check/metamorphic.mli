@@ -24,6 +24,8 @@
       reliable transports must be bit-identical to the unreliable
       executor — same arrivals, makespan and transmission count, zero
       retransmissions.
+    - {b timer elision}: a reliable run without a fault model, whose ACK
+      timers need not be queued, equals the same run under an empty one.
     - {b dynamics identity}: attaching a {!Gridb_des.Dynamics} model whose
       spec is {!Gridb_des.Dynamics.none} — with a live observation tick —
       must leave a reliable run bit-identical to the same run without a
@@ -67,6 +69,16 @@ val transport_equivalence :
     must be {e exactly} equal and no retransmission may fire.  [msg]
     defaults to 1 MB, [seed] to 0. *)
 
+val timer_elision :
+  ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t ->
+  Invariant.outcome
+(** ["timer-elision"]: {!Gridb_des.Session.run_reliable} with
+    [faults = None] against the same run under an empty fault model, which
+    queues every timer: equal results (estimator aside) and
+    byte-identical JSONL streams,
+    under fixed, adaptive, adaptive+reroute, and adaptive with a 1 us RTO
+    (whose timers fire).  [msg] defaults to 1 MB, [seed] to 0. *)
+
 val dynamics_identity :
   ?msg:int ->
   ?seed:int ->
@@ -79,9 +91,8 @@ val dynamics_identity :
 (** ["dynamics-identity"]: {!Gridb_des.Session.run_reliable} with a
     zero-dynamics {!Gridb_des.Dynamics} model attached (and an [on_tick]
     observation hook firing every 50 ms) against the same run without one:
-    arrival vector (nan-aware), makespan, transmission / retransmission /
-    delivered counts and horizon must be {e exactly} equal, and the model
-    must report no churn.  [spec] (default no faults) and [transport]
+    every field of the result but the estimator must be {e exactly} equal
+    (nan-aware), so the model reports no churn either.  [spec] (default no faults) and [transport]
     (default fixed) select the baseline being perturbed; [fault_seed]
     defaults to [seed]. *)
 

@@ -177,6 +177,7 @@ let check (sc : Scenario.t) =
       ~expected:(Schedule.makespan inst s) ~got:res.Session.makespan
   in
   let* () = Metamorphic.transport_equivalence ~msg:sc.msg ~seed:sc.seed machines plan in
+  let* () = Metamorphic.timer_elision ~msg:sc.msg ~seed:sc.seed machines plan in
   (* Segmented replay against the closed form, on a chain over the root
      cluster's parameters: once with the scenario's message (more bytes
      than segments) and once with fewer bytes than segments. *)

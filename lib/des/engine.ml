@@ -1,8 +1,8 @@
 module Sink = Gridb_obs.Sink
 module Event = Gridb_obs.Event
 
-(* [slot] is the timer's queue slot while it is queued, -1 once it has
-   fired or been cancelled. *)
+(* [slot] is the timer's queue slot while it is queued, -2 while it is
+   live but unqueued, -1 once it has fired or been cancelled. *)
 type timer = { id : int; mutable slot : int }
 
 type t = {
@@ -232,6 +232,17 @@ let[@inline] schedule_timer_with t ~time handler arg =
     Sink.emit t.obs (Event.Timer_set { id = timer.id; time = t.clock.(0); fire_at = time });
   timer
 
+(* Without a sink nothing can observe the timer, so it is [no_timer]. *)
+let unqueued_timer t ~time =
+  if not (time >= t.clock.(0)) then reject_time time;
+  let id = t.next_timer in
+  t.next_timer <- id + 1;
+  if Sink.enabled t.obs then begin
+    Sink.emit t.obs (Event.Timer_set { id; time = t.clock.(0); fire_at = time });
+    { id; slot = -2 }
+  end
+  else no_timer
+
 let schedule t ~time action = schedule_with t ~time (fun e _ -> action e) 0
 
 let schedule_after t ~delay action =
@@ -242,15 +253,17 @@ let schedule_timer t ~time action = schedule_timer_with t ~time (fun e _ -> acti
 
 let cancel t timer =
   let s = timer.slot in
-  if s >= 0 then begin
+  if s <> -1 then begin
     timer.slot <- -1;
-    remove_at t t.pos.(s);
-    release t s;
+    if s >= 0 then begin
+      remove_at t t.pos.(s);
+      release t s
+    end;
     if Sink.enabled t.obs then
       Sink.emit t.obs (Event.Timer_cancel { id = timer.id; time = t.clock.(0) })
   end
 
-let timer_live timer = timer.slot >= 0
+let timer_live timer = timer.slot <> -1
 
 let step t =
   if is_empty t then false

@@ -75,6 +75,14 @@ val schedule_timer_with : t -> time:float -> (t -> int -> unit) -> int -> timer
 (** Like {!schedule_with}, returning a handle usable with {!cancel}.
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
+val unqueued_timer : t -> time:float -> timer
+(** A timer its caller has proved is cancelled strictly before [time], so
+    it never fires and is not queued (nor counted by {!pending}).  It takes
+    the next timer id and publishes [Timer_set] as {!schedule_timer_with}
+    does; {!cancel} on it publishes [Timer_cancel] once.  Without an
+    enabled sink it allocates nothing and returns {!no_timer}.
+    @raise Invalid_argument if [time] is NaN or in the past. *)
+
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Enqueue a callback at an absolute time.
     @raise Invalid_argument if [time] is NaN or in the past (< [now t]). *)
@@ -92,7 +100,7 @@ val cancel : t -> timer -> unit
     {!no_timer}, is a no-op. *)
 
 val timer_live : timer -> bool
-(** False once cancelled or fired. *)
+(** False once cancelled or fired, and for {!no_timer}. *)
 
 val step : t -> bool
 (** Execute the next event; [false] when the queue is empty. *)

@@ -141,6 +141,13 @@ let emitter ~sid ~obs =
 
 type t = { s_arrival : float array; s_transmissions : int ref }
 
+(* A gap the DES cannot replay; callers test [gap >= 0. && gap < infinity]
+   themselves, so only this path boxes it. *)
+let[@inline never] bad_gap ~who ~src ~dst ~msg gap =
+  invalid_arg
+    (Printf.sprintf "%s: link %d -> %d: gap at message size %d bytes is %g us, not finite and >= 0"
+       who src dst msg gap)
+
 let launch ?sid ?(who = "Session.launch") ?(segments = 1) ~wire ~engine
     (config : Config.t) machines plan =
   let n = Machines.count machines in
@@ -188,7 +195,10 @@ let launch ?sid ?(who = "Session.launch") ?(segments = 1) ~wire ~engine
     | [] -> ()
     | child :: rest ->
         let p = Machines.link_params machines rank child in
-        let g = noisy noise rng (Params.gap p seg) in
+        let gap = Params.gap p seg in
+        if not (gap >= 0. && gap < infinity) then
+          bad_gap ~who ~src:rank ~dst:child ~msg:seg gap;
+        let g = noisy noise rng gap in
         let l = noisy noise rng (Params.latency p) in
         let start = Wire.seize wire rank ~gap:g in
         incr transmissions;
@@ -228,8 +238,10 @@ type reliable_t = {
   r_reroute_log : (int * int * int) list ref;
   r_circuit_opens : int ref;
   r_est : Adaptive.t option;
-  r_faults : Faults.t option;
-  r_dynamics : Dynamics.t option;
+  (* Crash and departure time per planned rank, empty without a fault or
+     dynamics model: the models' per-link streams need not outlive the run. *)
+  r_crash : float array;
+  r_leave : float array;
   r_joins : Dynamics.join array;
   r_engine : Engine.t;
 }
@@ -266,7 +278,7 @@ type reliable_t = {
    arrays and the handlers, then lets the root forward.  [launch_reliable]
    allocates only the result state, so a session queued behind a long
    backlog of others holds no protocol state until it starts. *)
-let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
+let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   let {
     Config.noise;
     rng;
@@ -315,7 +327,9 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
     let e = pair mod entries in
     if pairs.(e) <> pair then begin
       let p = params_for src dst in
-      links.(2 * e) <- Params.gap p msg;
+      let gap = Params.gap p msg in
+      if not (gap >= 0. && gap < infinity) then bad_gap ~who ~src ~dst ~msg gap;
+      links.(2 * e) <- gap;
       links.((2 * e) + 1) <- Params.latency p;
       pairs.(e) <- pair
     end;
@@ -324,19 +338,11 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   (* A rank halts at its fault-model crash or its dynamics departure,
      whichever comes first; join ranks never crash. *)
   let halt_at = Array.make ntot infinity in
-  (match faults with
-  | Some f ->
-      for r = 0 to n - 1 do
-        halt_at.(r) <- Faults.crash_time f r
-      done
-  | None -> ());
-  (match dynamics with
-  | Some d ->
-      for r = 0 to ntot - 1 do
-        let leave = Dynamics.leave_time d r in
-        if leave < halt_at.(r) then halt_at.(r) <- leave
-      done
-  | None -> ());
+  Array.blit s.r_crash 0 halt_at 0 (Array.length s.r_crash);
+  for r = 0 to Array.length s.r_leave - 1 do
+    let leave = s.r_leave.(r) in
+    if leave < halt_at.(r) then halt_at.(r) <- leave
+  done;
   (* Fault processes are drawn over the planning-time population only; a
      join's fresh links are loss-free, cut-free and undegraded (and
      {!Dynamics.factor} is exactly 1. on them too). *)
@@ -352,6 +358,10 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
     | _ -> false
   in
   let slows = faults <> None || dynamics <> None in
+  (* With exact noise and neither model nothing delays, drops or halts an
+     ACK, so a try's timer with a deadline after its ACK lands is cancelled
+     before it could fire and need not be queued. *)
+  let timer_free = (not slows) && match noise with Noise.Exact -> true | _ -> false in
   let slowdown src dst ~at =
     let f =
       match faults with
@@ -532,11 +542,15 @@ let start ~sid ~wire (s : reliable_t) (config : Config.t) machines plan engine =
       let lost = (lossy && faulty src dst ~at:start) || halt_at.(dst) <= arr in
       let edge = (src * ntot) + dst in
       if not lost then Engine.schedule_with engine ~time:arr data_arrives edge;
+      let deadline = start +. g +. cur_rto.(dst) in
+      (* [arr +. l_back] is the ACK's landing time as [data_arrives]
+         computes it when [timer_free]. *)
       timers.(dst) <-
-        Engine.schedule_timer_with engine
-          ~time:(start +. g +. cur_rto.(dst))
-          timeout
-          ((try_no * ntot * ntot) + edge)
+        (if timer_free && arr +. links.(link dst src + 1) < deadline then
+           Engine.unqueued_timer engine ~time:deadline
+         else
+           Engine.schedule_timer_with engine ~time:deadline timeout
+             ((try_no * ntot * ntot) + edge))
     end
     else if reroute then orphaned ~old_parent:src ~dst engine
   and data_arrives engine edge =
@@ -741,14 +755,20 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
       r_reroute_log = ref [];
       r_circuit_opens = ref 0;
       r_est = est;
-      r_faults = config.Config.faults;
-      r_dynamics = config.Config.dynamics;
+      r_crash =
+        (match config.Config.faults with
+        | Some f -> Array.init n (Faults.crash_time f)
+        | None -> [||]);
+      r_leave =
+        (match config.Config.dynamics with
+        | Some d -> Array.init n (Dynamics.leave_time d)
+        | None -> [||]);
       r_joins = joins;
       r_engine = engine;
     }
   in
   Engine.schedule_with engine ~time:config.Config.start_delay
-    (fun engine _ -> start ~sid ~wire s config machines plan engine)
+    (fun engine _ -> start ~sid ~who ~wire s config machines plan engine)
     0;
   s
 
@@ -763,18 +783,10 @@ let reliable_result (s : reliable_t) =
     end
   done;
   let horizon = Engine.now s.r_engine in
-  let n = s.r_n in
-  let crashed =
-    match s.r_faults with
-    | None -> []
-    | Some f -> List.filter (fun r -> Faults.crash_time f r <= horizon) (List.init n Fun.id)
+  let halted times =
+    List.filter (fun r -> times.(r) <= horizon) (List.init (Array.length times) Fun.id)
   in
-  let left =
-    match s.r_dynamics with
-    | None -> []
-    | Some d ->
-        List.filter (fun r -> Dynamics.leave_time d r <= horizon) (List.init n Fun.id)
-  in
+  let crashed = halted s.r_crash and left = halted s.r_leave in
   let joined =
     Array.to_list s.r_joins
     |> List.filter_map (fun j ->

@@ -153,14 +153,13 @@ val run : ?segments:int -> Config.t -> Gridb_topology.Machines.t -> Plan.t -> re
     along [plan] on a private wire and engine run to quiescence (the
     {!launch} semantics, [segments] included).  Only the
     [noise]/[rng]/[start_delay]/[msg]/[obs] fields of [config] apply.
-    @raise Invalid_argument if plan and machine view sizes differ or
-    [segments < 1]. *)
+    @raise Invalid_argument as {!launch} does. *)
 
 val run_reliable : Config.t -> Gridb_topology.Machines.t -> Plan.t -> reliable
 (** [run_reliable config machines plan] replays one reliable broadcast
     (the {!launch_reliable} semantics) on a private wire and engine run to
     quiescence.
-    @raise Invalid_argument on everything {!Config.validate} checks. *)
+    @raise Invalid_argument as {!launch_reliable} does. *)
 
 val mean_makespan :
   ?noise:Noise.t ->
@@ -259,7 +258,8 @@ val launch :
     (at the segment size); receive-exactly-once holds only for
     [segments = 1], as every segment is a delivery of its own.
     @raise Invalid_argument on plan size mismatch, a wire smaller than the
-    machine view, or [segments < 1]. *)
+    machine view, or [segments < 1]; while the engine runs, on a send
+    whose gap is not finite and >= 0 (naming the link and size). *)
 
 val result : t -> result
 (** The session's outcome.  Call after [Engine.run] has reached
@@ -340,8 +340,13 @@ val launch_reliable :
     specs: their factor is exactly [1.] (an exact float multiply), they
     halt and join nobody, and tick callbacks never touch the data path.
     The property tests pin this zero-fault identity down.
+    Under [Noise.Exact] with no fault or dynamics model, a try whose ACK
+    lands strictly before its timer's deadline arms an
+    {!Engine.unqueued_timer}, checked per send.
     @raise Invalid_argument on everything {!Config.validate} checks, or a
-    wire smaller than the session's rank population. *)
+    wire smaller than the session's rank population; while the engine
+    runs, on a link whose gap is not finite and >= 0 (naming the link and
+    size). *)
 
 val reliable_result : reliable_t -> reliable
 (** The session's outcome; call after [Engine.run]. *)

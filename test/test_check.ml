@@ -262,6 +262,7 @@ let metamorphic_positive () =
     Gridb_des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef small)
   in
   ok "transport equivalence" (M.transport_equivalence ~msg:100_000 machines plan);
+  ok "timer elision" (M.timer_elision ~msg:100_000 machines plan);
   let params = (Gridb_topology.Grid.cluster grid 0).Gridb_topology.Cluster.intra in
   List.iter
     (fun (size, msg, segments) ->
@@ -269,6 +270,24 @@ let metamorphic_positive () =
         (Printf.sprintf "segmented chain (%d ranks, %d bytes, %d segments)" size msg segments)
         (M.segmented_chain ~params ~size ~msg ~segments))
     [ (1, 1_000, 4); (2, 1_000_000, 1); (6, 1_000_000, 32); (5, 7, 40) ]
+
+(* Unqueued ACK timers change nothing observable on any topology, plan
+   shape or message size, timers that fire included. *)
+let timer_elision_on_random_topologies =
+  QCheck.Test.make ~name:"timer elision on random grids" ~count:(Testutil.count 20)
+    QCheck.(triple (int_range 1 6) (int_bound 10_000) bool)
+    (fun (n, seed, flat) ->
+      let rng = Rng.create seed in
+      let machines = Machines.expand (Testutil.random_grid ~cluster_size:(1, 8) ~n seed) in
+      let root = Rng.int rng (Machines.count machines) in
+      let plan =
+        if flat then Gridb_des.Plan.flat_ranks machines ~root
+        else Gridb_des.Plan.binomial_ranks machines ~root
+      in
+      let msg = 1 + Rng.int rng 1_000_000 in
+      match M.timer_elision ~msg ~seed machines plan with
+      | Ok () -> true
+      | Error v -> QCheck.Test.fail_reportf "%a" I.pp_violation v)
 
 let metamorphic_negative () =
   (* Swapping small and large breaks the dominance precondition. *)
@@ -564,6 +583,7 @@ let () =
         [
           Alcotest.test_case "laws hold on the pipeline" `Quick metamorphic_positive;
           Alcotest.test_case "dominance violations detected" `Quick metamorphic_negative;
+          QCheck_alcotest.to_alcotest timer_elision_on_random_topologies;
         ] );
       ( "scenario",
         [

@@ -192,6 +192,63 @@ let test_engine_capacity_follows_live () =
   Alcotest.(check int) "nothing live (lane)" 0 (Engine.pending e);
   check_capacity e !peak
 
+(* An unqueued timer publishes exactly what a queued timer cancelled at the
+   same instant publishes (ids included), but never enters the queue. *)
+let test_engine_unqueued_timer () =
+  let replay unqueued =
+    let sink = Gridb_obs.Sink.memory () in
+    let e = Engine.create ~obs:sink () in
+    Engine.schedule e ~time:2. (fun e ->
+        let tm =
+          if unqueued then Engine.unqueued_timer e ~time:9.
+          else
+            Engine.schedule_timer_with e ~time:9.
+              (fun _ _ -> Alcotest.fail "a cancelled timer fired")
+              0
+        in
+        Alcotest.(check int) "pending" (if unqueued then 0 else 1) (Engine.pending e);
+        Alcotest.(check bool) "invariant" true (Engine.check_invariant e);
+        Alcotest.(check bool) "live until cancelled" true (Engine.timer_live tm);
+        Engine.schedule e ~time:5. (fun e ->
+            Engine.cancel e tm;
+            Alcotest.(check bool) "dead once cancelled" false (Engine.timer_live tm);
+            let published = Gridb_obs.Sink.count sink in
+            Engine.cancel e tm;
+            Alcotest.(check int) "a second cancel publishes nothing" published
+              (Gridb_obs.Sink.count sink);
+            (* The next timer takes the next id either way. *)
+            Engine.cancel e (Engine.schedule_timer e ~time:7. (fun _ -> ()))));
+    Engine.run e;
+    Alcotest.(check bool) "invariant at the end" true (Engine.check_invariant e);
+    (Engine.processed e, Engine.now e, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
+  in
+  let processed, horizon, events = replay true in
+  let processed', horizon', events' = replay false in
+  Alcotest.(check (list string)) "same stream as a queued timer" events' events;
+  Alcotest.(check int) "same processed" processed' processed;
+  Alcotest.(check (float 0.)) "same horizon" horizon' horizon;
+  Alcotest.(check int) "two sets, two cancels" 4 (List.length events);
+  (* Without a sink nothing can observe the timer: no handle, no words. *)
+  let e = Engine.create () in
+  let tm = Engine.unqueued_timer e ~time:1. in
+  Alcotest.(check bool) "no handle without a sink" false (Engine.timer_live tm);
+  Engine.cancel e tm;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Engine.unqueued_timer e ~time:1. : Engine.timer)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Printf.sprintf "allocates nothing (%g words)" words) true
+    (words < 100.);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule: NaN time") (fun () ->
+      ignore (Engine.unqueued_timer e ~time:nan : Engine.timer));
+  Engine.schedule e ~time:3. (fun e ->
+      Alcotest.check_raises "time in the past"
+        (Invalid_argument "Engine.schedule: time in the past") (fun () ->
+          ignore (Engine.unqueued_timer e ~time:2. : Engine.timer)));
+  Engine.run e
+
 (* --- Engine queue ------------------------------------------------------- *)
 
 let test_heap_sorts () =
@@ -676,6 +733,35 @@ let test_exec_start_delay_shifts () =
   in
   check_feq "uniform shift" (base +. 1234.) shifted
 
+(* Cluster 0's gap table falls, so at 5,000 bytes its intra-cluster sends
+   would replay at -4000 us; [Instance.of_grid] still accepts the grid (its
+   binomial [T_k] stays finite).  Both session kinds refuse the gap by link
+   and size instead of dying inside the engine with a time in the past. *)
+let test_session_refuses_negative_gap () =
+  let text =
+    String.concat "\n"
+      [
+        "grid 2";
+        "cluster 0 a 4 L 10 G 0:1000,1:999";
+        "cluster 1 b 4 L 10 G 0:10,1000000:1000";
+        "link 0 1 L 100 G 0:10,1000000:1000";
+        "link 1 0 L 100 G 0:10,1000000:1000";
+      ]
+  in
+  let m = Machines.expand (Result.get_ok (Gridb_topology.Serialize.of_string text)) in
+  let plan = Plan.binomial_ranks m ~root:0 in
+  let config msg = Session.Config.v ~msg () in
+  Alcotest.(check int) "a size the gap table covers is served" 8
+    (Session.run_reliable (config 500) m plan).Session.delivered;
+  let refused who =
+    Invalid_argument
+      (who ^ ": link 0 -> 2: gap at message size 5000 bytes is -4000 us, not finite and >= 0")
+  in
+  Alcotest.check_raises "Session.run" (refused "Session.run") (fun () ->
+      ignore (Session.run (config 5000) m plan));
+  Alcotest.check_raises "Session.run_reliable" (refused "Session.run_reliable") (fun () ->
+      ignore (Session.run_reliable (config 5000) m plan))
+
 let test_exec_noise_perturbs_but_is_seeded () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
@@ -813,6 +899,7 @@ let () =
           quick "rejects NaN" test_engine_rejects_nan;
           quick "frees fired events" test_engine_frees_fired_events;
           quick "capacity follows live events" test_engine_capacity_follows_live;
+          quick "unqueued timer" test_engine_unqueued_timer;
         ] );
       ( "heap",
         [
@@ -844,6 +931,7 @@ let () =
           quick "matches tree cost" test_exec_matches_tree_cost;
           quick "transmission count" test_exec_transmissions_count;
           quick "start delay" test_exec_start_delay_shifts;
+          quick "refuses a negative gap" test_session_refuses_negative_gap;
           quick "seeded noise" test_exec_noise_perturbs_but_is_seeded;
           quick "mean makespan" test_exec_mean_makespan_reasonable;
           QCheck_alcotest.to_alcotest exec_arrival_monotone_along_tree;
