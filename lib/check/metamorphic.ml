@@ -139,6 +139,13 @@ let transports =
   Gridb_des.Session.
     [ ("fixed", Fixed); ("adaptive", adaptive ()); ("adaptive,reroute", adaptive ~reroute:true ()) ]
 
+(* A reliable run of [plan] at the law's rng seed and message size. *)
+let reliable ~msg ~seed ?obs ?faults ?dynamics ?on_tick ?tick_every transport machines plan =
+  Gridb_des.Session.run_reliable
+    (Gridb_des.Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg ?obs ?faults ?dynamics
+       ?on_tick ?tick_every ~transport ())
+    machines plan
+
 let transport_equivalence ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let open Gridb_des in
   let base =
@@ -147,11 +154,7 @@ let transport_equivalence ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let rec go = function
     | [] -> Ok ()
     | (name, transport) :: rest ->
-        let r =
-          Session.run_reliable
-            (Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg ~transport ())
-            machines plan
-        in
+        let r = reliable ~msg ~seed transport machines plan in
         if
           r.Session.r_arrival <> base.Session.arrival
           || r.Session.r_makespan <> base.Session.makespan
@@ -178,12 +181,7 @@ let timer_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let n = Gridb_topology.Machines.count machines in
   let run ?faults transport =
     let sink = Gridb_obs.Sink.memory () in
-    let r =
-      Session.run_reliable
-        (Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg ~obs:sink ?faults
-           ~transport ())
-        machines plan
-    in
+    let r = reliable ~msg ~seed ~obs:sink ?faults transport machines plan in
     (r, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
   in
   let rec go = function
@@ -208,12 +206,9 @@ let dynamics_identity ?(msg = 1_000_000) ?(seed = 0) ?fault_seed
   let name = "dynamics-identity" in
   let n = Gridb_topology.Machines.count machines in
   let fseed = Option.value fault_seed ~default:seed in
-  let run ?dynamics ?(on_tick = fun ~now:_ _ -> ()) ?(tick_every = 0.) () =
-    Session.run_reliable
-      (Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg
-         ~faults:(Faults.create ~seed:fseed ~n spec) ?dynamics ~on_tick ~tick_every
-         ~transport ())
-      machines plan
+  let run ?dynamics ?on_tick ?tick_every () =
+    reliable ~msg ~seed ~faults:(Faults.create ~seed:fseed ~n spec) ?dynamics ?on_tick
+      ?tick_every transport machines plan
   in
   let base = run () in
   let clusters =
@@ -227,6 +222,26 @@ let dynamics_identity ?(msg = 1_000_000) ?(seed = 0) ?fault_seed
     fail name "reliable result differs under a zero-dynamics model (transport %s)"
       (Session.transport_to_string transport)
   else Ok ()
+
+let fault_locality ?(msg = 1_000_000) ?(seed = 0) ?fault_seed ~spec machines plan =
+  let open Gridb_des in
+  let n = Gridb_topology.Machines.count machines in
+  let model () = Faults.create ~seed:(Option.value fault_seed ~default:seed) ~n spec in
+  let run faults = reliable ~msg ~seed ~faults Session.Fixed machines plan in
+  (* Links a -> a + d (mod n), d = 1..4, that no plan edge uses either way:
+     d loss draws each, chosen from the plan alone. *)
+  let touched = model () and parent = Plan.parent_array plan in
+  for a = 0 to n - 1 do
+    for d = 1 to min 4 (n - 1) do
+      let b = (a + d) mod n in
+      if parent.(b) <> a && parent.(a) <> b then
+        for _ = 1 to d do ignore (Faults.lose touched ~src:a ~dst:b) done
+    done
+  done;
+  if compare (run (model ())) (run touched) = 0 then Ok ()
+  else
+    fail "fault-locality" "loss draws on links off the plan changed a fixed-transport run (%s)"
+      (Faults.to_string spec)
 
 let segmented_chain ~params ~size ~msg ~segments =
   let open Gridb_topology in
@@ -252,5 +267,6 @@ let metamorphic_names =
     "transport-equivalence";
     "timer-elision";
     "dynamics-identity";
+    "fault-locality";
     "segmented-chain";
   ]

@@ -30,6 +30,8 @@
       spec is {!Gridb_des.Dynamics.none} — with a live observation tick —
       must leave a reliable run bit-identical to the same run without a
       model, faults and all.
+    - {b fault locality}: loss draws on links a plan never uses leave a
+      fixed-transport run under the same fault model unchanged.
     - {b segmented chain}: a chain plan over one homogeneous cluster,
       replayed by the DES with [S] segments, must finish when the closed
       form {!Gridb_collectives.Pipeline.chain_time} says — both cut the
@@ -95,6 +97,15 @@ val dynamics_identity :
     (nan-aware), so the model reports no churn either.  [spec] (default no faults) and [transport]
     (default fixed) select the baseline being perturbed; [fault_seed]
     defaults to [seed]. *)
+
+val fault_locality :
+  ?msg:int -> ?seed:int -> ?fault_seed:int -> spec:Gridb_des.Faults.spec ->
+  Gridb_topology.Machines.t -> Gridb_des.Plan.t -> Invariant.outcome
+(** ["fault-locality"]: a [Fixed]-transport {!Gridb_des.Session.run_reliable}
+    under a fresh fault model equals, in every result field, the same run
+    under a model that first drew {!Gridb_des.Faults.lose} [d] times on each
+    link [a -> a + d] ([d = 1..4]) that is neither a plan edge nor its
+    reverse.  [fault_seed] defaults to [seed]. *)
 
 val segmented_chain :
   params:Gridb_plogp.Params.t -> size:int -> msg:int -> segments:int -> Invariant.outcome

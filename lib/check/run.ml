@@ -198,6 +198,10 @@ let check (sc : Scenario.t) =
     Metamorphic.dynamics_identity ~msg:sc.msg ~seed:sc.seed
       ~fault_seed:(Scenario.fault_seed sc) ~transport ~spec machines plan
   in
+  let* () =
+    Metamorphic.fault_locality ~msg:sc.msg ~seed:sc.seed ~fault_seed:(Scenario.fault_seed sc)
+      ~spec machines plan
+  in
   (* Faulty branch: reliable execution under the scenario's fault spec. *)
   let* () =
     if Faults.is_none spec then Ok ()

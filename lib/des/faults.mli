@@ -18,8 +18,9 @@
 
     All randomness comes from one SplitMix64 master stream: crash and cut
     times are drawn at {!create} time, and each directed link's loss and
-    degradation streams are seeded by fixed master outputs, made when the
-    link is first queried.  Fault draws are reproducible at a fixed seed
+    degradation streams are seeded by fixed master outputs; a link keeps
+    only a loss draw count ({!Gridb_util.Rng.unit_float_at} reads the next
+    draw) and its episodes.  Fault draws are reproducible at a fixed seed
     {e and} independent of the order in which the executor queries
     different links — a retransmission on one link never perturbs the
     draws of another. *)
@@ -73,9 +74,9 @@ type t
 (** An instantiated fault model over [n] ranks. *)
 
 val create : ?seed:int -> ?t0:float -> n:int -> spec -> t
-(** Pre-draws crash and cut times (default seed 0); per-link loss and
-    degradation streams are made on a link's first query, seeded as if
-    every link's had been drawn here in link order.  With {!is_none} specs
+(** Pre-draws crash and cut times (default seed 0); a queried link keeps a
+    loss draw count and its degradation episodes, seeded as if every link's
+    streams had been drawn here in link order.  With {!is_none} specs
     no randomness is consumed at all.
 
     [t0] (default [0.]) is the model's time origin: crash times, cut times

@@ -39,9 +39,13 @@ let split t i =
   { state = mix (Int64.add base (Int64.mul (Int64.of_int i) stream_gamma)) }
 
 (* Top 53 bits, scaled to [0,1). *)
-let unit_float t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let to_unit z = Int64.to_float (Int64.shift_right_logical z 11) *. 0x1.0p-53
+let unit_float t = to_unit (bits64 t)
+
+(* [create seed]'s state after k + 1 outputs is seed + (k + 1) * gamma. *)
+let unit_float_at seed k =
+  if k < 0 then invalid_arg "Rng.unit_float_at: negative index";
+  to_unit (mix (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (k + 1)) golden_gamma)))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

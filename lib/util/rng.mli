@@ -37,6 +37,12 @@ val bits64_ahead : t -> int -> int64
     streams drawn from one master on demand, bit-identically to drawing
     them all in order.  @raise Invalid_argument if [k < 0]. *)
 
+val unit_float_at : int -> int -> float
+(** [unit_float_at seed k] is the uniform [\[0, 1)] value (as {!bernoulli}
+    reads it) of the [(k+1)]-th draw of [create seed], in closed form: a
+    stream read by index needs only its seed and a draw counter.
+    @raise Invalid_argument if [k < 0]. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)

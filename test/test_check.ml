@@ -263,6 +263,8 @@ let metamorphic_positive () =
   in
   ok "transport equivalence" (M.transport_equivalence ~msg:100_000 machines plan);
   ok "timer elision" (M.timer_elision ~msg:100_000 machines plan);
+  let lossy = Gridb_des.Faults.v ~loss:0.3 ~degrade_rate:1e-5 ~crash_rate:1e-7 () in
+  ok "fault locality" (M.fault_locality ~msg:100_000 ~spec:lossy machines plan);
   let params = (Gridb_topology.Grid.cluster grid 0).Gridb_topology.Cluster.intra in
   List.iter
     (fun (size, msg, segments) ->
@@ -286,6 +288,29 @@ let timer_elision_on_random_topologies =
       in
       let msg = 1 + Rng.int rng 1_000_000 in
       match M.timer_elision ~msg ~seed machines plan with
+      | Ok () -> true
+      | Error v -> QCheck.Test.fail_reportf "%a" I.pp_violation v)
+
+(* Loss draws on links off the plan never reach a fixed-transport run, on
+   any topology, plan shape, message size or fault spec. *)
+let fault_locality_on_random_topologies =
+  QCheck.Test.make ~name:"fault locality on random grids" ~count:(Testutil.count 20)
+    QCheck.(triple (int_range 1 6) (int_bound 10_000) bool)
+    (fun (n, seed, flat) ->
+      let rng = Rng.create seed in
+      let machines = Machines.expand (Testutil.random_grid ~cluster_size:(1, 8) ~n seed) in
+      let root = Rng.int rng (Machines.count machines) in
+      let plan =
+        if flat then Gridb_des.Plan.flat_ranks machines ~root
+        else Gridb_des.Plan.binomial_ranks machines ~root
+      in
+      let msg = 1 + Rng.int rng 1_000_000 in
+      let spec =
+        Gridb_des.Faults.v ~loss:(Rng.float_in rng 0.05 0.6)
+          ~degrade_rate:(if Rng.bool rng then 1e-5 else 0.)
+          ~crash_rate:(if Rng.bool rng then 1e-7 else 0.) ()
+      in
+      match M.fault_locality ~msg ~seed ~spec machines plan with
       | Ok () -> true
       | Error v -> QCheck.Test.fail_reportf "%a" I.pp_violation v)
 
@@ -584,6 +609,7 @@ let () =
           Alcotest.test_case "laws hold on the pipeline" `Quick metamorphic_positive;
           Alcotest.test_case "dominance violations detected" `Quick metamorphic_negative;
           QCheck_alcotest.to_alcotest timer_elision_on_random_topologies;
+          QCheck_alcotest.to_alcotest fault_locality_on_random_topologies;
         ] );
       ( "scenario",
         [

@@ -344,6 +344,46 @@ let test_fault_streams_golden () =
   Alcotest.(check string) "per-link answers" fault_streams_golden
     (Digest.to_hex (Digest.string (String.concat "" answers)))
 
+(* Differential: the flat per-link draw table against the reference's one
+   Rng.t per link, over random sizes and specs.  One link takes 300 loss
+   draws and up to 400 distinct links are touched (all n^2 below n = 20),
+   so the table doubles at least twice once n >= 4. *)
+let fault_streams_match_reference =
+  QCheck.Test.make ~name:"lose and slowdown answer as the per-link reference"
+    ~count:(Testutil.count 25) (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let q = Rng.create seed in
+      let n = Rng.int_in q 2 96 in
+      let degrade = Rng.bool q in
+      let loss = if degrade && Rng.int q 4 = 0 then 0. else Rng.float_in q 0.05 0.8 in
+      let spec =
+        Faults.v ~loss
+          ~degrade_rate:(if degrade then Rng.float_in q 1e-6 1e-4 else 0.)
+          ~degrade_mean:(Rng.float_in q 1e3 1e5) ~degrade_factor:(Rng.float_in q 1. 5.)
+          ~cut_rate:(if Rng.bool q then 1e-7 else 0.)
+          ~crash_rate:(if Rng.bool q then 2e-7 else 0.) ()
+      in
+      let t0 = Rng.float q 1e6 in
+      let model = Faults.create ~seed ~t0 ~n spec in
+      let reference = Fault_reference.create ~seed ~t0 ~n spec in
+      let touched = Array.sub (Rng.permutation q (n * n)) 0 (min (n * n) 400) in
+      (* (link, None) is a loss draw, (link, Some at) a slowdown query. *)
+      let query l = (l, if degrade && Rng.bool q then Some (t0 +. Rng.float q 1e6) else None) in
+      let queries =
+        Array.concat
+          (Array.make 300 (touched.(0), None)
+          :: Array.to_list (Array.map (fun l -> Array.init (1 + Rng.int q 3) (fun _ -> query l)) touched))
+      in
+      Rng.shuffle q queries;
+      Array.for_all
+        (fun (l, at) ->
+          let src = l / n and dst = l mod n in
+          match at with
+          | None -> Faults.lose model ~src ~dst = Fault_reference.lose reference ~src ~dst
+          | Some at ->
+              Faults.slowdown model ~src ~dst ~at = Fault_reference.slowdown reference ~src ~dst ~at)
+        queries)
+
 (* Each link draws from its own stream, so interleaving the queries of
    different links in any order leaves every link's answer sequence as
    it was. *)
@@ -975,6 +1015,7 @@ let () =
       ( "link streams",
         [
           quick "golden answers" test_fault_streams_golden;
+          QCheck_alcotest.to_alcotest fault_streams_match_reference;
           QCheck_alcotest.to_alcotest fault_streams_shuffled_order;
         ] );
       ( "reliable",

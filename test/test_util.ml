@@ -40,6 +40,30 @@ let test_rng_bits64_ahead () =
     (Invalid_argument "Rng.bits64_ahead: negative offset") (fun () ->
       ignore (Rng.bits64_ahead a (-1)))
 
+(* [unit_float_at seed k] is the (k+1)-th draw of [create seed]: k outputs
+   skipped, then the one [float r 1.] scales to [0, 1) (exactly, as the
+   scale is 1). *)
+let test_rng_unit_float_at () =
+  let stepped seed k =
+    let r = Rng.create seed in
+    for _ = 1 to k do ignore (Rng.bits64 r) done;
+    Rng.float r 1.
+  in
+  let g = Rng.create 42 in
+  let random = List.init 4 (fun _ -> Int64.to_int (Rng.bits64 g)) in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun k ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "seed %d, draw %d" seed k)
+            (stepped seed k) (Rng.unit_float_at seed k))
+        [ 0; 1; 1 lsl 20 ])
+    ([ 0; -1; min_int; max_int ] @ random);
+  Alcotest.check_raises "negative index"
+    (Invalid_argument "Rng.unit_float_at: negative index") (fun () ->
+      ignore (Rng.unit_float_at 7 (-1)))
+
 let test_rng_split_independent () =
   let a = Rng.create 9 in
   let b = Rng.split a 0 in
@@ -583,6 +607,7 @@ let () =
           quick "seed sensitivity" test_rng_seed_sensitivity;
           quick "copy" test_rng_copy;
           quick "bits64_ahead" test_rng_bits64_ahead;
+          quick "unit_float_at" test_rng_unit_float_at;
           quick "split" test_rng_split_independent;
           quick "split pure" test_rng_split_pure;
           quick "split deterministic" test_rng_split_deterministic;
