@@ -146,29 +146,33 @@ let reliable ~msg ~seed ?obs ?faults ?dynamics ?on_tick ?tick_every transport ma
        ?on_tick ?tick_every ~transport ())
     machines plan
 
+(* [a] and [b] run the same session two ways, and must give equal values
+   under each transport of [ts]; [what] describes two that differ. *)
+let agree invariant ~what ts a b =
+  let rec go = function
+    | [] -> Ok ()
+    | (name, transport) :: rest ->
+        let x = a transport and y = b transport in
+        if compare x y = 0 then go rest else fail invariant "%s: %s" name (what x y)
+  in
+  go ts
+
 let transport_equivalence ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let open Gridb_des in
   let base =
     Session.run (Session.Config.v ~rng:(Gridb_util.Rng.create seed) ~msg ()) machines plan
   in
-  let rec go = function
-    | [] -> Ok ()
-    | (name, transport) :: rest ->
-        let r = reliable ~msg ~seed transport machines plan in
-        if
-          r.Session.r_arrival <> base.Session.arrival
-          || r.Session.r_makespan <> base.Session.makespan
-          || r.Session.r_transmissions <> base.Session.transmissions
-          || r.Session.retransmissions <> 0
-        then
-          fail "transport-equivalence"
-            "%s: fault-free run differs from Session.run: makespan %.17g vs %.17g, %d vs \
-             %d transmissions, %d retransmissions"
-            name r.Session.r_makespan base.Session.makespan r.Session.r_transmissions
-            base.Session.transmissions r.Session.retransmissions
-        else go rest
-  in
-  go transports
+  agree "transport-equivalence"
+    ~what:(fun (_, m, tx, rtx) (_, m', tx', _) ->
+      Printf.sprintf
+        "fault-free run differs from Session.run: makespan %.17g vs %.17g, %d vs %d \
+         transmissions, %d retransmissions"
+        m m' tx tx' rtx)
+    transports
+    (fun transport ->
+      let r = reliable ~msg ~seed transport machines plan in
+      (r.r_arrival, r.r_makespan, r.r_transmissions, r.retransmissions))
+    (fun _ -> (base.arrival, base.makespan, base.transmissions, 0))
 
 (* Every field but the estimator, whose hash tables carry a per-table seed
    when hashing is randomized; [compare], not [=], as an undelivered
@@ -182,22 +186,39 @@ let timer_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let run ?faults transport =
     let sink = Gridb_obs.Sink.memory () in
     let r = reliable ~msg ~seed ~obs:sink ?faults transport machines plan in
-    (r, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
-  in
-  let rec go = function
-    | [] -> Ok ()
-    | (name, transport) :: rest ->
-        let elided, s_elided = run transport in
-        let queued, s_queued = run ~faults:(Faults.create ~seed ~n Faults.none) transport in
-        if not (same_reliable elided queued && s_elided = s_queued) then
-          fail "timer-elision"
-            "%s: faults = None and an empty fault model differ (%d and %d events)" name
-            (List.length s_elided) (List.length s_queued)
-        else go rest
+    ({ r with estimator = None }, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
   in
   (* A 1 us RTO fires before any ACK lands, so those timers are queued. *)
   let tight = Session.adaptive ~config:(Adaptive.v ~rto_min:1. ~rto_max:1. ()) () in
-  go (transports @ [ ("adaptive with a 1 us RTO", tight) ])
+  agree "timer-elision"
+    ~what:(fun (_, x) (_, y) ->
+      Printf.sprintf "faults = None and an empty fault model differ (%d and %d events)"
+        (List.length x) (List.length y))
+    (transports @ [ ("adaptive with a 1 us RTO", tight) ])
+    run
+    (fun t -> run ~faults:(Faults.create ~seed ~n Faults.none) t)
+
+let ack_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
+  let open Gridb_des in
+  (* An estimator compared by what it reads on every link. *)
+  let view est =
+    let n = Adaptive.size est in
+    List.init (n * n) (fun l ->
+        let src = l / n and dst = l mod n in
+        Adaptive.
+          (srtt est ~src ~dst, rttvar est ~src ~dst, samples est ~src ~dst, circuit est ~src ~dst))
+  in
+  let run ?obs transport =
+    let r = reliable ~msg ~seed ?obs transport machines plan in
+    ({ r with estimator = None }, Option.map view r.estimator)
+  in
+  agree "ack-elision"
+    ~what:(fun ((x : Session.reliable), _) (y, _) ->
+      Printf.sprintf
+        "a run without a sink differs from the traced run: horizon %.17g vs %.17g, %d vs %d acks"
+        x.horizon y.horizon x.acks y.acks)
+    transports run
+    (fun t -> run ~obs:(Gridb_obs.Sink.memory ()) t)
 
 let dynamics_identity ?(msg = 1_000_000) ?(seed = 0) ?fault_seed
     ?(transport = Gridb_des.Session.Fixed) ?(spec = Gridb_des.Faults.none)
@@ -266,6 +287,7 @@ let metamorphic_names =
     "size-monotonicity";
     "transport-equivalence";
     "timer-elision";
+    "ack-elision";
     "dynamics-identity";
     "fault-locality";
     "segmented-chain";

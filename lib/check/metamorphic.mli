@@ -81,6 +81,15 @@ val timer_elision :
     under fixed, adaptive, adaptive+reroute, and adaptive with a 1 us RTO
     (whose timers fire).  [msg] defaults to 1 MB, [seed] to 0. *)
 
+val ack_elision :
+  ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t ->
+  Invariant.outcome
+(** ["ack-elision"]: {!Gridb_des.Session.run_reliable} without a sink
+    (fixed sessions settle fault-free ACKs unqueued) against the same run
+    with a memory sink: equal in every result field, horizon included, and
+    in what the estimators read on every link, under each transport.
+    [msg] defaults to 1 MB, [seed] to 0. *)
+
 val dynamics_identity :
   ?msg:int ->
   ?seed:int ->

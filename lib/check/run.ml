@@ -178,6 +178,7 @@ let check (sc : Scenario.t) =
   in
   let* () = Metamorphic.transport_equivalence ~msg:sc.msg ~seed:sc.seed machines plan in
   let* () = Metamorphic.timer_elision ~msg:sc.msg ~seed:sc.seed machines plan in
+  let* () = Metamorphic.ack_elision ~msg:sc.msg ~seed:sc.seed machines plan in
   (* Segmented replay against the closed form, on a chain over the root
      cluster's parameters: once with the scenario's message (more bytes
      than segments) and once with fewer bytes than segments. *)

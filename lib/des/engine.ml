@@ -26,8 +26,8 @@ type t = {
   mutable next_seq : int;
   obs : Sink.t;
   clock : float array;
-      (* One cell: a mutable float field of this record would box on every
-         write. *)
+      (* [now], then the latest unqueued event: two cells, as a mutable
+         float field of this record would box on every write. *)
   mutable next_timer : int;
   mutable processed : int;
 }
@@ -68,7 +68,7 @@ let create ?(obs = Sink.null) () =
     len = 0;
     next_seq = 0;
     obs;
-    clock = [| 0. |];
+    clock = [| 0.; 0. |];
     next_timer = 0;
     processed = 0;
   }
@@ -243,6 +243,13 @@ let unqueued_timer t ~time =
   end
   else no_timer
 
+let observed t = Sink.enabled t.obs
+
+let unqueued_event t cell =
+  let time = cell.(0) in
+  if not (time >= t.clock.(0)) then reject_time time;
+  if time > t.clock.(1) then t.clock.(1) <- time
+
 let schedule t ~time action = schedule_with t ~time (fun e _ -> action e) 0
 
 let schedule_after t ~delay action =
@@ -266,7 +273,10 @@ let cancel t timer =
 let timer_live timer = timer.slot <> -1
 
 let step t =
-  if is_empty t then false
+  if is_empty t then begin
+    if t.clock.(1) > t.clock.(0) then t.clock.(0) <- t.clock.(1);
+    false
+  end
   else begin
     let s = pop_head t in
     let handler = t.handlers.(s) and arg = t.args.(s) and timer = t.timers.(s) in

@@ -29,8 +29,8 @@
     equal-time ties included.  Events scheduled in time order, such as a
     service's session starts in arrival order, cost O(1) each and stay out
     of the heap, which then holds only the work in flight.  A sift moves
-    ints and compares unboxed floats, and the clock is a one-cell float
-    array, so the queue allocates nothing per event (its arrays double
+    ints and compares unboxed floats, and the clock is a float array
+    cell, so the queue allocates nothing per event (its arrays double
     when full).  A fired
     or cancelled slot is cleared at once, so its handler, and all the
     handler captured, is unreachable from the engine: memory follows the
@@ -83,6 +83,18 @@ val unqueued_timer : t -> time:float -> timer
     enabled sink it allocates nothing and returns {!no_timer}.
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
+val unqueued_event : t -> float array -> unit
+(** [unqueued_event t cell]: an event at [cell.(0)] (a cell, so no float
+    crosses a module boundary boxed) that its caller settled without
+    queueing.  It raises a watermark that {!step}, so {!run}, adopts as
+    [now] once the queue is empty, if later; {!run_until} never does, and
+    {!processed} and {!pending} do not count the event.
+    @raise Invalid_argument if the time is NaN or in the past. *)
+
+val observed : t -> bool
+(** Whether the engine has an enabled sink, without which no {!timer} id
+    is ever seen: a caller may then skip {!unqueued_timer}. *)
+
 val schedule : t -> time:float -> (t -> unit) -> unit
 (** Enqueue a callback at an absolute time.
     @raise Invalid_argument if [time] is NaN or in the past (< [now t]). *)
@@ -103,7 +115,8 @@ val timer_live : timer -> bool
 (** False once cancelled or fired, and for {!no_timer}. *)
 
 val step : t -> bool
-(** Execute the next event; [false] when the queue is empty. *)
+(** Execute the next event; [false] when the queue is empty, which first
+    adopts the {!unqueued_event} watermark. *)
 
 val run : t -> unit
 (** Drain the queue.  Terminates iff the simulated system quiesces. *)

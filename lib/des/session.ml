@@ -300,15 +300,17 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
   let n = s.r_n and joins = s.r_joins in
   let ntot = n + Array.length joins in
   let grid = Machines.grid machines in
-  let clusters = Machines.clusters machines in
-  let cluster_of r = if r < n then clusters.(r) else joins.(r - n).Dynamics.cluster in
+  let cluster =
+    if ntot = n then Machines.clusters machines
+    else Array.append (Machines.clusters machines) (Array.map (fun j -> j.Dynamics.cluster) joins)
+  in
   (* Link parameters generalised to join ranks: a joining machine gets
      fresh links with its cluster's nominal intra parameters, and the
      nominal inter-cluster parameters towards everyone else. *)
   let params_for src dst =
     if src < n && dst < n then Machines.link_params machines src dst
     else
-      let cs = cluster_of src and cd = cluster_of dst in
+      let cs = cluster.(src) and cd = cluster.(dst) in
       if cs = cd then (Gridb_topology.Grid.cluster grid cs).Gridb_topology.Cluster.intra
       else Gridb_topology.Grid.link grid cs cd
   in
@@ -316,15 +318,17 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
      [k = link src dst], filled on first use: a send reads unboxed floats
      instead of interpolating the gap table and boxing the result.  The
      table is direct-mapped on [cs * nc + cd] with at most [ntot] entries,
-     so it holds every pair when there are few clusters and stays linear
-     in ranks, not quadratic in clusters, when there are many.  A read
-     must come before the next [link] call, which may evict its entry. *)
+     so it holds every pair, with no [mod], when there are few clusters and
+     stays linear in ranks, not quadratic in clusters, when there are
+     many.  A read must come before the next [link] call, which may evict
+     its entry. *)
   let nc = Gridb_topology.Grid.size grid in
-  let entries = min (nc * nc) ntot in
+  let direct = nc * nc <= ntot in
+  let entries = if direct then nc * nc else ntot in
   let pairs = Array.make entries (-1) and links = Array.make (2 * entries) nan in
   let link src dst =
-    let pair = (cluster_of src * nc) + cluster_of dst in
-    let e = pair mod entries in
+    let pair = (cluster.(src) * nc) + cluster.(dst) in
+    let e = if direct then pair else pair mod entries in
     if pairs.(e) <> pair then begin
       let p = params_for src dst in
       let gap = Params.gap p msg in
@@ -460,6 +464,13 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
   let next_join = ref 0 in
   let next_tick = ref (if tick_every > 0. then start_delay +. tick_every else infinity) in
   let dyn_on = Array.length joins > 0 || tick_every > 0. in
+  (* Only the horizon and [acks] see an ACK that no sink, estimator, tick,
+     join or queued timer sees: [data_arrives] settles it at once. *)
+  let observed = Engine.observed engine in
+  let settle_acks =
+    timer_free && transport = Fixed && (not tracing) && (not observed) && not dyn_on
+  in
+  let ack_time = [| nan |] in
   (* The three protocol events are engine payload events on handlers of
      this set: [data_arrives] and [ack_arrives] carry the edge as
      [src * ntot + dst], [timeout] carries [(try_no * ntot + src) * ntot +
@@ -534,7 +545,7 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
                dst;
                time = start;
                msg;
-               intra = cluster_of src = cluster_of dst;
+               intra = cluster.(src) = cluster.(dst);
                try_no;
              });
         emit (Event.Send_end { src; dst; time = start +. g; arrival = arr })
@@ -547,7 +558,7 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
          computes it when [timer_free]. *)
       timers.(dst) <-
         (if timer_free && arr +. links.(link dst src + 1) < deadline then
-           Engine.unqueued_timer engine ~time:deadline
+           if observed then Engine.unqueued_timer engine ~time:deadline else Engine.no_timer
          else
            Engine.schedule_timer_with engine ~time:deadline timeout
              ((try_no * ntot * ntot) + edge))
@@ -572,7 +583,15 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     let d = if slows then slowdown dst src ~at:now else 1. in
     let ack_at = now +. (noisy noise rng links.(kb + 1) *. d) in
     let ack_lost = (lossy && faulty dst src ~at:now) || halt_at.(src) <= ack_at in
-    if not ack_lost then Engine.schedule_with engine ~time:ack_at ack_arrives edge
+    if ack_lost then ()
+    (* A queued timer (one that ties its ACK) must find the ACK queued. *)
+    else if settle_acks && timers.(dst) == Engine.no_timer then begin
+      incr acks;
+      acked.(dst) <- true;
+      ack_time.(0) <- ack_at;
+      Engine.unqueued_event engine ack_time
+    end
+    else Engine.schedule_with engine ~time:ack_at ack_arrives edge
   and ack_arrives engine edge =
     let parent = edge / ntot and child = edge mod ntot in
     if dyn_on then dyn_tick engine;
@@ -883,19 +902,7 @@ let mean_reliable ?(noise = Noise.default_measured) ?(msg = 1_000_000)
       (Array.make repetitions ())
   in
   let makespans = Array.map (fun r -> r.r_makespan) results in
-  let delivered = ref 0 in
-  let retrans = ref 0 in
-  let reroutes = ref 0 in
-  let gave = ref 0 in
-  let all = ref true in
-  Array.iter
-    (fun r ->
-      delivered := !delivered + r.delivered;
-      retrans := !retrans + r.retransmissions;
-      reroutes := !reroutes + List.length r.reroutes;
-      gave := !gave + List.length r.gave_up;
-      if r.delivered <> n then all := false)
-    results;
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   let reps = float_of_int repetitions in
   let mean = Array.fold_left ( +. ) 0. makespans /. reps in
   let var =
@@ -903,11 +910,11 @@ let mean_reliable ?(noise = Noise.default_measured) ?(msg = 1_000_000)
   in
   {
     reps = repetitions;
-    delivered_fraction = float_of_int !delivered /. (reps *. float_of_int n);
-    mean_retransmissions = float_of_int !retrans /. reps;
-    mean_reroutes = float_of_int !reroutes /. reps;
+    delivered_fraction = float_of_int (sum (fun r -> r.delivered)) /. (reps *. float_of_int n);
+    mean_retransmissions = float_of_int (sum (fun r -> r.retransmissions)) /. reps;
+    mean_reroutes = float_of_int (sum (fun r -> List.length r.reroutes)) /. reps;
     mean_makespan = mean;
     stddev_makespan = sqrt var;
-    total_gave_up = !gave;
-    all_delivered = !all;
+    total_gave_up = sum (fun r -> List.length r.gave_up);
+    all_delivered = Array.for_all (fun r -> r.delivered = n) results;
   }

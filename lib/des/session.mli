@@ -23,6 +23,15 @@
     protocol state and the handlers are built when the first event fires,
     so sessions launched far ahead of their start hold little memory.
 
+    Engine events: a session queues its start and each transmission's
+    landing.  A reliable one also queues each ACK and each timer that can
+    fire, except under [Noise.Exact] with no fault or dynamics model: a
+    try whose ACK lands strictly before its deadline queues no timer (an
+    {!Engine.unqueued_timer} on an engine with a sink), and a [Fixed]
+    session with no sink on itself or its engine and no ticks settles such
+    a try's ACK on delivery, leaving its landing time as the engine's
+    {!Engine.unqueued_event} watermark.  Results and horizon are the same.
+
     Observability: sessions publish their full event stream to the
     [config.obs] sink — [Send_start]/[Send_end]/[Arrival] (plus
     [Ack]/[Retransmit]/[Give_up]/[Reroute]/[Circuit_*] for reliable
@@ -340,9 +349,6 @@ val launch_reliable :
     specs: their factor is exactly [1.] (an exact float multiply), they
     halt and join nobody, and tick callbacks never touch the data path.
     The property tests pin this zero-fault identity down.
-    Under [Noise.Exact] with no fault or dynamics model, a try whose ACK
-    lands strictly before its timer's deadline arms an
-    {!Engine.unqueued_timer}, checked per send.
     @raise Invalid_argument on everything {!Config.validate} checks, or a
     wire smaller than the session's rank population; while the engine
     runs, on a link whose gap is not finite and >= 0 (naming the link and

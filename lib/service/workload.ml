@@ -6,11 +6,6 @@ type priority = Low | High
 
 let priority_to_string = function Low -> "low" | High -> "high"
 
-let priority_of_string = function
-  | "low" -> Ok Low
-  | "high" -> Ok High
-  | other -> Error (Printf.sprintf "unknown priority %S (want low|high)" other)
-
 type request = {
   rid : int;
   at : float;

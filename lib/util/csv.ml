@@ -84,9 +84,3 @@ let write path rows =
           output_string oc (row_to_string row);
           output_char oc '\n')
         rows)
-
-let float_rows ~header rows =
-  header
-  :: List.map
-       (fun (label, xs) -> label :: List.map (Printf.sprintf "%.6g") xs)
-       rows

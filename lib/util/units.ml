@@ -4,12 +4,10 @@ type bytes_ = int
 let us x = x
 let ms x = x *. 1e3
 let seconds x = x *. 1e6
-let to_ms t = t /. 1e3
 let to_seconds t = t /. 1e6
 
 let bytes n = n
 let kib n = n * 1024
-let mib n = n * 1024 * 1024
 let mb n = n * 1_000_000
 
 let pp_time ppf t =

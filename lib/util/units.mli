@@ -16,12 +16,10 @@ val us : float -> time_us
 val ms : float -> time_us
 val seconds : float -> time_us
 
-val to_ms : time_us -> float
 val to_seconds : time_us -> float
 
 val bytes : int -> bytes_
 val kib : int -> bytes_
-val mib : int -> bytes_
 val mb : int -> bytes_
 (** Decimal megabyte (10^6 bytes), the unit of the paper's x axes. *)
 

@@ -263,6 +263,7 @@ let metamorphic_positive () =
   in
   ok "transport equivalence" (M.transport_equivalence ~msg:100_000 machines plan);
   ok "timer elision" (M.timer_elision ~msg:100_000 machines plan);
+  ok "ack elision" (M.ack_elision ~msg:100_000 machines plan);
   let lossy = Gridb_des.Faults.v ~loss:0.3 ~degrade_rate:1e-5 ~crash_rate:1e-7 () in
   ok "fault locality" (M.fault_locality ~msg:100_000 ~spec:lossy machines plan);
   let params = (Gridb_topology.Grid.cluster grid 0).Gridb_topology.Cluster.intra in
@@ -273,10 +274,10 @@ let metamorphic_positive () =
         (M.segmented_chain ~params ~size ~msg ~segments))
     [ (1, 1_000, 4); (2, 1_000_000, 1); (6, 1_000_000, 32); (5, 7, 40) ]
 
-(* Unqueued ACK timers change nothing observable on any topology, plan
-   shape or message size, timers that fire included. *)
-let timer_elision_on_random_topologies =
-  QCheck.Test.make ~name:"timer elision on random grids" ~count:(Testutil.count 20)
+(* A law over reliable runs, on random topologies, plan shapes and message
+   sizes. *)
+let on_random_topologies name law =
+  QCheck.Test.make ~name ~count:(Testutil.count 20)
     QCheck.(triple (int_range 1 6) (int_bound 10_000) bool)
     (fun (n, seed, flat) ->
       let rng = Rng.create seed in
@@ -287,9 +288,20 @@ let timer_elision_on_random_topologies =
         else Gridb_des.Plan.binomial_ranks machines ~root
       in
       let msg = 1 + Rng.int rng 1_000_000 in
-      match M.timer_elision ~msg ~seed machines plan with
+      match law ~msg ~seed machines plan with
       | Ok () -> true
       | Error v -> QCheck.Test.fail_reportf "%a" I.pp_violation v)
+
+(* Unqueued ACK timers change nothing observable, timers that fire
+   included. *)
+let timer_elision_on_random_topologies =
+  on_random_topologies "timer elision on random grids" (fun ~msg ~seed ->
+      M.timer_elision ~msg ~seed)
+
+(* ACKs settled without a queue change no result field, horizon
+   included. *)
+let ack_elision_on_random_topologies =
+  on_random_topologies "ack elision on random grids" (fun ~msg ~seed -> M.ack_elision ~msg ~seed)
 
 (* Loss draws on links off the plan never reach a fixed-transport run, on
    any topology, plan shape, message size or fault spec. *)
@@ -609,6 +621,7 @@ let () =
           Alcotest.test_case "laws hold on the pipeline" `Quick metamorphic_positive;
           Alcotest.test_case "dominance violations detected" `Quick metamorphic_negative;
           QCheck_alcotest.to_alcotest timer_elision_on_random_topologies;
+          QCheck_alcotest.to_alcotest ack_elision_on_random_topologies;
           QCheck_alcotest.to_alcotest fault_locality_on_random_topologies;
         ] );
       ( "scenario",

@@ -249,6 +249,43 @@ let test_engine_unqueued_timer () =
           ignore (Engine.unqueued_timer e ~time:2. : Engine.timer)));
   Engine.run e
 
+(* The watermark of an unqueued event becomes the clock only once the queue
+   is empty, and never past a [run_until] horizon. *)
+let test_engine_unqueued_event () =
+  let e = Engine.create () in
+  let at time = [| time |] in
+  let now what expected = Alcotest.(check (float 0.)) what expected (Engine.now e) in
+  Engine.schedule e ~time:2. (fun e ->
+      Engine.unqueued_event e (at 10.);
+      Alcotest.(check (float 0.)) "not adopted by its handler" 2. (Engine.now e));
+  Engine.schedule e ~time:5. (fun e ->
+      Alcotest.(check (float 0.)) "not adopted before a queued event" 5. (Engine.now e));
+  Engine.run_until e 7.;
+  now "left alone past the horizon" 7.;
+  Engine.run e;
+  now "adopted by a later run" 10.;
+  Alcotest.(check int) "processed counts queued events only" 2 (Engine.processed e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending e);
+  Engine.unqueued_event e (at 20.);
+  Engine.schedule e ~time:15. (fun _ -> ());
+  Alcotest.(check bool) "a queued event steps first" true (Engine.step e);
+  now "at the queued event" 15.;
+  Alcotest.(check bool) "an empty queue" false (Engine.step e);
+  now "adopted by the step that finds the queue empty" 20.;
+  Engine.unqueued_event e (at 25.);
+  Engine.schedule e ~time:30. (fun _ -> ());
+  Engine.run e;
+  now "an earlier watermark leaves a later clock" 30.;
+  Alcotest.(check bool) "invariant" true (Engine.check_invariant e);
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule: NaN time") (fun () ->
+      Engine.unqueued_event e (at nan));
+  Alcotest.check_raises "time in the past"
+    (Invalid_argument "Engine.schedule: time in the past") (fun () ->
+      Engine.unqueued_event e (at 29.));
+  Engine.run e;
+  now "a refused time moves nothing" 30.;
+  Alcotest.(check int) "processed" 4 (Engine.processed e)
+
 (* --- Engine queue ------------------------------------------------------- *)
 
 let test_heap_sorts () =
@@ -762,6 +799,41 @@ let test_session_refuses_negative_gap () =
   Alcotest.check_raises "Session.run_reliable" (refused "Session.run_reliable") (fun () ->
       ignore (Session.run_reliable (config 5000) m plan))
 
+(* A fault-free fixed session settles its ACKs without queueing them: its
+   engine processes the session start and one arrival per transmission. *)
+let test_session_settles_acks () =
+  let m = machines () in
+  let plan = Plan.binomial_ranks m ~root:0 in
+  let events obs =
+    let engine = Engine.create ~obs () in
+    let s =
+      Session.launch_reliable ~wire:(Gridb_des.Wire.create ~n:(Machines.count m)) ~engine
+        (Session.Config.v ~obs ()) m plan
+    in
+    Engine.run engine;
+    let r = Session.reliable_result s in
+    Alcotest.(check int) "every ACK counted" r.Session.r_transmissions r.Session.acks;
+    (Engine.processed engine, r.Session.r_transmissions)
+  in
+  let quiet, tx = events Gridb_obs.Sink.null in
+  Alcotest.(check int) "no ACK queued" (tx + 1) quiet;
+  let traced, tx = events (Gridb_obs.Sink.memory ()) in
+  Alcotest.(check int) "a traced session queues them" ((2 * tx) + 1) traced
+
+(* Zero gaps and [rto_mult = 1]: each try-0 timer is due exactly when its
+   ACK lands, so it is queued, fires first and retransmits; the ACK of that
+   try must stay queued for the timeout to find the edge unacknowledged. *)
+let test_session_tied_timer_keeps_ack () =
+  let grid = "grid 1\ncluster 0 a 5 L 10 G 0:0,1000000:0" in
+  let m = Machines.expand (Result.get_ok (Gridb_topology.Serialize.of_string grid)) in
+  let plan = Plan.binomial_ranks m ~root:0 in
+  let run obs = Session.run_reliable (Session.Config.v ~msg:1_000 ~rto_mult:1. ~obs ()) m plan in
+  let quiet = run Gridb_obs.Sink.null in
+  let traced = run (Gridb_obs.Sink.memory ()) in
+  Alcotest.(check int) "every try-0 timer fires" 4 quiet.Session.retransmissions;
+  Alcotest.(check bool) "same result as the traced run" true
+    (compare quiet traced = 0)
+
 let test_exec_noise_perturbs_but_is_seeded () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
@@ -900,6 +972,7 @@ let () =
           quick "frees fired events" test_engine_frees_fired_events;
           quick "capacity follows live events" test_engine_capacity_follows_live;
           quick "unqueued timer" test_engine_unqueued_timer;
+          quick "unqueued event" test_engine_unqueued_event;
         ] );
       ( "heap",
         [
@@ -932,6 +1005,8 @@ let () =
           quick "transmission count" test_exec_transmissions_count;
           quick "start delay" test_exec_start_delay_shifts;
           quick "refuses a negative gap" test_session_refuses_negative_gap;
+          quick "settles fault-free ACKs unqueued" test_session_settles_acks;
+          quick "a tied timer keeps its ACK queued" test_session_tied_timer_keeps_ack;
           quick "seeded noise" test_exec_noise_perturbs_but_is_seeded;
           quick "mean makespan" test_exec_mean_makespan_reasonable;
           QCheck_alcotest.to_alcotest exec_arrival_monotone_along_tree;

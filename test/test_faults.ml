@@ -428,37 +428,52 @@ let fault_streams_shuffled_order =
    estimator draws no randomness and every timer is cancelled by its ACK
    before firing — and with or without an observability sink attached
    (sinks only watch; both topology generators via [random_grid]). *)
+let zero_fault_identity ~msg grid =
+  let machines, plan = plan_of_grid ~msg grid in
+  let base = Session.run (Session.Config.v ~msg ()) machines plan in
+  let identical (rel : Session.reliable) =
+    rel.Session.r_makespan = base.Session.makespan
+    && rel.Session.r_arrival = base.Session.arrival
+    && rel.Session.r_transmissions = base.Session.transmissions
+    && rel.Session.retransmissions = 0
+    && rel.Session.gave_up = []
+    && rel.Session.crashed = []
+    && rel.Session.reroutes = []
+    && rel.Session.circuit_opens = 0
+    && rel.Session.delivered = Machines.count machines
+  in
+  List.for_all
+    (fun transport ->
+      identical (Session.run_reliable (Session.Config.v ~msg ~transport ()) machines plan)
+      &&
+      let obs = Gridb_obs.Sink.memory () in
+      let observed =
+        Session.run_reliable (Session.Config.v ~msg ~transport ~obs ()) machines plan
+      in
+      identical observed && Gridb_obs.Sink.count obs > 0)
+    [ Session.Fixed; Session.adaptive (); Session.adaptive ~reroute:true () ]
+
 let reliable_zero_fault_identity =
   QCheck.Test.make ~name:"run_reliable with no faults is bit-identical to run" ~count:(Testutil.count 25)
     QCheck.(pair (int_range 2 9) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
-      let grid = random_grid ~rng ~n seed in
-      let msg = 1 + (seed mod 4_000_000) in
-      let machines, plan = plan_of_grid ~msg grid in
-      let base = Session.run (Session.Config.v ~msg ()) machines plan in
-      let identical (rel : Session.reliable) =
-        rel.Session.r_makespan = base.Session.makespan
-        && rel.Session.r_arrival = base.Session.arrival
-        && rel.Session.r_transmissions = base.Session.transmissions
-        && rel.Session.retransmissions = 0
-        && rel.Session.gave_up = []
-        && rel.Session.crashed = []
-        && rel.Session.reroutes = []
-        && rel.Session.circuit_opens = 0
-        && rel.Session.delivered = Machines.count machines
-      in
-      List.for_all
-        (fun transport ->
-          identical
-            (Session.run_reliable (Session.Config.v ~msg ~transport ()) machines plan)
-          &&
-          let obs = Gridb_obs.Sink.memory () in
-          let observed =
-            Session.run_reliable (Session.Config.v ~msg ~transport ~obs ()) machines plan
-          in
-          identical observed && Gridb_obs.Sink.count obs > 0)
-        [ Session.Fixed; Session.adaptive (); Session.adaptive ~reroute:true () ])
+      zero_fault_identity ~msg:(1 + (seed mod 4_000_000)) (random_grid ~rng ~n seed))
+
+(* 128 clusters of 1 to 3 ranks: more cluster pairs than ranks, so a
+   session's link table is smaller than the pair space and evicts. *)
+let test_reliable_zero_fault_identity_wide () =
+  let grid =
+    Generators.uniform_random ~rng:(Rng.create 2006) ~n:128
+      { Generators.default_random_spec with cluster_size = (1, 3) }
+  in
+  let ranks = Machines.count (Machines.expand grid) in
+  Alcotest.(check bool) "more cluster pairs than ranks" true (128 * 128 > ranks);
+  List.iter
+    (fun msg ->
+      Alcotest.(check bool) (Printf.sprintf "identical at %d bytes" msg) true
+        (zero_fault_identity ~msg grid))
+    [ 4_096; 1_048_576 ]
 
 let test_reliable_seeded_reproducible () =
   let grid = Grid5000.grid () in
@@ -1021,6 +1036,8 @@ let () =
       ( "reliable",
         [
           QCheck_alcotest.to_alcotest reliable_zero_fault_identity;
+          quick "run_reliable with no faults is run on a wide grid"
+            test_reliable_zero_fault_identity_wide;
           quick "seeded reproducible" test_reliable_seeded_reproducible;
           quick "recovers from loss" test_reliable_recovers_from_loss;
           quick "retry budget exhaustion" test_reliable_retry_budget_exhaustion;

@@ -95,10 +95,21 @@ let test_grid5000_instance_golden () =
 let exec_corpus_digest = "d505aeb03c59f565c075e1c5b8fb93a6"
 let exec_corpus_bytes = 9_195_362
 
+(* Corpus case [i]: clusters, machines, message size and ECEF-LA plan. *)
+let corpus_case i =
+  let n = 2 + (i mod 9) in
+  let rng = Rng.create (21_000 + i) in
+  let grid =
+    Gridb_topology.Generators.uniform_random ~rng ~n
+      Gridb_topology.Generators.default_random_spec
+  in
+  let machines = Gridb_topology.Machines.expand grid in
+  let msg = if i mod 2 = 0 then 1_000_000 else 65_536 in
+  let inst = Instance.of_grid ~root:(i mod n) ~msg grid in
+  (n, machines, msg, Gridb_des.Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst))
+
 let exec_corpus_buffer () =
-  let module Generators = Gridb_topology.Generators in
   let module Machines = Gridb_topology.Machines in
-  let module Plan = Gridb_des.Plan in
   let module Faults = Gridb_des.Faults in
   let module Dynamics = Gridb_des.Dynamics in
   let module Sink = Gridb_obs.Sink in
@@ -124,15 +135,8 @@ let exec_corpus_buffer () =
     | Error e -> Alcotest.failf "bad dynamics spec: %s" e
   in
   for i = 0 to 11 do
-    let n = 2 + (i mod 9) in
-    let rng = Rng.create (21_000 + i) in
-    let grid = Generators.uniform_random ~rng ~n Generators.default_random_spec in
-    let machines = Machines.expand grid in
+    let n, machines, msg, plan = corpus_case i in
     let n_ranks = Machines.count machines in
-    let msg = if i mod 2 = 0 then 1_000_000 else 65_536 in
-    let root = i mod n in
-    let inst = Instance.of_grid ~root ~msg grid in
-    let plan = Plan.of_cluster_schedule machines (Engine.run Policy.ecef_la inst) in
     (* Simple executor: exact and noisy. *)
     let sink = Sink.memory () in
     let r = Session.run (Session.Config.v ~msg ~obs:sink ()) machines plan in
@@ -200,6 +204,33 @@ let test_exec_corpus_golden () =
     "exec corpus digest" exec_corpus_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* The corpus's fault-free reliable runs without a sink, where a fixed
+   session settles its ACKs without queueing them and no session arms an
+   unqueued timer: arrivals, makespan, horizon and counters pinned as
+   recorded when every ACK was a queued event. *)
+let settled_acks_digest = "91510e495a6616613861ddb7312e91d4"
+
+let test_settled_acks_golden () =
+  let buf = Buffer.create 4096 in
+  for i = 0 to 11 do
+    let _, machines, msg, plan = corpus_case i in
+    List.iter
+      (fun transport ->
+        let r =
+          Session.run_reliable
+            (Session.Config.v ~rng:(Rng.create (31_000 + i)) ~msg ~transport ())
+            machines plan
+        in
+        Array.iter (fun a -> Printf.bprintf buf "%.17g," a) r.Session.r_arrival;
+        Printf.bprintf buf "%.17g,%.17g,tx=%d,rtx=%d,acks=%d,del=%d;" r.Session.r_makespan
+          r.Session.horizon r.Session.r_transmissions r.Session.retransmissions
+          r.Session.acks r.Session.delivered)
+      [ Session.Fixed; Session.adaptive () ]
+  done;
+  Alcotest.(check string)
+    "settled-ACK corpus digest" settled_acks_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let regen () =
   let grid = Gridb_topology.Grid5000.grid () in
   let inst = Instance.of_grid ~root:0 ~msg:1_000_000 grid in
@@ -243,6 +274,7 @@ let () =
             quick "rng stream" test_rng_stream_golden;
             quick "grid5000 instance values" test_grid5000_instance_golden;
             quick "pre-refactor executor corpus digest" test_exec_corpus_golden;
+            quick "settled-ACK corpus digest" test_settled_acks_golden;
           ] );
       ]
   end
