@@ -174,11 +174,19 @@ let transport_equivalence ?(msg = 1_000_000) ?(seed = 0) machines plan =
       (r.r_arrival, r.r_makespan, r.r_transmissions, r.retransmissions))
     (fun _ -> (base.arrival, base.makespan, base.transmissions, 0))
 
-(* Every field but the estimator, whose hash tables carry a per-table seed
-   when hashing is randomized; [compare], not [=], as an undelivered
-   rank's arrival is nan. *)
-let same_reliable (a : Gridb_des.Session.reliable) b =
-  compare { a with estimator = None } { b with estimator = None } = 0
+(* A result with its estimator read on every link, for [compare], not
+   [=], as an undelivered rank's arrival is nan. *)
+let comparable (r : Gridb_des.Session.reliable) =
+  let view est =
+    let n = Gridb_des.Adaptive.size est in
+    List.init (n * n) (fun l ->
+        let src = l / n and dst = l mod n in
+        Gridb_des.Adaptive.
+          (srtt est ~src ~dst, rttvar est ~src ~dst, samples est ~src ~dst, circuit est ~src ~dst))
+  in
+  ({ r with estimator = None }, Option.map view r.estimator)
+
+let same_reliable a b = compare (comparable a) (comparable b) = 0
 
 let timer_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let open Gridb_des in
@@ -186,7 +194,7 @@ let timer_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let run ?faults transport =
     let sink = Gridb_obs.Sink.memory () in
     let r = reliable ~msg ~seed ~obs:sink ?faults transport machines plan in
-    ({ r with estimator = None }, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
+    (comparable r, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
   in
   (* A 1 us RTO fires before any ACK lands, so those timers are queued. *)
   let tight = Session.adaptive ~config:(Adaptive.v ~rto_min:1. ~rto_max:1. ()) () in
@@ -200,25 +208,40 @@ let timer_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
 
 let ack_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let open Gridb_des in
-  (* An estimator compared by what it reads on every link. *)
-  let view est =
-    let n = Adaptive.size est in
-    List.init (n * n) (fun l ->
-        let src = l / n and dst = l mod n in
-        Adaptive.
-          (srtt est ~src ~dst, rttvar est ~src ~dst, samples est ~src ~dst, circuit est ~src ~dst))
+  let n = Gridb_topology.Machines.count machines in
+  let clusters = Gridb_topology.Grid.size (Gridb_topology.Machines.grid machines) in
+  (* Fresh models per run, as a run consumes their draws; ticks only with
+     dynamics, as they keep every ACK queued. *)
+  let cells =
+    [
+      ("", fun () -> (None, None, 0.));
+      ( " under faults",
+        fun () ->
+          let spec = Faults.v ~loss:0.2 ~degrade_rate:1e-5 ~degrade_mean:1e4 ~crash_rate:1e-6 () in
+          (Some (Faults.create ~seed ~n spec), None, 0.) );
+      ( " under dynamics",
+        fun () ->
+          let spec = Dynamics.v ~drift_rate:2e-5 ~leave_rate:1e-6 ~join_rate:5e-5 () in
+          (None, Some (Dynamics.create ~seed ~n ~clusters spec), 5e3) );
+    ]
   in
-  let run ?obs transport =
-    let r = reliable ~msg ~seed ?obs transport machines plan in
-    ({ r with estimator = None }, Option.map view r.estimator)
+  let run ?obs (transport, models) =
+    let faults, dynamics, tick_every = models () in
+    let ticks = ref 0 in
+    let on_tick ~now:_ _ = incr ticks in
+    let r = reliable ~msg ~seed ?obs ?faults ?dynamics ~on_tick ~tick_every transport machines plan in
+    (comparable r, !ticks)
   in
   agree "ack-elision"
-    ~what:(fun ((x : Session.reliable), _) (y, _) ->
+    ~what:(fun (((x : Session.reliable), _), _) ((y, _), _) ->
       Printf.sprintf
         "a run without a sink differs from the traced run: horizon %.17g vs %.17g, %d vs %d acks"
         x.horizon y.horizon x.acks y.acks)
-    transports run
-    (fun t -> run ~obs:(Gridb_obs.Sink.memory ()) t)
+    (List.concat_map
+       (fun (cell, models) -> List.map (fun (name, t) -> (name ^ cell, (t, models))) transports)
+       cells)
+    run
+    (fun cell -> run ~obs:(Gridb_obs.Sink.memory ()) cell)
 
 let dynamics_identity ?(msg = 1_000_000) ?(seed = 0) ?fault_seed
     ?(transport = Gridb_des.Session.Fixed) ?(spec = Gridb_des.Faults.none)

@@ -24,8 +24,8 @@
       reliable transports must be bit-identical to the unreliable
       executor — same arrivals, makespan and transmission count, zero
       retransmissions.
-    - {b timer elision}: a reliable run without a fault model, whose ACK
-      timers need not be queued, equals the same run under an empty one.
+    - {b timer elision}: a reliable run without a fault model, whose ACKs
+      may be settled unqueued, equals the same run under an empty one.
     - {b dynamics identity}: attaching a {!Gridb_des.Dynamics} model whose
       spec is {!Gridb_des.Dynamics.none} — with a live observation tick —
       must leave a reliable run bit-identical to the same run without a
@@ -76,8 +76,8 @@ val timer_elision :
   Invariant.outcome
 (** ["timer-elision"]: {!Gridb_des.Session.run_reliable} with
     [faults = None] against the same run under an empty fault model, which
-    queues every timer: equal results (estimator aside) and
-    byte-identical JSONL streams,
+    settles no ACK unqueued: equal results (estimators read on every link)
+    and byte-identical JSONL streams,
     under fixed, adaptive, adaptive+reroute, and adaptive with a 1 us RTO
     (whose timers fire).  [msg] defaults to 1 MB, [seed] to 0. *)
 
@@ -85,9 +85,12 @@ val ack_elision :
   ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t ->
   Invariant.outcome
 (** ["ack-elision"]: {!Gridb_des.Session.run_reliable} without a sink
-    (fixed sessions settle fault-free ACKs unqueued) against the same run
-    with a memory sink: equal in every result field, horizon included, and
-    in what the estimators read on every link, under each transport.
+    (fixed sessions settle fault-free ACKs unqueued, and unarmed timers
+    have no handle) against the same run with a memory sink: equal in
+    every result field, horizon included, in what the estimators read on
+    every link and in the number of estimator ticks, under each transport
+    with no model, under a lossy, crashing and degrading fault model, and
+    under a dynamics model with drift, leaves, joins and ticks.
     [msg] defaults to 1 MB, [seed] to 0. *)
 
 val dynamics_identity :
@@ -102,7 +105,7 @@ val dynamics_identity :
 (** ["dynamics-identity"]: {!Gridb_des.Session.run_reliable} with a
     zero-dynamics {!Gridb_des.Dynamics} model attached (and an [on_tick]
     observation hook firing every 50 ms) against the same run without one:
-    every field of the result but the estimator must be {e exactly} equal
+    every field of the result, the estimator read on every link, must be {e exactly} equal
     (nan-aware), so the model reports no churn either.  [spec] (default no faults) and [transport]
     (default fixed) select the baseline being perturbed; [fault_seed]
     defaults to [seed]. *)

@@ -74,29 +74,6 @@ type link = {
   mutable samples : float;  (* a count, exact as a float *)
 }
 
-module Links = Hashtbl.Make (Int)
-
-(* Only links a write ([rto], [on_sample], [on_timeout], an [usable]
-   transition) has touched are stored, keyed [src * n + dst]: a session
-   crosses a few of its n² links, and every estimator outlives its session
-   in the session's result. *)
-type t = { config : config; n : int; links : link Links.t }
-
-let create ?(config = default) ~n () =
-  if n < 1 then invalid_arg "Adaptive.create: n < 1";
-  (* Re-run the smart constructor so hand-built records cannot smuggle
-     invalid knobs in (the Faults.create discipline). *)
-  let config =
-    v ~alpha:config.alpha ~beta:config.beta ~var_mult:config.var_mult
-      ~rto_min:config.rto_min ~rto_max:config.rto_max
-      ~breaker_threshold:config.breaker_threshold ~blowup_factor:config.blowup_factor
-      ~cooldown_mult:config.cooldown_mult ~max_reroutes:config.max_reroutes ()
-  in
-  { config; n; links = Links.create 16 }
-
-let config t = t.config
-let size t = t.n
-
 let fresh () =
   {
     srtt = nan;
@@ -109,9 +86,31 @@ let fresh () =
     samples = 0.;
   }
 
-(* What every read of a link no write has touched sees.  Never stored and
-   never written: writers go through [link]. *)
+(* What every read of a link no write has touched sees, and what fills the
+   table's free slots.  Never written: writers go through [link]. *)
 let untouched = fresh ()
+
+(* Only links a write ([rto], [on_sample], [on_timeout], an [usable]
+   transition) has touched are stored, keyed [src * n + dst] in one
+   open-addressed table: a session writes about one link per rank of its
+   n², and every estimator outlives its session in the session's
+   result. *)
+type t = { config : config; n : int; links : link Slots.t }
+
+let create ?(config = default) ~n () =
+  if n < 1 then invalid_arg "Adaptive.create: n < 1";
+  (* Re-run the smart constructor so hand-built records cannot smuggle
+     invalid knobs in (the Faults.create discipline). *)
+  let config =
+    v ~alpha:config.alpha ~beta:config.beta ~var_mult:config.var_mult
+      ~rto_min:config.rto_min ~rto_max:config.rto_max
+      ~breaker_threshold:config.breaker_threshold ~blowup_factor:config.blowup_factor
+      ~cooldown_mult:config.cooldown_mult ~max_reroutes:config.max_reroutes ()
+  in
+  { config; n; links = Slots.create ~keys:n untouched }
+
+let config t = t.config
+let size t = t.n
 
 let index t ~src ~dst name =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
@@ -119,20 +118,13 @@ let index t ~src ~dst name =
   (src * t.n) + dst
 
 (* Read-only view: an untouched link reads as the defaults, not stored. *)
-let peek t ~src ~dst name =
-  match Links.find t.links (index t ~src ~dst name) with
-  | l -> l
-  | exception Not_found -> untouched
+let peek t ~src ~dst name = Slots.find t.links (index t ~src ~dst name)
 
 (* Writable link, stored on first use. *)
 let link t ~src ~dst name =
-  let idx = index t ~src ~dst name in
-  match Links.find t.links idx with
-  | l -> l
-  | exception Not_found ->
-      let l = fresh () in
-      Links.add t.links idx l;
-      l
+  let i = Slots.slot t.links (index t ~src ~dst name) in
+  if Slots.get t.links i == untouched then Slots.set t.links i (fresh ());
+  Slots.get t.links i
 
 let clamp t x = Float.min t.config.rto_max (Float.max t.config.rto_min x)
 

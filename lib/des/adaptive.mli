@@ -64,9 +64,11 @@ val v :
 type t
 (** Estimator + breaker state over [n] ranks, per directed link.  Only
     links that {!rto}, {!on_sample}, {!on_timeout} or a {!usable}
-    transition has written are stored, so memory follows the links a
-    session crosses, not [n * n]; every read of an untouched link answers
-    with the defaults without storing it. *)
+    transition has written are stored, in one open-addressed {!Slots}
+    table keyed [src * n + dst], so memory follows the links a session
+    crosses, not [n * n]; every read of an untouched link answers with the
+    defaults without storing it, and no lookup hashes through a
+    [Hashtbl] or raises [Not_found]. *)
 
 val create : ?config:config -> n:int -> unit -> t
 (** @raise Invalid_argument if [n < 1] (the config is re-validated). *)

@@ -29,6 +29,7 @@ type t = {
       (* [now], then the latest unqueued event: two cells, as a mutable
          float field of this record would box on every write. *)
   mutable next_timer : int;
+  mutable queued_timers : int;
   mutable processed : int;
 }
 
@@ -70,6 +71,7 @@ let create ?(obs = Sink.null) () =
     obs;
     clock = [| 0.; 0. |];
     next_timer = 0;
+    queued_timers = 0;
     processed = 0;
   }
 
@@ -200,9 +202,8 @@ let peek t = if lane_first t then t.lane.(t.head) else t.heap.(0)
 let pop_head t = if lane_first t then pop_lane t else pop t
 
 (* A timer always goes to the heap, where [cancel] can reach it. *)
-let place t s ~timer =
-  t.seqs.(s) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
+let place t s ~timer ~seq =
+  t.seqs.(s) <- seq;
   if (not timer) && (t.len = 0 || t.times.(s) >= t.times.(lane_last t)) then append t s
   else push t s
 
@@ -212,22 +213,28 @@ let[@inline never] reject_time time =
 
 (* Inlined into its callers, so [time] reaches the slot array unboxed
    (across modules too, where the compiler inlines across them). *)
-let[@inline] enqueue t ~time handler arg timer =
+let[@inline] enqueue t ~time handler arg timer ~seq =
   if not (time >= t.clock.(0)) then reject_time time;
   let s = take_slot t in
   t.times.(s) <- time;
   t.handlers.(s) <- handler;
   t.args.(s) <- arg;
   t.timers.(s) <- timer;
-  if timer != no_timer then timer.slot <- s;
-  place t s ~timer:(timer != no_timer)
+  if timer != no_timer then (timer.slot <- s; t.queued_timers <- t.queued_timers + 1);
+  place t s ~timer:(timer != no_timer) ~seq
 
-let[@inline] schedule_with t ~time handler arg = enqueue t ~time handler arg no_timer
+let[@inline] reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let[@inline] schedule_with t ~time handler arg =
+  enqueue t ~time handler arg no_timer ~seq:(reserve t)
 
 let[@inline] schedule_timer_with t ~time handler arg =
   let timer = { id = t.next_timer; slot = -1 } in
   t.next_timer <- t.next_timer + 1;
-  enqueue t ~time handler arg timer;
+  enqueue t ~time handler arg timer ~seq:(reserve t);
   if Sink.enabled t.obs then
     Sink.emit t.obs (Event.Timer_set { id = timer.id; time = t.clock.(0); fire_at = time });
   timer
@@ -242,6 +249,13 @@ let unqueued_timer t ~time =
     { id; slot = -2 }
   end
   else no_timer
+
+(* Without a sink an unqueued timer is [no_timer], and its queued one is
+   a fresh handle only [cancel] and [step] read. *)
+let arm t timer ~seq ~time handler arg =
+  let timer = if timer == no_timer then { id = -1; slot = -2 } else timer in
+  enqueue t ~time handler arg timer ~seq;
+  timer
 
 let observed t = Sink.enabled t.obs
 
@@ -303,6 +317,8 @@ let run_until t horizon =
 let pending t = t.size + t.len
 
 let processed t = t.processed
+
+let queued_timers t = t.queued_timers
 
 let capacity t = Array.length t.times + Array.length t.heap + Array.length t.lane
 

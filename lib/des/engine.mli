@@ -12,7 +12,11 @@
     {!processed}, or hold back a {!run_until} horizon.  This is what arms
     the ACK-guarded retransmission timers of the reliable executor: the
     common (ACK received) path cancels the timer instead of letting a stale
-    timeout fire, and the cancelled slot is free for the next event.
+    timeout fire, and the cancelled slot is free for the next event.  A
+    timer may also start unqueued ({!unqueued_timer}, {!reserve}): it
+    holds the insertion seq it would have taken, and {!arm} queues it at
+    that [(time, seq)] once its caller knows it may fire, so it pops
+    exactly where it would have, and one cancelled first is never queued.
 
     Memory: a queued event is a {e slot}, one index into parallel arrays
     of times (unboxed floats), insertion seqs, handlers, [int] payloads
@@ -76,11 +80,22 @@ val schedule_timer_with : t -> time:float -> (t -> int -> unit) -> int -> timer
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val unqueued_timer : t -> time:float -> timer
-(** A timer its caller has proved is cancelled strictly before [time], so
-    it never fires and is not queued (nor counted by {!pending}).  It takes
-    the next timer id and publishes [Timer_set] as {!schedule_timer_with}
-    does; {!cancel} on it publishes [Timer_cancel] once.  Without an
-    enabled sink it allocates nothing and returns {!no_timer}.
+(** A timer at [time] that starts unqueued: not queued, nor counted by
+    {!pending}, until {!arm} queues it.  It takes the next timer id and
+    publishes [Timer_set] as {!schedule_timer_with} does; {!cancel} on it
+    publishes [Timer_cancel] once.  Without an enabled sink it allocates
+    nothing and returns {!no_timer}.
+    @raise Invalid_argument if [time] is NaN or in the past. *)
+
+val reserve : t -> int
+(** Take the next insertion seq, as {!schedule_timer_with} does, for a
+    timer that {!arm} may queue later. *)
+
+val arm : t -> timer -> seq:int -> time:float -> (t -> int -> unit) -> int -> timer
+(** Queue an unqueued timer (a fresh handle for {!no_timer}) at the
+    [(time, seq)] it reserved: it pops where {!schedule_timer_with} at the
+    reservation would have put it, ties included, if nothing after
+    [(time, seq)] has popped yet.  It publishes nothing.
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val unqueued_event : t -> float array -> unit
@@ -132,6 +147,9 @@ val processed : t -> int
 (** Events executed so far. *)
 
 (** {2 Queue introspection, for tests} *)
+
+val queued_timers : t -> int
+(** Timers queued so far, by {!schedule_timer_with} or {!arm}. *)
 
 val capacity : t -> int
 (** Number of event slots (the length of each slot array) plus the

@@ -101,12 +101,11 @@ type t = {
   crash : float array;  (* per rank; infinity = never *)
   cut : float array;  (* directed link src * n + dst; infinity = never *)
   seeds : Rng.t;  (* master state after the crash and cut draws *)
-  (* Queried links in one open-addressed table: slot i holds link [links.(i)]
-     (-1 = free), its loss draw count and its degradation stream. *)
-  mutable links : int array;
-  mutable draws : int array;  (* empty when [loss = 0.] *)
-  mutable streams : degrade_stream array;  (* empty when [degrade_rate = 0.] *)
-  mutable used : int;
+  (* A queried link's loss draw count and its degradation stream, in two
+     tables keyed by link.  A session queries about two links per rank,
+     its data's and its ACK's. *)
+  draws : int Slots.t;
+  streams : degrade_stream Slots.t;
 }
 
 let create ?(seed = 0) ?(t0 = 0.) ~n spec =
@@ -126,37 +125,14 @@ let create ?(seed = 0) ?(t0 = 0.) ~n spec =
           else Rng.exponential master spec.cut_rate)
     else Array.make 0 0.
   in
-  { spec; n; t0; crash; cut; seeds = master; links = [||]; draws = [||]; streams = [||]; used = 0 }
+  let table fill = Slots.create ~keys:(2 * n) fill in
+  { spec; n; t0; crash; cut; seeds = master; draws = table 0; streams = table no_stream }
 
 (* Per-link streams are seeded by the master's outputs after the crash and
    cut draws: every link's loss stream in link order, then every link's
    degradation stream.  [Rng.bits64_ahead] reads the one a link needs, with
    the same seed as if all n^2 had been drawn up front. *)
 let link_seed t idx ~offset = Int64.to_int (Rng.bits64_ahead t.seeds (offset + idx))
-
-(* The slot of link [idx], claimed on its first query: linear probing from a
-   multiplicative hash over a power-of-two capacity, at first at least 2n but
-   at most 256 (born in the minor heap), doubled at 3/4 load. *)
-let rec slot t idx =
-  let cap = Array.length t.links in
-  if 4 * t.used >= 3 * cap then begin
-    let links = t.links and draws = t.draws and streams = t.streams in
-    let rec first c = if c >= 2 * t.n || c >= 256 then c else first (2 * c) in
-    let cap = if cap = 0 then first 8 else 2 * cap in
-    t.links <- Array.make cap (-1);
-    if t.spec.loss > 0. then t.draws <- Array.make cap 0;
-    if t.spec.degrade_rate > 0. then t.streams <- Array.make cap no_stream;
-    t.used <- 0;
-    Array.iteri (fun j idx -> if idx >= 0 then begin
-        let i = slot t idx in
-        if Array.length draws > 0 then t.draws.(i) <- draws.(j);
-        if Array.length streams > 0 then t.streams.(i) <- streams.(j) end) links
-  end;
-  let mask = Array.length t.links - 1 in
-  let i = ref ((idx * 0x9E3779B1) lsr 16 land mask) in
-  while t.links.(!i) <> idx && t.links.(!i) >= 0 do i := (!i + 1) land mask done;
-  if t.links.(!i) < 0 then (t.links.(!i) <- idx; t.used <- t.used + 1);
-  !i
 
 let spec t = t.spec
 let size t = t.n
@@ -184,9 +160,10 @@ let link_up t ~src ~dst ~at = cut_time t ~src ~dst > at
 let lose t ~src ~dst =
   let idx = link_index t ~src ~dst "lose" in
   t.spec.loss > 0.
-  && let i = slot t idx in
-     t.draws.(i) <- t.draws.(i) + 1;
-     Rng.unit_float_at (link_seed t idx ~offset:0) (t.draws.(i) - 1) < t.spec.loss
+  && let i = Slots.slot t.draws idx in
+     let k = Slots.get t.draws i in
+     Slots.set t.draws i (k + 1);
+     Rng.unit_float_at (link_seed t idx ~offset:0) k < t.spec.loss
 
 let add_episode s start stop =
   let cap = Array.length s.starts in
@@ -219,13 +196,14 @@ let slowdown t ~src ~dst ~at =
   let idx = link_index t ~src ~dst "slowdown" in
   if t.spec.degrade_rate = 0. then 1.
   else begin
-    let i = slot t idx in
-    if t.streams.(i) == no_stream then begin
+    let i = Slots.slot t.streams idx in
+    if Slots.get t.streams i == no_stream then begin
       let offset = if t.spec.loss > 0. then t.n * t.n else 0 in
       let drng = Rng.create (link_seed t idx ~offset) in
-      t.streams.(i) <- { no_stream with drng; next_start = Rng.exponential drng t.spec.degrade_rate }
+      Slots.set t.streams i
+        { no_stream with drng; next_start = Rng.exponential drng t.spec.degrade_rate }
     end;
-    let s = t.streams.(i) in
+    let s = Slots.get t.streams i in
     let at = at -. t.t0 in
     while s.next_start <= at do
       let start = s.next_start in

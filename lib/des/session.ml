@@ -362,10 +362,6 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     | _ -> false
   in
   let slows = faults <> None || dynamics <> None in
-  (* With exact noise and neither model nothing delays, drops or halts an
-     ACK, so a try's timer with a deadline after its ACK lands is cancelled
-     before it could fire and need not be queued. *)
-  let timer_free = (not slows) && match noise with Noise.Exact -> true | _ -> false in
   let slowdown src dst ~at =
     let f =
       match faults with
@@ -396,12 +392,20 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
      child still has at most one live edge, and so one live timer, at a
      time: [timeout] checks it). *)
   let acked = Array.make ntot false in
+  (* A try's timer starts unqueued at [deadlines.(dst)], holding the
+     insertion seq [seqs.(dst)] ([-1] once queued, cancelled or fired), and
+     is queued at that (deadline, seq) once an ACK cannot cancel it first
+     ([arm]): so it pops where a timer queued at the send would, and one
+     its ACK cancels first is never queued. *)
   let timers = Array.make ntot Engine.no_timer in
+  let deadlines = Array.make ntot nan and seqs = Array.make ntot (-1) in
   let cur_parent = Array.make ntot (-1) in
   let cur_try = Array.make ntot 0 in
   let cur_rto = Array.make ntot nan in
-  let last_start = Array.make ntot nan in
-  let reroutes_used = Array.make ntot 0 in
+  (* Read only by the estimator and by reroutes: empty without them. *)
+  let sampled = est <> None in
+  let last_start = Array.make (if sampled then ntot else 0) nan in
+  let reroutes_used = Array.make (if reroute then ntot else 0) 0 in
   (* The RTO an attempt arms, computed before the sender's halt check as
      the estimator's reads must be; one cell, so it is never boxed. *)
   let next_rto = [| nan |] in
@@ -464,11 +468,14 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
   let next_join = ref 0 in
   let next_tick = ref (if tick_every > 0. then start_delay +. tick_every else infinity) in
   let dyn_on = Array.length joins > 0 || tick_every > 0. in
-  (* Only the horizon and [acks] see an ACK that no sink, estimator, tick,
-     join or queued timer sees: [data_arrives] settles it at once. *)
+  (* In a fault-free exact session, only the horizon and [acks] see an ACK
+     that no sink, estimator, tick, join or queued timer sees:
+     [data_arrives] settles it at once. *)
   let observed = Engine.observed engine in
   let settle_acks =
-    timer_free && transport = Fixed && (not tracing) && (not observed) && not dyn_on
+    (not slows)
+    && (match noise with Noise.Exact -> true | _ -> false)
+    && transport = Fixed && (not tracing) && (not observed) && not dyn_on
   in
   let ack_time = [| nan |] in
   (* The three protocol events are engine payload events on handlers of
@@ -528,7 +535,7 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
       cur_parent.(dst) <- src;
       cur_try.(dst) <- try_no;
       cur_rto.(dst) <- next_rto.(0);
-      last_start.(dst) <- start;
+      if sampled then last_start.(dst) <- start;
       let k = link src dst in
       let d = if slows then slowdown src dst ~at:start else 1. in
       let g = noisy noise rng links.(k) *. d in
@@ -554,16 +561,18 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
       let edge = (src * ntot) + dst in
       if not lost then Engine.schedule_with engine ~time:arr data_arrives edge;
       let deadline = start +. g +. cur_rto.(dst) in
-      (* [arr +. l_back] is the ACK's landing time as [data_arrives]
-         computes it when [timer_free]. *)
+      deadlines.(dst) <- deadline;
       timers.(dst) <-
-        (if timer_free && arr +. links.(link dst src + 1) < deadline then
-           if observed then Engine.unqueued_timer engine ~time:deadline else Engine.no_timer
-         else
-           Engine.schedule_timer_with engine ~time:deadline timeout
-             ((try_no * ntot * ntot) + edge))
+        (if observed then Engine.unqueued_timer engine ~time:deadline else Engine.no_timer);
+      seqs.(dst) <- Engine.reserve engine;
+      if lost || arr >= deadline then arm dst engine
     end
     else if reroute then orphaned ~old_parent:src ~dst engine
+  and arm dst engine =
+    timers.(dst) <-
+      Engine.arm engine timers.(dst) ~seq:seqs.(dst) ~time:deadlines.(dst) timeout
+        ((((cur_try.(dst) * ntot) + cur_parent.(dst)) * ntot) + dst);
+    seqs.(dst) <- -1
   and data_arrives engine edge =
     let src = edge / ntot and dst = edge mod ntot in
     if dyn_on then dyn_tick engine;
@@ -583,11 +592,16 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     let d = if slows then slowdown dst src ~at:now else 1. in
     let ack_at = now +. (noisy noise rng links.(kb + 1) *. d) in
     let ack_lost = (lossy && faulty dst src ~at:now) || halt_at.(src) <= ack_at in
+    (* [dst]'s live timer stays so until it fires or an ACK lands, so this
+       ACK cancels it first iff it lands before the deadline. *)
+    if seqs.(dst) >= 0 && (ack_lost || ack_at >= deadlines.(dst)) then arm dst engine;
     if ack_lost then ()
-    (* A queued timer (one that ties its ACK) must find the ACK queued. *)
+    (* A queued timer (one this ACK cannot cancel first) must find the ACK
+       queued. *)
     else if settle_acks && timers.(dst) == Engine.no_timer then begin
       incr acks;
       acked.(dst) <- true;
+      seqs.(dst) <- -1;
       ack_time.(0) <- ack_at;
       Engine.unqueued_event engine ack_time
     end
@@ -625,7 +639,8 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     if not acked.(child) then begin
       acked.(child) <- true;
       Engine.cancel engine timers.(child);
-      timers.(child) <- Engine.no_timer
+      timers.(child) <- Engine.no_timer;
+      seqs.(child) <- -1
     end
   and timeout engine payload =
     let dst = payload mod ntot and src = payload / ntot mod ntot in
@@ -803,7 +818,11 @@ let reliable_result (s : reliable_t) =
   done;
   let horizon = Engine.now s.r_engine in
   let halted times =
-    List.filter (fun r -> times.(r) <= horizon) (List.init (Array.length times) Fun.id)
+    let l = ref [] in
+    for r = Array.length times - 1 downto 0 do
+      if times.(r) <= horizon then l := r :: !l
+    done;
+    !l
   in
   let crashed = halted s.r_crash and left = halted s.r_leave in
   let joined =

@@ -7,8 +7,9 @@ let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
 (* Variant-13 mix of Stafford: a 64-bit bijection, so distinct inputs give
-   distinct outputs. *)
-let mix z =
+   distinct outputs.  Inlined, as is [to_unit], so the draws below pass it
+   no boxed [Int64]. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -39,7 +40,7 @@ let split t i =
   { state = mix (Int64.add base (Int64.mul (Int64.of_int i) stream_gamma)) }
 
 (* Top 53 bits, scaled to [0,1). *)
-let to_unit z = Int64.to_float (Int64.shift_right_logical z 11) *. 0x1.0p-53
+let[@inline] to_unit z = Int64.to_float (Int64.shift_right_logical z 11) *. 0x1.0p-53
 let unit_float t = to_unit (bits64 t)
 
 (* [create seed]'s state after k + 1 outputs is seed + (k + 1) * gamma. *)

@@ -403,7 +403,8 @@ type est_op =
   | Quality
   | Params_of
 
-let est_op_gen =
+(* (src, dst, clock advance, operation) over [n] ranks *)
+let est_op_over n =
   QCheck.Gen.(
     let pos = map (fun x -> 1. +. float_of_int x) (int_bound 400) in
     let op =
@@ -422,8 +423,9 @@ let est_op_gen =
           (1, return Params_of);
         ]
     in
-    (* (src, dst, clock advance, operation) over 4 ranks *)
-    quad (int_bound 3) (int_bound 3) (int_bound 300) op)
+    quad (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 300) op)
+
+let est_op_gen = est_op_over 4
 
 let sparse_matches_dense =
   QCheck.Test.make ~name:"sparse links answer like a dense reference"
@@ -483,6 +485,65 @@ let sparse_matches_dense =
             Array.init n (fun j ->
                 if i = j then 0. else Dense.quality dense i j *. nominal ~src:i ~dst:j)))
 
+(* The open-addressed table answers like the [Hashtbl] it replaced, every
+   link read back at the end.  At 96 ranks over 500 links are written, so
+   the table (128 slots at first, doubled at 3/4 load) grows three times. *)
+let table_matches_hashtbl =
+  QCheck.Test.make ~name:"links answer like a Hashtbl reference" ~count:(Testutil.count 60)
+    (QCheck.make
+       QCheck.Gen.(
+         frequency [ (1, int_range 1 95); (1, return 96) ] >>= fun n ->
+         pair (return n) (list_size (1000 -- 1500) (est_op_over n))))
+    (fun (n, ops) ->
+      let config = Adaptive.v ~breaker_threshold:2 ~blowup_factor:3. () in
+      let t = Adaptive.create ~config ~n () in
+      let r = Adaptive_reference.create ~config ~n in
+      let now = ref 0. in
+      let eq a b = compare a b = 0 in
+      List.for_all
+        (fun (src, dst, dt, op) ->
+          now := !now +. float_of_int dt;
+          let now = !now in
+          match op with
+          | Rto (nominal, fallback) ->
+              eq
+                (Adaptive.rto t ~src ~dst ~nominal ~fallback)
+                (Adaptive_reference.rto r ~src ~dst ~nominal ~fallback)
+          | Sample (rtt, retransmitted) ->
+              Adaptive.on_sample t ~src ~dst ~rtt ~retransmitted ~now
+              = Adaptive_reference.on_sample r ~src ~dst ~rtt ~retransmitted ~now
+          | Timeout ->
+              Adaptive.on_timeout t ~src ~dst ~now = Adaptive_reference.on_timeout r ~src ~dst ~now
+          | Usable -> Adaptive.usable t ~src ~dst ~now = Adaptive_reference.usable r ~src ~dst ~now
+          | Usable_now ->
+              Adaptive.usable_now t ~src ~dst ~now = Adaptive_reference.usable_now r ~src ~dst ~now
+          | Circuit -> Adaptive.circuit t ~src ~dst = Adaptive_reference.circuit r ~src ~dst
+          | Srtt -> eq (Adaptive.srtt t ~src ~dst) (Adaptive_reference.srtt r ~src ~dst)
+          | Rttvar -> eq (Adaptive.rttvar t ~src ~dst) (Adaptive_reference.rttvar r ~src ~dst)
+          | Samples -> Adaptive.samples t ~src ~dst = Adaptive_reference.samples r ~src ~dst
+          | Quality | Params_of ->
+              eq (Adaptive.quality t ~src ~dst) (Adaptive_reference.quality r ~src ~dst))
+        ops
+      && List.for_all
+           (fun l ->
+             let src = l / n and dst = l mod n in
+             eq
+               Adaptive.
+                 ( srtt t ~src ~dst,
+                   rttvar t ~src ~dst,
+                   samples t ~src ~dst,
+                   circuit t ~src ~dst,
+                   quality t ~src ~dst,
+                   usable_now t ~src ~dst ~now:!now )
+               Adaptive_reference.
+                 ( srtt r ~src ~dst,
+                   rttvar r ~src ~dst,
+                   samples r ~src ~dst,
+                   circuit r ~src ~dst,
+                   quality r ~src ~dst,
+                   usable_now r ~src ~dst ~now:!now ))
+           (List.init (n * n) Fun.id))
+
 let test_reads_store_nothing () =
   (* Reads of untouched links answer with the defaults and store nothing:
      an estimator over 200 ranks stays as small after n² reads as fresh. *)
@@ -530,6 +591,7 @@ let () =
       ( "storage",
         [
           QCheck_alcotest.to_alcotest sparse_matches_dense;
+          QCheck_alcotest.to_alcotest table_matches_hashtbl;
           quick "reads store nothing" test_reads_store_nothing;
         ] );
     ]

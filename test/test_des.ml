@@ -249,6 +249,51 @@ let test_engine_unqueued_timer () =
           ignore (Engine.unqueued_timer e ~time:2. : Engine.timer)));
   Engine.run e
 
+(* A timer armed late pops at the (time, seq) it reserved: after an event
+   queued before the reservation and before one queued after it, at the
+   same time, as a timer queued at the reservation does. *)
+let test_engine_armed_timer () =
+  let replay armed =
+    let sink = Gridb_obs.Sink.memory () in
+    let e = Engine.create ~obs:sink () in
+    let log = ref [] in
+    let note name _ _ = log := name :: !log in
+    Engine.schedule_with e ~time:5. (note "queued before") 0;
+    let arm =
+      if armed then begin
+        let tm = Engine.unqueued_timer e ~time:5. in
+        let seq = Engine.reserve e in
+        Alcotest.(check int) "not pending until armed" 1 (Engine.pending e);
+        fun e -> ignore (Engine.arm e tm ~seq ~time:5. (note "timer") 0 : Engine.timer)
+      end
+      else begin
+        ignore (Engine.schedule_timer_with e ~time:5. (note "timer") 0 : Engine.timer);
+        fun _ -> ()
+      end
+    in
+    Engine.schedule_with e ~time:5. (note "queued after") 0;
+    Engine.schedule e ~time:3. arm;
+    Engine.run e;
+    Alcotest.(check bool) "invariant" true (Engine.check_invariant e);
+    Alcotest.(check int) "one timer queued" 1 (Engine.queued_timers e);
+    (List.rev !log, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
+  in
+  let order, events = replay true in
+  Alcotest.(check (list string)) "reserved order"
+    [ "queued before"; "timer"; "queued after" ] order;
+  Alcotest.(check (list string)) "same stream as a timer queued at once" (snd (replay false))
+    events;
+  (* Without a sink, arming [no_timer] queues a handle that cancels. *)
+  let e = Engine.create () in
+  let tm = Engine.unqueued_timer e ~time:4. in
+  let seq = Engine.reserve e in
+  let tm = Engine.arm e tm ~seq ~time:4. (fun _ _ -> Alcotest.fail "a cancelled timer fired") 0 in
+  Alcotest.(check bool) "armed is live" true (Engine.timer_live tm);
+  Alcotest.(check int) "armed is pending" 1 (Engine.pending e);
+  Engine.cancel e tm;
+  Engine.run e;
+  Alcotest.(check int) "cancelled before it fired" 0 (Engine.processed e)
+
 (* The watermark of an unqueued event becomes the clock only once the queue
    is empty, and never past a [run_until] horizon. *)
 let test_engine_unqueued_event () =
@@ -834,6 +879,59 @@ let test_session_tied_timer_keeps_ack () =
   Alcotest.(check bool) "same result as the traced run" true
     (compare quiet traced = 0)
 
+(* In the same fixture the root's try-0 timers, armed when their children
+   receive, fall due with the grandchildren's arrivals and pop first: they
+   reserved their seqs at the send, before those arrivals were queued. *)
+let test_session_armed_timer_keeps_its_place () =
+  let grid = "grid 1\ncluster 0 a 5 L 10 G 0:0,1000000:0" in
+  let m = Machines.expand (Result.get_ok (Gridb_topology.Serialize.of_string grid)) in
+  let plan = Plan.binomial_ranks m ~root:0 in
+  let sink = Gridb_obs.Sink.memory () in
+  ignore (Session.run_reliable (Session.Config.v ~msg:1_000 ~rto_mult:1. ~obs:sink ()) m plan);
+  let at_20 =
+    List.filter_map
+      (function
+        | Gridb_obs.Event.Timer_fire { time = 20.; _ } -> Some "fire"
+        | Gridb_obs.Event.Arrival { src; time = 20.; _ } when src <> 0 -> Some "arrival"
+        | _ -> None)
+      (Gridb_obs.Sink.events sink)
+  in
+  Alcotest.(check (list string)) "root timers first, then grandchildren"
+    [ "fire"; "fire"; "fire"; "arrival" ] at_20
+
+(* Under loss alone, a try's timer is queued only when its data or its ACK
+   is lost, and then nothing cancels it: an untraced session queues exactly
+   the timers that fire in the traced run, not one per transmission. *)
+let test_session_queues_only_firing_timers () =
+  let m = machines () in
+  let plan = Plan.binomial_ranks m ~root:0 in
+  let n = Machines.count m in
+  let run obs =
+    let engine = Engine.create ~obs () in
+    let faults = Gridb_des.Faults.create ~seed:7 ~n (Gridb_des.Faults.v ~loss:0.2 ()) in
+    let s =
+      Session.launch_reliable ~wire:(Gridb_des.Wire.create ~n) ~engine
+        (Session.Config.v ~obs ~faults ()) m plan
+    in
+    Engine.run engine;
+    (Engine.queued_timers engine, Session.reliable_result s)
+  in
+  let queued, r = run Gridb_obs.Sink.null in
+  let sink = Gridb_obs.Sink.memory () in
+  let _, traced = run sink in
+  let fired =
+    List.length
+      (List.filter
+         (function Gridb_obs.Event.Timer_fire _ -> true | _ -> false)
+         (Gridb_obs.Sink.events sink))
+  in
+  Alcotest.(check bool) "same result traced" true (compare r traced = 0);
+  Alcotest.(check bool) (Printf.sprintf "some timers fire (%d)" fired) true (fired > 10);
+  Alcotest.(check int) "queued = fired" fired queued;
+  Alcotest.(check int) "each fire retransmits or gives up" fired
+    (r.Session.retransmissions + List.length r.Session.gave_up);
+  Alcotest.(check bool) "fewer than one per transmission" true (queued < r.Session.r_transmissions)
+
 let test_exec_noise_perturbs_but_is_seeded () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
@@ -973,6 +1071,7 @@ let () =
           quick "capacity follows live events" test_engine_capacity_follows_live;
           quick "unqueued timer" test_engine_unqueued_timer;
           quick "unqueued event" test_engine_unqueued_event;
+          quick "armed timer" test_engine_armed_timer;
         ] );
       ( "heap",
         [
@@ -1007,6 +1106,8 @@ let () =
           quick "refuses a negative gap" test_session_refuses_negative_gap;
           quick "settles fault-free ACKs unqueued" test_session_settles_acks;
           quick "a tied timer keeps its ACK queued" test_session_tied_timer_keeps_ack;
+          quick "an armed timer keeps its place" test_session_armed_timer_keeps_its_place;
+          quick "queues only the timers that fire" test_session_queues_only_firing_timers;
           quick "seeded noise" test_exec_noise_perturbs_but_is_seeded;
           quick "mean makespan" test_exec_mean_makespan_reasonable;
           QCheck_alcotest.to_alcotest exec_arrival_monotone_along_tree;

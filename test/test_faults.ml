@@ -347,7 +347,7 @@ let test_fault_streams_golden () =
 (* Differential: the flat per-link draw table against the reference's one
    Rng.t per link, over random sizes and specs.  One link takes 300 loss
    draws and up to 400 distinct links are touched (all n^2 below n = 20),
-   so the table doubles at least twice once n >= 4. *)
+   so the table doubles at least twice once n >= 5. *)
 let fault_streams_match_reference =
   QCheck.Test.make ~name:"lose and slowdown answer as the per-link reference"
     ~count:(Testutil.count 25) (QCheck.int_bound 1_000_000)
