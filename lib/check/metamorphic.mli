@@ -85,12 +85,13 @@ val ack_elision :
   ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t ->
   Invariant.outcome
 (** ["ack-elision"]: {!Gridb_des.Session.run_reliable} without a sink
-    (fixed sessions settle fault-free ACKs unqueued, and unarmed timers
-    have no handle) against the same run with a memory sink: equal in
-    every result field, horizon included, in what the estimators read on
-    every link and in the number of estimator ticks, under each transport
-    with no model, under a lossy, crashing and degrading fault model, and
-    under a dynamics model with drift, leaves, joins and ticks.
+    (fixed sessions settle fault-free ACKs unqueued, and a leaf's
+    delivery at the send, and unarmed timers have no handle) against the
+    same run with a memory sink: equal in every result field, horizon
+    included, in what the estimators read on every link and in the number
+    of estimator ticks, under each transport with no model, under a lossy,
+    crashing and degrading fault model, and under a dynamics model with
+    drift, leaves, joins and ticks.
     [msg] defaults to 1 MB, [seed] to 0. *)
 
 val dynamics_identity :

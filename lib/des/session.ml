@@ -176,7 +176,6 @@ let launch ?sid ?(who = "Session.launch") ?(segments = 1) ~wire ~engine
     let src = sk mod n and k = sk / n in
     let time = Engine.now engine in
     arrival.(rank) <- time;
-    Wire.touch wire rank ~now:time;
     if tracing then emit (Event.Arrival { src; dst = rank; time });
     if rank = root then
       for k = 0 to segments - 1 do
@@ -200,7 +199,9 @@ let launch ?sid ?(who = "Session.launch") ?(segments = 1) ~wire ~engine
           bad_gap ~who ~src:rank ~dst:child ~msg:seg gap;
         let g = noisy noise rng gap in
         let l = noisy noise rng (Params.latency p) in
-        let start = Wire.seize wire rank ~gap:g in
+        let now = Engine.now engine and free = Wire.free_at wire rank in
+        let start = if free > now then free else now in
+        Wire.occupy wire rank ~start ~gap:g;
         incr transmissions;
         if tracing then begin
           emit
@@ -245,6 +246,15 @@ type reliable_t = {
   r_joins : Dynamics.join array;
   r_engine : Engine.t;
 }
+
+(* The fault-free ACK of the edge into [dst], landing at [cell.(0)]:
+   counted, and the edge acknowledged with no timer, without an engine
+   event.  Top-level, so a session allocates no closure for it. *)
+let settle_ack ~acks ~acked ~seqs engine cell dst =
+  incr acks;
+  acked.(dst) <- true;
+  seqs.(dst) <- -1;
+  Engine.unqueued_event engine cell
 
 (* ACK/timeout/exponential-backoff reliable broadcast along a plan.
 
@@ -470,7 +480,8 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
   let dyn_on = Array.length joins > 0 || tick_every > 0. in
   (* In a fault-free exact session, only the horizon and [acks] see an ACK
      that no sink, estimator, tick, join or queued timer sees:
-     [data_arrives] settles it at once. *)
+     [data_arrives] settles it at once, and [attempt] a leaf's with its
+     delivery. *)
   let observed = Engine.observed engine in
   let settle_acks =
     (not slows)
@@ -558,14 +569,27 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
         emit (Event.Send_end { src; dst; time = start +. g; arrival = arr })
       end;
       let lost = (lossy && faulty src dst ~at:start) || halt_at.(dst) <= arr in
-      let edge = (src * ntot) + dst in
-      if not lost then Engine.schedule_with engine ~time:arr data_arrives edge;
       let deadline = start +. g +. cur_rto.(dst) in
-      deadlines.(dst) <- deadline;
-      timers.(dst) <-
-        (if observed then Engine.unqueued_timer engine ~time:deadline else Engine.no_timer);
-      seqs.(dst) <- Engine.reserve engine;
-      if lost || arr >= deadline then arm dst engine
+      (* A planned leaf's first delivery forwards nothing, so where its ACK
+         lands before the deadline [data_arrives] would only stamp [arr]
+         and settle the ACK: both happen here, and neither is queued. *)
+      let leaf =
+        settle_acks && try_no = 0 && dst < n
+        && match plan.Plan.children.(dst) with [] -> true | _ :: _ -> false
+      in
+      if leaf then ack_time.(0) <- arr +. links.(link dst src + 1);
+      if leaf && ack_time.(0) < deadline then begin
+        arrival.(dst) <- arr;
+        settle_ack ~acks ~acked ~seqs engine ack_time dst
+      end
+      else begin
+        if not lost then Engine.schedule_with engine ~time:arr data_arrives ((src * ntot) + dst);
+        deadlines.(dst) <- deadline;
+        timers.(dst) <-
+          (if observed then Engine.unqueued_timer engine ~time:deadline else Engine.no_timer);
+        seqs.(dst) <- Engine.reserve engine;
+        if lost || arr >= deadline then arm dst engine
+      end
     end
     else if reroute then orphaned ~old_parent:src ~dst engine
   and arm dst engine =
@@ -579,7 +603,6 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     let now = Engine.now engine in
     if not (has_msg dst) then begin
       arrival.(dst) <- now;
-      Wire.touch wire dst ~now;
       if tracing then emit (Event.Arrival { src; dst; time = now });
       forward dst engine;
       if reroute then drain_pending engine
@@ -599,11 +622,8 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     (* A queued timer (one this ACK cannot cancel first) must find the ACK
        queued. *)
     else if settle_acks && timers.(dst) == Engine.no_timer then begin
-      incr acks;
-      acked.(dst) <- true;
-      seqs.(dst) <- -1;
       ack_time.(0) <- ack_at;
-      Engine.unqueued_event engine ack_time
+      settle_ack ~acks ~acked ~seqs engine ack_time dst
     end
     else Engine.schedule_with engine ~time:ack_at ack_arrives edge
   and ack_arrives engine edge =
@@ -753,7 +773,6 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
   let now = Engine.now engine in
   if halt_at.(plan.Plan.root) > now then begin
     arrival.(plan.Plan.root) <- now;
-    Wire.touch wire plan.Plan.root ~now;
     if tracing then
       emit (Event.Arrival { src = plan.Plan.root; dst = plan.Plan.root; time = now });
     forward plan.Plan.root engine

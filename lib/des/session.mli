@@ -30,7 +30,10 @@
     {!Engine.unqueued_timer} on an engine with a sink), and a [Fixed]
     session with no sink on itself or its engine and no ticks settles such
     a try's ACK on delivery, leaving its landing time as the engine's
-    {!Engine.unqueued_event} watermark.  Results and horizon are the same.
+    {!Engine.unqueued_event} watermark; a first try to a planned leaf
+    settles its delivery too, at the send.  Results and horizon are the
+    same once the engine is quiescent, and only then complete: a leaf's
+    arrival is stamped ahead of the engine clock.
 
     Observability: sessions publish their full event stream to the
     [config.obs] sink — [Send_start]/[Send_end]/[Arrival] (plus
@@ -355,7 +358,7 @@ val launch_reliable :
     size). *)
 
 val reliable_result : reliable_t -> reliable
-(** The session's outcome; call after [Engine.run]. *)
+(** The session's outcome; complete only once [Engine.run] has returned. *)
 
 val population : Config.t -> Gridb_topology.Machines.t -> int
 (** Rank population of a session under [config]: machine count plus the

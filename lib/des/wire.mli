@@ -8,7 +8,9 @@
     just within one.
 
     All times are simulated microseconds.  A rank's NIC is free again at
-    [free_at]; a send seizes it for the link's gap. *)
+    [free_at]; a send seizes it for the link's gap.  Every reader takes
+    [max now (free_at)], never [free_at] alone, so a [free_at] at or
+    before [now] is never seen: a delivery need not record itself here. *)
 
 type t
 
@@ -20,18 +22,9 @@ val size : t -> int
 (** Number of ranks the wire covers. *)
 
 val free_at : t -> int -> float
-(** Earliest time [rank]'s NIC can start a new injection. *)
-
-val touch : t -> int -> now:float -> unit
-(** Delivery bookkeeping: [rank]'s NIC cannot inject before [now]
-    (monotone max — never moves [free_at] backwards). *)
-
-val seize : t -> int -> gap:float -> float
-(** Seize [rank]'s NIC at its current [free_at] for [gap] us; returns the
-    injection start time.  The back-to-back send form of the simple
-    executor ([start = free_at; free_at += gap]). *)
+(** When [rank]'s NIC ends its last injection, which may be long past. *)
 
 val occupy : t -> int -> start:float -> gap:float -> unit
-(** Record an injection at an externally chosen [start] (the reliable
-    executor starts at [max now (free_at)]): sets [free_at] to
-    [start +. gap].  Caller must ensure [start >= free_at]. *)
+(** Record an injection at [start], which a sender takes as
+    [max now (free_at)]: sets [free_at] to [start +. gap].  Caller must
+    ensure [start >= free_at]. *)

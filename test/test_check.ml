@@ -274,18 +274,34 @@ let metamorphic_positive () =
         (M.segmented_chain ~params ~size ~msg ~segments))
     [ (1, 1_000, 4); (2, 1_000_000, 1); (6, 1_000_000, 32); (5, 7, 40) ]
 
-(* A law over reliable runs, on random topologies, plan shapes and message
-   sizes. *)
+(* A chain from [root] through every other rank in rank order: one leaf,
+   where a flat plan has all but one. *)
+let chain_plan machines ~root =
+  let n = Machines.count machines in
+  let children = Array.make n [] in
+  let rec link = function
+    | a :: (b :: _ as rest) ->
+        children.(a) <- [ b ];
+        link rest
+    | _ -> ()
+  in
+  link (root :: List.filter (( <> ) root) (List.init n Fun.id));
+  Gridb_des.Plan.v ~root ~children
+
+(* A law over reliable runs, on random topologies, plan shapes (binomial,
+   flat or chain) and message sizes. *)
 let on_random_topologies name law =
   QCheck.Test.make ~name ~count:(Testutil.count 20)
-    QCheck.(triple (int_range 1 6) (int_bound 10_000) bool)
-    (fun (n, seed, flat) ->
+    QCheck.(triple (int_range 1 6) (int_bound 10_000) (int_bound 2))
+    (fun (n, seed, shape) ->
       let rng = Rng.create seed in
       let machines = Machines.expand (Testutil.random_grid ~cluster_size:(1, 8) ~n seed) in
       let root = Rng.int rng (Machines.count machines) in
       let plan =
-        if flat then Gridb_des.Plan.flat_ranks machines ~root
-        else Gridb_des.Plan.binomial_ranks machines ~root
+        match shape with
+        | 0 -> Gridb_des.Plan.binomial_ranks machines ~root
+        | 1 -> Gridb_des.Plan.flat_ranks machines ~root
+        | _ -> chain_plan machines ~root
       in
       let msg = 1 + Rng.int rng 1_000_000 in
       match law ~msg ~seed machines plan with
@@ -298,8 +314,8 @@ let timer_elision_on_random_topologies =
   on_random_topologies "timer elision on random grids" (fun ~msg ~seed ->
       M.timer_elision ~msg ~seed)
 
-(* ACKs settled without a queue change no result field, horizon
-   included. *)
+(* ACKs and leaf deliveries settled without a queue change no result
+   field, horizon included. *)
 let ack_elision_on_random_topologies =
   on_random_topologies "ack elision on random grids" (fun ~msg ~seed -> M.ack_elision ~msg ~seed)
 

@@ -844,11 +844,15 @@ let test_session_refuses_negative_gap () =
   Alcotest.check_raises "Session.run_reliable" (refused "Session.run_reliable") (fun () ->
       ignore (Session.run_reliable (config 5000) m plan))
 
-(* A fault-free fixed session settles its ACKs without queueing them: its
-   engine processes the session start and one arrival per transmission. *)
+(* A fault-free fixed session settles its ACKs without queueing them, and
+   a leaf's delivery at the send: its engine processes the session start
+   and one arrival per transmission to a rank that forwards. *)
 let test_session_settles_acks () =
   let m = machines () in
   let plan = Plan.binomial_ranks m ~root:0 in
+  let leaves =
+    Array.fold_left (fun k c -> if c = [] then k + 1 else k) 0 plan.Plan.children
+  in
   let events obs =
     let engine = Engine.create ~obs () in
     let s =
@@ -861,9 +865,37 @@ let test_session_settles_acks () =
     (Engine.processed engine, r.Session.r_transmissions)
   in
   let quiet, tx = events Gridb_obs.Sink.null in
-  Alcotest.(check int) "no ACK queued" (tx + 1) quiet;
+  Alcotest.(check int) "no ACK or leaf delivery queued" (tx - leaves + 1) quiet;
   let traced, tx = events (Gridb_obs.Sink.memory ()) in
   Alcotest.(check int) "a traced session queues them" ((2 * tx) + 1) traced
+
+(* On five ranks with zero gaps, the three leaves' deliveries and ACKs
+   settle at the send: arrivals, horizon and counters must match the
+   traced run, which queues every one of them. *)
+let test_session_settles_leaf_deliveries () =
+  let grid = "grid 1\ncluster 0 a 5 L 10 G 0:0,1000000:0" in
+  let m = Machines.expand (Result.get_ok (Gridb_topology.Serialize.of_string grid)) in
+  let plan = Plan.binomial_ranks m ~root:0 in
+  let run obs =
+    let engine = Engine.create ~obs () in
+    let s =
+      Session.launch_reliable ~wire:(Gridb_des.Wire.create ~n:5) ~engine
+        (Session.Config.v ~msg:1_000 ~obs ()) m plan
+    in
+    Engine.run engine;
+    (Engine.processed engine, Session.reliable_result s)
+  in
+  let events, quiet = run Gridb_obs.Sink.null in
+  let _, traced = run (Gridb_obs.Sink.memory ()) in
+  Alcotest.(check int) "only the start and the one forwarding rank's delivery queued" 2 events;
+  Alcotest.(check (array (float 0.))) "arrivals" traced.Session.r_arrival
+    quiet.Session.r_arrival;
+  Alcotest.(check (float 0.)) "horizon" traced.Session.horizon quiet.Session.horizon;
+  let counters (r : Session.reliable) =
+    [ r.r_transmissions; r.retransmissions; r.acks; r.delivered ]
+  in
+  Alcotest.(check (list int)) "transmissions, retransmissions, acks, delivered"
+    (counters traced) (counters quiet)
 
 (* Zero gaps and [rto_mult = 1]: each try-0 timer is due exactly when its
    ACK lands, so it is queued, fires first and retransmits; the ACK of that
@@ -1105,6 +1137,7 @@ let () =
           quick "start delay" test_exec_start_delay_shifts;
           quick "refuses a negative gap" test_session_refuses_negative_gap;
           quick "settles fault-free ACKs unqueued" test_session_settles_acks;
+          quick "settles leaf deliveries" test_session_settles_leaf_deliveries;
           quick "a tied timer keeps its ACK queued" test_session_tied_timer_keeps_ack;
           quick "an armed timer keeps its place" test_session_armed_timer_keeps_its_place;
           quick "queues only the timers that fire" test_session_queues_only_firing_timers;

@@ -450,6 +450,24 @@ let test_server_multi_session_invariants () =
       | Error v -> Alcotest.failf "session %d: %a" sid I.pp_violation v)
     sessions
 
+(* Fault-free sessions settle leaf deliveries at the send, skipping the
+   receiver's NIC bookkeeping, only when no sink is set: the untraced serve
+   must equal the traced one on the shared wire. *)
+let test_server_untraced_matches_traced () =
+  let machines, requests = server_fixture ~seed:32 ~rate:8e-5 () in
+  let quiet = Server.run ~obs:Sink.null machines requests in
+  let traced = Server.run ~obs:(Sink.memory ()) machines requests in
+  Alcotest.(check (list string)) "smoke lines" (Server.smoke_lines traced)
+    (Server.smoke_lines quiet);
+  Alcotest.(check (float 0.)) "horizon" traced.Server.horizon_us quiet.Server.horizon_us;
+  let arrivals (r : Server.report) =
+    Array.map
+      (fun o -> Option.map (fun res -> res.Session.r_arrival) o.Server.result)
+      r.Server.outcomes
+  in
+  Alcotest.(check (array (option (array (float 0.))))) "every outcome's arrivals"
+    (arrivals traced) (arrivals quiet)
+
 let test_server_rejects_out_of_order () =
   let machines = machines_of_seed 33 in
   let r rid at =
@@ -1047,6 +1065,7 @@ let () =
           quick "accounting" test_server_accounting;
           quick "jobs-invariant smoke lines" test_server_jobs_invariant;
           quick "multi-session invariants hold" test_server_multi_session_invariants;
+          quick "untraced serve matches traced" test_server_untraced_matches_traced;
           quick "out-of-order requests rejected" test_server_rejects_out_of_order;
           quick "negative gap refused" test_server_refuses_negative_gap;
           quick "zero-chaos smoke output pinned" test_server_zero_chaos_golden;
