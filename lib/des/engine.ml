@@ -18,11 +18,6 @@ type t = {
   mutable free : int;  (* first free slot, or -1 *)
   mutable heap : int array;  (* [0, size): binary min-heap of slots *)
   mutable size : int;
-  mutable lane : int array;
-      (* ring of [len] slots from [head], sorted; its length is a power of
-         two *)
-  mutable head : int;
-  mutable len : int;
   mutable next_seq : int;
   obs : Sink.t;
   clock : float array;
@@ -64,9 +59,6 @@ let create ?(obs = Sink.null) () =
     free = 0;
     heap = Array.make cap 0;
     size = 0;
-    lane = Array.make cap 0;
-    head = 0;
-    len = 0;
     next_seq = 0;
     obs;
     clock = [| 0.; 0. |];
@@ -156,57 +148,6 @@ let remove_at t i =
     else sift_down t.times t.seqs h t.pos size last i
   end
 
-(* Remove and return the heap's earliest slot; [t.size > 0]. *)
-let pop t =
-  let top = t.heap.(0) in
-  remove_at t 0;
-  top
-
-(* The lane is a FIFO of slots appended in non-decreasing time.  Their seqs
-   increase too, so it stays sorted by (time, seq) and its head is its
-   earliest event. *)
-let lane_last t = t.lane.((t.head + t.len - 1) land (Array.length t.lane - 1))
-
-let append t s =
-  let cap = Array.length t.lane in
-  if t.len = cap then begin
-    (* Unroll the ring into the doubled array, head first. *)
-    let bigger = Array.make (2 * cap) 0 in
-    Array.blit t.lane t.head bigger 0 (cap - t.head);
-    Array.blit t.lane 0 bigger (cap - t.head) t.head;
-    t.lane <- bigger;
-    t.head <- 0
-  end;
-  t.lane.((t.head + t.len) land (Array.length t.lane - 1)) <- s;
-  t.len <- t.len + 1
-
-let pop_lane t =
-  let s = t.lane.(t.head) in
-  t.head <- (t.head + 1) land (Array.length t.lane - 1);
-  t.len <- t.len - 1;
-  s
-
-(* Whether the earliest queued event is the lane's head rather than the
-   heap's top; the queue is not empty.  Taking the smaller (time, seq) of
-   the two sorted sources gives the same order one heap of every event
-   would. *)
-let lane_first t =
-  t.len > 0 && (t.size = 0 || before t.times t.seqs t.lane.(t.head) t.heap.(0))
-
-let[@inline] is_empty t = t.size = 0 && t.len = 0
-
-(* The earliest queued slot; the queue is not empty. *)
-let peek t = if lane_first t then t.lane.(t.head) else t.heap.(0)
-
-(* Remove the earliest slot; the queue is not empty. *)
-let pop_head t = if lane_first t then pop_lane t else pop t
-
-(* A timer always goes to the heap, where [cancel] can reach it. *)
-let place t s ~timer ~seq =
-  t.seqs.(s) <- seq;
-  if (not timer) && (t.len = 0 || t.times.(s) >= t.times.(lane_last t)) then append t s
-  else push t s
-
 let[@inline never] reject_time time =
   if Float.is_nan time then invalid_arg "Engine.schedule: NaN time"
   else invalid_arg "Engine.schedule: time in the past"
@@ -220,16 +161,20 @@ let[@inline] enqueue t ~time handler arg timer ~seq =
   t.handlers.(s) <- handler;
   t.args.(s) <- arg;
   t.timers.(s) <- timer;
+  t.seqs.(s) <- seq;
   if timer != no_timer then (timer.slot <- s; t.queued_timers <- t.queued_timers + 1);
-  place t s ~timer:(timer != no_timer) ~seq
+  push t s
 
 let[@inline] reserve t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   seq
 
+let[@inline] schedule_reserved t ~seq ~time handler arg =
+  enqueue t ~time handler arg no_timer ~seq
+
 let[@inline] schedule_with t ~time handler arg =
-  enqueue t ~time handler arg no_timer ~seq:(reserve t)
+  schedule_reserved t ~seq:(reserve t) ~time handler arg
 
 let[@inline] schedule_timer_with t ~time handler arg =
   let timer = { id = t.next_timer; slot = -1 } in
@@ -287,12 +232,13 @@ let cancel t timer =
 let timer_live timer = timer.slot <> -1
 
 let step t =
-  if is_empty t then begin
+  if t.size = 0 then begin
     if t.clock.(1) > t.clock.(0) then t.clock.(0) <- t.clock.(1);
     false
   end
   else begin
-    let s = pop_head t in
+    let s = t.heap.(0) in
+    remove_at t 0;
     let handler = t.handlers.(s) and arg = t.args.(s) and timer = t.timers.(s) in
     t.clock.(0) <- t.times.(s);
     release t s;
@@ -309,41 +255,35 @@ let step t =
 let run t = while step t do () done
 
 let run_until t horizon =
-  while (not (is_empty t)) && t.times.(peek t) <= horizon do
+  while t.size > 0 && t.times.(t.heap.(0)) <= horizon do
     ignore (step t : bool)
   done;
   if t.clock.(0) < horizon then t.clock.(0) <- horizon
 
-let pending t = t.size + t.len
+let pending t = t.size
 
 let processed t = t.processed
 
 let queued_timers t = t.queued_timers
 
-let capacity t = Array.length t.times + Array.length t.heap + Array.length t.lane
+let capacity t = Array.length t.times + Array.length t.heap
 
 let check_invariant t =
   let cap = Array.length t.times in
   let ok = ref true in
   let before = before t.times t.seqs in
-  (* Each heap slot records its heap index, a queued timer names its own
-     slot, and only the heap holds timers. *)
+  let seen = Array.make cap 0 in
+  let mark s = seen.(s) <- seen.(s) + 1 in
+  (* Each heap slot records its heap index, and a queued timer names its
+     own slot. *)
   for i = 0 to t.size - 1 do
     let s = t.heap.(i) in
+    mark s;
     if (i > 0 && before s t.heap.((i - 1) / 2)) || t.pos.(s) <> i then ok := false;
     if t.timers.(s) != no_timer && t.timers.(s).slot <> s then ok := false
   done;
-  let slot k = t.lane.((t.head + k) land (Array.length t.lane - 1)) in
-  for k = 0 to t.len - 1 do
-    if (k > 0 && before (slot k) (slot (k - 1))) || t.timers.(slot k) != no_timer then
-      ok := false
-  done;
-  (* Every slot is queued once (heap or lane) or free once, and a free
-     slot keeps nothing of the event that held it. *)
-  let seen = Array.make cap 0 in
-  let mark s = seen.(s) <- seen.(s) + 1 in
-  for i = 0 to t.size - 1 do mark t.heap.(i) done;
-  for k = 0 to t.len - 1 do mark (slot k) done;
+  (* Every slot is queued once or free once, and a free slot keeps
+     nothing of the event that held it. *)
   let rec walk s steps =
     if s >= 0 && steps <= cap then begin
       mark s;

@@ -21,24 +21,18 @@
     Memory: a queued event is a {e slot}, one index into parallel arrays
     of times (unboxed floats), insertion seqs, handlers, [int] payloads
     and timer handles; a list of free slots, linked through the payload
-    array, recycles them.  The queue
-    itself orders slot indices: a slot goes to the {e lane}, a FIFO ring,
-    when its time is at least that of the lane's last event (or the lane
-    is empty), and to a binary min-heap otherwise; a timer always goes to
-    the heap, which records each slot's position so {!cancel} can take it
-    out of the middle in O(log n).  Lane events are
-    appended in non-decreasing time with increasing seq, so the lane stays
-    sorted, and the next event is the earlier of the lane's head and the
-    heap's top: exactly the order one heap of every event would give,
-    equal-time ties included.  Events scheduled in time order, such as a
-    service's session starts in arrival order, cost O(1) each and stay out
-    of the heap, which then holds only the work in flight.  A sift moves
-    ints and compares unboxed floats, and the clock is a float array
-    cell, so the queue allocates nothing per event (its arrays double
-    when full).  A fired
-    or cancelled slot is cleared at once, so its handler, and all the
-    handler captured, is unreachable from the engine: memory follows the
-    live events still queued.
+    array, recycles them.  The queue itself is a binary min-heap of slot
+    indices on (time, insertion seq), which records each slot's position
+    so {!cancel} can take a timer out of the middle in O(log n).  A sift
+    moves ints and compares unboxed floats, and the clock is a float
+    array cell, so the queue allocates nothing per event (its arrays
+    double when full).  A caller that knows of work far ahead, such as a
+    service's arrivals, keeps it out of the heap: it {!reserve}s the
+    event's seq when it decides, runs the engine up to the event's time
+    and queues it then with {!schedule_reserved}, so the heap holds only
+    the work in flight.  A fired or cancelled slot is cleared at once, so
+    its handler, and all the handler captured, is unreachable from the
+    engine: memory follows the live events still queued.
 
     Events: the allocation-free form is {!schedule_with} — a handler
     [t -> int -> unit] built once (say, per session) plus an [int]
@@ -79,6 +73,14 @@ val schedule_timer_with : t -> time:float -> (t -> int -> unit) -> int -> timer
 (** Like {!schedule_with}, returning a handle usable with {!cancel}.
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
+val schedule_reserved : t -> seq:int -> time:float -> (t -> int -> unit) -> int -> unit
+(** [schedule_reserved t ~seq ~time handler arg] is {!schedule_with} at
+    the insertion seq [seq] taken earlier by {!reserve}: the event pops
+    where {!schedule_with} at the reservation would have put it, ties
+    included, if nothing after [(time, seq)] has popped yet.  {!arm} is
+    its timer form.
+    @raise Invalid_argument if [time] is NaN or in the past. *)
+
 val unqueued_timer : t -> time:float -> timer
 (** A timer at [time] that starts unqueued: not queued, nor counted by
     {!pending}, until {!arm} queues it.  It takes the next timer id and
@@ -88,8 +90,8 @@ val unqueued_timer : t -> time:float -> timer
     @raise Invalid_argument if [time] is NaN or in the past. *)
 
 val reserve : t -> int
-(** Take the next insertion seq, as {!schedule_timer_with} does, for a
-    timer that {!arm} may queue later. *)
+(** Take the next insertion seq, as {!schedule_with} does, for an event
+    that {!schedule_reserved} or {!arm} queues later. *)
 
 val arm : t -> timer -> seq:int -> time:float -> (t -> int -> unit) -> int -> timer
 (** Queue an unqueued timer (a fresh handle for {!no_timer}) at the
@@ -153,15 +155,13 @@ val queued_timers : t -> int
 
 val capacity : t -> int
 (** Number of event slots (the length of each slot array) plus the
-    lengths of the heap and lane arrays.  Each of the three starts at 16
-    and doubles only when full, so the total is at most
-    [3 * max 16 (2 * peak)] for [peak] the most events ever queued at
-    once. *)
+    length of the heap array.  Each starts at 16 and doubles only when
+    full, so the total is at most [2 * max 16 (2 * peak)] for [peak] the
+    most events ever queued at once. *)
 
 val check_invariant : t -> bool
 (** True iff the heap's slots form a (time, insertion seq) min-heap and
-    each records its own heap position, the lane's slots are sorted by
-    (time, insertion seq) and hold no timer, every queued timer names its
-    own slot, every slot is either queued once (heap or lane) or on the
-    free list once (so no free slot is queued), and every free slot is
-    cleared (holds no handler or timer of a fired or cancelled event). *)
+    each records its own heap position, every queued timer names its own
+    slot, every slot is either queued once or on the free list once (so
+    no free slot is queued), and every free slot is cleared (holds no
+    handler or timer of a fired or cancelled event). *)

@@ -778,7 +778,7 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     forward plan.Plan.root engine
   end
 
-let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
+let launch_reliable ?sid ?seq ?(who = "Session.launch_reliable") ~wire ~engine
     (config : Config.t) machines plan =
   Config.validate ~who config machines plan;
   let n = Machines.count machines in
@@ -820,7 +820,8 @@ let launch_reliable ?sid ?(who = "Session.launch_reliable") ~wire ~engine
       r_engine = engine;
     }
   in
-  Engine.schedule_with engine ~time:config.Config.start_delay
+  let seq = match seq with Some seq -> seq | None -> Engine.reserve engine in
+  Engine.schedule_reserved engine ~seq ~time:config.Config.start_delay
     (fun engine _ -> start ~sid ~who ~wire s config machines plan engine)
     0;
   s

@@ -17,8 +17,8 @@
     same per-NIC occupancy state — the broadcast-service execution model.
     Lifecycle: [launch]/[launch_reliable] validate, seed the session's
     first event at [config.start_delay] and return a handle; the caller
-    runs the engine (once, for all launched sessions) and then extracts
-    each session's outcome with [result]/[reliable_result].
+    runs the engine to quiescence and then extracts each session's
+    outcome with [result]/[reliable_result].
     [launch_reliable] allocates only what the outcome needs; the per-rank
     protocol state and the handlers are built when the first event fires,
     so sessions launched far ahead of their start hold little memory.
@@ -282,6 +282,7 @@ type reliable_t
 
 val launch_reliable :
   ?sid:int ->
+  ?seq:int ->
   ?who:string ->
   wire:Wire.t ->
   engine:Engine.t ->
@@ -292,7 +293,10 @@ val launch_reliable :
 (** Seed one reliable broadcast along [plan] onto [engine]/[wire].  The
     wire must cover the machine view {e plus} any dynamics join ranks
     ({!population}).  [who] (default ["Session.launch_reliable"]) prefixes
-    error messages.
+    error messages.  The start event takes the insertion seq [seq] if
+    given (one the caller took with {!Engine.reserve}), so a session
+    launched only as the engine reaches its start pops where it would
+    have had it been launched at the reservation.
 
     Each plan edge runs stop-and-wait ACK/timeout/retransmission: the
     receiver ACKs every delivery on the control plane (reverse-link

@@ -124,9 +124,14 @@ type entry = {
   mutable lowered : (Schedule.t * Plan.t) option;
 }
 
+(* The schedule of a request that never launches: its policy is unknown. *)
+let unplanned = { Schedule.root = 0; n = 0; events = []; ready = [||]; busy_until = [||] }
+
 (* One per request, filled in wave by wave.  [entry] is [None] for an
    unknown policy; [decision] is the wave-0 one; [union] holds the
-   earliest arrival per base rank over every attempt so far. *)
+   earliest arrival per base rank over every attempt so far.  The latest
+   admitted attempt starts at [start] with [schedule], at the engine seq
+   it reserved when it was decided, and is [session] once launched. *)
 type job = {
   request : Workload.request;
   entry : entry option;
@@ -138,6 +143,10 @@ type job = {
   mutable result : Session.reliable option;
   mutable union : float array;
   mutable sheds : int;
+  mutable start : float;
+  mutable seq : int;
+  mutable schedule : Schedule.t;
+  mutable session : Session.reliable_t option;
 }
 
 let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
@@ -212,9 +221,9 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
         { key; policy; schedule; predicted; compute_us; lowered = None })
       (Array.of_list (List.rev !fresh))
   in
-  (* Sequential replay in arrival order: cache accounting, admission, and
-     session launch onto ONE engine and ONE wire — admitted broadcasts
-     contend for the same NICs.  The wire is sized for the worst-case
+  (* Sequential replay in arrival order: cache accounting and admission;
+     admitted sessions then run on ONE engine and ONE wire — admitted
+     broadcasts contend for the same NICs.  The wire is sized for the worst-case
      session population (machines plus any dynamics joins). *)
   let n = Machines.count machines in
   let joins =
@@ -256,8 +265,9 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     Session.Config.v ~rng ~start_delay ~msg:r.Workload.msg ~obs ?faults:fmodel
       ?dynamics:dmodel ?transport ()
   in
-  let launch j e schedule ~attempt ~start_delay =
-    let config = session_config j.request ~attempt ~start_delay in
+  let launch j =
+    let e = Option.get j.entry and schedule = j.schedule and attempt = j.attempts in
+    let config = session_config j.request ~attempt ~start_delay:j.start in
     let plan =
       match e.lowered with
       | Some (s, plan) when s == schedule -> plan
@@ -266,10 +276,11 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
           e.lowered <- Some (schedule, plan);
           plan
     in
-    ( j,
-      Session.launch_reliable
-        ~sid:((attempt * nreq) + j.request.Workload.rid)
-        ~who:"Server.run" ~wire ~engine config machines plan )
+    let sid = (attempt * nreq) + j.request.Workload.rid in
+    j.session <-
+      Some
+        (Session.launch_reliable ~sid ~seq:j.seq ~who:"Server.run" ~wire ~engine config
+           machines plan)
   in
   let emit ev = if Sink.enabled obs then Sink.emit obs ev in
   (* Every admission, wave 0 or retry: a shed is counted on the request
@@ -294,9 +305,9 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     | _ -> ());
     decision
   in
-  (* Wave 0.  Its decisions carry no circuit-health signal: nothing has
-     executed yet.  The open-circuit fraction gates requeues. *)
-  let launched = ref [] in
+  (* Wave 0, decided up front in arrival order.  Its decisions carry no
+     circuit-health signal: nothing has executed yet.  The open-circuit
+     fraction gates requeues. *)
   let jobs =
     Array.mapi
       (fun i (r : Workload.request) ->
@@ -313,6 +324,10 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
             result = None;
             union = [||];
             sheds = 0;
+            start = r.Workload.at;
+            seq = 0;
+            schedule = (match entry with Some e -> e.schedule | None -> unplanned);
+            session = None;
           }
         in
         (match entry with
@@ -324,11 +339,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
             j.cache <- (kind :> [ `Hit | `Miss | `Invalidated | `Unplanned ]);
             j.plan_us <- (match kind with `Hit -> lookup_us | _ -> e.compute_us +. lookup_us);
             j.decision <- admit j ~now:r.Workload.at;
-            match j.decision with
-            | Admission.Admit ->
-                launched :=
-                  launch j e e.schedule ~attempt:0 ~start_delay:r.Workload.at :: !launched
-            | Admission.Reject _ -> ()));
+            if j.decision = Admission.Admit then j.seq <- Engine.reserve engine));
         j)
       requests
   in
@@ -340,10 +351,11 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
      matrix when quality drifted past the cache threshold, and relaunched
      as a fresh session ([sid = attempt * nreq + rid]).  Waves run to
      engine quiescence, so a requeue always starts at or after the
-     previous wave's horizon. *)
+     previous wave's horizon.  A wave is decided in the previous wave's
+     order, and its sessions launch in start order. *)
   let sessions_finished = ref 0 and sessions_opened = ref 0 in
-  let absorb (j, s) =
-    let res = Session.reliable_result s in
+  let absorb j =
+    let res = Session.reliable_result (Option.get j.session) in
     j.attempts <- j.attempts + 1;
     j.result <- Some res;
     incr sessions_finished;
@@ -355,13 +367,13 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
       if not (Float.is_nan a) && (Float.is_nan u.(k) || a < u.(k)) then u.(k) <- a
     done
   in
-  let requeue open_frac (j, _) =
+  let requeue open_frac j =
     let r = j.request and e = Option.get j.entry and prev = Option.get j.result in
     let attempt = j.attempts in
     let backoff = retry.backoff_us *. Float.pow 2. (float_of_int (attempt - 1)) in
     let retry_at = Float.max (Engine.now engine) (prev.Session.r_makespan +. backoff) in
     match admit ~open_frac j ~now:retry_at with
-    | Admission.Reject _ -> None
+    | Admission.Reject _ -> false
     | Admission.Admit ->
         let estimator = prev.Session.estimator in
         let compute () =
@@ -377,22 +389,39 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
         in
         let schedule, _ = Plan_cache.lookup cache ?estimator e.key ~compute in
         emit (Event.Retry { rid = r.Workload.rid; attempt; time = retry_at });
-        Some (launch j e schedule ~attempt ~start_delay:retry_at)
+        j.start <- retry_at;
+        j.seq <- Engine.reserve engine;
+        j.schedule <- schedule;
+        true
   in
-  let rec drain wave =
+  (* Launch each session as the engine reaches its start, at the seq
+     reserved at its decision: it pops where a start queued then would
+     have, ties included, and the heap holds only the work in flight.
+     [run_until], unlike [run], never adopts a settled event's watermark,
+     which may lie past the next start.  [starts] is [wave] in start
+     order; the heap orders equal starts by seq. *)
+  let rec drain wave starts =
+    List.iter
+      (fun j ->
+        Engine.run_until engine (Float.pred j.start);
+        launch j)
+      starts;
     Engine.run engine;
     List.iter absorb wave;
     match
-      List.filter
-        (fun (j, _) -> j.attempts <= retry.budget && count_delivered j.union 0 n < n)
-        wave
+      List.filter (fun j -> j.attempts <= retry.budget && count_delivered j.union 0 n < n) wave
     with
     | [] -> ()
     | queue ->
         let open_frac = float_of_int !sessions_opened /. float_of_int !sessions_finished in
-        drain (List.filter_map (requeue open_frac) queue)
+        let wave = List.filter (requeue open_frac) queue in
+        drain wave (List.sort (fun a b -> Float.compare a.start b.start) wave)
   in
-  drain (List.rev !launched);
+  (* Wave 0 is in start order already: arrivals are sorted. *)
+  let wave =
+    Array.fold_right (fun j wave -> if j.decision = Admission.Admit then j :: wave else wave) jobs []
+  in
+  drain wave wave;
   (* Fold per-request outcomes: the recorded result is the final attempt's,
      delivery is the union (base ranks across attempts, joins from the
      final attempt), deadlines are judged on the time the union covered

@@ -13,9 +13,11 @@
       each charges the plan cache (hit / miss / divergence invalidation),
       passes {!Admission} on its plan's {e predicted} makespan (carrying
       its {!Workload.priority} so degraded-mode shedding can act), and, if
-      admitted, launches a {!Gridb_des.Session} at its arrival time.
-    + {b Execution} — one [Engine.run] drives every admitted session; all
-      of them contend on one shared {!Gridb_des.Wire}, so the one-port gap
+      admitted, reserves its session's start at its arrival time.
+    + {b Execution} — one engine drives every admitted session, and each
+      launches only as the engine reaches its start, so the engine's
+      queue holds the sessions in flight, not every future start; all of
+      them contend on one shared {!Gridb_des.Wire}, so the one-port gap
       serialization holds across concurrent broadcasts.  Session events
       are tagged with the request id ([sid = attempt * requests + rid]).
     + {b Retry waves} — with a non-zero {!retry} budget, requests whose
@@ -23,7 +25,8 @@
       are re-enqueued with exponential backoff, re-admitted against the
       live open-circuit fraction, re-planned on the live estimated latency
       matrix when link quality drifted past the cache threshold, and
-      relaunched as fresh sessions.  Delivery is never double-counted:
+      relaunched as fresh sessions, launched in start order as wave 0's
+      are.  Delivery is never double-counted:
       the union takes the earliest arrival per rank across attempts.
 
     Chaotic runs ([faults]/[dynamics]/retries/shedding/deadlines) derive
@@ -96,7 +99,9 @@ type report = {
   invalid : int;  (** [Bad_policy] rejections (unknown heuristic name) *)
   cache_stats : Plan_cache.stats;
   hit_rate : float;  (** hits / lookups *)
-  plan_wall_s : float;  (** host wall clock of planning + replay *)
+  plan_wall_s : float;
+      (** host wall clock of planning and the wave-0 replay (cache
+          lookups and admission), without session set-up or execution *)
   plans_per_sec : float;  (** requests served per host second *)
   plan_p50_us : float;  (** median per-request plan latency *)
   plan_p99_us : float;

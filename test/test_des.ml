@@ -115,9 +115,8 @@ let[@inline never] schedule_capturing_handler e weak =
     7
 
 let check_frees_fired schedule_capturing form =
-  (* Heap: the event at 100. fills the lane first, so the later, earlier
-     events go to the heap.  Inserted last, the capturing event is the one
-     a pop moves into the root, so a heap that left the moved-from slot
+  (* Out of time order: inserted last, the capturing event is the one a
+     pop moves into the root, so a heap that left the moved-from slot
      filled would keep it. *)
   let e = Engine.create () in
   let weak = Weak.create 1 in
@@ -128,40 +127,40 @@ let check_frees_fired schedule_capturing form =
   Alcotest.(check bool) "fired the first event" true (Engine.step e);
   Alcotest.(check bool) "fired the capturing event" true (Engine.step e);
   Gc.full_major ();
-  Alcotest.(check bool) ("captured block collected (heap, " ^ form ^ ")") false
+  Alcotest.(check bool) ("captured block collected (out of order, " ^ form ^ ")") false
     (Weak.check weak 0);
   Alcotest.(check int) "later events still queued" 2 (Engine.pending e);
-  Alcotest.(check bool) "invariant (heap)" true (Engine.check_invariant e);
-  (* Lane: events scheduled in time order are appended to the lane; the
-     popped slot must not keep the capturing event. *)
+  Alcotest.(check bool) "invariant (out of order)" true (Engine.check_invariant e);
+  (* In time order: the capturing event is the heap's root from the
+     start; the popped slot must not keep it. *)
   let e = Engine.create () in
   let weak = Weak.create 1 in
   schedule_capturing e weak;
   Engine.schedule e ~time:10. (fun _ -> ());
   Alcotest.(check bool) "fired the capturing event" true (Engine.step e);
   Gc.full_major ();
-  Alcotest.(check bool) ("captured block collected (lane, " ^ form ^ ")") false
+  Alcotest.(check bool) ("captured block collected (in order, " ^ form ^ ")") false
     (Weak.check weak 0);
   Alcotest.(check int) "later event still queued" 1 (Engine.pending e);
-  Alcotest.(check bool) "invariant (lane)" true (Engine.check_invariant e)
+  Alcotest.(check bool) "invariant (in order)" true (Engine.check_invariant e)
 
 let test_engine_frees_fired_events () =
   check_frees_fired schedule_capturing "closure";
   check_frees_fired schedule_capturing_handler "payload"
 
-(* The slot arrays, the heap and the lane each start at 16 entries and
-   double only when full. *)
+(* The slot arrays and the heap each start at 16 entries and double only
+   when full. *)
 let check_capacity e peak =
   Alcotest.(check bool)
-    (Printf.sprintf "capacity %d <= 3 * max 16 (2 * peak %d)" (Engine.capacity e) peak)
+    (Printf.sprintf "capacity %d <= 2 * max 16 (2 * peak %d)" (Engine.capacity e) peak)
     true
-    (Engine.capacity e <= 3 * max 16 (2 * peak));
+    (Engine.capacity e <= 2 * max 16 (2 * peak));
   Alcotest.(check bool) "queue invariant" true (Engine.check_invariant e)
 
 let test_engine_capacity_follows_live () =
-  (* Heap churn: one event stays queued throughout in the lane, so the
-     queue never empties and every later event goes to the heap; each
-     cycle also arms and cancels a timer, whose slot is freed at once. *)
+  (* Churn under a long-lived event: one event stays queued throughout,
+     so the queue never empties; each cycle also arms and cancels a
+     timer, whose slot is freed at once. *)
   let e = Engine.create () in
   Engine.schedule e ~time:infinity (fun _ -> ());
   let peak = ref 0 in
@@ -175,10 +174,9 @@ let test_engine_capacity_follows_live () =
   Alcotest.(check int) "processed" 100_000 (Engine.processed e);
   Alcotest.(check int) "long-lived event pending" 1 (Engine.pending e);
   check_capacity e !peak;
-  (* Lane churn: events arrive in time order, so the lane takes all of
-     them (the cancelled timers between them take the heap); its head
-     walks around the ring while the number of queued events stays
-     small. *)
+  (* Churn in time order: each event is queued after the last one fired,
+     with a cancelled timer between, so the heap holds at most two slots
+     at once while 100,000 events pass through it. *)
   let e = Engine.create () in
   let peak = ref 0 in
   for i = 1 to 100_000 do
@@ -188,8 +186,8 @@ let test_engine_capacity_follows_live () =
     peak := max !peak (Engine.pending e + 1);
     ignore (Engine.step e : bool)
   done;
-  Alcotest.(check int) "processed (lane)" 100_000 (Engine.processed e);
-  Alcotest.(check int) "nothing live (lane)" 0 (Engine.pending e);
+  Alcotest.(check int) "processed (in order)" 100_000 (Engine.processed e);
+  Alcotest.(check int) "nothing live (in order)" 0 (Engine.pending e);
   check_capacity e !peak
 
 (* An unqueued timer publishes exactly what a queued timer cancelled at the
@@ -294,6 +292,27 @@ let test_engine_armed_timer () =
   Engine.run e;
   Alcotest.(check int) "cancelled before it fired" 0 (Engine.processed e)
 
+(* An event queued late at a reserved seq pops where it would have had it
+   been queued at the reservation: after run_until stops just before its
+   time, it still fires before an event queued after the reservation at
+   the same time, and a watermark past it is not adopted on the way. *)
+let test_engine_reserved_event () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note name _ _ = log := name :: !log in
+  let seq = Engine.reserve e in
+  Engine.schedule_with e ~time:5. (note "queued after") 0;
+  Engine.schedule_with e ~time:2. (fun e _ -> Engine.unqueued_event e [| 9. |]) 0;
+  Engine.run_until e (Float.pred 5.);
+  Alcotest.(check (float 0.)) "stopped just before the event" (Float.pred 5.) (Engine.now e);
+  Engine.schedule_reserved e ~seq ~time:5. (note "reserved") 0;
+  Alcotest.(check bool) "invariant" true (Engine.check_invariant e);
+  Engine.run e;
+  Alcotest.(check (list string)) "reserved order" [ "reserved"; "queued after" ] (List.rev !log);
+  Alcotest.(check (float 0.)) "watermark adopted at the end" 9. (Engine.now e);
+  Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: time in the past") (fun () ->
+      Engine.schedule_reserved e ~seq:(Engine.reserve e) ~time:5. (fun _ _ -> ()) 0)
+
 (* The watermark of an unqueued event becomes the clock only once the queue
    is empty, and never past a [run_until] horizon. *)
 let test_engine_unqueued_event () =
@@ -359,19 +378,17 @@ let test_heap_ties () =
   Alcotest.(check (list string)) "earliest first, then insertion order"
     [ "c"; "a"; "b"; "d" ]
     (fire [ (1., "a"); (1., "b"); (0., "c"); (1., "d") ]);
-  (* Ties that straddle the lane and the heap: a, b and e go to the lane
-     (each no earlier than the lane's last event), c and d to the heap
-     (earlier than b).  At time 5 the lane's a still fires before the
-     heap's c and d, and at 7 the lane's b and e keep their order. *)
-  Alcotest.(check (list string)) "insertion order across lane and heap"
+  (* Ties queued out of time order: c and d join a at 5 after b at 7 was
+     queued, yet a still fires before them, and at 7 b and e keep their
+     order. *)
+  Alcotest.(check (list string)) "insertion order across out-of-order ties"
     [ "a"; "c"; "d"; "b"; "e" ]
     (fire [ (5., "a"); (7., "b"); (5., "c"); (5., "d"); (7., "e") ])
 
 (* [Run (d, k)]: [k] events at offsets [d, d + 1, ...] in time order, or
-   all at [d] when [d] is even — appended to the lane whenever [d] is no
-   earlier than its last event, and a source of ties that straddle the
-   lane and the heap.  [Armed d]: a timer cancelled at once, while still
-   queued in the heap, which takes every timer.  Each event is queued in
+   all at [d] when [d] is even — in-order runs, and a source of ties with
+   the events queued around them.  [Armed d]: a timer cancelled at once,
+   while still queued.  Each event is queued in
    one of the two forms: a closure ([schedule]/[schedule_timer]) or a
    handler with an int payload ([schedule_with]/[schedule_timer_with]). *)
 type form = Closure | Payload
@@ -515,8 +532,8 @@ let test_heap_differential =
    ([Q_cancel] picks any timer ever armed), and advance with [run_until]
    to integer horizons (events exactly at the horizon fire) and
    half-integer ones.  Offsets in [0, 20] make equal-time ties common, and
-   [Q_run] bursts fill the lane while timers, which always take the heap,
-   straddle it.  After every operation the firing order so far, [now],
+   [Q_run] bursts queue in-order runs that timers straddle.  After every
+   operation the firing order so far, [now],
    [pending], [processed] and each timer's liveness must agree with the
    reference. *)
 type qop =
@@ -1104,6 +1121,7 @@ let () =
           quick "unqueued timer" test_engine_unqueued_timer;
           quick "unqueued event" test_engine_unqueued_event;
           quick "armed timer" test_engine_armed_timer;
+          quick "reserved event" test_engine_reserved_event;
         ] );
       ( "heap",
         [

@@ -612,24 +612,25 @@ let test_server_stream_golden () =
   Alcotest.(check string) "seed-30 fixture stream" "959a8f814530baa25810d06f080e495f"
     (served_stream machines requests)
 
+(* A low-priority ECEF request with no deadline. *)
+let ecef_request ?(msg = 65536) rid at root =
+  {
+    Workload.rid;
+    at;
+    root;
+    msg;
+    policy = "ECEF";
+    deadline = infinity;
+    priority = Workload.Low;
+  }
+
 (* Request 1 arrives exactly when request 0's broadcast reaches cluster 1's
    coordinator, which is request 1's root: its start and that delivery are
    due at the same instant on the same NIC.  The start fires first (it was
    scheduled before the run), so it takes the NIC first. *)
 let test_server_arrival_tie_golden () =
   let machines = machines_of_seed 30 in
-  let request rid at root =
-    {
-      Workload.rid;
-      at;
-      root;
-      msg = 65536;
-      policy = "ECEF";
-      deadline = infinity;
-      priority = Workload.Low;
-    }
-  in
-  let first = request 0 1000. 0 in
+  let first = ecef_request 0 1000. 0 in
   let solo = Server.run machines [ first ] in
   let arrival (report : Server.report) rid =
     match report.Server.outcomes.(rid).Server.result with
@@ -638,7 +639,7 @@ let test_server_arrival_tie_golden () =
   in
   let coordinator = Machines.coordinator machines 1 in
   let tie = (arrival solo 0).(coordinator) in
-  let requests = [ first; request 1 tie 1 ] in
+  let requests = [ first; ecef_request 1 tie 1 ] in
   let report = Server.run machines requests in
   Alcotest.(check (float 0.)) "request 0 still reaches the coordinator at the tie" tie
     (arrival report 0).(coordinator);
@@ -876,6 +877,36 @@ let test_server_chaotic_stream_golden () =
     (report.Server.cache_stats.Plan_cache.invalidations > 0);
   Alcotest.(check string) "chaotic stream" "6a9a6ea9fccef314b27c4f8834bcbf32" (stream_md5 sink)
 
+(* A retry wave is decided in the previous wave's order, but its starts
+   need not come in that order.  Crashes leave both requests short of
+   ranks; request 0's long 4 MB broadcast ends after request 1's short
+   one, and a backoff longer than the wave puts each retry at its own
+   makespan plus the backoff.  So request 0 is decided first yet starts
+   last, and the wave must still launch in start order. *)
+let test_server_retry_wave_order () =
+  let machines = machines_of_seed 30 in
+  let requests = [ ecef_request ~msg:4_000_000 0 0. 0; ecef_request ~msg:4096 1 1000. 1 ] in
+  let sink = Sink.memory () in
+  let report =
+    Server.run ~obs:sink ~seed:1
+      ~faults:(Gridb_des.Faults.v ~crash_rate:1e-6 ())
+      ~retry:(Server.retry ~budget:1 ~backoff_us:1e7 ()) machines requests
+  in
+  let retries =
+    List.filter_map
+      (function Event.Retry { rid; time; _ } -> Some (rid, time) | _ -> None)
+      (Sink.events sink)
+  in
+  (match retries with
+  | [ (0, t0); (1, t1) ] ->
+      Alcotest.(check bool) "decided first, starts last" true (t1 < t0)
+  | _ -> Alcotest.failf "expected one retry per request, got %d" (List.length retries));
+  Alcotest.(check int) "both retried" 2 report.Server.requeues;
+  (match I.sessions_start_order (Sink.events sink) with
+  | Ok () -> ()
+  | Error v -> Alcotest.failf "start order: %a" I.pp_violation v);
+  Alcotest.(check string) "retry wave stream" "9c529b44e6482b81361ad2c55dadfa21" (stream_md5 sink)
+
 let test_server_chaotic_jobs_invariant () =
   let machines, requests = chaotic_fixture ~seed:34 ~rate:6e-5 () in
   let lines jobs =
@@ -1082,6 +1113,7 @@ let () =
           quick "deadline bookkeeping" test_server_deadline_bookkeeping;
           quick "chaotic event stream pinned" test_server_chaotic_stream_golden;
           quick "chaotic smoke lines jobs-invariant" test_server_chaotic_jobs_invariant;
+          quick "retry wave launches in start order" test_server_retry_wave_order;
         ] );
       ( "invariants",
         [
