@@ -287,6 +287,74 @@ let fault_locality ?(msg = 1_000_000) ?(seed = 0) ?fault_seed ~spec machines pla
     fail "fault-locality" "loss draws on links off the plan changed a fixed-transport run (%s)"
       (Faults.to_string spec)
 
+let session_reuse ?(msg = 1_000_000) ?(seed = 0) machines plans =
+  let open Gridb_des in
+  if plans = [] then invalid_arg "Metamorphic.session_reuse: no plan";
+  let plans = Array.of_list plans in
+  let n = Gridb_topology.Machines.count machines in
+  let grid = Gridb_topology.Machines.grid machines in
+  let clusters = Gridb_topology.Grid.size grid in
+  (* The first stream sends another size where the grid allows one, so the
+     second's link tables must be refilled, and loses more, so it leaves
+     reroute counts behind. *)
+  let msg_a =
+    let m = if msg > 1 then msg / 2 else 2 in
+    match Instance.check_grid ~msg:m grid with Ok () -> m | Error _ -> msg
+  in
+  let fspec loss = Faults.v ~loss ~degrade_rate:1e-5 ~degrade_mean:1e4 ~crash_rate:1e-6 () in
+  let dspec = Dynamics.v ~drift_rate:2e-5 ~leave_rate:1e-6 ~join_rate:5e-5 () in
+  (* A reroute budget of 2, so a count left from an earlier session shows. *)
+  let reroute = Session.adaptive ~config:(Adaptive.v ~max_reroutes:2 ()) ~reroute:true () in
+  let k = 8 in
+  (* Session [i] of stream [stream], due 1 us after session [i - 1] from
+     [t0]: the plans in turn, and in turn no model, faults, faults on the
+     adaptive rerouting transport, and dynamics with joins and ticks on
+     it.  Models are built per launch, as a run consumes their draws. *)
+  let launch ~wire ~engine ~stream ~t0 i =
+    let key = (stream * k) + i in
+    let msg, fspec = if stream = 0 then (msg_a, fspec 0.5) else (msg, fspec 0.3) in
+    let start_delay = t0 +. float_of_int i in
+    let rng = Gridb_util.Rng.split (Gridb_util.Rng.create seed) key in
+    let faults () = Faults.create ~seed:(seed + key) ~t0:start_delay ~n fspec in
+    let config =
+      match i mod 4 with
+      | 0 -> Session.Config.v ~rng ~start_delay ~msg ()
+      | 1 -> Session.Config.v ~rng ~start_delay ~msg ~faults:(faults ()) ()
+      | 2 -> Session.Config.v ~rng ~start_delay ~msg ~faults:(faults ()) ~transport:reroute ()
+      | _ ->
+          let dynamics =
+            Dynamics.create ~seed:(seed + key) ~t0:start_delay ~n ~clusters dspec
+          in
+          Session.Config.v ~rng ~start_delay ~msg ~dynamics ~tick_every:5e3 ~transport:reroute ()
+    in
+    Session.launch_reliable ~wire ~engine config machines plans.(i mod Array.length plans)
+  in
+  let fresh () = (Wire.create ~n:(n + dspec.Dynamics.join_max), Engine.create ()) in
+  (* Stream B from [t], on [wire] and [engine] run up to [t]. *)
+  let stream_b (wire, engine) t =
+    Engine.run_until engine t;
+    let sessions = Array.init k (launch ~wire ~engine ~stream:1 ~t0:t) in
+    Engine.run engine;
+    Array.map (fun s -> comparable (Session.reliable_result s)) sessions
+  in
+  let wire, engine = fresh () in
+  ignore (Array.init k (launch ~wire ~engine ~stream:0 ~t0:0.) : Session.reliable_t array);
+  Engine.run engine;
+  let t = Engine.now engine +. 1. in
+  let reused = stream_b (wire, engine) t and unused = stream_b (fresh ()) t in
+  let rec first i =
+    if i >= k then Ok ()
+    else if compare reused.(i) unused.(i) = 0 then first (i + 1)
+    else
+      let (x : Session.reliable), _ = reused.(i) and y, _ = unused.(i) in
+      fail "session-reuse"
+        "session %d starting at %.17g after another stream differs from the same session on \
+         a fresh wire: makespan %.17g vs %.17g, %d vs %d transmissions, %d vs %d delivered"
+        i t x.r_makespan y.r_makespan x.r_transmissions y.r_transmissions x.delivered
+        y.delivered
+  in
+  first 0
+
 let segmented_chain ~params ~size ~msg ~segments =
   let open Gridb_topology in
   let cluster = Cluster.v ~id:0 ~name:"chain" ~size ~intra:params in
@@ -313,5 +381,6 @@ let metamorphic_names =
     "ack-elision";
     "dynamics-identity";
     "fault-locality";
+    "session-reuse";
     "segmented-chain";
   ]

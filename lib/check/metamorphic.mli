@@ -120,6 +120,26 @@ val fault_locality :
     link [a -> a + d] ([d = 1..4]) that is neither a plan edge nor its
     reverse.  [fault_seed] defaults to [seed]. *)
 
+val session_reuse :
+  ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t list ->
+  Invariant.outcome
+(** ["session-reuse"]: a stream of eight reliable sessions launched on a
+    wire and engine that first ran another such stream to quiescence,
+    then ran up to the clock [t] the second stream starts at, equals the
+    same stream launched at [t] on a fresh wire and engine: every result
+    field, horizon included, and the estimators read on every link.  The
+    sessions cycle through [plans] and through four cells: no model,
+    faults (loss, degradation, crashes) on the fixed transport, faults on
+    the adaptive rerouting transport with a reroute budget of 2, and
+    dynamics with drift, leaves, joins and ticks on that transport.  The
+    second stream's sessions take the first's protocol state from the
+    wire, sizes differing where joins do, so a reset that state misses
+    shows here.  The first stream loses more (0.5 against 0.3) and sends
+    [msg / 2] bytes (2 for a 1-byte [msg]) where the grid gives finite
+    gaps at that size, so the reroute counts and link tables it leaves
+    behind must be reset too.  [msg] defaults to 1 MB, [seed] to 0.
+    @raise Invalid_argument if [plans] is empty. *)
+
 val segmented_chain :
   params:Gridb_plogp.Params.t -> size:int -> msg:int -> segments:int -> Invariant.outcome
 (** ["segmented-chain"]: the chain [0 -> 1 -> ... -> size - 1] over one

@@ -407,7 +407,16 @@ let check_service (sc : Scenario.t) =
   let* () = Invariant.sessions_start_order events in
   (* The property only multi-session runs have: one-port serialization of
      the shared wire across concurrent sessions. *)
-  Invariant.sessions_nic_serialization ~n:n_ranks events
+  let* () = Invariant.sessions_nic_serialization ~n:n_ranks events in
+  (* Sessions on one wire share pooled protocol state: a stream run after
+     another equals the same stream on a fresh wire.  Plans from the
+     scenario's root and the next cluster. *)
+  let* policy = resolve Scenario.policy sc in
+  let plan root =
+    Plan.of_cluster_schedule machines (Engine.run policy (Instance.of_grid ~root ~msg:sc.msg grid))
+  in
+  Metamorphic.session_reuse ~msg:sc.msg ~seed:sc.seed machines
+    [ plan sc.root; plan ((sc.root + 1) mod Gridb_topology.Grid.size grid) ]
 
 let service_invariant_names =
   [ "service-accounting"; "session-attribution"; "session-clock"; "start-order" ]

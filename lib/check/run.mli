@@ -49,12 +49,17 @@ val check_service : Scenario.t -> Invariant.outcome
       sessions' handlers due at its time
       ({!Invariant.sessions_start_order});
     - ["sessions-nic-serialization"]: one-port discipline of the shared
-      wire across concurrent sessions. *)
+      wire across concurrent sessions;
+    - ["session-reuse"]: sessions that take pooled protocol state from a
+      wire another stream ran on equal the same sessions on a fresh wire,
+      under faults, dynamics with joins and the adaptive rerouting
+      transport ({!Metamorphic.session_reuse}, over plans from the
+      scenario's policy). *)
 
 val service_invariant_names : string list
 (** The checks only [check_service] contributes
     (["sessions-nic-serialization"] is listed with the stream
-    invariants). *)
+    invariants, ["session-reuse"] with the metamorphic laws). *)
 
 val check_chaos : Scenario.t -> Invariant.outcome
 (** The chaos family: a deadline/priority request stream over the

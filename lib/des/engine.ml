@@ -231,6 +231,8 @@ let cancel t timer =
 
 let timer_live timer = timer.slot <> -1
 
+let queued timer = timer.slot >= 0
+
 let step t =
   if t.size = 0 then begin
     if t.clock.(1) > t.clock.(0) then t.clock.(0) <- t.clock.(1);

@@ -131,6 +131,10 @@ val cancel : t -> timer -> unit
 val timer_live : timer -> bool
 (** False once cancelled or fired, and for {!no_timer}. *)
 
+val queued : timer -> bool
+(** Whether the timer's event is in the queue: armed or scheduled, and not
+    yet fired or cancelled.  False for an unqueued timer and {!no_timer}. *)
+
 val step : t -> bool
 (** Execute the next event; [false] when the queue is empty, which first
     adopts the {!unqueued_event} watermark. *)

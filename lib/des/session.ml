@@ -232,29 +232,270 @@ let result (s : t) =
 type reliable_t = {
   r_n : int;
   r_arr : float array;
-  r_tx : int ref;
-  r_rtx : int ref;
-  r_acks : int ref;
-  r_gave_up : (int * int) list ref;
-  r_reroute_log : (int * int * int) list ref;
-  r_circuit_opens : int ref;
-  r_est : Adaptive.t option;
+  mutable r_tx : int;
+  mutable r_rtx : int;
+  mutable r_acks : int;
+  mutable r_gave_up : (int * int) list;
+  mutable r_reroute_log : (int * int * int) list;
+  mutable r_circuit_opens : int;
+  mutable r_est : Adaptive.t option;
   (* Crash and departure time per planned rank, empty without a fault or
      dynamics model: the models' per-link streams need not outlive the run. *)
   r_crash : float array;
   r_leave : float array;
   r_joins : Dynamics.join array;
   r_engine : Engine.t;
+  (* -1 until the session completes; then its delivered rank count, with
+     its makespan in [r_mk.(0)]. *)
+  mutable r_delivered : int;
+  r_mk : float array;
+  mutable r_on_complete : reliable_t -> unit;
 }
 
-(* The fault-free ACK of the edge into [dst], landing at [cell.(0)]:
+(* A reliable session's protocol state, kept on a free list on its wire
+   once the session completes and taken by the next session that starts
+   there.  The per-rank arrays are sized to the session's own [ntot];
+   those read before they are written start each session reset: [acked]
+   by an epoch stamp, [halt_at] only after a session that halted ranks,
+   [reroutes_used] through the reroute log, and the link table only when
+   the grid or message size changes.  The three engine handlers close over
+   the record, so a session allocates none. *)
+type proto = {
+  wire : Wire.t;
+  mutable ntot : int;
+  mutable n : int;
+  (* Per-edge protocol state, indexed by the child (each non-root rank has
+     a unique parent in the plan; under reroute the parent can change, but
+     a child still has at most one live edge, and so one live timer, at a
+     time: [timeout] checks it).  [acked.(d) = epoch] once the edge into
+     [d] is acknowledged in this session; no session's epoch is [-1]. *)
+  mutable epoch : int;
+  mutable acked : int array;
+  (* A try's timer starts unqueued at [deadlines.(dst)], holding the
+     insertion seq [seqs.(dst)] ([-1] once queued, cancelled or fired), and
+     is queued at that (deadline, seq) once an ACK cannot cancel it first
+     ([arm]): so it pops where a timer queued at the send would, and one
+     its ACK cancels first is never queued. *)
+  mutable timers : Engine.timer array;
+  mutable deadlines : float array;
+  mutable seqs : int array;
+  mutable cur_parent : int array;
+  mutable cur_try : int array;
+  mutable cur_rto : float array;
+  (* A rank halts at its fault-model crash or its dynamics departure,
+     whichever comes first; join ranks never crash.  [halts] once a
+     session wrote its crash or departure times, [false] while every entry
+     is [infinity]. *)
+  mutable halt_at : float array;
+  mutable halts : bool;
+  (* Read only by the estimator and by reroutes: empty until a session
+     with them takes the state.  [reroutes_used] is all zeros between
+     sessions. *)
+  mutable last_start : float array;
+  mutable reroutes_used : int array;
+  (* Gap and latency by cluster pair, [links.(k)] and [links.(k + 1)] for
+     [k = link st src dst], filled on first use: a send reads unboxed
+     floats instead of interpolating the gap table and boxing the result.
+     The table is direct-mapped on [cs * nc + cd] with at most [ntot]
+     entries, so it holds every pair, with no [mod], when there are few
+     clusters and stays linear in ranks, not quadratic in clusters, when
+     there are many.  A read must come before the next [link] call, which
+     may evict its entry.  Its entries hold for [tbl_grid] at [tbl_msg]
+     bytes ([-1]: none), so a session on the same grid and size keeps
+     them. *)
+  mutable pairs : int array;
+  mutable links : float array;
+  mutable nc : int;
+  mutable direct : bool;
+  mutable tbl_grid : Gridb_topology.Grid.t;
+  mutable tbl_msg : int;
+  (* The session holding the state, and what it runs.  [live] counts the
+     session's events that are queued, neither popped nor cancelled: it
+     completes when this falls to 0. *)
+  mutable s : reliable_t;
+  mutable live : int;
+  mutable cfg : Config.t;
+  mutable machines : Machines.t;
+  mutable plan : Plan.t;
+  mutable cluster : int array;
+  mutable rng : Gridb_util.Rng.t;
+  mutable est : Adaptive.t option;
+  mutable sid : int option;
+  mutable who : string;
+  mutable tracing : bool;
+  mutable observed : bool;
+  mutable lossy : bool;
+  mutable slows : bool;
+  mutable sampled : bool;
+  mutable reroute : bool;
+  mutable settle_acks : bool;
+  mutable dyn_on : bool;
+  mutable max_reroutes : int;
+  mutable next_join : int;
+  (* Orphans with no delivered alive candidate yet, retried on the next
+     delivery: (dst, parent that last failed it). *)
+  mutable pending : (int * int) list;
+  (* Reroute edges that already failed an orphan, keyed dst * ntot +
+     parent; emptied when a session that rerouted ends. *)
+  failed : unit Edges.t;
+  (* The landing time of an ACK settled unqueued ([Engine.unqueued_event]
+     reads cell 0), the RTO an attempt arms, computed before the sender's
+     halt check as the estimator's reads must be, and the next tick: cells,
+     so no float is boxed. *)
+  cells : float array;
+  mutable on_data : Engine.t -> int -> unit;
+  mutable on_ack : Engine.t -> int -> unit;
+  mutable on_timeout : Engine.t -> int -> unit;
+}
+
+let ack_time = 0
+let next_rto = 1
+let next_tick = 2
+
+(* A wire's free protocol states, [free.(0 .. count - 1)]. *)
+type pool = { mutable free : proto array; mutable count : int }
+
+type Wire.spare += Pool of pool
+
+let pool_of wire =
+  match Wire.spare wire with
+  | Pool p -> p
+  | _ ->
+      let p = { free = [||]; count = 0 } in
+      Wire.keep wire (Pool p);
+      p
+
+let no_hook (_ : reliable_t) = ()
+let no_handler (_ : Engine.t) (_ : int) = ()
+let idle_rng = Gridb_util.Rng.create 0
+
+(* What a free state points at instead of its last session, so the pool
+   keeps no result, estimator or fault model alive. *)
+let idle =
+  {
+    r_n = 0;
+    r_arr = [||];
+    r_tx = 0;
+    r_rtx = 0;
+    r_acks = 0;
+    r_gave_up = [];
+    r_reroute_log = [];
+    r_circuit_opens = 0;
+    r_est = None;
+    r_crash = [||];
+    r_leave = [||];
+    r_joins = [||];
+    r_engine = Engine.create ();
+    r_delivered = 0;
+    r_mk = [| 0. |];
+    r_on_complete = no_hook;
+  }
+
+(* The fault-free ACK of the edge into [dst], landing at [cells.(0)]:
    counted, and the edge acknowledged with no timer, without an engine
-   event.  Top-level, so a session allocates no closure for it. *)
-let settle_ack ~acks ~acked ~seqs engine cell dst =
-  incr acks;
-  acked.(dst) <- true;
-  seqs.(dst) <- -1;
-  Engine.unqueued_event engine cell
+   event. *)
+let settle_ack st engine dst =
+  st.s.r_acks <- st.s.r_acks + 1;
+  st.acked.(dst) <- st.epoch;
+  st.seqs.(dst) <- -1;
+  Engine.unqueued_event engine st.cells
+
+(* One of the session's queued events has popped. *)
+let[@inline] popped st = st.live <- st.live - 1
+
+let[@inline] has_msg st r = not (Float.is_nan st.s.r_arr.(r))
+
+let emit st e =
+  Sink.emit st.cfg.Config.obs (match st.sid with None -> e | Some sid -> Event.tag ~sid e)
+
+(* Link parameters generalised to join ranks: a joining machine gets fresh
+   links with its cluster's nominal intra parameters, and the nominal
+   inter-cluster parameters towards everyone else. *)
+let params_for st src dst =
+  let n = st.n in
+  if src < n && dst < n then Machines.link_params st.machines src dst
+  else
+    let grid = Machines.grid st.machines in
+    let cs = st.cluster.(src) and cd = st.cluster.(dst) in
+    if cs = cd then (Gridb_topology.Grid.cluster grid cs).Gridb_topology.Cluster.intra
+    else Gridb_topology.Grid.link grid cs cd
+
+let link st src dst =
+  let pair = (st.cluster.(src) * st.nc) + st.cluster.(dst) in
+  let e = if st.direct then pair else pair mod Array.length st.pairs in
+  if st.pairs.(e) <> pair then begin
+    let msg = st.cfg.Config.msg in
+    let p = params_for st src dst in
+    let gap = Params.gap p msg in
+    if not (gap >= 0. && gap < infinity) then bad_gap ~who:st.who ~src ~dst ~msg gap;
+    st.links.(2 * e) <- gap;
+    st.links.((2 * e) + 1) <- Params.latency p;
+    st.pairs.(e) <- pair
+  end;
+  2 * e
+
+(* Fault processes are drawn over the planning-time population only; a
+   join's fresh links are loss-free, cut-free and undegraded (and
+   {!Dynamics.factor} is exactly 1. on them too). *)
+let fresh_link st src dst = src >= st.n || dst >= st.n
+
+(* Whether a message on [src -> dst] injected at [at] is lost to the fault
+   model: a loss draw, then a cut.  Called only under a fault model, so a
+   fault-free send boxes no [at]. *)
+let faulty st src dst ~at =
+  match st.cfg.Config.faults with
+  | Some f when not (fresh_link st src dst) ->
+      Faults.lose f ~src ~dst || not (Faults.link_up f ~src ~dst ~at)
+  | _ -> false
+
+let slowdown st src dst ~at =
+  let f =
+    match st.cfg.Config.faults with
+    | Some f when not (fresh_link st src dst) -> Faults.slowdown f ~src ~dst ~at
+    | _ -> 1.
+  in
+  match st.cfg.Config.dynamics with None -> f | Some d -> f *. Dynamics.factor d ~src ~dst ~at
+
+(* Best already-delivered alive parent for an orphan, by the ECEF arrival
+   score over live-estimated link quality; candidates whose circuit to
+   [dst] is open (or that already failed this orphan) only as a last
+   resort. *)
+let pick_parent st ~dst ~now =
+  match st.est with
+  | None -> None
+  | Some est ->
+      let msg = st.cfg.Config.msg and ntot = st.ntot in
+      let best = ref None in
+      for p = 0 to ntot - 1 do
+        (* Liveness must be judged at the moment the parent could actually
+           start sending — max(now, nic_free) — not at [now]: a backlogged
+           parent that crashes before its NIC frees would fail the attempt
+           at start, re-orphan the child synchronously, and the cycle would
+           churn the whole reroute budget in one instant.  Judged at the
+           send horizon, doomed parents are no candidates at all and the
+           orphan parks until a later delivery provides a live one. *)
+        if p <> dst && has_msg st p && st.halt_at.(p) > Float.max now (Wire.free_at st.wire p)
+        then begin
+          (* Pure breaker read: scoring must not half-open circuits of
+             candidates no probe will cross; the winner's transition is
+             applied in [try_reroute]. *)
+          let tier =
+            if Edges.mem st.failed ((dst * ntot) + p) then 2
+            else if Adaptive.usable_now est ~src:p ~dst ~now then 0
+            else 1
+          in
+          let ep = Adaptive.estimated_params est ~src:p ~dst (params_for st p dst) in
+          let score =
+            Gridb_sched.Policy.arrival_score
+              ~avail:(Float.max now (Wire.free_at st.wire p))
+              ~gap:(Params.gap ep msg) ~latency:(Params.latency ep)
+          in
+          match !best with
+          | Some (bt, bs, _) when bt < tier || (bt = tier && bs <= score) -> ()
+          | _ -> best := Some (tier, score, p)
+        end
+      done;
+      Option.map (fun ((_ : int), (_ : float), p) -> p) !best
 
 (* ACK/timeout/exponential-backoff reliable broadcast along a plan.
 
@@ -284,10 +525,489 @@ let settle_ack ~acks ~acked ~seqs engine cell dst =
    before firing — which is why the zero-fault adaptive run stays
    bit-identical to [launch] too.
 
-   [start] is the session's start event: it builds the per-rank protocol
-   arrays and the handlers, then lets the root forward.  [launch_reliable]
-   allocates only the result state, so a session queued behind a long
-   backlog of others holds no protocol state until it starts. *)
+   Join arrivals and estimator-snapshot ticks are processed
+   opportunistically from the protocol handlers instead of being scheduled
+   as engine events: the estimator's state only changes at those handlers
+   anyway, and pre-scheduled ticks would keep the engine alive long past
+   quiescence.  A join (or tick) later than the last protocol event is
+   outside the simulated horizon and never happened.
+
+   The three protocol events are engine payload events on the state's
+   handlers: [data_arrives] and [ack_arrives] carry the edge as [src * ntot
+   + dst], [timeout] carries [(try_no * ntot + src) * ntot + dst] and reads
+   its RTO from [cur_rto].  No send allocates a closure. *)
+let rec dyn_tick st engine =
+  let now = Engine.now engine in
+  let joins = st.s.r_joins in
+  (if st.reroute then
+     while st.next_join < Array.length joins && joins.(st.next_join).Dynamics.at <= now do
+       let j = joins.(st.next_join) in
+       st.next_join <- st.next_join + 1;
+       (* The new rank announces itself to its cluster's coordinator and is
+          adopted through the ordinary reroute machinery — parked until a
+          delivered alive parent exists. *)
+       if not (has_msg st j.Dynamics.rank) then
+         try_reroute st
+           ~old_parent:(Machines.coordinator st.machines j.Dynamics.cluster)
+           ~dst:j.Dynamics.rank engine
+     done);
+  let cells = st.cells in
+  if now >= cells.(next_tick) then begin
+    let tick_every = st.cfg.Config.tick_every in
+    while cells.(next_tick) <= now do
+      cells.(next_tick) <- cells.(next_tick) +. tick_every
+    done;
+    st.cfg.Config.on_tick ~now st.est
+  end
+
+(* Try 0's RTO: the noiseless round trip (data gap + data latency + ACK
+   latency) inflated by rto_mult and floored at rto_min, or the
+   estimator's, which keeps the raw round trip as its nominal. *)
+and initial_rto st src dst =
+  let k = link st src dst in
+  let there = st.links.(k) +. st.links.(k + 1) in
+  let kb = link st dst src in
+  let round_trip = there +. st.links.(kb + 1) in
+  let { Config.rto_mult; rto_min; _ } = st.cfg in
+  let inflated = rto_mult *. round_trip in
+  (* [Float.max rto_min inflated], NaN included, without boxing. *)
+  let fallback = if inflated > rto_min || Float.is_nan inflated then inflated else rto_min in
+  match st.est with
+  | None -> st.cells.(next_rto) <- fallback
+  | Some est -> st.cells.(next_rto) <- Adaptive.rto est ~src ~dst ~nominal:round_trip ~fallback
+
+(* Every timeout doubles the RTO, capped at rto_max ([Float.min rto_max],
+   NaN included). *)
+and backoff st dst =
+  let doubled = 2. *. st.cur_rto.(dst) in
+  let rto_max = st.cfg.Config.rto_max in
+  st.cells.(next_rto) <- (if doubled < rto_max || Float.is_nan doubled then doubled else rto_max)
+
+and attempt st src dst try_no engine =
+  if try_no = 0 then initial_rto st src dst else backoff st dst;
+  let now = Engine.now engine in
+  let free = Wire.free_at st.wire src in
+  let start = if free > now then free else now in
+  (* A halted sender transmits nothing more; its pending edges die here
+     (under reroute the child becomes an orphan instead). *)
+  if st.halt_at.(src) > start then begin
+    let s = st.s and ntot = st.ntot in
+    st.cur_parent.(dst) <- src;
+    st.cur_try.(dst) <- try_no;
+    st.cur_rto.(dst) <- st.cells.(next_rto);
+    if st.sampled then st.last_start.(dst) <- start;
+    let k = link st src dst in
+    let d = if st.slows then slowdown st src dst ~at:start else 1. in
+    let noise = st.cfg.Config.noise in
+    let g = noisy noise st.rng st.links.(k) *. d in
+    let l = noisy noise st.rng st.links.(k + 1) *. d in
+    Wire.occupy st.wire src ~start ~gap:g;
+    s.r_tx <- s.r_tx + 1;
+    if try_no > 0 then s.r_rtx <- s.r_rtx + 1;
+    let arr = start +. g +. l in
+    if st.tracing then begin
+      emit st
+        (Event.Send_start
+           {
+             src;
+             dst;
+             time = start;
+             msg = st.cfg.Config.msg;
+             intra = st.cluster.(src) = st.cluster.(dst);
+             try_no;
+           });
+      emit st (Event.Send_end { src; dst; time = start +. g; arrival = arr })
+    end;
+    let lost = (st.lossy && faulty st src dst ~at:start) || st.halt_at.(dst) <= arr in
+    let deadline = start +. g +. st.cur_rto.(dst) in
+    (* A planned leaf's first delivery forwards nothing, so where its ACK
+       lands before the deadline [data_arrives] would only stamp [arr] and
+       settle the ACK: both happen here, and neither is queued. *)
+    let leaf =
+      st.settle_acks && try_no = 0 && dst < st.n
+      && match st.plan.Plan.children.(dst) with [] -> true | _ :: _ -> false
+    in
+    if leaf then st.cells.(ack_time) <- arr +. st.links.(link st dst src + 1);
+    if leaf && st.cells.(ack_time) < deadline then begin
+      s.r_arr.(dst) <- arr;
+      settle_ack st engine dst
+    end
+    else begin
+      if not lost then begin
+        st.live <- st.live + 1;
+        Engine.schedule_with engine ~time:arr st.on_data ((src * ntot) + dst)
+      end;
+      st.deadlines.(dst) <- deadline;
+      (* The state outlives minor collections, so a pointer store costs a
+         write barrier: an unobserved edge's slot already holds [no_timer]
+         unless a queued timer is still live. *)
+      if st.observed then st.timers.(dst) <- Engine.unqueued_timer engine ~time:deadline
+      else if st.timers.(dst) != Engine.no_timer then st.timers.(dst) <- Engine.no_timer;
+      st.seqs.(dst) <- Engine.reserve engine;
+      if lost || arr >= deadline then arm st dst engine
+    end
+  end
+  else if st.reroute then orphaned st ~old_parent:src ~dst engine
+
+and arm st dst engine =
+  let ntot = st.ntot in
+  st.live <- st.live + 1;
+  st.timers.(dst) <-
+    Engine.arm engine st.timers.(dst) ~seq:st.seqs.(dst) ~time:st.deadlines.(dst)
+      st.on_timeout
+      ((((st.cur_try.(dst) * ntot) + st.cur_parent.(dst)) * ntot) + dst);
+  st.seqs.(dst) <- -1
+
+and data_arrives st engine edge =
+  let src = edge / st.ntot and dst = edge mod st.ntot in
+  if st.dyn_on then dyn_tick st engine;
+  let now = Engine.now engine in
+  if not (has_msg st dst) then begin
+    st.s.r_arr.(dst) <- now;
+    if st.tracing then emit st (Event.Arrival { src; dst; time = now });
+    forward st dst engine;
+    if st.reroute then drain_pending st engine
+  end;
+  (* ACK on the control plane: pays the reverse latency (degraded if the
+     reverse link is) but does not seize the receiver's NIC, so the ACK
+     never perturbs data timing.  Duplicated deliveries are re-ACKed so a
+     sender that lost an ACK eventually stops retransmitting. *)
+  let kb = link st dst src in
+  let d = if st.slows then slowdown st dst src ~at:now else 1. in
+  let ack_at = now +. (noisy st.cfg.Config.noise st.rng st.links.(kb + 1) *. d) in
+  let ack_lost = (st.lossy && faulty st dst src ~at:now) || st.halt_at.(src) <= ack_at in
+  (* [dst]'s live timer stays so until it fires or an ACK lands, so this
+     ACK cancels it first iff it lands before the deadline. *)
+  if st.seqs.(dst) >= 0 && (ack_lost || ack_at >= st.deadlines.(dst)) then arm st dst engine;
+  if ack_lost then ()
+  (* A queued timer (one this ACK cannot cancel first) must find the ACK
+     queued. *)
+  else if st.settle_acks && st.timers.(dst) == Engine.no_timer then begin
+    st.cells.(ack_time) <- ack_at;
+    settle_ack st engine dst
+  end
+  else begin
+    st.live <- st.live + 1;
+    Engine.schedule_with engine ~time:ack_at st.on_ack edge
+  end
+
+and ack_arrives st engine edge =
+  let parent = edge / st.ntot and child = edge mod st.ntot in
+  if st.dyn_on then dyn_tick st engine;
+  let s = st.s in
+  s.r_acks <- s.r_acks + 1;
+  let now = Engine.now engine in
+  if st.tracing then emit st (Event.Ack { src = child; dst = parent; time = now });
+  (* RTT sample for the estimator — only for the edge currently armed (a
+     stale ACK from a pre-reroute parent must not be attributed to the new
+     link), and per Karn's rule flagged ambiguous when the edge has
+     retransmitted. *)
+  (match st.est with
+  | Some est
+    when parent = st.cur_parent.(child)
+         && st.acked.(child) <> st.epoch
+         (* Under contention a retransmission can be armed for a queued
+            future NIC slot; an ACK of an earlier try then lands before
+            [last_start] — ambiguous per Karn, so no sample. *)
+         && now >= st.last_start.(child) ->
+      let rtt = now -. st.last_start.(child) in
+      (match
+         Adaptive.on_sample est ~src:parent ~dst:child ~rtt
+           ~retransmitted:(st.cur_try.(child) > 0) ~now
+       with
+      | `No_change -> ()
+      | `Opened ->
+          s.r_circuit_opens <- s.r_circuit_opens + 1;
+          if st.tracing then emit st (Event.Circuit_open { src = parent; dst = child; time = now })
+      | `Closed ->
+          if st.tracing then emit st (Event.Circuit_close { src = parent; dst = child; time = now }))
+  | _ -> ());
+  if st.acked.(child) <> st.epoch then begin
+    st.acked.(child) <- st.epoch;
+    let timer = st.timers.(child) in
+    if Engine.queued timer then st.live <- st.live - 1;
+    if timer != Engine.no_timer then begin
+      Engine.cancel engine timer;
+      st.timers.(child) <- Engine.no_timer
+    end;
+    st.seqs.(child) <- -1
+  end
+
+and timeout st engine payload =
+  let ntot = st.ntot in
+  let dst = payload mod ntot and src = payload / ntot mod ntot in
+  let try_no = payload / (ntot * ntot) in
+  (* One live timer per destination: the edge that armed this one is still
+     the destination's current edge, so [cur_rto] is its RTO. *)
+  if src <> st.cur_parent.(dst) || try_no <> st.cur_try.(dst) then
+    failwith
+      (Printf.sprintf
+         "Session: timeout of edge %d->%d try %d, but the live edge is %d->%d try %d" src
+         dst try_no st.cur_parent.(dst) dst st.cur_try.(dst));
+  if st.dyn_on then dyn_tick st engine;
+  st.timers.(dst) <- Engine.no_timer;
+  if st.acked.(dst) <> st.epoch then begin
+    let now = Engine.now engine in
+    if st.halt_at.(src) <= now then begin
+      if st.reroute then orphaned st ~old_parent:src ~dst engine
+    end
+    else begin
+      let s = st.s and retries = st.cfg.Config.retries in
+      let opened =
+        match st.est with
+        | None -> false
+        | Some est ->
+            let o = Adaptive.on_timeout est ~src ~dst ~now in
+            if o then begin
+              s.r_circuit_opens <- s.r_circuit_opens + 1;
+              if st.tracing then emit st (Event.Circuit_open { src; dst; time = now })
+            end;
+            o
+      in
+      if st.reroute && (opened || try_no >= retries) then orphaned st ~old_parent:src ~dst engine
+      else if try_no >= retries then begin
+        s.r_gave_up <- (src, dst) :: s.r_gave_up;
+        if st.tracing then emit st (Event.Give_up { src; dst; time = now })
+      end
+      else begin
+        if st.tracing then begin
+          backoff st dst;
+          emit st
+            (Event.Retransmit
+               { src; dst; time = now; try_no = try_no + 1; rto = st.cells.(next_rto) })
+        end;
+        attempt st src dst (try_no + 1) engine
+      end
+    end
+  end
+
+and orphaned st ~old_parent ~dst engine =
+  (* A duplicate delivery may already have landed; then there is nothing
+     to reroute (the timer is gone either way). *)
+  if not (has_msg st dst) then begin
+    Edges.replace st.failed ((dst * st.ntot) + old_parent) ();
+    try_reroute st ~old_parent ~dst engine
+  end
+
+and try_reroute st ~old_parent ~dst engine =
+  let now = Engine.now engine in
+  let s = st.s in
+  let lost =
+    (* A halted destination can never deliver (burning the reroute budget
+       on it would only inflate the sweep); past the budget the orphan is
+       abandoned for good. *)
+    st.halt_at.(dst) <= now || st.reroutes_used.(dst) >= st.max_reroutes
+  in
+  if lost then begin
+    s.r_gave_up <- (old_parent, dst) :: s.r_gave_up;
+    if st.tracing then emit st (Event.Give_up { src = old_parent; dst; time = now });
+    (* The subtree planned under a permanently lost child is stranded with
+       it — its members never saw an attempt, so re-parent each of them
+       onto the delivered set too.  (Join ranks have no planned subtree:
+       the plan predates them.) *)
+    if dst < st.n then
+      List.iter (fun gc -> orphaned st ~old_parent:dst ~dst:gc engine) st.plan.Plan.children.(dst)
+  end
+  else
+    match pick_parent st ~dst ~now with
+    | Some p ->
+        (* Only the chosen parent is actually probed, so only its breaker
+           takes the cooldown-expiry transition (Open -> Half_open). *)
+        (match st.est with
+        | Some est -> ignore (Adaptive.usable est ~src:p ~dst ~now : bool)
+        | None -> ());
+        st.reroutes_used.(dst) <- st.reroutes_used.(dst) + 1;
+        s.r_reroute_log <- (dst, old_parent, p) :: s.r_reroute_log;
+        if st.tracing then emit st (Event.Reroute { dst; old_parent; new_parent = p; time = now });
+        attempt st p dst 0 engine
+    | None ->
+        if not (List.exists (fun (d, _) -> d = dst) st.pending) then
+          st.pending <- (dst, old_parent) :: st.pending
+
+and drain_pending st engine =
+  match st.pending with
+  | [] -> ()
+  | parked ->
+      st.pending <- [];
+      List.iter
+        (fun (dst, old_parent) -> if not (has_msg st dst) then try_reroute st ~old_parent ~dst engine)
+        (List.rev parked)
+
+and forward st rank engine =
+  (* A delivered join rank forwards nothing: the plan predates it. *)
+  if rank < st.n then forward_to st rank st.plan.Plan.children.(rank) engine
+
+and forward_to st rank children engine =
+  match children with
+  | [] -> ()
+  | child :: rest ->
+      attempt st rank child 0 engine;
+      forward_to st rank rest engine
+
+(* The delivered rank count, with the makespan written to [r_mk.(0)]: a
+   loop, not a fold, as folding a float array boxes every element. *)
+let tally s =
+  let makespan = ref 0. and delivered = ref 0 in
+  for k = 0 to Array.length s.r_arr - 1 do
+    let t = s.r_arr.(k) in
+    if not (Float.is_nan t) then begin
+      if t > !makespan then makespan := t;
+      incr delivered
+    end
+  done;
+  s.r_mk.(0) <- !makespan;
+  !delivered
+
+let push pool st =
+  if pool.count = Array.length pool.free then begin
+    let free = Array.make (max 4 (2 * pool.count)) st in
+    Array.blit pool.free 0 free 0 pool.count;
+    pool.free <- free
+  end;
+  pool.free.(pool.count) <- st;
+  pool.count <- pool.count + 1
+
+(* The session holding [st] has nothing queued: its arrivals are final.
+   Record its delivered count and makespan while they are in cache, give
+   the state back to the wire, then tell the caller. *)
+let complete st =
+  let s = st.s in
+  s.r_delivered <- tally s;
+  let rec unroute = function
+    | [] -> ()
+    | (dst, _, _) :: rest ->
+        st.reroutes_used.(dst) <- 0;
+        unroute rest
+  in
+  unroute s.r_reroute_log;
+  if Edges.length st.failed > 0 then Edges.reset st.failed;
+  st.pending <- [];
+  st.s <- idle;
+  st.cfg <- Config.default;
+  st.est <- None;
+  push (pool_of st.wire) st;
+  s.r_on_complete s
+
+(* Arrays for a session of [ntot] ranks.  A state of another size keeps
+   its handlers and link table. *)
+let resize st ntot =
+  st.ntot <- ntot;
+  st.acked <- Array.make ntot (-1);
+  st.timers <- Array.make ntot Engine.no_timer;
+  st.deadlines <- Array.make ntot nan;
+  st.seqs <- Array.make ntot (-1);
+  st.cur_parent <- Array.make ntot (-1);
+  st.cur_try <- Array.make ntot 0;
+  st.cur_rto <- Array.make ntot nan;
+  st.halt_at <- Array.make ntot infinity;
+  st.halts <- false;
+  st.last_start <- [||];
+  st.reroutes_used <- [||]
+
+(* A state for a session of [ntot] ranks; [start] sets the rest.  Its
+   handlers pop one of the session's events each, and the session
+   completes once the last one has run and queued nothing. *)
+let fresh_proto wire ~ntot machines plan =
+  let st =
+    {
+      wire;
+      ntot = 0;
+      n = 0;
+      epoch = 0;
+      acked = [||];
+      timers = [||];
+      deadlines = [||];
+      seqs = [||];
+      cur_parent = [||];
+      cur_try = [||];
+      cur_rto = [||];
+      halt_at = [||];
+      halts = false;
+      last_start = [||];
+      reroutes_used = [||];
+      pairs = [||];
+      links = [||];
+      nc = 0;
+      direct = false;
+      tbl_grid = Machines.grid machines;
+      tbl_msg = -1;
+      s = idle;
+      live = 0;
+      cfg = Config.default;
+      machines;
+      plan;
+      cluster = [||];
+      rng = idle_rng;
+      est = None;
+      sid = None;
+      who = "";
+      tracing = false;
+      observed = false;
+      lossy = false;
+      slows = false;
+      sampled = false;
+      reroute = false;
+      settle_acks = false;
+      dyn_on = false;
+      max_reroutes = 0;
+      next_join = 0;
+      pending = [];
+      failed = Edges.create 16;
+      cells = [| nan; nan; nan |];
+      on_data = no_handler;
+      on_ack = no_handler;
+      on_timeout = no_handler;
+    }
+  in
+  st.on_data <-
+    (fun engine edge ->
+      popped st;
+      data_arrives st engine edge;
+      if st.live = 0 then complete st);
+  st.on_ack <-
+    (fun engine edge ->
+      popped st;
+      ack_arrives st engine edge;
+      if st.live = 0 then complete st);
+  st.on_timeout <-
+    (fun engine payload ->
+      popped st;
+      timeout st engine payload;
+      if st.live = 0 then complete st);
+  resize st ntot;
+  st
+
+(* The free state that best fits a session of [ntot] ranks sending [msg]
+   bytes over [grid]: one of that size whose link table holds, else one of
+   that size, else the most recently freed; a fresh one if none is free. *)
+let take wire ~ntot ~msg machines plan =
+  let pool = pool_of wire and grid = Machines.grid machines in
+  let best = ref (-1) and fit = ref (-1) and i = ref (pool.count - 1) in
+  while !i >= 0 && !fit < 2 do
+    let st = pool.free.(!i) in
+    let f =
+      if st.ntot <> ntot then 0 else if st.tbl_grid == grid && st.tbl_msg = msg then 2 else 1
+    in
+    if f > !fit then begin
+      best := !i;
+      fit := f
+    end;
+    decr i
+  done;
+  if !best < 0 then fresh_proto wire ~ntot machines plan
+  else begin
+    let st = pool.free.(!best) in
+    pool.count <- pool.count - 1;
+    pool.free.(!best) <- pool.free.(pool.count);
+    if st.ntot <> ntot then resize st ntot;
+    st
+  end
+
+(* [start] is the session's start event: it takes a protocol state from
+   the wire, sets it up for this session, then lets the root forward.
+   [launch_reliable] allocates only the result state, so a session queued
+   behind a long backlog of others holds no protocol state until it
+   starts. *)
 let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan engine =
   let {
     Config.noise;
@@ -297,486 +1017,89 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
     obs;
     faults;
     dynamics;
-    on_tick;
     tick_every;
-    retries;
-    rto_mult;
-    rto_min;
-    rto_max;
     transport;
+    _;
   } =
     config
   in
   let n = s.r_n and joins = s.r_joins in
   let ntot = n + Array.length joins in
+  let st = take wire ~ntot ~msg machines plan in
+  st.epoch <- st.epoch + 1;
+  st.n <- n;
+  st.s <- s;
+  st.cfg <- config;
+  st.machines <- machines;
+  st.plan <- plan;
+  st.cluster <-
+    (if ntot = n then Machines.clusters machines
+     else
+       Array.append (Machines.clusters machines) (Array.map (fun j -> j.Dynamics.cluster) joins));
   let grid = Machines.grid machines in
-  let cluster =
-    if ntot = n then Machines.clusters machines
-    else Array.append (Machines.clusters machines) (Array.map (fun j -> j.Dynamics.cluster) joins)
-  in
-  (* Link parameters generalised to join ranks: a joining machine gets
-     fresh links with its cluster's nominal intra parameters, and the
-     nominal inter-cluster parameters towards everyone else. *)
-  let params_for src dst =
-    if src < n && dst < n then Machines.link_params machines src dst
-    else
-      let cs = cluster.(src) and cd = cluster.(dst) in
-      if cs = cd then (Gridb_topology.Grid.cluster grid cs).Gridb_topology.Cluster.intra
-      else Gridb_topology.Grid.link grid cs cd
-  in
-  (* Gap and latency by cluster pair, [links.(k)] and [links.(k + 1)] for
-     [k = link src dst], filled on first use: a send reads unboxed floats
-     instead of interpolating the gap table and boxing the result.  The
-     table is direct-mapped on [cs * nc + cd] with at most [ntot] entries,
-     so it holds every pair, with no [mod], when there are few clusters and
-     stays linear in ranks, not quadratic in clusters, when there are
-     many.  A read must come before the next [link] call, which may evict
-     its entry. *)
   let nc = Gridb_topology.Grid.size grid in
   let direct = nc * nc <= ntot in
   let entries = if direct then nc * nc else ntot in
-  let pairs = Array.make entries (-1) and links = Array.make (2 * entries) nan in
-  let link src dst =
-    let pair = (cluster.(src) * nc) + cluster.(dst) in
-    let e = if direct then pair else pair mod entries in
-    if pairs.(e) <> pair then begin
-      let p = params_for src dst in
-      let gap = Params.gap p msg in
-      if not (gap >= 0. && gap < infinity) then bad_gap ~who ~src ~dst ~msg gap;
-      links.(2 * e) <- gap;
-      links.((2 * e) + 1) <- Params.latency p;
-      pairs.(e) <- pair
-    end;
-    2 * e
-  in
-  (* A rank halts at its fault-model crash or its dynamics departure,
-     whichever comes first; join ranks never crash. *)
-  let halt_at = Array.make ntot infinity in
-  Array.blit s.r_crash 0 halt_at 0 (Array.length s.r_crash);
-  for r = 0 to Array.length s.r_leave - 1 do
-    let leave = s.r_leave.(r) in
-    if leave < halt_at.(r) then halt_at.(r) <- leave
-  done;
-  (* Fault processes are drawn over the planning-time population only; a
-     join's fresh links are loss-free, cut-free and undegraded (and
-     {!Dynamics.factor} is exactly 1. on them too). *)
-  let fresh_link src dst = src >= n || dst >= n in
-  (* Whether a message on [src -> dst] injected at [at] is lost to the
-     fault model: a loss draw, then a cut.  Called only under a fault
-     model, so a fault-free send boxes no [at]. *)
-  let lossy = faults <> None in
-  let faulty src dst ~at =
-    match faults with
-    | Some f when not (fresh_link src dst) ->
-        Faults.lose f ~src ~dst || not (Faults.link_up f ~src ~dst ~at)
-    | _ -> false
-  in
-  let slows = faults <> None || dynamics <> None in
-  let slowdown src dst ~at =
-    let f =
-      match faults with
-      | Some f when not (fresh_link src dst) -> Faults.slowdown f ~src ~dst ~at
-      | _ -> 1.
-    in
-    match dynamics with None -> f | Some d -> f *. Dynamics.factor d ~src ~dst ~at
-  in
-  let rng = match rng with Some r -> r | None -> Gridb_util.Rng.create 0 in
-  let arrival = s.r_arr in
-  (* Arrival times are never NaN, so a rank holds the message iff its
-     arrival is stamped. *)
-  let has_msg r = not (Float.is_nan arrival.(r)) in
-  let transmissions = s.r_tx and retransmissions = s.r_rtx and acks = s.r_acks in
-  let gave_up = s.r_gave_up in
-  let tracing, emit = emitter ~sid ~obs in
-  let est = s.r_est in
-  let reroute = match transport with Fixed -> false | Adaptive a -> a.reroute in
-  let max_reroutes =
-    match est with
+  if Array.length st.pairs <> entries || st.nc <> nc then begin
+    st.pairs <- Array.make entries (-1);
+    st.links <- Array.make (2 * entries) nan
+  end
+  else if not (st.tbl_grid == grid && st.tbl_msg = msg) then Array.fill st.pairs 0 entries (-1);
+  st.nc <- nc;
+  st.direct <- direct;
+  st.tbl_grid <- grid;
+  st.tbl_msg <- msg;
+  let crash = s.r_crash and leave = s.r_leave in
+  if Array.length crash > 0 || Array.length leave > 0 then begin
+    if st.halts then Array.fill st.halt_at 0 ntot infinity;
+    Array.blit crash 0 st.halt_at 0 (Array.length crash);
+    for r = 0 to Array.length leave - 1 do
+      if leave.(r) < st.halt_at.(r) then st.halt_at.(r) <- leave.(r)
+    done;
+    st.halts <- true
+  end
+  else if st.halts then begin
+    Array.fill st.halt_at 0 ntot infinity;
+    st.halts <- false
+  end;
+  st.rng <- (match rng with Some r -> r | None -> Gridb_util.Rng.create 0);
+  st.sid <- sid;
+  st.who <- who;
+  st.tracing <- Sink.enabled obs;
+  st.est <- s.r_est;
+  st.sampled <- s.r_est <> None;
+  st.reroute <- (match transport with Fixed -> false | Adaptive a -> a.reroute);
+  st.max_reroutes <-
+    (match s.r_est with
     | None -> 0
     | Some est ->
         let m = (Adaptive.config est).Adaptive.max_reroutes in
-        if m = 0 then 2 * ntot else m
-  in
-  (* Per-edge protocol state, indexed by the child (each non-root rank has a
-     unique parent in the plan; under reroute the parent can change, but a
-     child still has at most one live edge, and so one live timer, at a
-     time: [timeout] checks it). *)
-  let acked = Array.make ntot false in
-  (* A try's timer starts unqueued at [deadlines.(dst)], holding the
-     insertion seq [seqs.(dst)] ([-1] once queued, cancelled or fired), and
-     is queued at that (deadline, seq) once an ACK cannot cancel it first
-     ([arm]): so it pops where a timer queued at the send would, and one
-     its ACK cancels first is never queued. *)
-  let timers = Array.make ntot Engine.no_timer in
-  let deadlines = Array.make ntot nan and seqs = Array.make ntot (-1) in
-  let cur_parent = Array.make ntot (-1) in
-  let cur_try = Array.make ntot 0 in
-  let cur_rto = Array.make ntot nan in
-  (* Read only by the estimator and by reroutes: empty without them. *)
-  let sampled = est <> None in
-  let last_start = Array.make (if sampled then ntot else 0) nan in
-  let reroutes_used = Array.make (if reroute then ntot else 0) 0 in
-  (* The RTO an attempt arms, computed before the sender's halt check as
-     the estimator's reads must be; one cell, so it is never boxed. *)
-  let next_rto = [| nan |] in
-  (* Reroute edges that already failed an orphan, keyed dst * ntot +
-     parent: only orphans touch it, so a session that never reroutes never
-     builds it. *)
-  let failed = lazy (Edges.create 16) in
-  (* Orphans with no delivered alive candidate yet, retried on the next
-     delivery: (dst, parent that last failed it). *)
-  let pending = ref [] in
-  let reroute_log = s.r_reroute_log in
-  let circuit_opens = s.r_circuit_opens in
-  (* Best already-delivered alive parent for an orphan, by the ECEF arrival
-     score over live-estimated link quality; candidates whose circuit to
-     [dst] is open (or that already failed this orphan) only as a last
-     resort. *)
-  let pick_parent ~dst ~now =
-    match est with
-    | None -> None
-    | Some est ->
-        let failed = Lazy.force failed in
-        let best = ref None in
-        for p = 0 to ntot - 1 do
-          (* Liveness must be judged at the moment the parent could actually
-             start sending — max(now, nic_free) — not at [now]: a backlogged
-             parent that crashes before its NIC frees would fail the attempt
-             at start, re-orphan the child synchronously, and the cycle
-             would churn the whole reroute budget in one instant.  Judged at
-             the send horizon, doomed parents are no candidates at all and
-             the orphan parks until a later delivery provides a live one. *)
-          if p <> dst && has_msg p && halt_at.(p) > Float.max now (Wire.free_at wire p)
-          then begin
-            (* Pure breaker read: scoring must not half-open circuits of
-               candidates no probe will cross; the winner's transition is
-               applied in [try_reroute]. *)
-            let tier =
-              if Edges.mem failed ((dst * ntot) + p) then 2
-              else if Adaptive.usable_now est ~src:p ~dst ~now then 0
-              else 1
-            in
-            let ep = Adaptive.estimated_params est ~src:p ~dst (params_for p dst) in
-            let score =
-              Gridb_sched.Policy.arrival_score
-                ~avail:(Float.max now (Wire.free_at wire p))
-                ~gap:(Params.gap ep msg) ~latency:(Params.latency ep)
-            in
-            match !best with
-            | Some (bt, bs, _) when bt < tier || (bt = tier && bs <= score) -> ()
-            | _ -> best := Some (tier, score, p)
-          end
-        done;
-        Option.map (fun ((_ : int), (_ : float), p) -> p) !best
-  in
-  (* Join arrivals and estimator-snapshot ticks are processed
-     opportunistically from the protocol handlers instead of being
-     scheduled as engine events: the estimator's state only changes at
-     those handlers anyway, and pre-scheduled ticks would keep the engine
-     alive long past quiescence.  A join (or tick) later than the last
-     protocol event is outside the simulated horizon and never happened. *)
-  let next_join = ref 0 in
-  let next_tick = ref (if tick_every > 0. then start_delay +. tick_every else infinity) in
-  let dyn_on = Array.length joins > 0 || tick_every > 0. in
+        if m = 0 then 2 * ntot else m);
+  if st.sampled && Array.length st.last_start <> ntot then st.last_start <- Array.make ntot nan;
+  if st.reroute && Array.length st.reroutes_used <> ntot then
+    st.reroutes_used <- Array.make ntot 0;
+  st.lossy <- faults <> None;
+  st.slows <- faults <> None || dynamics <> None;
+  st.next_join <- 0;
+  st.cells.(next_tick) <- (if tick_every > 0. then start_delay +. tick_every else infinity);
+  st.dyn_on <- Array.length joins > 0 || tick_every > 0.;
   (* In a fault-free exact session, only the horizon and [acks] see an ACK
      that no sink, estimator, tick, join or queued timer sees:
      [data_arrives] settles it at once, and [attempt] a leaf's with its
      delivery. *)
-  let observed = Engine.observed engine in
-  let settle_acks =
-    (not slows)
+  st.observed <- Engine.observed engine;
+  st.settle_acks <-
+    (not st.slows)
     && (match noise with Noise.Exact -> true | _ -> false)
-    && transport = Fixed && (not tracing) && (not observed) && not dyn_on
-  in
-  let ack_time = [| nan |] in
-  (* The three protocol events are engine payload events on handlers of
-     this set: [data_arrives] and [ack_arrives] carry the edge as
-     [src * ntot + dst], [timeout] carries [(try_no * ntot + src) * ntot +
-     dst] and reads its RTO from [cur_rto].  No send allocates a closure. *)
-  let rec dyn_tick engine =
-    let now = Engine.now engine in
-    (if reroute then
-       while !next_join < Array.length joins && joins.(!next_join).Dynamics.at <= now do
-         let j = joins.(!next_join) in
-         incr next_join;
-         (* The new rank announces itself to its cluster's coordinator and
-            is adopted through the ordinary reroute machinery — parked
-            until a delivered alive parent exists. *)
-         if not (has_msg j.Dynamics.rank) then
-           try_reroute
-             ~old_parent:(Machines.coordinator machines j.Dynamics.cluster)
-             ~dst:j.Dynamics.rank engine
-       done);
-    if now >= !next_tick then begin
-      while !next_tick <= now do
-        next_tick := !next_tick +. tick_every
-      done;
-      on_tick ~now est
-    end
-  (* Try 0's RTO: the noiseless round trip (data gap + data latency + ACK
-     latency) inflated by rto_mult and floored at rto_min, or the
-     estimator's, which keeps the raw round trip as its nominal. *)
-  and initial_rto src dst =
-    let k = link src dst in
-    let there = links.(k) +. links.(k + 1) in
-    let kb = link dst src in
-    let round_trip = there +. links.(kb + 1) in
-    let inflated = rto_mult *. round_trip in
-    (* [Float.max rto_min inflated], NaN included, without boxing. *)
-    let fallback =
-      if inflated > rto_min || Float.is_nan inflated then inflated else rto_min
-    in
-    match est with
-    | None -> next_rto.(0) <- fallback
-    | Some est ->
-        next_rto.(0) <- Adaptive.rto est ~src ~dst ~nominal:round_trip ~fallback
-  (* Every timeout doubles the RTO, capped at rto_max ([Float.min rto_max],
-     NaN included). *)
-  and backoff dst =
-    let doubled = 2. *. cur_rto.(dst) in
-    next_rto.(0) <- (if doubled < rto_max || Float.is_nan doubled then doubled else rto_max)
-  and attempt src dst try_no engine =
-    if try_no = 0 then initial_rto src dst else backoff dst;
-    let now = Engine.now engine in
-    let free = Wire.free_at wire src in
-    let start = if free > now then free else now in
-    (* A halted sender transmits nothing more; its pending edges die here
-       (under reroute the child becomes an orphan instead). *)
-    if halt_at.(src) > start then begin
-      cur_parent.(dst) <- src;
-      cur_try.(dst) <- try_no;
-      cur_rto.(dst) <- next_rto.(0);
-      if sampled then last_start.(dst) <- start;
-      let k = link src dst in
-      let d = if slows then slowdown src dst ~at:start else 1. in
-      let g = noisy noise rng links.(k) *. d in
-      let l = noisy noise rng links.(k + 1) *. d in
-      Wire.occupy wire src ~start ~gap:g;
-      incr transmissions;
-      if try_no > 0 then incr retransmissions;
-      let arr = start +. g +. l in
-      if tracing then begin
-        emit
-          (Event.Send_start
-             {
-               src;
-               dst;
-               time = start;
-               msg;
-               intra = cluster.(src) = cluster.(dst);
-               try_no;
-             });
-        emit (Event.Send_end { src; dst; time = start +. g; arrival = arr })
-      end;
-      let lost = (lossy && faulty src dst ~at:start) || halt_at.(dst) <= arr in
-      let deadline = start +. g +. cur_rto.(dst) in
-      (* A planned leaf's first delivery forwards nothing, so where its ACK
-         lands before the deadline [data_arrives] would only stamp [arr]
-         and settle the ACK: both happen here, and neither is queued. *)
-      let leaf =
-        settle_acks && try_no = 0 && dst < n
-        && match plan.Plan.children.(dst) with [] -> true | _ :: _ -> false
-      in
-      if leaf then ack_time.(0) <- arr +. links.(link dst src + 1);
-      if leaf && ack_time.(0) < deadline then begin
-        arrival.(dst) <- arr;
-        settle_ack ~acks ~acked ~seqs engine ack_time dst
-      end
-      else begin
-        if not lost then Engine.schedule_with engine ~time:arr data_arrives ((src * ntot) + dst);
-        deadlines.(dst) <- deadline;
-        timers.(dst) <-
-          (if observed then Engine.unqueued_timer engine ~time:deadline else Engine.no_timer);
-        seqs.(dst) <- Engine.reserve engine;
-        if lost || arr >= deadline then arm dst engine
-      end
-    end
-    else if reroute then orphaned ~old_parent:src ~dst engine
-  and arm dst engine =
-    timers.(dst) <-
-      Engine.arm engine timers.(dst) ~seq:seqs.(dst) ~time:deadlines.(dst) timeout
-        ((((cur_try.(dst) * ntot) + cur_parent.(dst)) * ntot) + dst);
-    seqs.(dst) <- -1
-  and data_arrives engine edge =
-    let src = edge / ntot and dst = edge mod ntot in
-    if dyn_on then dyn_tick engine;
-    let now = Engine.now engine in
-    if not (has_msg dst) then begin
-      arrival.(dst) <- now;
-      if tracing then emit (Event.Arrival { src; dst; time = now });
-      forward dst engine;
-      if reroute then drain_pending engine
-    end;
-    (* ACK on the control plane: pays the reverse latency (degraded if the
-       reverse link is) but does not seize the receiver's NIC, so the ACK
-       never perturbs data timing.  Duplicated deliveries are re-ACKed so a
-       sender that lost an ACK eventually stops retransmitting. *)
-    let kb = link dst src in
-    let d = if slows then slowdown dst src ~at:now else 1. in
-    let ack_at = now +. (noisy noise rng links.(kb + 1) *. d) in
-    let ack_lost = (lossy && faulty dst src ~at:now) || halt_at.(src) <= ack_at in
-    (* [dst]'s live timer stays so until it fires or an ACK lands, so this
-       ACK cancels it first iff it lands before the deadline. *)
-    if seqs.(dst) >= 0 && (ack_lost || ack_at >= deadlines.(dst)) then arm dst engine;
-    if ack_lost then ()
-    (* A queued timer (one this ACK cannot cancel first) must find the ACK
-       queued. *)
-    else if settle_acks && timers.(dst) == Engine.no_timer then begin
-      ack_time.(0) <- ack_at;
-      settle_ack ~acks ~acked ~seqs engine ack_time dst
-    end
-    else Engine.schedule_with engine ~time:ack_at ack_arrives edge
-  and ack_arrives engine edge =
-    let parent = edge / ntot and child = edge mod ntot in
-    if dyn_on then dyn_tick engine;
-    incr acks;
-    let now = Engine.now engine in
-    if tracing then emit (Event.Ack { src = child; dst = parent; time = now });
-    (* RTT sample for the estimator — only for the edge currently armed
-       (a stale ACK from a pre-reroute parent must not be attributed to the
-       new link), and per Karn's rule flagged ambiguous when the edge has
-       retransmitted. *)
-    (match est with
-    | Some est
-      when parent = cur_parent.(child)
-           && (not acked.(child))
-           (* Under contention a retransmission can be armed for a queued
-              future NIC slot; an ACK of an earlier try then lands before
-              [last_start] — ambiguous per Karn, so no sample. *)
-           && now >= last_start.(child) ->
-        let rtt = now -. last_start.(child) in
-        (match
-           Adaptive.on_sample est ~src:parent ~dst:child ~rtt
-             ~retransmitted:(cur_try.(child) > 0) ~now
-         with
-        | `No_change -> ()
-        | `Opened ->
-            incr circuit_opens;
-            if tracing then emit (Event.Circuit_open { src = parent; dst = child; time = now })
-        | `Closed ->
-            if tracing then emit (Event.Circuit_close { src = parent; dst = child; time = now }))
-    | _ -> ());
-    if not acked.(child) then begin
-      acked.(child) <- true;
-      Engine.cancel engine timers.(child);
-      timers.(child) <- Engine.no_timer;
-      seqs.(child) <- -1
-    end
-  and timeout engine payload =
-    let dst = payload mod ntot and src = payload / ntot mod ntot in
-    let try_no = payload / (ntot * ntot) in
-    (* One live timer per destination: the edge that armed this one is
-       still the destination's current edge, so [cur_rto] is its RTO. *)
-    if src <> cur_parent.(dst) || try_no <> cur_try.(dst) then
-      failwith
-        (Printf.sprintf
-           "Session: timeout of edge %d->%d try %d, but the live edge is %d->%d try %d"
-           src dst try_no cur_parent.(dst) dst cur_try.(dst));
-    if dyn_on then dyn_tick engine;
-    timers.(dst) <- Engine.no_timer;
-    if not acked.(dst) then begin
-      let now = Engine.now engine in
-      if halt_at.(src) <= now then begin
-        if reroute then orphaned ~old_parent:src ~dst engine
-      end
-      else begin
-        let opened =
-          match est with
-          | None -> false
-          | Some est ->
-              let o = Adaptive.on_timeout est ~src ~dst ~now in
-              if o then begin
-                incr circuit_opens;
-                if tracing then emit (Event.Circuit_open { src; dst; time = now })
-              end;
-              o
-        in
-        if reroute && (opened || try_no >= retries) then
-          orphaned ~old_parent:src ~dst engine
-        else if try_no >= retries then begin
-          gave_up := (src, dst) :: !gave_up;
-          if tracing then emit (Event.Give_up { src; dst; time = now })
-        end
-        else begin
-          if tracing then begin
-            backoff dst;
-            emit
-              (Event.Retransmit
-                 { src; dst; time = now; try_no = try_no + 1; rto = next_rto.(0) })
-          end;
-          attempt src dst (try_no + 1) engine
-        end
-      end
-    end
-  and orphaned ~old_parent ~dst engine =
-    (* A duplicate delivery may already have landed; then there is nothing
-       to reroute (the timer is gone either way). *)
-    if not (has_msg dst) then begin
-      Edges.replace (Lazy.force failed) ((dst * ntot) + old_parent) ();
-      try_reroute ~old_parent ~dst engine
-    end
-  and try_reroute ~old_parent ~dst engine =
-    let now = Engine.now engine in
-    let lost =
-      (* A halted destination can never deliver (burning the reroute budget
-         on it would only inflate the sweep); past the budget the orphan is
-         abandoned for good. *)
-      halt_at.(dst) <= now || reroutes_used.(dst) >= max_reroutes
-    in
-    if lost then begin
-      gave_up := (old_parent, dst) :: !gave_up;
-      if tracing then emit (Event.Give_up { src = old_parent; dst; time = now });
-      (* The subtree planned under a permanently lost child is stranded
-         with it — its members never saw an attempt, so re-parent each of
-         them onto the delivered set too.  (Join ranks have no planned
-         subtree: the plan predates them.) *)
-      if dst < n then
-        List.iter
-          (fun gc -> orphaned ~old_parent:dst ~dst:gc engine)
-          plan.Plan.children.(dst)
-    end
-    else
-      match pick_parent ~dst ~now with
-      | Some p ->
-          (* Only the chosen parent is actually probed, so only its breaker
-             takes the cooldown-expiry transition (Open -> Half_open). *)
-          (match est with
-          | Some est -> ignore (Adaptive.usable est ~src:p ~dst ~now : bool)
-          | None -> ());
-          reroutes_used.(dst) <- reroutes_used.(dst) + 1;
-          reroute_log := (dst, old_parent, p) :: !reroute_log;
-          if tracing then
-            emit (Event.Reroute { dst; old_parent; new_parent = p; time = now });
-          attempt p dst 0 engine
-      | None ->
-          if not (List.exists (fun (d, _) -> d = dst) !pending) then
-            pending := (dst, old_parent) :: !pending
-  and drain_pending engine =
-    match !pending with
-    | [] -> ()
-    | parked ->
-        pending := [];
-        List.iter
-          (fun (dst, old_parent) ->
-            if not (has_msg dst) then try_reroute ~old_parent ~dst engine)
-          (List.rev parked)
-  and forward rank engine =
-    (* A delivered join rank forwards nothing: the plan predates it. *)
-    if rank < n then forward_to rank plan.Plan.children.(rank) engine
-  and forward_to rank children engine =
-    match children with
-    | [] -> ()
-    | child :: rest ->
-        attempt rank child 0 engine;
-        forward_to rank rest engine
-  in
-  let now = Engine.now engine in
-  if halt_at.(plan.Plan.root) > now then begin
-    arrival.(plan.Plan.root) <- now;
-    if tracing then
-      emit (Event.Arrival { src = plan.Plan.root; dst = plan.Plan.root; time = now });
-    forward plan.Plan.root engine
-  end
+    && transport = Fixed && (not st.tracing) && (not st.observed) && not st.dyn_on;
+  st.live <- 0;
+  let now = Engine.now engine and root = plan.Plan.root in
+  if st.halt_at.(root) > now then begin
+    s.r_arr.(root) <- now;
+    if st.tracing then emit st (Event.Arrival { src = root; dst = root; time = now });
+    forward st root engine
+  end;
+  if st.live = 0 then complete st
 
 let launch_reliable ?sid ?seq ?(who = "Session.launch_reliable") ~wire ~engine
     (config : Config.t) machines plan =
@@ -801,12 +1124,12 @@ let launch_reliable ?sid ?seq ?(who = "Session.launch_reliable") ~wire ~engine
     {
       r_n = n;
       r_arr = Array.make ntot nan;
-      r_tx = ref 0;
-      r_rtx = ref 0;
-      r_acks = ref 0;
-      r_gave_up = ref [];
-      r_reroute_log = ref [];
-      r_circuit_opens = ref 0;
+      r_tx = 0;
+      r_rtx = 0;
+      r_acks = 0;
+      r_gave_up = [];
+      r_reroute_log = [];
+      r_circuit_opens = 0;
       r_est = est;
       r_crash =
         (match config.Config.faults with
@@ -818,6 +1141,9 @@ let launch_reliable ?sid ?seq ?(who = "Session.launch_reliable") ~wire ~engine
         | None -> [||]);
       r_joins = joins;
       r_engine = engine;
+      r_delivered = -1;
+      r_mk = [| 0. |];
+      r_on_complete = no_hook;
     }
   in
   let seq = match seq with Some seq -> seq | None -> Engine.reserve engine in
@@ -826,16 +1152,16 @@ let launch_reliable ?sid ?seq ?(who = "Session.launch_reliable") ~wire ~engine
     0;
   s
 
+let pooled wire = match Wire.spare wire with Pool p -> p.count | _ -> 0
+
+let on_complete s f = if s.r_delivered >= 0 then f s else s.r_on_complete <- f
+
+let arrivals s = s.r_arr
+
+let drop_estimator s = s.r_est <- None
+
 let reliable_result (s : reliable_t) =
-  (* A loop, not a fold: folding a float array boxes every element. *)
-  let makespan = ref 0. and delivered = ref 0 in
-  for k = 0 to Array.length s.r_arr - 1 do
-    let t = s.r_arr.(k) in
-    if not (Float.is_nan t) then begin
-      if t > !makespan then makespan := t;
-      incr delivered
-    end
-  done;
+  let delivered = if s.r_delivered >= 0 then s.r_delivered else tally s in
   let horizon = Engine.now s.r_engine in
   let halted times =
     let l = ref [] in
@@ -852,18 +1178,18 @@ let reliable_result (s : reliable_t) =
   in
   {
     r_arrival = s.r_arr;
-    r_makespan = !makespan;
-    r_transmissions = !(s.r_tx);
-    retransmissions = !(s.r_rtx);
-    acks = !(s.r_acks);
-    delivered = !delivered;
-    gave_up = List.rev !(s.r_gave_up);
+    r_makespan = s.r_mk.(0);
+    r_transmissions = s.r_tx;
+    retransmissions = s.r_rtx;
+    acks = s.r_acks;
+    delivered;
+    gave_up = List.rev s.r_gave_up;
     crashed;
     left;
     joined;
     horizon;
-    reroutes = List.rev !(s.r_reroute_log);
-    circuit_opens = !(s.r_circuit_opens);
+    reroutes = List.rev s.r_reroute_log;
+    circuit_opens = s.r_circuit_opens;
     estimator = s.r_est;
   }
 

@@ -16,12 +16,18 @@
     message sizes, transports) run concurrently while contending for the
     same per-NIC occupancy state — the broadcast-service execution model.
     Lifecycle: [launch]/[launch_reliable] validate, seed the session's
-    first event at [config.start_delay] and return a handle; the caller
-    runs the engine to quiescence and then extracts each session's
-    outcome with [result]/[reliable_result].
-    [launch_reliable] allocates only what the outcome needs; the per-rank
-    protocol state and the handlers are built when the first event fires,
-    so sessions launched far ahead of their start hold little memory.
+    first event at [config.start_delay] and return a handle.
+    [launch_reliable] allocates only what the outcome needs.  Its start
+    event takes the per-rank protocol state, the link table and the
+    handlers from a free list on the wire, or builds them if none fits, so
+    sessions launched far ahead of their start hold little memory and a
+    steady stream of sessions builds almost none.  A reliable session
+    {e completes} at the engine event after which it has nothing queued:
+    its arrivals, counters and lists are final then, it gives its protocol
+    state back to the wire, and it calls the hook set with {!on_complete}.
+    Its [horizon], [crashed], [left] and [joined] read the engine clock, so
+    the caller still runs the engine to quiescence and then extracts each
+    session's outcome with [result]/[reliable_result].
 
     Engine events: a session queues its start and each transmission's
     landing.  A reliable one also queues each ACK and each timer that can
@@ -363,6 +369,28 @@ val launch_reliable :
 
 val reliable_result : reliable_t -> reliable
 (** The session's outcome; complete only once [Engine.run] has returned. *)
+
+val on_complete : reliable_t -> (reliable_t -> unit) -> unit
+(** [on_complete s f] calls [f s] when [s] completes: at the end of the
+    engine event after which nothing of [s] is queued (at once if it
+    already has).  A settled leaf delivery counts as done at the send that
+    stamped it, which may be ahead of the engine clock.  [f] replaces any
+    earlier hook; it must not run the engine. *)
+
+val pooled : Wire.t -> int
+(** Free protocol states kept on the wire: one per session that has
+    completed there and that no later session has taken back. *)
+
+val arrivals : reliable_t -> float array
+(** The session's per-rank first-delivery times ([nan] while undelivered),
+    the array [reliable_result] returns as [r_arrival]; final once the
+    session completes. *)
+
+val drop_estimator : reliable_t -> unit
+(** Forget the session's estimator, so that [reliable_result] reads
+    [estimator = None]: for a caller that knows at completion that it will
+    not read it, so the estimator can die young.  Call it only once the
+    session has completed; before, the session still updates it. *)
 
 val population : Config.t -> Gridb_topology.Machines.t -> int
 (** Rank population of a session under [config]: machine count plus the

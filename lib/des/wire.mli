@@ -28,3 +28,17 @@ val occupy : t -> int -> start:float -> gap:float -> unit
 (** Record an injection at [start], which a sender takes as
     [max now (free_at)]: sets [free_at] to [start +. gap].  Caller must
     ensure [start >= free_at]. *)
+
+(** {2 Pooled session state}
+
+    The sessions sharing a wire keep the protocol state of the finished
+    ones here, for the next to start ({!Session.launch_reliable}): a wire
+    belongs to one engine on one domain, so the free list needs no lock. *)
+
+type spare = ..
+(** What the sessions keep on a wire, extended by {!Session}. *)
+
+type spare += Nothing  (** A fresh wire's. *)
+
+val spare : t -> spare
+val keep : t -> spare -> unit

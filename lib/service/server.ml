@@ -128,10 +128,15 @@ type entry = {
 let unplanned = { Schedule.root = 0; n = 0; events = []; ready = [||]; busy_until = [||] }
 
 (* One per request, filled in wave by wave.  [entry] is [None] for an
-   unknown policy; [decision] is the wave-0 one; [union] holds the
-   earliest arrival per base rank over every attempt so far.  The latest
-   admitted attempt starts at [start] with [schedule], at the engine seq
-   it reserved when it was decided, and is [session] once launched. *)
+   unknown policy; [decision] is the wave-0 one.  Each attempt is settled
+   when its session completes: [base] counts the base ranks delivered by
+   some attempt so far, [completion] is when the last of them first landed
+   ([nan] while one is missing), and [joined] counts the latest attempt's
+   delivered join ranks.  [union], the earliest arrival per base rank over
+   every attempt, exists only once an attempt leaves the request short
+   with retries to spare.  The latest admitted attempt starts at [start]
+   with [schedule], at the engine seq it reserved when it was decided, and
+   is [session] from its launch until the wave ends. *)
 type job = {
   request : Workload.request;
   entry : entry option;
@@ -142,6 +147,9 @@ type job = {
   mutable attempts : int;
   mutable result : Session.reliable option;
   mutable union : float array;
+  mutable base : int;
+  mutable joined : int;
+  mutable completion : float;
   mutable sheds : int;
   mutable start : float;
   mutable seq : int;
@@ -265,6 +273,38 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     Session.Config.v ~rng ~start_delay ~msg:r.Workload.msg ~obs ?faults:fmodel
       ?dynamics:dmodel ?transport ()
   in
+  (* Whether a request's attempts so far leave it short with retries to
+     spare. *)
+  let retryable j = j.base < n && j.attempts <= retry.budget in
+  (* An attempt's books, kept as its session completes, while its arrivals
+     are still in cache: merged into the union if one exists, then folded
+     in one pass into the request's base count and completion time.  Only
+     a retry's replanning reads the estimator, so a request that cannot be
+     retried drops it here, while it is likely still young. *)
+  let settle j s =
+    let arr = Session.arrivals s and u = j.union in
+    j.attempts <- j.attempts + 1;
+    let merged = Array.length u > 0 in
+    if merged then
+      for k = 0 to n - 1 do
+        let a = arr.(k) in
+        if not (Float.is_nan a) && (Float.is_nan u.(k) || a < u.(k)) then u.(k) <- a
+      done;
+    let src = if merged then u else arr in
+    let base = ref 0 and last = ref neg_infinity in
+    for k = 0 to n - 1 do
+      let a = src.(k) in
+      if not (Float.is_nan a) then begin
+        incr base;
+        if a > !last then last := a
+      end
+    done;
+    j.base <- !base;
+    j.joined <- count_delivered arr n (Array.length arr);
+    j.completion <- (if !base < n then nan else !last);
+    if not (retryable j) then Session.drop_estimator s
+    else if not merged then j.union <- Array.sub arr 0 n
+  in
   let launch j =
     let e = Option.get j.entry and schedule = j.schedule and attempt = j.attempts in
     let config = session_config j.request ~attempt ~start_delay:j.start in
@@ -277,10 +317,12 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
           plan
     in
     let sid = (attempt * nreq) + j.request.Workload.rid in
-    j.session <-
-      Some
-        (Session.launch_reliable ~sid ~seq:j.seq ~who:"Server.run" ~wire ~engine config
-           machines plan)
+    let s =
+      Session.launch_reliable ~sid ~seq:j.seq ~who:"Server.run" ~wire ~engine config machines
+        plan
+    in
+    Session.on_complete s (settle j);
+    j.session <- Some s
   in
   let emit ev = if Sink.enabled obs then Sink.emit obs ev in
   (* Every admission, wave 0 or retry: a shed is counted on the request
@@ -323,6 +365,9 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
             attempts = 0;
             result = None;
             union = [||];
+            base = 0;
+            joined = 0;
+            completion = nan;
             sheds = 0;
             start = r.Workload.at;
             seq = 0;
@@ -354,18 +399,13 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
      previous wave's horizon.  A wave is decided in the previous wave's
      order, and its sessions launch in start order. *)
   let sessions_finished = ref 0 and sessions_opened = ref 0 in
+  (* At the wave's quiescence, where the result's horizon is read. *)
   let absorb j =
     let res = Session.reliable_result (Option.get j.session) in
-    j.attempts <- j.attempts + 1;
+    j.session <- None;
     j.result <- Some res;
     incr sessions_finished;
-    if res.Session.circuit_opens > 0 then incr sessions_opened;
-    if Array.length j.union = 0 then j.union <- Array.make n nan;
-    let u = j.union in
-    for k = 0 to n - 1 do
-      let a = res.Session.r_arrival.(k) in
-      if not (Float.is_nan a) && (Float.is_nan u.(k) || a < u.(k)) then u.(k) <- a
-    done
+    if res.Session.circuit_opens > 0 then incr sessions_opened
   in
   let requeue open_frac j =
     let r = j.request and e = Option.get j.entry and prev = Option.get j.result in
@@ -373,7 +413,9 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     let backoff = retry.backoff_us *. Float.pow 2. (float_of_int (attempt - 1)) in
     let retry_at = Float.max (Engine.now engine) (prev.Session.r_makespan +. backoff) in
     match admit ~open_frac j ~now:retry_at with
-    | Admission.Reject _ -> false
+    | Admission.Reject _ ->
+        j.result <- Some { prev with Session.estimator = None };
+        false
     | Admission.Admit ->
         let estimator = prev.Session.estimator in
         let compute () =
@@ -408,9 +450,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
       starts;
     Engine.run engine;
     List.iter absorb wave;
-    match
-      List.filter (fun j -> j.attempts <= retry.budget && count_delivered j.union 0 n < n) wave
-    with
+    match List.filter retryable wave with
     | [] -> ()
     | queue ->
         let open_frac = float_of_int !sessions_opened /. float_of_int !sessions_finished in
@@ -432,18 +472,7 @@ let run ?(jobs = 1) ?transport ?admission ?cache ?(obs = Sink.null) ?(seed = 0)
     Array.map
       (fun j ->
         let request = j.request in
-        let delivered_union, completion_us =
-          match j.result with
-          | None -> (0, nan)
-          | Some res ->
-              let base = count_delivered j.union 0 n in
-              let arrival = res.Session.r_arrival in
-              let join_delivered = count_delivered arrival n (Array.length arrival) in
-              let completion =
-                if base < n then nan else Array.fold_left Float.max neg_infinity j.union
-              in
-              (base + join_delivered, completion)
-        in
+        let delivered_union = j.base + j.joined and completion_us = j.completion in
         (* A NaN completion (some base rank never delivered) misses. *)
         let deadline_met =
           match j.result with

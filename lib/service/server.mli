@@ -58,7 +58,10 @@ type outcome = {
   predicted_us : float;  (** the plan's predicted makespan *)
   decision : Admission.decision;  (** the {e wave-0} admission decision *)
   result : Gridb_des.Session.reliable option;
-      (** final attempt's outcome; [None] iff never admitted *)
+      (** final attempt's outcome; [None] iff never admitted.  Its
+          [estimator] is [None] once the request can no longer be retried
+          (every base rank delivered, the retry budget spent, or the retry
+          rejected at admission): only a retry's replanning reads it. *)
   attempts : int;  (** sessions launched for this request (0 if rejected) *)
   delivered_union : int;
       (** ranks delivered by {e any} attempt (base ranks union across

@@ -1104,6 +1104,119 @@ let test_overhead_shapes () =
   check_feq "cost scales" (2. *. Overhead.cost_us ~per_evaluation_us:1. ~n:10 Policy.ecef)
     (Overhead.cost_us ~per_evaluation_us:2. ~n:10 Policy.ecef)
 
+(* --- pooled session state ------------------------------------------------ *)
+
+module Wire = Gridb_des.Wire
+module Faults = Gridb_des.Faults
+module Dynamics = Gridb_des.Dynamics
+
+(* An ECEF-LA plan over GRID5000, a dynamics spec whose joins extend the
+   rank space, and a wire wide enough for them. *)
+let pool_fixture () =
+  let m = machines () in
+  let inst = Instance.of_grid ~root:0 ~msg:1_000_000 (Grid5000.grid ()) in
+  let plan = Plan.of_cluster_schedule m (Gridb_sched.Engine.run Policy.ecef_la inst) in
+  let dspec = Dynamics.v ~drift_rate:2e-5 ~leave_rate:1e-7 ~join_rate:1e-4 ~join_max:5 () in
+  (m, plan, dspec, Machines.count m + dspec.Dynamics.join_max)
+
+(* A session with joins on a lossy adaptive rerouting transport, or a
+   fault-free fixed one, due at [at]. *)
+let pool_session ~joins (m, plan, dspec, _) ~wire ~engine ~at =
+  let n = Machines.count m in
+  let rng = Rng.create 17 in
+  let config =
+    if joins then
+      let dynamics =
+        Dynamics.create ~seed:5 ~t0:at ~n ~clusters:(Array.length Grid5000.cluster_sizes) dspec
+      in
+      let faults = Faults.create ~seed:6 ~t0:at ~n (Faults.v ~loss:0.2 ~crash_rate:1e-7 ()) in
+      Session.Config.v ~rng ~start_delay:at ~dynamics ~faults ~tick_every:1e4
+        ~transport:(Session.adaptive ~reroute:true ()) ()
+    else Session.Config.v ~rng ~start_delay:at ()
+  in
+  Session.launch_reliable ~wire ~engine config m plan
+
+let comparable (r : Session.reliable) =
+  let view est =
+    let n = Gridb_des.Adaptive.size est in
+    List.init (n * n) (fun l ->
+        Gridb_des.Adaptive.srtt est ~src:(l / n) ~dst:(l mod n),
+        Gridb_des.Adaptive.samples est ~src:(l / n) ~dst:(l mod n))
+  in
+  ({ r with estimator = None }, Option.map view r.estimator)
+
+(* A session that takes the state another left on the wire — of another
+   size, where one has joins and the other none — equals the same session
+   on a fresh wire. *)
+let test_session_pool_across_sizes () =
+  let ((m, _, _, width) as fx) = pool_fixture () in
+  let check ~first ~second =
+    let wire = Wire.create ~n:width and engine = Engine.create () in
+    let a = pool_session ~joins:first fx ~wire ~engine ~at:0. in
+    Alcotest.(check int) "nothing pooled before a start" 0 (Session.pooled wire);
+    Engine.run engine;
+    let a = Session.reliable_result a in
+    Alcotest.(check int) "the first session's state is pooled" 1 (Session.pooled wire);
+    if first then
+      Alcotest.(check bool) "the first session rerouted and joined" true
+        (a.Session.reroutes <> [] && a.Session.joined <> []
+        && Array.length a.Session.r_arrival > Machines.count m);
+    let at = Engine.now engine +. 10. in
+    Engine.run_until engine at;
+    let b = pool_session ~joins:second fx ~wire ~engine ~at in
+    Engine.run engine;
+    Alcotest.(check int) "one state serves both" 1 (Session.pooled wire);
+    let fresh_wire = Wire.create ~n:width and fresh_engine = Engine.create () in
+    Engine.run_until fresh_engine at;
+    let b' = pool_session ~joins:second fx ~wire:fresh_wire ~engine:fresh_engine ~at in
+    Engine.run fresh_engine;
+    Alcotest.(check bool)
+      (Printf.sprintf "reused state (joins %b then %b) = fresh state" first second)
+      true
+      (compare (comparable (Session.reliable_result b)) (comparable (Session.reliable_result b'))
+      = 0)
+  in
+  check ~first:true ~second:false;
+  check ~first:false ~second:true;
+  check ~first:true ~second:true
+
+(* Concurrent sessions take one state each, and give all of them back. *)
+let test_session_pool_concurrent () =
+  let fx = pool_fixture () in
+  let _, _, _, width = fx in
+  let wire = Wire.create ~n:width and engine = Engine.create () in
+  let completed = ref [] in
+  let sessions =
+    List.init 3 (fun i ->
+        let s = pool_session ~joins:(i = 1) fx ~wire ~engine ~at:(float_of_int i) in
+        Session.on_complete s (fun s -> completed := s :: !completed);
+        s)
+  in
+  Engine.run engine;
+  Alcotest.(check int) "every session completed once" 3 (List.length !completed);
+  Alcotest.(check int) "three states pooled" 3 (Session.pooled wire);
+  List.iter
+    (fun s ->
+      let r = Session.reliable_result s in
+      Alcotest.(check int) "arrivals final at completion" r.Session.delivered
+        (Array.fold_left (fun c a -> if Float.is_nan a then c else c + 1) 0 (Session.arrivals s)))
+    sessions;
+  (* A hook set after completion runs at once. *)
+  let late = ref false in
+  Session.on_complete (List.hd sessions) (fun _ -> late := true);
+  Alcotest.(check bool) "late hook runs" true !late
+
+(* Repetitions on several domains each run on their own wire, so the pool
+   is never shared: the summary is the same bit for bit. *)
+let test_session_mean_reliable_jobs () =
+  let m, plan, _, _ = pool_fixture () in
+  let spec = Faults.v ~loss:0.15 ~crash_rate:1e-7 ~degrade_rate:1e-6 () in
+  let run jobs =
+    Session.mean_reliable ~repetitions:4 ~jobs ~seed:11 ~spec
+      ~transport:(Session.adaptive ~reroute:true ()) m plan
+  in
+  Alcotest.(check bool) "jobs 2 = jobs 1" true (compare (run 1) (run 2) = 0)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "des"
@@ -1159,6 +1272,9 @@ let () =
           quick "a tied timer keeps its ACK queued" test_session_tied_timer_keeps_ack;
           quick "an armed timer keeps its place" test_session_armed_timer_keeps_its_place;
           quick "queues only the timers that fire" test_session_queues_only_firing_timers;
+          quick "pooled state across sizes" test_session_pool_across_sizes;
+          quick "pooled state of concurrent sessions" test_session_pool_concurrent;
+          quick "mean_reliable jobs-invariant" test_session_mean_reliable_jobs;
           quick "seeded noise" test_exec_noise_perturbs_but_is_seeded;
           quick "mean makespan" test_exec_mean_makespan_reasonable;
           QCheck_alcotest.to_alcotest exec_arrival_monotone_along_tree;

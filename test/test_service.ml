@@ -877,6 +877,36 @@ let test_server_chaotic_stream_golden () =
     (report.Server.cache_stats.Plan_cache.invalidations > 0);
   Alcotest.(check string) "chaotic stream" "6a9a6ea9fccef314b27c4f8834bcbf32" (stream_md5 sink)
 
+(* A request that can no longer be retried keeps no estimator in its
+   outcome, delivered or not; a retry still replans on its previous
+   attempt's estimator: with a low divergence threshold, only an estimator
+   handed to the cache can invalidate a cached plan. *)
+let test_server_drops_spent_estimators () =
+  let machines, requests = chaotic_fixture () in
+  let report =
+    Server.run
+      ~cache:(Plan_cache.create ~threshold:0.02 ())
+      ~transport:(Session.adaptive ~reroute:true ())
+      ~faults:(Gridb_des.Faults.v ~loss:0.45 ~crash_rate:2e-7 ~degrade_rate:1e-6 ())
+      ~retry:(Server.retry ~budget:2 ()) machines requests
+  in
+  let n = Machines.count machines and delivered = ref 0 in
+  Array.iter
+    (fun (o : Server.outcome) ->
+      match o.Server.result with
+      | None -> ()
+      | Some res ->
+          if o.Server.delivered_union = n then incr delivered;
+          Alcotest.(check bool)
+            (Printf.sprintf "request %d keeps no estimator" o.Server.request.Workload.rid)
+            true
+            (match res.Session.estimator with None -> true | Some _ -> false))
+    report.Server.outcomes;
+  Alcotest.(check bool) "some requests delivered in full" true (!delivered > 0);
+  Alcotest.(check bool) "retries ran" true (report.Server.requeues > 0);
+  Alcotest.(check bool) "retries replanned on an estimator" true
+    (report.Server.cache_stats.Plan_cache.invalidations > 0)
+
 (* A retry wave is decided in the previous wave's order, but its starts
    need not come in that order.  Crashes leave both requests short of
    ranks; request 0's long 4 MB broadcast ends after request 1's short
@@ -1112,6 +1142,7 @@ let () =
           quick "shedding protects high priority" test_server_shedding_protects_high_priority;
           quick "deadline bookkeeping" test_server_deadline_bookkeeping;
           quick "chaotic event stream pinned" test_server_chaotic_stream_golden;
+          quick "spent requests keep no estimator" test_server_drops_spent_estimators;
           quick "chaotic smoke lines jobs-invariant" test_server_chaotic_jobs_invariant;
           quick "retry wave launches in start order" test_server_retry_wave_order;
         ] );
