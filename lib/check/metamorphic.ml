@@ -174,9 +174,13 @@ let transport_equivalence ?(msg = 1_000_000) ?(seed = 0) machines plan =
       (r.r_arrival, r.r_makespan, r.r_transmissions, r.retransmissions))
     (fun _ -> (base.arrival, base.makespan, base.transmissions, 0))
 
+type view =
+  Gridb_des.Session.reliable
+  * (float option * float option * int * [ `Closed | `Open | `Half_open ]) list option
+
 (* A result with its estimator read on every link, for [compare], not
    [=], as an undelivered rank's arrival is nan. *)
-let comparable (r : Gridb_des.Session.reliable) =
+let comparable (r : Gridb_des.Session.reliable) : view =
   let view est =
     let n = Gridb_des.Adaptive.size est in
     List.init (n * n) (fun l ->
@@ -188,6 +192,11 @@ let comparable (r : Gridb_des.Session.reliable) =
 
 let same_reliable a b = compare (comparable a) (comparable b) = 0
 
+(* A 1 us RTO fires before any ACK lands, so those timers are queued. *)
+let tight =
+  ( "adaptive with a 1 us RTO",
+    Gridb_des.Session.adaptive ~config:(Gridb_des.Adaptive.v ~rto_min:1. ~rto_max:1. ()) () )
+
 let timer_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let open Gridb_des in
   let n = Gridb_topology.Machines.count machines in
@@ -196,28 +205,52 @@ let timer_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
     let r = reliable ~msg ~seed ~obs:sink ?faults transport machines plan in
     (comparable r, List.map Gridb_obs.Event.to_json (Gridb_obs.Sink.events sink))
   in
-  (* A 1 us RTO fires before any ACK lands, so those timers are queued. *)
-  let tight = Session.adaptive ~config:(Adaptive.v ~rto_min:1. ~rto_max:1. ()) () in
   agree "timer-elision"
     ~what:(fun (_, x) (_, y) ->
       Printf.sprintf "faults = None and an empty fault model differ (%d and %d events)"
         (List.length x) (List.length y))
-    (transports @ [ ("adaptive with a 1 us RTO", tight) ])
+    (transports @ [ tight ])
     run
     (fun t -> run ~faults:(Faults.create ~seed ~n Faults.none) t)
+
+(* An adaptive rerouting transport whose RTO, fixed, is the median over
+   the plan's edges of the data's latency plus half the ACK's (at least
+   1 us): on the edges near the median the data lands before the timer
+   and the ACK after it, the slower edges time out and retransmit or
+   reroute, and the faster ones settle.  None for a plan with no edge. *)
+let straddling machines plan =
+  let open Gridb_des in
+  let latency a b = Gridb_plogp.Params.latency (Gridb_topology.Machines.link_params machines a b) in
+  let parent = Plan.parent_array plan in
+  let children = List.filter (fun c -> parent.(c) <> c) (List.init (Array.length parent) Fun.id) in
+  let wait c = latency parent.(c) c +. (latency c parent.(c) /. 2.) in
+  match List.sort Float.compare (List.map wait children) with
+  | [] -> []
+  | sorted ->
+      let rto = Float.max 1. (List.nth sorted (List.length sorted / 2)) in
+      [
+        ( "adaptive,reroute with an RTO straddling the ACKs",
+          Session.adaptive ~config:(Adaptive.v ~rto_min:rto ~rto_max:rto ()) ~reroute:true () );
+      ]
 
 let ack_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
   let open Gridb_des in
   let n = Gridb_topology.Machines.count machines in
   let clusters = Gridb_topology.Grid.size (Gridb_topology.Machines.grid machines) in
   (* Fresh models per run, as a run consumes their draws; ticks only with
-     dynamics, as they keep every ACK queued. *)
+     dynamics, as they keep every ACK queued.  Under faults, first
+     deliveries settle their ACKs while lost, cut, retransmitted and
+     rerouted edges keep theirs queued; the 1 us RTO times every first try
+     out before its ACK lands. *)
   let cells =
     [
       ("", fun () -> (None, None, 0.));
       ( " under faults",
         fun () ->
-          let spec = Faults.v ~loss:0.2 ~degrade_rate:1e-5 ~degrade_mean:1e4 ~crash_rate:1e-6 () in
+          let spec =
+            Faults.v ~loss:0.2 ~cut_rate:1e-5 ~degrade_rate:1e-5 ~degrade_mean:1e4
+              ~crash_rate:1e-6 ()
+          in
           (Some (Faults.create ~seed ~n spec), None, 0.) );
       ( " under dynamics",
         fun () ->
@@ -238,7 +271,10 @@ let ack_elision ?(msg = 1_000_000) ?(seed = 0) machines plan =
         "a run without a sink differs from the traced run: horizon %.17g vs %.17g, %d vs %d acks"
         x.horizon y.horizon x.acks y.acks)
     (List.concat_map
-       (fun (cell, models) -> List.map (fun (name, t) -> (name ^ cell, (t, models))) transports)
+       (fun (cell, models) ->
+         List.map
+           (fun (name, t) -> (name ^ cell, (t, models)))
+           (transports @ (tight :: straddling machines plan)))
        cells)
     run
     (fun cell -> run ~obs:(Gridb_obs.Sink.memory ()) cell)

@@ -71,13 +71,21 @@ val transport_equivalence :
     must be {e exactly} equal and no retransmission may fire.  [msg]
     defaults to 1 MB, [seed] to 0. *)
 
+type view
+(** A reliable result with its estimator read on every link. *)
+
+val comparable : Gridb_des.Session.reliable -> view
+(** Every field of the result but the estimator, and the estimator's
+    SRTT, RTTVAR, sample count and breaker state on every link.  Compare
+    views with [compare], not [=]: an undelivered rank's arrival is NaN. *)
+
 val timer_elision :
   ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t ->
   Invariant.outcome
 (** ["timer-elision"]: {!Gridb_des.Session.run_reliable} with
-    [faults = None] against the same run under an empty fault model, which
-    settles no ACK unqueued: equal results (estimators read on every link)
-    and byte-identical JSONL streams,
+    [faults = None] against the same run under an empty fault model, both
+    with a memory sink, so neither settles an ACK unqueued: equal results
+    (estimators read on every link) and byte-identical JSONL streams,
     under fixed, adaptive, adaptive+reroute, and adaptive with a 1 us RTO
     (whose timers fire).  [msg] defaults to 1 MB, [seed] to 0. *)
 
@@ -85,13 +93,16 @@ val ack_elision :
   ?msg:int -> ?seed:int -> Gridb_topology.Machines.t -> Gridb_des.Plan.t ->
   Invariant.outcome
 (** ["ack-elision"]: {!Gridb_des.Session.run_reliable} without a sink
-    (fixed sessions settle fault-free ACKs unqueued, and a leaf's
-    delivery at the send, and unarmed timers have no handle) against the
-    same run with a memory sink: equal in every result field, horizon
-    included, in what the estimators read on every link and in the number
-    of estimator ticks, under each transport with no model, under a lossy,
-    crashing and degrading fault model, and under a dynamics model with
-    drift, leaves, joins and ticks.
+    (every session settles the ACK of a first delivery that lands before
+    its timer unqueued, a fault-free fixed one also a leaf's delivery at
+    the send; unarmed timers have no handle)
+    against the same run with a memory sink: equal in every result field,
+    horizon included, in what the estimators read on every link and in the
+    number of estimator ticks.  Each of fixed, adaptive, adaptive+reroute
+    and adaptive with a 1 us RTO (whose first tries time out before their
+    ACKs land) runs with no model, under a lossy, cutting, crashing and
+    degrading fault model, and under a dynamics model with drift, leaves,
+    joins and ticks.
     [msg] defaults to 1 MB, [seed] to 0. *)
 
 val dynamics_identity :

@@ -144,6 +144,15 @@ let crash_time t i =
   check_rank t i "crash_time";
   t.t0 +. t.crash.(i)
 
+(* A loop, not [Array.map]: mapping a float array boxes every element
+   read and every result. *)
+let crash_times t =
+  let times = Array.make t.n infinity in
+  for i = 0 to t.n - 1 do
+    times.(i) <- t.t0 +. t.crash.(i)
+  done;
+  times
+
 let crashed t i ~at = crash_time t i <= at
 
 let link_index t ~src ~dst name =

@@ -93,6 +93,9 @@ val size : t -> int
 val crash_time : t -> int -> float
 (** When rank [i] halts; [infinity] if never. *)
 
+val crash_times : t -> float array
+(** {!crash_time} of every rank, in a fresh array of {!size} entries. *)
+
 val crashed : t -> int -> at:float -> bool
 
 val cut_time : t -> src:int -> dst:int -> float

@@ -325,10 +325,12 @@ type proto = {
   mutable tracing : bool;
   mutable observed : bool;
   mutable lossy : bool;
+  mutable cuts : bool;
   mutable slows : bool;
   mutable sampled : bool;
   mutable reroute : bool;
-  mutable settle_acks : bool;
+  mutable quiet : bool;
+  mutable settle_leaves : bool;
   mutable dyn_on : bool;
   mutable max_reroutes : int;
   mutable next_join : int;
@@ -391,15 +393,6 @@ let idle =
     r_on_complete = no_hook;
   }
 
-(* The fault-free ACK of the edge into [dst], landing at [cells.(0)]:
-   counted, and the edge acknowledged with no timer, without an engine
-   event. *)
-let settle_ack st engine dst =
-  st.s.r_acks <- st.s.r_acks + 1;
-  st.acked.(dst) <- st.epoch;
-  st.seqs.(dst) <- -1;
-  Engine.unqueued_event engine st.cells
-
 (* One of the session's queued events has popped. *)
 let[@inline] popped st = st.live <- st.live - 1
 
@@ -407,6 +400,54 @@ let[@inline] has_msg st r = not (Float.is_nan st.s.r_arr.(r))
 
 let emit st e =
   Sink.emit st.cfg.Config.obs (match st.sid with None -> e | Some sid -> Event.tag ~sid e)
+
+(* The ACK of [parent -> child] landing at [now]: counted, its round trip
+   sampled by the estimator, and the edge acknowledged, its timer
+   cancelled.  Inlined, so a caller's [now] is boxed only for the
+   estimator. *)
+let[@inline] acknowledge st engine ~now parent child =
+  let s = st.s in
+  s.r_acks <- s.r_acks + 1;
+  (* RTT sample for the estimator — only for the edge currently armed (a
+     stale ACK from a pre-reroute parent must not be attributed to the new
+     link), and per Karn's rule flagged ambiguous when the edge has
+     retransmitted. *)
+  (match st.est with
+  | Some est
+    when parent = st.cur_parent.(child)
+         && st.acked.(child) <> st.epoch
+         (* Under contention a retransmission can be armed for a queued
+            future NIC slot; an ACK of an earlier try then lands before
+            [last_start] — ambiguous per Karn, so no sample. *)
+         && now >= st.last_start.(child) ->
+      let rtt = now -. st.last_start.(child) in
+      (match
+         Adaptive.on_sample est ~src:parent ~dst:child ~rtt
+           ~retransmitted:(st.cur_try.(child) > 0) ~now
+       with
+      | `No_change -> ()
+      | `Opened ->
+          s.r_circuit_opens <- s.r_circuit_opens + 1;
+          if st.tracing then emit st (Event.Circuit_open { src = parent; dst = child; time = now })
+      | `Closed ->
+          if st.tracing then emit st (Event.Circuit_close { src = parent; dst = child; time = now }))
+  | _ -> ());
+  if st.acked.(child) <> st.epoch then begin
+    st.acked.(child) <- st.epoch;
+    let timer = st.timers.(child) in
+    if timer != Engine.no_timer then begin
+      if Engine.queued timer then st.live <- st.live - 1;
+      Engine.cancel engine timer;
+      st.timers.(child) <- Engine.no_timer
+    end;
+    st.seqs.(child) <- -1
+  end
+
+(* The ACK of [parent -> child], landing at [cells.(0)], applied without
+   an engine event: only the horizon sees when it lands. *)
+let settle st engine parent child =
+  acknowledge st engine ~now:st.cells.(ack_time) parent child;
+  Engine.unqueued_event engine st.cells
 
 (* Link parameters generalised to join ranks: a joining machine gets fresh
    links with its cluster's nominal intra parameters, and the nominal
@@ -440,12 +481,12 @@ let link st src dst =
 let fresh_link st src dst = src >= st.n || dst >= st.n
 
 (* Whether a message on [src -> dst] injected at [at] is lost to the fault
-   model: a loss draw, then a cut.  Called only under a fault model, so a
-   fault-free send boxes no [at]. *)
-let faulty st src dst ~at =
+   model: a loss draw, then a cut if the model cuts links.  Inlined, so
+   [at] is boxed only for {!Faults.link_up}. *)
+let[@inline] faulty st src dst ~at =
   match st.cfg.Config.faults with
   | Some f when not (fresh_link st src dst) ->
-      Faults.lose f ~src ~dst || not (Faults.link_up f ~src ~dst ~at)
+      Faults.lose f ~src ~dst || (st.cuts && not (Faults.link_up f ~src ~dst ~at))
   | _ -> false
 
 let slowdown st src dst ~at =
@@ -624,13 +665,13 @@ and attempt st src dst try_no engine =
        lands before the deadline [data_arrives] would only stamp [arr] and
        settle the ACK: both happen here, and neither is queued. *)
     let leaf =
-      st.settle_acks && try_no = 0 && dst < st.n
+      st.settle_leaves && try_no = 0 && dst < st.n
       && match st.plan.Plan.children.(dst) with [] -> true | _ :: _ -> false
     in
     if leaf then st.cells.(ack_time) <- arr +. st.links.(link st dst src + 1);
     if leaf && st.cells.(ack_time) < deadline then begin
       s.r_arr.(dst) <- arr;
-      settle_ack st engine dst
+      settle st engine src dst
     end
     else begin
       if not lost then begin
@@ -681,10 +722,18 @@ and data_arrives st engine edge =
   if st.seqs.(dst) >= 0 && (ack_lost || ack_at >= st.deadlines.(dst)) then arm st dst engine;
   if ack_lost then ()
   (* A queued timer (one this ACK cannot cancel first) must find the ACK
-     queued. *)
-  else if st.settle_acks && st.timers.(dst) == Engine.no_timer then begin
+     queued.  The ACK settles at once when it acknowledges the only data
+     ever sent to [dst] and lands before its still-unqueued timer: then
+     no event that reads or writes the edges into [dst] can run first
+     ([dst] holds the message, so no reroute picks it, and no other copy
+     is in flight). *)
+  else if
+    st.quiet && st.seqs.(dst) >= 0 && st.cur_try.(dst) = 0
+    && src = st.cur_parent.(dst)
+    && ((not st.reroute) || st.reroutes_used.(dst) = 0)
+  then begin
     st.cells.(ack_time) <- ack_at;
-    settle_ack st engine dst
+    settle st engine src dst
   end
   else begin
     st.live <- st.live + 1;
@@ -694,44 +743,9 @@ and data_arrives st engine edge =
 and ack_arrives st engine edge =
   let parent = edge / st.ntot and child = edge mod st.ntot in
   if st.dyn_on then dyn_tick st engine;
-  let s = st.s in
-  s.r_acks <- s.r_acks + 1;
   let now = Engine.now engine in
   if st.tracing then emit st (Event.Ack { src = child; dst = parent; time = now });
-  (* RTT sample for the estimator — only for the edge currently armed (a
-     stale ACK from a pre-reroute parent must not be attributed to the new
-     link), and per Karn's rule flagged ambiguous when the edge has
-     retransmitted. *)
-  (match st.est with
-  | Some est
-    when parent = st.cur_parent.(child)
-         && st.acked.(child) <> st.epoch
-         (* Under contention a retransmission can be armed for a queued
-            future NIC slot; an ACK of an earlier try then lands before
-            [last_start] — ambiguous per Karn, so no sample. *)
-         && now >= st.last_start.(child) ->
-      let rtt = now -. st.last_start.(child) in
-      (match
-         Adaptive.on_sample est ~src:parent ~dst:child ~rtt
-           ~retransmitted:(st.cur_try.(child) > 0) ~now
-       with
-      | `No_change -> ()
-      | `Opened ->
-          s.r_circuit_opens <- s.r_circuit_opens + 1;
-          if st.tracing then emit st (Event.Circuit_open { src = parent; dst = child; time = now })
-      | `Closed ->
-          if st.tracing then emit st (Event.Circuit_close { src = parent; dst = child; time = now }))
-  | _ -> ());
-  if st.acked.(child) <> st.epoch then begin
-    st.acked.(child) <- st.epoch;
-    let timer = st.timers.(child) in
-    if Engine.queued timer then st.live <- st.live - 1;
-    if timer != Engine.no_timer then begin
-      Engine.cancel engine timer;
-      st.timers.(child) <- Engine.no_timer
-    end;
-    st.seqs.(child) <- -1
-  end
+  acknowledge st engine ~now parent child
 
 and timeout st engine payload =
   let ntot = st.ntot in
@@ -944,10 +958,12 @@ let fresh_proto wire ~ntot machines plan =
       tracing = false;
       observed = false;
       lossy = false;
+      cuts = false;
       slows = false;
       sampled = false;
       reroute = false;
-      settle_acks = false;
+      quiet = false;
+      settle_leaves = false;
       dyn_on = false;
       max_reroutes = 0;
       next_join = 0;
@@ -1078,20 +1094,30 @@ let start ~sid ~who ~wire (s : reliable_t) (config : Config.t) machines plan eng
   if st.sampled && Array.length st.last_start <> ntot then st.last_start <- Array.make ntot nan;
   if st.reroute && Array.length st.reroutes_used <> ntot then
     st.reroutes_used <- Array.make ntot 0;
+  (* A fault process that is off is never consulted: without cuts every
+     link stays up, and without degradation or dynamics no link slows. *)
   st.lossy <- faults <> None;
-  st.slows <- faults <> None || dynamics <> None;
+  (match faults with
+  | Some f ->
+      let spec = Faults.spec f in
+      st.cuts <- spec.Faults.cut_rate > 0.;
+      st.slows <- spec.Faults.degrade_rate > 0. || dynamics <> None
+  | None ->
+      st.cuts <- false;
+      st.slows <- dynamics <> None);
   st.next_join <- 0;
   st.cells.(next_tick) <- (if tick_every > 0. then start_delay +. tick_every else infinity);
   st.dyn_on <- Array.length joins > 0 || tick_every > 0.;
-  (* In a fault-free exact session, only the horizon and [acks] see an ACK
-     that no sink, estimator, tick, join or queued timer sees:
-     [data_arrives] settles it at once, and [attempt] a leaf's with its
-     delivery. *)
+  (* Without a sink, tick or join, only the horizon, [acks] and the
+     estimator see an ACK land, so [data_arrives] settles the ACK of a
+     first delivery at once.  In a fault-free exact fixed session
+     [attempt] settles a leaf's with its delivery. *)
   st.observed <- Engine.observed engine;
-  st.settle_acks <-
-    (not st.slows)
+  st.quiet <- (not st.tracing) && (not st.observed) && not st.dyn_on;
+  st.settle_leaves <-
+    st.quiet && (not st.lossy) && (not st.slows)
     && (match noise with Noise.Exact -> true | _ -> false)
-    && transport = Fixed && (not st.tracing) && (not st.observed) && not st.dyn_on;
+    && transport = Fixed;
   st.live <- 0;
   let now = Engine.now engine and root = plan.Plan.root in
   if st.halt_at.(root) > now then begin
@@ -1133,7 +1159,7 @@ let launch_reliable ?sid ?seq ?(who = "Session.launch_reliable") ~wire ~engine
       r_est = est;
       r_crash =
         (match config.Config.faults with
-        | Some f -> Array.init n (Faults.crash_time f)
+        | Some f -> Faults.crash_times f
         | None -> [||]);
       r_leave =
         (match config.Config.dynamics with

@@ -30,16 +30,20 @@
     session's outcome with [result]/[reliable_result].
 
     Engine events: a session queues its start and each transmission's
-    landing.  A reliable one also queues each ACK and each timer that can
-    fire, except under [Noise.Exact] with no fault or dynamics model: a
-    try whose ACK lands strictly before its deadline queues no timer (an
-    {!Engine.unqueued_timer} on an engine with a sink), and a [Fixed]
-    session with no sink on itself or its engine and no ticks settles such
-    a try's ACK on delivery, leaving its landing time as the engine's
-    {!Engine.unqueued_event} watermark; a first try to a planned leaf
-    settles its delivery too, at the send.  Results and horizon are the
-    same once the engine is quiescent, and only then complete: a leaf's
-    arrival is stamped ahead of the engine clock.
+    landing.  A reliable one also queues each timer that can fire (a try
+    whose ACK lands strictly before its deadline queues none: an
+    {!Engine.unqueued_timer} on an engine with a sink) and each ACK, but
+    with no sink on the session or its engine and no ticks or joins it
+    settles some ACKs on delivery instead: counted, sampled by the
+    estimator at their landing time and the edge acknowledged, with the
+    landing time left as the engine's {!Engine.unqueued_event} watermark.
+    It settles the ACK of a first delivery (try 0, never rerouted) that
+    is not lost and lands before its deadline; a [Fixed] session under
+    [Noise.Exact] with no fault or dynamics model also settles a first
+    try's delivery to a planned leaf, at the send.  Results and horizon
+    are the same once the engine is quiescent, and only then complete: a
+    leaf's arrival and a settled ACK's estimator sample run ahead of the
+    engine clock.
 
     Observability: sessions publish their full event stream to the
     [config.obs] sink — [Send_start]/[Send_end]/[Arrival] (plus
@@ -374,7 +378,8 @@ val on_complete : reliable_t -> (reliable_t -> unit) -> unit
 (** [on_complete s f] calls [f s] when [s] completes: at the end of the
     engine event after which nothing of [s] is queued (at once if it
     already has).  A settled leaf delivery counts as done at the send that
-    stamped it, which may be ahead of the engine clock.  [f] replaces any
+    stamped it, and a settled ACK at the delivery that settled it, either
+    of which may be ahead of the engine clock.  [f] replaces any
     earlier hook; it must not run the engine. *)
 
 val pooled : Wire.t -> int

@@ -1217,6 +1217,90 @@ let test_session_mean_reliable_jobs () =
   in
   Alcotest.(check bool) "jobs 2 = jobs 1" true (compare (run 1) (run 2) = 0)
 
+(* Under loss and crashes, an untraced adaptive rerouting session settles
+   the ACK of each first delivery that lands before its timer: it equals
+   the traced run, which queues every ACK, on every result field and
+   every estimator link, and pops fewer events.  With a 1 us RTO every
+   first try times out before its ACK lands, so every ACK is of a
+   retransmitted or rerouted edge and stays queued: both runs pop the same
+   events. *)
+let test_session_settles_lossy_acks () =
+  let m, plan, _, _ = pool_fixture () in
+  let n = Machines.count m in
+  let run transport obs =
+    let engine = Engine.create ~obs () in
+    let faults = Faults.create ~seed:7 ~n (Faults.v ~loss:0.15 ~crash_rate:3e-8 ()) in
+    let s =
+      Session.launch_reliable ~wire:(Wire.create ~n) ~engine
+        (Session.Config.v ~rng:(Rng.create 3) ~obs ~faults ~transport ())
+        m plan
+    in
+    Engine.run engine;
+    let r = Session.reliable_result s in
+    (Engine.processed engine, r, Gridb_check.Metamorphic.comparable r)
+  in
+  let check transport =
+    let quiet, r, view = run transport Gridb_obs.Sink.null in
+    let traced, _, view' = run transport (Gridb_obs.Sink.memory ()) in
+    Alcotest.(check bool) "same result as the traced run" true (compare view view' = 0);
+    (quiet, traced, r)
+  in
+  let quiet, traced, r = check (Session.adaptive ~reroute:true ()) in
+  Alcotest.(check bool) "some edges retransmit, some reroute, some ranks crash" true
+    (r.Session.retransmissions > 0 && r.Session.reroutes <> [] && r.Session.crashed <> []);
+  Alcotest.(check int) "events popped" 160 quiet;
+  Alcotest.(check bool) (Printf.sprintf "fewer than traced (%d)" traced) true (quiet < traced);
+  let tight =
+    Session.adaptive ~config:(Gridb_des.Adaptive.v ~rto_min:1. ~rto_max:1. ()) ~reroute:true ()
+  in
+  let quiet, traced, r = check tight in
+  Alcotest.(check bool) "edges retransmit" true (r.Session.retransmissions > 0);
+  Alcotest.(check int) "no ACK settled under a 1 us RTO" traced quiet
+
+(* On three ranks in a chain, the data to rank 2 is lost, and rank 1 and
+   the root crash before its timer fires: rank 2 is orphaned with no live
+   delivered parent, so it is still parked when the session completes.
+   The state the session pools must not keep it: the next session on the
+   wire, a fault-free rerouting one, equals the same session on a fresh
+   wire. *)
+let test_session_pool_resets_pending () =
+  let grid = "grid 1\ncluster 0 a 3 L 10 G 0:100,1000000:100" in
+  let m = Machines.expand (Result.get_ok (Gridb_topology.Serialize.of_string grid)) in
+  let plan = Plan.v ~root:0 ~children:[| [ 1 ]; [ 2 ]; [] |] in
+  let reroute = Session.adaptive ~reroute:true () in
+  let wire = Wire.create ~n:3 and engine = Engine.create () in
+  let faults = Faults.create ~seed:86 ~n:3 (Faults.v ~loss:0.5 ~crash_rate:1e-3 ()) in
+  let a =
+    Session.launch_reliable ~wire ~engine
+      (Session.Config.v ~msg:1_000 ~rng:(Rng.create 1) ~faults ~transport:reroute ())
+      m plan
+  in
+  Engine.run engine;
+  let a = Session.reliable_result a in
+  Alcotest.(check bool) "rank 1 delivered, rank 2 neither delivered nor given up" true
+    (Float.is_nan a.Session.r_arrival.(2)
+    && (not (Float.is_nan a.Session.r_arrival.(1)))
+    && a.Session.crashed = [ 0; 1 ]
+    && a.Session.gave_up = []);
+  let at = Engine.now engine +. 10. in
+  let next (wire, engine) =
+    Engine.run_until engine at;
+    let s =
+      Session.launch_reliable ~wire ~engine
+        (Session.Config.v ~msg:1_000 ~rng:(Rng.create 2) ~start_delay:at ~transport:reroute ())
+        m plan
+    in
+    Engine.run engine;
+    Session.reliable_result s
+  in
+  let reused = next (wire, engine) and fresh = next (Wire.create ~n:3, Engine.create ()) in
+  Alcotest.(check bool) "the fresh run delivers all, rerouting none" true
+    (fresh.Session.delivered = 3 && fresh.Session.reroutes = []);
+  Alcotest.(check bool) "reused state = fresh state" true
+    (compare (Gridb_check.Metamorphic.comparable reused)
+       (Gridb_check.Metamorphic.comparable fresh)
+    = 0)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "des"
@@ -1275,6 +1359,8 @@ let () =
           quick "pooled state across sizes" test_session_pool_across_sizes;
           quick "pooled state of concurrent sessions" test_session_pool_concurrent;
           quick "mean_reliable jobs-invariant" test_session_mean_reliable_jobs;
+          quick "settles lossy ACKs" test_session_settles_lossy_acks;
+          quick "pooled state drops parked orphans" test_session_pool_resets_pending;
           quick "seeded noise" test_exec_noise_perturbs_but_is_seeded;
           quick "mean makespan" test_exec_mean_makespan_reasonable;
           QCheck_alcotest.to_alcotest exec_arrival_monotone_along_tree;
